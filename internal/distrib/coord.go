@@ -157,21 +157,23 @@ func (c *Coordinator) Run(ctx context.Context) (naspipe.Result, *supervise.Repor
 		if c.plan != nil {
 			ident.FaultSeed = c.plan.Seed
 		}
-		if c.cfg.Resume {
-			ck, lerr := fault.Load(c.spec.Checkpoint)
-			if lerr != nil {
-				return naspipe.Result{}, &supervise.Report{}, fmt.Errorf("distrib: resume: %w", lerr)
-			}
-			if ck.Space != c.spec.Space || ck.Seed != c.spec.Seed || ck.NumSubnets != c.spec.Subnets {
-				return naspipe.Result{}, &supervise.Report{}, fmt.Errorf("distrib: resume: checkpoint identity (space %s seed %d n %d) does not match the spec",
-					ck.Space, ck.Seed, ck.NumSubnets)
-			}
-			ident.Cursor, ident.Incarnation = ck.Cursor, ck.Incarnation
-			c.cursor, c.incarnation = ck.Cursor, ck.Incarnation
-		}
 		var weightFn func(int) uint64
 		if tc, ok := c.spec.TrainConfig(); ok {
 			weightFn = train.NewCheckpointer(tc, fullCfg.ResolveSubnets()).ChecksumAt
+		}
+		if c.cfg.Resume {
+			// The same guard Runner.Resume applies, before any worker
+			// launches: a foreign checkpoint must not reach the fleet.
+			ck, lerr := fault.Load(c.spec.Checkpoint)
+			if lerr == nil {
+				elastic := c.spec.Elastic || (c.spec.Supervise != nil && c.spec.Supervise.ElasticAfter > 0)
+				lerr = ck.VerifyResume(ident, elastic, weightFn)
+			}
+			if lerr != nil {
+				return naspipe.Result{}, &supervise.Report{}, fmt.Errorf("distrib: resume: %w", lerr)
+			}
+			ident.Cursor, ident.Incarnation = ck.Cursor, ck.Incarnation
+			c.cursor, c.incarnation = ck.Cursor, ck.Incarnation
 		}
 		c.rec = fault.NewFileRecorder(c.spec.Checkpoint, ident, c.spec.CheckpointEvery, weightFn)
 		if err := c.rec.Init(); err != nil {
@@ -368,14 +370,34 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 	}
 
 	procs := make([]Process, gpus)
+	// teardown is the one way an incarnation ends short of success: kill
+	// the fleet, stop the relay, and roll the incarnation so the relaunch
+	// (or a later resume) draws a fresh fault schedule — in particular an
+	// incarnation-pinned crash or wedge cannot refire. It returns cause.
+	teardown := func(why string, cause error) (engine.Result, error) {
+		c.logf("coordinator: incarnation %d: %s; tearing fleet down", incNo, why)
+		c.killFleet(procs, links, why)
+		cancel()
+		pumps.Wait()
+		if berr := c.bump(); berr != nil {
+			return res, fmt.Errorf("distrib: recording incarnation %d's end: %w (it ended with: %v)", incNo, berr, cause)
+		}
+		return res, cause
+	}
+	// died charges a worker death to the committed cursor; the
+	// supervision plane resumes from there.
+	died := func(stage int, why string) (engine.Result, error) {
+		cur, _ := c.state()
+		return teardown(fmt.Sprintf("stage %d died (%s)", stage, why),
+			&fault.CrashError{Stage: stage, Seq: cur, Incarnation: incNo})
+	}
 	addr := ln.Addr().String()
 	for k := range procs {
 		p, lerr := c.cfg.Launcher.Start(ctx, WorkerSpec{
 			Addr: addr, RunID: c.cfg.RunID, Stage: k, Incarnation: incNo,
 		})
 		if lerr != nil {
-			c.killFleet(procs, links, "launch failed")
-			return res, fmt.Errorf("distrib: %w", lerr)
+			return teardown("launch failed", fmt.Errorf("distrib: %w", lerr))
 		}
 		procs[k] = p
 		go func(k int, p Process) {
@@ -390,27 +412,10 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 
 	deadTick := time.NewTicker(c.cfg.DeadAfter / 4)
 	defer deadTick.Stop()
-	incident := func(stage int, why string) (engine.Result, error) {
-		c.logf("coordinator: incarnation %d: stage %d died (%s); tearing fleet down", incNo, stage, why)
-		c.killFleet(procs, links, why)
-		cancel()
-		pumps.Wait()
-		if berr := c.bump(); berr != nil {
-			return res, fmt.Errorf("distrib: recording crash incarnation: %w", berr)
-		}
-		cur, _ := c.state()
-		return res, &fault.CrashError{Stage: stage, Seq: cur, Incarnation: incNo}
-	}
 	for {
 		select {
 		case <-parent.Done():
-			c.killFleet(procs, links, "interrupted")
-			cancel()
-			pumps.Wait()
-			if berr := c.bump(); berr != nil {
-				return res, berr
-			}
-			return res, parent.Err()
+			return teardown("interrupted", parent.Err())
 		case <-st.allDone:
 			c.broadcast(links, "complete")
 			c.reapFleet(procs)
@@ -419,40 +424,23 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 			return c.finish(res, gpus, cursor, st, start)
 		case f := <-st.failed:
 			if f.Kind == "crash" {
-				return res, c.incidentErr(procs, links, &pumps, cancel,
+				return teardown(fmt.Sprintf("stage %d reported crash at seq %d", f.Stage, f.Seq),
 					&fault.CrashError{Stage: f.Stage, Seq: f.Seq, Kind: 0, Incarnation: f.Incarnation})
 			}
 			// A non-crash worker failure (spec rejected, transport
 			// poisoned) is not survivable by relaunch.
-			c.killFleet(procs, links, "worker failed")
-			cancel()
-			pumps.Wait()
-			return res, fmt.Errorf("distrib: stage %d failed: %s", f.Stage, f.Msg)
+			return teardown("worker failed", fmt.Errorf("distrib: stage %d failed: %s", f.Stage, f.Msg))
 		case we := <-st.deaths:
 			if st.isDone(we.stage) {
 				continue // clean exit after Done — expected
 			}
-			return incident(we.stage, fmt.Sprintf("process exited: %v", we.err))
+			return died(we.stage, fmt.Sprintf("process exited: %v", we.err))
 		case <-deadTick.C:
 			if k := st.deadStage(c.cfg.DeadAfter); k >= 0 {
-				return incident(k, fmt.Sprintf("no heartbeat for %v", c.cfg.DeadAfter))
+				return died(k, fmt.Sprintf("no heartbeat for %v", c.cfg.DeadAfter))
 			}
 		}
 	}
-}
-
-// incidentErr tears the fleet down and returns the crash error after
-// bumping the incarnation — the Failed-frame twin of incident above.
-func (c *Coordinator) incidentErr(procs []Process, links []*transport.Link, pumps *sync.WaitGroup,
-	cancel context.CancelFunc, crash *fault.CrashError) error {
-	c.logf("coordinator: stage %d reported crash at seq %d; tearing fleet down", crash.Stage, crash.Seq)
-	c.killFleet(procs, links, "fleet restart")
-	cancel()
-	pumps.Wait()
-	if berr := c.bump(); berr != nil {
-		return fmt.Errorf("distrib: recording crash incarnation: %w", berr)
-	}
-	return crash
 }
 
 // finish assembles the incarnation's Result from the fleet's Done

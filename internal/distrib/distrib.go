@@ -37,7 +37,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"sync"
 
 	"naspipe/internal/telemetry"
 )
@@ -53,9 +52,11 @@ type WorkerSpec struct {
 }
 
 // Process is a launched worker. Wait blocks until the worker exits and
-// returns its terminal error; Kill terminates it abruptly (SIGKILL for
-// real processes) — the worker gets no chance to say goodbye, which is
-// the point: recovery must not depend on clean shutdown.
+// returns its terminal error, to every caller — the coordinator's death
+// watcher and its reaper both wait on every worker; Kill terminates it
+// abruptly (SIGKILL for real processes) — the worker gets no chance to
+// say goodbye, which is the point: recovery must not depend on clean
+// shutdown.
 type Process interface {
 	Wait() error
 	Kill() error
@@ -68,6 +69,22 @@ type Launcher interface {
 	Start(ctx context.Context, w WorkerSpec) (Process, error)
 }
 
+// proc is a launched worker, real or in-process. One goroutine started
+// by the launcher observes the exit, stores the terminal error and closes
+// done, so Wait serves any number of concurrent callers.
+type proc struct {
+	kill func() error
+	done chan struct{} // closed once err holds the worker's terminal error
+	err  error
+}
+
+func (p *proc) Wait() error {
+	<-p.done
+	return p.err
+}
+
+func (p *proc) Kill() error { return p.kill() }
+
 // ExecLauncher runs each worker as a separate OS process — the real
 // deployment shape, and the one the kill -9 drill exercises.
 type ExecLauncher struct {
@@ -78,24 +95,6 @@ type ExecLauncher struct {
 	// LogDir, when set, captures each worker's combined output to
 	// stage-<k>.inc<i>.log inside it.
 	LogDir string
-}
-
-type execProcess struct {
-	cmd *exec.Cmd
-	log *os.File
-}
-
-func (p *execProcess) Wait() error {
-	err := p.cmd.Wait()
-	if p.log != nil {
-		p.log.Close()
-	}
-	return err
-}
-
-func (p *execProcess) Kill() error {
-	// SIGKILL, not SIGTERM: the drill is surviving ungraceful death.
-	return p.cmd.Process.Kill()
 }
 
 // Start launches `Bin -addr A -run R -stage K -incarnation I [Args...]`.
@@ -111,7 +110,7 @@ func (l *ExecLauncher) Start(ctx context.Context, w WorkerSpec) (Process, error)
 	}
 	args = append(args, l.Args...)
 	cmd := exec.Command(l.Bin, args...)
-	p := &execProcess{cmd: cmd}
+	var log *os.File
 	if l.LogDir != "" {
 		f, err := os.Create(filepath.Join(l.LogDir,
 			fmt.Sprintf("stage-%d.inc%d.log", w.Stage, w.Incarnation)))
@@ -119,14 +118,23 @@ func (l *ExecLauncher) Start(ctx context.Context, w WorkerSpec) (Process, error)
 			return nil, fmt.Errorf("distrib: worker log: %w", err)
 		}
 		cmd.Stdout, cmd.Stderr = f, f
-		p.log = f
+		log = f
 	}
 	if err := cmd.Start(); err != nil {
-		if p.log != nil {
-			p.log.Close()
+		if log != nil {
+			log.Close()
 		}
 		return nil, fmt.Errorf("distrib: launching stage %d: %w", w.Stage, err)
 	}
+	// Kill is SIGKILL, not SIGTERM: the drill is surviving ungraceful death.
+	p := &proc{kill: cmd.Process.Kill, done: make(chan struct{})}
+	go func() {
+		p.err = cmd.Wait()
+		if log != nil {
+			log.Close()
+		}
+		close(p.done)
+	}()
 	return p, nil
 }
 
@@ -142,46 +150,19 @@ type InProcLauncher struct {
 	Log func(format string, args ...any)
 }
 
-type inprocProcess struct {
-	cancel context.CancelFunc
-	done   chan error
-
-	mu   sync.Mutex
-	err  error
-	dead bool
-}
-
-func (p *inprocProcess) Wait() error {
-	p.mu.Lock()
-	if p.dead {
-		defer p.mu.Unlock()
-		return p.err
-	}
-	p.mu.Unlock()
-	err := <-p.done
-	p.mu.Lock()
-	p.err, p.dead = err, true
-	p.mu.Unlock()
-	return err
-}
-
-func (p *inprocProcess) Kill() error {
-	p.cancel()
-	return nil
-}
-
 // Start runs RunWorker in a goroutine. The worker context is detached
 // from ctx's cancellation path only through Kill — exactly one way to
 // die, like a process.
 func (l *InProcLauncher) Start(ctx context.Context, w WorkerSpec) (Process, error) {
 	wctx, cancel := context.WithCancel(context.Background())
-	p := &inprocProcess{cancel: cancel, done: make(chan error, 1)}
+	p := &proc{kill: func() error { cancel(); return nil }, done: make(chan struct{})}
 	go func() {
-		p.done <- RunWorker(wctx, WorkerConfig{
+		p.err = RunWorker(wctx, WorkerConfig{
 			Addr: w.Addr, RunID: w.RunID,
 			Stage: w.Stage, Incarnation: w.Incarnation,
 			Tel: l.Tel, Log: l.Log,
 		})
+		close(p.done)
 		cancel()
 	}()
 	return p, nil

@@ -3,12 +3,16 @@ package distrib_test
 import (
 	"context"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"naspipe"
 	"naspipe/internal/distrib"
 	"naspipe/internal/engine"
+	"naspipe/internal/fault"
 	"naspipe/internal/supervise"
 	"naspipe/internal/train"
 )
@@ -25,6 +29,73 @@ func distSpec(t *testing.T, subnets int) naspipe.JobSpec {
 		Train:  &naspipe.TrainSpec{Dim: 8, BatchSize: 2, LR: 0.05},
 		Verify: true,
 	}
+}
+
+// heldOpen pins a fleet job's incarnation 0 open so a kill or interrupt
+// always lands on a live fleet: stage 0 wedges on subnet 6's backward,
+// which is the last step of that subnet, so the stream can never finish
+// before the fleet is torn down. Subnet 0's backward reaches stage 0
+// first (it leads every queue on the way down and back), so at least
+// one cut is committed before the wedge — waitCommitted always returns.
+// The bumped incarnation does not wedge. The watchdog is moved out of
+// the way: the test's own kill, not a stall verdict, ends incarnation 0.
+func heldOpen(t *testing.T, subnets int) naspipe.JobSpec {
+	spec := distSpec(t, subnets)
+	spec.Checkpoint = filepath.Join(t.TempDir(), "fleet.ckpt")
+	spec.Faults = "seed=1,wedgeat=0:0:6:B"
+	spec.Supervise = &naspipe.SuperviseSpec{
+		StallTimeout: naspipe.Duration(time.Minute),
+		MaxRestarts:  4, Backoff: naspipe.Duration(time.Millisecond),
+		BackoffMax: naspipe.Duration(5 * time.Millisecond),
+	}
+	return spec
+}
+
+// waitCommitted returns once the checkpoint file records a committed
+// cursor in [1, total): the fleet is mid-stream, with work to lose and
+// work to keep. It runs beside Coordinator.Run, so it reports with
+// t.Error and lets the caller go on to unblock the run.
+func waitCommitted(t *testing.T, spec naspipe.JobSpec) {
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(60 * time.Second)
+	for {
+		if ck, err := fault.Load(spec.Checkpoint); err == nil && ck.Cursor >= 1 {
+			if ck.Cursor >= spec.Subnets {
+				t.Errorf("stream finished (cursor %d) although incarnation 0 is wedged", ck.Cursor)
+			}
+			return
+		}
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Error("no cut committed within 60s")
+			return
+		}
+	}
+}
+
+// checkLeaks fails the test if it ends with more goroutines than it
+// started with: relay pumps, death watchers, reapers and in-process
+// workers must all be gone once Coordinator.Run has returned.
+func checkLeaks(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(3 * time.Second)
+		var n int
+		for {
+			if n = runtime.NumGoroutine(); n <= before {
+				return
+			}
+			if time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		buf := make([]byte, 1<<16)
+		t.Errorf("goroutine leak: %d before, %d after\n%s", before, n, buf[:runtime.Stack(buf, true)])
+	})
 }
 
 func coordFor(t *testing.T, spec naspipe.JobSpec, runID string) *distrib.Coordinator {
@@ -46,6 +117,7 @@ func coordFor(t *testing.T, spec naspipe.JobSpec, runID string) *distrib.Coordin
 // strict sequential training. The coordinator's Verify already
 // replays; this test re-derives the checksum independently too.
 func TestFleetMatchesSequentialBitwise(t *testing.T) {
+	checkLeaks(t)
 	spec := distSpec(t, 12)
 	co := coordFor(t, spec, "bitwise-test")
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -97,43 +169,36 @@ func TestFleetMatchesSequentialBitwise(t *testing.T) {
 // relaunched from the committed cursor, and the final result must
 // still verify bitwise against the sequential reference.
 func TestFleetSurvivesWorkerKill(t *testing.T) {
-	spec := distSpec(t, 12)
-	spec.Checkpoint = filepath.Join(t.TempDir(), "fleet.ckpt")
-	spec.Supervise = &naspipe.SuperviseSpec{
-		MaxRestarts: 4, Backoff: naspipe.Duration(time.Millisecond),
-		BackoffMax: naspipe.Duration(5 * time.Millisecond),
-		// Kills before the first commit must not read as a crash loop.
-		CrashLoopWindow: 4,
-	}
-
-	killer := &killingLauncher{
-		InProcLauncher: distrib.InProcLauncher{Log: t.Logf},
-		victim:         2,
-		after:          30 * time.Millisecond,
-	}
+	checkLeaks(t)
+	spec := heldOpen(t, 12)
+	victim := make(chan distrib.Process, 1)
 	co, err := distrib.NewCoordinator(distrib.CoordConfig{
-		Spec: spec, RunID: "kill-test", Launcher: killer, Log: t.Logf,
-		DeadAfter: time.Second,
+		Spec: spec, RunID: "kill-test", Log: t.Logf, DeadAfter: time.Second,
+		Launcher: &victimLauncher{InProcLauncher: distrib.InProcLauncher{Log: t.Logf}, stage: 2, victim: victim},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	go func() {
+		p := <-victim
+		waitCommitted(t, spec)
+		p.Kill()
+	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	res, rep, err := co.Run(ctx)
 	if err != nil {
 		t.Fatalf("fleet run with kill: %v\nincidents:\n%s", err, rep.Timeline())
 	}
-	if rep.Restarts < 1 {
-		t.Fatalf("expected at least one fleet restart, got %d", rep.Restarts)
+	if rep.Restarts != 1 {
+		t.Fatalf("one kill must cost exactly one fleet restart, got %d\n%s", rep.Restarts, rep.Timeline())
 	}
 	if rep.FinalState != supervise.Done {
 		t.Fatalf("final state %v, want Done", rep.FinalState)
 	}
-	total := res.BaseSeq + res.Completed
-	if total != spec.Subnets {
-		t.Fatalf("resumed run covers %d/%d subnets (base %d + completed %d)",
-			total, spec.Subnets, res.BaseSeq, res.Completed)
+	if res.BaseSeq < 1 || res.BaseSeq+res.Completed != spec.Subnets {
+		t.Fatalf("resumed run covers base %d + completed %d of %d subnets",
+			res.BaseSeq, res.Completed, spec.Subnets)
 	}
 	// Verify already ran inside co.Run (spec.Verify). Pin the prefix
 	// composition independently: sequential prefix + replayed suffix.
@@ -147,21 +212,24 @@ func TestFleetSurvivesWorkerKill(t *testing.T) {
 	}
 }
 
-// TestFleetResumeAcrossCoordinators models coordinator death: run a
-// fleet that gets killed mid-run, stop the whole coordinator, then
-// build a fresh one resuming from the checkpoint file.
+// TestFleetResumeAcrossCoordinators models coordinator death: interrupt
+// a fleet mid-stream, drop the whole coordinator, then build a fresh one
+// resuming from the checkpoint file.
 func TestFleetResumeAcrossCoordinators(t *testing.T) {
-	spec := distSpec(t, 10)
-	spec.Checkpoint = filepath.Join(t.TempDir(), "fleet.ckpt")
+	checkLeaks(t)
+	spec := heldOpen(t, 10)
 
-	// Phase 1: interrupt the run by cancelling the coordinator once
-	// the run is mid-stream.
+	// Phase 1: cancel the coordinator once the run is mid-stream.
 	co1 := coordFor(t, spec, "resume-test")
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		waitCommitted(t, spec)
+		cancel()
+	}()
 	_, _, err := co1.Run(ctx)
 	cancel()
 	if err == nil {
-		t.Skip("run finished before the interrupt; nothing to resume")
+		t.Fatal("run finished although incarnation 0 was wedged; nothing to resume")
 	}
 
 	// Phase 2: a fresh coordinator resumes from the file.
@@ -179,7 +247,7 @@ func TestFleetResumeAcrossCoordinators(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed fleet: %v\nincidents:\n%s", err, rep.Timeline())
 	}
-	if res.BaseSeq+res.Completed != spec.Subnets {
+	if res.BaseSeq < 1 || res.BaseSeq+res.Completed != spec.Subnets {
 		t.Fatalf("resumed run covers %d+%d of %d", res.BaseSeq, res.Completed, spec.Subnets)
 	}
 	tc, _ := spec.TrainConfig()
@@ -189,25 +257,109 @@ func TestFleetResumeAcrossCoordinators(t *testing.T) {
 	}
 }
 
-// killingLauncher wraps the in-process launcher and kills the victim
-// stage's first-incarnation worker after a delay — abruptly, like
-// kill -9: the worker sends nothing, its connection simply dies.
-type killingLauncher struct {
+// victimLauncher wraps the in-process launcher and hands the chosen
+// stage's first-incarnation worker to the test, which kills it —
+// abruptly, like kill -9: the worker sends nothing, its connection
+// simply dies.
+type victimLauncher struct {
 	distrib.InProcLauncher
-	victim int
-	after  time.Duration
+	stage  int
+	victim chan<- distrib.Process
 }
 
-func (l *killingLauncher) Start(ctx context.Context, w distrib.WorkerSpec) (distrib.Process, error) {
+func (l *victimLauncher) Start(ctx context.Context, w distrib.WorkerSpec) (distrib.Process, error) {
 	p, err := l.InProcLauncher.Start(ctx, w)
+	if err == nil && w.Stage == l.stage && w.Incarnation == 0 {
+		l.victim <- p
+	}
+	return p, err
+}
+
+// TestProcessWaitServesEveryCaller pins the Process contract the
+// coordinator relies on: its death watcher and its reaper both Wait on
+// every worker, and both must get the worker's terminal error.
+func TestProcessWaitServesEveryCaller(t *testing.T) {
+	checkLeaks(t)
+	// Nothing listens on the address, so the worker redials until killed.
+	p, err := (&distrib.InProcLauncher{}).Start(context.Background(),
+		distrib.WorkerSpec{Addr: "127.0.0.1:1", RunID: "wait-test"})
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	if w.Stage == l.victim && w.Incarnation == 0 {
-		go func() {
-			time.Sleep(l.after)
-			p.Kill()
-		}()
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = p.Wait()
+		}(i)
 	}
-	return p, nil
+	p.Kill()
+	wg.Wait()
+	if errs[0] == nil || errs[0] != errs[1] {
+		t.Fatalf("two waiters got %v and %v, want the worker's one terminal error", errs[0], errs[1])
+	}
+	if err := p.Wait(); err != errs[0] {
+		t.Fatalf("a late Wait got %v, want %v", err, errs[0])
+	}
+}
+
+// TestCoordinatorResumeRejectsForeignCheckpoint pins the resume guard:
+// Coordinator.Run{Resume} applies the identity check Runner.Resume
+// applies, and a mismatch is refused before any worker is launched —
+// not discovered later inside one.
+func TestCoordinatorResumeRejectsForeignCheckpoint(t *testing.T) {
+	spec := distSpec(t, 12)
+	spec.Checkpoint = filepath.Join(t.TempDir(), "fleet.ckpt")
+	tc, _ := spec.TrainConfig()
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := fault.Checkpoint{
+		Space: spec.Space, Seed: spec.Seed, GPUs: spec.GPUs, NumSubnets: spec.Subnets,
+		JitterSeed: spec.JitterSeed, Cursor: 12, Incarnation: 1,
+		WeightChecksum: train.NewCheckpointer(tc, cfg.ResolveSubnets()).ChecksumAt(12),
+	}
+	for _, c := range []struct {
+		name, want string
+		mutate     func(*fault.Checkpoint)
+	}{
+		{"space", "space", func(ck *fault.Checkpoint) { ck.Space = "NLP.c2" }},
+		{"seed", "seed", func(ck *fault.Checkpoint) { ck.Seed++ }},
+		{"gpus", "GPUs", func(ck *fault.Checkpoint) { ck.GPUs = 8 }},
+		{"subnets", "subnets", func(ck *fault.Checkpoint) { ck.NumSubnets++ }},
+		{"jitter", "jitter seed", func(ck *fault.Checkpoint) { ck.JitterSeed = 99 }},
+		{"cursor", "cursor", func(ck *fault.Checkpoint) { ck.Cursor = 13 }},
+		{"weights", "weight checksum", func(ck *fault.Checkpoint) { ck.WeightChecksum ^= 1 }},
+		{"", "", func(*fault.Checkpoint) {}}, // the unmutated checkpoint resumes
+	} {
+		ck := good
+		c.mutate(&ck)
+		if err := ck.Save(spec.Checkpoint); err != nil {
+			t.Fatal(err)
+		}
+		co, err := distrib.NewCoordinator(distrib.CoordConfig{
+			Spec: spec, RunID: "guard-test", Resume: true, Launcher: noLauncher{t},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = co.Run(context.Background())
+		switch {
+		case c.name == "" && err != nil:
+			t.Errorf("matching checkpoint refused: %v", err)
+		case c.name != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("mismatched %s: Run = %v, want a resume error naming the %s", c.name, err, c.want)
+		}
+	}
+}
+
+// noLauncher fails the test if the coordinator gets as far as a launch.
+type noLauncher struct{ t *testing.T }
+
+func (l noLauncher) Start(context.Context, distrib.WorkerSpec) (distrib.Process, error) {
+	l.t.Error("a worker was launched")
+	return nil, context.Canceled
 }

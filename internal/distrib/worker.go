@@ -160,9 +160,6 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 		return err
 	}
 	n := cfg.NumSubnets
-	if len(cfg.Subnets) > 0 {
-		n = len(cfg.Subnets)
-	}
 	wc.logf("worker %d: assigned D=%d cursor=%d (%d subnets to run)", wc.Stage, assign.D, assign.Cursor, n)
 
 	st := &starTransport{link: link, qs: map[int]chan transport.Msg{
@@ -252,9 +249,9 @@ func awaitAssign(ctx context.Context, wc WorkerConfig, link *transport.Link) (tr
 // workerEngineConfig turns an assignment into the engine configuration
 // for this worker's slice of the run: the JobSpec's engine config, the
 // concurrent-plane overrides the Runner would have applied, and the
-// resume suffix renumbered from the committed cursor — the same
-// SeqBase mapping Runner.Resume performs, so fault schedules, traces,
-// and checkpoint cuts all stay globally addressed.
+// resume suffix renumbered from the committed cursor (Config.ResumeAt,
+// as in Runner.Resume), so fault schedules, traces, and checkpoint cuts
+// all stay globally addressed.
 func workerEngineConfig(wc WorkerConfig, a transport.Assign) (engine.Config, error) {
 	var spec naspipe.JobSpec
 	if err := json.Unmarshal(a.Spec, &spec); err != nil {
@@ -299,16 +296,7 @@ func workerEngineConfig(wc WorkerConfig, a transport.Assign) (engine.Config, err
 	if a.Cursor < 0 || a.Cursor > len(full) {
 		return engine.Config{}, fmt.Errorf("distrib: worker %d: cursor %d out of range [0, %d]", wc.Stage, a.Cursor, len(full))
 	}
-	suffix := make([]naspipe.Subnet, len(full)-a.Cursor)
-	for i := range suffix {
-		suffix[i] = full[a.Cursor+i]
-		suffix[i].Seq = i
-	}
-	cfg.Subnets = suffix
-	cfg.NumSubnets = len(suffix)
-	cfg.SeqBase = a.Cursor
-	cfg.FaultIncarnation = a.Incarnation
-	return cfg, nil
+	return cfg.ResumeAt(full, a.Cursor, a.Incarnation), nil
 }
 
 // demux is the worker's inbound frame loop: engine traffic into the

@@ -2,12 +2,17 @@
 //
 // Where the simulator (engine.go) models the paper's runtime on a
 // discrete-event clock, RunConcurrent *is* the runtime, at Go scale: every
-// pipeline stage runs in its own goroutine, activations flow downstream
-// and gradients upstream over channels, and each stage admits forward
-// tasks by consulting its own csp.Scheduler — the paper's decentralized
+// pipeline stage runs in its own goroutine and admits forward tasks by
+// consulting its own csp.Scheduler — the paper's decentralized
 // synchronization (§3.3), with no global clock and no central scheduler.
-// Dependency releases propagate as write/finish notifications, exactly the
-// role the mirroring push plays in §4.2.
+//
+// Stages talk one way only (dist.go): activations downstream, gradients
+// upstream and write/finish notifications sideways (the mirroring push of
+// §4.2) are transport.Msgs sent through one transport.Transport, and each
+// stage goroutine drains — and parks on — its own inbox, Transport.Recv(k).
+// A single-process run gets a private ChanTransport; a Config.Dist run
+// uses the caller's, be it a shared ChanTransport or a TCP star. The
+// send/receive code is the same in all three.
 //
 // With Config.ConcurrentMem enabled, each stage additionally owns a
 // thread-safe prefetching layer cache (internal/prefetch) and an async
@@ -55,40 +60,23 @@ import (
 	"naspipe/internal/task"
 	"naspipe/internal/telemetry"
 	"naspipe/internal/trace"
+	"naspipe/internal/transport"
 )
-
-// ccNote is a cross-stage dependency-release notification: subnet seq's
-// WRITE of ids has flushed on some stage; finished additionally marks the
-// subnet's backward as having reached stage 0 (whole-subnet retirement,
-// which advances the elimination frontier).
-type ccNote struct {
-	seq      int
-	ids      []supernet.LayerID
-	finished bool
-}
-
-// ccBwd is a gradient transfer from stage k+1 to stage k: the backward's
-// subnet plus any pending-backward records the sending stage announces
-// upstream (Algorithm 3 lines 10–11).
-type ccBwd struct {
-	seq     int
-	carried []csp.PendingBackward
-}
 
 // ccStage is one stage goroutine's private state. Only the owning
 // goroutine touches the scheduling fields after the run starts; the
 // cache is thread-safe and shared with the stage's prefetcher goroutine
-// and with neighbouring stages; all other cross-stage communication goes
-// through the channels.
+// and with neighbouring stages; all other cross-stage communication
+// arrives on the inbox.
 type ccStage struct {
 	k    int
 	base int // global seq of local subnet 0 (Config.SeqBase)
 
 	sched *csp.Scheduler
 
-	fwdIn chan int    // activation arrivals from stage k-1 (nil at stage 0)
-	bwdIn chan ccBwd  // gradient arrivals from stage k+1 (nil at stage D-1)
-	notes chan ccNote // write/finish notifications from other stages
+	// in is the stage's inbox, Transport.Recv(k): every activation,
+	// gradient, notification and remote prefetch push addressed to it.
+	in <-chan transport.Msg
 
 	// seenFwd/seenBwd dedup duplicated fault-plane deliveries (nil when
 	// fault injection is off; with it on, the injector bounds deliveries
@@ -183,10 +171,9 @@ type ccRun struct {
 	stages []*ccStage // indexed by stage; nil for stages remote to this process
 	base   int        // Config.SeqBase
 
-	// Distributed plane (nil for a single-process run): dist routes all
-	// cross-stage traffic through dist.Transport; a failed send poisons
-	// the run via sendOnce/sendErr (see dist.go).
-	dist     *DistConfig
+	// tp carries all cross-stage traffic; a failed send poisons the run
+	// via sendOnce/sendErr (see dist.go).
+	tp       transport.Transport
 	sendOnce sync.Once
 	sendErr  error
 
@@ -262,18 +249,7 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	c := &ccRun{cfg: cfg, w: w, base: cfg.SeqBase, rec: cfg.Checkpoint, probe: cfg.Probe, dist: cfg.Dist}
-	local := make([]bool, w.D)
-	if c.dist != nil {
-		if err := c.dist.validate(w.D); err != nil {
-			return Result{}, err
-		}
-		local = c.dist.localSet(w.D)
-	} else {
-		for k := range local {
-			local[k] = true
-		}
-	}
+	c := &ccRun{cfg: cfg, w: w, base: cfg.SeqBase, rec: cfg.Checkpoint, probe: cfg.Probe}
 	if cfg.Faults.Enabled() {
 		c.inj, err = fault.NewInjector(*cfg.Faults, cfg.FaultIncarnation)
 		if err != nil {
@@ -291,24 +267,25 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 		tel = telemetry.NewBus(32*n*w.D + 4096)
 	}
 	c.tel = tel
-	// Under fault injection a message may be delivered twice (the
-	// injector duplicates only on attempt 0), so the arrival buffers are
-	// doubled: sends stay non-blocking even after a crash empties the
-	// receiving side.
-	arrivalCap := n
-	if c.inj != nil {
-		arrivalCap = 2 * n
+	local := make([]int, w.D) // the stages this process runs
+	for k := range local {
+		local[k] = k
 	}
-	c.stages = make([]*ccStage, w.D)
-	for k := 0; k < w.D; k++ {
-		if !local[k] {
-			continue // the stage runs in another process, behind the transport
+	if cfg.Dist != nil {
+		if err := cfg.Dist.validate(w.D); err != nil {
+			return Result{}, err
 		}
+		c.tp, local = cfg.Dist.Transport, cfg.Dist.Stages
+	} else {
+		c.tp = transport.NewChanTransport(w.D, c.inboxCap(n))
+	}
+	c.stages = make([]*ccStage, w.D) // nil = runs in another process, behind the transport
+	for _, k := range local {
 		s := &ccStage{
 			k:     k,
 			base:  c.base,
 			sched: csp.New(k),
-			notes: make(chan ccNote, (w.D+1)*n),
+			in:    c.tp.Recv(k),
 			cont:  metrics.StageContention{Stage: k},
 			tel:   tel,
 			telb:  telemetry.NewBatcher(tel),
@@ -317,12 +294,6 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 		if c.inj != nil {
 			s.seenFwd = make(map[int]bool, n)
 			s.seenBwd = make(map[int]bool, n)
-		}
-		if k > 0 {
-			s.fwdIn = make(chan int, arrivalCap)
-		}
-		if k < w.D-1 {
-			s.bwdIn = make(chan ccBwd, arrivalCap)
 		}
 		for i := range w.Subnets {
 			if err := s.sched.AddSubnet(csp.SubnetInfo{
@@ -359,12 +330,6 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	start := time.Now()
-	// Pump goroutines (dist only): one per local stage, draining the
-	// transport's delivery queues into the stage arrival channels.
-	stopPumps := func() {}
-	if c.dist != nil {
-		stopPumps = c.startPumps()
-	}
 	// Async prefetcher goroutines: one per stage, alive for the whole run,
 	// applying subnet prefetch requests to the stage cache concurrently
 	// with that stage's compute.
@@ -392,7 +357,6 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 		}(s)
 	}
 	wg.Wait() // establishes happens-before: stage state is safe to read below
-	stopPumps()
 	close(stopFetch)
 	fwg.Wait()
 
@@ -434,13 +398,13 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 	if c.obs != nil {
 		res.ObservedTrace = c.obs
 		res.Trace = CanonicalTrace(w)
-		if c.dist != nil {
+		if cfg.Dist != nil {
 			// A dist worker observes only its local stages; its reference
 			// is the canonical trace filtered to them. Partitions are
 			// per-subnet, so a layer can straddle workers across subnets —
 			// this local check is necessary but not sufficient, and the
 			// coordinator's merged-trace verification is the full one.
-			res.Trace = FilterTrace(res.Trace, c.dist.Stages)
+			res.Trace = FilterTrace(res.Trace, cfg.Dist.Stages)
 		}
 	}
 	if c.tel != nil {
@@ -626,12 +590,8 @@ func (c *ccRun) stageLoop(ctx context.Context, s *ccStage) {
 		s.cont.Parks++
 		timer := time.NewTimer(ccParkPoll)
 		select {
-		case note := <-s.notes:
-			s.apply(note)
-		case seq := <-s.fwdIn:
-			s.acceptFwd(seq)
-		case b := <-s.bwdIn:
-			s.acceptBwd(b)
+		case m := <-s.in:
+			s.receive(m)
 		case <-ctx.Done():
 		case <-timer.C:
 		}
@@ -639,41 +599,32 @@ func (c *ccRun) stageLoop(ctx context.Context, s *ccStage) {
 	}
 }
 
-// drain non-blockingly absorbs every pending notification, arrival, and
-// prefetch request.
+// drain non-blockingly absorbs every message pending on the inbox, then
+// every pending prefetch request.
 func (c *ccRun) drain(s *ccStage) {
 	for {
 		select {
-		case note := <-s.notes:
-			s.apply(note)
-			continue
+		case m := <-s.in:
+			s.receive(m)
 		default:
+			c.stealFetches(s)
+			return
 		}
-		if s.fwdIn != nil {
-			select {
-			case seq := <-s.fwdIn:
-				s.acceptFwd(seq)
-				continue
-			default:
-			}
-		}
-		if s.bwdIn != nil {
-			select {
-			case b := <-s.bwdIn:
-				s.acceptBwd(b)
-				continue
-			default:
-			}
-		}
-		if s.fetchQ != nil {
-			select {
-			case seq := <-s.fetchQ:
-				c.applyFetch(s, seq)
-				continue
-			default:
-			}
-		}
-		return
+	}
+}
+
+// receive folds one inbox message into the stage's queues and scheduler.
+func (s *ccStage) receive(m transport.Msg) {
+	switch m.Type {
+	case transport.FrameFwd:
+		s.acceptFwd(m.Seq)
+	case transport.FrameBwd:
+		s.acceptBwd(m.Seq, m.Carried)
+	case transport.FrameNote:
+		s.cont.Notes++
+		s.apply(m.Seq, m.IDs, m.Finished)
+	case transport.FrameFetch:
+		s.requestFetch(m.Seq)
 	}
 }
 
@@ -693,46 +644,33 @@ func (s *ccStage) acceptFwd(seq int) {
 	s.requestFetch(seq)
 }
 
-// acceptBwd queues a gradient arrival, stashes its carried pending-
-// backward records for the predictor, and prefetches the backward's
-// context.
-func (s *ccStage) acceptBwd(b ccBwd) {
+// acceptBwd queues a gradient arrival, stashes the pending-backward
+// records it carried from downstream (Algorithm 3 lines 10–11) for the
+// predictor, and prefetches the backward's context.
+func (s *ccStage) acceptBwd(seq int, carried []csp.PendingBackward) {
 	if s.seenBwd != nil {
-		if s.seenBwd[b.seq] {
+		if s.seenBwd[seq] {
 			return
 		}
-		s.seenBwd[b.seq] = true
+		s.seenBwd[seq] = true
 	}
-	s.bwdReady = append(s.bwdReady, b.seq)
-	s.telFlow(telemetry.OpTransferRecv, telemetry.PhaseFlowEnd, b.seq, telemetry.KindBackward, s.k+1)
-	s.telTask(telemetry.OpTaskAdmit, telemetry.PhaseInstant, b.seq, telemetry.KindBackward)
-	if len(b.carried) > 0 && s.carriedBy != nil {
-		s.carriedBy[b.seq] = append(s.carriedBy[b.seq], b.carried...)
+	s.bwdReady = append(s.bwdReady, seq)
+	s.telFlow(telemetry.OpTransferRecv, telemetry.PhaseFlowEnd, seq, telemetry.KindBackward, s.k+1)
+	s.telTask(telemetry.OpTaskAdmit, telemetry.PhaseInstant, seq, telemetry.KindBackward)
+	if len(carried) > 0 && s.carriedBy != nil {
+		s.carriedBy[seq] = append(s.carriedBy[seq], carried...)
 	}
-	s.requestFetch(b.seq)
+	s.requestFetch(seq)
 }
 
-// apply folds a cross-stage notification into the local scheduler.
-func (s *ccStage) apply(n ccNote) {
-	s.cont.Notes++
-	s.sched.MarkWritten(n.seq, n.ids)
-	if n.finished {
-		s.sched.MarkFinished(n.seq)
-	}
-}
-
-// sendNote delivers a cross-stage notification without ever blocking: the
-// (D+1)*n buffer sizing is a never-block invariant (each stage emits at
-// most n notes to every other stage), and a blocked send here would
-// deadlock the pipeline silently. A full buffer is therefore a protocol
-// bug, and the send fails loudly instead.
-func (s *ccStage) sendNote(n ccNote) {
-	select {
-	case s.notes <- n:
-	default:
-		panic(fmt.Sprintf(
-			"engine: stage %d notes buffer full (cap %d): cross-stage notification would block; the (D+1)*n sizing invariant is violated",
-			s.k, cap(s.notes)))
+// apply folds a dependency release into the local scheduler: subnet
+// seq's WRITE of ids has flushed on some stage; finished additionally
+// marks the subnet's backward as having reached stage 0 (whole-subnet
+// retirement, which advances the elimination frontier).
+func (s *ccStage) apply(seq int, ids []supernet.LayerID, finished bool) {
+	s.sched.MarkWritten(seq, ids)
+	if finished {
+		s.sched.MarkFinished(seq)
 	}
 }
 
@@ -846,8 +784,7 @@ func (c *ccRun) maybeCrash(s *ccStage, seq int, kind int8) bool {
 }
 
 // transport delivers one cross-stage message through the fault plane.
-// deliver must be a non-blocking buffered-channel send (the arrival
-// buffers are sized for every possible delivery) and is invoked once,
+// deliver must not block (sendFwd/sendBwd never do) and is invoked once,
 // twice (Duplicate), or after a wait (Delay). A Drop burns one bounded
 // retry with exponential backoff; when retries are exhausted the message
 // escalates to the reliable path and delivers — faults slow the
@@ -968,35 +905,18 @@ func (c *ccRun) runBackward(ctx context.Context, s *ccStage) bool {
 	// pair then carries the happens-before edge to every dependent READ.
 	c.emit(ids, seq, s.k, trace.Write)
 	finished := s.k == 0
-	s.apply(ccNote{seq: seq, ids: ids, finished: finished})
-	s.cont.Notes-- // self-application is not cross-stage traffic
+	s.apply(seq, ids, finished)
 	if finished {
 		c.snapshotCut(s)
 		if c.probe != nil {
 			c.probe.advanceFrontier(c.base + s.sched.Frontier())
 		}
 	}
-	if c.dist != nil {
-		// One uniform path for all cross-stage traffic in a dist run:
-		// the note rides the transport even to co-local stages.
-		c.broadcastNote(s, ccNote{seq: seq, ids: ids, finished: finished})
-	} else {
-		for _, t := range c.stages {
-			if t != s {
-				t.sendNote(ccNote{seq: seq, ids: ids, finished: finished})
-			}
-		}
-	}
+	c.broadcastNote(s, seq, ids, finished)
 	if s.k > 0 {
 		s.telFlow(telemetry.OpTransferSend, telemetry.PhaseFlowBegin, seq, telemetry.KindBackward, s.k)
-		grad := ccBwd{seq: seq, carried: s.pendingCarry()}
-		c.transport(s, telemetry.KindBackward, seq, func() {
-			if c.dist != nil {
-				c.sendBwd(s, grad)
-			} else {
-				c.stages[s.k-1].bwdIn <- grad
-			}
-		})
+		carried := s.pendingCarry()
+		c.transport(s, telemetry.KindBackward, seq, func() { c.sendBwd(s, seq, carried) })
 	}
 	if s.cache != nil {
 		s.cache.Release(ids)
@@ -1109,13 +1029,7 @@ func (c *ccRun) runForward(ctx context.Context, s *ccStage) bool {
 	}
 	s.telTask(telemetry.OpTaskComplete, telemetry.PhaseEnd, seq, telemetry.KindForward)
 	if s.k < c.w.D-1 {
-		c.transport(s, telemetry.KindForward, seq, func() {
-			if c.dist != nil {
-				c.sendFwd(s, seq)
-			} else {
-				c.stages[s.k+1].fwdIn <- seq
-			}
-		})
+		c.transport(s, telemetry.KindForward, seq, func() { c.sendFwd(s, seq) })
 	} else {
 		// Loss computed: the backward is immediately ready locally.
 		s.bwdReady = append(s.bwdReady, seq)

@@ -1,21 +1,22 @@
-// The distributed execution plane's engine half: stage processes.
+// The concurrent plane's one stage-to-stage data path, and its
+// distributed half: stage processes.
 //
-// A DistConfig tells RunConcurrent to execute only a subset of the
-// pipeline's stages and to route every cross-stage message — activation
-// handoffs, gradient returns, completion-note broadcasts, cross-stage
-// prefetch pushes — through a transport.Transport instead of direct
-// channel sends. The stage goroutines themselves are unchanged: the
-// same scheduler, the same admission rule, the same trace emission.
-// What varies is purely the wiring, so a ChanTransport-backed run is
-// the single-process executor with one level of indirection, and a
-// Link-backed run is the same executor spread across OS processes.
+// Every cross-stage message — activation handoff, gradient return,
+// completion-note broadcast, remote prefetch push — is a transport.Msg
+// sent through ccRun.tp and received by the destination stage's own
+// goroutine from its inbox, Transport.Recv(k). No goroutine sits between
+// the transport and the stage. Which transport is the only thing that
+// varies: a private ChanTransport built here when Config.Dist is nil, or
+// the caller's when a DistConfig names the subset of stages this process
+// executes — a shared ChanTransport in tests, the worker's TCP star
+// (internal/distrib) in a fleet. Scheduler, admission rule, trace
+// emission and the send/receive code are identical in all of them.
 //
-// Each local stage gets a pump goroutine that drains its transport
-// delivery queue into the stage's arrival channels. The pump is the
-// only producer of a dist stage's notes channel (a stage's own
-// completions self-apply without a message), so its blocking sends are
-// deadlock-free; fwd/bwd arrival buffers are sized for every possible
-// delivery exactly as in the single-process plane.
+// Senders never block. A transport that cannot take a message — closed,
+// peer past its reconnect budget, destination queue full — returns an
+// error, and the first such error poisons the run (ccRun.send) naming
+// the sending and receiving stage: a full inbox is a loud failure, never
+// a silent pipeline deadlock.
 //
 // Verification composes: a worker's observed trace covers only its
 // local stages, so RunConcurrent checks the local observation against
@@ -30,8 +31,8 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"sync"
 
+	"naspipe/internal/csp"
 	"naspipe/internal/supernet"
 	"naspipe/internal/trace"
 	"naspipe/internal/transport"
@@ -40,7 +41,8 @@ import (
 // DistConfig places this process in a distributed run.
 type DistConfig struct {
 	// Transport carries all cross-stage traffic. The engine closes
-	// nothing: the caller owns the transport's lifecycle.
+	// nothing: the caller owns the transport's lifecycle, and sizes its
+	// delivery queues with DistQueueCap.
 	Transport transport.Transport
 
 	// Stages lists the pipeline stages this process executes (distinct,
@@ -69,118 +71,77 @@ func (d *DistConfig) validate(depth int) error {
 	return nil
 }
 
-// localSet returns a by-stage membership mask.
-func (d *DistConfig) localSet(depth int) []bool {
-	local := make([]bool, depth)
-	for _, k := range d.Stages {
-		local[k] = true
+// inboxCap sizes the per-stage queues of the ChanTransport the engine
+// builds for a single-process run of n subnets, from the in-flight
+// window rather than from n. Invariant: a stage drains its inbox before
+// every task, and between two drains at most (D+2)·W messages can land
+// on it, W = min(InflightLimit, n). refill keeps at most W subnets in
+// flight; each of those can still owe the stage one activation, one
+// gradient and D−1 notes, and each can retire and admit one successor,
+// which can reach the stage with an activation but no further — its
+// gradient and notes need the stage itself to run. The fault plane may
+// deliver a message twice, hence the doubling; +8 is slack for tiny
+// windows. An overflow would be an engine bug and fails the run (see
+// ccRun.send), it cannot hang it.
+func (c *ccRun) inboxCap(n int) int {
+	w := min(c.cfg.InflightLimit, n)
+	capacity := (c.w.D+2)*w + 8
+	if c.inj != nil {
+		capacity *= 2
 	}
-	return local
+	return capacity
 }
 
-// send pushes one message into the distributed fabric. A transport
-// refusing traffic (closed during teardown, a dead peer past its
-// reconnect budget) poisons the run like a checkpoint-recorder failure:
-// every stage goroutine unwinds and the first error is reported.
+// send pushes one message onto the data path. A transport refusing
+// traffic (destination inbox full, closed during teardown, a dead peer
+// past its reconnect budget) poisons the run like a checkpoint-recorder
+// failure: every stage goroutine unwinds and the first error is
+// reported.
 func (c *ccRun) send(m transport.Msg) {
-	if err := c.dist.Transport.Send(m); err != nil {
+	if err := c.tp.Send(m); err != nil {
 		c.sendOnce.Do(func() { c.sendErr = fmt.Errorf("engine: transport send (stage %d -> %d): %w", m.From, m.To, err) })
 		c.crashed.Store(true)
 	}
 }
 
 // sendFwd hands an activation to stage k+1; sendBwd returns a gradient
-// (with its carried pending-backward records) to stage k-1. Both are
-// the dist counterparts of the direct fwdIn/bwdIn channel sends and run
-// inside the same fault-plane wrapper (ccRun.transport).
+// (with its carried pending-backward records) to stage k-1. Both run
+// inside the fault-plane wrapper (ccRun.transport).
 func (c *ccRun) sendFwd(s *ccStage, seq int) {
 	c.send(transport.Msg{Type: transport.FrameFwd, From: s.k, To: s.k + 1, Seq: seq})
 }
 
-func (c *ccRun) sendBwd(s *ccStage, b ccBwd) {
-	c.send(transport.Msg{Type: transport.FrameBwd, From: s.k, To: s.k - 1, Seq: b.seq, Carried: b.carried})
+func (c *ccRun) sendBwd(s *ccStage, seq int, carried []csp.PendingBackward) {
+	c.send(transport.Msg{Type: transport.FrameBwd, From: s.k, To: s.k - 1, Seq: seq, Carried: carried})
 }
 
-// broadcastNote fans a completion note out to every other stage —
-// co-local ones included, so the message plane stays uniform: exactly
-// one path exists for cross-stage traffic in a dist run.
-func (c *ccRun) broadcastNote(s *ccStage, n ccNote) {
+// broadcastNote fans the release of subnet seq's WRITE of ids on stage
+// s out to every other stage (the receiving end is ccStage.apply).
+func (c *ccRun) broadcastNote(s *ccStage, seq int, ids []supernet.LayerID, finished bool) {
 	c.send(transport.Msg{
 		Type: transport.FrameNote, From: s.k, To: transport.Broadcast,
-		Seq: n.seq, IDs: n.ids, Finished: n.finished,
+		Seq: seq, IDs: ids, Finished: finished,
 	})
 }
 
-// pushFetch forwards a cross-stage context-push (§3.3) to stage k. In
-// a dist run the push becomes a Fetch message when the memory plane is
-// on; without a cache the receiver would discard it, so it is never
-// sent — frame counts stay free of dead traffic.
+// pushFetch forwards a cross-stage context-push (§3.3) to stage k: a
+// direct request when the stage runs in this process, a Fetch message
+// otherwise — and then only with the memory plane on; without a cache
+// the receiver would discard it, so frame counts stay free of dead
+// traffic.
 func (c *ccRun) pushFetch(s *ccStage, k, seq int) {
-	if c.dist == nil {
-		c.stages[k].requestFetch(seq)
-		return
-	}
-	if c.cfg.ConcurrentMem.Enabled() {
+	if t := c.stages[k]; t != nil {
+		t.requestFetch(seq)
+	} else if c.cfg.ConcurrentMem.Enabled() {
 		c.send(transport.Msg{Type: transport.FrameFetch, From: s.k, To: k, Seq: seq})
 	}
 }
 
-// pumpLoop drains one local stage's transport deliveries into its
-// arrival channels, translating wire messages back into the exact
-// events a direct channel send would have produced. It runs until
-// stopped: the run keeps pumps alive past stage completion so late
-// traffic (another worker's tail notes) never backs up the fabric.
-func (c *ccRun) pumpLoop(stop <-chan struct{}, s *ccStage) {
-	in := c.dist.Transport.Recv(s.k)
-	for {
-		select {
-		case <-stop:
-			return
-		case m := <-in:
-			switch m.Type {
-			case transport.FrameFwd:
-				s.fwdIn <- m.Seq
-			case transport.FrameBwd:
-				s.bwdIn <- ccBwd{seq: m.Seq, carried: m.Carried}
-			case transport.FrameNote:
-				select {
-				case s.notes <- ccNote{seq: m.Seq, ids: m.IDs, finished: m.Finished}:
-				case <-stop:
-					return
-				}
-			case transport.FrameFetch:
-				s.requestFetch(m.Seq)
-			}
-		}
-	}
-}
-
-// startPumps spawns one pump per local stage and returns their stop
-// function (idempotent).
-func (c *ccRun) startPumps() func() {
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, s := range c.stages {
-		if s == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(s *ccStage) {
-			defer wg.Done()
-			c.pumpLoop(stop, s)
-		}(s)
-	}
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(stop) })
-		wg.Wait()
-	}
-}
-
-// DistQueueCap sizes a transport's per-stage delivery queue so sends
-// never block steady-state: per stage, at most n forwards + n backwards
-// (×2 under fault-plane duplication), (D-1)·n notes, and ~2n fetch
-// pushes can ever arrive.
+// DistQueueCap sizes a caller-supplied transport's per-stage delivery
+// queue for the worst case, so it holds whatever stages in other
+// processes send however late this one drains: per stage, at most n
+// forwards + n backwards (×2 under fault-plane duplication), (D-1)·n
+// notes, and ~2n fetch pushes can ever arrive.
 func DistQueueCap(d, n int) int { return 2*(d+4)*n + 16 }
 
 // FilterTrace returns the sub-trace of tr on the given stages, in

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -64,6 +65,35 @@ func TestDistChanTransportPinsSingleProcess(t *testing.T) {
 				t.Fatalf("dist replay checksum %016x, want sequential %016x", rep.Checksum, want)
 			}
 		})
+	}
+}
+
+// TestFullInboxFailsTheRunLoudly pins the never-block invariant of the
+// data path: a destination queue too small for the traffic — the bug the
+// window-sized inbox guards against — must fail the run with an error
+// naming the sending and receiving stage. A blocking send here would
+// deadlock the stage goroutines and hang this test; a panic would kill it.
+func TestFullInboxFailsTheRunLoudly(t *testing.T) {
+	const d = 4
+	cfg := ccCfg(d, false)
+	tp := transport.NewChanTransport(d, 1)
+	defer tp.Close()
+	cfg.Dist = &engine.DistConfig{Transport: tp, Stages: []int{0, 1, 2, 3}}
+	_, err := engine.RunConcurrent(context.Background(), cfg)
+	if err == nil {
+		t.Fatal("run over a 1-slot transport succeeded; the overflow went unnoticed")
+	}
+	var from, to, capacity int
+	at := strings.Index(err.Error(), "transport: stage")
+	if at < 0 {
+		t.Fatalf("overflow error does not come from the transport: %v", err)
+	}
+	if _, serr := fmt.Sscanf(err.Error()[at:], "transport: stage %d -> %d: delivery queue full (cap %d)",
+		&from, &to, &capacity); serr != nil {
+		t.Fatalf("unhelpful overflow diagnostic %q: %v", err, serr)
+	}
+	if from == to || from < 0 || from >= d || to < 0 || to >= d || capacity != 1 {
+		t.Fatalf("overflow names stage %d -> %d, cap %d: %v", from, to, capacity, err)
 	}
 }
 

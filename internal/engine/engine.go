@@ -122,9 +122,9 @@ type Config struct {
 	Probe *RunProbe
 
 	// Dist, when non-nil, runs only Dist.Stages of the pipeline in this
-	// process and routes every cross-stage message through
-	// Dist.Transport instead of direct channel sends — the distributed
-	// execution plane (see dist.go). Concurrent plane only.
+	// process and carries cross-stage messages on Dist.Transport instead
+	// of the private in-process transport a nil Dist gets — the
+	// distributed execution plane (see dist.go). Concurrent plane only.
 	Dist *DistConfig
 }
 
@@ -161,6 +161,23 @@ func (c Config) ResolveSubnets() []supernet.Subnet {
 		return c.Subnets
 	}
 	return supernet.Sample(c.Space, c.Seed, c.NumSubnets)
+}
+
+// ResumeAt lowers c onto the uncommitted suffix of its stream, full
+// being ResolveSubnets() and cursor the committed prefix length
+// (0 <= cursor <= len(full)). The engine runs the suffix under local
+// 0-based seqs; SeqBase maps every externally visible sequence number
+// (trace, telemetry, fault labels, checkpoint cuts) back to the global
+// stream, and incarnation selects the fault schedule of this restart.
+func (c Config) ResumeAt(full []supernet.Subnet, cursor, incarnation int) Config {
+	suffix := make([]supernet.Subnet, len(full)-cursor)
+	for i := range suffix {
+		suffix[i] = full[cursor+i]
+		suffix[i].Seq = i
+	}
+	c.Subnets, c.NumSubnets = suffix, len(suffix)
+	c.SeqBase, c.FaultIncarnation = cursor, incarnation
+	return c
 }
 
 func (c Config) withDefaults() Config {

@@ -181,6 +181,36 @@ func Load(path string) (Checkpoint, error) {
 	return Decode(buf)
 }
 
+// VerifyResume checks that ck, loaded from a file, is a checkpoint of the
+// run whose identity fields (Space, Seed, GPUs, NumSubnets, JitterSeed)
+// are want's: every resume path — Runner.Resume, the fleet coordinator —
+// guards with it before running anything. elastic waives the GPU count
+// (the suffix may re-partition at another depth). weightAt, when non-nil,
+// retrains the committed prefix so a recorded weight checksum is
+// verified too.
+func (ck Checkpoint) VerifyResume(want Checkpoint, elastic bool, weightAt func(cursor int) uint64) error {
+	switch {
+	case ck.Space != want.Space:
+		return fmt.Errorf("checkpoint is for space %q, config says %q", ck.Space, want.Space)
+	case ck.Seed != want.Seed:
+		return fmt.Errorf("checkpoint seed %d != config seed %d", ck.Seed, want.Seed)
+	case ck.GPUs != want.GPUs && !elastic:
+		return fmt.Errorf("checkpoint ran on %d GPUs, config says %d (elastic resume permits re-partitioning)", ck.GPUs, want.GPUs)
+	case ck.NumSubnets != want.NumSubnets:
+		return fmt.Errorf("checkpoint stream has %d subnets, config has %d", ck.NumSubnets, want.NumSubnets)
+	case ck.JitterSeed != want.JitterSeed:
+		return fmt.Errorf("checkpoint jitter seed %d != config jitter seed %d", ck.JitterSeed, want.JitterSeed)
+	case ck.Cursor < 0 || ck.Cursor > want.NumSubnets:
+		return fmt.Errorf("checkpoint cursor %d out of range [0, %d]", ck.Cursor, want.NumSubnets)
+	}
+	if weightAt != nil && ck.WeightChecksum != 0 {
+		if got := weightAt(ck.Cursor); got != ck.WeightChecksum {
+			return fmt.Errorf("prefix weight checksum %#x does not match checkpoint %#x — wrong training config or corrupt stream", got, ck.WeightChecksum)
+		}
+	}
+	return nil
+}
+
 // Cut is one consistency point the engine offers to its Recorder: the
 // stage-0 frontier (global cursor) plus any out-of-order finished seqs
 // above it.

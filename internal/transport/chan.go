@@ -1,27 +1,29 @@
 package transport
 
-import "sync"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // ChanTransport is the in-process Transport: one buffered queue per
 // stage, no wire, no copies beyond the Msg value itself. It is the
-// fast path the single-process engine uses when a Dist config routes
-// co-local stages through a transport — pinned byte-identical against
-// channel-direct execution by the engine's tests.
+// fabric every single-process run executes on — the engine builds a
+// private one when no Dist config supplies a transport.
 type ChanTransport struct {
-	qs   []chan Msg
-	done chan struct{}
-	once sync.Once
+	qs     []chan Msg
+	closed atomic.Bool
 }
 
 // NewChanTransport returns a transport for `stages` stages whose
 // per-stage queues hold `capacity` messages each (minimum 1). Capacity
-// must cover the engine's worst-case in-flight traffic so Send never
-// blocks the pipeline; the engine sizes it from depth × subnet count.
+// must cover the traffic that can land on a stage between two drains:
+// Send never blocks, so an undersized queue fails the run instead of
+// wedging it (see engine.DistQueueCap for the caller-side bound).
 func NewChanTransport(stages, capacity int) *ChanTransport {
 	if capacity < 1 {
 		capacity = 1
 	}
-	t := &ChanTransport{qs: make([]chan Msg, stages), done: make(chan struct{})}
+	t := &ChanTransport{qs: make([]chan Msg, stages)}
 	for i := range t.qs {
 		t.qs[i] = make(chan Msg, capacity)
 	}
@@ -29,8 +31,9 @@ func NewChanTransport(stages, capacity int) *ChanTransport {
 }
 
 // Send delivers to m.To, or to every stage but m.From when To is
-// Broadcast. Blocks when a destination queue is full; unblocks with
-// ErrClosed if the transport closes while waiting.
+// Broadcast. It never blocks: a full destination queue is an error
+// naming the stage pair, because a sender parked on a stage that is
+// itself parked on a send is a silent pipeline deadlock.
 func (t *ChanTransport) Send(m Msg) error {
 	if m.To == Broadcast {
 		for k := range t.qs {
@@ -50,24 +53,22 @@ func (t *ChanTransport) Send(m Msg) error {
 }
 
 func (t *ChanTransport) put(k int, m Msg) error {
-	select {
-	case <-t.done:
+	if t.closed.Load() {
 		return ErrClosed
-	default:
 	}
 	select {
 	case t.qs[k] <- m:
 		return nil
-	case <-t.done:
-		return ErrClosed
+	default:
+		return fmt.Errorf("transport: stage %d -> %d: delivery queue full (cap %d)", m.From, k, cap(t.qs[k]))
 	}
 }
 
 // Recv returns stage k's delivery queue.
 func (t *ChanTransport) Recv(stage int) <-chan Msg { return t.qs[stage] }
 
-// Close unblocks senders; queued messages remain readable.
+// Close refuses further sends; queued messages remain readable.
 func (t *ChanTransport) Close() error {
-	t.once.Do(func() { close(t.done) })
+	t.closed.Store(true)
 	return nil
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -42,25 +43,26 @@ func TestChanTransportRoutesAndBroadcasts(t *testing.T) {
 	}
 }
 
-func TestChanTransportCloseUnblocksSenders(t *testing.T) {
+// TestChanTransportFullQueueAndClose pins Send's two refusals: a full
+// destination queue is an immediate error naming the stage pair (never a
+// blocked sender), and after Close every Send is ErrClosed while queued
+// messages stay readable.
+func TestChanTransportFullQueueAndClose(t *testing.T) {
 	checkLeaks(t)
-	tr := NewChanTransport(2, 1)
+	tr := NewChanTransport(3, 1)
 	if err := tr.Send(Msg{Type: FrameFwd, From: 0, To: 1, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- tr.Send(Msg{Type: FrameFwd, From: 0, To: 1, Seq: 2}) }() // queue full: blocks
-	time.Sleep(10 * time.Millisecond)
-	tr.Close()
-	select {
-	case err := <-errc:
-		if err != ErrClosed {
-			t.Fatalf("blocked Send returned %v, want ErrClosed", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Close did not unblock the pending Send")
+	err := tr.Send(Msg{Type: FrameFwd, From: 0, To: 1, Seq: 2})
+	if err == nil || !strings.Contains(err.Error(), "stage 0 -> 1: delivery queue full") {
+		t.Fatalf("Send to a full queue = %v, want an error naming stage 0 -> 1", err)
 	}
-	// Queued messages stay readable; post-close sends are refused.
+	// A broadcast names the stage that overflowed, not Broadcast.
+	err = tr.Send(Msg{Type: FrameNote, From: 2, To: Broadcast, Seq: 3})
+	if err == nil || !strings.Contains(err.Error(), "stage 2 -> 1: delivery queue full") {
+		t.Fatalf("broadcast into a full queue = %v, want an error naming stage 2 -> 1", err)
+	}
+	tr.Close()
 	if m := <-tr.Recv(1); m.Seq != 1 {
 		t.Fatalf("drained %+v, want seq 1", m)
 	}

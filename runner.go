@@ -228,7 +228,7 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (Result, error) {
 			return engine.RunConcurrent(ctx, cfg)
 		}
 		full := cfg.ResolveSubnets()
-		return r.runCheckpointed(ctx, cfg, full, fault.Checkpoint{
+		return r.runCheckpointed(ctx, cfg, r.weightFn(full), fault.Checkpoint{
 			Space:      cfg.Space.Name,
 			Seed:       cfg.Seed,
 			GPUs:       cfg.Spec.GPUs,
@@ -266,47 +266,25 @@ func (r *Runner) Resume(ctx context.Context, cfg Config) (Result, error) {
 	}
 	r.applyOverrides(&cfg)
 	full := cfg.ResolveSubnets()
-	switch {
-	case ck.Space != cfg.Space.Name:
-		return Result{}, fmt.Errorf("naspipe: resume: checkpoint is for space %q, config says %q", ck.Space, cfg.Space.Name)
-	case ck.Seed != cfg.Seed:
-		return Result{}, fmt.Errorf("naspipe: resume: checkpoint seed %d != config seed %d", ck.Seed, cfg.Seed)
-	case ck.GPUs != cfg.Spec.GPUs && !r.elastic:
-		return Result{}, fmt.Errorf("naspipe: resume: checkpoint ran on %d GPUs, config says %d (WithElasticResume permits re-partitioning)", ck.GPUs, cfg.Spec.GPUs)
-	case ck.NumSubnets != len(full):
-		return Result{}, fmt.Errorf("naspipe: resume: checkpoint stream has %d subnets, config has %d", ck.NumSubnets, len(full))
-	case ck.JitterSeed != cfg.JitterSeed:
-		return Result{}, fmt.Errorf("naspipe: resume: checkpoint jitter seed %d != config jitter seed %d", ck.JitterSeed, cfg.JitterSeed)
-	case ck.Cursor < 0 || ck.Cursor > len(full):
-		return Result{}, fmt.Errorf("naspipe: resume: checkpoint cursor %d out of range [0, %d]", ck.Cursor, len(full))
+	weightAt := r.weightFn(full) // one checkpointer: the verified prefix is not retrained for the first cut
+	want := fault.Checkpoint{
+		Space: cfg.Space.Name, Seed: cfg.Seed, GPUs: cfg.Spec.GPUs,
+		NumSubnets: len(full), JitterSeed: cfg.JitterSeed,
 	}
-	if r.trainCfg != nil && ck.WeightChecksum != 0 {
-		if got := train.NewCheckpointer(*r.trainCfg, full).ChecksumAt(ck.Cursor); got != ck.WeightChecksum {
-			return Result{}, fmt.Errorf("naspipe: resume: prefix weight checksum %#x does not match checkpoint %#x — wrong training config or corrupt stream", got, ck.WeightChecksum)
-		}
+	if err := ck.VerifyResume(want, r.elastic, weightAt); err != nil {
+		return Result{}, fmt.Errorf("naspipe: resume: %w", err)
 	}
 	if ck.Cursor == len(full) {
 		// Nothing left to run: the crash landed after the final commit.
 		return Result{BaseSeq: ck.Cursor}, nil
 	}
-	// The engine runs the suffix under local 0-based seqs; SeqBase maps
-	// every externally visible sequence number (trace, telemetry, fault
-	// labels, checkpoint cuts) back to the global stream.
-	suffix := make([]supernet.Subnet, len(full)-ck.Cursor)
-	for i := range suffix {
-		suffix[i] = full[ck.Cursor+i]
-		suffix[i].Seq = i
-	}
-	cfg.Subnets = suffix
-	cfg.NumSubnets = len(suffix)
-	cfg.SeqBase = ck.Cursor
-	cfg.FaultIncarnation = ck.Incarnation
+	cfg = cfg.ResumeAt(full, ck.Cursor, ck.Incarnation)
 	ck.FaultSeed = r.faultSeed()
 	// Elastic resume: the suffix re-partitions at the config's depth, and
 	// the rewritten identity persists it so later resumes verify against
 	// the depth actually running.
 	ck.GPUs = cfg.Spec.GPUs
-	return r.runCheckpointed(ctx, cfg, full, ck)
+	return r.runCheckpointed(ctx, cfg, weightAt, ck)
 }
 
 // applyOverrides folds the Runner's option overrides into a run config;
@@ -339,18 +317,23 @@ func (r *Runner) faultSeed() uint64 {
 	return r.faults.Seed
 }
 
+// weightFn returns the prefix weight checksum function over the complete
+// global subnet stream (nil without WithCheckpointTraining).
+func (r *Runner) weightFn(full []supernet.Subnet) func(cursor int) uint64 {
+	if r.trainCfg == nil {
+		return nil
+	}
+	return train.NewCheckpointer(*r.trainCfg, full).ChecksumAt
+}
+
 // runCheckpointed executes a concurrent run with a file recorder wired
-// to the engine's consistency cuts. full is the complete global subnet
-// stream (the checkpointer retrains committed prefixes from it); ident
+// to the engine's consistency cuts. weightFn retrains committed prefixes
+// of the global stream for the cuts' weight checksums (nil = none); ident
 // seeds the recorder with the run identity plus, on resume, the
 // starting cursor and incarnation. After an injected crash the
 // recorder's incarnation is bumped on disk before the *CrashError is
 // returned, so the next Resume rolls a fresh fault schedule.
-func (r *Runner) runCheckpointed(ctx context.Context, cfg Config, full []supernet.Subnet, ident fault.Checkpoint) (Result, error) {
-	var weightFn func(int) uint64
-	if r.trainCfg != nil {
-		weightFn = train.NewCheckpointer(*r.trainCfg, full).ChecksumAt
-	}
+func (r *Runner) runCheckpointed(ctx context.Context, cfg Config, weightFn func(int) uint64, ident fault.Checkpoint) (Result, error) {
 	rec := fault.NewFileRecorder(r.ckptPath, ident, r.ckptEvery, weightFn)
 	if err := rec.Init(); err != nil {
 		return Result{}, fmt.Errorf("naspipe: checkpoint init: %w", err)
