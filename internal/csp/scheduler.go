@@ -19,7 +19,7 @@ package csp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"naspipe/internal/supernet"
 )
@@ -37,19 +37,24 @@ type SubnetInfo struct {
 }
 
 // Scheduler is the per-stage CSP scheduler state: L_SN (known subnets) and
-// L_f (finished subnets) of Algorithm 1, plus a per-layer reverse index
-// that accelerates Algorithm 2's membership test.
+// L_f (finished subnets) of Algorithm 1, plus a per-layer queue of pending
+// writers that makes Algorithm 2's membership test a look at queue heads.
 type Scheduler struct {
-	stage    int
-	subnets  map[int]*SubnetInfo
-	finished map[int]bool
+	stage int
 	// frontier: every subnet with Seq < frontier is finished and has been
 	// eliminated from the dependency check (the paper's elimination
 	// scheme keeping |L_f| ~ |L_q|).
 	frontier int
-	// users maps each layer to the set of *active* (registered, not yet
-	// eliminated) subnet sequence IDs that select it.
-	users map[supernet.LayerID]map[int]bool
+	// subs[i] is subnet frontier+i: registration is gap-free and in
+	// sequence order, so the registered, non-eliminated subnets are one
+	// dense window.
+	subs []subnet
+	gaps int // subnets in subs already finished: backwards completed out of order
+	// queues[l] lists, ascending by Seq, the registered unfinished subnets
+	// that select layer l and have not written it yet. Its head is the
+	// only entry an admission check has to look at: a candidate is blocked
+	// on l exactly when the head is an earlier subnet.
+	queues []queue
 
 	// Scheduling-pressure counters (see Stats). A Scheduler is owned by a
 	// single stage — one simulator loop or one stage goroutine — so plain
@@ -57,17 +62,27 @@ type Scheduler struct {
 	// MarkFinished calls delivered to the owner, never via shared access.
 	scheduleCalls int
 	emptyScans    int
+	// inspected counts the queue entries admission checks looked at; the
+	// complexity tests pin it against stage layers × queue length.
+	inspected int
 }
 
-// New returns an empty scheduler for the given stage.
-func New(stage int) *Scheduler {
-	return &Scheduler{
-		stage:    stage,
-		subnets:  make(map[int]*SubnetInfo),
-		finished: make(map[int]bool),
-		users:    make(map[supernet.LayerID]map[int]bool),
-	}
+type subnet struct {
+	info     SubnetInfo
+	finished bool
 }
+
+// writer is one (subnet, layer) entry of a layer's pending-writer queue.
+// A subnet's entries are allocated together by AddSubnet.
+type writer struct {
+	seq  int
+	next *writer
+}
+
+type queue struct{ head, tail *writer }
+
+// New returns an empty scheduler for the given stage.
+func New(stage int) *Scheduler { return &Scheduler{stage: stage} }
 
 // Stage returns the stage this scheduler serves.
 func (s *Scheduler) Stage() int { return s.stage }
@@ -77,46 +92,73 @@ func (s *Scheduler) Stage() int { return s.stage }
 func (s *Scheduler) Frontier() int { return s.frontier }
 
 // Active returns the number of registered, non-eliminated subnets.
-func (s *Scheduler) Active() int { return len(s.subnets) }
+func (s *Scheduler) Active() int { return len(s.subs) }
+
+// lookup returns the registered, non-eliminated subnet seq, or nil.
+func (s *Scheduler) lookup(seq int) *subnet {
+	if i := seq - s.frontier; i >= 0 && i < len(s.subs) {
+		return &s.subs[i]
+	}
+	return nil
+}
+
+// head returns the smallest pending writer of layer l, or nil.
+func (s *Scheduler) head(l supernet.LayerID) *writer {
+	if uint(l) < uint(len(s.queues)) {
+		return s.queues[l].head
+	}
+	return nil
+}
 
 // AddSubnet registers a subnet retrieved from the exploration frontend
 // (Algorithm 1 line 14). Subnets must be added in sequence order with no
-// gaps; this mirrors the producer-consumer retrieve() contract.
+// gaps — the producer-consumer retrieve() contract, and what keeps every
+// layer queue sorted by appending. Layer IDs are dense and non-negative.
+// The scheduler keeps info's slices; the caller must not modify them.
 func (s *Scheduler) AddSubnet(info SubnetInfo) error {
-	if info.Seq < s.frontier {
-		return fmt.Errorf("csp: subnet %d below frontier %d", info.Seq, s.frontier)
+	if next := s.frontier + len(s.subs); info.Seq != next {
+		return fmt.Errorf("csp: subnet %d registered out of order, next is %d", info.Seq, next)
 	}
-	if _, dup := s.subnets[info.Seq]; dup {
-		return fmt.Errorf("csp: subnet %d already registered", info.Seq)
-	}
-	cp := &SubnetInfo{
-		Seq:         info.Seq,
-		AllLayers:   append([]supernet.LayerID(nil), info.AllLayers...),
-		StageLayers: append([]supernet.LayerID(nil), info.StageLayers...),
-	}
-	s.subnets[info.Seq] = cp
-	for _, l := range cp.AllLayers {
-		set := s.users[l]
-		if set == nil {
-			set = make(map[int]bool)
-			s.users[l] = set
+	entries := make([]writer, len(info.AllLayers))
+	for i, l := range info.AllLayers {
+		for int(l) >= len(s.queues) {
+			s.queues = append(s.queues, queue{})
 		}
-		set[info.Seq] = true
+		q := &s.queues[l]
+		if q.tail != nil && q.tail.seq == info.Seq {
+			continue // layer listed twice
+		}
+		w := &entries[i]
+		w.seq = info.Seq
+		if q.tail == nil {
+			q.head = w
+		} else {
+			q.tail.next = w
+		}
+		q.tail = w
 	}
+	s.subs = append(s.subs, subnet{info: info})
 	return nil
 }
 
 // MarkFinished records that the subnet's backward pass (its WRITE) has
 // completed and flushed on this stage, then advances the elimination
-// frontier (Algorithm 1 line 10 plus the §3.2 elimination scheme).
+// frontier (Algorithm 1 line 10 plus the §3.2 elimination scheme). A
+// finished subnet blocks nobody, so layers it never reported written
+// leave their queues here: the queues never hold a finished subnet.
 func (s *Scheduler) MarkFinished(seq int) {
-	if seq < s.frontier || s.finished[seq] {
+	sub := s.lookup(seq)
+	if sub == nil || sub.finished {
 		return
 	}
-	s.finished[seq] = true
-	for s.finished[s.frontier] {
-		s.eliminate(s.frontier)
+	sub.finished = true
+	s.gaps++
+	s.MarkWritten(seq, sub.info.AllLayers)
+	for len(s.subs) > 0 && s.subs[0].finished {
+		s.subs[0] = subnet{} // drop the retained layer slices
+		s.subs = s.subs[1:]
 		s.frontier++
+		s.gaps--
 	}
 }
 
@@ -126,78 +168,63 @@ func (s *Scheduler) MarkFinished(seq int) {
 // considering those (layer, subnet) pairs immediately, which unblocks
 // dependents at per-layer granularity: tighter than whole-subnet
 // completion when two subnets' balanced partitions place a shared layer
-// on different stages.
+// on different stages. Repeated, unknown and unselected (seq, layer)
+// pairs are ignored.
 func (s *Scheduler) MarkWritten(seq int, ids []supernet.LayerID) {
 	for _, l := range ids {
-		if set := s.users[l]; set != nil {
-			delete(set, seq)
-			if len(set) == 0 {
-				delete(s.users, l)
-			}
+		if uint(l) >= uint(len(s.queues)) {
+			continue
+		}
+		// Walk from the head to seq's entry. The walk stops at the first
+		// subnet that is not earlier, so it passes only seq's unwritten
+		// predecessors on l: under CSP the in-flight window, never the
+		// stream.
+		q := &s.queues[l]
+		var prev *writer
+		w := q.head
+		for w != nil && w.seq < seq {
+			prev, w = w, w.next
+		}
+		if w == nil || w.seq != seq {
+			continue
+		}
+		if prev == nil {
+			q.head = w.next
+		} else {
+			prev.next = w.next
+		}
+		if w.next == nil {
+			q.tail = prev
 		}
 	}
-}
-
-// eliminate drops a finished subnet from all indexes.
-func (s *Scheduler) eliminate(seq int) {
-	delete(s.finished, seq)
-	info := s.subnets[seq]
-	if info != nil {
-		for _, l := range info.AllLayers {
-			if set := s.users[l]; set != nil {
-				delete(set, seq)
-				if len(set) == 0 {
-					delete(s.users, l)
-				}
-			}
-		}
-	}
-	delete(s.subnets, seq)
 }
 
 // Finished reports whether the subnet's WRITE has completed (or has been
 // eliminated as finished).
 func (s *Scheduler) Finished(seq int) bool {
-	return seq < s.frontier || s.finished[seq]
+	sub := s.lookup(seq)
+	return seq < s.frontier || sub != nil && sub.finished
 }
 
 // Blocked reports whether scheduling subnet seq's forward on this stage
 // would violate CSP: some layer of its stage partition is selected by an
-// unfinished earlier subnet. This is Algorithm 2's inner check (lines
-// 4–10) with the per-layer index replacing the linear scan.
-func (s *Scheduler) Blocked(seq int) bool {
-	info := s.subnets[seq]
-	if info == nil {
-		// Unknown subnet: conservatively blocked; the caller has not
-		// registered it yet, so its dependencies cannot be checked.
-		return true
-	}
-	for _, l := range info.StageLayers {
-		for w := range s.users[l] {
-			if w < seq && !s.Finished(w) {
-				return true
-			}
-		}
-	}
-	return false
-}
+// unfinished earlier subnet that has not written it. This is Algorithm
+// 2's inner check (lines 4–10) with each layer's queue head replacing the
+// linear scan.
+func (s *Scheduler) Blocked(seq int) bool { return s.blockedAssuming(seq, nil) }
 
 // BlockingWriter returns the smallest unfinished earlier subnet that
 // blocks seq, or -1 if seq is unblocked. Used by the predictor to chain
 // pending backward releases.
 func (s *Scheduler) BlockingWriter(seq int) int {
-	info := s.subnets[seq]
-	if info == nil {
+	sub := s.lookup(seq)
+	if sub == nil {
 		return -1
 	}
 	min := -1
-	for _, l := range info.StageLayers {
-		for w := range s.users[l] {
-			if w < seq && !s.Finished(w) {
-				if min == -1 || w < min {
-					min = w
-				}
-			}
+	for _, l := range sub.info.StageLayers {
+		if w := s.head(l); w != nil && w.seq < seq && (min == -1 || w.seq < min) {
+			min = w.seq
 		}
 	}
 	return min
@@ -252,20 +279,20 @@ func (s *Scheduler) ScheduleAssuming(queue []int, finished ...int) (qidx, qval i
 	return -1, -1
 }
 
+// blockedAssuming is Blocked with the assumed subnets taken as finished:
+// on each stage layer it passes over assumed entries at the head of the
+// queue and stops at the first other one.
 func (s *Scheduler) blockedAssuming(seq int, assume []int) bool {
-	info := s.subnets[seq]
-	if info == nil {
+	sub := s.lookup(seq)
+	if sub == nil {
+		// Unknown subnet: conservatively blocked; the caller has not
+		// registered it yet, so its dependencies cannot be checked.
 		return true
 	}
-	for _, l := range info.StageLayers {
-	users:
-		for w := range s.users[l] {
-			if w < seq && !s.Finished(w) {
-				for _, f := range assume {
-					if f == w {
-						continue users
-					}
-				}
+	for _, l := range sub.info.StageLayers {
+		for w := s.head(l); w != nil && w.seq < seq; w = w.next {
+			s.inspected++
+			if !slices.Contains(assume, w.seq) {
 				return true
 			}
 		}
@@ -313,15 +340,16 @@ func ReferenceSchedule(queue []int, finished map[int]bool, frontier int,
 // Snapshot exposes internal state for the reference oracle and for
 // debugging: a copy of the finished set and registered subnets.
 func (s *Scheduler) Snapshot() (finished map[int]bool, frontier int, subnets map[int]*SubnetInfo) {
-	f := make(map[int]bool, len(s.finished))
-	for k, v := range s.finished {
-		f[k] = v
+	finished = make(map[int]bool, s.gaps)
+	subnets = make(map[int]*SubnetInfo, len(s.subs))
+	for i := range s.subs {
+		if s.subs[i].finished {
+			finished[s.frontier+i] = true
+		}
+		info := s.subs[i].info
+		subnets[s.frontier+i] = &info
 	}
-	subs := make(map[int]*SubnetInfo, len(s.subnets))
-	for k, v := range s.subnets {
-		subs[k] = v
-	}
-	return f, s.frontier, subs
+	return finished, s.frontier, subnets
 }
 
 // FinishedSeqs returns the sequence IDs at or above the frontier whose
@@ -329,21 +357,21 @@ func (s *Scheduler) Snapshot() (finished map[int]bool, frontier int, subnets map
 // a consistency cut records alongside the cursor. Seqs below the
 // frontier are already folded into it and are not reported.
 func (s *Scheduler) FinishedSeqs() []int {
-	out := make([]int, 0, len(s.finished))
-	for seq := range s.finished {
-		out = append(out, seq)
+	out := make([]int, 0, s.gaps)
+	for i := 0; len(out) < s.gaps; i++ {
+		if s.subs[i].finished {
+			out = append(out, s.frontier+i)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // ActiveSeqs returns the registered, non-eliminated sequence IDs in
 // ascending order (diagnostics).
 func (s *Scheduler) ActiveSeqs() []int {
-	out := make([]int, 0, len(s.subnets))
-	for seq := range s.subnets {
-		out = append(out, seq)
+	out := make([]int, len(s.subs))
+	for i := range out {
+		out[i] = s.frontier + i
 	}
-	sort.Ints(out)
 	return out
 }

@@ -563,6 +563,8 @@ func (c *ccRun) stageLoop(ctx context.Context, s *ccStage) {
 	// bus: no batched event may outlive its producer goroutine.
 	defer s.telb.Flush()
 	n := len(c.w.Subnets)
+	park := time.NewTimer(ccParkPoll) // one per goroutine, re-armed at every park
+	defer park.Stop()
 	for s.fwdDone < n || s.bwdDone < n {
 		if ctx.Err() != nil || c.crashed.Load() {
 			return
@@ -588,14 +590,21 @@ func (c *ccRun) stageLoop(ctx context.Context, s *ccStage) {
 		s.telb.Flush()
 		c.publishHealth(s, false, false)
 		s.cont.Parks++
-		timer := time.NewTimer(ccParkPoll)
+		// Re-arm the timer; a fire that raced the Stop is taken off the
+		// channel so this park cannot wake on the previous one's tick.
+		if !park.Stop() {
+			select {
+			case <-park.C:
+			default:
+			}
+		}
+		park.Reset(ccParkPoll)
 		select {
 		case m := <-s.in:
 			s.receive(m)
 		case <-ctx.Done():
-		case <-timer.C:
+		case <-park.C:
 		}
-		timer.Stop()
 	}
 }
 
@@ -751,13 +760,13 @@ func (c *ccRun) maybeWedge(ctx context.Context, s *ccStage, seq int, kind int8) 
 	// the whole stall — exactly when they matter most.
 	s.telb.Flush()
 	c.publishHealth(s, false, true)
+	poll := time.NewTicker(ccParkPoll)
+	defer poll.Stop()
 	for ctx.Err() == nil && !c.crashed.Load() {
-		timer := time.NewTimer(ccParkPoll)
 		select {
 		case <-ctx.Done():
-		case <-timer.C:
+		case <-poll.C:
 		}
-		timer.Stop()
 	}
 	return true
 }

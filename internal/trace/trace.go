@@ -176,20 +176,33 @@ func (t *Trace) Equal(o *Trace) bool {
 // every layer — the relation that determines numeric equality of results
 // even when globally the traces interleave independent layers differently.
 func (t *Trace) PerLayerEqual(o *Trace) bool {
-	layers := t.Layers()
-	oLayers := o.Layers()
-	if len(layers) != len(oLayers) {
+	if len(t.Events) != len(o.Events) {
 		return false
 	}
-	for i := range layers {
-		if layers[i] != oLayers[i] {
-			return false
+	// Thread t's events by layer: next[j] is the position of the access to
+	// the same layer that follows event j (-1: none). Built back to front,
+	// which leaves cursor[l] at layer l's first access.
+	next := make([]int32, len(t.Events))
+	cursor := make(map[supernet.LayerID]int32)
+	for j := len(t.Events) - 1; j >= 0; j-- {
+		l := t.Events[j].Layer
+		next[j] = -1
+		if n, ok := cursor[l]; ok {
+			next[j] = n
 		}
+		cursor[l] = int32(j)
 	}
-	for _, l := range layers {
-		if t.LayerOrder(l) != o.LayerOrder(l) {
+	// Each of o's events must be the next unmatched access of its layer in
+	// t. The lengths are equal, so when all match none of t's is left over.
+	for _, e := range o.Events {
+		j, ok := cursor[e.Layer]
+		if !ok || j < 0 {
 			return false
 		}
+		if a := t.Events[j]; a.Subnet != e.Subnet || a.Kind != e.Kind {
+			return false
+		}
+		cursor[e.Layer] = next[j]
 	}
 	return true
 }

@@ -117,6 +117,22 @@ func TestPerLayerEqual(t *testing.T) {
 	if a.PerLayerEqual(&c) {
 		t.Fatal("different layer sets compared per-layer equal")
 	}
+	// Same length and layer set as a, but layer 2's accesses swapped, then
+	// one of layer 2's accesses moved to layer 1, then a Kind flipped.
+	for name, evs := range map[string][][3]int{
+		"swapped order":  {{1, 0, 0}, {2, 1, 1}, {1, 0, 1}, {2, 1, 0}},
+		"moved access":   {{1, 0, 0}, {2, 1, 0}, {1, 0, 1}, {1, 1, 1}},
+		"other subnet":   {{1, 0, 0}, {2, 3, 0}, {1, 0, 1}, {2, 1, 1}},
+		"unknown layers": {{1, 0, 0}, {2, 1, 0}, {1, 0, 1}, {9, 1, 1}},
+	} {
+		var d Trace
+		for _, e := range evs {
+			add(&d, e[0], e[1], AccessKind(e[2]))
+		}
+		if a.PerLayerEqual(&d) || d.PerLayerEqual(&a) {
+			t.Fatalf("%s: compared per-layer equal", name)
+		}
+	}
 }
 
 func TestLayersSortedDistinct(t *testing.T) {

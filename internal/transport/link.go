@@ -164,6 +164,11 @@ func (l *Link) Send(f Frame) error {
 	}
 	l.nextSeq++
 	f.Seq = l.nextSeq
+	if len(l.unacked) == 0 {
+		// The stall clock measures how long a frame has waited for its
+		// ack, not how long the link sat idle before the frame was sent.
+		l.lastProgress = time.Now()
+	}
 	l.unacked = append(l.unacked, f)
 	l.sentData++
 	inj := l.cfg.Injector

@@ -186,3 +186,54 @@ func TestLinkUnsequencedIsBestEffort(t *testing.T) {
 		t.Fatalf("post-close Send = %v, want ErrClosed", err)
 	}
 }
+
+// TestLinkIdleThenSendDoesNotRetransmit pins the backstop's clock to the
+// unacked window, not to the link: a frame sent after a long silence
+// whose ack is merely in flight — withheld here for one backstop period,
+// under retransmitAfter — must not be re-sent.
+func TestLinkIdleThenSendDoesNotRetransmit(t *testing.T) {
+	checkLeaks(t)
+	for attempt := 0; attempt < 10; attempt++ {
+		tel := telemetry.NewBus(0)
+		l := NewLink(LinkConfig{Local: Coordinator, Peer: 5, Tel: tel})
+		near, far := net.Pipe()
+		l.Attach(near)
+		arrivals := make(chan Frame, 8) // the test sends one frame; room for spurious copies
+		go func() {
+			defer close(arrivals)
+			for {
+				f, err := ReadFrame(far)
+				if err != nil {
+					return
+				}
+				arrivals <- f
+			}
+		}()
+		l.mu.Lock()
+		l.lastProgress = time.Now().Add(-time.Hour) // the link has been idle
+		l.mu.Unlock()
+
+		sent := time.Now()
+		if err := l.Send(Msg{Type: FrameFwd, From: Coordinator, To: 5, Seq: 0}.Frame()); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(retransmitAfter/2 + 5*time.Millisecond) // at least one backstop tick, ack withheld
+		held := time.Since(sent)
+		retransmits := tel.Snapshot().LinkRetransmits
+		l.Close()
+		far.Close()
+		copies := 0
+		for range arrivals {
+			copies++
+		}
+		if held >= retransmitAfter {
+			continue // the host stalled past the backstop: a retransmit would be legitimate
+		}
+		if retransmits != 0 || copies != 1 {
+			t.Fatalf("ack withheld %v (< %v): %d retransmit events, %d copies on the wire, want 0 and 1",
+				held, retransmitAfter, retransmits, copies)
+		}
+		return
+	}
+	t.Fatal("host never held a send-to-check window under retransmitAfter in 10 attempts")
+}
