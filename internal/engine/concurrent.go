@@ -305,17 +305,7 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 			}
 		}
 		if mem.Enabled() {
-			// Capacity follows the simulator's provisioning: CacheFactor ×
-			// the stage's average subnet-partition footprint (the paper's 3
-			// = executing + evicting + prefetched subnet).
-			var sum int64
-			for i := range w.Subnets {
-				for _, id := range w.stageIDs[i][k] {
-					sum += w.Net.Meta[id].ParamBytes
-				}
-			}
-			capacity := int64(mem.CacheFactor * float64(sum) / float64(n))
-			s.cache = prefetch.New(capacity, cfg.Spec.PCIeBytesPerMs, mem.FetchMsScale).WithTelemetry(tel, int32(k))
+			s.cache = prefetch.New(w.cacheCapacity(k, mem.CacheFactor), cfg.Spec.PCIeBytesPerMs, mem.FetchMsScale).WithTelemetry(tel, int32(k))
 			s.fetchQ = make(chan int, 4*n+8)
 			if mem.Predictor {
 				s.pred = csp.NewPredictor(s.sched)
@@ -464,20 +454,7 @@ func (c *ccRun) collectCacheStats(res *Result) {
 			continue
 		}
 		st := s.cache.Stats()
-		res.CacheStats[k] = metrics.StageCache{
-			Stage:             k,
-			Hits:              st.Hits,
-			Misses:            st.Misses,
-			Prefetches:        st.Prefetches,
-			LatePrefetches:    st.LatePrefetches,
-			DroppedPrefetches: st.DroppedPrefetches,
-			EvictionsForced:   st.EvictionsForced,
-			OverCapacity:      st.OverCapacity,
-			SwapInBytes:       st.SwapInBytes,
-			SwapOutBytes:      st.SwapOutBytes,
-			PeakBytes:         st.PeakBytes,
-			StallMs:           st.StallMs,
-		}
+		res.CacheStats[k] = metrics.StageCache{Stage: k, Stats: st}
 		hits += st.Hits
 		misses += st.Misses
 		res.StallMs += st.StallMs

@@ -520,16 +520,6 @@ func NewWorld(cfg Config, mode PartitionMode) (*World, error) {
 	return w, nil
 }
 
-// stageBytes returns the parameter footprint of subnet seq's stage-k
-// partition.
-func (e *Engine) stageBytes(seq, k int) int64 {
-	var total int64
-	for _, id := range e.w.stageIDs[seq][k] {
-		total += e.w.Net.Meta[id].ParamBytes
-	}
-	return total
-}
-
 // sizeBatch derives the pipeline batch from the memory model and fills
 // the memory-related result columns. It returns a non-empty reason when
 // the configuration cannot run at all.
@@ -648,11 +638,7 @@ func (e *Engine) setup() {
 	for k := 0; k < d; k++ {
 		var capacity int64 = -1
 		if e.traits.CacheFactor > 0 {
-			var sum int64
-			for i := range w.Subnets {
-				sum += e.stageBytes(i, k)
-			}
-			capacity = int64(e.traits.CacheFactor * float64(sum) / float64(len(w.Subnets)))
+			capacity = w.cacheCapacity(k, e.traits.CacheFactor)
 		}
 		m := memctx.New(capacity, e.cfg.Spec.PCIeBytesPerMs)
 		if e.traits.CacheFactor == 0 {

@@ -119,6 +119,19 @@ func (w *World) StageLayerIDs(seq, stage int) []supernet.LayerID {
 // AllLayerIDs returns every layer of subnet seq.
 func (w *World) AllLayerIDs(seq int) []supernet.LayerID { return w.allIDs[seq] }
 
+// cacheCapacity is stage k's memory-context budget on either execution
+// plane: factor × the mean stage-k partition footprint over the stream
+// (the paper's 3 = executing + evicting + prefetched subnet).
+func (w *World) cacheCapacity(k int, factor float64) int64 {
+	var sum int64
+	for i := range w.Subnets {
+		for _, id := range w.stageIDs[i][k] {
+			sum += w.Net.Meta[id].ParamBytes
+		}
+	}
+	return int64(factor * float64(sum) / float64(len(w.Subnets)))
+}
+
 // Policy decides which task a stage runs next. The engine calls
 // SelectBackward before SelectForward (backward-first priority is decided
 // by each policy: returning -1 from SelectBackward defers the backward).

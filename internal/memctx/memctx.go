@@ -3,17 +3,27 @@
 // layers in GPU memory, prefetches forecast contexts from pinned CPU
 // storage, and evicts finished contexts.
 //
-// The manager is time-aware but not threaded: the discrete-event engine
-// advances a simulated clock (milliseconds) and the manager tracks, per
-// layer, when its asynchronous PCIe copy completes. CPU↔GPU copies
-// serialize on one PCIe channel per stage, matching the testbed's one
-// x16 link per GPU; because CPU storage is pinned (page-locked), copies
-// are asynchronous with compute — a stage only stalls when it needs a
-// layer whose copy has not finished (a cache miss, or a prefetch issued
-// too late).
+// The manager is time-aware but neither threaded nor tied to a clock:
+// every method takes the caller's now, and the bandwidth is bytes per
+// unit of that clock. The discrete-event engine drives it with simulated
+// milliseconds; internal/prefetch drives the same code with wall-clock
+// nanoseconds behind a mutex. The manager tracks, per layer, when its
+// asynchronous PCIe copy completes. CPU↔GPU copies serialize on one PCIe
+// channel per stage, matching the testbed's one x16 link per GPU; because
+// CPU storage is pinned (page-locked), copies are asynchronous with
+// compute — a stage only stalls when it needs a layer whose copy has not
+// finished (a cache miss, or a prefetch issued too late).
 //
-// The cache-hit metric follows the paper exactly: an access counts as a
-// hit iff the layer already resides in GPU memory when activated.
+// The modelling decisions both planes therefore share:
+//   - hit: the layer is resident (its copy has landed) at the now of the
+//     Acquire that activates it — the paper's definition; every layer of
+//     one Acquire is classified at that same instant;
+//   - stall: the latest completion among the task's layers minus now,
+//     once per Acquire;
+//   - LRU: by last-use clock value, ties broken by LayerID;
+//   - in-flight entries are never evicted;
+//   - write-back (Evict, LRU eviction) occupies the PCIe channel — the
+//     one decision a caller can switch off, see Manager.DuplexWriteBack.
 package memctx
 
 import (
@@ -33,7 +43,7 @@ type Stats struct {
 	DroppedPrefetches int     // prefetches abandoned: capacity held by locked entries
 	SwapInBytes       int64   // CPU->GPU traffic
 	SwapOutBytes      int64   // GPU->CPU traffic
-	StallMs           float64 // total compute stall waiting on copies
+	StallMs           float64 // total compute stall waiting on copies (in the driving clock's unit; reported in ms)
 	PeakBytes         int64   // high-water residency
 	OverCapacity      int     // forced residency beyond capacity (should stay 0)
 	EvictionsForced   int     // LRU evictions triggered by capacity pressure
@@ -64,6 +74,13 @@ type entry struct {
 
 // Manager is one stage's GPU memory cache over the supernet's layers.
 type Manager struct {
+	// DuplexWriteBack takes write-back traffic off the copy channel, as on
+	// a full-duplex link: evictions still free residency and count
+	// SwapOutBytes but no longer delay the copies queued behind them. The
+	// simulator leaves it false — its goldens pin write-back on the
+	// channel; only prefetch.New sets it (see there for the measurement).
+	DuplexWriteBack bool
+
 	capacity  int64 // bytes; <0 means unbounded (whole context resident)
 	bandwidth float64
 	pcieFree  float64 // time the PCIe channel frees up
@@ -73,15 +90,16 @@ type Manager struct {
 }
 
 // New returns a manager with the given byte capacity and PCIe bandwidth
-// (bytes per millisecond). A negative capacity disables eviction and
+// in bytes per clock unit (the simulator's unit is the millisecond); +Inf
+// makes every copy instant. A negative capacity disables eviction and
 // models systems that hold their whole context in GPU memory.
-func New(capacity int64, bandwidthBytesPerMs float64) *Manager {
-	if bandwidthBytesPerMs <= 0 {
-		panic(fmt.Sprintf("memctx: invalid bandwidth %f", bandwidthBytesPerMs))
+func New(capacity int64, bandwidth float64) *Manager {
+	if bandwidth <= 0 {
+		panic(fmt.Sprintf("memctx: invalid bandwidth %f", bandwidth))
 	}
 	return &Manager{
 		capacity:  capacity,
-		bandwidth: bandwidthBytesPerMs,
+		bandwidth: bandwidth,
 		entries:   make(map[supernet.LayerID]*entry),
 	}
 }
@@ -118,28 +136,36 @@ func (m *Manager) Preload(ids []supernet.LayerID, bytes func(supernet.LayerID) i
 	}
 }
 
+// reserve books the PCIe channel for a copy of bytes starting no earlier
+// than now and returns its completion time: copies serialize on the one
+// channel.
+func (m *Manager) reserve(bytes int64, now float64) float64 {
+	start := now
+	if m.pcieFree > start {
+		start = m.pcieFree
+	}
+	m.pcieFree = start + float64(bytes)/m.bandwidth
+	return m.pcieFree
+}
+
 // Prefetch issues an asynchronous copy of the layer if it is neither
 // resident nor in flight. If capacity pressure cannot be relieved by
 // evicting unlocked entries, the prefetch is dropped (the paper's
 // "delays the operator copy"); the later Acquire will fetch it
-// synchronously.
-func (m *Manager) Prefetch(id supernet.LayerID, bytes int64, now float64) {
+// synchronously. It reports whether a copy was issued and, if so, when
+// it completes.
+func (m *Manager) Prefetch(id supernet.LayerID, bytes int64, now float64) (done float64, issued bool) {
 	if _, ok := m.entries[id]; ok {
-		return
+		return 0, false
 	}
 	if !m.makeRoom(bytes, now) {
 		// Delayed: capacity is held by locked entries. Count the drop so
 		// the later synchronous miss is attributable to capacity pressure
 		// rather than a predictor failure.
 		m.stats.DroppedPrefetches++
-		return
+		return 0, false
 	}
-	start := now
-	if m.pcieFree > start {
-		start = m.pcieFree
-	}
-	done := start + float64(bytes)/m.bandwidth
-	m.pcieFree = done
+	done = m.reserve(bytes, now)
 	m.entries[id] = &entry{bytes: bytes, readyAt: done, lastUse: now}
 	m.used += bytes
 	m.stats.Prefetches++
@@ -147,7 +173,13 @@ func (m *Manager) Prefetch(id supernet.LayerID, bytes int64, now float64) {
 	if m.used > m.stats.PeakBytes {
 		m.stats.PeakBytes = m.used
 	}
+	return done, true
 }
+
+// NoteDropped counts a prefetch request abandoned before it reached the
+// manager (e.g. a full prefetcher queue), so every dropped fetch is
+// attributable in the same counter.
+func (m *Manager) NoteDropped() { m.stats.DroppedPrefetches++ }
 
 // Acquire makes every listed layer resident and locked, counting hits and
 // misses, and returns the time at which all copies have completed (>= now).
@@ -173,12 +205,7 @@ func (m *Manager) Acquire(ids []supernet.LayerID, bytes func(supernet.LayerID) i
 			if !m.makeRoom(b, now) {
 				m.stats.OverCapacity++
 			}
-			start := now
-			if m.pcieFree > start {
-				start = m.pcieFree
-			}
-			done := start + float64(b)/m.bandwidth
-			m.pcieFree = done
+			done := m.reserve(b, now)
 			e = &entry{bytes: b, readyAt: done}
 			m.entries[id] = e
 			m.used += b
@@ -210,7 +237,8 @@ func (m *Manager) Release(ids []supernet.LayerID, now float64) {
 
 // Evict writes the listed layers back to pinned CPU storage and frees
 // their GPU residency. Locked layers are skipped. Eviction traffic
-// occupies the PCIe channel but never stalls compute directly.
+// occupies the PCIe channel (unless DuplexWriteBack) but never stalls
+// compute directly.
 func (m *Manager) Evict(ids []supernet.LayerID, now float64) {
 	for _, id := range ids {
 		e := m.entries[id]
@@ -225,11 +253,9 @@ func (m *Manager) evictEntry(id supernet.LayerID, e *entry, now float64) {
 	delete(m.entries, id)
 	m.used -= e.bytes
 	m.stats.SwapOutBytes += e.bytes
-	start := now
-	if m.pcieFree > start {
-		start = m.pcieFree
+	if !m.DuplexWriteBack {
+		m.reserve(e.bytes, now)
 	}
-	m.pcieFree = start + float64(e.bytes)/m.bandwidth
 }
 
 // makeRoom evicts LRU unlocked entries until newBytes fits. Returns false

@@ -79,7 +79,13 @@ func TestLatePrefetchPartialStall(t *testing.T) {
 func TestPCIeSerialization(t *testing.T) {
 	m := New(100000, bw)
 	m.Prefetch(1, 1000, 0) // channel busy [0,1)
-	m.Prefetch(2, 1000, 0) // serialized: [1,2)
+	// Serialized behind it: [1,2).
+	if done, issued := m.Prefetch(2, 1000, 0); !issued || done != 2 {
+		t.Fatalf("second prefetch: done %v issued %v, want 2 true", done, issued)
+	}
+	if _, issued := m.Prefetch(2, 1000, 0); issued {
+		t.Fatal("prefetch of an in-flight layer issued a second copy")
+	}
 	if m.Resident(2, 1.5) {
 		t.Fatal("second prefetch should still be in flight at 1.5")
 	}
@@ -103,6 +109,24 @@ func TestEvictionFreesAndCountsTraffic(t *testing.T) {
 	}
 	if st := m.Stats(); st.SwapOutBytes != 3000 {
 		t.Fatalf("swap-out bytes %d", st.SwapOutBytes)
+	}
+	// The write-back holds the channel for [10,13): a copy issued behind
+	// it queues.
+	if done, _ := m.Prefetch(3, 1000, 10); done != 14 {
+		t.Fatalf("prefetch behind a write-back lands at %v, want 14", done)
+	}
+}
+
+func TestDuplexWriteBackLeavesChannelFree(t *testing.T) {
+	m := New(10000, bw)
+	m.DuplexWriteBack = true
+	m.Preload(ids(1), constBytes(3000))
+	m.Evict(ids(1), 10)
+	if st := m.Stats(); st.SwapOutBytes != 3000 || m.Used() != 0 {
+		t.Fatalf("evict not accounted: %+v used %d", st, m.Used())
+	}
+	if done, _ := m.Prefetch(3, 1000, 10); done != 11 {
+		t.Fatalf("prefetch after a duplex write-back lands at %v, want 11", done)
 	}
 }
 
@@ -216,6 +240,25 @@ func TestDroppedPrefetchCounted(t *testing.T) {
 	st = m.Stats()
 	if st.DroppedPrefetches != 1 || st.Prefetches != 1 {
 		t.Fatalf("stats after successful prefetch %+v", st)
+	}
+	// A request abandoned upstream lands in the same counter.
+	m.NoteDropped()
+	if got := m.Stats().DroppedPrefetches; got != 2 {
+		t.Fatalf("NoteDropped: DroppedPrefetches = %d want 2", got)
+	}
+}
+
+// TestResidentAcquireDoesNotAllocate: the hit path runs once per task on
+// both planes (sim-sweep's allocs_per_subnet, prefetch.acquire_release_ns).
+func TestResidentAcquireDoesNotAllocate(t *testing.T) {
+	m := New(-1, bw)
+	layers, bytes := idsRange(6), constBytes(1000)
+	m.Preload(layers, bytes)
+	if n := testing.AllocsPerRun(100, func() {
+		m.Acquire(layers, bytes, 1)
+		m.Release(layers, 2)
+	}); n != 0 {
+		t.Fatalf("Acquire+Release of resident layers allocates %v times, want 0", n)
 	}
 }
 

@@ -5,6 +5,8 @@ package metrics
 import (
 	"fmt"
 	"strings"
+
+	"naspipe/internal/memctx"
 )
 
 // Gigabytes renders a byte count like the paper's CPU-memory column
@@ -153,34 +155,12 @@ func ContentionTable(cs []StageContention) string {
 	return tb.Render()
 }
 
-// StageCache aggregates one pipeline stage's memory-context counters on
-// the concurrent execution plane: the prefetching layer cache's hits,
-// misses, prefetch traffic, attributable drops, and compute stalls. The
-// shape mirrors memctx.Stats (the simulated plane's manager), flattened
-// here so table/bench rendering stays dependency-free.
+// StageCache is one pipeline stage's memory-context counters on the
+// concurrent execution plane: the stage index and the counters
+// themselves, in the one shape both planes' context manager reports.
 type StageCache struct {
-	Stage             int
-	Hits              int
-	Misses            int
-	Prefetches        int
-	LatePrefetches    int
-	DroppedPrefetches int
-	EvictionsForced   int
-	OverCapacity      int
-	SwapInBytes       int64
-	SwapOutBytes      int64
-	PeakBytes         int64
-	StallMs           float64
-}
-
-// HitRate returns the stage's hits/(hits+misses), or 0 with no accesses
-// (an idle stage has earned no hits; render such cells as N/A).
-func (c StageCache) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
+	Stage int
+	memctx.Stats
 }
 
 // CacheTable renders per-stage memory-context counters with totals and

@@ -3,6 +3,8 @@ package metrics
 import (
 	"strings"
 	"testing"
+
+	"naspipe/internal/memctx"
 )
 
 func TestGigabytes(t *testing.T) {
@@ -79,30 +81,22 @@ func TestSeriesEmptySafe(t *testing.T) {
 	}
 }
 
-func TestStageCacheHitRate(t *testing.T) {
-	if got := (StageCache{}).HitRate(); got != 0 {
-		t.Fatalf("idle stage hit rate %v, want 0", got)
-	}
-	if got := (StageCache{Hits: 9, Misses: 1}).HitRate(); got != 0.9 {
-		t.Fatalf("hit rate %v, want 0.9", got)
-	}
-}
-
+// TestCacheTable pins the rendered bytes: an idle stage's hit-rate cell is
+// N/A (not 0% or 100%) and the totals row aggregates only active stages.
 func TestCacheTable(t *testing.T) {
-	out := CacheTable([]StageCache{
-		{Stage: 0, Hits: 90, Misses: 10, Prefetches: 80, DroppedPrefetches: 3,
-			StallMs: 1.25, PeakBytes: 1 << 30},
-		{Stage: 1}, // idle stage: hit-rate cell must render N/A, not 0% or 100%
+	got := CacheTable([]StageCache{
+		{Stage: 0, Stats: memctx.Stats{Hits: 90, Misses: 10, Prefetches: 80, LatePrefetches: 4,
+			DroppedPrefetches: 3, EvictionsForced: 7, StallMs: 1.25, PeakBytes: 1 << 30}},
+		{Stage: 1},
 	})
-	for _, want := range []string{"Stage", "90.0%", "N/A", "1.25", "1.0G", "total"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("cache table missing %q:\n%s", want, out)
-		}
-	}
-	// The totals row aggregates only the active stage, so the aggregate
-	// rate equals stage 0's.
-	if strings.Count(out, "90.0%") != 2 {
-		t.Fatalf("totals row did not aggregate hit rate:\n%s", out)
+	const want = "== per-stage memory context (concurrent execution plane) ==\n" +
+		"Stage  Hits  Misses  Hit rate  Prefetches  Late  Dropped  Evictions  Stall (ms)  Peak\n" +
+		"-----  ----  ------  --------  ----------  ----  -------  ---------  ----------  ----\n" +
+		"0      90    10      90.0%     80          4     3        7          1.25        1.0G\n" +
+		"1      0     0       N/A       0           0     0        0          0.00        0   \n" +
+		"total  90    10      90.0%     80          4     3        7          1.25        1.0G\n"
+	if got != want {
+		t.Fatalf("cache table changed:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -1,31 +1,32 @@
-// Package prefetch is the concurrent execution plane's per-stage GPU
-// memory context: a thread-safe prefetching layer cache with the same
-// semantics — and the same Stats shape — as the discrete-event
-// internal/memctx manager, transposed from simulated time to wall clock.
+// Package prefetch puts internal/memctx's context manager on the wall
+// clock for the concurrent execution plane. Residency, LRU, the serialized
+// PCIe channel and every counter are memctx.Manager's — the code the
+// discrete-event engine runs — so the two planes cannot model the cache
+// differently, except in the one decision New switches: write-back does
+// not occupy the copy channel here. A Cache adds only what is genuinely
+// wall-clock:
 //
-// Where memctx.Manager is advanced by a simulator clock and owned by one
-// event loop, a Cache is shared between a stage goroutine (Acquire/
-// Release/Evict around each forward and backward), the stage's async
-// prefetcher goroutine, and neighbouring stages issuing cross-stage
-// prefetches. All state is guarded by one mutex; copy completion is a
-// deadline (time.Time) rather than a channel, so issuing a prefetch
-// never blocks and only Acquire — the point where the paper's stage
-// stalls — ever sleeps.
-//
-// The PCIe model matches memctx: one channel per stage, copies serialize
-// on it, and a copy takes bytes/bandwidth milliseconds scaled by a
-// configurable wall-clock factor. A zero factor models instant copies
-// (the default for tests and benches, where stage compute is itself only
-// a scheduler yield); a positive factor makes late prefetches and
-// synchronous-fetch stalls observable in real time.
-//
-// The cache-hit metric follows the paper exactly: an access counts as a
-// hit iff the layer already resides in GPU memory when activated.
+//   - a mutex: a Cache is shared between a stage goroutine (Acquire/
+//     Release/Evict around each forward and backward), the stage's async
+//     prefetcher goroutine, and neighbouring stages issuing cross-stage
+//     prefetches;
+//   - the clock: the manager is driven with nanoseconds since the cache
+//     was built, and a bandwidth scaled so a modelled copy millisecond
+//     lasts scale wall-clock milliseconds. A zero scale models instant
+//     copies (the default for tests and benches, where stage compute is
+//     itself only a scheduler yield); a positive scale makes late
+//     prefetches and synchronous-fetch stalls observable in real time;
+//   - the wait: copy completion is a deadline rather than a channel, so
+//     issuing a prefetch never blocks and only Acquire — the point where
+//     the paper's stage stalls — sleeps, once, until the task's last
+//     copy has landed;
+//   - telemetry: prefetch/hit/miss/evict/stall events derived from the
+//     manager's counters around each call.
 package prefetch
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 	"time"
 
@@ -38,24 +39,15 @@ import (
 // counters so table and bench code renders either uniformly.
 type Stats = memctx.Stats
 
-type entry struct {
-	bytes   int64
-	readyAt time.Time // copy completion; resident once now >= readyAt
-	lastUse uint64    // LRU tick
-	locked  int       // lock count across concurrently executing tasks
-}
-
 // Cache is one stage's thread-safe GPU memory cache over the supernet's
 // layers. The zero value is not usable; construct with New.
 type Cache struct {
-	mu       sync.Mutex
-	capacity int64 // bytes; <0 means unbounded
-	nsPerB   float64
-	pcieFree time.Time
-	used     int64
-	tick     uint64
-	entries  map[supernet.LayerID]*entry
-	stats    Stats
+	mu sync.Mutex
+	m  *memctx.Manager // clock unit: nanoseconds since the cache was built
+
+	// now and sleep are the wall clock; tests substitute a fake.
+	now   func() time.Duration
+	sleep func(time.Duration)
 
 	// tel, when non-nil, receives prefetch/hit/miss/stall/evict events
 	// attributed to stage (see WithTelemetry). Never emitted to on the
@@ -75,10 +67,22 @@ func New(capacity int64, bandwidthBytesPerMs, scale float64) *Cache {
 	if scale < 0 {
 		panic(fmt.Sprintf("prefetch: negative time scale %f", scale))
 	}
+	bytesPerNs := math.Inf(1) // scale 0: every copy is instant
+	if scale > 0 {
+		bytesPerNs = bandwidthBytesPerMs / (scale * float64(time.Millisecond))
+	}
+	m := memctx.New(capacity, bytesPerNs)
+	// The one modelling decision this plane does not share with the
+	// simulator, and no configuration surface reaches it: with write-back
+	// on the channel every backward's flushed context queues ahead of the
+	// next prefetch, which cost pipe-cache 5 % of its throughput in 12 of
+	// 12 alternating benchmark pairs (DESIGN.md, "One model, two clocks").
+	m.DuplexWriteBack = true
+	epoch := time.Now()
 	return &Cache{
-		capacity: capacity,
-		nsPerB:   scale * float64(time.Millisecond) / bandwidthBytesPerMs,
-		entries:  make(map[supernet.LayerID]*entry),
+		m:     m,
+		now:   func() time.Duration { return time.Since(epoch) },
+		sleep: time.Sleep,
 	}
 }
 
@@ -102,41 +106,39 @@ func (c *Cache) emit(op telemetry.Op, worker, subnet int32, kind int8, arg int64
 	})
 }
 
-// Stats returns a copy of the accumulated statistics.
+// emitEvicted publishes the residency one call freed, explicitly or under
+// capacity pressure: the growth of the manager's write-back counter.
+func (c *Cache) emitEvicted(freed int64) {
+	if freed > 0 {
+		c.emit(telemetry.OpCacheEvict, telemetry.WorkerMem, -1, telemetry.KindNone, freed)
+	}
+}
+
+// Stats returns a copy of the accumulated statistics, StallMs in
+// wall-clock milliseconds.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	st := c.m.Stats()
+	st.StallMs /= float64(time.Millisecond)
+	return st
 }
 
 // Used returns the current resident (plus in-flight) byte count.
 func (c *Cache) Used() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.used
+	return c.m.Used()
 }
 
 // Capacity returns the configured capacity (<0 = unbounded).
-func (c *Cache) Capacity() int64 { return c.capacity }
+func (c *Cache) Capacity() int64 { return c.m.Capacity() }
 
 // Resident reports whether the layer is fully resident now.
 func (c *Cache) Resident(id supernet.LayerID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[id]
-	return e != nil && !e.readyAt.After(time.Now())
-}
-
-// copyDone reserves the PCIe channel for bytes starting no earlier than
-// now and returns the completion deadline. Caller holds c.mu.
-func (c *Cache) copyDone(bytes int64, now time.Time) time.Time {
-	start := now
-	if c.pcieFree.After(start) {
-		start = c.pcieFree
-	}
-	done := start.Add(time.Duration(float64(bytes) * c.nsPerB))
-	c.pcieFree = done
-	return done
+	return c.m.Resident(id, float64(c.now()))
 }
 
 // Prefetch issues an asynchronous copy of the layer if it is neither
@@ -148,34 +150,26 @@ func (c *Cache) copyDone(bytes int64, now time.Time) time.Time {
 func (c *Cache) Prefetch(id supernet.LayerID, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[id]; ok {
+	now := float64(c.now())
+	before := c.m.Stats()
+	done, issued := c.m.Prefetch(id, bytes, now)
+	after := c.m.Stats()
+	if c.tel == nil || after == before { // already resident or in flight
 		return
 	}
-	now := time.Now()
 	c.emit(telemetry.OpPrefetchRequest, telemetry.WorkerMem, -1, telemetry.KindNone, bytes)
-	if !c.makeRoom(bytes, now) {
-		c.stats.DroppedPrefetches++
+	c.emitEvicted(after.SwapOutBytes - before.SwapOutBytes)
+	if !issued {
 		c.emit(telemetry.OpPrefetchDrop, telemetry.WorkerMem, -1, telemetry.KindNone, bytes)
 		return
 	}
-	done := c.copyDone(bytes, now)
-	if c.tel != nil {
-		// Land on the modeled PCIe channel at the copy's deadline; copies
-		// serialize on pcieFree so these are monotone per stage.
-		c.tel.EmitAt(c.tel.Now()+int64(done.Sub(now)), telemetry.Event{
-			Op: telemetry.OpPrefetchLand, Phase: telemetry.PhaseInstant,
-			Stage: c.stage, Worker: telemetry.WorkerPCIe,
-			Subnet: -1, Kind: telemetry.KindNone, Arg: bytes,
-		})
-	}
-	c.tick++
-	c.entries[id] = &entry{bytes: bytes, readyAt: done, lastUse: c.tick}
-	c.used += bytes
-	c.stats.Prefetches++
-	c.stats.SwapInBytes += bytes
-	if c.used > c.stats.PeakBytes {
-		c.stats.PeakBytes = c.used
-	}
+	// Land on the modeled PCIe channel at the copy's deadline; copies
+	// serialize on the channel so these are monotone per stage.
+	c.tel.EmitAt(c.tel.Now()+int64(done-now), telemetry.Event{
+		Op: telemetry.OpPrefetchLand, Phase: telemetry.PhaseInstant,
+		Stage: c.stage, Worker: telemetry.WorkerPCIe,
+		Subnet: -1, Kind: telemetry.KindNone, Arg: bytes,
+	})
 }
 
 // NoteDropped counts a prefetch request abandoned before reaching the
@@ -183,15 +177,15 @@ func (c *Cache) Prefetch(id supernet.LayerID, bytes int64) {
 // attributable in the same counter.
 func (c *Cache) NoteDropped() {
 	c.mu.Lock()
-	c.stats.DroppedPrefetches++
+	c.m.NoteDropped()
 	c.mu.Unlock()
 	c.emit(telemetry.OpPrefetchDrop, telemetry.WorkerMem, -1, telemetry.KindNone, 0)
 }
 
 // Acquire makes every listed layer resident and locked, counting hits and
 // misses, and blocks until all copies have completed. It returns the
-// total stall (wall-clock time slept). The caller must Release the same
-// ids when the task finishes.
+// stall: the time from the call to the last copy's deadline. The caller
+// must Release the same ids when the task finishes.
 func (c *Cache) Acquire(ids []supernet.LayerID, bytes func(supernet.LayerID) int64) time.Duration {
 	return c.AcquireFor(ids, bytes, -1, telemetry.KindNone)
 }
@@ -200,78 +194,46 @@ func (c *Cache) Acquire(ids []supernet.LayerID, bytes func(supernet.LayerID) int
 // stall span (if any) carry the acquiring task's subnet and kind, so the
 // event stream can charge memory waits to the task that suffered them.
 func (c *Cache) AcquireFor(ids []supernet.LayerID, bytes func(supernet.LayerID) int64, subnet int32, kind int8) time.Duration {
-	var stall time.Duration
-	var hits, misses, late int64
-	for _, id := range ids {
-		c.mu.Lock()
-		now := time.Now()
-		e := c.entries[id]
-		switch {
-		case e != nil && !e.readyAt.After(now):
-			c.stats.Hits++
-			hits++
-		case e != nil:
-			// In flight: a prefetch was issued but has not completed.
-			c.stats.Misses++
-			c.stats.LatePrefetches++
-			misses++
-			late++
-		default:
-			// Absent: synchronous fetch, serialized on the channel.
-			c.stats.Misses++
-			misses++
-			b := bytes(id)
-			if !c.makeRoom(b, now) {
-				c.stats.OverCapacity++
-			}
-			e = &entry{bytes: b, readyAt: c.copyDone(b, now)}
-			c.entries[id] = e
-			c.used += b
-			c.stats.SwapInBytes += b
-			if c.used > c.stats.PeakBytes {
-				c.stats.PeakBytes = c.used
-			}
-		}
-		e.locked++
-		c.tick++
-		e.lastUse = c.tick
-		wait := e.readyAt.Sub(now)
-		c.mu.Unlock()
-		if wait > 0 {
-			// Stall outside the lock: prefetcher and neighbour goroutines
-			// keep the cache serviceable while this stage waits on PCIe.
-			time.Sleep(wait)
-			stall += wait
-		}
+	c.mu.Lock()
+	now := c.now()
+	before := c.m.Stats()
+	ready := c.m.Acquire(ids, bytes, float64(now))
+	after := c.m.Stats()
+	c.mu.Unlock()
+	// Round the deadline up to the clock's resolution so the layers are
+	// resident when the wait returns.
+	stall := time.Duration(math.Ceil(ready)) - now
+	if stall > 0 {
+		// Stall outside the lock: prefetcher and neighbour goroutines keep
+		// the cache serviceable while this stage waits on PCIe.
+		c.sleep(stall)
 	}
-	// Hit/miss events are aggregated per acquire and emitted outside the
-	// lock — one event per outcome instead of one per layer id — with Arg
-	// carrying the layer count (the bus counters add Arg for these ops, so
-	// Snapshot stays per-layer-exact). Late (in-flight) misses remain
+	if c.tel == nil {
+		return stall
+	}
+	c.emitEvicted(after.SwapOutBytes - before.SwapOutBytes)
+	// One event per outcome instead of one per layer id, with Arg carrying
+	// the layer count (the bus counters add Arg for these ops, so Snapshot
+	// stays per-layer-exact). Late (in-flight) misses remain
 	// distinguishable in Stats; per-event they fold into the miss count.
-	if hits > 0 {
-		c.emit(telemetry.OpCacheHit, telemetry.WorkerStage, subnet, kind, hits)
+	if hits := after.Hits - before.Hits; hits > 0 {
+		c.emit(telemetry.OpCacheHit, telemetry.WorkerStage, subnet, kind, int64(hits))
 	}
-	if misses > 0 {
-		c.emit(telemetry.OpCacheMiss, telemetry.WorkerStage, subnet, kind, misses)
+	if misses := after.Misses - before.Misses; misses > 0 {
+		c.emit(telemetry.OpCacheMiss, telemetry.WorkerStage, subnet, kind, int64(misses))
 	}
 	if stall > 0 {
-		c.mu.Lock()
-		c.stats.StallMs += float64(stall) / float64(time.Millisecond)
-		c.mu.Unlock()
-		if c.tel != nil {
-			// Backdated span covering the accumulated sleep, nested inside
-			// the caller's open task span; Arg carries the nanoseconds.
-			end := c.tel.Now()
-			ev := telemetry.Event{
-				Op: telemetry.OpCacheStall, Phase: telemetry.PhaseBegin,
-				Stage: c.stage, Worker: telemetry.WorkerStage,
-				Subnet: subnet, Kind: kind, Arg: int64(stall),
-			}
-			c.tel.EmitAt(end-int64(stall), ev)
-			ev.Phase = telemetry.PhaseEnd
-			c.tel.EmitAt(end, ev)
+		// Backdated span covering the sleep, nested inside the caller's
+		// open task span; Arg carries the nanoseconds.
+		end := c.tel.Now()
+		ev := telemetry.Event{
+			Op: telemetry.OpCacheStall, Phase: telemetry.PhaseBegin,
+			Stage: c.stage, Worker: telemetry.WorkerStage,
+			Subnet: subnet, Kind: kind, Arg: int64(stall),
 		}
+		c.tel.EmitAt(end-int64(stall), ev)
+		ev.Phase = telemetry.PhaseEnd
+		c.tel.EmitAt(end, ev)
 	}
 	return stall
 }
@@ -280,13 +242,7 @@ func (c *Cache) AcquireFor(ids []supernet.LayerID, bytes func(supernet.LayerID) 
 func (c *Cache) Release(ids []supernet.LayerID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range ids {
-		if e := c.entries[id]; e != nil && e.locked > 0 {
-			e.locked--
-			c.tick++
-			e.lastUse = c.tick
-		}
-	}
+	c.m.Release(ids, float64(c.now()))
 }
 
 // Evict writes the listed layers back to pinned CPU storage and frees
@@ -295,66 +251,8 @@ func (c *Cache) Release(ids []supernet.LayerID) {
 func (c *Cache) Evict(ids []supernet.LayerID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var freed int64
-	for _, id := range ids {
-		e := c.entries[id]
-		if e == nil || e.locked > 0 {
-			continue
-		}
-		freed += e.bytes
-		c.evictEntry(id, e)
-	}
-	if freed > 0 {
-		c.emit(telemetry.OpCacheEvict, telemetry.WorkerMem, -1, telemetry.KindNone, freed)
-	}
-}
-
-// evictEntry drops one entry. Caller holds c.mu.
-func (c *Cache) evictEntry(id supernet.LayerID, e *entry) {
-	delete(c.entries, id)
-	c.used -= e.bytes
-	c.stats.SwapOutBytes += e.bytes
-}
-
-// makeRoom evicts LRU unlocked resident entries until newBytes fits.
-// Returns false if the capacity cannot be reached (everything resident is
-// locked or still in flight). Caller holds c.mu.
-func (c *Cache) makeRoom(newBytes int64, now time.Time) bool {
-	if c.capacity < 0 {
-		return true
-	}
-	if c.used+newBytes <= c.capacity {
-		return true
-	}
-	type cand struct {
-		id supernet.LayerID
-		e  *entry
-	}
-	var cands []cand
-	for id, e := range c.entries {
-		// In-flight entries are never evicted (their copy is still
-		// occupying the channel).
-		if e.locked == 0 && !e.readyAt.After(now) {
-			cands = append(cands, cand{id, e})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].e.lastUse != cands[j].e.lastUse {
-			return cands[i].e.lastUse < cands[j].e.lastUse
-		}
-		return cands[i].id < cands[j].id
-	})
-	var freed int64
-	for _, cd := range cands {
-		if c.used+newBytes <= c.capacity {
-			break
-		}
-		freed += cd.e.bytes
-		c.evictEntry(cd.id, cd.e)
-		c.stats.EvictionsForced++
-	}
-	if freed > 0 {
-		c.emit(telemetry.OpCacheEvict, telemetry.WorkerMem, -1, telemetry.KindNone, freed)
-	}
-	return c.used+newBytes <= c.capacity
+	before := c.m.Stats()
+	c.m.Evict(ids, float64(c.now()))
+	after := c.m.Stats()
+	c.emitEvicted(after.SwapOutBytes - before.SwapOutBytes)
 }
