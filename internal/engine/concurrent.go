@@ -15,18 +15,21 @@
 // send/receive code is the same in all three.
 //
 // With Config.ConcurrentMem enabled, each stage additionally owns a
-// thread-safe prefetching layer cache (internal/prefetch) and an async
-// prefetcher goroutine. Prefetch requests come from three sources, the
-// same three the simulator models: arrival of a task's input message,
-// cross-stage notification at a neighbour's admission (§3.3 context
-// push), and the Algorithm 3 predictor (csp.Predictor), including
-// pending-backward records carried upstream with gradient transfers
-// (Algorithm 3 lines 10–11). Each forward/backward brackets its compute
-// with Acquire/Release on the cache, counting the paper's hit/miss/
-// stall/drop micro events. Prefetching moves data only — admission
-// decisions never consult the cache — so the causal schedule, and with it
-// the Definition 1 guarantee below, is invariant under any cache
-// configuration; every traced run still verifies it mechanically.
+// thread-safe prefetching layer cache (internal/prefetch). Prefetch
+// requests come from three sources, the same three the simulator models:
+// arrival of a task's input message, cross-stage notification at a
+// neighbour's admission (§3.3 context push, issued before the admitted
+// task's own acquire so the copy overlaps its stall), and the Algorithm 3
+// predictor (csp.Predictor), including pending-backward records carried
+// upstream with gradient transfers (Algorithm 3 lines 10–11). A request is
+// applied by the goroutine that makes it — issuing a copy only computes
+// its deadline — so a cached run still has one goroutine per stage. Each
+// forward/backward brackets its compute with Acquire/Release on the
+// cache, counting the paper's hit/miss/stall/drop micro events; a stall is
+// one clock.Sleep. Prefetching moves data only — admission decisions never
+// consult the cache — so the causal schedule, and with it the Definition 1
+// guarantee below, is invariant under any cache configuration; every
+// traced run still verifies it mechanically.
 //
 // Determinism under real parallelism is the point. The raw interleaving of
 // parameter accesses across stages is wall-clock-nondeterministic — it
@@ -51,6 +54,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"naspipe/internal/clock"
 	"naspipe/internal/csp"
 	"naspipe/internal/fault"
 	"naspipe/internal/metrics"
@@ -65,9 +69,9 @@ import (
 
 // ccStage is one stage goroutine's private state. Only the owning
 // goroutine touches the scheduling fields after the run starts; the
-// cache is thread-safe and shared with the stage's prefetcher goroutine
-// and with neighbouring stages; all other cross-stage communication
-// arrives on the inbox.
+// cache is thread-safe and shared with the neighbouring stages'
+// goroutines (requestFetch); all other cross-stage communication arrives
+// on the inbox.
 type ccStage struct {
 	k    int
 	base int // global seq of local subnet 0 (Config.SeqBase)
@@ -86,7 +90,6 @@ type ccStage struct {
 
 	// Memory-context plane (nil/empty when ConcurrentMem is disabled).
 	cache     *prefetch.Cache
-	fetchQ    chan int                      // subnet prefetch requests for this stage
 	pred      *csp.Predictor                // Algorithm 3 (nil unless Predictor)
 	carriedBy map[int][]csp.PendingBackward // pending records received per gradient
 	announced map[int]bool                  // subnets already carried upstream
@@ -306,7 +309,6 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 		}
 		if mem.Enabled() {
 			s.cache = prefetch.New(w.cacheCapacity(k, mem.CacheFactor), cfg.Spec.PCIeBytesPerMs, mem.FetchMsScale).WithTelemetry(tel, int32(k))
-			s.fetchQ = make(chan int, 4*n+8)
 			if mem.Predictor {
 				s.pred = csp.NewPredictor(s.sched)
 				s.carriedBy = make(map[int][]csp.PendingBackward)
@@ -320,21 +322,6 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	start := time.Now()
-	// Async prefetcher goroutines: one per stage, alive for the whole run,
-	// applying subnet prefetch requests to the stage cache concurrently
-	// with that stage's compute.
-	stopFetch := make(chan struct{})
-	var fwg sync.WaitGroup
-	for _, s := range c.stages {
-		if s == nil || s.fetchQ == nil {
-			continue
-		}
-		fwg.Add(1)
-		go func(s *ccStage) {
-			defer fwg.Done()
-			c.prefetchLoop(s, stopFetch)
-		}(s)
-	}
 	var wg sync.WaitGroup
 	for _, s := range c.stages {
 		if s == nil {
@@ -347,8 +334,6 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 		}(s)
 	}
 	wg.Wait() // establishes happens-before: stage state is safe to read below
-	close(stopFetch)
-	fwg.Wait()
 
 	res := Result{
 		Policy: "NASPipe-CC", Space: cfg.Space.Name, D: w.D,
@@ -468,68 +453,25 @@ func (c *ccRun) collectCacheStats(res *Result) {
 	res.CPUMemBytes = c.w.Net.TotalParamBytes()
 }
 
-// prefetchLoop is the body of one stage's async prefetcher goroutine: it
-// expands subnet prefetch requests into layer copies on the stage cache,
-// concurrently with the stage's compute. The stage worker opportunistically
-// drains the same queue at its scheduling boundary (the point where the
-// simulator delivers arrival events), so a request enqueued before a task
-// is admitted is applied even if this goroutine is starved.
-func (c *ccRun) prefetchLoop(s *ccStage, stop <-chan struct{}) {
-	for {
-		select {
-		case seq := <-s.fetchQ:
-			c.applyFetch(s, seq)
-		case <-stop:
-			return
-		}
+// requestFetch prefetches subnet seq's partition into stage s's cache on
+// the calling goroutine: s's own (arrival, refill, predictor) or a
+// neighbour's (context push). It never blocks — a copy is a deadline on
+// the cache's modelled channel — so on return the context is resident or
+// in flight. An injected prefetch-copy failure abandons the fetch and
+// counts it as dropped: the later Acquire fetches synchronously, a stall,
+// never a hang. Keyed by (stage, global seq), every requester of the same
+// fetch fails consistently.
+func (c *ccRun) requestFetch(s *ccStage, seq int) {
+	if s.cache == nil {
+		return
 	}
-}
-
-// applyFetch prefetches every layer of subnet seq's partition on the
-// stage. An injected prefetch-copy failure abandons the whole fetch and
-// counts it as a dropped prefetch: the task's later Acquire misses and
-// fetches synchronously — a stall, never a hang. The decision is keyed
-// by (stage, global seq), so every requester of the same fetch fails
-// consistently.
-func (c *ccRun) applyFetch(s *ccStage, seq int) {
 	if c.inj != nil && c.inj.FetchFails(s.k, s.base+seq) {
 		s.telFault(telemetry.OpFaultFetch, s.base+seq, telemetry.KindNone, 0)
 		s.cache.NoteDropped()
 		return
 	}
 	for _, id := range c.w.stageIDs[seq][s.k] {
-		s.cache.Prefetch(id, c.w.Net.Meta[id].ParamBytes)
-	}
-}
-
-// requestFetch enqueues a subnet prefetch for the stage without ever
-// blocking the caller (which may be a neighbouring stage goroutine). A
-// saturated queue drops the request and counts it: the later miss stays
-// attributable.
-func (s *ccStage) requestFetch(seq int) {
-	if s.fetchQ == nil {
-		return
-	}
-	select {
-	case s.fetchQ <- seq:
-	default:
-		s.cache.NoteDropped()
-	}
-}
-
-// stealFetches non-blockingly applies every pending prefetch request on
-// the stage's own queue (see prefetchLoop).
-func (c *ccRun) stealFetches(s *ccStage) {
-	if s.fetchQ == nil {
-		return
-	}
-	for {
-		select {
-		case seq := <-s.fetchQ:
-			c.applyFetch(s, seq)
-		default:
-			return
-		}
+		s.cache.Prefetch(id, c.bytesOf(id))
 	}
 }
 
@@ -548,8 +490,7 @@ func (c *ccRun) stageLoop(ctx context.Context, s *ccStage) {
 		}
 		c.drain(s)
 		if s.k == 0 {
-			s.refill(c.cfg.InflightLimit, n)
-			c.stealFetches(s) // make refill's prefetches effective this iteration
+			c.refill(s, n)
 		}
 		// Backward tasks always run first (§3.2): they retire dependencies
 		// and widen every stage's schedulable set.
@@ -578,46 +519,44 @@ func (c *ccRun) stageLoop(ctx context.Context, s *ccStage) {
 		park.Reset(ccParkPoll)
 		select {
 		case m := <-s.in:
-			s.receive(m)
+			c.receive(s, m)
 		case <-ctx.Done():
 		case <-park.C:
 		}
 	}
 }
 
-// drain non-blockingly absorbs every message pending on the inbox, then
-// every pending prefetch request.
+// drain non-blockingly absorbs every message pending on the inbox.
 func (c *ccRun) drain(s *ccStage) {
 	for {
 		select {
 		case m := <-s.in:
-			s.receive(m)
+			c.receive(s, m)
 		default:
-			c.stealFetches(s)
 			return
 		}
 	}
 }
 
 // receive folds one inbox message into the stage's queues and scheduler.
-func (s *ccStage) receive(m transport.Msg) {
+func (c *ccRun) receive(s *ccStage, m transport.Msg) {
 	switch m.Type {
 	case transport.FrameFwd:
-		s.acceptFwd(m.Seq)
+		c.acceptFwd(s, m.Seq)
 	case transport.FrameBwd:
-		s.acceptBwd(m.Seq, m.Carried)
+		c.acceptBwd(s, m.Seq, m.Carried)
 	case transport.FrameNote:
 		s.cont.Notes++
 		s.apply(m.Seq, m.IDs, m.Finished)
 	case transport.FrameFetch:
-		s.requestFetch(m.Seq)
+		c.requestFetch(s, m.Seq)
 	}
 }
 
 // acceptFwd queues an activation arrival and prefetches its context (the
 // simulator's prefetch-on-arrival). Under fault injection, duplicated
 // deliveries are dropped here before any side effect.
-func (s *ccStage) acceptFwd(seq int) {
+func (c *ccRun) acceptFwd(s *ccStage, seq int) {
 	if s.seenFwd != nil {
 		if s.seenFwd[seq] {
 			return
@@ -627,13 +566,13 @@ func (s *ccStage) acceptFwd(seq int) {
 	s.fwdQ = append(s.fwdQ, seq)
 	s.telFlow(telemetry.OpTransferRecv, telemetry.PhaseFlowEnd, seq, telemetry.KindForward, s.k-1)
 	s.telTask(telemetry.OpTaskAdmit, telemetry.PhaseInstant, seq, telemetry.KindForward)
-	s.requestFetch(seq)
+	c.requestFetch(s, seq)
 }
 
 // acceptBwd queues a gradient arrival, stashes the pending-backward
 // records it carried from downstream (Algorithm 3 lines 10–11) for the
 // predictor, and prefetches the backward's context.
-func (s *ccStage) acceptBwd(seq int, carried []csp.PendingBackward) {
+func (c *ccRun) acceptBwd(s *ccStage, seq int, carried []csp.PendingBackward) {
 	if s.seenBwd != nil {
 		if s.seenBwd[seq] {
 			return
@@ -646,7 +585,7 @@ func (s *ccStage) acceptBwd(seq int, carried []csp.PendingBackward) {
 	if len(carried) > 0 && s.carriedBy != nil {
 		s.carriedBy[seq] = append(s.carriedBy[seq], carried...)
 	}
-	s.requestFetch(seq)
+	c.requestFetch(s, seq)
 }
 
 // apply folds a dependency release into the local scheduler: subnet
@@ -666,12 +605,12 @@ func (s *ccStage) apply(seq int, ids []supernet.LayerID, finished bool) {
 // than the cache budget, and prefetching all of it would LRU-evict exactly
 // the contexts needed soonest. Later retrievals are fetched by the
 // predictor's forward forecast as execution approaches them.
-func (s *ccStage) refill(inflightLimit, n int) {
-	for s.retrieved < n && s.retrieved-s.bwdDone < inflightLimit {
+func (c *ccRun) refill(s *ccStage, n int) {
+	for s.retrieved < n && s.retrieved-s.bwdDone < c.cfg.InflightLimit {
 		s.fwdQ = append(s.fwdQ, s.retrieved)
 		s.telTask(telemetry.OpTaskAdmit, telemetry.PhaseInstant, s.retrieved, telemetry.KindForward)
 		if s.retrieved-s.fwdDone < 2 {
-			s.requestFetch(s.retrieved)
+			c.requestFetch(s, s.retrieved)
 		}
 		s.retrieved++
 	}
@@ -789,11 +728,11 @@ func (c *ccRun) transport(s *ccStage, kind int8, seq int, deliver func()) {
 		switch v.Action {
 		case fault.Drop:
 			s.telFault(telemetry.OpFaultDrop, gseq, kind, int64(attempt))
-			time.Sleep(c.inj.Backoff(attempt))
+			clock.Sleep(c.inj.Backoff(attempt))
 			continue
 		case fault.Delay:
 			s.telFault(telemetry.OpFaultDelay, gseq, kind, int64(v.Wait))
-			time.Sleep(v.Wait)
+			clock.Sleep(v.Wait)
 			deliver()
 		case fault.Duplicate:
 			s.telFault(telemetry.OpFaultDup, gseq, kind, 0)
@@ -873,17 +812,17 @@ func (c *ccRun) runBackward(ctx context.Context, s *ccStage) bool {
 		carried := s.carriedBy[seq]
 		delete(s.carriedBy, seq)
 		for _, f := range s.pred.OnBackward(s.fwdQ, seq, carried) {
-			s.requestFetch(f.Seq)
+			c.requestFetch(s, f.Seq)
 		}
+	}
+	if s.k > 0 {
+		// Cross-stage context push (§3.3) before this task's own acquire, as
+		// in the simulator's admit: upstream runs this subnet's backward next,
+		// and its copy hides behind this stage's stall, compute and transfer.
+		c.pushFetch(s, s.k-1, seq)
 	}
 	if s.cache != nil {
 		s.cache.AcquireFor(ids, c.bytesOf, int32(seq), telemetry.KindBackward)
-	}
-	if s.k > 0 {
-		// Cross-stage context push (§3.3): the upstream stage will process
-		// this subnet's backward next; prefetch its context there, hiding
-		// the copy behind this stage's compute plus the transfer.
-		c.pushFetch(s, s.k-1, seq)
 	}
 	c.compute(seq, s.k, task.Backward)
 	// The WRITE must be visible in the trace before any dependent learns
@@ -993,15 +932,15 @@ func (c *ccRun) runForward(ctx context.Context, s *ccStage) bool {
 		// precedence this forward satisfies, and forecast the next
 		// schedulable forward.
 		for _, f := range s.pred.OnForward(s.fwdQ, seq) {
-			s.requestFetch(f.Seq)
+			c.requestFetch(s, f.Seq)
 		}
-	}
-	if s.cache != nil {
-		s.cache.AcquireFor(ids, c.bytesOf, int32(seq), telemetry.KindForward)
 	}
 	if s.k < c.w.D-1 {
 		// Cross-stage context push (§3.3), forward direction.
 		c.pushFetch(s, s.k+1, seq)
+	}
+	if s.cache != nil {
+		s.cache.AcquireFor(ids, c.bytesOf, int32(seq), telemetry.KindForward)
 	}
 	// The READ happens at admission — after the CSP check, before compute —
 	// mirroring the simulator's context-acquire semantics.
@@ -1029,7 +968,7 @@ func (c *ccRun) runForward(ctx context.Context, s *ccStage) bool {
 // ccStraggleUnit is the wall-clock cost of one unit of excess stage
 // slowness on the concurrent plane: a stage with speed factor s sleeps
 // (s−1)·ccStraggleUnit per task, making a declared straggler a real
-// wall-clock straggler without stretching test runtimes.
+// wall-clock one: clock.Sleep resolves a wait a Go timer rounds up to 1 ms.
 const ccStraggleUnit = 25 * time.Microsecond
 
 // compute stands in for the stage's kernel work. With TimingJitter set it
@@ -1050,7 +989,7 @@ func (c *ccRun) compute(seq, stage int, kind task.Kind) {
 		d += time.Duration((sp - 1) * float64(ccStraggleUnit))
 	}
 	if d > 0 {
-		time.Sleep(d)
+		clock.Sleep(d)
 		return
 	}
 	runtime.Gosched()

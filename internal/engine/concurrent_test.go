@@ -394,3 +394,74 @@ func TestConcurrentMemoryPlaneDeterministicTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestContextPushOverlapsUpstreamStall pins the order both planes share:
+// a task pushes the neighbour's context the moment it starts, before it
+// acquires its own, so the neighbour's copy runs during this stage's
+// stall. The stream makes the consequence exact rather than likely. Every
+// subnet is the same subnet, so the run is one causal chain — a single
+// task in flight, each stage's context evicted by the backward before the
+// next forward — and at two GPUs with no predictor every forward on stage
+// 0 from subnet 1 on is a synchronous miss: a stall of its whole
+// partition's copy, starting after the push. Stage 1's partition is the
+// smaller one, its copy channel is idle, so its copy lands before stage 0
+// wakes, let alone computes and hands over: a hit, on monotonic clocks, by
+// construction. Pushed after the stall instead, the same copy has a
+// scheduler yield and a channel hop to hide behind, and every one of those
+// acquires is late. Subnet 0 is left out: its stage-0 wait is anchored at
+// refill's earlier request rather than at the acquire, so only a timing
+// margin orders it against the push.
+func TestContextPushOverlapsUpstreamStall(t *testing.T) {
+	const n = 12
+	subs := make([]supernet.Subnet, n)
+	for i := range subs {
+		subs[i] = supernet.Subnet{Seq: i, Choices: make([]int, 8)} // choice 0 everywhere
+	}
+	bus := telemetry.NewBus(0)
+	cfg := engine.Config{
+		Space:   supernet.NLPc3.Scaled(8, 3),
+		Spec:    cluster.Default(2),
+		Seed:    7,
+		Subnets: subs,
+		// 0.2: the ≈ 6 ms modelled copies last ≈ 1.3 ms, far beyond a hop.
+		ConcurrentMem: engine.MemPlaneConfig{CacheFactor: 3, FetchMsScale: 0.2},
+		Telemetry:     bus,
+	}
+	w, err := engine.NewWorld(cfg, engine.PartitionBalanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var partBytes [2]int64
+	for k := range partBytes {
+		for _, id := range w.StageLayerIDs(0, k) {
+			partBytes[k] += w.Net.Meta[id].ParamBytes
+		}
+	}
+	if partBytes[1] == 0 || partBytes[1] > partBytes[0] {
+		t.Fatalf("stream no longer fits the argument: partition bytes %v, want 0 < stage 1 <= stage 0", partBytes)
+	}
+	res, err := engine.RunConcurrent(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acquires int
+	for _, ev := range bus.Events() {
+		if ev.Stage != 1 || ev.Subnet < 1 {
+			continue
+		}
+		switch ev.Op {
+		case telemetry.OpCacheHit:
+			acquires++
+		case telemetry.OpCacheMiss:
+			t.Errorf("stage 1 %s of subnet %d found %d layers not resident",
+				telemetry.KindString(ev.Kind), ev.Subnet, ev.Arg)
+		}
+	}
+	if want := 2 * (n - 1); acquires != want {
+		t.Fatalf("stage 1 logged %d all-hit acquires after subnet 0, want %d", acquires, want)
+	}
+	// The upstream stalls the copies hid behind were real.
+	if st := res.CacheStats[0]; st.Misses == 0 || st.StallMs <= 0 {
+		t.Fatalf("stage 0 never stalled: %+v", st)
+	}
+}

@@ -131,7 +131,7 @@ func (c *ccRun) broadcastNote(s *ccStage, seq int, ids []supernet.LayerID, finis
 // traffic.
 func (c *ccRun) pushFetch(s *ccStage, k, seq int) {
 	if t := c.stages[k]; t != nil {
-		t.requestFetch(seq)
+		c.requestFetch(t, seq)
 	} else if c.cfg.ConcurrentMem.Enabled() {
 		c.send(transport.Msg{Type: transport.FrameFetch, From: s.k, To: k, Seq: seq})
 	}

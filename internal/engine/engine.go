@@ -137,8 +137,8 @@ type MemPlaneConfig struct {
 	// configuration is 3 (executing + evicting + prefetched subnet).
 	// 0 disables the cache (and the predictor).
 	CacheFactor float64
-	// Predictor drives each stage's async prefetcher with Algorithm 3
-	// forecasts and pending-backward carries. Requires CacheFactor > 0.
+	// Predictor adds Algorithm 3 forecasts and pending-backward carries
+	// to each stage's prefetch requests. Requires CacheFactor > 0.
 	Predictor bool
 	// FetchMsScale converts modeled PCIe copy milliseconds into
 	// wall-clock delay: 0 models instant copies (the default — stage

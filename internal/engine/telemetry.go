@@ -91,10 +91,11 @@ func (e *Engine) telSpanSwitch(st *stageState, pick *execState) {
 // stream: a span stretches from the task's first start to its completion
 // (preemption gaps stay inside the extent, exactly like the simulator's
 // admission-to-completion spans), and task-attributed cache stalls
-// accumulate into StallMs. Events that never complete (cancelled run,
-// ring truncation) are dropped. The result is ordered by start time,
-// then stage, subnet, and kind, so repeated reconstructions of the same
-// stream are deterministic.
+// accumulate into StallMs: the modelled stall in Arg, as in the
+// simulator's spans (the wait really paid is the stall span's extent).
+// Events that never complete (cancelled run, ring truncation) are dropped.
+// The result is ordered by start time, then stage, subnet, and kind, so
+// repeated reconstructions of the same stream are deterministic.
 func SpansFromEvents(evs []telemetry.Event) []TaskSpan {
 	type key struct {
 		stage, subnet int32

@@ -496,7 +496,7 @@ type Verdict struct {
 
 // Injector draws fault decisions for one run. It is stateless after
 // construction (every decision is a pure function of its site), so it is
-// safe for concurrent use by all stage and prefetcher goroutines.
+// safe for concurrent use by all stage goroutines.
 type Injector struct {
 	plan        Plan
 	incarnation int

@@ -177,7 +177,7 @@ func (m *Manager) Prefetch(id supernet.LayerID, bytes int64, now float64) (done 
 }
 
 // NoteDropped counts a prefetch request abandoned before it reached the
-// manager (e.g. a full prefetcher queue), so every dropped fetch is
+// manager (an injected copy failure), so every dropped fetch is
 // attributable in the same counter.
 func (m *Manager) NoteDropped() { m.stats.DroppedPrefetches++ }
 

@@ -56,7 +56,7 @@ func TestReleaseAfterEvict(t *testing.T) {
 // TestAcquireRacesDeadlineLanding races Acquire against an in-flight
 // prefetch deadline landing, with a concurrent evictor — the exact
 // interleaving the wall-clock plane hits when a stage activates a layer
-// the prefetcher is still copying. Run under -race. Every acquire must
+// whose copy is still in flight. Run under -race. Every acquire must
 // classify as exactly one of hit/miss, no acquire may hang, and the
 // accounting must balance once everything is released and evicted.
 func TestAcquireRacesDeadlineLanding(t *testing.T) {

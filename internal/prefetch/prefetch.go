@@ -6,10 +6,10 @@
 // not occupy the copy channel here. A Cache adds only what is genuinely
 // wall-clock:
 //
-//   - a mutex: a Cache is shared between a stage goroutine (Acquire/
-//     Release/Evict around each forward and backward), the stage's async
-//     prefetcher goroutine, and neighbouring stages issuing cross-stage
-//     prefetches;
+//   - a mutex: a Cache is shared between its stage's goroutine (Acquire/
+//     Release/Evict around each forward and backward, and the stage's own
+//     prefetches) and the neighbouring stages' goroutines issuing
+//     cross-stage prefetches;
 //   - the clock: the manager is driven with nanoseconds since the cache
 //     was built, and a bandwidth scaled so a modelled copy millisecond
 //     lasts scale wall-clock milliseconds. A zero scale models instant
@@ -18,8 +18,8 @@
 //     prefetches and synchronous-fetch stalls observable in real time;
 //   - the wait: copy completion is a deadline rather than a channel, so
 //     issuing a prefetch never blocks and only Acquire — the point where
-//     the paper's stage stalls — sleeps, once, until the task's last
-//     copy has landed;
+//     the paper's stage stalls — waits, once, for the task's last copy:
+//     one clock.Sleep, so a stall costs its copy and not a timer tick;
 //   - telemetry: prefetch/hit/miss/evict/stall events derived from the
 //     manager's counters around each call.
 package prefetch
@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"naspipe/internal/clock"
 	"naspipe/internal/memctx"
 	"naspipe/internal/supernet"
 	"naspipe/internal/telemetry"
@@ -82,7 +83,7 @@ func New(capacity int64, bandwidthBytesPerMs, scale float64) *Cache {
 	return &Cache{
 		m:     m,
 		now:   func() time.Duration { return time.Since(epoch) },
-		sleep: time.Sleep,
+		sleep: clock.Sleep,
 	}
 }
 
@@ -173,7 +174,7 @@ func (c *Cache) Prefetch(id supernet.LayerID, bytes int64) {
 }
 
 // NoteDropped counts a prefetch request abandoned before reaching the
-// cache (e.g. a full prefetcher queue), keeping every dropped fetch
+// cache (an injected copy failure), keeping every dropped fetch
 // attributable in the same counter.
 func (c *Cache) NoteDropped() {
 	c.mu.Lock()
@@ -201,12 +202,15 @@ func (c *Cache) AcquireFor(ids []supernet.LayerID, bytes func(supernet.LayerID) 
 	after := c.m.Stats()
 	c.mu.Unlock()
 	// Round the deadline up to the clock's resolution so the layers are
-	// resident when the wait returns.
-	stall := time.Duration(math.Ceil(ready)) - now
+	// resident when the wait returns; the stall charged is the modelled one.
+	deadline := time.Duration(math.Ceil(ready))
+	stall := deadline - now
+	var begin int64
 	if stall > 0 {
-		// Stall outside the lock: prefetcher and neighbour goroutines keep
-		// the cache serviceable while this stage waits on PCIe.
-		c.sleep(stall)
+		// Stall outside the lock: neighbours keep the cache serviceable.
+		// Manager.Acquire ran since now was read; wait for what is left.
+		begin = c.tel.Now()
+		c.sleep(deadline - c.now())
 	}
 	if c.tel == nil {
 		return stall
@@ -223,17 +227,17 @@ func (c *Cache) AcquireFor(ids []supernet.LayerID, bytes func(supernet.LayerID) 
 		c.emit(telemetry.OpCacheMiss, telemetry.WorkerStage, subnet, kind, int64(misses))
 	}
 	if stall > 0 {
-		// Backdated span covering the sleep, nested inside the caller's
-		// open task span; Arg carries the nanoseconds.
-		end := c.tel.Now()
+		// Span over the wait actually paid, nested inside the caller's open
+		// task span. Arg carries the modelled nanoseconds, as the
+		// simulator's span does: span − Arg is this stall's overshoot.
 		ev := telemetry.Event{
 			Op: telemetry.OpCacheStall, Phase: telemetry.PhaseBegin,
 			Stage: c.stage, Worker: telemetry.WorkerStage,
 			Subnet: subnet, Kind: kind, Arg: int64(stall),
 		}
-		c.tel.EmitAt(end-int64(stall), ev)
+		c.tel.EmitAt(begin, ev)
 		ev.Phase = telemetry.PhaseEnd
-		c.tel.EmitAt(end, ev)
+		c.tel.EmitAt(c.tel.Now(), ev)
 	}
 	return stall
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"naspipe/internal/supernet"
+	"naspipe/internal/telemetry"
 )
 
 const bw = 1000.0 // bytes per ms
@@ -92,6 +93,72 @@ func TestLatePrefetchCountedAndStalls(t *testing.T) {
 	}
 	if !c.Resident(7) {
 		t.Fatal("layer not resident after stalled acquire")
+	}
+}
+
+// TestAcquireWaitsForWhatIsLeft pins the split between the stall that is
+// charged and the wait that is paid: time that passes between the instant
+// of activation and the sleep shortens the sleep, never the modelled stall.
+func TestAcquireWaitsForWhatIsLeft(t *testing.T) {
+	c, clk := newFake(-1, exactBW, 1)
+	c.Prefetch(7, 2*exactBW) // lands at 2ms
+	clk.t = 500 * time.Microsecond
+	reads := 0
+	c.now = func() time.Duration {
+		reads++
+		if reads == 2 { // the re-read after the unlock: 0.25ms went by
+			clk.t += 250 * time.Microsecond
+		}
+		return clk.t
+	}
+	if stall := c.Acquire(ids(7), constBytes(2*exactBW)); stall != 1500*time.Microsecond {
+		t.Fatalf("stall %v, want the modelled 1.5ms", stall)
+	}
+	if len(clk.sleeps) != 1 || clk.sleeps[0] != 1250*time.Microsecond {
+		t.Fatalf("sleeps %v, want one of 1.25ms", clk.sleeps)
+	}
+	if st := c.Stats(); st.StallMs != 1.5 {
+		t.Fatalf("StallMs %v, want 1.5", st.StallMs)
+	}
+	if clk.t != 2*time.Millisecond || !c.Resident(7) {
+		t.Fatalf("acquire returned at %v, resident=%v; want 2ms and resident", clk.t, c.Resident(7))
+	}
+}
+
+// TestStallSpanCoversTheWaitPaid: the stall span runs from before the
+// sleep to after it, however far the sleep overshoots, and Arg stays the
+// modelled nanoseconds — so span − Arg is the overshoot of that stall.
+func TestStallSpanCoversTheWaitPaid(t *testing.T) {
+	const overshoot = 3 * time.Millisecond
+	c, clk := newFake(-1, exactBW, 1)
+	bus := telemetry.NewBus(16)
+	c.WithTelemetry(bus, 0)
+	c.sleep = func(d time.Duration) {
+		clk.sleep(d)
+		time.Sleep(overshoot) // the bus stamps on the real clock
+	}
+	c.Prefetch(7, exactBW) // lands at 1ms
+	stall := c.AcquireFor(ids(7), constBytes(exactBW), 3, telemetry.KindForward)
+	var begin, end *telemetry.Event
+	for _, ev := range bus.Events() {
+		if ev.Op != telemetry.OpCacheStall {
+			continue
+		}
+		switch ev.Phase {
+		case telemetry.PhaseBegin:
+			begin = &ev
+		case telemetry.PhaseEnd:
+			end = &ev
+		}
+	}
+	if begin == nil || end == nil {
+		t.Fatalf("stall span missing: %+v", bus.Events())
+	}
+	if begin.Arg != int64(stall) || end.Arg != int64(stall) || stall != time.Millisecond {
+		t.Fatalf("span Arg %d/%d, stall %v; want the modelled 1ms on both ends", begin.Arg, end.Arg, stall)
+	}
+	if span := time.Duration(end.TsNs - begin.TsNs); span < overshoot {
+		t.Fatalf("stall span %v is shorter than the %v the wait took", span, overshoot)
 	}
 }
 
@@ -240,9 +307,9 @@ func TestUnboundedNeverEvicts(t *testing.T) {
 }
 
 // TestConcurrentAccountingConsistent hammers one cache from many
-// goroutines — the shape of the concurrent plane, where a stage worker,
-// its prefetcher, and two neighbours share it — and checks accounting
-// invariants afterwards. Run under -race this is the thread-safety proof.
+// goroutines — the shape of the concurrent plane, where a stage worker
+// and its two neighbours share it — and checks accounting invariants
+// afterwards. Run under -race this is the thread-safety proof.
 func TestConcurrentAccountingConsistent(t *testing.T) {
 	c := New(8000, bw, 0)
 	var wg sync.WaitGroup

@@ -10,7 +10,7 @@ package telemetry
 //
 // A Batcher is NOT safe for concurrent use — it belongs to exactly one
 // goroutine. Emitters shared across goroutines (the stage caches, the
-// fault plane's prefetcher-side events) keep using Bus.Emit directly.
+// fault plane's prefetch-failure events) keep using Bus.Emit directly.
 //
 // Semantics relative to unbatched emission: timestamps are identical
 // (stamped at Emit), live counters and the captured stream lag by at most

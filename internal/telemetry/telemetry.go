@@ -14,8 +14,7 @@
 //     consumer. Live counters keep advancing even while the stream drops.
 //  3. Race-clean by construction. Counters are atomics; the stream is
 //     guarded by one mutex with O(1) critical sections. Events are
-//     emitted concurrently by stage workers, prefetcher goroutines, and
-//     the caches.
+//     emitted concurrently by stage workers and the caches they share.
 //
 // The package is dependency-free (standard library only) so every layer
 // of the system — engine, csp, prefetch, metrics, cmds — can publish to
@@ -53,11 +52,11 @@ const (
 	// Memory context (category "mem").
 	OpPrefetchRequest // async context fetch issued (Arg = bytes)
 	OpPrefetchLand    // prefetch copy completion (Arg = bytes)
-	OpPrefetchDrop    // prefetch abandoned: full queue or locked capacity
+	OpPrefetchDrop    // prefetch abandoned: injected copy failure or locked capacity
 	OpCacheHit        // layer accesses served from residency (Arg = layer count)
 	OpCacheMiss       // layer accesses that waited for a copy (Arg = layer count)
 	OpCacheEvict      // residency freed (Arg = bytes)
-	OpCacheStall      // compute stalled on PCIe (Arg = stall ns)
+	OpCacheStall      // compute stalled on PCIe (Arg = modelled ns; the span is the wait paid)
 
 	// Cross-stage transfers (category "flow").
 	OpTransferSend // activation/gradient handed to the next stage (Arg = flow id)
@@ -203,7 +202,7 @@ func KindString(k int8) string {
 // completions to WorkerPCIe.
 const (
 	WorkerStage int32 = 0 // the stage's compute worker
-	WorkerMem   int32 = 1 // prefetcher goroutine / cache bookkeeping
+	WorkerMem   int32 = 1 // prefetch requests / cache bookkeeping
 	WorkerPCIe  int32 = 2 // modeled copy-completion timeline
 )
 
