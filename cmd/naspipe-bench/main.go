@@ -326,6 +326,11 @@ func concurrentSmoke(ctx context.Context, f *clicfg.Flags) naspipe.ExitCode {
 			return naspipe.ExitFailure
 		}
 	}
+	if spec.Checkpoint != "" {
+		// Where a recovery's time went has an fsync share: only the
+		// synchronous saves were on anyone's critical path.
+		fmt.Printf("checkpoint plane: %v\n", res.CheckpointStats)
+	}
 	if bus != nil {
 		fmt.Println("telemetry: " + bus.Snapshot().String())
 		if code := exportTelemetry(bus, f.TraceOut, f.EventsOut); code != 0 {

@@ -282,6 +282,7 @@ func printRunResult(spec naspipe.JobSpec, cfg naspipe.Config, res naspipe.Result
 	}
 	if spec.Checkpoint != "" {
 		printCheckpoint(os.Stdout, spec.Checkpoint, "")
+		fmt.Printf("checkpoint plane:  %v\n", res.CheckpointStats)
 	}
 }
 

@@ -141,6 +141,9 @@ func distMain(args []string) naspipe.ExitCode {
 	fmt.Println()
 	fmt.Printf("fleet supervision: %s, %d restarts, final D=%d\n",
 		rep.FinalState, rep.Restarts, rep.FinalGPUs)
+	if spec.Checkpoint != "" {
+		fmt.Printf("checkpoint plane:  %v\n", res.CheckpointStats)
+	}
 	if bus != nil {
 		fmt.Printf("telemetry:         %s\n", bus.Snapshot().String())
 		lines, err := telemetry.ExportFiles(bus, f.TraceOut, f.EventsOut)

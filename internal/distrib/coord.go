@@ -111,7 +111,7 @@ func (c *Coordinator) state() (cursor, incarnation int) {
 
 // record applies a stage-0 consistency cut: the in-memory cursor
 // always advances (re-admission after a kill needs it even without a
-// checkpoint file), and the file recorder persists when configured.
+// checkpoint file), and the file recorder commits it when configured.
 func (c *Coordinator) record(cut fault.Cut) error {
 	c.mu.Lock()
 	if cut.Cursor > c.cursor {
@@ -143,8 +143,9 @@ func (c *Coordinator) bump() error {
 // until the stream finishes or the restart budget runs out. The
 // returned Result covers the final incarnation's suffix (BaseSeq tells
 // where it started); with spec.Verify the merged fleet trace has been
-// replayed against the sequential reference before Run returns.
-func (c *Coordinator) Run(ctx context.Context) (naspipe.Result, *supervise.Report, error) {
+// replayed against the sequential reference before Run returns. Every
+// return path flushes the recorder (latest committed cut on disk, no writer).
+func (c *Coordinator) Run(ctx context.Context) (res naspipe.Result, rep *supervise.Report, err error) {
 	fullCfg, err := c.spec.Config()
 	if err != nil {
 		return naspipe.Result{}, &supervise.Report{}, err
@@ -179,6 +180,12 @@ func (c *Coordinator) Run(ctx context.Context) (naspipe.Result, *supervise.Repor
 		if err := c.rec.Init(); err != nil {
 			return naspipe.Result{}, &supervise.Report{}, fmt.Errorf("distrib: checkpoint init: %w", err)
 		}
+		defer func() {
+			if ferr := c.rec.Flush(); ferr != nil && err == nil {
+				err = fmt.Errorf("distrib: flushing the checkpoint: %w", ferr)
+			}
+			res.CheckpointStats = c.rec.Stats()
+		}()
 	}
 
 	scfg, ok := c.spec.SuperviseConfig()
@@ -195,7 +202,7 @@ func (c *Coordinator) Run(ctx context.Context) (naspipe.Result, *supervise.Repor
 		Cursor: func() (int, error) { cur, _ := c.state(); return cur, nil },
 		GPUs:   c.spec.GPUs, Total: c.spec.Subnets,
 	}
-	res, rep, err := supervise.Run(ctx, scfg, job)
+	res, rep, err = supervise.Run(ctx, scfg, job)
 	if err != nil {
 		return res, rep, err
 	}

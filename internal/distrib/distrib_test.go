@@ -163,6 +163,35 @@ func TestFleetMatchesSequentialBitwise(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRunFlushesRecorder: cuts reach the coordinator's file
+// recorder over the relay and are group-committed off the pump; when Run
+// returns the writer has been drained and the file holds the final
+// committed cut, with what the checkpoint plane cost on the Result.
+func TestCoordinatorRunFlushesRecorder(t *testing.T) {
+	checkLeaks(t)
+	spec := distSpec(t, 12)
+	spec.Checkpoint = filepath.Join(t.TempDir(), "fleet.ckpt")
+	spec.CheckpointEvery = 5
+	co := coordFor(t, spec, "flush-test")
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	res, _, err := co.Run(ctx)
+	if err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
+	ck, err := fault.Load(spec.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Cursor != spec.Subnets || ck.WeightChecksum == 0 {
+		t.Fatalf("file reads %+v after Run, want cursor %d with its weight checksum", ck, spec.Subnets)
+	}
+	// Init, then the due cuts 5, 10 and the final 12, coalesced at will.
+	if st := res.CheckpointStats; st.Cuts < 1 || st.Saves < 2 || st.Saves > 4 {
+		t.Fatalf("Result.CheckpointStats %+v", st)
+	}
+}
+
 // TestFleetSurvivesWorkerKill is the kill -9 drill in miniature: a
 // mid-run abrupt kill of one stage worker (no farewell frame — the
 // connection just dies) must be detected, the fleet torn down and

@@ -749,7 +749,9 @@ func (c *ccRun) transport(s *ccStage, kind int8, seq int, deliver func()) {
 // recorder when it advanced: subnets below the frontier are fully
 // retired — their WRITEs are in the committed sequential prefix — so
 // (frontier, finished-gaps) is a crash-consistent cut. Called only by
-// the stage-0 goroutine, after the frontier-advancing self-apply.
+// the stage-0 goroutine, after the frontier-advancing self-apply, so the
+// recorder must not block on I/O here (fault.FileRecorder group-commits
+// on its own goroutine); OpCheckpoint means committed, not durable.
 func (c *ccRun) snapshotCut(s *ccStage) {
 	if c.rec == nil {
 		return

@@ -287,6 +287,13 @@ type Result struct {
 	// first subnet. Trace and telemetry seqs start here; Completed counts
 	// subnets of this run only.
 	BaseSeq int
+
+	// CheckpointStats is what the checkpoint plane cost (cuts offered,
+	// saves that hit disk, durable lag, time in synchronous saves),
+	// filled by whoever owns the file recorder — Runner, summed over a
+	// supervised job's incarnations, and the fleet coordinator; zero
+	// without a checkpoint file.
+	CheckpointStats fault.RecorderStats
 }
 
 // TaskSpan is one task's timeline extent on its stage. Start is the

@@ -303,6 +303,17 @@ func TestFileRecorderEndToEnd(t *testing.T) {
 	if _, err := engine.RunConcurrent(context.Background(), cfg); err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	// The recorder's owner ends the run with a synchronous edge: it waits
+	// out the writer, so the file is final and TempDir cleanup finds no
+	// save in flight.
+	if err := rec.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	// Init, then the due cuts (every 4th and the final one), which the
+	// writer coalesces at will.
+	if st := rec.Stats(); st.Cuts != cfg.NumSubnets || st.Saves < 2 || st.Saves > 2+cfg.NumSubnets/4 {
+		t.Fatalf("recorder stats %+v for %d subnets at every=4", st, cfg.NumSubnets)
+	}
 	ck, err := fault.Load(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)

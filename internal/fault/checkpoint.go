@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 )
 
 // Checkpoint is the crash-consistent resume state of a concurrent run.
@@ -226,92 +228,176 @@ type Recorder interface {
 	Snapshot(Cut) error
 }
 
-// FileRecorder persists cuts to a checkpoint file, throttled to every
-// Nth cursor advance (the final cut — cursor == NumSubnets — is always
-// written). An optional weight function attaches the sequential-prefix
-// weight checksum to each saved snapshot.
+// FileRecorder group-commits cuts to a checkpoint file. Snapshot only
+// records the cut in memory (the committed frontier) and marks it dirty
+// when due — every Nth cursor advance and the final cut; at most one
+// writer goroutine persists the latest dirty cut, so whatever commits
+// during a save coalesces into the next. The durability contract:
+//   - the file always decodes (atomic rename), cursor ≤ committed frontier;
+//   - Init, Bump and Flush first drain the writer, then save on the
+//     caller's goroutine: when the recorder's owner returns, the file holds
+//     the latest committed cut and no writer outlives the incarnation;
+//   - a SIGKILL loses at most the cuts committed during one in-flight
+//     save; resume re-executes them (Definition 1 is untouched);
+//   - a write error is sticky: every later Snapshot, Bump, Flush returns it.
 type FileRecorder struct {
 	mu       sync.Mutex
+	idle     sync.Cond // signalled when the writer slot frees
 	path     string
-	ckpt     Checkpoint
+	ckpt     Checkpoint // committed: the latest cut offered
+	durable  Checkpoint // what the file holds
 	every    int
 	weightFn func(cursor int) uint64 // nil = no weight checksums
-	saves    int
+	dirty    bool                    // ckpt is due and not yet handed to a save
+	writing  bool                    // the writer slot is taken
+	err      error
+	stats    RecorderStats
+}
+
+// RecorderStats is what the checkpoint plane cost: Saves of the Cuts
+// offered hit disk, the file trailed the committed frontier by at most
+// MaxLag subnets, callers spent SyncEdge blocked in Init/Bump/Flush.
+type RecorderStats struct {
+	Cuts, Saves, MaxLag int
+	SyncEdge            time.Duration
+}
+
+// Add combines the stats of two incarnations' recorders.
+func (s RecorderStats) Add(o RecorderStats) RecorderStats {
+	return RecorderStats{s.Cuts + o.Cuts, s.Saves + o.Saves, max(s.MaxLag, o.MaxLag), s.SyncEdge + o.SyncEdge}
+}
+
+func (s RecorderStats) String() string {
+	return fmt.Sprintf("%d cuts committed, %d saves hit disk, durable lag ≤ %d subnets, %.1f ms in synchronous saves",
+		s.Cuts, s.Saves, s.MaxLag, float64(s.SyncEdge)/1e6)
 }
 
 // NewFileRecorder builds a recorder writing to path. ident carries the
 // run identity (and, on resume, the starting cursor/incarnation); every
-// throttles persistence to one save per `every` cursor advances (<=1
-// saves every cut); weightFn, when non-nil, supplies the weight
-// checksum for a cursor and is invoked only for cuts actually saved.
+// makes one cut in `every` cursor advances due for the writer (<=1: every
+// cut); weightFn, when non-nil, supplies the weight checksum for a cursor
+// and is invoked only for cuts actually saved, on the saving goroutine.
 func NewFileRecorder(path string, ident Checkpoint, every int, weightFn func(int) uint64) *FileRecorder {
 	if every < 1 {
 		every = 1
 	}
-	return &FileRecorder{path: path, ckpt: ident, every: every, weightFn: weightFn}
+	r := &FileRecorder{path: path, ckpt: ident, every: every, weightFn: weightFn}
+	r.idle.L = &r.mu
+	return r
 }
 
 // Init persists the recorder's initial state, so a crash before the
-// first cut still leaves a resumable file.
+// first cut still leaves a resumable file; a file that already holds
+// exactly that state (a resume with unchanged identity) is left alone.
 func (r *FileRecorder) Init() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.save()
+	return r.syncSave(func() bool {
+		buf, err := os.ReadFile(r.path)
+		if err != nil || !bytes.Equal(buf, r.ckpt.Encode()) {
+			return true
+		}
+		r.durable = r.ckpt
+		return false
+	})
 }
 
-// Snapshot implements Recorder: it advances the checkpoint to the cut
-// and persists it if due. Cuts that do not advance the cursor are
-// ignored (the engine's frontier is monotone; a stale cut is a no-op).
+// Snapshot implements Recorder without touching the disk: it advances
+// the committed cut and leaves a due one to the writer, starting it if
+// none is running. Cuts that do not advance the cursor are ignored (the
+// engine's frontier is monotone; a stale cut is a no-op).
 func (r *FileRecorder) Snapshot(cut Cut) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cut.Cursor < r.ckpt.Cursor {
-		return nil
+	if r.err != nil || cut.Cursor < r.ckpt.Cursor {
+		return r.err
 	}
 	r.ckpt.Cursor = cut.Cursor
 	r.ckpt.Finished = append([]int(nil), cut.Finished...)
 	sort.Ints(r.ckpt.Finished)
-	final := cut.Cursor >= r.ckpt.NumSubnets
-	if !final && cut.Cursor%r.every != 0 {
+	r.stats.Cuts++
+	r.stats.MaxLag = max(r.stats.MaxLag, cut.Cursor-r.durable.Cursor)
+	if cut.Cursor < r.ckpt.NumSubnets && cut.Cursor%r.every != 0 {
 		return nil
 	}
-	return r.save()
-}
-
-// Bump increments the restart incarnation and persists — called after a
-// crash so the resumed run rolls a fresh fault schedule.
-func (r *FileRecorder) Bump() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ckpt.Incarnation++
-	return r.save()
-}
-
-// Last returns the most recently persisted checkpoint state.
-func (r *FileRecorder) Last() Checkpoint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.ckpt
-	c.Finished = append([]int(nil), c.Finished...)
-	return c
-}
-
-// Saves reports how many times the recorder hit disk (test hook for the
-// throttle).
-func (r *FileRecorder) Saves() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.saves
-}
-
-// save persists r.ckpt; callers hold r.mu.
-func (r *FileRecorder) save() error {
-	if r.weightFn != nil {
-		r.ckpt.WeightChecksum = r.weightFn(r.ckpt.Cursor)
+	r.dirty = true
+	if !r.writing {
+		r.writing = true
+		go func() {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			r.write()
+		}()
 	}
-	if err := r.ckpt.Save(r.path); err != nil {
-		return err
-	}
-	r.saves++
 	return nil
+}
+
+// Bump increments the restart incarnation and persists it — called
+// after a crash so the resumed run rolls a fresh fault schedule — with
+// the latest committed (not merely durable) cut: the recorder's process
+// survived the stage crash, and all below the cut retired before it.
+func (r *FileRecorder) Bump() error {
+	return r.syncSave(func() bool { r.ckpt.Incarnation++; return true })
+}
+
+// Flush persists the latest committed cut if the file does not hold it
+// yet (a cut the throttle skipped, or one the writer had not reached).
+// The recorder's owner calls it — or Bump — on every return path.
+func (r *FileRecorder) Flush() error {
+	return r.syncSave(func() bool { return r.durable.Cursor != r.ckpt.Cursor })
+}
+
+// Committed returns the latest cut offered to the recorder; the file may
+// trail it until the next Bump or Flush.
+func (r *FileRecorder) Committed() Checkpoint {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ckpt // Finished is replaced, never edited in place
+}
+
+// Stats reports the recorder's counters so far.
+func (r *FileRecorder) Stats() RecorderStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.stats
+}
+
+// syncSave is the synchronous edge: wait out the writer, apply edit and,
+// if it asks for a save, persist on the caller's goroutine.
+func (r *FileRecorder) syncSave(edit func() (save bool)) error {
+	start := time.Now()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.writing {
+		r.idle.Wait()
+	}
+	if r.err == nil && edit() {
+		r.dirty, r.writing = true, true
+		r.write()
+	}
+	r.stats.SyncEdge += time.Since(start)
+	return r.err
+}
+
+// write persists the latest committed cut until none is dirty, then
+// frees the writer slot — the one caller of Save. Callers hold r.mu and
+// the slot; the lock is dropped around the weight step and the I/O, so
+// cuts that commit meanwhile coalesce into the next round.
+func (r *FileRecorder) write() {
+	for r.dirty && r.err == nil {
+		ck := r.ckpt
+		r.dirty = false
+		r.mu.Unlock()
+		if r.weightFn != nil {
+			ck.WeightChecksum = r.weightFn(ck.Cursor)
+		}
+		err := ck.Save(r.path)
+		r.mu.Lock()
+		if err != nil {
+			r.err = err
+			break
+		}
+		r.durable = ck
+		r.stats.Saves++
+	}
+	r.writing = false
+	r.idle.Broadcast()
 }

@@ -664,7 +664,9 @@ func (s *Scheduler) statusLocked(j *job, withSpec bool) JobStatus {
 	return st
 }
 
-// liveCursor reads the committed frontier from the job's checkpoint.
+// liveCursor reads the job's frontier from its checkpoint file — the
+// durable frontier, which trails the committed one by what the recorder
+// commits during one save until the incarnation ends (fault.FileRecorder).
 func (j *job) liveCursor() int {
 	if j.state == StateDone {
 		return j.spec.Subnets

@@ -72,7 +72,7 @@ const (
 	OpFaultDup   // message delivered twice (receiver dedups)
 	OpFaultFetch // prefetch copy failed; surfaced as a cache miss
 	OpFaultWedge // stage goroutine hung at a task boundary until cancelled (Arg = incarnation)
-	OpCheckpoint // consistency cut recorded (Arg = global cursor)
+	OpCheckpoint // consistency cut committed to the recorder — not yet durable (Arg = global cursor)
 
 	// Supervision plane (category "health"): the supervisor's state
 	// machine transitions (Arg = HealthArg(from, to), Subnet =

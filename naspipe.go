@@ -36,8 +36,8 @@ import (
 	"naspipe/internal/cluster"
 	"naspipe/internal/engine"
 	"naspipe/internal/experiments"
-	"naspipe/internal/fault"
 	"naspipe/internal/explore"
+	"naspipe/internal/fault"
 	"naspipe/internal/hybrid"
 	"naspipe/internal/metrics"
 	"naspipe/internal/moe"

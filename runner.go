@@ -145,9 +145,11 @@ func WithCheckpoint(path string) RunnerOption {
 	return func(r *Runner) { r.ckptPath = path }
 }
 
-// WithCheckpointEvery throttles checkpoint persistence to one save per n
-// cursor advances (default 1 = every advance; the final cut is always
-// saved). Requires WithCheckpoint.
+// WithCheckpointEvery makes one cut in n cursor advances due for the
+// checkpoint writer (default 1 = every advance; the final cut is always
+// saved). The writer group-commits — it saves the latest due cut, one
+// save at a time, off the pipeline — so this only bounds the write rate
+// on media faster than the commit rate. Requires WithCheckpoint.
 func WithCheckpointEvery(n int) RunnerOption {
 	return func(r *Runner) { r.ckptEvery = n }
 }
@@ -156,8 +158,8 @@ func WithCheckpointEvery(n int) RunnerOption {
 // checkpoint plane: every saved checkpoint then carries the FNV-64
 // weight checksum of the committed sequential prefix, and Resume
 // verifies the stream against it before continuing. Requires
-// WithCheckpoint; costs one incremental training step per committed
-// subnet at save time.
+// WithCheckpoint; the incremental training steps up to a cut run on the
+// checkpoint writer, once per saved cut, off the pipeline's stage 0.
 func WithCheckpointTraining(tc TrainConfig) RunnerOption {
 	return func(r *Runner) { r.trainCfg = &tc }
 }
@@ -221,6 +223,12 @@ func NewRunner(opts ...RunnerOption) (*Runner, error) {
 // incarnation has been recorded, so a subsequent Resume continues where
 // the committed frontier stopped.
 func (r *Runner) Run(ctx context.Context, cfg Config) (Result, error) {
+	return r.run(ctx, cfg, nil)
+}
+
+// run is Run on weightAt, a supervised job's shared prefix weight
+// function; nil (a cold process) builds one.
+func (r *Runner) run(ctx context.Context, cfg Config, weightAt func(int) uint64) (Result, error) {
 	r.applyOverrides(&cfg)
 	switch r.executor {
 	case ExecutorConcurrent:
@@ -228,7 +236,7 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (Result, error) {
 			return engine.RunConcurrent(ctx, cfg)
 		}
 		full := cfg.ResolveSubnets()
-		return r.runCheckpointed(ctx, cfg, r.weightFn(full), fault.Checkpoint{
+		return r.runCheckpointed(ctx, cfg, r.weightFn(full, weightAt), fault.Checkpoint{
 			Space:      cfg.Space.Name,
 			Seed:       cfg.Seed,
 			GPUs:       cfg.Spec.GPUs,
@@ -257,6 +265,12 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (Result, error) {
 // already committed). Resume may itself crash under an aggressive fault
 // plan — call it in a loop until the error is no longer a *CrashError.
 func (r *Runner) Resume(ctx context.Context, cfg Config) (Result, error) {
+	return r.resume(ctx, cfg, nil)
+}
+
+// resume is Resume on weightAt, as run: nil verifies by retraining the
+// prefix, a supervised job's stands at the cursor it last checksummed.
+func (r *Runner) resume(ctx context.Context, cfg Config, weightAt func(int) uint64) (Result, error) {
 	if r.ckptPath == "" {
 		return Result{}, fmt.Errorf("naspipe: Resume requires WithCheckpoint")
 	}
@@ -266,7 +280,7 @@ func (r *Runner) Resume(ctx context.Context, cfg Config) (Result, error) {
 	}
 	r.applyOverrides(&cfg)
 	full := cfg.ResolveSubnets()
-	weightAt := r.weightFn(full) // one checkpointer: the verified prefix is not retrained for the first cut
+	weightAt = r.weightFn(full, weightAt) // one checkpointer: the verified prefix is not retrained for the first cut
 	want := fault.Checkpoint{
 		Space: cfg.Space.Name, Seed: cfg.Seed, GPUs: cfg.Spec.GPUs,
 		NumSubnets: len(full), JitterSeed: cfg.JitterSeed,
@@ -318,21 +332,30 @@ func (r *Runner) faultSeed() uint64 {
 }
 
 // weightFn returns the prefix weight checksum function over the complete
-// global subnet stream (nil without WithCheckpointTraining).
-func (r *Runner) weightFn(full []supernet.Subnet) func(cursor int) uint64 {
-	if r.trainCfg == nil {
-		return nil
+// global subnet stream: shared when the caller has one, else a fresh
+// Checkpointer's (nil without WithCheckpointTraining).
+func (r *Runner) weightFn(full []supernet.Subnet, shared func(int) uint64) func(cursor int) uint64 {
+	if r.trainCfg == nil || shared != nil {
+		return shared
 	}
-	return train.NewCheckpointer(*r.trainCfg, full).ChecksumAt
+	return prefixChecksummer(*r.trainCfg, full)
+}
+
+// prefixChecksummer is a variable so tests can watch Checkpointers built.
+var prefixChecksummer = func(tc train.Config, full []supernet.Subnet) func(int) uint64 {
+	return train.NewCheckpointer(tc, full).ChecksumAt
 }
 
 // runCheckpointed executes a concurrent run with a file recorder wired
-// to the engine's consistency cuts. weightFn retrains committed prefixes
-// of the global stream for the cuts' weight checksums (nil = none); ident
-// seeds the recorder with the run identity plus, on resume, the
-// starting cursor and incarnation. After an injected crash the
-// recorder's incarnation is bumped on disk before the *CrashError is
-// returned, so the next Resume rolls a fresh fault schedule.
+// to the engine's consistency cuts. weightFn gives a cut's prefix weight
+// checksum (nil = none); the recorder's writer calls it once per saved
+// cut, off the pipeline. ident seeds the recorder with the run identity
+// plus, on resume, the starting cursor and incarnation. Every return
+// path ends in one synchronous recorder edge, so the file holds the
+// latest committed cut and no writer outlives the incarnation: Bump after
+// an injected crash or an interruption (signal, watchdog, deadline), so
+// the next Resume rolls a fresh fault schedule — an incarnation-0 wedge
+// that forced the interruption cannot refire — and Flush otherwise.
 func (r *Runner) runCheckpointed(ctx context.Context, cfg Config, weightFn func(int) uint64, ident fault.Checkpoint) (Result, error) {
 	rec := fault.NewFileRecorder(r.ckptPath, ident, r.ckptEvery, weightFn)
 	if err := rec.Init(); err != nil {
@@ -340,21 +363,18 @@ func (r *Runner) runCheckpointed(ctx context.Context, cfg Config, weightFn func(
 	}
 	cfg.Checkpoint = rec
 	res, err := engine.RunConcurrent(ctx, cfg)
+	edge, doing := rec.Flush, "flushing the checkpoint"
 	var crash *fault.CrashError
-	switch {
-	case errors.As(err, &crash):
-		if berr := rec.Bump(); berr != nil {
-			return res, fmt.Errorf("naspipe: recording crash incarnation: %w (run failed with: %v)", berr, err)
-		}
-	case err != nil && ctx.Err() != nil:
-		// Interrupted (signal, watchdog, deadline): the committed frontier
-		// is already on disk; bump the incarnation so the resumed run
-		// rolls a fresh fault schedule — in particular, an incarnation-0
-		// wedge that forced the interruption cannot refire.
-		if berr := rec.Bump(); berr != nil {
-			return res, fmt.Errorf("naspipe: recording interrupted incarnation: %w (run stopped with: %v)", berr, err)
-		}
+	if errors.As(err, &crash) || (err != nil && ctx.Err() != nil) {
+		edge, doing = rec.Bump, "recording the ended incarnation"
 	}
+	if eerr := edge(); eerr != nil && !errors.Is(err, eerr) {
+		if err != nil {
+			eerr = fmt.Errorf("%w (run ended with: %v)", eerr, err)
+		}
+		err = fmt.Errorf("naspipe: %s: %w", doing, eerr)
+	}
+	res.CheckpointStats = rec.Stats()
 	return res, err
 }
 

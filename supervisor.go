@@ -87,10 +87,29 @@ func (r *Runner) superviseJob(cfg Config, sc SuperviseConfig, resuming bool) (Su
 	if sc.ElasticAfter > 0 && !r.elastic {
 		return SuperviseJob{}, fmt.Errorf("naspipe: SuperviseConfig.ElasticAfter needs a Runner built WithElasticResume")
 	}
-	first := r.incarnation(cfg, resuming)
+	full := cfg.ResolveSubnets()
+	// One Checkpointer for the job, as on the fleet coordinator: it stands
+	// at the cursor the ended incarnation checksummed, so an in-process
+	// resume does not retrain [0, cursor) — recovery cost is cursor-free.
+	weightAt := r.weightFn(full, nil)
+	var ckStats fault.RecorderStats // summed over the (sequential) incarnations
+	// incarnation adapts run/resume into a supervised attempt: the closure
+	// wires the supervisor's depth (elastic steps shrink it) and health
+	// probe into the engine config.
+	incarnation := func(attempt func(context.Context, Config, func(int) uint64) (Result, error)) supervise.Incarnation {
+		return func(ctx context.Context, gpus int, probe *engine.RunProbe) (Result, error) {
+			c := cfg
+			c.Spec.GPUs = gpus
+			c.Probe = probe
+			res, err := attempt(ctx, c, weightAt)
+			ckStats = ckStats.Add(res.CheckpointStats)
+			res.CheckpointStats = ckStats
+			return res, err
+		}
+	}
 	job := SuperviseJob{
-		Run:    first,
-		Resume: r.incarnation(cfg, true),
+		Run:    incarnation(r.run),
+		Resume: incarnation(r.resume),
 		Cursor: func() (int, error) {
 			ck, err := fault.Load(r.ckptPath)
 			if err != nil {
@@ -99,22 +118,10 @@ func (r *Runner) superviseJob(cfg Config, sc SuperviseConfig, resuming bool) (Su
 			return ck.Cursor, nil
 		},
 		GPUs:  cfg.Spec.GPUs,
-		Total: len(cfg.ResolveSubnets()),
+		Total: len(full),
+	}
+	if resuming {
+		job.Run = job.Resume
 	}
 	return job, nil
-}
-
-// incarnation adapts Runner.Run/Resume into a supervised attempt: the
-// supervisor picks the depth (elastic steps shrink it) and owns the
-// health probe; the closure wires both into the engine config.
-func (r *Runner) incarnation(cfg Config, resume bool) supervise.Incarnation {
-	return func(ctx context.Context, gpus int, probe *engine.RunProbe) (Result, error) {
-		c := cfg
-		c.Spec.GPUs = gpus
-		c.Probe = probe
-		if resume {
-			return r.Resume(ctx, c)
-		}
-		return r.Run(ctx, c)
-	}
 }
