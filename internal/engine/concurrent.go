@@ -48,10 +48,10 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"naspipe/internal/clock"
@@ -103,6 +103,11 @@ type ccStage struct {
 
 	lastTaskNs int64 // wall-clock ns of the last completed task (health probe)
 
+	// sent counts deliveries handed to the transport (a broadcast is D−1),
+	// processed the inbox messages folded in: the lost-wake-up check's
+	// ledger (enterIdle).
+	sent, processed int
+
 	cont metrics.StageContention
 
 	tel *telemetry.Bus // nil = telemetry disabled
@@ -119,12 +124,6 @@ type ccStage struct {
 	// blocking writer is a new fact worth an event.
 	lastDelaySeq    int
 	lastDelayWriter int
-
-	// statsBase snapshots the scheduler's cumulative pressure counters at
-	// run start, so contention tables report this incarnation's pressure
-	// even if a future caller hands in a reused scheduler.
-	statsBaseCalls int
-	statsBaseEmpty int
 }
 
 // telTask emits one task-scoped event at wall-clock now. seq is the
@@ -174,11 +173,19 @@ type ccRun struct {
 	stages []*ccStage // indexed by stage; nil for stages remote to this process
 	base   int        // Config.SeqBase
 
-	// tp carries all cross-stage traffic; a failed send poisons the run
-	// via sendOnce/sendErr (see dist.go).
-	tp       transport.Transport
-	sendOnce sync.Once
-	sendErr  error
+	tp transport.Transport // all cross-stage traffic (see dist.go)
+
+	// done and stop belong to the run context. A stage parks on its inbox
+	// and done only; every failure — an injected crash, a recorder or
+	// transport error, a lost wake-up — is stop(cause), and the first
+	// cause wins.
+	done <-chan struct{}
+	stop context.CancelCauseFunc
+
+	// The lost-wake-up check (enterIdle); off on a fleet worker.
+	checkIdle bool
+	idleMu    sync.Mutex
+	idle      int
 
 	mu  sync.Mutex
 	obs *trace.Trace // raw interleaving; nil unless RecordTrace
@@ -187,32 +194,22 @@ type ccRun struct {
 	// Result.Spans without one; nil = telemetry disabled.
 	tel *telemetry.Bus
 
-	// Fault plane (nil/zero when Config.Faults is disabled).
+	// Fault plane (nil when Config.Faults is disabled).
 	inj *fault.Injector
-	// crashed aborts every stage goroutine once an injected crash (or a
-	// checkpoint-recorder failure) fires; crashOnce/crashErr capture the
-	// first crash, the one the run reports.
-	crashed   atomic.Bool
-	crashOnce sync.Once
-	crashErr  *fault.CrashError
 
 	// Checkpoint plane: rec receives consistency cuts as stage 0's
-	// backward frontier advances. lastCut/recErr are touched only by the
-	// stage-0 goroutine; RunConcurrent reads them after wg.Wait.
+	// backward frontier advances; lastCut is the stage-0 goroutine's.
 	rec     fault.Recorder
 	lastCut int
-	recErr  error
 
 	// Health plane: probe is Config.Probe (nil = disabled); stages
 	// publish their scheduler state into it at every task boundary.
 	probe *RunProbe
 }
 
-// ccParkPoll bounds how long a stage goroutine parks before rescanning its
-// queues — insurance against protocol bugs turning into silent hangs (the
-// notification protocol never drops wakeups, so in a correct run this
-// timer only fires around cancellation races).
-const ccParkPoll = 5 * time.Millisecond
+// errLostWakeup is the cause enterIdle stops the run with; RunConcurrent
+// reports it as a *StallError if the stream is unfinished.
+var errLostWakeup = errors.New("engine: every stage parked with no message in flight")
 
 // RunConcurrent executes the configuration on the concurrent CSP
 // execution plane. It is inherently a NASPipe (CSP) run: admission is
@@ -230,6 +227,8 @@ const ccParkPoll = 5 * time.Millisecond
 //
 // Cancellation: stage goroutines check ctx between tasks; on cancellation
 // the partial Result (Deadlock set, Completed < N) returns with ctx.Err().
+// Otherwise an unfinished run returns the first failure, or a *StallError
+// when every stage parked with no message in flight.
 func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Spec.Validate(); err != nil {
@@ -293,7 +292,6 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 			tel:   tel,
 			telb:  telemetry.NewBatcher(tel),
 		}
-		s.statsBaseCalls, s.statsBaseEmpty = s.sched.Stats()
 		if c.inj != nil {
 			s.seenFwd = make(map[int]bool, n)
 			s.seenBwd = make(map[int]bool, n)
@@ -320,6 +318,9 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 	if c.probe != nil {
 		c.probe.attach(w.D, c.base)
 	}
+	runCtx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
+	c.done, c.stop, c.checkIdle = runCtx.Done(), stop, len(local) == w.D
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -330,7 +331,7 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 		wg.Add(1)
 		go func(s *ccStage) {
 			defer wg.Done()
-			c.stageLoop(ctx, s)
+			c.stageLoop(s)
 		}(s)
 	}
 	wg.Wait() // establishes happens-before: stage state is safe to read below
@@ -355,16 +356,12 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 	res.Deadlock = res.Completed < n
 	res.Contention = make([]metrics.StageContention, w.D)
 	for k, s := range c.stages {
-		if s == nil {
-			res.Contention[k] = metrics.StageContention{Stage: k}
-			continue
+		res.Contention[k] = metrics.StageContention{Stage: k}
+		if s != nil { // the scheduler is this run's own: its counters are this run's
+			_, empty := s.sched.Stats()
+			s.cont.BlockedScans = int64(empty)
+			res.Contention[k] = s.cont
 		}
-		// Snapshot-delta against the run-start baseline: a reused scheduler
-		// must not leak a previous incarnation's pressure into this run's
-		// contention table.
-		_, empty := s.sched.Stats()
-		s.cont.BlockedScans = int64(empty - s.statsBaseEmpty)
-		res.Contention[k] = s.cont
 	}
 	c.collectCacheStats(&res)
 	if res.TotalMs > 0 {
@@ -390,22 +387,15 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	if c.recErr != nil {
-		return res, fmt.Errorf("engine: checkpoint recorder: %w", c.recErr)
-	}
-	if c.sendErr != nil {
-		return res, c.sendErr
-	}
-	if c.crashErr != nil {
-		// An injected crash aborts the whole run, like the process death
-		// it models. The partial result (Deadlock set, the committed
-		// prefix in the recorder) returns with the typed error so callers
-		// can bump the incarnation and resume; the partial trace is not
-		// checked against the full-run reference.
-		return res, c.crashErr
+	if cause := context.Cause(runCtx); cause != nil && cause != errLostWakeup {
+		// A failure aborts the run, as the process death an injected crash
+		// models: the partial result (the committed prefix is in the
+		// recorder) returns with the typed error so callers can resume.
+		return res, cause
 	}
 	if res.Deadlock {
-		// Safe to read stage state directly: wg.Wait above is the
+		// The lost-wake-up check stopped the run (a completed run ignores
+		// it). Safe to read stage state directly: wg.Wait above is the
 		// happens-before edge.
 		stall := &StallError{Completed: res.Completed, Total: n}
 		for _, s := range c.stages {
@@ -415,10 +405,8 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 		}
 		return res, stall
 	}
-	if c.obs != nil {
-		if !c.obs.PerLayerEqual(res.Trace) {
-			return res, fmt.Errorf("engine: concurrent execution violated CSP: observed per-layer access order diverges from the sequential reference")
-		}
+	if c.obs != nil && !c.obs.PerLayerEqual(res.Trace) {
+		return res, fmt.Errorf("engine: concurrent execution violated CSP: observed per-layer access order diverges from the sequential reference")
 	}
 	return res, nil
 }
@@ -477,16 +465,17 @@ func (c *ccRun) requestFetch(s *ccStage, seq int) {
 
 // stageLoop is the body of one stage goroutine: drain inputs, run the
 // highest-priority admissible task, park when nothing is runnable.
-func (c *ccRun) stageLoop(ctx context.Context, s *ccStage) {
+func (c *ccRun) stageLoop(s *ccStage) {
 	// The flush pairs with RunConcurrent's wg.Wait before it reads the
 	// bus: no batched event may outlive its producer goroutine.
 	defer s.telb.Flush()
+	defer c.enterIdle() // a stage that leaves its loop stays idle
 	n := len(c.w.Subnets)
-	park := time.NewTimer(ccParkPoll) // one per goroutine, re-armed at every park
-	defer park.Stop()
 	for s.fwdDone < n || s.bwdDone < n {
-		if ctx.Err() != nil || c.crashed.Load() {
+		select { // lock-free, unlike runCtx.Err()
+		case <-c.done:
 			return
+		default:
 		}
 		c.drain(s)
 		if s.k == 0 {
@@ -494,10 +483,10 @@ func (c *ccRun) stageLoop(ctx context.Context, s *ccStage) {
 		}
 		// Backward tasks always run first (§3.2): they retire dependencies
 		// and widen every stage's schedulable set.
-		if c.runBackward(ctx, s) {
+		if c.runBackward(s) {
 			continue
 		}
-		if c.runForward(ctx, s) {
+		if c.runForward(s) {
 			continue
 		}
 		// Nothing admissible: park until an input or notification arrives.
@@ -508,21 +497,52 @@ func (c *ccRun) stageLoop(ctx context.Context, s *ccStage) {
 		s.telb.Flush()
 		c.publishHealth(s, false, false)
 		s.cont.Parks++
-		// Re-arm the timer; a fire that raced the Stop is taken off the
-		// channel so this park cannot wake on the previous one's tick.
-		if !park.Stop() {
-			select {
-			case <-park.C:
-			default:
-			}
-		}
-		park.Reset(ccParkPoll)
+		c.enterIdle()
 		select {
 		case m := <-s.in:
+			c.leaveIdle()
 			c.receive(s, m)
-		case <-ctx.Done():
-		case <-park.C:
+		case <-c.done:
+			c.leaveIdle()
+			return
 		}
+	}
+}
+
+// enterIdle puts a stage about to block, or one that left its loop, into
+// the idle set; leaveIdle takes a woken stage out before it processes the
+// message that woke it. When the last stage enters and every delivery
+// handed to the transport has been processed, no stage can ever run
+// again — only stage goroutines send, every other one is blocked, and a
+// message taken off an inbox but not yet processed still counts as in
+// flight — so the lost wake-up fails the run instead of hanging it. The
+// counters need no atomics: owners write them outside the set, and they
+// are summed only when every owner is inside it, ordered by idleMu. A
+// fleet worker cannot see remote senders and a wedged stage never enters
+// the set: both stay the supervision watchdog's to detect.
+func (c *ccRun) enterIdle() {
+	if !c.checkIdle {
+		return
+	}
+	c.idleMu.Lock()
+	defer c.idleMu.Unlock()
+	if c.idle++; c.idle < c.w.D {
+		return
+	}
+	sent, processed := 0, 0
+	for _, s := range c.stages {
+		sent, processed = sent+s.sent, processed+s.processed
+	}
+	if sent == processed {
+		c.stop(errLostWakeup)
+	}
+}
+
+func (c *ccRun) leaveIdle() {
+	if c.checkIdle {
+		c.idleMu.Lock()
+		c.idle--
+		c.idleMu.Unlock()
 	}
 }
 
@@ -551,6 +571,7 @@ func (c *ccRun) receive(s *ccStage, m transport.Msg) {
 	case transport.FrameFetch:
 		c.requestFetch(s, m.Seq)
 	}
+	s.processed++
 }
 
 // acceptFwd queues an activation arrival and prefetches its context (the
@@ -660,12 +681,12 @@ func (c *ccRun) publishHealth(s *ccStage, taskDone, wedged bool) {
 
 // maybeWedge consults the fault plane's targeted wedge at a task
 // boundary — same site discipline as maybeCrash — and, when it fires,
-// hangs the stage goroutine until the run is cancelled or another
-// stage crashes. It models a stuck kernel or lost collective rather
-// than a death: no state is corrupted, no progress is made, and
+// hangs the stage goroutine until the run context ends (cancellation or
+// another stage's failure). It models a stuck kernel or lost collective
+// rather than a death: no state is corrupted, no progress is made, and
 // nothing inside the engine will ever unwedge it — detection is the
 // supervision watchdog's job (or the caller's ctx deadline).
-func (c *ccRun) maybeWedge(ctx context.Context, s *ccStage, seq int, kind int8) bool {
+func (c *ccRun) maybeWedge(s *ccStage, seq int, kind int8) bool {
 	if c.inj == nil || !c.inj.WedgeAt(s.k, s.base+seq, kind) {
 		return false
 	}
@@ -676,35 +697,26 @@ func (c *ccRun) maybeWedge(ctx context.Context, s *ccStage, seq int, kind int8) 
 	// the whole stall — exactly when they matter most.
 	s.telb.Flush()
 	c.publishHealth(s, false, true)
-	poll := time.NewTicker(ccParkPoll)
-	defer poll.Stop()
-	for ctx.Err() == nil && !c.crashed.Load() {
-		select {
-		case <-ctx.Done():
-		case <-poll.C:
-		}
-	}
+	<-c.done
 	return true
 }
 
 // maybeCrash consults the fault plane at a task boundary — after the
 // task is selected, before any of its side effects (trace emission,
 // scheduler state, cache locks) — and, when the injector says so, kills
-// the run: the crash event is recorded, the typed error stashed, and
-// every stage goroutine unwinds at its next loop check, modeling a
+// the run: the typed error becomes the run's cause, then the crash event
+// is recorded (whoever sees it knows the run is stopping), and every
+// stage goroutine unwinds at its next loop check or park, modeling a
 // process death whose durable state is exactly the recorder's last cut.
 func (c *ccRun) maybeCrash(s *ccStage, seq int, kind int8) bool {
 	if c.inj == nil || !c.inj.CrashAt(s.k, s.base+seq, kind) {
 		return false
 	}
-	s.telFault(telemetry.OpFaultCrash, s.base+seq, kind, int64(c.inj.Incarnation()))
-	c.crashOnce.Do(func() {
-		c.crashErr = &fault.CrashError{
-			Stage: s.k, Seq: s.base + seq, Kind: kind,
-			Incarnation: c.inj.Incarnation(),
-		}
+	c.stop(&fault.CrashError{
+		Stage: s.k, Seq: s.base + seq, Kind: kind,
+		Incarnation: c.inj.Incarnation(),
 	})
-	c.crashed.Store(true)
+	s.telFault(telemetry.OpFaultCrash, s.base+seq, kind, int64(c.inj.Incarnation()))
 	return true
 }
 
@@ -766,10 +778,7 @@ func (c *ccRun) snapshotCut(s *ccStage) {
 		cut.Finished = append(cut.Finished, c.base+seq)
 	}
 	if err := c.rec.Snapshot(cut); err != nil {
-		if c.recErr == nil {
-			c.recErr = err
-		}
-		c.crashed.Store(true)
+		c.stop(fmt.Errorf("engine: checkpoint recorder: %w", err))
 		return
 	}
 	s.telFault(telemetry.OpCheckpoint, c.base+f, telemetry.KindNone, int64(c.base+f))
@@ -778,7 +787,7 @@ func (c *ccRun) snapshotCut(s *ccStage) {
 // runBackward executes the lowest-sequence ready backward, emits its
 // WRITEs, and broadcasts the dependency release. Returns false if no
 // backward is ready.
-func (c *ccRun) runBackward(ctx context.Context, s *ccStage) bool {
+func (c *ccRun) runBackward(s *ccStage) bool {
 	if len(s.bwdReady) == 0 {
 		return false
 	}
@@ -789,7 +798,7 @@ func (c *ccRun) runBackward(ctx context.Context, s *ccStage) bool {
 		}
 	}
 	seq := s.bwdReady[best]
-	if c.maybeWedge(ctx, s, seq, telemetry.KindBackward) {
+	if c.maybeWedge(s, seq, telemetry.KindBackward) {
 		return true
 	}
 	if c.maybeCrash(s, seq, telemetry.KindBackward) {
@@ -824,7 +833,7 @@ func (c *ccRun) runBackward(ctx context.Context, s *ccStage) bool {
 		c.pushFetch(s, s.k-1, seq)
 	}
 	if s.cache != nil {
-		s.cache.AcquireFor(ids, c.bytesOf, int32(seq), telemetry.KindBackward)
+		s.cache.AcquireFor(ids, c.bytesOf, int32(s.base+seq), telemetry.KindBackward)
 	}
 	c.compute(seq, s.k, task.Backward)
 	// The WRITE must be visible in the trace before any dependent learns
@@ -884,7 +893,7 @@ func (s *ccStage) pendingCarry() []csp.PendingBackward {
 // runForward admits the first CSP-admissible queued forward (Algorithm 2),
 // emits its READs, and forwards the activation downstream. Returns false
 // if the queue is empty or every queued subnet is blocked.
-func (c *ccRun) runForward(ctx context.Context, s *ccStage) bool {
+func (c *ccRun) runForward(s *ccStage) bool {
 	if len(s.fwdQ) == 0 {
 		return false
 	}
@@ -912,7 +921,7 @@ func (c *ccRun) runForward(ctx context.Context, s *ccStage) bool {
 		}
 		return false
 	}
-	if c.maybeWedge(ctx, s, seq, telemetry.KindForward) {
+	if c.maybeWedge(s, seq, telemetry.KindForward) {
 		return true
 	}
 	if c.maybeCrash(s, seq, telemetry.KindForward) {
@@ -942,7 +951,7 @@ func (c *ccRun) runForward(ctx context.Context, s *ccStage) bool {
 		c.pushFetch(s, s.k+1, seq)
 	}
 	if s.cache != nil {
-		s.cache.AcquireFor(ids, c.bytesOf, int32(seq), telemetry.KindForward)
+		s.cache.AcquireFor(ids, c.bytesOf, int32(s.base+seq), telemetry.KindForward)
 	}
 	// The READ happens at admission — after the CSP check, before compute —
 	// mirroring the simulator's context-acquire semantics.

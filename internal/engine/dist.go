@@ -14,7 +14,7 @@
 //
 // Senders never block. A transport that cannot take a message — closed,
 // peer past its reconnect budget, destination queue full — returns an
-// error, and the first such error poisons the run (ccRun.send) naming
+// error, and the first such error stops the run (ccRun.send) naming
 // the sending and receiving stage: a full inbox is a loud failure, never
 // a silent pipeline deadlock.
 //
@@ -92,15 +92,19 @@ func (c *ccRun) inboxCap(n int) int {
 	return capacity
 }
 
-// send pushes one message onto the data path. A transport refusing
-// traffic (destination inbox full, closed during teardown, a dead peer
-// past its reconnect budget) poisons the run like a checkpoint-recorder
-// failure: every stage goroutine unwinds and the first error is
-// reported.
+// send pushes one message onto the data path and counts its deliveries
+// for the lost-wake-up check. A transport refusing traffic (destination
+// inbox full, closed during teardown, a dead peer past its reconnect
+// budget) stops the run like a checkpoint-recorder failure.
 func (c *ccRun) send(m transport.Msg) {
 	if err := c.tp.Send(m); err != nil {
-		c.sendOnce.Do(func() { c.sendErr = fmt.Errorf("engine: transport send (stage %d -> %d): %w", m.From, m.To, err) })
-		c.crashed.Store(true)
+		c.stop(fmt.Errorf("engine: transport send (stage %d -> %d): %w", m.From, m.To, err))
+		return
+	}
+	if m.To == transport.Broadcast {
+		c.stages[m.From].sent += c.w.D - 1
+	} else {
+		c.stages[m.From].sent++
 	}
 }
 
@@ -204,7 +208,17 @@ func MergeStageTraces(depth, base int, parts []*trace.Trace) *trace.Trace {
 		kind  trace.AccessKind
 		stage int
 	}
+	// Per-layer CSP chains over the (subnet, kind) groups that occur on
+	// each layer, in the sequential order Definition 1 fixes: subnets
+	// ascending, READs before WRITEs within a subnet. For one subnet a
+	// layer lives on one stage, so each group comes from one worker and
+	// group-internal order is that worker's local order.
+	type lgroup struct {
+		seq  int
+		kind trace.AccessKind
+	}
 	counts := make(map[int]map[group]int)
+	lcounts := make(map[supernet.LayerID]map[lgroup]int)
 	for _, tr := range parts {
 		for _, ev := range tr.Events {
 			q := ev.Subnet - base
@@ -212,6 +226,10 @@ func MergeStageTraces(depth, base int, parts []*trace.Trace) *trace.Trace {
 				counts[q] = make(map[group]int)
 			}
 			counts[q][group{ev.Kind, ev.Stage}]++
+			if lcounts[ev.Layer] == nil {
+				lcounts[ev.Layer] = make(map[lgroup]int)
+			}
+			lcounts[ev.Layer][lgroup{q, ev.Kind}]++
 		}
 	}
 	chains := make(map[int][]group, len(counts))
@@ -229,50 +247,30 @@ func MergeStageTraces(depth, base int, parts []*trace.Trace) *trace.Trace {
 		}
 		chains[q] = chain
 	}
-	// Per-layer CSP chains over the (subnet, kind) groups that occur on
-	// each layer, in the sequential order Definition 1 fixes: subnets
-	// ascending, READs before WRITEs within a subnet. For one subnet a
-	// layer lives on one stage, so each group comes from one worker and
-	// group-internal order is that worker's local order.
-	type lgroup struct {
-		seq  int
-		kind trace.AccessKind
-	}
-	lcounts := make(map[supernet.LayerID]map[lgroup]int)
-	for _, tr := range parts {
-		for _, ev := range tr.Events {
-			if lcounts[ev.Layer] == nil {
-				lcounts[ev.Layer] = make(map[lgroup]int)
-			}
-			lcounts[ev.Layer][lgroup{ev.Subnet - base, ev.Kind}]++
-		}
-	}
 	lchains := make(map[supernet.LayerID][]lgroup, len(lcounts))
 	for l, gs := range lcounts {
-		seqs := make([]int, 0, len(gs))
-		seen := make(map[int]bool, len(gs))
-		for g := range gs {
-			if !seen[g.seq] {
-				seen[g.seq] = true
-				seqs = append(seqs, g.seq)
-			}
-		}
-		sort.Ints(seqs)
 		chain := make([]lgroup, 0, len(gs))
-		for _, q := range seqs {
-			if gs[lgroup{q, trace.Read}] > 0 {
-				chain = append(chain, lgroup{q, trace.Read})
-			}
-			if gs[lgroup{q, trace.Write}] > 0 {
-				chain = append(chain, lgroup{q, trace.Write})
-			}
+		for g := range gs {
+			chain = append(chain, g)
 		}
+		sort.Slice(chain, func(i, j int) bool { // Read < Write
+			a, b := chain[i], chain[j]
+			return a.seq < b.seq || a.seq == b.seq && a.kind < b.kind
+		})
 		lchains[l] = chain
 	}
-	lpos := make(map[supernet.LayerID]int, len(lchains))
-	lemitted := make(map[supernet.LayerID]map[lgroup]int, len(lchains))
+	type qgroup struct {
+		q int
+		g group
+	}
+	type layerGroup struct {
+		l supernet.LayerID
+		g lgroup
+	}
 	pos := make(map[int]int, len(chains))
-	emitted := make(map[int]map[group]int, len(chains))
+	lpos := make(map[supernet.LayerID]int, len(lchains))
+	emitted := make(map[qgroup]int)
+	lemitted := make(map[layerGroup]int)
 	idx := make([]int, len(parts))
 	out := &trace.Trace{}
 	for {
@@ -301,20 +299,12 @@ func MergeStageTraces(depth, base int, parts []*trace.Trace) *trace.Trace {
 		ev.Order = len(out.Events)
 		out.Events = append(out.Events, ev)
 		q := ev.Subnet - base
-		g := group{ev.Kind, ev.Stage}
-		if emitted[q] == nil {
-			emitted[q] = make(map[group]int)
-		}
-		emitted[q][g]++
-		if emitted[q][g] == counts[q][g] {
+		k := qgroup{q, group{ev.Kind, ev.Stage}}
+		if emitted[k]++; emitted[k] == counts[q][k.g] {
 			pos[q]++
 		}
-		lg := lgroup{q, ev.Kind}
-		if lemitted[ev.Layer] == nil {
-			lemitted[ev.Layer] = make(map[lgroup]int)
-		}
-		lemitted[ev.Layer][lg]++
-		if lemitted[ev.Layer][lg] == lcounts[ev.Layer][lg] {
+		lk := layerGroup{ev.Layer, lgroup{q, ev.Kind}}
+		if lemitted[lk]++; lemitted[lk] == lcounts[ev.Layer][lk.g] {
 			lpos[ev.Layer]++
 		}
 	}

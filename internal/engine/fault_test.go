@@ -261,6 +261,47 @@ func TestConcurrentSeqBaseOffsets(t *testing.T) {
 	}
 }
 
+// TestResumedCacheEventsNameGlobalSubnets pins cache-event attribution on
+// a resumed incarnation: every hit, miss and stall event must name a
+// global subnet at or above the resume cursor, and one whose task — same
+// stage, subnet and kind — the run started.
+func TestResumedCacheEventsNameGlobalSubnets(t *testing.T) {
+	const cursor = 7
+	cfg := ccCfg(4, false)
+	cfg.ConcurrentMem = engine.MemPlaneConfig{CacheFactor: 3, Predictor: true}
+	cfg = cfg.ResumeAt(cfg.ResolveSubnets(), cursor, 1)
+	bus := telemetry.NewBus(0)
+	cfg.Telemetry = bus
+	if _, err := engine.RunConcurrent(context.Background(), cfg); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	type task struct {
+		stage, subnet int32
+		kind          int8
+	}
+	started := make(map[task]bool)
+	evs := bus.Events()
+	for _, ev := range evs {
+		if ev.Op == telemetry.OpTaskStart {
+			started[task{ev.Stage, ev.Subnet, ev.Kind}] = true
+		}
+	}
+	attributed := 0
+	for _, ev := range evs {
+		if ev.Op != telemetry.OpCacheHit && ev.Op != telemetry.OpCacheMiss && ev.Op != telemetry.OpCacheStall {
+			continue
+		}
+		attributed++
+		if ev.Subnet < cursor || !started[task{ev.Stage, ev.Subnet, ev.Kind}] {
+			t.Fatalf("%v event names subnet %d (stage %d, %s): below cursor %d or no such task",
+				ev.Op, ev.Subnet, ev.Stage, telemetry.KindString(ev.Kind), cursor)
+		}
+	}
+	if attributed == 0 {
+		t.Fatal("no attributed cache events on a cached run")
+	}
+}
+
 // TestSimulatedPlaneRejectsFaultConfig pins the error contract: the
 // discrete-event plane refuses fault/checkpoint configuration instead of
 // silently ignoring it.

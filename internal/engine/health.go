@@ -120,11 +120,11 @@ func (p *RunProbe) Snapshot() []StageHealth {
 	return out
 }
 
-// StallError reports a concurrent run that ended without completing its
-// stream and without a crash or cancellation to blame, carrying each
-// stage's final scheduler state so the report is actionable: which head
-// is blocked, which subnet's unfinished WRITE owns the block, and what
-// is still pending where.
+// StallError reports a lost wake-up: every stage of a single-process run
+// parked with no message in flight before the stream completed (the
+// idle-set check in RunConcurrent). It carries each stage's final
+// scheduler state: which head is blocked, which subnet's unfinished
+// WRITE owns the block, and what is still pending where.
 type StallError struct {
 	Completed int
 	Total     int

@@ -36,8 +36,9 @@ type loadReport struct {
 	StatusP99Ms     float64 `json:"status_p99_ms"`
 	GoroutinesLeft  int     `json:"goroutines_over_baseline_after_drain"`
 	// Observability overhead gate: the same compact workload with the
-	// metrics registry absent vs present (min of trials each); the
-	// enabled path must stay within 5% of disabled.
+	// metrics registry absent vs present, in alternating pairs (the walls
+	// are each arm's median, the percentage the median per-pair ratio);
+	// the enabled path must stay within 5% (+25ms) of disabled.
 	ObsDisabledWall float64 `json:"obs_disabled_wall_seconds"`
 	ObsEnabledWall  float64 `json:"obs_enabled_wall_seconds"`
 	ObsOverheadPct  float64 `json:"obs_overhead_pct"`
@@ -71,6 +72,14 @@ func (l *lat) percentileMs(p float64) float64 {
 		idx = len(sorted) - 1
 	}
 	return float64(sorted[idx]) / float64(time.Millisecond)
+}
+
+// median returns the middle of xs (the upper one for an even count),
+// leaving xs unsorted.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[len(s)/2]
 }
 
 // verifyJobSpec is the load-test workload: a small concurrent search
@@ -322,15 +331,14 @@ func TestServiceLoad(t *testing.T) {
 	mu.Unlock()
 
 	// Phase 3: quota enforcement. A greedy tenant fills its quota with
-	// slow jobs (queued counts as active, so this is deterministic) and
-	// the next submit must be refused with 429 quota_exceeded.
+	// jobs that wedge on their second subnet, so none can finish before
+	// the check (queued counts as active too), and the next submit must
+	// be refused with 429 quota_exceeded.
 	quotaRejections := 0
 	var greedyIDs []string
 	for i := 0; i < tenantQuota; i++ {
 		spec := verifyJobSpec("greedy", uint64(900+i))
-		spec.Subnets = 64
-		spec.Jitter = 0.9
-		spec.JitterSeed = uint64(900 + i)
+		spec.Faults = "seed=1,wedgeat=1:1:F"
 		st, err := opsClient.Submit(ctx, spec)
 		if err != nil {
 			t.Fatalf("greedy submit %d: %v", i, err)
@@ -398,25 +406,35 @@ func TestServiceLoad(t *testing.T) {
 	}
 
 	// Phase 4: observability overhead gate. The same compact workload
-	// runs with the metrics registry absent and present (min of trials
-	// each, to shed scheduler noise); instrumenting every admission,
-	// request, and supervision edge must cost at most 5% wall time (plus
-	// a small absolute grace for sub-second runs).
-	obsDisabled, obsEnabled := time.Duration(1<<62), time.Duration(1<<62)
-	const obsTrials = 3
-	for i := 0; i < obsTrials; i++ {
-		if d := obsLoadTrial(t, false); d < obsDisabled {
-			obsDisabled = d
-		}
-		if d := obsLoadTrial(t, true); d < obsEnabled {
-			obsEnabled = d
+	// runs with the metrics registry absent and present; instrumenting
+	// every admission, request, and supervision edge must cost at most 5%
+	// wall time, plus a small absolute grace for sub-second runs. The arms
+	// alternate (off, on, off, on, …), each from a collected heap, and the
+	// verdict is the median per-pair ratio: a slow phase of the host slows
+	// both arms of a pair alike instead of covering one arm whole. Pairs
+	// come in blocks of three; another block runs only while the verdict
+	// is over budget, three blocks at most. The grace stays because a
+	// trial is ≈ 0.1s: two disabled arms alone differ by ±10% per pair.
+	trial := func(enabled bool) float64 {
+		runtime.GC()
+		return obsLoadTrial(t, enabled).Seconds()
+	}
+	const grace = 0.025 // seconds
+	var offs, ons, ratios []float64
+	overBudget := func() bool { return median(ratios) > 1.05+grace/median(offs) }
+	for block := 0; block < 3 && (block == 0 || overBudget()); block++ {
+		for i := 0; i < 3; i++ {
+			off, on := trial(false), trial(true)
+			offs, ons, ratios = append(offs, off), append(ons, on), append(ratios, on/off)
 		}
 	}
-	obsOverheadPct := (obsEnabled.Seconds() - obsDisabled.Seconds()) / obsDisabled.Seconds() * 100
-	t.Logf("obs overhead: disabled %.3fs, enabled %.3fs (%.2f%%)", obsDisabled.Seconds(), obsEnabled.Seconds(), obsOverheadPct)
-	if grace := 25 * time.Millisecond; obsEnabled > obsDisabled+obsDisabled/20+grace {
-		t.Errorf("metrics-enabled load took %.3fs vs %.3fs disabled (%.2f%% > 5%% overhead budget)",
-			obsEnabled.Seconds(), obsDisabled.Seconds(), obsOverheadPct)
+	obsDisabled, obsEnabled := median(offs), median(ons)
+	obsOverheadPct := 100 * (median(ratios) - 1)
+	t.Logf("obs overhead: %+.2f%% (median on/off of %d alternating pairs; arm medians disabled %.3fs, enabled %.3fs)",
+		obsOverheadPct, len(ratios), obsDisabled, obsEnabled)
+	if overBudget() {
+		t.Errorf("metrics-enabled load costs %.2f%% over disabled (median of %d alternating pairs) > 5%% + %.0fms overhead budget",
+			obsOverheadPct, len(ratios), grace*1000)
 	}
 
 	mu.Lock()
@@ -444,8 +462,8 @@ func TestServiceLoad(t *testing.T) {
 		StatusP50Ms:     statusLat.percentileMs(0.50),
 		StatusP99Ms:     statusLat.percentileMs(0.99),
 		GoroutinesLeft:  left,
-		ObsDisabledWall: obsDisabled.Seconds(),
-		ObsEnabledWall:  obsEnabled.Seconds(),
+		ObsDisabledWall: obsDisabled,
+		ObsEnabledWall:  obsEnabled,
 		ObsOverheadPct:  obsOverheadPct,
 	}
 	t.Logf("load: %d jobs in %.2fs (%.1f jobs/s), submit p99 %.2fms, status p99 %.2fms",

@@ -137,9 +137,10 @@ type WatchdogConfig struct {
 	// StallAfter is how long both progress signals (committed frontier,
 	// completed-task count) must stay flat before the watchdog declares a
 	// stall and cancels the incarnation. 0 = 2s — three orders of
-	// magnitude above the executor's 5ms park poll, so jitter, cache
-	// thrash, and backoff storms never trip it while a wedged stage
-	// (which completes nothing, ever) always does.
+	// magnitude above the longest wait a healthy run makes between task
+	// completions (a dropped message's retry backoff caps at 2ms), so
+	// jitter, cache thrash, and backoff storms never trip it while a
+	// wedged stage (which completes nothing, ever) always does.
 	StallAfter time.Duration
 }
 

@@ -6,9 +6,11 @@
 // update per-stage health but neither counter. The watchdog therefore
 // distinguishes slow from stalled by one rule: if both signals stay
 // flat for StallAfter, nothing can be running — every in-flight task
-// would have completed (the executor's park poll is 5ms, injected
-// delays are capped far below StallAfter) — so the pipeline is wedged,
-// deadlocked, or dead. On firing it snapshots the per-stage health
+// would have completed (injected delays and retry backoffs are capped
+// far below StallAfter) — so the pipeline is wedged, deadlocked, or
+// dead. The executor reports an in-process lost wake-up itself; a wedged
+// stage and a fleet worker's remote peers are what only the watchdog
+// can see. On firing it snapshots the per-stage health
 // table into a structured diagnosis and cancels the incarnation with a
 // *StallError cause, which the supervisor turns into a recoverable,
 // checkpointed incident.
