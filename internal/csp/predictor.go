@@ -27,6 +27,9 @@ type PendingBackward struct {
 // paper's configuration forecasts the upcoming 2 tasks; combined with the
 // subnet being executed and the one being evicted this yields the ~3x
 // subnet cache footprint reported in Table 2.
+//
+// Both call sites append to a caller-supplied slice and return it, so a
+// caller reusing one buffer forecasts without allocating.
 type Predictor struct {
 	sched   *Scheduler
 	blocked []PendingBackward // the L_blocked global of Algorithm 3
@@ -42,7 +45,7 @@ func (p *Predictor) PendingCount() int { return len(p.blocked) }
 
 // Retire drops every pending record for the given subnet: once its
 // backward has actually executed on this stage the forecast is moot.
-// The concurrent plane calls this on backward execution so records whose
+// OnBackward retires the backward it runs for, so records whose
 // releasing forward ran before the record arrived (a carry that lost the
 // pipeline race) cannot accumulate.
 func (p *Predictor) Retire(seq int) {
@@ -56,33 +59,33 @@ func (p *Predictor) Retire(seq int) {
 }
 
 // OnBackward runs before executing backward recvSeq (Algorithm 1 line 6).
-// It pre-adds the backward to a copy of the finished list, re-runs
-// SCHEDULE, and prefetches the forward that becomes schedulable; it also
-// records any pending backwards carried with the receive.
-func (p *Predictor) OnBackward(queue []int, recvSeq int, carried []PendingBackward) []Fetch {
-	var fetches []Fetch
+// It retires the records forecasting recvSeq itself, pre-adds the
+// backward to a copy of the finished list, re-runs SCHEDULE, and appends
+// the forward that becomes schedulable to dst; it also records any
+// pending backwards carried with the receive.
+func (p *Predictor) OnBackward(dst []Fetch, queue []int, recvSeq int, carried []PendingBackward) []Fetch {
+	p.Retire(recvSeq)
 	// Lines 4–9: L' = L_f + recv.id; the forward SCHEDULE would now pick
 	// has the highest chance to be scheduled next.
 	if _, fwd := p.sched.ScheduleAssuming(queue, recvSeq); fwd >= 0 {
-		fetches = append(fetches, Fetch{Seq: fwd, Kind: task.Forward,
+		dst = append(dst, Fetch{Seq: fwd, Kind: task.Forward,
 			Reason: "forward unblocked by backward completion"})
 	}
 	// Lines 10–11: remember blocked backwards announced by later stages.
 	p.blocked = append(p.blocked, carried...)
-	return fetches
+	return dst
 }
 
 // OnForward runs before executing forward currentSeq (Algorithm 1 line
 // 21). If this forward releases a pending backward, that backward's
-// context is prefetched and the record retired; then SCHEDULE re-runs to
-// forecast the next forward.
-func (p *Predictor) OnForward(queue []int, currentSeq int) []Fetch {
-	var fetches []Fetch
+// context is appended to dst and the record retired; then SCHEDULE
+// re-runs to forecast the next forward.
+func (p *Predictor) OnForward(dst []Fetch, queue []int, currentSeq int) []Fetch {
 	// Lines 13–15.
 	kept := p.blocked[:0]
 	for _, b := range p.blocked {
 		if b.Precedence == currentSeq {
-			fetches = append(fetches, Fetch{Seq: b.Seq, Kind: task.Backward,
+			dst = append(dst, Fetch{Seq: b.Seq, Kind: task.Backward,
 				Reason: "backward released by this forward"})
 		} else {
 			kept = append(kept, b)
@@ -91,8 +94,8 @@ func (p *Predictor) OnForward(queue []int, currentSeq int) []Fetch {
 	p.blocked = kept
 	// Lines 16–18.
 	if _, fwd := p.sched.Schedule(queue); fwd >= 0 && fwd != currentSeq {
-		fetches = append(fetches, Fetch{Seq: fwd, Kind: task.Forward,
+		dst = append(dst, Fetch{Seq: fwd, Kind: task.Forward,
 			Reason: "next schedulable forward"})
 	}
-	return fetches
+	return dst
 }

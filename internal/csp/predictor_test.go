@@ -12,7 +12,7 @@ func TestOnBackwardPredictsUnblockedForward(t *testing.T) {
 	p := NewPredictor(s)
 	// Backward of 0 is about to run; afterwards subnet 1 becomes
 	// schedulable and should be prefetched.
-	fetches := p.OnBackward([]int{1, 2}, 0, nil)
+	fetches := p.OnBackward(nil, []int{1, 2}, 0, nil)
 	if len(fetches) != 1 || fetches[0].Seq != 1 || fetches[0].Kind != task.Forward {
 		t.Fatalf("fetches = %+v, want forward of subnet 1", fetches)
 	}
@@ -27,7 +27,7 @@ func TestOnBackwardNoPredictionWhenStillBlocked(t *testing.T) {
 	p := NewPredictor(s)
 	// Backward of some unrelated future: assume finishing 5 (not
 	// registered) — queue holds 2, which is blocked by unfinished 1.
-	fetches := p.OnBackward([]int{2}, 5, nil)
+	fetches := p.OnBackward(nil, []int{2}, 5, nil)
 	if len(fetches) != 0 {
 		t.Fatalf("expected no fetches, got %+v", fetches)
 	}
@@ -40,14 +40,14 @@ func TestPendingBackwardRelease(t *testing.T) {
 	// A later stage announces: backward of subnet 1 is pending, released
 	// when forward of subnet 1 gets scheduled here.
 	carried := []PendingBackward{{Seq: 1, Precedence: 1}}
-	_ = p.OnBackward([]int{1}, 0, carried)
+	_ = p.OnBackward(nil, []int{1}, 0, carried)
 	if p.PendingCount() != 1 {
 		t.Fatalf("pending = %d want 1", p.PendingCount())
 	}
 	s.MarkFinished(0)
 	// Forward of subnet 1 runs now: the pending backward must be fetched
 	// and retired.
-	fetches := p.OnForward([]int{}, 1)
+	fetches := p.OnForward(nil, []int{}, 1)
 	foundBwd := false
 	for _, f := range fetches {
 		if f.Seq == 1 && f.Kind == task.Backward {
@@ -67,7 +67,7 @@ func TestOnForwardPredictsNextForward(t *testing.T) {
 	mustAdd(t, s, info(0, 1), info(1, 2), info(2, 3))
 	p := NewPredictor(s)
 	// Forward of 0 runs; queue still holds 1 and 2, 1 is unblocked.
-	fetches := p.OnForward([]int{1, 2}, 0)
+	fetches := p.OnForward(nil, []int{1, 2}, 0)
 	if len(fetches) != 1 || fetches[0].Seq != 1 || fetches[0].Kind != task.Forward {
 		t.Fatalf("fetches = %+v, want forward of 1", fetches)
 	}
@@ -77,7 +77,7 @@ func TestOnForwardDoesNotRefetchCurrent(t *testing.T) {
 	s := New(0)
 	mustAdd(t, s, info(0, 1))
 	p := NewPredictor(s)
-	fetches := p.OnForward([]int{0}, 0)
+	fetches := p.OnForward(nil, []int{0}, 0)
 	for _, f := range fetches {
 		if f.Seq == 0 && f.Kind == task.Forward {
 			t.Fatalf("predictor refetched the currently executing forward: %+v", fetches)
@@ -89,13 +89,13 @@ func TestPendingBackwardKeptUntilPrecedence(t *testing.T) {
 	s := New(0)
 	mustAdd(t, s, info(0, 1), info(1, 2), info(2, 3))
 	p := NewPredictor(s)
-	_ = p.OnBackward(nil, 0, []PendingBackward{{Seq: 2, Precedence: 2}})
+	_ = p.OnBackward(nil, nil, 0, []PendingBackward{{Seq: 2, Precedence: 2}})
 	// Forward of 1 runs: precedence 2 not met, record kept.
-	_ = p.OnForward(nil, 1)
+	_ = p.OnForward(nil, nil, 1)
 	if p.PendingCount() != 1 {
 		t.Fatalf("pending retired too early: %d", p.PendingCount())
 	}
-	fetches := p.OnForward(nil, 2)
+	fetches := p.OnForward(nil, nil, 2)
 	if len(fetches) != 1 || fetches[0].Seq != 2 || fetches[0].Kind != task.Backward {
 		t.Fatalf("fetches = %+v", fetches)
 	}
@@ -105,7 +105,7 @@ func TestRetireDropsPendingRecords(t *testing.T) {
 	s := New(0)
 	mustAdd(t, s, info(0, 1), info(1, 2), info(2, 3))
 	p := NewPredictor(s)
-	_ = p.OnBackward(nil, 0, []PendingBackward{
+	_ = p.OnBackward(nil, nil, 0, []PendingBackward{
 		{Seq: 1, Precedence: 1},
 		{Seq: 2, Precedence: 2},
 		{Seq: 1, Precedence: 0},
@@ -118,7 +118,7 @@ func TestRetireDropsPendingRecords(t *testing.T) {
 		t.Fatalf("pending after retire = %d want 1", p.PendingCount())
 	}
 	// The surviving record still releases normally.
-	fetches := p.OnForward(nil, 2)
+	fetches := p.OnForward(nil, nil, 2)
 	if len(fetches) != 1 || fetches[0].Seq != 2 || fetches[0].Kind != task.Backward {
 		t.Fatalf("fetches = %+v", fetches)
 	}
@@ -150,7 +150,7 @@ func TestPredictionAccuracyOnDrain(t *testing.T) {
 		}
 		queue = append(queue[:qidx], queue[qidx+1:]...)
 		// Predict what follows after this subnet's backward completes.
-		fetches := p.OnBackward(queue, qval, nil)
+		fetches := p.OnBackward(nil, queue, qval, nil)
 		s.MarkFinished(qval)
 		if len(fetches) == 1 {
 			_, next := s.Schedule(queue)

@@ -14,7 +14,7 @@
 //
 // Senders never block. A transport that cannot take a message — closed,
 // peer past its reconnect budget, destination queue full — returns an
-// error, and the first such error stops the run (ccRun.send) naming
+// error, and the first such error stops the run (ccRun.post) naming
 // the sending and receiving stage: a full inbox is a loud failure, never
 // a silent pipeline deadlock.
 //
@@ -32,8 +32,12 @@ import (
 	"fmt"
 	"sort"
 
+	"naspipe/internal/clock"
 	"naspipe/internal/csp"
+	"naspipe/internal/fault"
 	"naspipe/internal/supernet"
+	"naspipe/internal/task"
+	"naspipe/internal/telemetry"
 	"naspipe/internal/trace"
 	"naspipe/internal/transport"
 )
@@ -82,7 +86,7 @@ func (d *DistConfig) validate(depth int) error {
 // gradient and notes need the stage itself to run. The fault plane may
 // deliver a message twice, hence the doubling; +8 is slack for tiny
 // windows. An overflow would be an engine bug and fails the run (see
-// ccRun.send), it cannot hang it.
+// ccRun.post), it cannot hang it.
 func (c *ccRun) inboxCap(n int) int {
 	w := min(c.cfg.InflightLimit, n)
 	capacity := (c.w.D+2)*w + 8
@@ -92,11 +96,11 @@ func (c *ccRun) inboxCap(n int) int {
 	return capacity
 }
 
-// send pushes one message onto the data path and counts its deliveries
+// post pushes one message onto the data path and counts its deliveries
 // for the lost-wake-up check. A transport refusing traffic (destination
 // inbox full, closed during teardown, a dead peer past its reconnect
 // budget) stops the run like a checkpoint-recorder failure.
-func (c *ccRun) send(m transport.Msg) {
+func (c *ccRun) post(m transport.Msg) {
 	if err := c.tp.Send(m); err != nil {
 		c.stop(fmt.Errorf("engine: transport send (stage %d -> %d): %w", m.From, m.To, err))
 		return
@@ -108,37 +112,72 @@ func (c *ccRun) send(m transport.Msg) {
 	}
 }
 
-// sendFwd hands an activation to stage k+1; sendBwd returns a gradient
-// (with its carried pending-backward records) to stage k-1. Both run
-// inside the fault-plane wrapper (ccRun.transport).
-func (c *ccRun) sendFwd(s *ccStage, seq int) {
-	c.send(transport.Msg{Type: transport.FrameFwd, From: s.k, To: s.k + 1, Seq: seq})
+// send hands an activation to stage from+1, or a gradient with its
+// carried pending-backward records to stage from−1, through the fault
+// plane: the message is posted once, twice (Duplicate), or after a wait
+// (Delay). A Drop burns one bounded retry with exponential backoff; when
+// retries are exhausted the message escalates to the reliable path and
+// delivers — faults slow the pipeline, they never wedge it.
+func (c *ccRun) send(from int, kind task.Kind, seq int, carried []csp.PendingBackward) {
+	s := c.stages[from]
+	m := transport.Msg{Type: transport.FrameFwd, From: from, To: from + 1, Seq: seq}
+	if kind == task.Backward {
+		m = transport.Msg{Type: transport.FrameBwd, From: from, To: from - 1, Seq: seq, Carried: carried}
+		s.cont.Carried += int64(len(carried))
+	}
+	if c.inj == nil {
+		c.post(m)
+		return
+	}
+	tk, gseq := telKind(kind), c.base+seq
+	for attempt := 0; ; attempt++ {
+		v := c.inj.Message(tk, from, gseq, attempt)
+		if v.Action == fault.Drop && attempt >= c.inj.MaxRetries() {
+			v.Action = fault.Deliver
+		}
+		switch v.Action {
+		case fault.Drop:
+			s.telFault(telemetry.OpFaultDrop, gseq, tk, int64(attempt))
+			clock.Sleep(c.inj.Backoff(attempt))
+			continue
+		case fault.Delay:
+			s.telFault(telemetry.OpFaultDelay, gseq, tk, int64(v.Wait))
+			clock.Sleep(v.Wait)
+			c.post(m)
+		case fault.Duplicate:
+			s.telFault(telemetry.OpFaultDup, gseq, tk, 0)
+			c.post(m)
+			c.post(m)
+		default:
+			c.post(m)
+		}
+		return
+	}
 }
 
-func (c *ccRun) sendBwd(s *ccStage, seq int, carried []csp.PendingBackward) {
-	c.send(transport.Msg{Type: transport.FrameBwd, From: s.k, To: s.k - 1, Seq: seq, Carried: carried})
-}
-
-// broadcastNote fans the release of subnet seq's WRITE of ids on stage
-// s out to every other stage (the receiving end is ccStage.apply).
-func (c *ccRun) broadcastNote(s *ccStage, seq int, ids []supernet.LayerID, finished bool) {
-	c.send(transport.Msg{
-		Type: transport.FrameNote, From: s.k, To: transport.Broadcast,
+// note fans the release of subnet seq's WRITE of ids on stage from out
+// to every other stage (the receiving end is stage.note). On stage 0 the
+// release advanced the frontier, which is committed first.
+func (c *ccRun) note(from, seq int, ids []supernet.LayerID, finished bool) {
+	if finished {
+		c.snapshotCut(c.stages[from])
+	}
+	c.post(transport.Msg{
+		Type: transport.FrameNote, From: from, To: transport.Broadcast,
 		Seq: seq, IDs: ids, Finished: finished,
 	})
 }
 
-// pushFetch forwards a cross-stage context-push (§3.3) to stage k: a
-// direct request when the stage runs in this process, a Fetch message
-// otherwise — and then only with the memory plane on; without a cache
-// the receiver would discard it, so frame counts stay free of dead
-// traffic.
-func (c *ccRun) pushFetch(s *ccStage, k, seq int) {
+// fetch forwards a prefetch of subnet seq's stage-k context: a direct
+// request when stage k runs in this process, a Fetch message otherwise.
+// The stage machine asks only with the memory plane on, so frame counts
+// stay free of traffic a cacheless receiver would discard.
+func (c *ccRun) fetch(from, k, seq int) {
 	if t := c.stages[k]; t != nil {
 		c.requestFetch(t, seq)
-	} else if c.cfg.ConcurrentMem.Enabled() {
-		c.send(transport.Msg{Type: transport.FrameFetch, From: s.k, To: k, Seq: seq})
+		return
 	}
+	c.post(transport.Msg{Type: transport.FrameFetch, From: from, To: k, Seq: seq})
 }
 
 // DistQueueCap sizes a caller-supplied transport's per-stage delivery

@@ -31,7 +31,7 @@ func TestRequestFetchAppliesBeforeReturning(t *testing.T) {
 	}
 	contextBytes := func(seq, k int) (sum int64) {
 		for _, id := range w.stageIDs[seq][k] {
-			sum += c.bytesOf(id)
+			sum += w.bytesOf(id)
 		}
 		return sum
 	}
@@ -43,7 +43,7 @@ func TestRequestFetchAppliesBeforeReturning(t *testing.T) {
 	}
 
 	pushed := c.stages[1]
-	c.pushFetch(own, 1, 2) // stage 0's goroutine pushing subnet 2's context downstream
+	c.fetch(0, 1, 2) // stage 0's goroutine pushing subnet 2's context downstream
 	if got, want := pushed.cache.Used(), contextBytes(2, 1); got != want || want == 0 {
 		t.Fatalf("context push: %d bytes resident or in flight on return, want %d", got, want)
 	}

@@ -25,45 +25,6 @@ func telKind(k task.Kind) int8 {
 	return telemetry.KindForward
 }
 
-// telTask emits one task-scoped event at the simulator's current time.
-func (e *Engine) telTask(op telemetry.Op, ph telemetry.Phase, t task.Task) {
-	if e.tel == nil {
-		return
-	}
-	e.tel.EmitAt(simNs(e.now), telemetry.Event{
-		Op: op, Phase: ph,
-		Stage: int32(t.Stage), Worker: telemetry.WorkerStage,
-		Subnet: int32(t.Subnet), Kind: telKind(t.Kind),
-	})
-}
-
-// telInstant emits a non-task point event at the simulator's current
-// time.
-func (e *Engine) telInstant(op telemetry.Op, stage int, worker int32, arg int64) {
-	if e.tel == nil {
-		return
-	}
-	e.tel.EmitAt(simNs(e.now), telemetry.Event{
-		Op: op, Phase: telemetry.PhaseInstant,
-		Stage: int32(stage), Worker: worker,
-		Subnet: -1, Kind: telemetry.KindNone, Arg: arg,
-	})
-}
-
-// telFlow emits a cross-stage transfer endpoint at an explicit simulated
-// time.
-func (e *Engine) telFlow(ph telemetry.Phase, op telemetry.Op, atMs float64, stage, subnet int, kind task.Kind, from int) {
-	if e.tel == nil {
-		return
-	}
-	e.tel.EmitAt(simNs(atMs), telemetry.Event{
-		Op: op, Phase: ph,
-		Stage: int32(stage), Worker: telemetry.WorkerStage,
-		Subnet: int32(subnet), Kind: telKind(kind),
-		Arg: telemetry.FlowID(telKind(kind), int32(subnet), int32(from)),
-	})
-}
-
 // telSpanSwitch performs the span bookkeeping at a dispatch boundary:
 // ends the previously running exec's span as a preemption if a different
 // exec takes the stage, and opens (or reopens) the picked exec's span.
@@ -72,7 +33,7 @@ func (e *Engine) telSpanSwitch(st *stageState, pick *execState) {
 		return
 	}
 	if st.cur != nil && st.cur.spanOpen && !st.cur.done() {
-		e.telTask(telemetry.OpTaskPreempt, telemetry.PhaseEnd, st.cur.t)
+		st.m.event(telemetry.OpTaskPreempt, telemetry.PhaseEnd, st.cur.t.Subnet, st.cur.t.Kind, 0)
 		st.cur.spanOpen = false
 	}
 	if !pick.spanOpen {
@@ -80,7 +41,7 @@ func (e *Engine) telSpanSwitch(st *stageState, pick *execState) {
 		if pick.everStarted {
 			op = telemetry.OpTaskResume
 		}
-		e.telTask(op, telemetry.PhaseBegin, pick.t)
+		st.m.event(op, telemetry.PhaseBegin, pick.t.Subnet, pick.t.Kind, 0)
 		pick.spanOpen = true
 		pick.everStarted = true
 	}

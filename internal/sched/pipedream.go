@@ -54,22 +54,9 @@ func (p *ASPPolicy) SelectForward(stage int, queue []int, now float64) int {
 	return 0
 }
 
-// SelectBackward drains gradients in arrival order — combined with the
-// engine's backward-first invocation this realizes 1F1B.
-func (p *ASPPolicy) SelectBackward(stage int, ready []int, now float64) int {
-	if len(ready) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(ready); i++ {
-		if ready[i] < ready[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// OnBackwardDone returns the in-flight budget.
+// OnBackwardDone returns the in-flight budget. Backwards drain through
+// BasePolicy's lowest-sequence-first selection, which the stage machine
+// asks before any forward — together that realizes 1F1B.
 func (p *ASPPolicy) OnBackwardDone(stage, seq int, now float64) {
 	p.outstanding[stage]--
 }

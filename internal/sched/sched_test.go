@@ -141,9 +141,10 @@ func TestNASPipeWriteBroadcastUnblocks(t *testing.T) {
 	if got := p.SelectForward(0, []int{1}, 0); got != -1 {
 		t.Fatal("subnet 1 should start blocked")
 	}
-	// Subnet 0's backward completes on both stages, then flushes at 0.
-	p.OnBackwardDone(1, 0, 1)
-	p.OnBackwardDone(0, 0, 2)
+	// Subnet 0's backward completes on both stages, then flushes at 0:
+	// stage 0 hears stage 1's write release, then applies its own.
+	p.Note(0, 0, w.StageLayerIDs(0, 1), false)
+	p.Note(0, 0, w.StageLayerIDs(0, 0), true)
 	if got := p.SelectForward(0, []int{1}, 3); got != 0 {
 		t.Fatal("subnet 1 should unblock after subnet 0's writes")
 	}
