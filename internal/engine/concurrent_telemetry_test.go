@@ -100,6 +100,70 @@ func TestConcurrentTelemetryDisabledEmitsNothing(t *testing.T) {
 	}
 }
 
+// TestSchedEventsOneLayoutOnBothPlanes runs one stream on both planes
+// and checks that the scheduler ops mean the same thing on each, because
+// one stage machine emits them: OpTaskAdmit once per task as its input
+// lands, OpSchedAdmit once per task as its stage admits it (Arg = its
+// position in the stage's queue), and OpSchedDelay for a held-back
+// forward queue (Subnet = the head, Arg = the earlier subnet blocking it
+// or -1) — every one naming a real subnet.
+func TestSchedEventsOneLayoutOnBothPlanes(t *testing.T) {
+	const n, d, window = 18, 4, 12
+	cfg := ccCfg(d, false)
+	cfg.NumSubnets, cfg.InflightLimit = n, window
+	des := telemetry.NewBus(0)
+	cfg.Telemetry = des
+	run(t, "naspipe", cfg)
+	cc := telemetry.NewBus(0)
+	cfg.Telemetry = cc
+	if _, err := engine.RunConcurrent(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	for plane, bus := range map[string]*telemetry.Bus{"simulator": des, "goroutines": cc} {
+		type task struct {
+			stage, subnet int32
+			kind          int8
+		}
+		arrived, admitted := map[task]int{}, map[task]int{}
+		delays := 0
+		for _, ev := range bus.Events() {
+			tk := task{ev.Stage, ev.Subnet, ev.Kind}
+			switch ev.Op {
+			case telemetry.OpTaskAdmit:
+				arrived[tk]++
+			case telemetry.OpSchedAdmit:
+				admitted[tk]++
+				if ev.Arg < 0 || ev.Arg >= window {
+					t.Errorf("%s: admit of %+v at queue index %d, outside the %d-subnet window", plane, tk, ev.Arg, window)
+				}
+			case telemetry.OpSchedDelay:
+				delays++
+				if ev.Kind != telemetry.KindForward || ev.Arg >= int64(ev.Subnet) || ev.Arg < -1 {
+					t.Errorf("%s: delay of %+v blamed on subnet %d, not an earlier writer", plane, tk, ev.Arg)
+				}
+			default:
+				continue
+			}
+			if ev.Subnet < 0 || ev.Subnet >= n {
+				t.Errorf("%s: %s event names subnet %d", plane, ev.Op, ev.Subnet)
+			}
+		}
+		for _, m := range []map[task]int{arrived, admitted} {
+			if len(m) != 2*n*d {
+				t.Errorf("%s: %d distinct tasks, want 2·n·D = %d", plane, len(m), 2*n*d)
+			}
+			for tk, c := range m {
+				if c != 1 {
+					t.Errorf("%s: task %+v reported %d times", plane, tk, c)
+				}
+			}
+		}
+		if plane == "simulator" && delays == 0 {
+			t.Errorf("%s: a dependency-dense stream held no forward back", plane)
+		}
+	}
+}
+
 // TestSimulatedTelemetryChromeTraceValidates: the discrete-event engine
 // publishes the same taxonomy (in simulated nanoseconds) — the export
 // must validate, cover every stage, and carry a balanced flow census.

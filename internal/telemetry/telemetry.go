@@ -38,16 +38,17 @@ import (
 type Op uint8
 
 const (
-	// Task lifecycle (category "task").
-	OpTaskAdmit    Op = iota // task became known/queued on a stage
+	// Task lifecycle (category "task"). Subnet is the global sequence.
+	OpTaskAdmit    Op = iota // task became known/queued on a stage: its input landed (stage 0: retrieved)
 	OpTaskStart              // first compute of the task span
 	OpTaskPreempt            // span paused: a higher-priority task took the stage
 	OpTaskResume             // span resumed after preemption
 	OpTaskComplete           // span closed
 
-	// Scheduler decisions (category "sched").
-	OpSchedAdmit // Algorithm 2 admitted a forward (Arg = queue scan depth)
-	OpSchedDelay // CSP delayed every queued forward (Arg = blocking writer seq, -1 unknown)
+	// Scheduler decisions (category "sched"), one layout on both planes:
+	// Subnet is the global sequence, Kind the task's.
+	OpSchedAdmit // the stage admitted a queued task (Arg = its position in the stage's queue)
+	OpSchedDelay // every queued forward held back, once per (head, blocker) episode (Subnet = head, Arg = blocking writer, -1 none)
 
 	// Memory context (category "mem").
 	OpPrefetchRequest // async context fetch issued (Arg = bytes)
