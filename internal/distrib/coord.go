@@ -324,7 +324,7 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 	total := c.spec.Subnets
 	start := time.Now()
 	res := engine.Result{
-		Policy: "NASPipe-CC-dist", Space: c.spec.Space, D: gpus,
+		Policy: "NASPipe", Space: c.spec.Space, D: gpus, // the workers' CSP admission
 		BaseSeq: cursor,
 	}
 	if cursor >= total {
