@@ -30,20 +30,22 @@
 //	naspipe-bench -concurrent -faults "crashat=2:9:F" -checkpoint run.ckpt
 //	naspipe-bench -concurrent -checkpoint run.ckpt -resume
 //
-// An injected crash exits with code 3 after persisting the checkpoint
-// (when -checkpoint is set), so a shell loop can resume until clean; a
-// resumed run that completes verifies its suffix trace composes with
-// the committed prefix to the uninterrupted sequential result, bitwise.
-// With -supervise the supervision plane does the resume loop in-process
-// (crashes and watchdog-diagnosed stalls auto-resume from the latest
-// checkpoint) and the completed run is verified the same way:
+// An injected crash with -checkpoint exits with code 3 after persisting
+// the checkpoint, so a shell loop can resume until clean (without one it
+// exits 1: there is nothing to resume from); a resumed run that
+// completes verifies its suffix trace composes with the committed prefix
+// to the uninterrupted sequential result, bitwise. With -supervise the
+// supervision plane does the resume loop in-process (crashes and
+// watchdog-diagnosed stalls auto-resume from the latest checkpoint) and
+// the completed run is verified the same way:
 //
 //	naspipe-bench -concurrent -faults "seed=7,crash=0.02" -checkpoint run.ckpt -supervise
 //
-// Exit codes are the naspipe.ExitCode contract: 0 complete+verified,
-// 1 run/verification failure (including supervisor give-up), 2 usage,
-// 3 resumable (injected crash without -supervise, or SIGINT/SIGTERM
-// with a valid checkpoint).
+// Exit codes are the naspipe.ExitCode contract, decided by
+// naspipe.ExitCodeOf: 0 complete+verified, 1 run/verification failure
+// (including supervisor give-up and a crash without -checkpoint),
+// 2 usage, 3 resumable (injected crash without -supervise, or
+// SIGINT/SIGTERM, with a valid checkpoint).
 //
 // The -parallel fan-out changes wall-clock time only: reports are
 // assembled in canonical experiment order and are byte-identical to a
@@ -53,7 +55,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -175,57 +176,13 @@ func smokeSpec(f *clicfg.Flags, trace bool) naspipe.JobSpec {
 	return spec
 }
 
-// runSpec builds the runner for spec and executes it, optionally
-// publishing to bus, resuming when the flags say so.
-func runSpec(ctx context.Context, f *clicfg.Flags, spec naspipe.JobSpec, bus *telemetry.Bus) (naspipe.Result, error) {
-	opts, cfg, err := naspipe.FromSpec(spec)
-	if err != nil {
-		return naspipe.Result{}, err
-	}
-	if bus != nil {
-		opts = append(opts, naspipe.WithTelemetry(bus))
-	}
-	r, err := naspipe.NewRunner(opts...)
-	if err != nil {
-		return naspipe.Result{}, err
-	}
-	if f.Resume {
-		return r.Resume(ctx, cfg)
-	}
-	return r.Run(ctx, cfg)
-}
-
-// runSupervisedSpec executes the smoke workload under the supervision
-// plane: crashes and watchdog-diagnosed stalls auto-resume in-process
-// from the checkpoint, and health transitions land on the same
-// telemetry bus as the engine events.
-func runSupervisedSpec(ctx context.Context, f *clicfg.Flags, spec naspipe.JobSpec, bus *telemetry.Bus) (naspipe.Result, *naspipe.SuperviseReport, error) {
-	opts, cfg, err := naspipe.FromSpec(spec)
-	if err != nil {
-		return naspipe.Result{}, nil, err
-	}
-	if bus != nil {
-		opts = append(opts, naspipe.WithTelemetry(bus))
-	}
-	r, err := naspipe.NewRunner(opts...)
-	if err != nil {
-		return naspipe.Result{}, nil, err
-	}
-	sc, _ := spec.SuperviseConfig()
-	sc.Telemetry = bus
-	sc.Log = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	if f.Resume {
-		return r.ResumeSupervised(ctx, cfg, sc)
-	}
-	return r.RunSupervised(ctx, cfg, sc)
-}
-
 // concurrentSmoke exercises the goroutine-per-stage execution plane once
-// and prints its verification verdict, contention profile, and — with the
-// cache enabled — the memory-context profile. With the predictor on, a
-// hit rate at or below zero is a regression and fails the smoke.
+// through naspipe.RunJob — under -supervise, crashes and watchdog-diagnosed
+// stalls auto-resume in-process and health transitions land on the same
+// telemetry bus as the engine events — and prints its verification
+// verdict, contention profile, and — with the cache enabled — the
+// memory-context profile. With the predictor on, a hit rate at or below
+// zero is a regression and fails the smoke.
 func concurrentSmoke(ctx context.Context, f *clicfg.Flags) naspipe.ExitCode {
 	spec := smokeSpec(f, true)
 	if err := spec.Validate(); err != nil {
@@ -242,52 +199,30 @@ func concurrentSmoke(ctx context.Context, f *clicfg.Flags) naspipe.ExitCode {
 	stopProgress := telemetry.StartProgress(os.Stderr, bus, f.Progress)
 
 	t0 := time.Now()
-	var (
-		res naspipe.Result
-		rep *naspipe.SuperviseReport
-		err error
-	)
-	if spec.Supervise != nil {
-		res, rep, err = runSupervisedSpec(ctx, f, spec, bus)
-	} else {
-		res, err = runSpec(ctx, f, spec, bus)
-	}
+	res, rep, err := naspipe.RunJob(ctx, spec, f.Resume, naspipe.SuperviseConfig{
+		Telemetry: bus,
+		Log:       func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+	})
 	stopProgress()
 	if err != nil {
-		var crash *naspipe.CrashError
-		var giveUp *naspipe.GiveUpError
+		code := naspipe.ExitCodeOf(ctx, err, spec.Checkpoint != "")
+		label, hint := "", "rerun with -resume"
 		switch {
-		case errors.As(err, &giveUp):
-			fmt.Fprintf(os.Stderr, "concurrent: supervisor gave up: %v\n", err)
-			if bus != nil {
-				exportTelemetry(bus, f.TraceOut, f.EventsOut)
-			}
-			return naspipe.ExitFailure
-		case errors.As(err, &crash):
-			fmt.Fprintf(os.Stderr, "concurrent: injected crash: %v\n", err)
-			if spec.Checkpoint != "" {
-				printBenchCheckpoint(spec.Checkpoint, "rerun with -resume")
-			}
-			if bus != nil {
-				// The fault timeline up to the crash is the artifact that
-				// matters; export it even though the run died.
-				exportTelemetry(bus, f.TraceOut, f.EventsOut)
-			}
-			return naspipe.ExitResumable
 		case ctx.Err() != nil:
-			fmt.Fprintf(os.Stderr, "concurrent: interrupted: %v\n", err)
-			if spec.Checkpoint != "" {
-				printBenchCheckpoint(spec.Checkpoint, "rerun with -resume (or -supervise -resume)")
-				if bus != nil {
-					exportTelemetry(bus, f.TraceOut, f.EventsOut)
-				}
-				return naspipe.ExitResumable
-			}
-			return naspipe.ExitFailure
-		default:
-			fmt.Fprintf(os.Stderr, "concurrent: %v\n", err)
-			return naspipe.ExitFailure
+			label, hint = "interrupted: ", "rerun with -resume (or -supervise -resume)"
+		case code == naspipe.ExitResumable:
+			label = "injected crash: "
 		}
+		fmt.Fprintf(os.Stderr, "concurrent: %s%v\n", label, err)
+		if code == naspipe.ExitResumable {
+			printBenchCheckpoint(spec.Checkpoint, hint)
+		}
+		if bus != nil {
+			// The fault timeline up to the failure is the artifact that
+			// matters; export it even though the run died.
+			exportTelemetry(bus, f.TraceOut, f.EventsOut)
+		}
+		return code
 	}
 	fmt.Printf("concurrent CSP plane: %d subnets, %d stages, %v wall clock\n",
 		res.Completed, res.D, time.Since(t0).Round(time.Microsecond))

@@ -24,7 +24,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -73,20 +72,19 @@ func run() naspipe.ExitCode {
 	// No SIGINT/SIGTERM handler on purpose: a stage worker's death is
 	// always abrupt from the coordinator's point of view — the drill
 	// this plane exists for is kill -9, which no handler survives.
-	err := distrib.RunWorker(context.Background(), wc)
+	ctx := context.Background()
+	err := distrib.RunWorker(ctx, wc)
+	// The coordinator keeps the checkpoint a crashed worker resumes from.
+	code := naspipe.ExitCodeOf(ctx, err, true)
 	switch {
 	case err == nil:
-		return naspipe.ExitOK
 	case distrib.Aborted(err):
 		fmt.Fprintf(os.Stderr, "naspipe-stage: %v\n", err)
 		return naspipe.ExitResumable
+	case code == naspipe.ExitResumable:
+		fmt.Fprintf(os.Stderr, "naspipe-stage: injected crash: %v\n", err)
 	default:
-		var crash *naspipe.CrashError
-		if errors.As(err, &crash) {
-			fmt.Fprintf(os.Stderr, "naspipe-stage: injected crash: %v\n", err)
-			return naspipe.ExitResumable
-		}
 		fmt.Fprintf(os.Stderr, "naspipe-stage: %v\n", err)
-		return naspipe.ExitFailure
 	}
+	return code
 }

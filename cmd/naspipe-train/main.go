@@ -28,18 +28,19 @@
 // on one stage. SIGINT/SIGTERM interrupt gracefully: the committed
 // frontier is already checkpointed, so the process exits resumable.
 //
-// Exit codes are the naspipe.ExitCode contract CI and operators rely on:
+// Exit codes are the naspipe.ExitCode contract CI and operators rely on,
+// decided by naspipe.ExitCodeOf:
 //
 //	0 — run complete (and verified where applicable)
-//	1 — run or verification failure, including supervisor give-up
+//	1 — run or verification failure, including supervisor give-up and
+//	    an injected crash without -checkpoint (nothing to resume)
 //	2 — usage error
-//	3 — resumable interruption: injected crash without -supervise, or
-//	    SIGINT/SIGTERM with a valid checkpoint; rerun with -resume
+//	3 — resumable interruption with a valid -checkpoint: an injected
+//	    crash without -supervise, or SIGINT/SIGTERM; rerun with -resume
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -152,8 +153,9 @@ func run() naspipe.ExitCode {
 
 // concurrentFaultRun routes a fault-injected, checkpointed, or
 // supervised run to the concurrent (goroutine-per-stage) plane — the
-// simulated clock has no goroutines to crash. Returns the process exit
-// code per the contract in the package comment.
+// simulated clock has no goroutines to crash — through naspipe.RunJob,
+// which auto-resumes in-process under -supervise. Returns the process
+// exit code by naspipe.ExitCodeOf.
 func concurrentFaultRun(f *clicfg.Flags) naspipe.ExitCode {
 	if f.Resume && f.Checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "naspipe-train: -resume requires -checkpoint")
@@ -162,20 +164,13 @@ func concurrentFaultRun(f *clicfg.Flags) naspipe.ExitCode {
 	spec := f.Spec(naspipe.ExecutorConcurrent.String())
 	t := true
 	spec.Trace = &t
-	opts, cfg, err := naspipe.FromSpec(spec)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return naspipe.ExitUsage
 	}
 	var bus *naspipe.TelemetryBus
 	if f.EventsOut != "" {
 		bus = naspipe.NewTelemetryBus(0)
-		opts = append(opts, naspipe.WithTelemetry(bus))
-	}
-	r, err := naspipe.NewRunner(opts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return naspipe.ExitUsage
 	}
 	// SIGINT/SIGTERM cancel the run between tasks; the committed frontier
 	// is already checkpointed (and the incarnation bumped), so the
@@ -183,11 +178,27 @@ func concurrentFaultRun(f *clicfg.Flags) naspipe.ExitCode {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	code := naspipe.ExitOK
-	if spec.Supervise != nil {
-		code = supervisedRun(ctx, r, cfg, spec, f, bus)
-	} else {
-		code = plainRun(ctx, r, cfg, spec, f)
+	res, rep, err := naspipe.RunJob(ctx, spec, f.Resume, naspipe.SuperviseConfig{
+		Telemetry: bus,
+		Log:       func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+	})
+	code := naspipe.ExitCodeOf(ctx, err, spec.Checkpoint != "")
+	switch {
+	case err == nil:
+		printRunResult(spec, res, rep)
+	case ctx.Err() != nil:
+		fmt.Fprintf(os.Stderr, "interrupted: %v\n", err)
+	case code == naspipe.ExitResumable:
+		fmt.Fprintf(os.Stderr, "injected crash: %v\n", err)
+	default:
+		fmt.Fprintln(os.Stderr, err)
+	}
+	if code == naspipe.ExitResumable {
+		hint := "rerun with -resume"
+		if spec.Supervise != nil {
+			hint += " (or -supervise -resume)"
+		}
+		printCheckpoint(os.Stderr, spec.Checkpoint, hint)
 	}
 	if bus != nil {
 		lines, eerr := telemetry.ExportFiles(bus, "", f.EventsOut)
@@ -204,73 +215,17 @@ func concurrentFaultRun(f *clicfg.Flags) naspipe.ExitCode {
 	return code
 }
 
-// plainRun is the unsupervised path: one incarnation, operator resumes.
-func plainRun(ctx context.Context, r *naspipe.Runner, cfg naspipe.Config, spec naspipe.JobSpec, f *clicfg.Flags) naspipe.ExitCode {
-	run := r.Run
-	if f.Resume {
-		run = r.Resume
-	}
-	res, err := run(ctx, cfg)
-	if err != nil {
-		var crash *naspipe.CrashError
-		switch {
-		case errors.As(err, &crash):
-			fmt.Fprintf(os.Stderr, "injected crash: %v\n", err)
-			printCheckpoint(os.Stderr, spec.Checkpoint, "rerun with -resume")
-			return naspipe.ExitResumable
-		case ctx.Err() != nil:
-			fmt.Fprintf(os.Stderr, "interrupted: %v\n", err)
-			if spec.Checkpoint != "" {
-				printCheckpoint(os.Stderr, spec.Checkpoint, "rerun with -resume")
-				return naspipe.ExitResumable
-			}
-			return naspipe.ExitFailure
-		default:
-			fmt.Fprintln(os.Stderr, err)
-			return naspipe.ExitFailure
+// printRunResult reports a completed run; rep is the supervisor's
+// account, nil for an unsupervised run.
+func printRunResult(spec naspipe.JobSpec, res naspipe.Result, rep *naspipe.SuperviseReport) {
+	if rep != nil {
+		fmt.Printf("supervised run:    %s, %d restarts, %d watchdog fires, final D=%d\n",
+			rep.FinalState, rep.Restarts, rep.WatchdogFires, rep.FinalGPUs)
+		if len(rep.ElasticSteps) > 0 {
+			fmt.Printf("elastic steps:     depth %v after repeated same-stage incidents\n", rep.ElasticSteps)
 		}
 	}
-	printRunResult(spec, cfg, res)
-	return naspipe.ExitOK
-}
-
-// supervisedRun wraps the incarnations in the supervision plane:
-// crashes and watchdog stalls auto-resume in-process.
-func supervisedRun(ctx context.Context, r *naspipe.Runner, cfg naspipe.Config, spec naspipe.JobSpec, f *clicfg.Flags, bus *naspipe.TelemetryBus) naspipe.ExitCode {
-	sc, _ := spec.SuperviseConfig()
-	sc.Telemetry = bus
-	sc.Log = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-
-	run := r.RunSupervised
-	if f.Resume {
-		run = r.ResumeSupervised
-	}
-	res, rep, err := run(ctx, cfg, sc)
-	if err != nil {
-		var giveUp *naspipe.GiveUpError
-		switch {
-		case ctx.Err() != nil && !errors.As(err, &giveUp):
-			fmt.Fprintf(os.Stderr, "interrupted: %v\n", err)
-			printCheckpoint(os.Stderr, spec.Checkpoint, "rerun with -resume (or -supervise -resume)")
-			return naspipe.ExitResumable
-		case errors.As(err, &giveUp):
-			fmt.Fprintln(os.Stderr, giveUp)
-			return naspipe.ExitFailure
-		default:
-			fmt.Fprintln(os.Stderr, err)
-			return naspipe.ExitFailure
-		}
-	}
-	fmt.Printf("supervised run:    %s, %d restarts, %d watchdog fires, final D=%d\n",
-		rep.FinalState, rep.Restarts, rep.WatchdogFires, rep.FinalGPUs)
-	if len(rep.ElasticSteps) > 0 {
-		fmt.Printf("elastic steps:     depth %v after repeated same-stage incidents\n", rep.ElasticSteps)
-	}
-	printRunResult(spec, cfg, res)
-	return naspipe.ExitOK
-}
-
-func printRunResult(spec naspipe.JobSpec, cfg naspipe.Config, res naspipe.Result) {
+	cfg, _ := spec.Config() // the spec is validated
 	fmt.Printf("concurrent CSP plane: %s on %d GPUs, %d subnets completed", cfg.Space.Name, spec.GPUs, res.Completed)
 	if res.BaseSeq > 0 {
 		fmt.Printf(" (resumed at cursor %d)", res.BaseSeq)

@@ -16,7 +16,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -111,27 +110,16 @@ func distMain(args []string) naspipe.ExitCode {
 
 	res, rep, err := co.Run(ctx)
 	if err != nil {
-		var giveUp *naspipe.GiveUpError
-		var crash *naspipe.CrashError
-		switch {
-		case ctx.Err() != nil && !errors.As(err, &giveUp):
+		code := naspipe.ExitCodeOf(ctx, err, spec.Checkpoint != "")
+		if ctx.Err() != nil {
 			fmt.Fprintf(os.Stderr, "naspiped dist: interrupted: %v\n", err)
-			if spec.Checkpoint != "" {
-				fmt.Fprintf(os.Stderr, "naspiped dist: rerun with -resume to continue from %s\n", spec.Checkpoint)
-				return naspipe.ExitResumable
-			}
-			return naspipe.ExitFailure
-		case errors.As(err, &crash):
-			fmt.Fprintf(os.Stderr, "naspiped dist: %v\n", err)
-			if spec.Checkpoint != "" {
-				fmt.Fprintf(os.Stderr, "naspiped dist: rerun with -resume to continue from %s\n", spec.Checkpoint)
-				return naspipe.ExitResumable
-			}
-			return naspipe.ExitFailure
-		default:
+		} else {
 			fmt.Fprintln(os.Stderr, "naspiped dist:", err)
-			return naspipe.ExitFailure
 		}
+		if code == naspipe.ExitResumable {
+			fmt.Fprintf(os.Stderr, "naspiped dist: rerun with -resume to continue from %s\n", spec.Checkpoint)
+		}
+		return code
 	}
 	fmt.Printf("distributed fleet: %s on %d stage processes, %d subnets completed",
 		spec.Space, spec.GPUs, res.Completed)

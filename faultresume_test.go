@@ -2,6 +2,7 @@ package naspipe_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -55,43 +56,72 @@ var seqReference struct {
 	want uint64
 }
 
-// TestCrashResumeMatrix is the acceptance gate: every fault schedule ×
-// {2,4,8} GPUs crashes, resumes from the persisted checkpoint (looping
-// while the fault plan keeps crashing the resumed incarnations), and
-// must land on final weights bitwise identical to the uninterrupted
-// sequential reference. The hand-rolled resume loop moved into the
-// scenario plane (scenario.Run's operator loop, which also checks the
-// incarnation bump on every reload); each cell here is now a thin
-// wrapper over scenario.MatrixCell with the historical workload
-// geometry, and the verdicts are unchanged: at least one real crash,
-// full stream coverage, bitwise equality with the sequential reference.
+// TestCrashResumeMatrix is the acceptance gate for the operator's CLI
+// contract: every fault schedule × {2,4,8} GPUs runs unsupervised through
+// naspipe.RunJob, and on every *CrashError the test does what a `-resume`
+// shell loop does — checks that the checkpoint bumped the incarnation,
+// then calls RunJob again with resume=true (a fresh Runner, so a fresh
+// Checkpointer per incarnation: the cold path), looping while the fault
+// plan keeps crashing the resumed incarnations. The final weights must
+// be bitwise identical to the uninterrupted sequential reference. The
+// workload is scenario.MatrixCell's historical geometry with its
+// supervision dropped; TestSupervisedCrashMatrix runs the same cells
+// under supervise.Run.
 func TestCrashResumeMatrix(t *testing.T) {
 	for _, gpus := range []int{2, 4, 8} {
 		for _, sc := range crashSchedules {
 			gpus, sc := gpus, sc
 			t.Run(fmt.Sprintf("gpus=%d/%s", gpus, sc.name), func(t *testing.T) {
 				t.Parallel()
-				s, err := scenario.MatrixCell(sc.name, sc.spec, gpus, false)
+				s, err := scenario.MatrixCell(sc.name, sc.spec, gpus)
 				if err != nil {
 					t.Fatalf("matrix cell: %v", err)
 				}
-				cell, _, err := scenario.Run(context.Background(), s,
-					scenario.Options{StateDir: t.TempDir(), MaxResumes: maxResumes})
+				comp, err := s.Compile(t.TempDir())
 				if err != nil {
-					t.Fatalf("scenario run: %v", err)
+					t.Fatalf("compile: %v", err)
 				}
-				if len(cell.Failures) > 0 {
-					t.Fatalf("cell failed: %v", cell.Failures)
-				}
-				if !cell.Verified {
-					t.Fatal("final weights not bitwise-verified against the sequential reference")
+				spec := comp.Jobs[0].Spec
+				spec.Supervise = nil
+
+				ctx := context.Background()
+				res, _, err := naspipe.RunJob(ctx, spec, false, naspipe.SuperviseConfig{})
+				crashes := 0
+				for ; err != nil; crashes++ {
+					var crash *naspipe.CrashError
+					if !errors.As(err, &crash) {
+						t.Fatalf("non-crash failure after %d crashes: %v", crashes, err)
+					}
+					if crashes == maxResumes {
+						t.Fatalf("still crashing after %d resumes: %v", maxResumes, err)
+					}
+					ck, lerr := naspipe.LoadCheckpoint(spec.Checkpoint)
+					if lerr != nil {
+						t.Fatalf("crash left no loadable checkpoint: %v", lerr)
+					}
+					if ck.Incarnation != crash.Incarnation+1 {
+						t.Fatalf("checkpoint incarnation %d after a crash in incarnation %d (want the bump to %d)",
+							ck.Incarnation, crash.Incarnation, crash.Incarnation+1)
+					}
+					res, _, err = naspipe.RunJob(ctx, spec, true, naspipe.SuperviseConfig{})
 				}
 				// Every schedule must actually exercise crash-then-resume.
 				// Fault decisions are pure functions of (seed, incarnation,
 				// site), so this is deterministic, not flaky: the seeds above
 				// are chosen to crash at every tested depth.
-				if cell.Restarts == 0 {
+				if crashes == 0 {
 					t.Fatalf("schedule %q never crashed on %d GPUs", sc.spec, gpus)
+				}
+				if res.BaseSeq+res.Completed != spec.Subnets {
+					t.Fatalf("coverage hole: base %d + completed %d != %d subnets", res.BaseSeq, res.Completed, spec.Subnets)
+				}
+				cfg, err := spec.Config()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc, _ := spec.TrainConfig()
+				if _, err := naspipe.VerifyAgainstSequential(tc, cfg, res); err != nil {
+					t.Fatalf("final weights not bitwise-verified against the sequential reference: %v", err)
 				}
 			})
 		}

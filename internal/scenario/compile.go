@@ -83,8 +83,10 @@ func (s *Scenario) compileJobsIn(ckptDir string) ([]CompiledJob, error) {
 
 // baseSpec lowers the scenario's shared world+workload+storm fields to
 // one JobSpec. Every scenario job runs the concurrent executor with
-// tracing and verification on: the sweep's whole point is re-proving
-// Definition 1 under the declared perturbations.
+// tracing and verification on — the sweep's whole point is re-proving
+// Definition 1 under the declared perturbations — and, as the service
+// plane normalizes its jobs, under supervision: the storm's budgets, or
+// the defaults when it declares none.
 func (s *Scenario) baseSpec() naspipe.JobSpec {
 	on := true
 	spec := naspipe.JobSpec{
@@ -106,6 +108,7 @@ func (s *Scenario) baseSpec() naspipe.JobSpec {
 		Train:        s.Workload.Train,
 		Trace:        &on,
 		Verify:       true,
+		Supervise:    &naspipe.SuperviseSpec{},
 	}
 	if spec.Train == nil {
 		spec.Train = defaultTrain()

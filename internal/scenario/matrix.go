@@ -17,11 +17,12 @@ import (
 // beyond the depth are folded back with stage %= gpus, exactly as the
 // old tables did, so one schedule stresses every depth.
 //
-// supervised selects the recovery discipline: the supervision plane
-// with the matrices' generous test budgets, or the harness's operator
-// resume loop. Both disciplines must reach the same verdict — the thin
-// wrappers left at the repo root prove they still do.
-func MatrixCell(name, faultSpec string, gpus int, supervised bool) (*Scenario, error) {
+// The cell carries the matrices' generous supervision budgets: rate-based
+// schedules can crash dozens of times, and the sweep wants microsecond
+// backoffs. TestSupervisedCrashMatrix runs it as it compiles;
+// TestCrashResumeMatrix drops the supervision and drives the operator's
+// -resume contract over naspipe.RunJob itself, to the same verdict.
+func MatrixCell(name, faultSpec string, gpus int) (*Scenario, error) {
 	plan, err := fault.ParsePlan(faultSpec)
 	if err != nil {
 		return nil, err
@@ -48,17 +49,12 @@ func MatrixCell(name, faultSpec string, gpus int, supervised bool) (*Scenario, e
 			Seed:    7,
 			Train:   &naspipe.TrainSpec{Dim: 8, BatchSize: 2, LR: 0.05, Dataset: "WNMT"},
 		},
-		Storm: &Storm{Faults: plan.String()},
-	}
-	if supervised {
-		// The matrices' historical test budgets: rate-based schedules can
-		// crash dozens of times, and the sweep wants microsecond backoffs.
-		s.Storm.Supervise = &naspipe.SuperviseSpec{
+		Storm: &Storm{Faults: plan.String(), Supervise: &naspipe.SuperviseSpec{
 			MaxRestarts:     60,
 			CrashLoopWindow: 25,
 			Backoff:         naspipe.Duration(100 * time.Microsecond),
 			BackoffMax:      naspipe.Duration(time.Millisecond),
-		}
+		}},
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -22,9 +21,6 @@ type Options struct {
 	// Workers is the service executor-pool size for multi-job
 	// scenarios (0 = 2).
 	Workers int
-	// MaxResumes bounds the operator resume loop for unsupervised
-	// crashing scenarios (0 = 60).
-	MaxResumes int
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -41,21 +37,16 @@ type Observed struct {
 	Recovery time.Duration
 }
 
-func (o Options) logf(format string, args ...any) {
-	if o.Log != nil {
-		o.Log(format, args...)
-	}
-}
-
 // Run executes one scenario end to end and scores it:
 //
 //  1. A fault-free pass on the simulated plane models the declared
 //     world (GPUs, stage speeds, jitter, cache budget) and yields the
 //     deterministic performance columns (throughput, bubble, cache).
-//  2. The real pass runs every job on the concurrent executor under
-//     the declared storm — supervised, operator-resumed, or through
-//     the service Scheduler for multi-job scenarios — and verifies
-//     each job's weights bitwise against the sequential reference.
+//  2. The real pass runs every job supervised on the concurrent
+//     executor under the declared storm — through naspipe.RunJob, a
+//     distributed fleet, or the service Scheduler for multi-job
+//     scenarios — and verifies each job's weights bitwise against the
+//     sequential reference.
 //  3. The Expect block's gates are applied; violations land in
 //     Cell.Failures.
 //
@@ -92,7 +83,7 @@ func Run(ctx context.Context, s *Scenario, opt Options) (Cell, Observed, error) 
 	case s.World.Processes > 0:
 		err = distribRun(ctx, s, comp.Jobs[0].Spec, opt, &cell, &obs)
 	default:
-		err = directRun(ctx, comp.Jobs[0].Spec, opt, &cell, &obs)
+		err = directRun(ctx, comp.Jobs[0].Spec, &cell, &obs)
 	}
 	obs.Wall = time.Since(start)
 	if err != nil {
@@ -149,24 +140,13 @@ func simPass(comp *Compiled, cell *Cell) error {
 	return nil
 }
 
-// directRun executes a single-job scenario on a Runner: supervised when
-// the storm says so, otherwise with the operator resume loop (run,
-// catch CrashError, resume from the checkpoint until the stream
-// completes). Either way the final result is verified bitwise.
-func directRun(ctx context.Context, spec naspipe.JobSpec, opt Options, cell *Cell, obs *Observed) error {
-	opts, cfg, err := naspipe.FromSpec(spec)
-	if err != nil {
-		return err
-	}
-	r, err := naspipe.NewRunner(opts...)
-	if err != nil {
-		return err
-	}
-
-	var res naspipe.Result
-	if sc, ok := spec.SuperviseConfig(); ok {
-		var firstFail time.Time
-		sc.Observer = func(tr naspipe.HealthTransition) {
+// directRun executes a single-job scenario through naspipe.RunJob under
+// the supervision plane (the lowering attaches one to every job) and
+// verifies the final result bitwise.
+func directRun(ctx context.Context, spec naspipe.JobSpec, cell *Cell, obs *Observed) error {
+	var firstFail time.Time
+	res, rep, err := naspipe.RunJob(ctx, spec, false, naspipe.SuperviseConfig{
+		Observer: func(tr naspipe.HealthTransition) {
 			switch tr.To {
 			case naspipe.HealthDegraded:
 				if firstFail.IsZero() {
@@ -177,30 +157,23 @@ func directRun(ctx context.Context, spec naspipe.JobSpec, opt Options, cell *Cel
 					obs.Recovery = time.Since(firstFail)
 				}
 			}
-		}
-		var rep *naspipe.SuperviseReport
-		res, rep, err = r.RunSupervised(ctx, cfg, sc)
-		if rep != nil {
-			cell.Restarts = rep.Restarts
-			cell.WatchdogFires = rep.WatchdogFires
-			if rep.FinalGPUs > 0 {
-				cell.FinalGPUs = rep.FinalGPUs
-			}
-		}
-		if err != nil {
-			cell.Failures = append(cell.Failures, fmt.Sprintf("supervised run: %v", err))
-			return nil
-		}
-	} else {
-		res, err = operatorLoop(ctx, r, cfg, spec, opt, cell, obs)
-		if err != nil {
-			return err
-		}
-		if len(cell.Failures) > 0 {
-			return nil
+		},
+	})
+	if rep != nil {
+		cell.Restarts = rep.Restarts
+		cell.WatchdogFires = rep.WatchdogFires
+		if rep.FinalGPUs > 0 {
+			cell.FinalGPUs = rep.FinalGPUs
 		}
 	}
-
+	if err != nil {
+		cell.Failures = append(cell.Failures, fmt.Sprintf("supervised run: %v", err))
+		return nil
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		return err
+	}
 	return verifyCell(spec, cfg, res, cell)
 }
 
@@ -265,47 +238,6 @@ func distribRun(ctx context.Context, s *Scenario, spec naspipe.JobSpec, opt Opti
 		return err
 	}
 	return verifyCell(spec, cfg, res, cell)
-}
-
-// operatorLoop is the unsupervised recovery discipline the crash-resume
-// matrix always used: run, and on every injected crash reload the
-// checkpoint (checking the incarnation bump), resume, repeat. Returns
-// the final complete Result.
-func operatorLoop(ctx context.Context, r *naspipe.Runner, cfg naspipe.Config, spec naspipe.JobSpec, opt Options, cell *Cell, obs *Observed) (naspipe.Result, error) {
-	maxResumes := opt.MaxResumes
-	if maxResumes <= 0 {
-		maxResumes = 60
-	}
-	var firstFail time.Time
-	res, err := r.Run(ctx, cfg)
-	for resumes := 0; err != nil; resumes++ {
-		var crash *naspipe.CrashError
-		if !errors.As(err, &crash) {
-			return res, fmt.Errorf("scenario %s: non-crash failure: %w", spec.Name, err)
-		}
-		if firstFail.IsZero() {
-			firstFail = time.Now()
-		}
-		if resumes >= maxResumes {
-			cell.Failures = append(cell.Failures, fmt.Sprintf("still crashing after %d resumes: %v", maxResumes, err))
-			return res, nil
-		}
-		ck, lerr := naspipe.LoadCheckpoint(spec.Checkpoint)
-		if lerr != nil {
-			return res, fmt.Errorf("scenario %s: crash left no loadable checkpoint: %w", spec.Name, lerr)
-		}
-		if ck.Incarnation != crash.Incarnation+1 {
-			return res, fmt.Errorf("scenario %s: checkpoint incarnation %d after crash in incarnation %d (want bump to %d)",
-				spec.Name, ck.Incarnation, crash.Incarnation, crash.Incarnation+1)
-		}
-		cell.Restarts++
-		opt.logf("scenario %s: resume %d after %v", spec.Name, resumes+1, crash)
-		res, err = r.Resume(ctx, cfg)
-	}
-	if !firstFail.IsZero() {
-		obs.Recovery = time.Since(firstFail)
-	}
-	return res, nil
 }
 
 // serviceRun executes a multi-job scenario through an in-process

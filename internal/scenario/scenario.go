@@ -111,10 +111,9 @@ type Storm struct {
 	// Faults is a fault-plan spec (naspipe.ParseFaultPlan grammar),
 	// including multi-incarnation entries: "seed=9,crashat=1:2:9:F".
 	Faults string `json:"faults,omitempty"`
-	// Supervise opts every job into the supervision plane (auto-resume,
-	// watchdog, restart budgets). Nil = unsupervised; a crashing
-	// single-job scenario is then driven by the harness's operator
-	// resume loop instead.
+	// Supervise sets the supervision plane's budgets (auto-resume,
+	// watchdog, restart budgets) for every job. Every scenario job runs
+	// supervised; nil means the defaults, as on the service plane.
 	Supervise *naspipe.SuperviseSpec `json:"supervise,omitempty"`
 	// Elastic permits resuming across a halved GPU count.
 	Elastic bool `json:"elastic,omitempty"`

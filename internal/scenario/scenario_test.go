@@ -178,6 +178,11 @@ func TestCompileSingleAndMulti(t *testing.T) {
 	if spec.Executor != "concurrent" || !spec.Verify || spec.Train == nil {
 		t.Fatalf("lowering lost the concurrent+verify+train contract: %+v", spec)
 	}
+	// A storm without a supervise block still runs supervised, on the
+	// defaults, as the service plane normalizes its jobs.
+	if spec.Supervise == nil || *spec.Supervise != (naspipe.SuperviseSpec{}) {
+		t.Fatalf("lowering did not attach the default supervision: %+v", spec.Supervise)
+	}
 	if spec.Checkpoint == "" {
 		t.Fatalf("single job has no checkpoint path")
 	}
@@ -283,7 +288,7 @@ func TestRunDistributedScenario(t *testing.T) {
 // TestMatrixCell: the migration shim produces valid scenarios with the
 // historic workload geometry and folds fault sites into range.
 func TestMatrixCell(t *testing.T) {
-	s, err := MatrixCell("deep fwd", "seed=105,crashat=7:12:F,dup=0.1", 2, true)
+	s, err := MatrixCell("deep fwd", "seed=105,crashat=7:12:F,dup=0.1", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,13 +299,13 @@ func TestMatrixCell(t *testing.T) {
 		t.Fatalf("matrix geometry drifted: %+v", s)
 	}
 	if s.Storm == nil || s.Storm.Supervise == nil {
-		t.Fatalf("supervised cell lost its storm/supervision: %+v", s.Storm)
+		t.Fatalf("matrix cell lost its storm/supervision: %+v", s.Storm)
 	}
 	// Stage 7 folded to 7 % 2 = 1.
 	if !strings.Contains(s.Storm.Faults, "crashat=1:12:F") {
 		t.Fatalf("crash site not folded into depth 2: %q", s.Storm.Faults)
 	}
-	if _, err := MatrixCell("x", "crashat=zig", 2, false); err == nil {
+	if _, err := MatrixCell("x", "crashat=zig", 2); err == nil {
 		t.Fatalf("bad fault spec accepted")
 	}
 }

@@ -117,10 +117,10 @@ const (
 	// StateCanceled: stopped by POST .../cancel; resumable when a valid
 	// checkpoint holds the committed frontier.
 	StateCanceled JobState = "canceled"
-	// StateInterrupted: stopped by something other than the operator —
-	// an unsupervised injected crash, or daemon shutdown mid-run — with
-	// a checkpoint on disk. Resume continues it; a daemon restart
-	// re-queues it automatically.
+	// StateInterrupted: stopped by daemon shutdown mid-run, with a
+	// checkpoint on disk (a concurrent job is supervised, so its crashes
+	// resume in-process). Resume continues it; a daemon restart re-queues
+	// it automatically.
 	StateInterrupted JobState = "interrupted"
 )
 

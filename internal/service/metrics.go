@@ -1,6 +1,7 @@
 package service
 
 import (
+	"naspipe"
 	"naspipe/internal/obs"
 	"naspipe/internal/supervise"
 	"naspipe/internal/telemetry"
@@ -90,12 +91,13 @@ func newSchedMetrics(r *obs.Registry, s *Scheduler) *schedMetrics {
 	return m
 }
 
-// superviseHooks builds the Observer/OnIncident pair the scheduler
-// injects into each supervised job: transitions and incidents become
-// counters immediately (not at job finish) and structured log lines
-// carrying the job ID and incarnation — the correlation chain from
-// /metrics and the daemon log back to one incarnation of one job.
-func (s *Scheduler) superviseHooks(jobID string) (func(supervise.Transition), func(supervise.Incident)) {
+// superviseHooks builds the hooks the scheduler hands naspipe.RunJob for
+// one job: its telemetry bus, the daemon's Log, and an Observer/OnIncident
+// pair that turns transitions and incidents into counters immediately (not
+// at job finish) and structured log lines carrying the job ID and
+// incarnation — the correlation chain from /metrics and the daemon log
+// back to one incarnation of one job.
+func (s *Scheduler) superviseHooks(jobID string, bus *telemetry.Bus) naspipe.SuperviseConfig {
 	observer := func(tr supervise.Transition) {
 		s.met.transitions.With(tr.To.String()).Inc()
 		if tr.To == supervise.Running && tr.Incarnation > 0 {
@@ -115,7 +117,7 @@ func (s *Scheduler) superviseHooks(jobID string) (func(supervise.Transition), fu
 			"stage", in.Stage, "cursor_before", in.CursorBefore, "cursor_after", in.CursorAfter,
 			"gpus", in.GPUs, "err", in.Err.Error())
 	}
-	return observer, onIncident
+	return naspipe.SuperviseConfig{Telemetry: bus, Log: s.cfg.Log, Observer: observer, OnIncident: onIncident}
 }
 
 // TelemetrySnapshot aggregates the engine-telemetry counters of every

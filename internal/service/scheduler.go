@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -304,12 +303,12 @@ func (j *job) hasCheckpoint() bool {
 	return err == nil
 }
 
-// resumable reports whether a standing checkpoint can continue the job:
-// it loads, matches the job, and its cursor hasn't already covered the
-// stream (a post-final-commit crash leaves nothing to resume... which
-// still counts: resume is then a no-op verify).
+// resumable is the one rule for both JobStatus.Resumable and Resume: the
+// job was canceled or interrupted — never done, failed or still active —
+// and a loadable checkpoint holds its committed frontier (one at the end
+// of the stream still counts: resume is then a no-op verify).
 func (j *job) resumable() bool {
-	if j.spec.Checkpoint == "" {
+	if (j.state != StateCanceled && j.state != StateInterrupted) || j.spec.Checkpoint == "" {
 		return false
 	}
 	_, err := fault.Load(j.checkpointPath())
@@ -491,10 +490,10 @@ func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 	return s.statusLocked(j, true), nil
 }
 
-// Resume re-queues a canceled or interrupted job to continue from its
-// checkpoint. Jobs without a loadable checkpoint — never-checkpointed,
-// simulated, or already consumed — are a CodeConflict (HTTP 409), as is
-// resuming a job that is queued, running, or done.
+// Resume re-queues a job that resumable admits — canceled or
+// interrupted, with a loadable checkpoint — to continue from that
+// checkpoint. Any other job is a CodeConflict (HTTP 409). A refusal,
+// 409 or 429, leaves the job exactly as it was.
 func (s *Scheduler) Resume(id string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -505,15 +504,9 @@ func (s *Scheduler) Resume(id string) (JobStatus, error) {
 	if s.closed {
 		return JobStatus{}, &APIError{Code: CodeShuttingDown, Message: "scheduler is draining"}
 	}
-	switch j.state {
-	case StateQueued, StateRunning:
-		return JobStatus{}, &APIError{Code: CodeConflict, Message: fmt.Sprintf("job %s is %s; nothing to resume", id, j.state)}
-	case StateDone:
-		return JobStatus{}, &APIError{Code: CodeConflict, Message: fmt.Sprintf("job %s already completed", id)}
-	}
 	if !j.resumable() {
 		return JobStatus{}, &APIError{Code: CodeConflict,
-			Message: fmt.Sprintf("job %s has no loadable checkpoint to resume from", id)}
+			Message: fmt.Sprintf("job %s is %s; only a canceled or interrupted job with a loadable checkpoint resumes", id, j.state)}
 	}
 	if s.active[j.spec.Tenant] >= s.cfg.TenantQuota {
 		ra := s.retryAfterLocked(CodeQuotaExceeded, j.spec.Tenant)
@@ -521,22 +514,22 @@ func (s *Scheduler) Resume(id string) (JobStatus, error) {
 		return JobStatus{}, &APIError{Code: CodeQuotaExceeded, RetryAfterSec: ra,
 			Message: fmt.Sprintf("tenant %q already has %d active jobs (quota %d); retry in ~%ds", tenantName(j.spec.Tenant), s.active[j.spec.Tenant], s.cfg.TenantQuota, ra)}
 	}
+	// Enqueue first: a worker that receives j blocks on s.mu until the
+	// fields below are set, and a full queue refuses before any is.
+	select {
+	case s.queue <- j:
+	default:
+		ra := s.retryAfterLocked(CodeBackpressure, j.spec.Tenant)
+		s.met.rejections.With(string(CodeBackpressure)).Inc()
+		return JobStatus{}, &APIError{Code: CodeBackpressure, RetryAfterSec: ra,
+			Message: fmt.Sprintf("admission queue full (%d queued); retry in ~%ds", s.cfg.QueueLimit, ra)}
+	}
 	j.resume = true
 	j.wantCancel = false
 	j.state = StateQueued
 	j.detail = "resume requested"
 	j.queuedAt = time.Now()
 	j.done = make(chan struct{})
-	select {
-	case s.queue <- j:
-	default:
-		j.state = StateCanceled
-		close(j.done)
-		ra := s.retryAfterLocked(CodeBackpressure, j.spec.Tenant)
-		s.met.rejections.With(string(CodeBackpressure)).Inc()
-		return JobStatus{}, &APIError{Code: CodeBackpressure, RetryAfterSec: ra,
-			Message: fmt.Sprintf("admission queue full (%d queued); retry in ~%ds", s.cfg.QueueLimit, ra)}
-	}
 	s.active[j.spec.Tenant]++
 	s.met.resumed.With(tenantName(j.spec.Tenant)).Inc()
 	s.tenantGaugeLocked(j.spec.Tenant)
@@ -639,7 +632,7 @@ func (s *Scheduler) worker() {
 
 // statusLocked renders a job's API view. Caller holds s.mu.
 func (s *Scheduler) statusLocked(j *job, withSpec bool) JobStatus {
-	resumable := j.state.Terminal() && j.state != StateDone && j.state != StateFailed && j.resumable()
+	resumable := j.resumable()
 	st := JobStatus{
 		ID: j.id, Tenant: j.spec.Tenant, Name: j.spec.Name,
 		State: j.state, Health: j.health, Detail: j.detail,
@@ -779,8 +772,9 @@ func (s *Scheduler) persistLocked(j *job) {
 	}
 }
 
-// runJob executes one job under the supervision plane and classifies
-// its outcome into the service lifecycle.
+// runJob executes one job through naspipe.RunJob — a concurrent job
+// under the supervision plane — and classifies its outcome into the
+// service lifecycle.
 func (s *Scheduler) runJob(j *job) {
 	s.mu.Lock()
 	if j.state != StateQueued {
@@ -806,7 +800,7 @@ func (s *Scheduler) runJob(j *job) {
 	s.mu.Unlock()
 	s.log("job running", "job", j.id, "tenant", tenantName(spec.Tenant), "resume", resume)
 
-	res, rep, err := s.execute(ctx, j.id, spec, bus, resume)
+	res, rep, err := naspipe.RunJob(ctx, spec, resume, s.superviseHooks(j.id, bus))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -852,48 +846,10 @@ func (s *Scheduler) runJob(j *job) {
 		// daemon re-queues this job from its checkpoint.
 		s.finishLocked(j, StateInterrupted, fmt.Sprintf("daemon shutdown mid-run: %v", err))
 	default:
-		var crash *naspipe.CrashError
-		if errors.As(err, &crash) {
-			// Only unsupervised jobs surface raw crashes; the checkpoint
-			// holds, so the job is explicitly resumable.
-			s.finishLocked(j, StateInterrupted, fmt.Sprintf("crash: %v", err))
-			return
-		}
+		// A concurrent job is supervised, so a crash has already been
+		// resumed in-process or turned into a give-up.
 		s.finishLocked(j, StateFailed, err.Error())
 	}
-}
-
-// execute builds the runner from the spec and drives one supervised (or
-// plain) execution under the given job ID (used only for correlation:
-// metrics hooks and structured logs). It owns no scheduler state.
-func (s *Scheduler) execute(ctx context.Context, jobID string, spec naspipe.JobSpec, bus *telemetry.Bus, resume bool) (naspipe.Result, *naspipe.SuperviseReport, error) {
-	opts, cfg, err := naspipe.FromSpec(spec)
-	if err != nil {
-		return naspipe.Result{}, nil, err
-	}
-	opts = append(opts, naspipe.WithTelemetry(bus))
-	r, err := naspipe.NewRunner(opts...)
-	if err != nil {
-		return naspipe.Result{}, nil, err
-	}
-	if sc, ok := spec.SuperviseConfig(); ok {
-		sc.Telemetry = bus
-		if s.cfg.Log != nil {
-			sc.Log = s.cfg.Log
-		}
-		sc.Observer, sc.OnIncident = s.superviseHooks(jobID)
-		if resume {
-			return r.ResumeSupervised(ctx, cfg, sc)
-		}
-		return r.RunSupervised(ctx, cfg, sc)
-	}
-	var res naspipe.Result
-	if resume {
-		res, err = r.Resume(ctx, cfg)
-	} else {
-		res, err = r.Run(ctx, cfg)
-	}
-	return res, nil, err
 }
 
 // flushEvents persists the job's telemetry ring as replayable JSONL

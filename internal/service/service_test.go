@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -213,6 +214,135 @@ func TestResumeConflicts(t *testing.T) {
 	}
 	if _, err := c.Resume(ctx, done.ID); asCode(err) != CodeConflict {
 		t.Fatalf("resume of a done job = %v, want %q", err, CodeConflict)
+	}
+}
+
+// quickSpec is a short concurrent job.
+func quickSpec() naspipe.JobSpec {
+	return naspipe.JobSpec{
+		Space: "NLP.c3", ScaleBlocks: 6, ScaleChoices: 3,
+		Executor: "concurrent", GPUs: 2, Subnets: 6, Seed: 3,
+	}
+}
+
+// TestResumeRefusesGivenUpJob: a job the supervisor gave up on is
+// failed, and failed is not resumable although its checkpoint loads —
+// Resume must refuse it with 409, as its own status says.
+func TestResumeRefusesGivenUpJob(t *testing.T) {
+	c, _ := newTestDaemon(t, SchedulerConfig{})
+	ctx := context.Background()
+
+	// Incarnations 0 and 1 both crash at subnet 2; one restart allowed.
+	spec := quickSpec()
+	spec.Faults = "seed=1,crashat=0:1:2:F,crashat=1:1:2:F"
+	spec.Supervise = &naspipe.SuperviseSpec{MaxRestarts: 1,
+		Backoff: naspipe.Duration(100 * time.Microsecond), BackoffMax: naspipe.Duration(time.Millisecond)}
+	st, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	got, err := c.Wait(ctx, st.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if got.State != StateFailed || !strings.Contains(got.Detail, "giving up") {
+		t.Fatalf("job ended %s (%s), want a give-up", got.State, got.Detail)
+	}
+	if got.Resumable || got.ExitCode != int(naspipe.ExitFailure) {
+		t.Fatalf("given-up job: resumable=%v exit=%d, want false/1", got.Resumable, got.ExitCode)
+	}
+	if _, err := c.Checkpoint(ctx, st.ID); err != nil {
+		t.Fatalf("the given-up job left no checkpoint, so the refusal proves nothing: %v", err)
+	}
+	_, err = c.Resume(ctx, st.ID)
+	if ae, ok := err.(*APIError); !ok || ae.Code != CodeConflict || ae.Status != http.StatusConflict {
+		t.Fatalf("resume of a given-up job = %v, want 409 %q", err, CodeConflict)
+	}
+	if after, err := c.Get(ctx, st.ID); err != nil || after.State != StateFailed {
+		t.Fatalf("refused resume moved the job to %s (err %v)", after.State, err)
+	}
+}
+
+// TestRefusedResumeLeavesJobUnchanged: a resume refused with 429 leaves
+// the job exactly as it was, in memory and in status.json. Wedged jobs
+// keep the queue full, so no sleep stands in for timing.
+func TestRefusedResumeLeavesJobUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	// An interrupted job with a checkpoint: run one to completion, then
+	// mark it interrupted on disk, as a daemon shutdown mid-run leaves it.
+	first, err := NewScheduler(SchedulerConfig{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := first.Submit(quickSpec())
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if _, err := first.Wait(ctx, st.ID); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	first.Close()
+	statusPath := filepath.Join(dir, st.ID, "status.json")
+	buf, err := os.ReadFile(statusPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p persistedJob
+	if err := json.Unmarshal(buf, &p); err != nil {
+		t.Fatal(err)
+	}
+	p.State = StateInterrupted
+	buf, _ = json.MarshalIndent(p, "", "  ")
+	if err := os.WriteFile(statusPath, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sched, err := NewScheduler(SchedulerConfig{StateDir: dir, Workers: 1, QueueLimit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sched.Close)
+	// A second wedged job is admitted only once the one worker has taken
+	// the first, which then never finishes: the queue stays full.
+	wedge := quickSpec()
+	wedge.Faults = "seed=1,wedgeat=1:1:F"
+	wedge.Supervise = &naspipe.SuperviseSpec{StallTimeout: naspipe.Duration(time.Hour)}
+	for admitted := 0; admitted < 2; {
+		_, err := sched.Submit(wedge)
+		switch {
+		case err == nil:
+			admitted++
+		case asCode(err) == CodeBackpressure:
+			runtime.Gosched()
+		default:
+			t.Fatalf("wedge submit: %v", err)
+		}
+	}
+
+	before, err := sched.Get(st.ID)
+	if err != nil || before.State != StateInterrupted || !before.Resumable {
+		t.Fatalf("job to resume: state %s resumable %v (err %v)", before.State, before.Resumable, err)
+	}
+	onDisk, err := os.ReadFile(statusPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sched.Resume(st.ID); asCode(err) != CodeBackpressure {
+		t.Fatalf("resume into a full queue = %v, want %q", err, CodeBackpressure)
+	}
+	after, err := sched.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(before)
+	gotJSON, _ := json.Marshal(after)
+	if string(gotJSON) != string(wantJSON) {
+		t.Fatalf("429'd resume changed the job:\nbefore %s\nafter  %s", wantJSON, gotJSON)
+	}
+	if now, err := os.ReadFile(statusPath); err != nil || string(now) != string(onDisk) {
+		t.Fatalf("429'd resume changed status.json (err %v):\nbefore %s\nafter  %s", err, onDisk, now)
 	}
 }
 

@@ -38,43 +38,3 @@ type Task struct {
 func (t Task) String() string {
 	return fmt.Sprintf("%d%v@%d", t.Subnet, t.Kind, t.Stage)
 }
-
-// Queue is a FIFO of subnet sequence IDs, the L_q of Algorithm 1. It
-// preserves arrival order; the scheduler may pop from any position (the
-// CSP scheduler skips blocked heads).
-type Queue struct {
-	ids []int
-}
-
-// Push appends a subnet ID.
-func (q *Queue) Push(id int) { q.ids = append(q.ids, id) }
-
-// Len returns the number of queued IDs.
-func (q *Queue) Len() int { return len(q.ids) }
-
-// At returns the ID at position i.
-func (q *Queue) At(i int) int { return q.ids[i] }
-
-// Pop removes and returns the ID at position i.
-func (q *Queue) Pop(i int) int {
-	id := q.ids[i]
-	q.ids = append(q.ids[:i], q.ids[i+1:]...)
-	return id
-}
-
-// IDs returns a copy of the queue contents in order.
-func (q *Queue) IDs() []int {
-	out := make([]int, len(q.ids))
-	copy(out, q.ids)
-	return out
-}
-
-// Contains reports whether id is queued.
-func (q *Queue) Contains(id int) bool {
-	for _, v := range q.ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}

@@ -14,51 +14,3 @@ func TestTaskString(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
-
-func TestQueueFIFOOrder(t *testing.T) {
-	var q Queue
-	for i := 0; i < 5; i++ {
-		q.Push(i * 10)
-	}
-	if q.Len() != 5 {
-		t.Fatalf("len %d", q.Len())
-	}
-	ids := q.IDs()
-	for i, v := range ids {
-		if v != i*10 {
-			t.Fatalf("order broken: %v", ids)
-		}
-	}
-}
-
-func TestQueuePopMiddle(t *testing.T) {
-	var q Queue
-	q.Push(1)
-	q.Push(2)
-	q.Push(3)
-	if got := q.Pop(1); got != 2 {
-		t.Fatalf("Pop(1) = %d", got)
-	}
-	ids := q.IDs()
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
-		t.Fatalf("after pop: %v", ids)
-	}
-}
-
-func TestQueueContains(t *testing.T) {
-	var q Queue
-	q.Push(7)
-	if !q.Contains(7) || q.Contains(8) {
-		t.Fatal("Contains wrong")
-	}
-}
-
-func TestIDsIsCopy(t *testing.T) {
-	var q Queue
-	q.Push(1)
-	ids := q.IDs()
-	ids[0] = 99
-	if q.At(0) != 1 {
-		t.Fatal("IDs exposes internal storage")
-	}
-}

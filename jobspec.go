@@ -1,6 +1,7 @@
 package naspipe
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,10 +39,30 @@ const (
 	ExitUsage ExitCode = 2
 	// ExitResumable: the run was interrupted with a valid checkpoint on
 	// disk — an injected crash without supervision, or SIGINT/SIGTERM
-	// mid-run. Rerunning with -resume (or POST /v1/jobs/{id}/resume)
-	// continues from the committed frontier.
+	// mid-run, either one with a checkpoint kept. Rerunning with -resume
+	// (or POST /v1/jobs/{id}/resume) continues from the committed
+	// frontier.
 	ExitResumable ExitCode = 3
 )
+
+// ExitCodeOf is the one rule every CLI exits a run by: nil is ExitOK, a
+// supervisor give-up ExitFailure, an injected crash or an ended ctx
+// ExitResumable when checkpointed (a checkpoint holds the committed
+// frontier), and anything else ExitFailure. The resumable case is the
+// predicate a checkpointed run bumps its incarnation on, so the exit
+// code never promises a -resume the checkpoint cannot keep.
+func ExitCodeOf(ctx context.Context, err error, checkpointed bool) ExitCode {
+	var giveUp *GiveUpError
+	switch {
+	case err == nil:
+		return ExitOK
+	case errors.As(err, &giveUp):
+		return ExitFailure
+	case checkpointed && interrupted(ctx, err):
+		return ExitResumable
+	}
+	return ExitFailure
+}
 
 // String names the exit code for reports and API payloads.
 func (c ExitCode) String() string {

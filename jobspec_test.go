@@ -3,6 +3,8 @@ package naspipe
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -210,6 +212,38 @@ func TestExitCodeNames(t *testing.T) {
 	}
 	if ExitCode(7).String() != "ExitCode(7)" {
 		t.Fatalf("unknown code rendered as %q", ExitCode(7).String())
+	}
+}
+
+// TestExitCodeOf pins the one exit rule: 3 needs a checkpoint, and a
+// give-up is a failure even when the run was also interrupted.
+func TestExitCodeOf(t *testing.T) {
+	live := context.Background()
+	ended, cancel := context.WithCancel(live)
+	cancel()
+	crash := &CrashError{Stage: 2, Seq: 9}
+	giveUp := &GiveUpError{Reason: "crash loop", Report: &SuperviseReport{}}
+	cases := []struct {
+		name         string
+		ctx          context.Context
+		err          error
+		checkpointed bool
+		want         ExitCode
+	}{
+		{"nil", live, nil, true, ExitOK},
+		{"give-up", live, giveUp, true, ExitFailure},
+		{"give-up while interrupted", ended, giveUp, true, ExitFailure},
+		{"crash with checkpoint", live, crash, true, ExitResumable},
+		{"crash without checkpoint", live, crash, false, ExitFailure},
+		{"wrapped crash", live, fmt.Errorf("naspipe: %w", crash), true, ExitResumable},
+		{"interrupted with checkpoint", ended, context.Canceled, true, ExitResumable},
+		{"interrupted without checkpoint", ended, context.Canceled, false, ExitFailure},
+		{"plain error", live, errors.New("boom"), true, ExitFailure},
+	}
+	for _, c := range cases {
+		if got := ExitCodeOf(c.ctx, c.err, c.checkpointed); got != c.want {
+			t.Errorf("%s: ExitCodeOf = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -364,8 +364,7 @@ func (r *Runner) runCheckpointed(ctx context.Context, cfg Config, weightFn func(
 	cfg.Checkpoint = rec
 	res, err := engine.RunConcurrent(ctx, cfg)
 	edge, doing := rec.Flush, "flushing the checkpoint"
-	var crash *fault.CrashError
-	if errors.As(err, &crash) || (err != nil && ctx.Err() != nil) {
+	if interrupted(ctx, err) {
 		edge, doing = rec.Bump, "recording the ended incarnation"
 	}
 	if eerr := edge(); eerr != nil && !errors.Is(err, eerr) {
@@ -376,6 +375,16 @@ func (r *Runner) runCheckpointed(ctx context.Context, cfg Config, weightFn func(
 	}
 	res.CheckpointStats = rec.Stats()
 	return res, err
+}
+
+// interrupted reports whether err ended a run that its checkpoint can
+// continue: an injected crash, or any error once ctx ended (signal,
+// watchdog, deadline). runCheckpointed bumps the incarnation on it and
+// ExitCodeOf maps it to ExitResumable, so a run and its exit code agree
+// on what is resumable.
+func interrupted(ctx context.Context, err error) bool {
+	var crash *fault.CrashError
+	return errors.As(err, &crash) || (err != nil && ctx.Err() != nil)
 }
 
 // RunMany fans the configurations out over a bounded worker pool (see

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -30,7 +31,7 @@ func superviseTestConfig() naspipe.SuperviseConfig {
 // assertSupervisedBitwise composes the committed sequential prefix with
 // the final incarnation's replayed suffix trace and requires bitwise
 // equality with the uninterrupted sequential reference — the same
-// composition law TestCrashResumeMatrix pins for the operator loop.
+// composition law TestCrashResumeMatrix pins for the -resume loop.
 func assertSupervisedBitwise(t *testing.T, res naspipe.Result) {
 	t.Helper()
 	cfg0 := crashCfg(2)
@@ -62,17 +63,16 @@ func assertSupervisedBitwise(t *testing.T, res naspipe.Result) {
 // supervisor with zero operator intervention — crashes caught
 // in-process, resumed from the checkpoint — and the final weights stay
 // bitwise identical to the uninterrupted sequential reference.
-// The hand-rolled supervised loop moved into the scenario plane: each
-// cell is scenario.MatrixCell(..., supervised=true) — the same workload
-// geometry with the matrices' generous budgets attached as a
-// SuperviseSpec — run and bitwise-verified by scenario.Run.
+// Each cell is scenario.MatrixCell — the historical workload geometry
+// with the matrices' generous budgets attached as a SuperviseSpec — run
+// through naspipe.RunJob and bitwise-verified by scenario.Run.
 func TestSupervisedCrashMatrix(t *testing.T) {
 	for _, gpus := range []int{2, 4, 8} {
 		for _, sched := range crashSchedules {
 			gpus, sched := gpus, sched
 			t.Run(fmt.Sprintf("gpus=%d/%s", gpus, sched.name), func(t *testing.T) {
 				t.Parallel()
-				s, err := scenario.MatrixCell(sched.name, sched.spec, gpus, true)
+				s, err := scenario.MatrixCell(sched.name, sched.spec, gpus)
 				if err != nil {
 					t.Fatalf("matrix cell: %v", err)
 				}
@@ -90,6 +90,53 @@ func TestSupervisedCrashMatrix(t *testing.T) {
 				// TestCrashResumeMatrix), so supervision must have restarted.
 				if cell.Restarts < 1 {
 					t.Fatalf("schedule %q never exercised supervised recovery on %d GPUs", sched.spec, gpus)
+				}
+			})
+		}
+	}
+}
+
+// TestRunJobDispatch pins the one restart driver's dispatch table,
+// supervised × resume: a supervised job returns a Report and an
+// unsupervised one nil; resume on an empty checkpoint dir fails with
+// the checkpoint-load error; the hooks' one bus carries the engine's
+// events and, supervised, every health transition the Observer saw.
+func TestRunJobDispatch(t *testing.T) {
+	for _, supervised := range []bool{false, true} {
+		for _, resume := range []bool{false, true} {
+			t.Run(fmt.Sprintf("supervised=%v/resume=%v", supervised, resume), func(t *testing.T) {
+				spec := naspipe.JobSpec{
+					Space: "NLP.c3", ScaleBlocks: 8, ScaleChoices: 3,
+					Executor: "concurrent", GPUs: 2, Subnets: 6, Seed: 7,
+					Checkpoint: filepath.Join(t.TempDir(), "run.ckpt"),
+				}
+				if supervised {
+					spec.Supervise = &naspipe.SuperviseSpec{}
+				}
+				bus := naspipe.NewTelemetryBus(0)
+				observed := 0
+				res, rep, err := naspipe.RunJob(context.Background(), spec, resume, naspipe.SuperviseConfig{
+					Telemetry: bus,
+					Observer:  func(naspipe.HealthTransition) { observed++ },
+				})
+				if (rep != nil) != supervised {
+					t.Fatalf("report %+v for supervised=%v", rep, supervised)
+				}
+				snap := bus.Snapshot()
+				if resume {
+					if !errors.Is(err, fs.ErrNotExist) {
+						t.Fatalf("resume on an empty dir returned %v, want the checkpoint-load error", err)
+					}
+				} else {
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Completed != spec.Subnets || snap.Completed == 0 {
+						t.Fatalf("run completed %d/%d subnets, %d task completions on the bus", res.Completed, spec.Subnets, snap.Completed)
+					}
+				}
+				if supervised == (observed == 0) || snap.HealthTransitions != int64(observed) {
+					t.Fatalf("Observer saw %d transitions, bus %d (supervised=%v)", observed, snap.HealthTransitions, supervised)
 				}
 			})
 		}

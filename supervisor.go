@@ -56,11 +56,7 @@ func DefaultSuperviseConfig() SuperviseConfig { return supervise.Defaults() }
 // interruption (resumable), *GiveUpError on budget exhaustion or crash
 // loop, the underlying error otherwise.
 func (r *Runner) RunSupervised(ctx context.Context, cfg Config, sc SuperviseConfig) (Result, *SuperviseReport, error) {
-	job, err := r.superviseJob(cfg, sc, false)
-	if err != nil {
-		return Result{}, &SuperviseReport{FinalState: supervise.Failed}, err
-	}
-	return supervise.Run(ctx, sc, job)
+	return r.supervise(ctx, cfg, sc, false)
 }
 
 // ResumeSupervised continues an interrupted checkpointed run under the
@@ -68,11 +64,52 @@ func (r *Runner) RunSupervised(ctx context.Context, cfg Config, sc SuperviseConf
 // from the checkpoint file. Same requirements and contract as
 // RunSupervised.
 func (r *Runner) ResumeSupervised(ctx context.Context, cfg Config, sc SuperviseConfig) (Result, *SuperviseReport, error) {
-	job, err := r.superviseJob(cfg, sc, true)
+	return r.supervise(ctx, cfg, sc, true)
+}
+
+// supervise drives the job's incarnations through supervise.Run, the
+// one recovery loop: the first incarnation runs fresh or, resuming,
+// continues from the checkpoint like every later one.
+func (r *Runner) supervise(ctx context.Context, cfg Config, sc SuperviseConfig, resuming bool) (Result, *SuperviseReport, error) {
+	job, err := r.superviseJob(cfg, sc, resuming)
 	if err != nil {
 		return Result{}, &SuperviseReport{FinalState: supervise.Failed}, err
 	}
 	return supervise.Run(ctx, sc, job)
+}
+
+// RunJob is the one restart driver: the CLIs, the scenario plane and the
+// service scheduler run every JobSpec through it. It validates the spec
+// and builds its Runner, then runs the job as one incarnation or, when
+// spec.Supervise is set, under supervise.Run; resume starts the first
+// incarnation from the spec's checkpoint. hooks carries what callers
+// differ in — Telemetry (one bus for engine events and health transitions
+// alike), Log, Observer and OnIncident — and nothing else is read from
+// it: every budget comes from the spec. The Report is nil for an
+// unsupervised job; ExitCodeOf classifies the error.
+func RunJob(ctx context.Context, spec JobSpec, resume bool, hooks SuperviseConfig) (Result, *SuperviseReport, error) {
+	opts, cfg, err := FromSpec(spec)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	if hooks.Telemetry != nil {
+		opts = append(opts, WithTelemetry(hooks.Telemetry))
+	}
+	r, err := NewRunner(opts...)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	sc, supervised := spec.SuperviseConfig()
+	if !supervised {
+		run := r.run
+		if resume {
+			run = r.resume
+		}
+		res, err := run(ctx, cfg, nil)
+		return res, nil, err
+	}
+	sc.Telemetry, sc.Log, sc.Observer, sc.OnIncident = hooks.Telemetry, hooks.Log, hooks.Observer, hooks.OnIncident
+	return r.supervise(ctx, cfg, sc, resume)
 }
 
 // superviseJob validates the runner/config pairing and builds the
