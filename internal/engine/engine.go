@@ -7,7 +7,6 @@
 package engine
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -330,23 +329,53 @@ type event struct {
 	tkind  task.Kind // evArrive: which task's input
 }
 
-type eventHeap []event
+// eventQueue is a binary min-heap of events by (time, order). order is
+// unique, so the key is a total order and the pop sequence is fixed by
+// the pushes alone, whatever the heap's internal layout.
+type eventQueue []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+func (q eventQueue) less(i, j int) bool {
+	if q[i].time != q[j].time {
+		return q[i].time < q[j].time
 	}
-	return h[i].order < h[j].order
+	return q[i].order < q[j].order
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (q *eventQueue) push(ev event) {
+	*q = append(*q, ev)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h
+	return top
 }
 
 // execState is one admitted task being executed as a sequence of
@@ -405,7 +434,7 @@ type Engine struct {
 	traits Traits
 	w      *World
 
-	events   eventHeap
+	events   eventQueue
 	evOrder  uint64
 	nowMs    float64
 	stages   []*stageState
@@ -682,13 +711,13 @@ func (e *Engine) setup() {
 func (e *Engine) push(ev event) {
 	ev.order = e.evOrder
 	e.evOrder++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 func (e *Engine) loop(ctx context.Context) {
 	guard := 0
 	maxEvents := len(e.w.Subnets)*e.w.D*(2*e.w.Space.Blocks+40) + 1000
-	for e.events.Len() > 0 {
+	for len(e.events) > 0 {
 		guard++
 		if guard > maxEvents {
 			return // deadlock guard; finish() flags incompleteness
@@ -696,7 +725,7 @@ func (e *Engine) loop(ctx context.Context) {
 		if guard%ctxCheckInterval == 0 && ctx.Err() != nil {
 			return // cancelled; finish() reports the partial run
 		}
-		ev := heap.Pop(&e.events).(event)
+		ev := e.events.pop()
 		e.nowMs = ev.time
 		switch ev.kind {
 		case evArrive:

@@ -28,7 +28,6 @@ package memctx
 
 import (
 	"fmt"
-	"sort"
 
 	"naspipe/internal/supernet"
 )
@@ -66,6 +65,7 @@ func (s Stats) HitRate() float64 {
 func (s Stats) Accesses() int { return s.Hits + s.Misses }
 
 type entry struct {
+	id      supernet.LayerID
 	bytes   int64
 	readyAt float64 // copy completion time; resident once now >= readyAt
 	lastUse float64
@@ -85,8 +85,13 @@ type Manager struct {
 	bandwidth float64
 	pcieFree  float64 // time the PCIe channel frees up
 	used      int64
-	entries   map[supernet.LayerID]*entry
 	stats     Stats
+
+	// entries holds every resident or in-flight layer, densely and in no
+	// particular order; slot maps a layer to its index there. An *entry
+	// is valid only until the next insert or evict.
+	entries []entry
+	slot    map[supernet.LayerID]int
 }
 
 // New returns a manager with the given byte capacity and PCIe bandwidth
@@ -100,7 +105,43 @@ func New(capacity int64, bandwidth float64) *Manager {
 	return &Manager{
 		capacity:  capacity,
 		bandwidth: bandwidth,
-		entries:   make(map[supernet.LayerID]*entry),
+		slot:      make(map[supernet.LayerID]int),
+	}
+}
+
+// lookup returns the layer's entry, or nil when it is neither resident
+// nor in flight.
+func (m *Manager) lookup(id supernet.LayerID) *entry {
+	if i, ok := m.slot[id]; ok {
+		return &m.entries[i]
+	}
+	return nil
+}
+
+// insert adds an entry for a layer the manager does not hold and returns
+// it.
+func (m *Manager) insert(e entry) *entry {
+	m.slot[e.id] = len(m.entries)
+	m.entries = append(m.entries, e)
+	m.used += e.bytes
+	return &m.entries[len(m.entries)-1]
+}
+
+// evict writes entries[i] back and frees its residency, moving the last
+// entry into its place.
+func (m *Manager) evict(i int, now float64) {
+	b := m.entries[i].bytes
+	last := len(m.entries) - 1
+	delete(m.slot, m.entries[i].id)
+	if i != last {
+		m.entries[i] = m.entries[last]
+		m.slot[m.entries[i].id] = i
+	}
+	m.entries = m.entries[:last]
+	m.used -= b
+	m.stats.SwapOutBytes += b
+	if !m.DuplexWriteBack {
+		m.reserve(b, now)
 	}
 }
 
@@ -115,7 +156,7 @@ func (m *Manager) Capacity() int64 { return m.capacity }
 
 // Resident reports whether the layer is fully resident at the given time.
 func (m *Manager) Resident(id supernet.LayerID, now float64) bool {
-	e := m.entries[id]
+	e := m.lookup(id)
 	return e != nil && e.readyAt <= now
 }
 
@@ -124,12 +165,10 @@ func (m *Manager) Resident(id supernet.LayerID, now float64) bool {
 // of non-swapping systems).
 func (m *Manager) Preload(ids []supernet.LayerID, bytes func(supernet.LayerID) int64) {
 	for _, id := range ids {
-		if _, ok := m.entries[id]; ok {
+		if _, ok := m.slot[id]; ok {
 			continue
 		}
-		b := bytes(id)
-		m.entries[id] = &entry{bytes: b, readyAt: 0, lastUse: 0}
-		m.used += b
+		m.insert(entry{id: id, bytes: bytes(id)})
 	}
 	if m.used > m.stats.PeakBytes {
 		m.stats.PeakBytes = m.used
@@ -155,7 +194,7 @@ func (m *Manager) reserve(bytes int64, now float64) float64 {
 // synchronously. It reports whether a copy was issued and, if so, when
 // it completes.
 func (m *Manager) Prefetch(id supernet.LayerID, bytes int64, now float64) (done float64, issued bool) {
-	if _, ok := m.entries[id]; ok {
+	if _, ok := m.slot[id]; ok {
 		return 0, false
 	}
 	if !m.makeRoom(bytes, now) {
@@ -166,8 +205,7 @@ func (m *Manager) Prefetch(id supernet.LayerID, bytes int64, now float64) (done 
 		return 0, false
 	}
 	done = m.reserve(bytes, now)
-	m.entries[id] = &entry{bytes: bytes, readyAt: done, lastUse: now}
-	m.used += bytes
+	m.insert(entry{id: id, bytes: bytes, readyAt: done, lastUse: now})
 	m.stats.Prefetches++
 	m.stats.SwapInBytes += bytes
 	if m.used > m.stats.PeakBytes {
@@ -187,7 +225,7 @@ func (m *Manager) NoteDropped() { m.stats.DroppedPrefetches++ }
 func (m *Manager) Acquire(ids []supernet.LayerID, bytes func(supernet.LayerID) int64, now float64) float64 {
 	ready := now
 	for _, id := range ids {
-		e := m.entries[id]
+		e := m.lookup(id)
 		switch {
 		case e != nil && e.readyAt <= now:
 			m.stats.Hits++
@@ -206,15 +244,12 @@ func (m *Manager) Acquire(ids []supernet.LayerID, bytes func(supernet.LayerID) i
 				m.stats.OverCapacity++
 			}
 			done := m.reserve(b, now)
-			e = &entry{bytes: b, readyAt: done}
-			m.entries[id] = e
-			m.used += b
+			e = m.insert(entry{id: id, bytes: b, readyAt: done})
 			m.stats.SwapInBytes += b
 			if done > ready {
 				ready = done
 			}
 		}
-		e = m.entries[id]
 		e.locked++
 		e.lastUse = now
 	}
@@ -228,7 +263,7 @@ func (m *Manager) Acquire(ids []supernet.LayerID, bytes func(supernet.LayerID) i
 // Release unlocks previously acquired layers.
 func (m *Manager) Release(ids []supernet.LayerID, now float64) {
 	for _, id := range ids {
-		if e := m.entries[id]; e != nil && e.locked > 0 {
+		if e := m.lookup(id); e != nil && e.locked > 0 {
 			e.locked--
 			e.lastUse = now
 		}
@@ -241,67 +276,51 @@ func (m *Manager) Release(ids []supernet.LayerID, now float64) {
 // compute directly.
 func (m *Manager) Evict(ids []supernet.LayerID, now float64) {
 	for _, id := range ids {
-		e := m.entries[id]
-		if e == nil || e.locked > 0 {
-			continue
+		if i, ok := m.slot[id]; ok && m.entries[i].locked == 0 {
+			m.evict(i, now)
 		}
-		m.evictEntry(id, e, now)
-	}
-}
-
-func (m *Manager) evictEntry(id supernet.LayerID, e *entry, now float64) {
-	delete(m.entries, id)
-	m.used -= e.bytes
-	m.stats.SwapOutBytes += e.bytes
-	if !m.DuplexWriteBack {
-		m.reserve(e.bytes, now)
 	}
 }
 
 // makeRoom evicts LRU unlocked entries until newBytes fits. Returns false
 // if the capacity cannot be reached (everything resident is locked).
 // Unbounded managers always report room.
+//
+// Victims go in ascending (lastUse, LayerID) order — a total order, since
+// layers are unique — among unlocked, fully-arrived entries; in-flight
+// entries are never evicted (their copy is still occupying the channel).
+// An eviction changes no other entry's eligibility, so picking the least
+// eligible entry afresh per victim evicts exactly the prefix a sort would.
 func (m *Manager) makeRoom(newBytes int64, now float64) bool {
 	if m.capacity < 0 {
 		return true
 	}
-	if m.used+newBytes <= m.capacity {
-		return true
-	}
-	// Collect unlocked, fully-arrived entries oldest-first. In-flight
-	// entries are never evicted (their copy is still occupying the
-	// channel).
-	type cand struct {
-		id supernet.LayerID
-		e  *entry
-	}
-	var cands []cand
-	for id, e := range m.entries {
-		if e.locked == 0 && e.readyAt <= now {
-			cands = append(cands, cand{id, e})
+	for m.used+newBytes > m.capacity {
+		v := -1
+		for i := range m.entries {
+			e := &m.entries[i]
+			if e.locked != 0 || e.readyAt > now {
+				continue
+			}
+			if v < 0 || e.lastUse < m.entries[v].lastUse ||
+				e.lastUse == m.entries[v].lastUse && e.id < m.entries[v].id {
+				v = i
+			}
 		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].e.lastUse != cands[j].e.lastUse {
-			return cands[i].e.lastUse < cands[j].e.lastUse
+		if v < 0 {
+			return false
 		}
-		return cands[i].id < cands[j].id
-	})
-	for _, c := range cands {
-		if m.used+newBytes <= m.capacity {
-			break
-		}
-		m.evictEntry(c.id, c.e, now)
+		m.evict(v, now)
 		m.stats.EvictionsForced++
 	}
-	return m.used+newBytes <= m.capacity
+	return true
 }
 
 // ResidentBytesAt returns total bytes resident (arrived) at the time.
 func (m *Manager) ResidentBytesAt(now float64) int64 {
 	var total int64
-	for _, e := range m.entries {
-		if e.readyAt <= now {
+	for i := range m.entries {
+		if e := &m.entries[i]; e.readyAt <= now {
 			total += e.bytes
 		}
 	}

@@ -81,10 +81,10 @@ func MaxStageCost(costs []float64, p Partition) float64 {
 	return max
 }
 
-// Balanced computes the contiguous D-partition of the given per-block
-// costs minimizing the maximum stage cost, by dynamic programming. Ties
-// are broken toward the smallest boundary index, so the result is a pure
-// function of (costs, d).
+// Balanced computes the contiguous D-partition of the given non-negative
+// per-block costs minimizing the maximum stage cost, by dynamic
+// programming. Ties are broken toward the smallest boundary index, so the
+// result is a pure function of (costs, d).
 func Balanced(costs []float64, d int) Partition {
 	m := len(costs)
 	if d <= 0 {
@@ -99,42 +99,39 @@ func Balanced(costs []float64, d int) Partition {
 	for i, c := range costs {
 		prefix[i+1] = prefix[i] + c
 	}
-	rangeSum := func(lo, hi int) float64 { return prefix[hi] - prefix[lo] }
 
-	// dp[k][i]: minimal bottleneck splitting the first i blocks into k
-	// stages. cut[k][i]: the chosen last boundary.
+	// dp[k*w+i]: minimal bottleneck splitting the first i blocks into k
+	// stages. cut[k*w+i]: the chosen last boundary.
 	const inf = 1e300
-	dp := make([][]float64, d+1)
-	cut := make([][]int, d+1)
-	for k := range dp {
-		dp[k] = make([]float64, m+1)
-		cut[k] = make([]int, m+1)
-		for i := range dp[k] {
-			dp[k][i] = inf
-		}
+	w := m + 1
+	dp := make([]float64, (d+1)*w)
+	cut := make([]int, (d+1)*w)
+	for i := 1; i < w; i++ {
+		dp[i] = inf // no blocks fit in zero stages
 	}
-	dp[0][0] = 0
 	for k := 1; k <= d; k++ {
+		prev, row := dp[(k-1)*w:k*w], dp[k*w:(k+1)*w]
 		for i := 0; i <= m; i++ {
-			for j := 0; j <= i; j++ {
-				if dp[k-1][j] >= inf {
-					continue
-				}
-				cand := dp[k-1][j]
-				if s := rangeSum(j, i); s > cand {
+			best, bestJ := inf, 0
+			// prev is non-decreasing in j (costs are non-negative, and
+			// rounding is monotone), so once prev[j] reaches best no later
+			// j is strictly better and the first minimum is already found.
+			for j := 0; j <= i && prev[j] < best; j++ {
+				cand := prev[j]
+				if s := prefix[i] - prefix[j]; s > cand {
 					cand = s
 				}
-				if cand < dp[k][i] {
-					dp[k][i] = cand
-					cut[k][i] = j
+				if cand < best {
+					best, bestJ = cand, j
 				}
 			}
+			row[i], cut[k*w+i] = best, bestJ
 		}
 	}
 	bounds := make([]int, d+1)
 	bounds[d] = m
 	for k := d; k >= 1; k-- {
-		bounds[k-1] = cut[k][bounds[k]]
+		bounds[k-1] = cut[k*w+bounds[k]]
 	}
 	return Partition{D: d, Bounds: bounds}
 }

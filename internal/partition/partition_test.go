@@ -272,6 +272,107 @@ func TestQuickCoverage(t *testing.T) {
 	}
 }
 
+// unprunedBalanced is Balanced before its j scan stopped early: every j
+// of every (k, i) cell is tried, and the first minimum kept. It is the
+// oracle the pruned DP is held to bound for bound.
+func unprunedBalanced(costs []float64, d int) Partition {
+	m := len(costs)
+	if m == 0 {
+		return Partition{D: d, Bounds: make([]int, d+1)}
+	}
+	prefix := make([]float64, m+1)
+	for i, c := range costs {
+		prefix[i+1] = prefix[i] + c
+	}
+	const inf = 1e300
+	dp := make([][]float64, d+1)
+	cut := make([][]int, d+1)
+	for k := range dp {
+		dp[k] = make([]float64, m+1)
+		cut[k] = make([]int, m+1)
+		for i := range dp[k] {
+			dp[k][i] = inf
+		}
+	}
+	dp[0][0] = 0
+	for k := 1; k <= d; k++ {
+		for i := 0; i <= m; i++ {
+			for j := 0; j <= i; j++ {
+				if dp[k-1][j] >= inf {
+					continue
+				}
+				cand := dp[k-1][j]
+				if s := prefix[i] - prefix[j]; s > cand {
+					cand = s
+				}
+				if cand < dp[k][i] {
+					dp[k][i] = cand
+					cut[k][i] = j
+				}
+			}
+		}
+	}
+	bounds := make([]int, d+1)
+	bounds[d] = m
+	for k := d; k >= 1; k-- {
+		bounds[k-1] = cut[k][bounds[k]]
+	}
+	return Partition{D: d, Bounds: bounds}
+}
+
+func sameBounds(a, b Partition) bool {
+	if a.D != b.D || len(a.Bounds) != len(b.Bounds) {
+		return false
+	}
+	for i := range a.Bounds {
+		if a.Bounds[i] != b.Bounds[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBalancedMatchesUnprunedDP: stopping the j scan early changes no
+// boundary, tie-breaks included. Costs come from a small integer menu
+// with zeros, so equal bottlenecks and equal prefix sums are common, and
+// d often exceeds m.
+func TestBalancedMatchesUnprunedDP(t *testing.T) {
+	r := rng.New(3)
+	menu := []float64{0, 0, 0.5, 1, 1, 2, 3.25, 7}
+	for trial := 0; trial < 3000; trial++ {
+		m, d := r.Intn(20), 1+r.Intn(12)
+		costs := make([]float64, m)
+		for i := range costs {
+			if trial%2 == 0 {
+				costs[i] = menu[r.Intn(len(menu))]
+			} else {
+				costs[i] = r.Float64() * 10 // distinct, unrounded
+			}
+		}
+		if got, want := Balanced(costs, d), unprunedBalanced(costs, d); !sameBounds(got, want) {
+			t.Fatalf("costs %v d=%d: bounds %v, unpruned DP %v", costs, d, got.Bounds, want.Bounds)
+		}
+	}
+}
+
+// TestBalancedMatchesUnprunedDPOnSubnets pins the geometry the simulator
+// partitions: NLP.c1 subnets at every depth up to 8, and the home split.
+func TestBalancedMatchesUnprunedDPOnSubnets(t *testing.T) {
+	sn := supernet.Build(supernet.NLPc1)
+	for d := 1; d <= 8; d++ {
+		avg := BlockAverageCosts(sn)
+		if got, want := Balanced(avg, d), unprunedBalanced(avg, d); !sameBounds(got, want) {
+			t.Fatalf("home d=%d: bounds %v, unpruned DP %v", d, got.Bounds, want.Bounds)
+		}
+		for _, sub := range supernet.Sample(supernet.NLPc1, uint64(d), 40) {
+			costs := SubnetCosts(sn, sub)
+			if got, want := Balanced(costs, d), unprunedBalanced(costs, d); !sameBounds(got, want) {
+				t.Fatalf("subnet %d d=%d: bounds %v, unpruned DP %v", sub.Seq, d, got.Bounds, want.Bounds)
+			}
+		}
+	}
+}
+
 func BenchmarkBalanced48x8(b *testing.B) {
 	r := rng.New(1)
 	costs := make([]float64, 48)

@@ -13,6 +13,7 @@ package supernet
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	"naspipe/internal/layers"
 	"naspipe/internal/rng"
@@ -121,8 +122,15 @@ func (m LayerMeta) CostMs(backward bool) float64 {
 
 // jitter returns a deterministic multiplier in [0.85, 1.15] for the layer.
 func jitter(spaceName string, block, choice int) float64 {
+	// The label is "name/block/choice", as fmt's "%s/%d/%d" renders it.
+	var buf [64]byte
+	label := append(buf[:0], spaceName...)
+	label = append(label, '/')
+	label = strconv.AppendInt(label, int64(block), 10)
+	label = append(label, '/')
+	label = strconv.AppendInt(label, int64(choice), 10)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d/%d", spaceName, block, choice)
+	h.Write(label)
 	u := float64(h.Sum64()>>11) / float64(uint64(1)<<53)
 	return 0.85 + 0.30*u
 }
