@@ -12,8 +12,8 @@ package data
 
 import (
 	"fmt"
-	"sync"
 
+	"naspipe/internal/memo"
 	"naspipe/internal/rng"
 	"naspipe/internal/tensor"
 )
@@ -83,28 +83,31 @@ type vocabKey struct {
 	seed uint64
 }
 
+// vocabCacheLimit bounds vocabCache: a long-lived process that trains
+// many (dim, seed) configurations keeps only the most recent few.
+const vocabCacheLimit = 4
+
 // vocabCache memoizes immutable WNMT vocabulary tables. Entries are never
 // mutated after insertion: wnmtItem clones embeddings before writing.
-var vocabCache sync.Map // vocabKey -> []tensor.Vector
+var vocabCache = memo.New[vocabKey, []tensor.Vector](vocabCacheLimit)
 
 func wnmtVocab(dim int, seed uint64) []tensor.Vector {
-	key := vocabKey{dim: dim, seed: seed}
-	if v, ok := vocabCache.Load(key); ok {
-		return v.([]tensor.Vector)
-	}
+	return vocabCache.Get(vocabKey{dim: dim, seed: seed}, func() []tensor.Vector {
+		return buildVocab(dim, seed)
+	})
+}
+
+func buildVocab(dim int, seed uint64) []tensor.Vector {
 	r := rng.Labeled(seed, "wnmt/vocab")
+	slab := make([]float32, vocabSize*dim)
+	for i := range slab {
+		slab[i] = r.NormFloat32() * 0.5
+	}
 	vocab := make([]tensor.Vector, vocabSize)
 	for i := range vocab {
-		v := make(tensor.Vector, dim)
-		for j := range v {
-			v[j] = r.NormFloat32() * 0.5
-		}
-		vocab[i] = v
+		vocab[i] = slab[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	// Concurrent builders produce identical tables; keep whichever landed
-	// first so every source shares one backing array.
-	actual, _ := vocabCache.LoadOrStore(key, vocab)
-	return actual.([]tensor.Vector)
+	return vocab
 }
 
 // NewSource builds a source. dim is the model dimension of the numeric

@@ -84,6 +84,25 @@ func TestTargetsBounded(t *testing.T) {
 	}
 }
 
+// TestVocabCacheBounded: sources over more (dim, seed) pairs than the
+// memo holds leave it at its limit, and a vocabulary rebuilt after
+// eviction yields bitwise the batches the first build did.
+func TestVocabCacheBounded(t *testing.T) {
+	first := NewSource(WNMT, 5, 3, 1000).Batch(4)
+	for seed := uint64(1001); seed < 1001+2*vocabCacheLimit; seed++ {
+		NewSource(WNMT, 5, 3, seed)
+	}
+	if n := vocabCache.Len(); n > vocabCacheLimit {
+		t.Fatalf("vocab memo holds %d tables, limit %d", n, vocabCacheLimit)
+	}
+	again := NewSource(WNMT, 5, 3, 1000).Batch(4)
+	for i := range first.Inputs {
+		if !first.Inputs[i].EqualBits(again.Inputs[i]) || !first.Targets[i].EqualBits(again.Targets[i]) {
+			t.Fatalf("item %d differs after the vocabulary was evicted and rebuilt", i)
+		}
+	}
+}
+
 func TestNewSourcePanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -164,13 +164,13 @@ func NewLayer(kind Kind, dim int, r *rng.Stream) *Layer {
 	return l
 }
 
-// isqrt returns a float-free deterministic approximation context: we just
-// need √dim for init scaling; use integer sqrt via Newton on int then
-// refine as float32. Dim is tiny so precision is irrelevant — determinism
-// is what matters.
+// isqrt returns √n for init scaling, computed by a fixed number of Newton
+// steps in float64 and rounded to float32. Every platform runs the same
+// operations in the same order, so the result (and thus every initial
+// weight) is bitwise fixed. Twelve steps from n/2 give the same float32
+// as math.Sqrt for every n below 334896, far beyond any model dim.
 func isqrt(n int) float32 {
 	x := float64(n)
-	// Three Newton steps from a crude seed; fully deterministic arithmetic.
 	g := x / 2
 	if g == 0 {
 		return 1

@@ -2,6 +2,7 @@ package supernet
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -252,6 +253,104 @@ func TestNumericCloneIsolation(t *testing.T) {
 	a.At(0, 0).ApplySGD(g, 1)
 	if a.Checksum() == c.Checksum() {
 		t.Fatal("numeric clone shares storage")
+	}
+}
+
+// numericBitwiseEqual compares two nets layer by layer, parameter by
+// parameter.
+func numericBitwiseEqual(a, b *Numeric) bool {
+	if a.Space != b.Space || a.Dim != b.Dim || len(a.Layer) != len(b.Layer) {
+		return false
+	}
+	for i := range a.Layer {
+		la, lb := a.Layer[i], b.Layer[i]
+		if la.Kind != lb.Kind || !la.W.Equal(lb.W) || !la.B.EqualBits(lb.B) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBuildNumericMemoMatchesUncachedBuild: a net copied from the init
+// template equals a fresh draw, on a hit, and again once more keys than
+// the memo holds have evicted and rebuilt it.
+func TestBuildNumericMemoMatchesUncachedBuild(t *testing.T) {
+	sp := NLPc3.Scaled(4, 3)
+	want := buildNumeric(sp, 6, 21)
+	for round := 0; round < 2; round++ {
+		for hit := 0; hit < 2; hit++ {
+			if got := BuildNumeric(sp, 6, 21); !numericBitwiseEqual(got, want) {
+				t.Fatalf("round %d, build %d: memoized net differs from an uncached build", round, hit)
+			}
+		}
+		for seed := uint64(100); seed < 100+2*initTemplateLimit; seed++ {
+			other := CVc3.Scaled(3, 2)
+			if got, fresh := BuildNumeric(other, 4, seed), buildNumeric(other, 4, seed); !numericBitwiseEqual(got, fresh) {
+				t.Fatalf("seed %d: memoized net differs from an uncached build", seed)
+			}
+		}
+		if n := initTemplates.Len(); n > initTemplateLimit {
+			t.Fatalf("init memo holds %d templates, limit %d", n, initTemplateLimit)
+		}
+	}
+}
+
+// TestNumericCloneAllocationsIndependentOfLayerCount pins the slab copy:
+// five allocations whatever the layer count.
+func TestNumericCloneAllocationsIndependentOfLayerCount(t *testing.T) {
+	for _, sp := range []Space{CVc3.Scaled(2, 2), NLPc3.Scaled(8, 12)} {
+		net := BuildNumeric(sp, 8, 1)
+		if allocs := testing.AllocsPerRun(10, func() { net.Clone() }); allocs != 5 {
+			t.Fatalf("%s: Clone allocated %.0f times, want 5", sp.Name, allocs)
+		}
+	}
+}
+
+// TestBuildNumericReturnsIndependentCopies: training a returned net must
+// not reach the template a later build copies.
+func TestBuildNumericReturnsIndependentCopies(t *testing.T) {
+	sp := CVc3.Scaled(3, 2)
+	a := BuildNumeric(sp, 4, 5)
+	want := a.Checksum()
+	for _, l := range a.Layer {
+		g := l.NewGrads()
+		g.W.Set(0, 0, 1)
+		g.B[0] = 1
+		l.ApplySGD(g, 1)
+	}
+	if a.Checksum() == want {
+		t.Fatal("the SGD step did not move the returned net")
+	}
+	if got := BuildNumeric(sp, 4, 5).Checksum(); got != want {
+		t.Fatalf("a later build has checksum %#x, want the untouched %#x", got, want)
+	}
+}
+
+// TestBuildNumericConcurrentSameKey builds one configuration from many
+// goroutines and trains each copy; under -race it checks the memo and the
+// copy-out share nothing writable.
+func TestBuildNumericConcurrentSameKey(t *testing.T) {
+	sp := NLPc3.Scaled(3, 2)
+	want := buildNumeric(sp, 5, 33).Checksum()
+	const n = 8
+	sums := make([]uint64, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			net := BuildNumeric(sp, 5, 33)
+			sums[i] = net.Checksum()
+			g := net.Layer[0].NewGrads()
+			g.W.Set(0, 0, 1)
+			net.Layer[0].ApplySGD(g, 1)
+		}()
+	}
+	wg.Wait()
+	for i, s := range sums {
+		if s != want {
+			t.Fatalf("goroutine %d built checksum %#x, want %#x", i, s, want)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // `go test -bench . -benchmem ./internal/tensor/` and compare against
 // BENCH_speed.json (regenerate via cmd/naspipe-benchguard -update).
 
-func benchDims() []int { return []int{16, 128, 512} }
+func benchDims() []int { return []int{16, 64, 128, 512} }
 
 func BenchmarkMatVec(b *testing.B) {
 	for _, n := range benchDims() {

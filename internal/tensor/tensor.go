@@ -121,13 +121,35 @@ func MatVec(dst Vector, m *Matrix, x Vector) {
 }
 
 // matVecRange is the sequential MatVec kernel over output rows [lo, hi).
-// Each row's dot product accumulates strictly left to right.
+// Each row's dot product accumulates strictly left to right. Four rows
+// share a pass, each in its own accumulator: one row's adds form a
+// dependency chain, so a single accumulator waits out the full add
+// latency per element, while four independent chains overlap it. No
+// row's order changes, so neither does any bit of dst.
 func matVecRange(dst Vector, m *Matrix, x Vector, lo, hi int) {
-	for r := lo; r < hi; r++ {
+	cols := m.Cols
+	x = x[:cols]
+	r := lo
+	for ; r+4 <= hi; r += 4 {
+		base := r * cols
+		m0 := m.Data[base : base+cols][:len(x)]
+		m1 := m.Data[base+cols : base+2*cols][:len(x)]
+		m2 := m.Data[base+2*cols : base+3*cols][:len(x)]
+		m3 := m.Data[base+3*cols : base+4*cols][:len(x)]
+		var s0, s1, s2, s3 float32
+		for c, xc := range x {
+			s0 += m0[c] * xc
+			s1 += m1[c] * xc
+			s2 += m2[c] * xc
+			s3 += m3[c] * xc
+		}
+		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
+	}
+	for ; r < hi; r++ {
+		row := m.Data[r*cols : (r+1)*cols][:len(x)]
 		var sum float32
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		for c, v := range row {
-			sum += v * x[c]
+		for c, xc := range x {
+			sum += row[c] * xc
 		}
 		dst[r] = sum
 	}
@@ -156,16 +178,37 @@ func MatTVec(dst Vector, m *Matrix, x Vector) {
 }
 
 // matTVecCols is the sequential MatTVec kernel over output columns
-// [lo, hi): zero the span, then accumulate rows in ascending order.
+// [lo, hi): zero the span, then accumulate rows in ascending order. Four
+// rows fold into each dst[c] per pass, still in ascending row order, so
+// dst is loaded and stored once per four rows instead of once per row.
 func matTVecCols(dst Vector, m *Matrix, x Vector, lo, hi int) {
-	for c := lo; c < hi; c++ {
-		dst[c] = 0
+	d := dst[lo:hi]
+	for c := range d {
+		d[c] = 0
 	}
-	for r := 0; r < m.Rows; r++ {
+	cols := m.Cols
+	x = x[:m.Rows]
+	r := 0
+	for ; r+4 <= len(x); r += 4 {
+		x0, x1, x2, x3 := x[r], x[r+1], x[r+2], x[r+3]
+		base := r*cols + lo
+		m0 := m.Data[base:][:len(d)]
+		m1 := m.Data[base+cols:][:len(d)]
+		m2 := m.Data[base+2*cols:][:len(d)]
+		m3 := m.Data[base+3*cols:][:len(d)]
+		for c := range d {
+			acc := d[c] + m0[c]*x0
+			acc += m1[c] * x1
+			acc += m2[c] * x2
+			acc += m3[c] * x3
+			d[c] = acc
+		}
+	}
+	for ; r < len(x); r++ {
 		xr := x[r]
-		row := m.Data[r*m.Cols+lo : r*m.Cols+hi]
-		for c, v := range row {
-			dst[lo+c] += v * xr
+		row := m.Data[r*cols+lo:][:len(d)]
+		for c := range d {
+			d[c] += row[c] * xr
 		}
 	}
 }
@@ -187,13 +230,31 @@ func OuterAccum(dst *Matrix, a, b Vector, scale float32) {
 }
 
 // outerAccumRange is the sequential OuterAccum kernel over rows [lo, hi).
+// Every element takes exactly one add, so unrolling changes no result.
 func outerAccumRange(dst *Matrix, a, b Vector, scale float32, lo, hi int) {
+	cols := dst.Cols
 	for r := lo; r < hi; r++ {
-		ar := a[r] * scale
-		row := dst.Data[r*dst.Cols : (r+1)*dst.Cols]
-		for c := range row {
-			row[c] += ar * b[c]
-		}
+		axpy4(dst.Data[r*cols:(r+1)*cols], a[r]*scale, b)
+	}
+}
+
+// axpy4 computes d[i] += alpha * s[i] for i < len(d), four elements per
+// pass. len(s) must be at least len(d). Each pass reslices four-element
+// windows, so the compiler proves the constant indices in range and the
+// adds carry no bounds checks.
+func axpy4(d []float32, alpha float32, s []float32) {
+	s = s[:len(d)]
+	i := 0
+	for ; i+4 <= len(d); i += 4 {
+		dw := d[i : i+4 : i+4]
+		sw := s[i : i+4 : i+4]
+		dw[0] += alpha * sw[0]
+		dw[1] += alpha * sw[1]
+		dw[2] += alpha * sw[2]
+		dw[3] += alpha * sw[3]
+	}
+	for ; i < len(d); i++ {
+		d[i] += alpha * s[i]
 	}
 }
 
@@ -202,9 +263,7 @@ func AXPY(dst Vector, alpha float32, x Vector) {
 	if len(dst) != len(x) {
 		panic(fmt.Sprintf("tensor: AXPY length mismatch %d vs %d", len(dst), len(x)))
 	}
-	for i := range dst {
-		dst[i] += alpha * x[i]
-	}
+	axpy4(dst, alpha, x)
 }
 
 // MatAXPY computes dst += alpha * x for matrices of equal shape.
@@ -213,9 +272,7 @@ func MatAXPY(dst *Matrix, alpha float32, x *Matrix) {
 		panic(fmt.Sprintf("tensor: MatAXPY shape mismatch %dx%d vs %dx%d",
 			dst.Rows, dst.Cols, x.Rows, x.Cols))
 	}
-	for i := range dst.Data {
-		dst.Data[i] += alpha * x.Data[i]
-	}
+	axpy4(dst.Data, alpha, x.Data)
 }
 
 // Dot returns the sequential dot product of a and b.

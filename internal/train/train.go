@@ -5,9 +5,10 @@
 // Two trainers exist. Sequential trains the subnet stream strictly in
 // order — the semantics every exploration algorithm assumes (§2.1) and
 // the definition of the "correct" result. Replay executes an engine
-// trace: at each READ event it snapshots the layer's current parameters
-// into the subnet's forward context, and at each WRITE event it applies
-// that subnet's gradient for the layer to the live parameters. A CSP
+// trace: each READ event fixes the parameters the subnet's step will use
+// (the layer's values at that moment, copied only if a WRITE would change
+// them before the step runs), and at each WRITE event it applies that
+// subnet's gradient for the layer to the live parameters. A CSP
 // trace replays to bitwise the same weights as Sequential on any GPU
 // count (Definition 1); BSP and ASP traces read stale parameters and
 // diverge as the cluster size changes the interleaving (Table 3).
@@ -141,13 +142,21 @@ func SequentialOn(cfg Config, net *supernet.Numeric, subnets []supernet.Subnet) 
 	return Result{Net: net, Losses: losses, Checksum: net.Checksum()}
 }
 
+// Block states of a replayed subnet, in the only order a trace may move
+// them.
+const (
+	unread uint8 = iota
+	read
+	written
+)
+
 // pendingSubnet tracks one subnet's in-flight replay state.
 type pendingSubnet struct {
 	sub        supernet.Subnet
-	views      []*layers.Layer // snapshots, one per block, filled by READs
+	views      []*layers.Layer // per block: what its READ observed (see ReplayOn)
+	state      []uint8         // per block: unread, read or written
 	seen       int
 	grads      []*layers.Grads
-	loss       float32
 	computed   bool
 	writesLeft int
 }
@@ -166,63 +175,97 @@ func Replay(cfg Config, subnets []supernet.Subnet, tr *trace.Trace) (Result, err
 // data batches are keyed by it — so replaying a resumed run's suffix
 // trace onto a sequential-prefix net reproduces the uninterrupted run.
 // Losses are indexed by position in subnets.
+//
+// A READ records the live layer, not a copy; a subnet computes its step
+// at its first WRITE. Before a WRITE changes layer L, every reader that
+// still holds live L and has not computed yet is switched to one shared
+// pre-write copy, so each subnet trains on exactly the values its READs
+// observed. Under CSP no write to L can fall between a reader's READ of L
+// and its step, so a CSP trace copies nothing; BSP and ASP traces copy
+// exactly where their staleness is observable.
 func ReplayOn(cfg Config, net *supernet.Numeric, subnets []supernet.Subnet, tr *trace.Trace) (Result, error) {
 	cfg = cfg.withDefaults()
 	src := data.NewSource(cfg.Dataset, cfg.Dim, cfg.BatchSize, cfg.Seed)
 	ar := newArena(cfg.Dim)
 
-	pend := make(map[int]*pendingSubnet, len(subnets))
+	blocks := 0
+	for _, sub := range subnets {
+		blocks += len(sub.Choices)
+	}
+	pend := make([]pendingSubnet, len(subnets))
 	posOf := make(map[int]int, len(subnets))
+	views := make([]*layers.Layer, blocks)
+	states := make([]uint8, blocks)
 	for i, sub := range subnets {
-		pend[sub.Seq] = &pendingSubnet{
-			sub:        sub,
-			views:      make([]*layers.Layer, len(sub.Choices)),
-			writesLeft: len(sub.Choices),
-		}
+		m := len(sub.Choices)
+		pend[i] = pendingSubnet{sub: sub, views: views[:m:m], state: states[:m:m], writesLeft: m}
+		views, states = views[m:], states[m:]
 		posOf[sub.Seq] = i
 	}
 	losses := make([]float32, len(subnets))
+	// liveReaders[L]: subnets whose READ of L recorded the live layer and
+	// that may not have computed yet. Block is implied by L.
+	liveReaders := make([][]*pendingSubnet, net.Space.NumLayers())
 
 	for _, ev := range tr.Events {
-		p := pend[ev.Subnet]
-		if p == nil {
+		pos, ok := posOf[ev.Subnet]
+		if !ok {
 			return Result{}, fmt.Errorf("train: trace references unknown subnet %d", ev.Subnet)
 		}
+		p := &pend[pos]
 		block, choice := cfg.Space.BlockChoice(ev.Layer)
 		if block >= len(p.sub.Choices) || p.sub.Choices[block] != choice {
 			return Result{}, fmt.Errorf("train: trace event %v does not match subnet %d's choice", ev, ev.Subnet)
 		}
+		live := net.At(block, choice)
 		switch ev.Kind {
 		case trace.Read:
-			if p.views[block] != nil {
+			if p.state[block] != unread {
 				return Result{}, fmt.Errorf("train: duplicate READ of block %d by subnet %d", block, ev.Subnet)
 			}
-			p.views[block] = net.At(block, choice).Clone()
+			p.state[block] = read
+			p.views[block] = live
 			p.seen++
+			liveReaders[ev.Layer] = append(liveReaders[ev.Layer], p)
 		case trace.Write:
+			switch p.state[block] {
+			case unread:
+				return Result{}, fmt.Errorf("train: subnet %d writes block %d it never read", ev.Subnet, block)
+			case written:
+				return Result{}, fmt.Errorf("train: duplicate WRITE of block %d by subnet %d", block, ev.Subnet)
+			}
 			if !p.computed {
 				if p.seen != len(p.sub.Choices) {
 					return Result{}, fmt.Errorf("train: subnet %d writes before completing reads (%d/%d)",
 						ev.Subnet, p.seen, len(p.sub.Choices))
 				}
-				p.loss, p.grads = step(cfg, src.Batch(p.sub.Seq), p.sub, p.views, ar)
+				losses[pos], p.grads = step(cfg, src.Batch(p.sub.Seq), p.sub, p.views, ar)
 				p.computed = true
-				losses[posOf[ev.Subnet]] = p.loss
 			}
-			net.At(block, choice).ApplySGD(p.grads[block], cfg.LR)
+			var snap *layers.Layer
+			for _, r := range liveReaders[ev.Layer] {
+				if !r.computed {
+					if snap == nil {
+						snap = live.Clone()
+					}
+					r.views[block] = snap
+				}
+			}
+			liveReaders[ev.Layer] = liveReaders[ev.Layer][:0]
+			live.ApplySGD(p.grads[block], cfg.LR)
+			p.state[block] = written
+			p.views[block] = nil // lets a snapshot go before the replay ends
 			p.writesLeft--
 			if p.writesLeft == 0 {
-				// Free the snapshots and recycle the gradient set; the
-				// subnet is done.
-				p.views = nil
+				// Recycle the gradient set; the subnet is done.
 				ar.release(p.grads)
 				p.grads = nil
 			}
 		}
 	}
-	for seq, p := range pend {
-		if p.writesLeft != 0 {
-			return Result{}, fmt.Errorf("train: subnet %d has %d unwritten blocks at trace end", seq, p.writesLeft)
+	for i := range pend {
+		if p := &pend[i]; p.writesLeft != 0 {
+			return Result{}, fmt.Errorf("train: subnet %d has %d unwritten blocks at trace end", p.sub.Seq, p.writesLeft)
 		}
 	}
 	return Result{Net: net, Losses: losses, Checksum: net.Checksum()}, nil

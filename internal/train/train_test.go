@@ -1,6 +1,8 @@
 package train
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +12,7 @@ import (
 	"naspipe/internal/layers"
 	"naspipe/internal/sched"
 	"naspipe/internal/supernet"
+	"naspipe/internal/trace"
 )
 
 func testCfg(space supernet.Space) Config {
@@ -144,6 +147,56 @@ func TestReplayRejectsMalformedTraces(t *testing.T) {
 	tr.Events = tr.Events[:len(tr.Events)-1]
 	if _, err := Replay(cfg, subs, &tr); err == nil {
 		t.Fatal("expected error for truncated trace")
+	}
+
+	// A repeated WRITE, at the end of the trace or mid-stream, and a
+	// WRITE of a block the subnet never READ each fail with an error
+	// naming the subnet and block, instead of panicking or applying SGD
+	// twice.
+	events := res.Trace.Events
+	first, last := -1, -1
+	for i, ev := range events {
+		if ev.Kind == trace.Write {
+			if first < 0 {
+				first = i
+			}
+			last = i
+		}
+	}
+	named := func(ev trace.Event) string {
+		block, _ := sp.BlockChoice(ev.Layer)
+		return fmt.Sprintf("block %d by subnet %d", block, ev.Subnet)
+	}
+	splice := func(parts ...[]trace.Event) *trace.Trace {
+		var out []trace.Event
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return &trace.Trace{Events: out}
+	}
+	w := events[first]
+	var unread []trace.Event
+	for _, ev := range events {
+		if !(ev.Kind == trace.Read && ev.Subnet == w.Subnet && ev.Layer == w.Layer) {
+			unread = append(unread, ev)
+		}
+	}
+	block, _ := sp.BlockChoice(w.Layer)
+	cases := []struct {
+		name string
+		tr   *trace.Trace
+		want string
+	}{
+		{"trailing duplicate WRITE", splice(events, events[last:last+1]), "duplicate WRITE of " + named(events[last])},
+		{"mid-stream duplicate WRITE", splice(events[:first+1], events[first:]), "duplicate WRITE of " + named(w)},
+		{"WRITE of a block never READ", &trace.Trace{Events: unread},
+			fmt.Sprintf("subnet %d writes block %d it never read", w.Subnet, block)},
+	}
+	for _, tc := range cases {
+		_, err := Replay(cfg, subs, tc.tr)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
