@@ -1,12 +1,12 @@
 // The dist subcommand turns naspiped into the coordinator of a
 // multi-process fleet: it listens on a TCP star, launches one
-// naspipe-stage process per pipeline stage, relays their engine
-// traffic, collects stage-0 consistency cuts into the checkpoint, and
-// relaunches the whole fleet from the committed cursor when any worker
-// dies — including by kill -9.
+// `naspiped stage` process per pipeline stage (its own executable, or
+// -worker-bin), relays their engine traffic, collects stage-0
+// consistency cuts into the checkpoint, and relaunches the whole fleet
+// from the committed cursor when any worker dies — including by kill -9.
 //
 //	naspiped dist -gpus 4 -subnets 24 -checkpoint fleet.ckpt -log-dir logs
-//	kill -9 <a naspipe-stage pid>   # the fleet resumes on its own
+//	kill -9 <a naspiped stage pid>   # the fleet resumes on its own
 //
 // On completion with -verify (the default), the merged fleet trace is
 // replayed against the sequential reference and the bitwise weight
@@ -19,9 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -38,7 +36,7 @@ func distMain(args []string) naspipe.ExitCode {
 		specPath   = fs.String("spec", "", "load the JobSpec from this JSON file instead of the run flags")
 		runID      = fs.String("run", "", "run ID workers must present (default dist-<pid>)")
 		listen     = fs.String("listen", "127.0.0.1:0", "TCP address the coordinator listens on for stage workers")
-		workerBin  = fs.String("worker-bin", "", "path to the naspipe-stage binary (default: next to this executable)")
+		workerBin  = fs.String("worker-bin", "", "naspiped binary whose stage subcommand runs the workers (default: this executable)")
 		logDir     = fs.String("log-dir", "", "capture each worker's output to stage-<k>.inc<i>.log in this directory")
 		deadAfter  = fs.Duration("dead-after", 2*time.Second, "declare a worker dead after this long without heartbeats")
 		verify     = fs.Bool("verify", true, "replay the merged fleet trace against the sequential reference")
@@ -60,7 +58,12 @@ func distMain(args []string) naspipe.ExitCode {
 	if code != naspipe.ExitOK {
 		return code
 	}
-	bin, err := resolveWorkerBin(*workerBin)
+	bin, err := *workerBin, error(nil)
+	if bin == "" {
+		bin, err = os.Executable()
+	} else {
+		_, err = os.Stat(bin)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "naspiped dist:", err)
 		return naspipe.ExitUsage
@@ -89,7 +92,7 @@ func distMain(args []string) naspipe.ExitCode {
 
 	co, err := distrib.NewCoordinator(distrib.CoordConfig{
 		Spec: spec, RunID: id, Addr: *listen,
-		Launcher:  &distrib.ExecLauncher{Bin: bin, LogDir: *logDir},
+		Launcher:  &distrib.ExecLauncher{Bin: bin, Args: []string{"stage"}, LogDir: *logDir},
 		DeadAfter: *deadAfter,
 		Resume:    f.Resume,
 		Tel:       bus,
@@ -176,25 +179,4 @@ func distSpec(f *clicfg.Flags, path string, verify bool, dim, batch int, lr floa
 		return spec, naspipe.ExitUsage
 	}
 	return spec, naspipe.ExitOK
-}
-
-// resolveWorkerBin finds the naspipe-stage binary: an explicit path,
-// next to this executable, or on PATH.
-func resolveWorkerBin(explicit string) (string, error) {
-	if explicit != "" {
-		if _, err := os.Stat(explicit); err != nil {
-			return "", fmt.Errorf("worker binary: %w", err)
-		}
-		return explicit, nil
-	}
-	if self, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(self), "naspipe-stage")
-		if _, err := os.Stat(cand); err == nil {
-			return cand, nil
-		}
-	}
-	if p, err := exec.LookPath("naspipe-stage"); err == nil {
-		return p, nil
-	}
-	return "", fmt.Errorf("cannot find naspipe-stage (build it next to naspiped or pass -worker-bin)")
 }

@@ -33,9 +33,9 @@
 //
 // `naspiped dist` is a different mode entirely: instead of serving
 // HTTP it coordinates a multi-process training fleet — one
-// naspipe-stage OS process per pipeline stage over fault-tolerant TCP
-// links — and survives kill -9 of any worker by relaunching the fleet
-// from the committed checkpoint cursor (see cmd/naspiped/dist.go).
+// `naspiped stage` OS process per pipeline stage over fault-tolerant
+// TCP links — and survives kill -9 of any worker by relaunching the
+// fleet from the committed checkpoint cursor (see dist.go and stage.go).
 //
 // Exit codes follow the naspipe contract: 0 clean shutdown, 1 runtime
 // failure, 2 usage error (and, for dist, 3 resumable interruption).
@@ -56,8 +56,15 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "dist" {
-		os.Exit(int(distMain(os.Args[2:])))
+	// The subcommands dispatch before any signal.Notify: a stage worker
+	// must install no handler (see stage.go).
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "dist":
+			os.Exit(int(distMain(os.Args[2:])))
+		case "stage":
+			os.Exit(int(stageMain(os.Args[2:])))
+		}
 	}
 	var (
 		addr      = flag.String("addr", ":7419", "HTTP listen address for the /v1 API, /metrics, and /debug/")

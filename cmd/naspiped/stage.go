@@ -1,17 +1,15 @@
-// Command naspipe-stage is one stage worker of the distributed
-// execution plane: it dials the coordinator, introduces itself with a
-// Hello, waits for its stage assignment, runs its slice of the
-// pipeline over the fault-tolerant transport link, and reports its
-// observed trace back for the global merge verification.
+// The stage subcommand is one stage worker of the distributed execution
+// plane: it dials the coordinator, introduces itself with a Hello, waits
+// for its stage assignment, runs its slice of the pipeline over the
+// fault-tolerant transport link, and reports its observed trace back for
+// the global merge verification.
 //
 // Operators rarely run it by hand — `naspiped dist` launches one per
 // stage and relaunches the fleet after any death — but it is a plain
-// binary on purpose: kill -9 one mid-run and watch the coordinator
+// process on purpose: kill -9 one mid-run and watch the coordinator
 // notice, tear down, and resume from the committed cursor.
 //
-// Usage:
-//
-//	naspipe-stage -addr 127.0.0.1:7420 -run r1 -stage 2 -incarnation 0
+//	naspiped stage -addr 127.0.0.1:7420 -run r1 -stage 2 -incarnation 0
 //
 // Exit codes follow the naspipe contract:
 //
@@ -33,26 +31,23 @@ import (
 	"naspipe/internal/distrib"
 )
 
-func main() {
-	os.Exit(int(run()))
-}
-
-func run() naspipe.ExitCode {
+func stageMain(args []string) naspipe.ExitCode {
+	fs := flag.NewFlagSet("naspiped stage", flag.ExitOnError)
 	var (
-		addr        = flag.String("addr", "", "coordinator address to dial (required)")
-		runID       = flag.String("run", "", "run ID to join; must match the coordinator's (required)")
-		stage       = flag.Int("stage", -1, "pipeline stage this worker owns (required)")
-		incarnation = flag.Int("incarnation", 0, "fleet incarnation this worker belongs to")
-		heartbeat   = flag.Duration("heartbeat", 0, "liveness beacon period (0 = worker default)")
-		quiet       = flag.Bool("quiet", false, "suppress per-event worker logging")
+		addr        = fs.String("addr", "", "coordinator address to dial (required)")
+		runID       = fs.String("run", "", "run ID to join; must match the coordinator's (required)")
+		stage       = fs.Int("stage", -1, "pipeline stage this worker owns (required)")
+		incarnation = fs.Int("incarnation", 0, "fleet incarnation this worker belongs to")
+		heartbeat   = fs.Duration("heartbeat", 0, "liveness beacon period (0 = worker default)")
+		quiet       = fs.Bool("quiet", false, "suppress per-event worker logging")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "naspipe-stage: unexpected arguments %v\n", flag.Args())
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "naspiped stage: unexpected arguments %v\n", fs.Args())
 		return naspipe.ExitUsage
 	}
 	if *addr == "" || *runID == "" || *stage < 0 {
-		fmt.Fprintln(os.Stderr, "naspipe-stage: -addr, -run, and -stage are required")
+		fmt.Fprintln(os.Stderr, "naspiped stage: -addr, -run, and -stage are required")
 		return naspipe.ExitUsage
 	}
 
@@ -79,12 +74,12 @@ func run() naspipe.ExitCode {
 	switch {
 	case err == nil:
 	case distrib.Aborted(err):
-		fmt.Fprintf(os.Stderr, "naspipe-stage: %v\n", err)
+		fmt.Fprintf(os.Stderr, "naspiped stage: %v\n", err)
 		return naspipe.ExitResumable
 	case code == naspipe.ExitResumable:
-		fmt.Fprintf(os.Stderr, "naspipe-stage: injected crash: %v\n", err)
+		fmt.Fprintf(os.Stderr, "naspiped stage: injected crash: %v\n", err)
 	default:
-		fmt.Fprintf(os.Stderr, "naspipe-stage: %v\n", err)
+		fmt.Fprintf(os.Stderr, "naspiped stage: %v\n", err)
 	}
 	return code
 }

@@ -15,7 +15,6 @@ import (
 	"naspipe/internal/supervise"
 	"naspipe/internal/telemetry"
 	"naspipe/internal/trace"
-	"naspipe/internal/train"
 	"naspipe/internal/transport"
 )
 
@@ -60,8 +59,9 @@ func (c CoordConfig) withDefaults() CoordConfig {
 type Coordinator struct {
 	cfg      CoordConfig
 	spec     naspipe.JobSpec
+	job      *naspipe.Job
 	specJSON []byte
-	plan     *fault.Plan // parsed spec.Faults (nil when none)
+	plan     *fault.Plan // the job's fault plan (nil when none)
 
 	mu          sync.Mutex
 	cursor      int
@@ -78,23 +78,22 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.Launcher == nil {
 		return nil, fmt.Errorf("distrib: coordinator needs a Launcher")
 	}
-	if err := cfg.Spec.Validate(); err != nil {
+	job, err := naspipe.LowerJob(cfg.Spec)
+	if err != nil {
 		return nil, fmt.Errorf("distrib: %w", err)
 	}
 	if cfg.Spec.Executor != "concurrent" {
 		return nil, fmt.Errorf("distrib: the distributed plane runs the concurrent executor; spec says %q", cfg.Spec.Executor)
 	}
-	specJSON, err := json.Marshal(cfg.Spec)
+	// Workers lower the spec they are sent. Tracing is not optional on
+	// this plane: the merge verification replays every worker's trace.
+	wire, on := cfg.Spec, true
+	wire.Trace = &on
+	specJSON, err := json.Marshal(wire)
 	if err != nil {
 		return nil, fmt.Errorf("distrib: encoding spec: %w", err)
 	}
-	var plan *fault.Plan
-	if cfg.Spec.Faults != "" {
-		if plan, err = fault.ParsePlan(cfg.Spec.Faults); err != nil {
-			return nil, fmt.Errorf("distrib: %w", err)
-		}
-	}
-	return &Coordinator{cfg: cfg, spec: cfg.Spec, specJSON: specJSON, plan: plan}, nil
+	return &Coordinator{cfg: cfg, spec: cfg.Spec, job: job, specJSON: specJSON, plan: job.EngineConfig().Faults}, nil
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -142,49 +141,24 @@ func (c *Coordinator) bump() error {
 // collect, and on any worker death relaunch from the committed cursor
 // until the stream finishes or the restart budget runs out. The
 // returned Result covers the final incarnation's suffix (BaseSeq tells
-// where it started); with spec.Verify the merged fleet trace has been
-// replayed against the sequential reference before Run returns. Every
-// return path flushes the recorder (latest committed cut on disk, no writer).
+// where it started); with spec.Verify it has passed Job.Verify, the
+// check RunJob runs, and carries the checksum. Every return path
+// flushes the recorder (latest committed cut on disk, no writer).
 func (c *Coordinator) Run(ctx context.Context) (res naspipe.Result, rep *supervise.Report, err error) {
-	fullCfg, err := c.spec.Config()
+	// Resuming, the job's recorder applies Runner.Resume's guard before
+	// any worker launches: a foreign checkpoint must not reach the fleet.
+	rec, err := c.job.OpenCheckpoint(c.cfg.Resume)
 	if err != nil {
-		return naspipe.Result{}, &supervise.Report{}, err
+		return naspipe.Result{}, &supervise.Report{}, fmt.Errorf("distrib: %w", err)
 	}
-	if c.spec.Checkpoint != "" {
-		ident := fault.Checkpoint{
-			Space: c.spec.Space, Seed: c.spec.Seed, GPUs: c.spec.GPUs,
-			NumSubnets: c.spec.Subnets, JitterSeed: c.spec.JitterSeed,
-		}
-		if c.plan != nil {
-			ident.FaultSeed = c.plan.Seed
-		}
-		var weightFn func(int) uint64
-		if tc, ok := c.spec.TrainConfig(); ok {
-			weightFn = train.NewCheckpointer(tc, fullCfg.ResolveSubnets()).ChecksumAt
-		}
-		if c.cfg.Resume {
-			// The same guard Runner.Resume applies, before any worker
-			// launches: a foreign checkpoint must not reach the fleet.
-			ck, lerr := fault.Load(c.spec.Checkpoint)
-			if lerr == nil {
-				elastic := c.spec.Elastic || (c.spec.Supervise != nil && c.spec.Supervise.ElasticAfter > 0)
-				lerr = ck.VerifyResume(ident, elastic, weightFn)
-			}
-			if lerr != nil {
-				return naspipe.Result{}, &supervise.Report{}, fmt.Errorf("distrib: resume: %w", lerr)
-			}
-			ident.Cursor, ident.Incarnation = ck.Cursor, ck.Incarnation
-			c.cursor, c.incarnation = ck.Cursor, ck.Incarnation
-		}
-		c.rec = fault.NewFileRecorder(c.spec.Checkpoint, ident, c.spec.CheckpointEvery, weightFn)
-		if err := c.rec.Init(); err != nil {
-			return naspipe.Result{}, &supervise.Report{}, fmt.Errorf("distrib: checkpoint init: %w", err)
-		}
+	if rec != nil {
+		ck := rec.Committed()
+		c.rec, c.cursor, c.incarnation = rec, ck.Cursor, ck.Incarnation
 		defer func() {
-			if ferr := c.rec.Flush(); ferr != nil && err == nil {
+			if ferr := rec.Flush(); ferr != nil && err == nil {
 				err = fmt.Errorf("distrib: flushing the checkpoint: %w", ferr)
 			}
-			res.CheckpointStats = c.rec.Stats()
+			res.CheckpointStats = rec.Stats()
 		}()
 	}
 
@@ -206,17 +180,10 @@ func (c *Coordinator) Run(ctx context.Context) (res naspipe.Result, rep *supervi
 	if err != nil {
 		return res, rep, err
 	}
-	if c.spec.Verify {
-		tc, ok := c.spec.TrainConfig()
-		if !ok {
-			return res, rep, fmt.Errorf("distrib: verify requires a train spec")
-		}
-		sum, verr := naspipe.VerifyAgainstSequential(tc, fullCfg, res)
-		if verr != nil {
-			return res, rep, verr
-		}
-		c.logf("coordinator: resume verified: weights %016x match the sequential reference", sum)
+	if res, err = c.job.Verify(res); err != nil || !c.spec.Verify {
+		return res, rep, err
 	}
+	c.logf("coordinator: resume verified: weights %016x match the sequential reference", res.Checksum)
 	return res, rep, nil
 }
 

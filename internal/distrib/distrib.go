@@ -88,27 +88,26 @@ func (p *proc) Kill() error { return p.kill() }
 // ExecLauncher runs each worker as a separate OS process — the real
 // deployment shape, and the one the kill -9 drill exercises.
 type ExecLauncher struct {
-	// Bin is the worker binary (naspipe-stage). Required.
+	// Bin is the worker binary (naspiped). Required.
 	Bin string
-	// Args are extra arguments appended after the standard set.
+	// Args lead the standard set: naspiped's "stage" subcommand.
 	Args []string
 	// LogDir, when set, captures each worker's combined output to
 	// stage-<k>.inc<i>.log inside it.
 	LogDir string
 }
 
-// Start launches `Bin -addr A -run R -stage K -incarnation I [Args...]`.
+// Start launches `Bin [Args...] -addr A -run R -stage K -incarnation I`.
 func (l *ExecLauncher) Start(ctx context.Context, w WorkerSpec) (Process, error) {
 	if l.Bin == "" {
 		return nil, fmt.Errorf("distrib: ExecLauncher needs a worker binary")
 	}
-	args := []string{
+	args := append(append([]string(nil), l.Args...),
 		"-addr", w.Addr,
 		"-run", w.RunID,
 		"-stage", strconv.Itoa(w.Stage),
 		"-incarnation", strconv.Itoa(w.Incarnation),
-	}
-	args = append(args, l.Args...)
+	)
 	cmd := exec.Command(l.Bin, args...)
 	var log *os.File
 	if l.LogDir != "" {

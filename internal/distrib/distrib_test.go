@@ -347,7 +347,7 @@ func TestCoordinatorResumeRejectsForeignCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := fault.Checkpoint{
-		Space: spec.Space, Seed: spec.Seed, GPUs: spec.GPUs, NumSubnets: spec.Subnets,
+		Space: cfg.Space.Name, Seed: spec.Seed, GPUs: spec.GPUs, NumSubnets: spec.Subnets,
 		JitterSeed: spec.JitterSeed, Cursor: 12, Incarnation: 1,
 		WeightChecksum: train.NewCheckpointer(tc, cfg.ResolveSubnets()).ChecksumAt(12),
 	}
@@ -382,6 +382,21 @@ func TestCoordinatorResumeRejectsForeignCheckpoint(t *testing.T) {
 		case c.name != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
 			t.Errorf("mismatched %s: Run = %v, want a resume error naming the %s", c.name, err, c.want)
 		}
+	}
+}
+
+// TestCoordinatorResumeRequiresCheckpoint: Resume on a spec with no
+// checkpoint path is refused, as Runner.Resume refuses it, instead of
+// silently running fresh from cursor 0.
+func TestCoordinatorResumeRequiresCheckpoint(t *testing.T) {
+	co, err := distrib.NewCoordinator(distrib.CoordConfig{
+		Spec: distSpec(t, 12), RunID: "no-ckpt", Resume: true, Launcher: noLauncher{t},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := co.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("Resume without a checkpoint path: Run = %v, want a refusal", err)
 	}
 }
 

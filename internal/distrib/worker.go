@@ -247,41 +247,20 @@ func awaitAssign(ctx context.Context, wc WorkerConfig, link *transport.Link) (tr
 }
 
 // workerEngineConfig turns an assignment into the engine configuration
-// for this worker's slice of the run: the JobSpec's engine config, the
-// concurrent-plane overrides the Runner would have applied, and the
-// resume suffix renumbered from the committed cursor (Config.ResumeAt,
-// as in Runner.Resume), so fault schedules, traces, and checkpoint cuts
-// all stay globally addressed.
+// for this worker's slice of the run: the engine config of the job the
+// assigned spec lowers to, and the resume suffix renumbered from the
+// committed cursor (Config.ResumeAt, as in Runner.Resume), so fault
+// schedules, traces, and checkpoint cuts all stay globally addressed.
 func workerEngineConfig(wc WorkerConfig, a transport.Assign) (engine.Config, error) {
 	var spec naspipe.JobSpec
 	if err := json.Unmarshal(a.Spec, &spec); err != nil {
 		return engine.Config{}, fmt.Errorf("distrib: worker %d: assignment spec: %w", wc.Stage, err)
 	}
-	if err := spec.Validate(); err != nil {
+	job, err := naspipe.LowerJob(spec)
+	if err != nil {
 		return engine.Config{}, fmt.Errorf("distrib: worker %d: assignment spec: %w", wc.Stage, err)
 	}
-	cfg, err := spec.Config()
-	if err != nil {
-		return engine.Config{}, err
-	}
-	// The coordinator's merge verification needs every worker's
-	// observed trace, and the engine's local CSP check is the first
-	// line of defense — tracing is not optional on this plane.
-	cfg.RecordTrace = true
-	if spec.CacheFactor != nil || spec.Predictor {
-		factor := 3.0 // the paper's default footprint
-		if spec.CacheFactor != nil {
-			factor = *spec.CacheFactor
-		}
-		cfg.ConcurrentMem = engine.MemPlaneConfig{CacheFactor: factor, Predictor: spec.Predictor}
-	}
-	if spec.Faults != "" {
-		plan, perr := fault.ParsePlan(spec.Faults)
-		if perr != nil {
-			return engine.Config{}, fmt.Errorf("distrib: worker %d: fault plan: %w", wc.Stage, perr)
-		}
-		cfg.Faults = plan
-	}
+	cfg := job.EngineConfig()
 	if a.D > 0 && a.D != cfg.Spec.GPUs {
 		// Elastic resume at a different depth: re-partition the suffix.
 		cfg.Spec = naspipe.DefaultCluster(a.D)

@@ -300,6 +300,12 @@ type Result struct {
 	// supervised job's incarnations, and the fleet coordinator; zero
 	// without a checkpoint file.
 	CheckpointStats fault.RecorderStats
+
+	// Checksum is the weight checksum the run was verified to share
+	// bitwise with the sequential reference, filled by whoever checks a
+	// JobSpec's Verify — naspipe.RunJob and the fleet coordinator; zero
+	// when nothing was verified.
+	Checksum uint64
 }
 
 // TaskSpan is one task's timeline extent on its stage. Start is the

@@ -83,12 +83,11 @@ func (s *Scenario) compileJobsIn(ckptDir string) ([]CompiledJob, error) {
 
 // baseSpec lowers the scenario's shared world+workload+storm fields to
 // one JobSpec. Every scenario job runs the concurrent executor with
-// tracing and verification on — the sweep's whole point is re-proving
-// Definition 1 under the declared perturbations — and, as the service
-// plane normalizes its jobs, under supervision: the storm's budgets, or
-// the defaults when it declares none.
+// verification on (which records the trace it replays) — the sweep's
+// whole point is re-proving Definition 1 under the declared
+// perturbations — and, as the service plane normalizes its jobs, under
+// supervision: the storm's budgets, or the defaults when it declares none.
 func (s *Scenario) baseSpec() naspipe.JobSpec {
-	on := true
 	spec := naspipe.JobSpec{
 		APIVersion:   naspipe.JobSpecVersion,
 		Name:         s.Name,
@@ -106,7 +105,6 @@ func (s *Scenario) baseSpec() naspipe.JobSpec {
 		CacheFactor:  s.Workload.CacheFactor,
 		Predictor:    s.Workload.Predictor,
 		Train:        s.Workload.Train,
-		Trace:        &on,
 		Verify:       true,
 		Supervise:    &naspipe.SuperviseSpec{},
 	}

@@ -83,7 +83,7 @@ func Run(ctx context.Context, s *Scenario, opt Options) (Cell, Observed, error) 
 	case s.World.Processes > 0:
 		err = distribRun(ctx, s, comp.Jobs[0].Spec, opt, &cell, &obs)
 	default:
-		err = directRun(ctx, comp.Jobs[0].Spec, &cell, &obs)
+		directRun(ctx, comp.Jobs[0].Spec, &cell, &obs)
 	}
 	obs.Wall = time.Since(start)
 	if err != nil {
@@ -141,9 +141,9 @@ func simPass(comp *Compiled, cell *Cell) error {
 }
 
 // directRun executes a single-job scenario through naspipe.RunJob under
-// the supervision plane (the lowering attaches one to every job) and
+// the supervision plane (the lowering attaches one to every job), which
 // verifies the final result bitwise.
-func directRun(ctx context.Context, spec naspipe.JobSpec, cell *Cell, obs *Observed) error {
+func directRun(ctx context.Context, spec naspipe.JobSpec, cell *Cell, obs *Observed) {
 	var firstFail time.Time
 	res, rep, err := naspipe.RunJob(ctx, spec, false, naspipe.SuperviseConfig{
 		Observer: func(tr naspipe.HealthTransition) {
@@ -168,45 +168,31 @@ func directRun(ctx context.Context, spec naspipe.JobSpec, cell *Cell, obs *Obser
 	}
 	if err != nil {
 		cell.Failures = append(cell.Failures, fmt.Sprintf("supervised run: %v", err))
-		return nil
+		return
 	}
-	cfg, err := spec.Config()
-	if err != nil {
-		return err
-	}
-	return verifyCell(spec, cfg, res, cell)
+	closeCell(spec, res, cell)
 }
 
-// verifyCell closes out a single-job cell: coverage, then independent
-// bitwise verification of the result against the sequential reference.
-func verifyCell(spec naspipe.JobSpec, cfg naspipe.Config, res naspipe.Result, cell *Cell) error {
+// closeCell closes out a single-job cell whose run returned verified
+// (every compiled spec sets Verify): coverage, then the checksum.
+func closeCell(spec naspipe.JobSpec, res naspipe.Result, cell *Cell) {
 	if res.BaseSeq+res.Completed != spec.Subnets {
 		cell.Failures = append(cell.Failures,
 			fmt.Sprintf("coverage hole: base %d + completed %d != %d subnets", res.BaseSeq, res.Completed, spec.Subnets))
-		return nil
-	}
-	tc, ok := spec.TrainConfig()
-	if !ok {
-		return fmt.Errorf("scenario: compiled spec lost its train plane")
-	}
-	sum, verr := naspipe.VerifyAgainstSequential(tc, cfg, res)
-	if verr != nil {
-		cell.Failures = append(cell.Failures, fmt.Sprintf("bitwise verification: %v", verr))
-		return nil
+		return
 	}
 	cell.Verified = true
-	cell.Checksum = fmt.Sprintf("%016x", sum)
-	return nil
+	cell.Checksum = fmt.Sprintf("%016x", res.Checksum)
 }
 
 // distribRun executes a single-job scenario on the distributed
 // execution plane: a coordinator with one stage worker per GPU (the
 // in-process launcher — same worker code and TCP frames as separate OS
 // processes, hermetic for the sweep). The coordinator supervises,
-// relaunches the fleet on any worker death, and merges the workers'
-// observed traces; the cell then re-verifies the merged result bitwise
-// exactly like the single-process path, so `processes` shows up
-// nowhere in the checksum — only in how the work was executed.
+// relaunches the fleet on any worker death, merges the workers'
+// observed traces and verifies the merged result bitwise with the check
+// RunJob runs, so `processes` shows up nowhere in the checksum — only
+// in how the work was executed.
 func distribRun(ctx context.Context, s *Scenario, spec naspipe.JobSpec, opt Options, cell *Cell, obs *Observed) error {
 	co, err := distrib.NewCoordinator(distrib.CoordConfig{
 		Spec:     spec,
@@ -233,11 +219,8 @@ func distribRun(ctx context.Context, s *Scenario, spec naspipe.JobSpec, opt Opti
 		cell.Failures = append(cell.Failures, fmt.Sprintf("distributed fleet: %v", err))
 		return nil
 	}
-	cfg, err := spec.Config()
-	if err != nil {
-		return err
-	}
-	return verifyCell(spec, cfg, res, cell)
+	closeCell(spec, res, cell)
+	return nil
 }
 
 // serviceRun executes a multi-job scenario through an in-process

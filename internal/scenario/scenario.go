@@ -9,9 +9,9 @@
 // configuration those types cannot; the compiler is a pure lowering.
 //
 // The format is strict: unknown fields are rejected at decode time, and
-// a table of invariant checks (invariants, in the style of the
-// optionFacts validation kernel) names the offending field of the first
-// violation through the shared spec-error type naspipe.SpecField reads.
+// a table of scenario-level invariant checks plus the compiled specs'
+// own JobSpec.Validate name the offending field of the first violation
+// through the shared spec-error type naspipe.SpecField reads.
 // The sweep harness (cmd/naspipe-scenario) runs a catalog of scenario
 // files, verifies every cell to bitwise weight equality against the
 // sequential reference, and writes a deterministic scorecard — so a new
@@ -22,12 +22,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"regexp"
 
 	"naspipe"
-	"naspipe/internal/fault"
 )
 
 // Version is the scenario format version this build speaks. A file with
@@ -199,9 +197,10 @@ var nameRe = regexp.MustCompile(`^[a-z0-9]+(-[a-z0-9]+)*$`)
 
 // invariant is one row of the scenario validation kernel: the JSON
 // field it guards and a check returning a non-empty violation message.
-// The table style mirrors the optionFacts kernel in the root package —
-// every surface that accepts scenarios (library, CLI, tests) runs the
-// same rows, so error text and field attribution cannot drift.
+// Rows cover only what a JobSpec cannot express; every rule the compiled
+// spec owns is checked by JobSpec.Validate and named back through
+// specPaths. Every surface that accepts scenarios (library, CLI, tests)
+// runs the same rows, so error text and field attribution cannot drift.
 type invariant struct {
 	field string
 	check func(*Scenario) string
@@ -220,30 +219,6 @@ var invariants = []invariant{
 		}
 		return ""
 	}},
-	{"world.gpus", func(s *Scenario) string {
-		if s.World.GPUs <= 0 {
-			return fmt.Sprintf("pipeline depth must be positive, got %d", s.World.GPUs)
-		}
-		return ""
-	}},
-	{"world.stage_speeds", func(s *Scenario) string {
-		sp := s.World.StageSpeeds
-		if len(sp) > 0 && len(sp) != s.World.GPUs {
-			return fmt.Sprintf("want one speed factor per GPU (%d), got %d", s.World.GPUs, len(sp))
-		}
-		for k, v := range sp {
-			if !(v > 0) || math.IsInf(v, 0) {
-				return fmt.Sprintf("stage %d factor %v; factors must be positive and finite", k, v)
-			}
-		}
-		return ""
-	}},
-	{"world.jitter", func(s *Scenario) string {
-		if j := s.World.Jitter; j < 0 || j >= 1 {
-			return fmt.Sprintf("jitter must be in [0, 1), got %v", j)
-		}
-		return ""
-	}},
 	{"world.processes", func(s *Scenario) string {
 		p := s.World.Processes
 		if p == 0 {
@@ -257,48 +232,6 @@ var invariants = []invariant{
 		}
 		if s.Storm != nil && s.Storm.Elastic {
 			return "elastic depth changes are not supported on the distributed plane yet"
-		}
-		return ""
-	}},
-	{"workload.space", func(s *Scenario) string {
-		if s.Workload.Space == "" {
-			return "required (a Table 1 name like \"NLP.c3\")"
-		}
-		if _, err := naspipe.SpaceByName(s.Workload.Space); err != nil {
-			return err.Error()
-		}
-		return ""
-	}},
-	{"workload.scale_blocks", func(s *Scenario) string {
-		if (s.Workload.ScaleBlocks > 0) != (s.Workload.ScaleChoices > 0) {
-			return "scale_blocks and scale_choices come together (both or neither)"
-		}
-		if s.Workload.ScaleBlocks < 0 || s.Workload.ScaleChoices < 0 {
-			return "negative scale geometry"
-		}
-		return ""
-	}},
-	{"workload.subnets", func(s *Scenario) string {
-		if s.Workload.Subnets <= 0 {
-			return fmt.Sprintf("stream length must be positive, got %d", s.Workload.Subnets)
-		}
-		return ""
-	}},
-	{"workload.window", func(s *Scenario) string {
-		if s.Workload.Window < 0 {
-			return fmt.Sprintf("negative admission window %d", s.Workload.Window)
-		}
-		return ""
-	}},
-	{"workload.cache_factor", func(s *Scenario) string {
-		if cf := s.Workload.CacheFactor; cf != nil && *cf < 0 {
-			return fmt.Sprintf("negative cache factor %v", *cf)
-		}
-		return ""
-	}},
-	{"workload.predictor", func(s *Scenario) string {
-		if s.Workload.Predictor && s.Workload.CacheFactor != nil && *s.Workload.CacheFactor == 0 {
-			return "the predictor requires a cache; cache factor 0 disables it"
 		}
 		return ""
 	}},
@@ -321,20 +254,6 @@ var invariants = []invariant{
 			if j.DelayMs < 0 {
 				return fmt.Sprintf("job %d: negative delay_ms %d", i, j.DelayMs)
 			}
-			if j.Faults != "" {
-				if _, err := fault.ParsePlan(j.Faults); err != nil {
-					return fmt.Sprintf("job %d: %v", i, err)
-				}
-			}
-		}
-		return ""
-	}},
-	{"storm.faults", func(s *Scenario) string {
-		if s.Storm == nil || s.Storm.Faults == "" {
-			return ""
-		}
-		if _, err := fault.ParsePlan(s.Storm.Faults); err != nil {
-			return err.Error()
 		}
 		return ""
 	}},
@@ -367,9 +286,26 @@ var invariants = []invariant{
 	}},
 }
 
+// specPaths sends a compiled JobSpec's field back to the scenario path
+// that set it, so a rule the spec owns still names what the author
+// wrote. A job's own fault plan names workload.jobs instead; fields not
+// listed (supervise, train.dataset, ...) keep the spec's name.
+var specPaths = map[string]string{
+	"gpus":         "world.gpus",
+	"stage_speeds": "world.stage_speeds",
+	"jitter":       "world.jitter",
+	"space":        "workload.space",
+	"scale_blocks": "workload.scale_blocks",
+	"subnets":      "workload.subnets",
+	"window":       "workload.window",
+	"cache_factor": "workload.cache_factor",
+	"predictor":    "workload.predictor",
+	"faults":       "storm.faults",
+}
+
 // Validate runs the invariant table, then compiles every job and runs
-// the compiled JobSpecs through the shared optionFacts kernel — so a
-// scenario that parses clean is guaranteed to lower to runnable specs.
+// the compiled JobSpecs through JobSpec.Validate — so a scenario that
+// parses clean is guaranteed to lower to runnable specs.
 func (s *Scenario) Validate() error {
 	for _, inv := range invariants {
 		if msg := inv.check(s); msg != "" {
@@ -381,12 +317,21 @@ func (s *Scenario) Validate() error {
 		return err
 	}
 	for i, j := range jobs {
-		if err := j.Spec.Validate(); err != nil {
-			if f := naspipe.SpecField(err); f != "" {
-				return naspipe.SpecErrorf(f, "compiled job %d (%s): %v", i, j.Spec.Name, err)
-			}
+		err := j.Spec.Validate()
+		if err == nil {
+			continue
+		}
+		f := naspipe.SpecField(err)
+		if f == "" {
 			return fmt.Errorf("scenario: compiled job %d (%s): %w", i, j.Spec.Name, err)
 		}
+		if p, ok := specPaths[f]; ok {
+			f = p
+			if f == "storm.faults" && len(s.Workload.Jobs) > 0 && s.Workload.Jobs[i].Faults != "" {
+				f = "workload.jobs"
+			}
+		}
+		return naspipe.SpecErrorf(f, "compiled job %d (%s): %v", i, j.Spec.Name, err)
 	}
 	return nil
 }

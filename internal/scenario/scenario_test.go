@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -116,6 +117,63 @@ func TestScenarioInvariants(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSpecViolationsNameScenarioPaths: the rules a compiled JobSpec owns
+// are checked only there, and each violation still names the scenario
+// path that set the field — one case per specPaths entry, plus a job's
+// own fault plan, which names workload.jobs.
+func TestSpecViolationsNameScenarioPaths(t *testing.T) {
+	cases := map[string]func(*Scenario){
+		"gpus":         func(s *Scenario) { s.World.GPUs = -1 },
+		"stage_speeds": func(s *Scenario) { s.World.StageSpeeds = []float64{1, 1, math.Inf(1), 1} },
+		"jitter":       func(s *Scenario) { s.World.Jitter = 2 },
+		"space":        func(s *Scenario) { s.Workload.Space = "CV.c9" },
+		"scale_blocks": func(s *Scenario) { s.Workload.ScaleBlocks, s.Workload.ScaleChoices = -8, -3 },
+		"subnets":      func(s *Scenario) { s.Workload.Subnets = -4 },
+		"window":       func(s *Scenario) { s.Workload.Window = -2 },
+		"cache_factor": func(s *Scenario) { s.Workload.CacheFactor = fptr(-0.5) },
+		"predictor": func(s *Scenario) {
+			s.Workload.Predictor = true
+			s.Workload.CacheFactor = fptr(0)
+		},
+		"faults": func(s *Scenario) { s.Storm = &Storm{Faults: "drop=1.5"} },
+	}
+	check := func(t *testing.T, mutate func(*Scenario), field, path string) {
+		t.Helper()
+		s := validScenario()
+		mutate(s)
+		jobs, err := s.compileJobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var specErr error
+		for _, j := range jobs {
+			if specErr = j.Spec.Validate(); specErr != nil {
+				break
+			}
+		}
+		if got := naspipe.SpecField(specErr); got != field {
+			t.Fatalf("compiled spec error %v names %q, want the spec's own %q", specErr, got, field)
+		}
+		if got := naspipe.SpecField(s.Validate()); got != path {
+			t.Fatalf("scenario error %v names %q, want %q", s.Validate(), got, path)
+		}
+	}
+	for field, path := range specPaths {
+		mutate, ok := cases[field]
+		if !ok {
+			t.Errorf("no case for mapped spec field %q", field)
+			continue
+		}
+		t.Run(field, func(t *testing.T) { check(t, mutate, field, path) })
+	}
+	t.Run("job faults", func(t *testing.T) {
+		check(t, func(s *Scenario) {
+			s.Storm = &Storm{Faults: "seed=3"}
+			s.Workload.Jobs = []JobLoad{{Tenant: "a"}, {Tenant: "b", Faults: "drop=1.5"}}
+		}, "faults", "workload.jobs")
+	})
 }
 
 func TestScenarioValidAccepted(t *testing.T) {

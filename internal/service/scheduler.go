@@ -369,8 +369,7 @@ func (s *Scheduler) Submit(spec naspipe.JobSpec) (JobStatus, error) {
 
 // normalizeSpec pins the parts of a spec the daemon owns: every
 // concurrent job checkpoints into its own state dir and runs under
-// supervision (that is the service's crash-resume contract), and
-// verification implies tracing.
+// supervision (that is the service's crash-resume contract).
 func normalizeSpec(spec *naspipe.JobSpec, dir string) {
 	if spec.APIVersion == "" {
 		spec.APIVersion = naspipe.JobSpecVersion
@@ -380,10 +379,6 @@ func normalizeSpec(spec *naspipe.JobSpec, dir string) {
 		if spec.Supervise == nil {
 			spec.Supervise = &naspipe.SuperviseSpec{}
 		}
-	}
-	if spec.Verify && spec.Trace == nil {
-		on := true
-		spec.Trace = &on
 	}
 }
 
@@ -773,8 +768,8 @@ func (s *Scheduler) persistLocked(j *job) {
 }
 
 // runJob executes one job through naspipe.RunJob — a concurrent job
-// under the supervision plane — and classifies its outcome into the
-// service lifecycle.
+// under the supervision plane, verified there when the spec asks — and
+// classifies its outcome into the service lifecycle.
 func (s *Scheduler) runJob(j *job) {
 	s.mu.Lock()
 	if j.state != StateQueued {
@@ -822,20 +817,9 @@ func (s *Scheduler) runJob(j *job) {
 	case err == nil:
 		j.resume = false
 		if spec.Verify {
-			tc, _ := spec.TrainConfig()
-			cfg, cerr := spec.Config()
-			if cerr != nil {
-				s.finishLocked(j, StateFailed, fmt.Sprintf("verification setup: %v", cerr))
-				return
-			}
-			sum, verr := naspipe.VerifyAgainstSequential(tc, cfg, res)
-			if verr != nil {
-				s.finishLocked(j, StateFailed, fmt.Sprintf("verification: %v", verr))
-				return
-			}
 			j.verified = true
-			j.checksum = sum
-			s.finishLocked(j, StateDone, fmt.Sprintf("verified bitwise against sequential reference (%016x)", sum))
+			j.checksum = res.Checksum
+			s.finishLocked(j, StateDone, fmt.Sprintf("verified bitwise against sequential reference (%016x)", res.Checksum))
 			return
 		}
 		s.finishLocked(j, StateDone, "stream complete")

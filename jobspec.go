@@ -10,7 +10,6 @@ import (
 
 	"naspipe/internal/data"
 	"naspipe/internal/fault"
-	"naspipe/internal/sched"
 	"naspipe/internal/train"
 )
 
@@ -227,7 +226,9 @@ type JobSpec struct {
 	Supervise *SuperviseSpec `json:"supervise,omitempty"`
 	// Verify re-derives the completed run's weights from its observed
 	// trace and fails unless they are bitwise equal to the sequential
-	// reference. Requires Train and the concurrent executor.
+	// reference (Job.Verify). RunJob and the fleet coordinator honour it
+	// and return the checksum in Result.Checksum. Requires Train and the
+	// concurrent executor.
 	Verify bool `json:"verify,omitempty"`
 }
 
@@ -260,65 +261,6 @@ func SpecErrorf(field, format string, args ...any) error {
 	return &specErr{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
-// optionFacts is the single option-validation kernel shared by
-// JobSpec.Validate and NewRunner: both surfaces reduce to these facts
-// and run the same invariant checks, so the flag set, the service API,
-// and the functional options cannot drift apart.
-type optionFacts struct {
-	policy      string
-	executor    ExecutorKind
-	parallelism int
-	cacheSet    bool
-	cacheFactor float64
-	predictor   bool
-	faults      *fault.Plan
-	ckptPath    string
-	ckptEvery   int
-	haveTrain   bool // checkpoint-training attached
-	elastic     bool
-}
-
-// validate checks every cross-option invariant. Errors are *specErr so
-// both NewRunner and JobSpec.Validate surface the offending field.
-func (f optionFacts) validate() error {
-	if _, err := sched.New(f.policy); err != nil {
-		return &specErr{Field: "policy", Msg: err.Error()}
-	}
-	if f.executor != ExecutorSimulated && f.executor != ExecutorConcurrent {
-		return &specErr{Field: "executor", Msg: fmt.Sprintf("unknown executor %v", f.executor)}
-	}
-	if f.executor == ExecutorConcurrent && f.policy != "naspipe" {
-		return &specErr{Field: "policy", Msg: fmt.Sprintf("the concurrent executor implements CSP only; policy %q requires the simulated executor", f.policy)}
-	}
-	if f.parallelism < 0 {
-		return &specErr{Field: "parallelism", Msg: fmt.Sprintf("negative parallelism %d", f.parallelism)}
-	}
-	if f.cacheSet && f.cacheFactor < 0 {
-		return &specErr{Field: "cache_factor", Msg: fmt.Sprintf("negative cache factor %v", f.cacheFactor)}
-	}
-	if (f.cacheSet || f.predictor) && f.executor != ExecutorConcurrent {
-		return &specErr{Field: "cache_factor", Msg: fmt.Sprintf("the cache and predictor configure the concurrent memory plane; the %v executor has its own memory model", f.executor)}
-	}
-	if f.predictor && f.cacheSet && f.cacheFactor == 0 {
-		return &specErr{Field: "predictor", Msg: "the predictor requires a cache; cache factor 0 disables it"}
-	}
-	if (f.faults != nil || f.ckptPath != "" || f.ckptEvery != 0 || f.haveTrain) && f.executor != ExecutorConcurrent {
-		return &specErr{Field: "faults", Msg: fmt.Sprintf("faults/checkpoint/training configure the concurrent execution plane; the %v executor has no goroutines to crash or resume", f.executor)}
-	}
-	if f.faults != nil {
-		if err := f.faults.Validate(); err != nil {
-			return &specErr{Field: "faults", Msg: err.Error()}
-		}
-	}
-	if f.ckptEvery < 0 {
-		return &specErr{Field: "checkpoint_every", Msg: fmt.Sprintf("negative checkpoint interval %d", f.ckptEvery)}
-	}
-	if (f.ckptEvery != 0 || f.elastic) && f.ckptPath == "" {
-		return &specErr{Field: "checkpoint", Msg: "checkpoint_every/elastic refine a checkpoint path, which is not set"}
-	}
-	return nil
-}
-
 // executorKind resolves the spec's executor name.
 func (s JobSpec) executorKind() (ExecutorKind, error) {
 	switch s.Executor {
@@ -344,6 +286,53 @@ func (s JobSpec) policyName() string {
 // supervision/verification requirements. The first violation is
 // returned as an error naming the offending JSON field (see SpecField).
 func (s JobSpec) Validate() error {
+	_, _, err := s.lower()
+	return err
+}
+
+// lower is the one JobSpec lowering, so the one owner of every spec
+// rule: it checks the rows only a spec has, parses the fault plan, and
+// builds the Runner and engine Config the spec describes, the Runner
+// checked by the init NewRunner runs. Validate, FromSpec, LowerJob and
+// RunJob all come through here.
+func (s JobSpec) lower() (*Runner, Config, error) {
+	if err := s.check(); err != nil {
+		return nil, Config{}, err
+	}
+	kind, _ := s.executorKind() // checked
+	r := &Runner{
+		policy:    s.policyName(),
+		executor:  kind,
+		predictor: s.Predictor,
+		ckptPath:  s.Checkpoint,
+		ckptEvery: s.CheckpointEvery,
+		elastic:   s.Elastic || (s.Supervise != nil && s.Supervise.ElasticAfter > 0),
+	}
+	if s.Faults != "" {
+		plan, err := fault.ParsePlan(s.Faults)
+		if err != nil {
+			return nil, Config{}, &specErr{Field: "faults", Msg: err.Error()}
+		}
+		r.faults = plan
+	}
+	if s.Trace != nil {
+		r.trace, r.traceSet = *s.Trace, true
+	}
+	if s.CacheFactor != nil {
+		r.cacheFactor, r.cacheSet = *s.CacheFactor, true
+	}
+	if tc, ok := s.TrainConfig(); ok && s.Checkpoint != "" {
+		r.trainCfg = &tc
+	}
+	if err := r.init(); err != nil {
+		return nil, Config{}, err
+	}
+	cfg, err := s.Config()
+	return r, cfg, err
+}
+
+// check runs the rows only a spec has; the Runner's init checks the rest.
+func (s JobSpec) check() error {
 	if s.APIVersion != "" && s.APIVersion != JobSpecVersion {
 		return &specErr{Field: "api_version", Msg: fmt.Sprintf("unsupported version %q (this build speaks %q)", s.APIVersion, JobSpecVersion)}
 	}
@@ -383,13 +372,6 @@ func (s JobSpec) Validate() error {
 	if err != nil {
 		return err
 	}
-	var plan *fault.Plan
-	if s.Faults != "" {
-		plan, err = fault.ParsePlan(s.Faults)
-		if err != nil {
-			return &specErr{Field: "faults", Msg: err.Error()}
-		}
-	}
 	if s.Train != nil {
 		if s.Train.Dim < 0 || s.Train.BatchSize < 0 {
 			return &specErr{Field: "train", Msg: "negative dim or batch_size"}
@@ -423,26 +405,7 @@ func (s JobSpec) Validate() error {
 			return &specErr{Field: "trace", Msg: "verify needs the observed trace; trace=false contradicts it"}
 		}
 	}
-	return s.facts(kind, plan).validate()
-}
-
-// facts reduces the spec to the shared option-validation kernel.
-func (s JobSpec) facts(kind ExecutorKind, plan *fault.Plan) optionFacts {
-	f := optionFacts{
-		policy:    s.policyName(),
-		executor:  kind,
-		predictor: s.Predictor,
-		faults:    plan,
-		ckptPath:  s.Checkpoint,
-		ckptEvery: s.CheckpointEvery,
-		haveTrain: s.Train != nil && s.Checkpoint != "",
-		elastic:   s.Elastic || (s.Supervise != nil && s.Supervise.ElasticAfter > 0),
-	}
-	if s.CacheFactor != nil {
-		f.cacheSet = true
-		f.cacheFactor = *s.CacheFactor
-	}
-	return f
+	return nil
 }
 
 // TrainConfig materializes the spec's training plane against its
@@ -533,64 +496,89 @@ func (s JobSpec) Config() (Config, error) {
 // FromSpec validates the spec and derives both halves of a run from it:
 // the Runner options (executor, policy, cache, faults, checkpointing,
 // elasticity) and the engine Config (space, cluster, stream, jitter,
-// tracing). It is the bridge that makes JobSpec the single source of
-// truth — the CLIs, the Go API, and the naspiped service all build
-// their runners through it.
+// tracing). The options are the lowered Runner as one option, so an
+// option appended after it (WithTelemetry, say) overrides it. RunJob
+// runs a spec the way the CLIs, the scenario plane and the service do.
 func FromSpec(s JobSpec) ([]RunnerOption, Config, error) {
-	if err := s.Validate(); err != nil {
-		return nil, Config{}, err
-	}
-	cfg, err := s.Config()
+	r, cfg, err := s.lower()
 	if err != nil {
 		return nil, Config{}, err
 	}
-	kind, err := s.executorKind()
+	return []RunnerOption{func(dst *Runner) { *dst = *r }}, cfg, nil
+}
+
+// Job is a JobSpec lowered once: validated, its fault plan parsed, its
+// Runner and engine Config built. Every rule the spec implies is read
+// from a Job, never re-derived from the spec's fields: RunJob drives one
+// in this process, the fleet coordinator and its stage workers drive one
+// across processes.
+type Job struct {
+	Spec JobSpec
+	r    *Runner
+	cfg  Config
+}
+
+// LowerJob validates spec and lowers it to a Job.
+func LowerJob(spec JobSpec) (*Job, error) {
+	r, cfg, err := spec.lower()
 	if err != nil {
-		return nil, Config{}, err
+		return nil, err
 	}
-	opts := []RunnerOption{
-		WithPolicy(s.policyName()),
-		WithExecutor(kind),
+	return &Job{Spec: spec, r: r, cfg: cfg}, nil
+}
+
+// EngineConfig is the engine configuration an incarnation of the job
+// runs: the spec's Config with the Runner's overrides applied (tracing,
+// the cache and predictor with their default factor, the fault plan).
+func (j *Job) EngineConfig() Config {
+	cfg := j.cfg
+	j.r.applyOverrides(&cfg)
+	return cfg
+}
+
+// OpenCheckpoint starts the job's checkpoint recorder for a driver that
+// runs the incarnations itself, as the fleet coordinator does: fresh at
+// cursor 0 or, resuming, at the file's cursor and incarnation once the
+// file has passed Runner.Resume's guard. Identity and prefix weight
+// function are the Runner's. The recorder is nil when the spec keeps no
+// checkpoint; resuming one is an error.
+func (j *Job) OpenCheckpoint(resume bool) (*fault.FileRecorder, error) {
+	if j.r.ckptPath == "" && !resume {
+		return nil, nil
 	}
-	if s.Trace != nil {
-		opts = append(opts, WithTrace(*s.Trace))
-	} else if s.Verify {
-		opts = append(opts, WithTrace(true))
-	}
-	if s.CacheFactor != nil {
-		opts = append(opts, WithCache(*s.CacheFactor))
-	}
-	if s.Predictor {
-		opts = append(opts, WithPredictor(true))
-	}
-	if s.Faults != "" {
-		plan, perr := fault.ParsePlan(s.Faults)
-		if perr != nil {
-			return nil, Config{}, &specErr{Field: "faults", Msg: perr.Error()}
+	full := j.cfg.ResolveSubnets()
+	weightAt := j.r.weightFn(full, nil)
+	ident := j.r.identity(j.cfg, len(full))
+	if resume {
+		var err error
+		if ident, err = j.r.resumePoint(j.cfg, len(full), weightAt); err != nil {
+			return nil, err
 		}
-		opts = append(opts, WithFaults(plan))
 	}
-	if s.Checkpoint != "" {
-		opts = append(opts, WithCheckpoint(s.Checkpoint))
-		if s.CheckpointEvery > 0 {
-			opts = append(opts, WithCheckpointEvery(s.CheckpointEvery))
-		}
-		if tc, ok := s.TrainConfig(); ok {
-			opts = append(opts, WithCheckpointTraining(tc))
-		}
+	return j.r.openRecorder(ident, weightAt)
+}
+
+// Verify holds a completed run to the spec's Verify: its weights — the
+// committed prefix trained sequentially, the observed suffix replayed on
+// it — must land bitwise on the sequential reference, and the returned
+// Result carries that checksum. Without Verify, res comes back as is.
+func (j *Job) Verify(res Result) (Result, error) {
+	if !j.Spec.Verify {
+		return res, nil
 	}
-	if s.Elastic || (s.Supervise != nil && s.Supervise.ElasticAfter > 0) {
-		opts = append(opts, WithElasticResume())
-	}
-	return opts, cfg, nil
+	tc, _ := j.Spec.TrainConfig() // Verify requires a train spec
+	sum, err := VerifyAgainstSequential(tc, j.cfg, res)
+	res.Checksum = sum
+	return res, err
 }
 
 // VerifyAgainstSequential checks the reproducibility contract on real
 // weights: training the committed prefix [0, res.BaseSeq) sequentially
 // and replaying the run's observed suffix trace on the same net must
 // land bitwise on the uninterrupted sequential run's checksum. It
-// returns that checksum on success. This is the check behind the CLIs'
-// "resume verified" line and the service plane's verified flag.
+// returns that checksum on success. Job.Verify runs it for every spec
+// that sets Verify: the check behind the CLIs' "resume verified" line,
+// the scenario cells and the service plane's verified flag.
 func VerifyAgainstSequential(tc TrainConfig, cfg Config, res Result) (uint64, error) {
 	full := cfg.ResolveSubnets()
 	if res.BaseSeq < 0 || res.BaseSeq > len(full) {

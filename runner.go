@@ -177,7 +177,7 @@ func WithElasticResume() RunnerOption {
 }
 
 // NewRunner validates the option set and returns an immutable Runner.
-// Validation delegates to the JobSpec invariant kernel (optionFacts),
+// Validation is the Runner's init, which the JobSpec lowering runs too,
 // so the functional options, the CLI flag sets, and the service API all
 // enforce exactly the same rules.
 func NewRunner(opts ...RunnerOption) (*Runner, error) {
@@ -185,32 +185,59 @@ func NewRunner(opts ...RunnerOption) (*Runner, error) {
 	for _, opt := range opts {
 		opt(r)
 	}
-	facts := optionFacts{
-		policy:      r.policy,
-		executor:    r.executor,
-		parallelism: r.parallelism,
-		cacheSet:    r.cacheSet,
-		cacheFactor: r.cacheFactor,
-		predictor:   r.predictor,
-		faults:      r.faults,
-		ckptPath:    r.ckptPath,
-		ckptEvery:   r.ckptEvery,
-		haveTrain:   r.trainCfg != nil,
-		elastic:     r.elastic,
-	}
-	if err := facts.validate(); err != nil {
+	if err := r.init(); err != nil {
 		return nil, fmt.Errorf("naspipe: %w", err)
 	}
-	// trainCfg without a checkpoint path has nothing to checksum; the
-	// kernel folds it into the checkpoint-refinement rule.
+	return r, nil
+}
+
+// init checks every cross-option invariant, then fills the defaults.
+// Errors are *specErr, so both NewRunner and JobSpec.Validate surface
+// the offending field.
+func (r *Runner) init() error {
+	if _, err := sched.New(r.policy); err != nil {
+		return &specErr{Field: "policy", Msg: err.Error()}
+	}
+	if r.executor != ExecutorSimulated && r.executor != ExecutorConcurrent {
+		return &specErr{Field: "executor", Msg: fmt.Sprintf("unknown executor %v", r.executor)}
+	}
+	if r.executor == ExecutorConcurrent && r.policy != "naspipe" {
+		return &specErr{Field: "policy", Msg: fmt.Sprintf("the concurrent executor implements CSP only; policy %q requires the simulated executor", r.policy)}
+	}
+	if r.parallelism < 0 {
+		return &specErr{Field: "parallelism", Msg: fmt.Sprintf("negative parallelism %d", r.parallelism)}
+	}
+	if r.cacheSet && r.cacheFactor < 0 {
+		return &specErr{Field: "cache_factor", Msg: fmt.Sprintf("negative cache factor %v", r.cacheFactor)}
+	}
+	if (r.cacheSet || r.predictor) && r.executor != ExecutorConcurrent {
+		return &specErr{Field: "cache_factor", Msg: fmt.Sprintf("the cache and predictor configure the concurrent memory plane; the %v executor has its own memory model", r.executor)}
+	}
+	if r.predictor && r.cacheSet && r.cacheFactor == 0 {
+		return &specErr{Field: "predictor", Msg: "the predictor requires a cache; cache factor 0 disables it"}
+	}
+	if (r.faults != nil || r.ckptPath != "" || r.ckptEvery != 0 || r.trainCfg != nil) && r.executor != ExecutorConcurrent {
+		return &specErr{Field: "faults", Msg: fmt.Sprintf("faults/checkpoint/training configure the concurrent execution plane; the %v executor has no goroutines to crash or resume", r.executor)}
+	}
+	if r.faults != nil {
+		if err := r.faults.Validate(); err != nil {
+			return &specErr{Field: "faults", Msg: err.Error()}
+		}
+	}
+	if r.ckptEvery < 0 {
+		return &specErr{Field: "checkpoint_every", Msg: fmt.Sprintf("negative checkpoint interval %d", r.ckptEvery)}
+	}
+	if (r.ckptEvery != 0 || r.elastic) && r.ckptPath == "" {
+		return &specErr{Field: "checkpoint", Msg: "checkpoint_every/elastic refine a checkpoint path, which is not set"}
+	}
+	// trainCfg without a checkpoint path has nothing to checksum.
 	if r.trainCfg != nil && r.ckptPath == "" {
-		return nil, fmt.Errorf("naspipe: %w", &specErr{Field: "checkpoint", Msg: "WithCheckpointTraining refines WithCheckpoint, which is not set"})
+		return &specErr{Field: "checkpoint", Msg: "WithCheckpointTraining refines WithCheckpoint, which is not set"}
 	}
 	if r.predictor && !r.cacheSet {
-		r.cacheFactor = 3 // the paper's default footprint
-		r.cacheSet = true
+		r.cacheFactor, r.cacheSet = 3, true // the paper's default footprint
 	}
-	return r, nil
+	return nil
 }
 
 // Run executes one pipeline training run on the configured plane. It
@@ -236,14 +263,7 @@ func (r *Runner) run(ctx context.Context, cfg Config, weightAt func(int) uint64)
 			return engine.RunConcurrent(ctx, cfg)
 		}
 		full := cfg.ResolveSubnets()
-		return r.runCheckpointed(ctx, cfg, r.weightFn(full, weightAt), fault.Checkpoint{
-			Space:      cfg.Space.Name,
-			Seed:       cfg.Seed,
-			GPUs:       cfg.Spec.GPUs,
-			NumSubnets: len(full),
-			FaultSeed:  r.faultSeed(),
-			JitterSeed: cfg.JitterSeed,
-		})
+		return r.runCheckpointed(ctx, cfg, r.weightFn(full, weightAt), r.identity(cfg, len(full)))
 	default:
 		p, err := sched.New(r.policy)
 		if err != nil {
@@ -271,34 +291,48 @@ func (r *Runner) Resume(ctx context.Context, cfg Config) (Result, error) {
 // resume is Resume on weightAt, as run: nil verifies by retraining the
 // prefix, a supervised job's stands at the cursor it last checksummed.
 func (r *Runner) resume(ctx context.Context, cfg Config, weightAt func(int) uint64) (Result, error) {
-	if r.ckptPath == "" {
-		return Result{}, fmt.Errorf("naspipe: Resume requires WithCheckpoint")
-	}
-	ck, err := fault.Load(r.ckptPath)
-	if err != nil {
-		return Result{}, fmt.Errorf("naspipe: resume: %w", err)
-	}
 	r.applyOverrides(&cfg)
 	full := cfg.ResolveSubnets()
 	weightAt = r.weightFn(full, weightAt) // one checkpointer: the verified prefix is not retrained for the first cut
-	want := fault.Checkpoint{
-		Space: cfg.Space.Name, Seed: cfg.Seed, GPUs: cfg.Spec.GPUs,
-		NumSubnets: len(full), JitterSeed: cfg.JitterSeed,
-	}
-	if err := ck.VerifyResume(want, r.elastic, weightAt); err != nil {
-		return Result{}, fmt.Errorf("naspipe: resume: %w", err)
+	ck, err := r.resumePoint(cfg, len(full), weightAt)
+	if err != nil {
+		return Result{}, err
 	}
 	if ck.Cursor == len(full) {
 		// Nothing left to run: the crash landed after the final commit.
 		return Result{BaseSeq: ck.Cursor}, nil
 	}
-	cfg = cfg.ResumeAt(full, ck.Cursor, ck.Incarnation)
-	ck.FaultSeed = r.faultSeed()
-	// Elastic resume: the suffix re-partitions at the config's depth, and
-	// the rewritten identity persists it so later resumes verify against
-	// the depth actually running.
-	ck.GPUs = cfg.Spec.GPUs
-	return r.runCheckpointed(ctx, cfg, weightAt, ck)
+	return r.runCheckpointed(ctx, cfg.ResumeAt(full, ck.Cursor, ck.Incarnation), weightAt, ck)
+}
+
+// identity is the checkpoint identity of a run of n subnets at cfg: the
+// fields a resume verifies, plus the fault seed it runs under.
+func (r *Runner) identity(cfg Config, n int) fault.Checkpoint {
+	return fault.Checkpoint{
+		Space: cfg.Space.Name, Seed: cfg.Seed, GPUs: cfg.Spec.GPUs,
+		NumSubnets: n, FaultSeed: r.faultSeed(), JitterSeed: cfg.JitterSeed,
+	}
+}
+
+// resumePoint loads the checkpoint file and checks that it continues
+// the run of n subnets cfg describes (identity, and with weightAt the
+// committed prefix's weight checksum). It returns the file's state as
+// the resumed recorder's starting point, re-stamped with this run's
+// fault seed and depth: an elastic resume re-partitions the suffix, and
+// the rewritten identity persists the depth actually running.
+func (r *Runner) resumePoint(cfg Config, n int, weightAt func(int) uint64) (fault.Checkpoint, error) {
+	if r.ckptPath == "" {
+		return fault.Checkpoint{}, errors.New("naspipe: resume requires a checkpoint path (WithCheckpoint)")
+	}
+	ck, err := fault.Load(r.ckptPath)
+	if err == nil {
+		err = ck.VerifyResume(r.identity(cfg, n), r.elastic, weightAt)
+	}
+	if err != nil {
+		return fault.Checkpoint{}, fmt.Errorf("naspipe: resume: %w", err)
+	}
+	ck.FaultSeed, ck.GPUs = r.faultSeed(), cfg.Spec.GPUs
+	return ck, nil
 }
 
 // applyOverrides folds the Runner's option overrides into a run config;
@@ -346,6 +380,16 @@ var prefixChecksummer = func(tc train.Config, full []supernet.Subnet) func(int) 
 	return train.NewCheckpointer(tc, full).ChecksumAt
 }
 
+// openRecorder starts a file recorder at ident and persists that state
+// at once, so a crash before the first cut still leaves a resumable file.
+func (r *Runner) openRecorder(ident fault.Checkpoint, weightFn func(int) uint64) (*fault.FileRecorder, error) {
+	rec := fault.NewFileRecorder(r.ckptPath, ident, r.ckptEvery, weightFn)
+	if err := rec.Init(); err != nil {
+		return nil, fmt.Errorf("naspipe: checkpoint init: %w", err)
+	}
+	return rec, nil
+}
+
 // runCheckpointed executes a concurrent run with a file recorder wired
 // to the engine's consistency cuts. weightFn gives a cut's prefix weight
 // checksum (nil = none); the recorder's writer calls it once per saved
@@ -357,9 +401,9 @@ var prefixChecksummer = func(tc train.Config, full []supernet.Subnet) func(int) 
 // the next Resume rolls a fresh fault schedule — an incarnation-0 wedge
 // that forced the interruption cannot refire — and Flush otherwise.
 func (r *Runner) runCheckpointed(ctx context.Context, cfg Config, weightFn func(int) uint64, ident fault.Checkpoint) (Result, error) {
-	rec := fault.NewFileRecorder(r.ckptPath, ident, r.ckptEvery, weightFn)
-	if err := rec.Init(); err != nil {
-		return Result{}, fmt.Errorf("naspipe: checkpoint init: %w", err)
+	rec, err := r.openRecorder(ident, weightFn)
+	if err != nil {
+		return Result{}, err
 	}
 	cfg.Checkpoint = rec
 	res, err := engine.RunConcurrent(ctx, cfg)

@@ -85,31 +85,34 @@ func (r *Runner) supervise(ctx context.Context, cfg Config, sc SuperviseConfig, 
 // incarnation from the spec's checkpoint. hooks carries what callers
 // differ in — Telemetry (one bus for engine events and health transitions
 // alike), Log, Observer and OnIncident — and nothing else is read from
-// it: every budget comes from the spec. The Report is nil for an
-// unsupervised job; ExitCodeOf classifies the error.
+// it: every budget comes from the spec. A completed job whose spec sets
+// Verify is held to the sequential reference by Job.Verify, the check
+// the fleet coordinator runs too, and its Result carries the checksum.
+// The Report is nil for an unsupervised job; ExitCodeOf classifies the
+// error.
 func RunJob(ctx context.Context, spec JobSpec, resume bool, hooks SuperviseConfig) (Result, *SuperviseReport, error) {
-	opts, cfg, err := FromSpec(spec)
+	j, err := LowerJob(spec)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if hooks.Telemetry != nil {
-		opts = append(opts, WithTelemetry(hooks.Telemetry))
-	}
-	r, err := NewRunner(opts...)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	sc, supervised := spec.SuperviseConfig()
-	if !supervised {
+	r := j.r
+	r.tel = hooks.Telemetry
+	var res Result
+	var rep *SuperviseReport
+	if sc, supervised := spec.SuperviseConfig(); supervised {
+		sc.Telemetry, sc.Log, sc.Observer, sc.OnIncident = hooks.Telemetry, hooks.Log, hooks.Observer, hooks.OnIncident
+		res, rep, err = r.supervise(ctx, j.cfg, sc, resume)
+	} else {
 		run := r.run
 		if resume {
 			run = r.resume
 		}
-		res, err := run(ctx, cfg, nil)
-		return res, nil, err
+		res, err = run(ctx, j.cfg, nil)
 	}
-	sc.Telemetry, sc.Log, sc.Observer, sc.OnIncident = hooks.Telemetry, hooks.Log, hooks.Observer, hooks.OnIncident
-	return r.supervise(ctx, cfg, sc, resume)
+	if err == nil {
+		res, err = j.Verify(res)
+	}
+	return res, rep, err
 }
 
 // superviseJob validates the runner/config pairing and builds the
