@@ -4,6 +4,7 @@
 //
 //	naspipe-bench -exp table2            # one experiment
 //	naspipe-bench -exp table2,figure5    # several
+//	naspipe-bench -exp artifact-compare  # artifact Experiment 1: bitwise, 1 vs 4 GPUs
 //	naspipe-bench -exp all               # the whole evaluation (§5)
 //	naspipe-bench -exp all -quick        # reduced sizes for a fast pass
 //	naspipe-bench -exp all -parallel 4   # fan experiments over 4 workers
@@ -86,36 +87,27 @@ func run() naspipe.ExitCode {
 	)
 	flag.Parse()
 
-	// SIGINT/SIGTERM cancel between tasks; a checkpointed run exits
-	// resumable (3) with its committed frontier already on disk.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if f.DebugAddr != "" {
-		// The bus is swapped in by whichever mode runs; serve immediately so
-		// pprof is reachable even during long experiment sweeps.
-		addr, shutdown, err := telemetry.ServeDebug(f.DebugAddr, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "debug server: %v\n", err)
-			return naspipe.ExitUsage
-		}
-		defer shutdown()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/ (pprof, vars, telemetry)\n", addr)
-	}
-
-	if f.Resume && f.Checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "naspipe-bench: -resume requires -checkpoint")
-		return naspipe.ExitUsage
-	}
 	if f.ConcurrentRequested() && !*concurrent {
 		fmt.Fprintln(os.Stderr, "naspipe-bench: -faults/-checkpoint/-resume/-supervise require -concurrent")
 		return naspipe.ExitUsage
 	}
+	if *concurrent && !*overhead {
+		return concurrentSmoke(f)
+	}
+
+	// SIGINT/SIGTERM cancel between experiments and runs; the partial
+	// report printed so far stays on stdout.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	// Serve pprof even during long experiment sweeps.
+	stopDebug, err := f.ServeDebug(os.Stderr, nil)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "debug server: %v\n", err)
+		return naspipe.ExitUsage
+	}
+	defer stopDebug()
 	if *concurrent {
-		if *overhead {
-			return overheadGate(ctx, f)
-		}
-		return concurrentSmoke(ctx, f)
+		return overheadGate(ctx, f)
 	}
 
 	o := naspipe.DefaultExperimentOptions()
@@ -177,125 +169,40 @@ func smokeSpec(f *clicfg.Flags, trace bool) naspipe.JobSpec {
 }
 
 // concurrentSmoke exercises the goroutine-per-stage execution plane once
-// through naspipe.RunJob — under -supervise, crashes and watchdog-diagnosed
-// stalls auto-resume in-process and health transitions land on the same
-// telemetry bus as the engine events — and prints its verification
-// verdict, contention profile, and — with the cache enabled — the
-// memory-context profile. With the predictor on, a hit rate at or below
-// zero is a regression and fails the smoke.
-func concurrentSmoke(ctx context.Context, f *clicfg.Flags) naspipe.ExitCode {
+// through clicfg's run-and-report path (naspipe.RunJob: under -supervise,
+// crashes and watchdog-diagnosed stalls auto-resume in-process and
+// health transitions land on the same telemetry bus as the engine
+// events) and prints its verification verdict, contention profile, and —
+// with the cache enabled — the memory-context profile. With the
+// predictor on, a hit rate at or below zero is a regression and fails
+// the smoke.
+func concurrentSmoke(f *clicfg.Flags) naspipe.ExitCode {
 	spec := smokeSpec(f, true)
 	// A resumed or supervised run is held to the sequential reference by
 	// RunJob (both need -checkpoint, which attaches the training plane).
 	spec.Verify = f.Resume || spec.Supervise != nil
-	if err := spec.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return naspipe.ExitUsage
-	}
-	var bus *telemetry.Bus
-	if f.TraceOut != "" || f.EventsOut != "" || f.DebugAddr != "" || f.Progress > 0 {
-		bus = telemetry.NewBus(0)
-		if f.DebugAddr != "" {
-			telemetry.PublishBus(bus)
-		}
-	}
-	stopProgress := telemetry.StartProgress(os.Stderr, bus, f.Progress)
-
 	t0 := time.Now()
-	res, rep, err := naspipe.RunJob(ctx, spec, f.Resume, naspipe.SuperviseConfig{
-		Telemetry: bus,
-		Log:       func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-	})
-	stopProgress()
-	if err != nil {
-		code := naspipe.ExitCodeOf(ctx, err, spec.Checkpoint != "")
-		label, hint := "", "rerun with -resume"
-		switch {
-		case ctx.Err() != nil:
-			label, hint = "interrupted: ", "rerun with -resume (or -supervise -resume)"
-		case code == naspipe.ExitResumable:
-			label = "injected crash: "
-		}
-		fmt.Fprintf(os.Stderr, "concurrent: %s%v\n", label, err)
-		if code == naspipe.ExitResumable {
-			printBenchCheckpoint(spec.Checkpoint, hint)
-		}
-		if bus != nil {
-			// The fault timeline up to the failure is the artifact that
-			// matters; export it even though the run died.
-			exportTelemetry(bus, f.TraceOut, f.EventsOut)
-		}
-		return code
-	}
-	fmt.Printf("concurrent CSP plane: %d subnets, %d stages, %v wall clock\n",
-		res.Completed, res.D, time.Since(t0).Round(time.Microsecond))
-	if rep != nil {
-		fmt.Printf("supervised run: %d restarts, %d watchdog fires, final state %s, final D=%d\n",
-			rep.Restarts, rep.WatchdogFires, rep.FinalState, rep.FinalGPUs)
-		if len(rep.ElasticSteps) > 0 {
-			fmt.Printf("elastic depth steps: %v\n", rep.ElasticSteps)
-		}
-	}
-	if res.ObservedTrace != nil {
-		fmt.Printf("per-layer access order verified against the sequential reference (%d observed events)\n",
-			len(res.ObservedTrace.Events))
-	}
-	if spec.Verify {
-		fmt.Printf("resume verified: prefix [0,%d) + replayed suffix == uninterrupted sequential weights, bitwise\n", res.BaseSeq)
-	}
-	fmt.Print(metrics.ContentionTable(res.Contention))
-	if res.CacheStats != nil {
-		fmt.Print(metrics.CacheTable(res.CacheStats))
-		fmt.Printf("cache hit rate %s (budget %s of %s supernet, predictor %v)\n",
-			metrics.Percent(res.CacheHitRate), metrics.Gigabytes(res.CachedParamBytes),
-			metrics.Gigabytes(res.CPUMemBytes), spec.Predictor)
-		if spec.Predictor && res.CacheHitRate <= 0 {
-			fmt.Fprintf(os.Stderr, "concurrent: predictor enabled but cache hit rate is %v\n", res.CacheHitRate)
-			return naspipe.ExitFailure
-		}
-	}
-	if spec.Checkpoint != "" {
-		// Where a recovery's time went has an fsync share: only the
-		// synchronous saves were on anyone's critical path.
-		fmt.Printf("checkpoint plane: %v\n", res.CheckpointStats)
-	}
-	if bus != nil {
-		fmt.Println("telemetry: " + bus.Snapshot().String())
-		if code := exportTelemetry(bus, f.TraceOut, f.EventsOut); code != 0 {
-			return naspipe.ExitCode(code)
-		}
-	}
-	return naspipe.ExitOK
-}
-
-// printBenchCheckpoint reports the on-disk checkpoint a resumable exit
-// leaves behind, with the flag hint for continuing the run.
-func printBenchCheckpoint(path, hint string) {
-	ck, err := naspipe.LoadCheckpoint(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "checkpoint: %s unreadable: %v\n", path, err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "checkpoint: %s at cursor %d/%d, incarnation %d — %s\n",
-		path, ck.Cursor, ck.NumSubnets, ck.Incarnation, hint)
-}
-
-// exportTelemetry writes the captured stream to the requested files; the
-// Chrome trace is validated after writing so a malformed export fails the
-// command instead of failing later in the browser.
-func exportTelemetry(bus *telemetry.Bus, traceOut, eventsOut string) int {
-	if dropped := bus.Dropped(); dropped > 0 {
-		fmt.Fprintf(os.Stderr, "telemetry: ring dropped %d events; exports are truncated (raise the bus capacity)\n", dropped)
-	}
-	lines, err := telemetry.ExportFiles(bus, traceOut, eventsOut)
-	for _, l := range lines {
-		fmt.Println(l)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	return 0
+	return f.Run(context.Background(), os.Stdout, os.Stderr, clicfg.Job{Name: "concurrent", Spec: spec,
+		Report: func(res naspipe.Result, _ *naspipe.SuperviseReport) error {
+			fmt.Printf("concurrent CSP plane: %d subnets, %d stages, %v wall clock\n",
+				res.Completed, res.D, time.Since(t0).Round(time.Microsecond))
+			if res.ObservedTrace != nil {
+				fmt.Printf("per-layer access order verified against the sequential reference (%d observed events)\n",
+					len(res.ObservedTrace.Events))
+			}
+			fmt.Print(metrics.ContentionTable(res.Contention))
+			if res.CacheStats == nil {
+				return nil
+			}
+			fmt.Print(metrics.CacheTable(res.CacheStats))
+			fmt.Printf("cache hit rate %s (budget %s of %s supernet, predictor %v)\n",
+				metrics.Percent(res.CacheHitRate), metrics.Gigabytes(res.CachedParamBytes),
+				metrics.Gigabytes(res.CPUMemBytes), spec.Predictor)
+			if spec.Predictor && res.CacheHitRate <= 0 {
+				return fmt.Errorf("predictor enabled but cache hit rate is %v", res.CacheHitRate)
+			}
+			return nil
+		}})
 }
 
 // The overhead gate times (off, on) pairs in blocks of overheadPairs and

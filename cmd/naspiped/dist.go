@@ -19,14 +19,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"naspipe"
 	"naspipe/internal/clicfg"
 	"naspipe/internal/distrib"
-	"naspipe/internal/telemetry"
 )
 
 func distMain(args []string) naspipe.ExitCode {
@@ -44,16 +41,16 @@ func distMain(args []string) naspipe.ExitCode {
 		trainBatch = fs.Int("train-batch", 2, "numeric plane: items per subnet step")
 		trainLR    = fs.Float64("train-lr", 0.05, "numeric plane: SGD learning rate")
 	)
-	fs.Parse(args)
-	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "naspiped dist: unexpected arguments %v\n", fs.Args())
+	if err := f.Parse(args); err != nil {
+		fmt.Fprintln(os.Stderr, "naspiped dist:", err)
 		return naspipe.ExitUsage
 	}
-	if f.Resume && f.Checkpoint == "" && *specPath == "" {
-		fmt.Fprintln(os.Stderr, "naspiped dist: -resume requires -checkpoint")
+	if f.TraceOut != "" {
+		// The coordinator's bus carries link and health instants only; the
+		// task spans a Chrome trace is made of live in the stage processes.
+		fmt.Fprintln(os.Stderr, "naspiped dist: -trace-out needs the stage processes' task spans; use -events-out for the coordinator's link and health timeline")
 		return naspipe.ExitUsage
 	}
-
 	spec, code := distSpec(f, *specPath, *verify, *trainDim, *trainBatch, *trainLR)
 	if code != naspipe.ExitOK {
 		return code
@@ -82,76 +79,38 @@ func distMain(args []string) naspipe.ExitCode {
 	// The coordinator's telemetry bus sees its side of every link (the
 	// star topology relays all engine traffic through it), so the JSONL
 	// log carries the full transport story: sends, drops, cuts,
-	// reconnects and go-back-N retransmits, per peer stage.
-	var bus *naspipe.TelemetryBus
-	if f.TraceOut != "" || f.EventsOut != "" || f.Progress > 0 {
-		bus = naspipe.NewTelemetryBus(0)
-	}
-	stopProgress := telemetry.StartProgress(os.Stderr, bus, f.Progress)
-	defer stopProgress()
-
-	co, err := distrib.NewCoordinator(distrib.CoordConfig{
-		Spec: spec, RunID: id, Addr: *listen,
-		Launcher:  &distrib.ExecLauncher{Bin: bin, Args: []string{"stage"}, LogDir: *logDir},
-		DeadAfter: *deadAfter,
-		Resume:    f.Resume,
-		Tel:       bus,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+	// reconnects and go-back-N retransmits, per peer stage. SIGINT/SIGTERM
+	// abort the fleet and exit resumable: the committed cursor is already
+	// checkpointed.
+	return f.Run(context.Background(), os.Stdout, os.Stderr, clicfg.Job{Name: "naspiped dist", Spec: spec,
+		Run: func(ctx context.Context, hooks naspipe.SuperviseConfig) (naspipe.Result, *naspipe.SuperviseReport, error) {
+			co, err := distrib.NewCoordinator(distrib.CoordConfig{
+				Spec: spec, RunID: id, Addr: *listen,
+				Launcher:  &distrib.ExecLauncher{Bin: bin, Args: []string{"stage"}, LogDir: *logDir},
+				DeadAfter: *deadAfter,
+				Resume:    f.Resume,
+				Tel:       hooks.Telemetry,
+				Log:       hooks.Log,
+			})
+			if err != nil {
+				return naspipe.Result{}, nil, err
+			}
+			return co.Run(ctx)
 		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "naspiped dist:", err)
-		return naspipe.ExitUsage
-	}
-
-	// SIGINT/SIGTERM abort the fleet and exit resumable: the committed
-	// cursor is already checkpointed, so a rerun with -resume picks up
-	// exactly where the cuts left off.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	res, rep, err := co.Run(ctx)
-	if err != nil {
-		code := naspipe.ExitCodeOf(ctx, err, spec.Checkpoint != "")
-		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "naspiped dist: interrupted: %v\n", err)
-		} else {
-			fmt.Fprintln(os.Stderr, "naspiped dist:", err)
-		}
-		if code == naspipe.ExitResumable {
-			fmt.Fprintf(os.Stderr, "naspiped dist: rerun with -resume to continue from %s\n", spec.Checkpoint)
-		}
-		return code
-	}
-	fmt.Printf("distributed fleet: %s on %d stage processes, %d subnets completed",
-		spec.Space, spec.GPUs, res.Completed)
-	if res.BaseSeq > 0 {
-		fmt.Printf(" (resumed at cursor %d)", res.BaseSeq)
-	}
-	fmt.Println()
-	fmt.Printf("fleet supervision: %s, %d restarts, final D=%d\n",
-		rep.FinalState, rep.Restarts, rep.FinalGPUs)
-	if spec.Checkpoint != "" {
-		fmt.Printf("checkpoint plane:  %v\n", res.CheckpointStats)
-	}
-	if bus != nil {
-		fmt.Printf("telemetry:         %s\n", bus.Snapshot().String())
-		lines, err := telemetry.ExportFiles(bus, f.TraceOut, f.EventsOut)
-		for _, l := range lines {
-			fmt.Println(l)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "naspiped dist:", err)
-			return naspipe.ExitFailure
-		}
-	}
-	return naspipe.ExitOK
+		Report: func(res naspipe.Result, rep *naspipe.SuperviseReport) error {
+			fmt.Printf("distributed fleet: %s on %d stage processes, %d subnets completed", spec.Space, spec.GPUs, res.Completed)
+			if res.BaseSeq > 0 {
+				fmt.Printf(" (resumed at cursor %d)", res.BaseSeq)
+			}
+			fmt.Printf("\nfleet supervision: %s, %d restarts, final D=%d\n", rep.FinalState, rep.Restarts, rep.FinalGPUs)
+			return nil
+		}})
 }
 
 // distSpec assembles the fleet's JobSpec from a file or the shared run
 // flags, normalized onto the concurrent executor with the numeric
-// plane attached (checkpoint checksums and verification need it).
+// plane attached (checkpoint checksums and verification need it);
+// Flags.Run validates it.
 func distSpec(f *clicfg.Flags, path string, verify bool, dim, batch int, lr float64) (naspipe.JobSpec, naspipe.ExitCode) {
 	var spec naspipe.JobSpec
 	if path != "" {
@@ -173,10 +132,6 @@ func distSpec(f *clicfg.Flags, path string, verify bool, dim, batch int, lr floa
 	}
 	if spec.Train == nil {
 		spec.Train = &naspipe.TrainSpec{Dim: dim, BatchSize: batch, LR: lr}
-	}
-	if err := spec.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "naspiped dist:", err)
-		return spec, naspipe.ExitUsage
 	}
 	return spec, naspipe.ExitOK
 }

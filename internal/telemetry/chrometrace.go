@@ -73,8 +73,9 @@ func keyOf(ev Event) spanKey {
 // WriteChromeTrace renders the event stream as a Chrome trace-event JSON
 // array. Events are globally sorted by timestamp, so per-thread
 // timestamps are monotonic by construction; unmatched span ends are
-// dropped (a truncated ring can lose a begin) and unclosed begins are
-// closed at the last observed timestamp so a cancelled run still loads.
+// dropped (a truncated ring can lose a begin), unclosed begins are
+// closed at the last observed timestamp, and a flow arrow missing either
+// end is dropped, so a crashed or cancelled run still loads.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	evs := make([]Event, len(events))
 	copy(evs, events)
@@ -121,11 +122,34 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			Args: argsOf(b),
 		})
 	}
+	// Flow arrows are drawn in matched pairs only: a crashed or cancelled
+	// run can leave a transfer sent and never received, and a truncated
+	// ring can lose the send.
+	flows := map[int64][2]int{} // flow id → {sends, receives} left to draw
+	for _, ev := range evs {
+		if ev.Phase == PhaseFlowBegin || ev.Phase == PhaseFlowEnd {
+			n := flows[ev.Arg]
+			n[ev.Phase-PhaseFlowBegin]++
+			flows[ev.Arg] = n
+		}
+	}
+	for id, n := range flows {
+		m := min(n[0], n[1])
+		flows[id] = [2]int{m, m}
+	}
 	for _, ev := range evs {
 		if ev.TsNs > lastTs {
 			lastTs = ev.TsNs
 		}
 		k := pt{ev.Stage, ev.Worker}
+		if ev.Phase == PhaseFlowBegin || ev.Phase == PhaseFlowEnd {
+			n := flows[ev.Arg]
+			if n[ev.Phase-PhaseFlowBegin] == 0 {
+				continue
+			}
+			n[ev.Phase-PhaseFlowBegin]--
+			flows[ev.Arg] = n
+		}
 		switch ev.Phase {
 		case PhaseBegin:
 			stacks[k] = append(stacks[k], open{ev, keyOf(ev)})

@@ -83,6 +83,34 @@ func TestChromeTraceClosesUnmatchedSpans(t *testing.T) {
 	}
 }
 
+// A crash or cancellation can leave a transfer sent and never received;
+// the arrow missing its head is dropped, so the trace still validates.
+func TestChromeTraceDropsUnmatchedFlows(t *testing.T) {
+	sent, lost := FlowID(KindForward, 1, 0), FlowID(KindForward, 2, 0)
+	evs := []Event{
+		{TsNs: 10, Op: OpTaskStart, Phase: PhaseBegin, Stage: 0, Subnet: 1, Kind: KindForward},
+		{TsNs: 20, Op: OpTransferSend, Phase: PhaseFlowBegin, Stage: 0, Subnet: 1, Kind: KindForward, Arg: sent},
+		{TsNs: 30, Op: OpTaskComplete, Phase: PhaseEnd, Stage: 0, Subnet: 1, Kind: KindForward},
+		{TsNs: 40, Op: OpTaskStart, Phase: PhaseBegin, Stage: 0, Subnet: 2, Kind: KindForward},
+		{TsNs: 50, Op: OpTransferSend, Phase: PhaseFlowBegin, Stage: 0, Subnet: 2, Kind: KindForward, Arg: lost},
+		{TsNs: 60, Op: OpTaskComplete, Phase: PhaseEnd, Stage: 0, Subnet: 2, Kind: KindForward},
+		{TsNs: 70, Op: OpTaskStart, Phase: PhaseBegin, Stage: 1, Subnet: 1, Kind: KindForward},
+		{TsNs: 80, Op: OpTransferRecv, Phase: PhaseFlowEnd, Stage: 1, Subnet: 1, Kind: KindForward, Arg: sent},
+		{TsNs: 90, Op: OpTaskComplete, Phase: PhaseEnd, Stage: 1, Subnet: 1, Kind: KindForward},
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, evs); err != nil {
+		t.Fatal(err)
+	}
+	st, err := ValidateChromeTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FlowBegin != 1 || st.FlowEnd != 1 {
+		t.Fatalf("flows %d/%d, want the one matched arrow", st.FlowBegin, st.FlowEnd)
+	}
+}
+
 func TestValidateRejectsGarbage(t *testing.T) {
 	if _, err := ValidateChromeTrace(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")
