@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -284,6 +285,60 @@ func TestFleetResumeAcrossCoordinators(t *testing.T) {
 	if _, err := naspipe.VerifyAgainstSequential(tc, cfg, res); err != nil {
 		t.Fatalf("cross-coordinator verification: %v", err)
 	}
+}
+
+// TestCleanFleetEndsWithoutKills: the "complete" release is an
+// unsequenced Abort queued on each worker's link just before the
+// coordinator reaps, and a worker that misses it is killed after 2 s. A
+// clean job must end with every worker leaving on the release, so a
+// frame lost from a link's queue at teardown fails here rather than
+// showing up only as fleet start-to-finish time.
+func TestCleanFleetEndsWithoutKills(t *testing.T) {
+	checkLeaks(t)
+	spec := distSpec(t, 12)
+	l := &killCounter{}
+	co, err := distrib.NewCoordinator(distrib.CoordConfig{
+		Spec: spec, RunID: "release-test", Launcher: l, Log: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	res, rep, err := co.Run(ctx)
+	if err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
+	if rep.FinalState != supervise.Done || res.Completed != spec.Subnets {
+		t.Fatalf("final state %v with %d/%d completed, want Done with all", rep.FinalState, res.Completed, spec.Subnets)
+	}
+	if n := l.kills.Load(); n != 0 {
+		t.Fatalf("%d workers killed after a clean job, want 0: the release Abort did not reach them", n)
+	}
+}
+
+// killCounter is the in-process launcher with every Kill counted.
+type killCounter struct {
+	distrib.InProcLauncher
+	kills atomic.Int64
+}
+
+func (l *killCounter) Start(ctx context.Context, w distrib.WorkerSpec) (distrib.Process, error) {
+	p, err := l.InProcLauncher.Start(ctx, w)
+	if err != nil {
+		return nil, err
+	}
+	return countedKill{p, &l.kills}, nil
+}
+
+type countedKill struct {
+	distrib.Process
+	kills *atomic.Int64
+}
+
+func (p countedKill) Kill() error {
+	p.kills.Add(1)
+	return p.Process.Kill()
 }
 
 // victimLauncher wraps the in-process launcher and hands the chosen

@@ -11,6 +11,10 @@
 //     exponential-backoff reconnect loop (internal/backoff — the same
 //     policy the supervision plane restarts with). Coordinator and
 //     worker processes (internal/distrib) compose Links into a star.
+//     One writer goroutine per Link owns the socket's write side:
+//     senders and go-back-N queue encoded frames, the reader never
+//     writes and only marks an ack due, and each writer pass sends the
+//     queue plus one coalesced cumulative ack in a single Write.
 //
 // The wire format is deliberately boring: every frame is
 //
@@ -145,33 +149,51 @@ func ParseFrame(b []byte) (Frame, int, error) {
 	if len(b) < 4+body {
 		return Frame{}, 0, nil
 	}
-	h := b[4:]
-	if m := binary.BigEndian.Uint16(h); m != Magic {
-		return Frame{}, 0, decodeErrf(4, "magic %#04x, want %#04x", m, Magic)
+	f, err := parseHeader(b[4 : 4+headerBytes])
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	if v := h[2]; v != Version {
-		return Frame{}, 0, decodeErrf(6, "frame version %d, this build speaks %d", v, Version)
-	}
-	t := FrameType(h[3])
-	if t == 0 || t >= frameTypeCount {
-		return Frame{}, 0, decodeErrf(7, "unknown frame type %d", h[3])
-	}
-	f := Frame{
-		Type: t,
-		From: int(int16(binary.BigEndian.Uint16(h[4:]))),
-		To:   int(int16(binary.BigEndian.Uint16(h[6:]))),
-		Seq:  binary.BigEndian.Uint64(h[8:]),
-	}
-	if n := body - headerBytes; n > 0 {
-		f.Payload = append([]byte(nil), h[headerBytes:headerBytes+n]...)
+	if body > headerBytes {
+		f.Payload = append([]byte(nil), b[4+headerBytes:4+body]...)
 	}
 	return f, 4 + body, nil
 }
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, f Frame) error {
+// parseHeader decodes the headerBytes that follow the length prefix.
+// Error offsets count from the start of the frame, length prefix
+// included.
+func parseHeader(h []byte) (Frame, error) {
+	if m := binary.BigEndian.Uint16(h); m != Magic {
+		return Frame{}, decodeErrf(4, "magic %#04x, want %#04x", m, Magic)
+	}
+	if v := h[2]; v != Version {
+		return Frame{}, decodeErrf(6, "frame version %d, this build speaks %d", v, Version)
+	}
+	t := FrameType(h[3])
+	if t == 0 || t >= frameTypeCount {
+		return Frame{}, decodeErrf(7, "unknown frame type %d", h[3])
+	}
+	return Frame{
+		Type: t,
+		From: int(int16(binary.BigEndian.Uint16(h[4:]))),
+		To:   int(int16(binary.BigEndian.Uint16(h[6:]))),
+		Seq:  binary.BigEndian.Uint64(h[8:]),
+	}, nil
+}
+
+// checkPayload refuses a frame whose body would exceed the ceiling
+// every reader enforces.
+func checkPayload(f Frame) error {
 	if len(f.Payload) > MaxFrame-headerBytes {
 		return decodeErrf(0, "payload %d bytes exceeds the %d-byte frame ceiling", len(f.Payload), MaxFrame)
+	}
+	return nil
+}
+
+// WriteFrame writes one frame to w.
+func WriteFrame(w io.Writer, f Frame) error {
+	if err := checkPayload(f); err != nil {
+		return err
 	}
 	buf := AppendFrame(make([]byte, 0, f.EncodedLen()), f)
 	_, err := w.Write(buf)
@@ -181,25 +203,38 @@ func WriteFrame(w io.Writer, f Frame) error {
 // ReadFrame reads exactly one frame from r, refusing bodies larger than
 // the frame ceiling before allocating for them.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var lb [4]byte
-	if _, err := io.ReadFull(r, lb[:]); err != nil {
+	fr := frameReader{r: r}
+	return fr.next()
+}
+
+// frameReader reads frames off one stream. The length prefix and header
+// land in hdr, which lives as long as the reader, so a frame costs one
+// allocation, its payload, and a frame without a payload costs none.
+type frameReader struct {
+	r   io.Reader
+	hdr [4 + headerBytes]byte
+}
+
+func (fr *frameReader) next() (Frame, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:4]); err != nil {
 		return Frame{}, err
 	}
-	body := int(binary.BigEndian.Uint32(lb[:]))
+	body := int(binary.BigEndian.Uint32(fr.hdr[:4]))
 	if body < headerBytes || body > MaxFrame {
 		return Frame{}, decodeErrf(0, "length %d outside [%d, %d]", body, headerBytes, MaxFrame)
 	}
-	buf := make([]byte, 4+body)
-	copy(buf, lb[:])
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.hdr[4:]); err != nil {
 		return Frame{}, err
 	}
-	f, n, err := ParseFrame(buf)
+	f, err := parseHeader(fr.hdr[4:])
 	if err != nil {
 		return Frame{}, err
 	}
-	if n != len(buf) {
-		return Frame{}, decodeErrf(0, "frame consumed %d of %d buffered bytes", n, len(buf))
+	if body > headerBytes {
+		f.Payload = make([]byte, body-headerBytes)
+		if _, err := io.ReadFull(fr.r, f.Payload); err != nil {
+			return Frame{}, err
+		}
 	}
 	return f, nil
 }

@@ -116,15 +116,31 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte("not a frame at all"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := ParseFrame(data)
+		// The stream reader agrees with the buffer parser: it reads a
+		// frame exactly when ParseFrame decodes one, and the same frame.
+		rf, rerr := ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			var de *DecodeError
 			if !errors.As(err, &de) {
 				t.Fatalf("non-structured decode error %T: %v", err, err)
 			}
+			if rerr == nil {
+				t.Fatalf("ReadFrame accepted %+v where ParseFrame failed: %v", rf, err)
+			}
 			return
 		}
 		if n == 0 {
+			if rerr == nil {
+				t.Fatalf("ReadFrame returned %+v from an incomplete prefix", rf)
+			}
 			return // incomplete prefix
+		}
+		if rerr != nil {
+			t.Fatalf("ReadFrame failed where ParseFrame decoded %+v: %v", fr, rerr)
+		}
+		if rf.Type != fr.Type || rf.From != fr.From || rf.To != fr.To || rf.Seq != fr.Seq ||
+			!bytes.Equal(rf.Payload, fr.Payload) {
+			t.Fatalf("ReadFrame %+v, ParseFrame %+v", rf, fr)
 		}
 		if got := AppendFrame(nil, fr); !bytes.Equal(got, data[:n]) {
 			t.Fatalf("decode∘encode not a fixed point:\n in  %x\n out %x", data[:n], got)
@@ -143,4 +159,27 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadFrameAllocatesOnlyThePayload pins the receive path at one
+// allocation per frame: the length prefix and header are read into the
+// reader's own array, and only the payload gets a buffer of its own.
+// A payloadless frame (every ack) costs nothing.
+func TestReadFrameAllocatesOnlyThePayload(t *testing.T) {
+	checkLeaks(t)
+	wire := AppendFrame(nil, Frame{Type: FrameFwd, From: 0, To: 1, Seq: 3, Payload: Task{Seq: 9}.Encode()})
+	wire = AppendFrame(wire, Frame{Type: FrameAck, From: 1, To: 0, Seq: 3})
+	r := bytes.NewReader(nil)
+	fr := &frameReader{r: r}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(wire)
+		for i := 0; i < 2; i++ {
+			if _, err := fr.next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("reading a data frame and an ack allocated %.1f times, want 1 (the payload)", allocs)
+	}
 }

@@ -52,16 +52,25 @@ type LinkConfig struct {
 // deduplicated on the receive side, so the consumer observes exactly-
 // once, in-order delivery no matter how often the wire dies under it.
 // Unsequenced frames (heartbeats, handshake, acks) bypass all of that.
+//
+// Only the writer goroutine writes to the link's sockets: Send, the
+// go-back-N and the backstop queue encoded frames on out, and the reader
+// only marks an ack due, so neither end's reader can block on the other.
 type Link struct {
 	cfg    LinkConfig
 	ctx    context.Context
 	cancel context.CancelFunc
 	in     chan Frame
+	wake   chan struct{} // capacity 1: the writer has something to look at
 	wg     sync.WaitGroup
 
 	mu           sync.Mutex
 	conn         net.Conn
 	gen          int     // connection generation; stale readers exit
+	out          []byte  // encoded frames queued for conn, in send order
+	ackDue       bool    // a sequenced frame arrived since the last ack was queued
+	dupAckDue    bool    // and one of them was discarded (duplicate or post-gap)
+	ackQueued    uint64  // the cursor the last queued ack carried
 	nextSeq      uint64  // last data seqno assigned
 	acked        uint64  // peer's cumulative ack
 	unacked      []Frame // frames in (acked, nextSeq]
@@ -91,10 +100,11 @@ func NewLink(cfg LinkConfig) *Link {
 		ctx:          ctx,
 		cancel:       cancel,
 		in:           make(chan Frame, cfg.InboxCap),
+		wake:         make(chan struct{}, 1),
 		lastProgress: time.Now(),
 	}
 	l.wg.Add(1)
-	go l.backstop()
+	go l.writer()
 	return l
 }
 
@@ -121,8 +131,9 @@ func (l *Link) Connect(ctx context.Context) error {
 }
 
 // Attach adopts a fresh connection: any previous connection is closed,
-// the unacked window is retransmitted, and a reader is spawned. The
-// accept side calls this when the peer redials after a cut.
+// bytes queued for it are dropped, the unacked window is queued for
+// retransmission, and a reader is spawned. The accept side calls this
+// when the peer redials after a cut.
 func (l *Link) Attach(conn net.Conn) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -135,18 +146,27 @@ func (l *Link) Attach(conn net.Conn) {
 	}
 	l.conn = conn
 	l.gen++
+	// A batch goes only to the connection it was built for: whatever was
+	// queued for the dead one is either in the unacked window, queued
+	// again just below, or unsequenced and best-effort.
+	l.out = l.out[:0]
+	l.ackDue, l.dupAckDue = false, false
 	l.retransmitLocked()
 	l.wg.Add(1)
 	go l.reader(conn, l.gen)
 }
 
-// Send transmits a frame. Sequenced frames are assigned the next link
-// seqno (overwriting f.Seq), buffered, and guaranteed to arrive exactly
-// once even across cuts; transient wire failures are absorbed (nil
-// error) because the retransmit machinery owns recovery. Unsequenced
-// frames are best-effort: ErrNotConnected or the write error is the
-// caller's to ignore.
+// Send queues a frame for the writer and never waits on the wire.
+// Sequenced frames are assigned the next link seqno (overwriting f.Seq),
+// buffered, and guaranteed to arrive exactly once even across cuts;
+// transient wire failures are absorbed because the retransmit machinery
+// owns recovery. Unsequenced frames are best-effort: ErrNotConnected is
+// the caller's to ignore, and a frame queued on a connection that dies
+// before the writer reaches it is lost.
 func (l *Link) Send(f Frame) error {
+	if err := checkPayload(f); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -156,10 +176,7 @@ func (l *Link) Send(f Frame) error {
 		if l.conn == nil {
 			return ErrNotConnected
 		}
-		if err := WriteFrame(l.conn, f); err != nil {
-			l.conn.Close()
-			return err
-		}
+		l.queueLocked(f)
 		return nil
 	}
 	l.nextSeq++
@@ -179,9 +196,7 @@ func (l *Link) Send(f Frame) error {
 	} else {
 		l.emit(telemetry.OpLinkSend, int64(f.Seq))
 		if l.conn != nil {
-			if err := WriteFrame(l.conn, f); err != nil {
-				l.conn.Close()
-			}
+			l.queueLocked(f)
 		}
 	}
 	if inj != nil && l.conn != nil && inj.LinkCut(l.cfg.Peer, l.sentData) {
@@ -191,8 +206,9 @@ func (l *Link) Send(f Frame) error {
 	return nil
 }
 
-// Close tears the link down: senders get ErrClosed, readers and the
-// backstop exit, and the delivery channel is closed after they drain.
+// Close tears the link down: senders get ErrClosed, frames still queued
+// are dropped, the readers and the writer exit, and the delivery channel
+// is closed after they drain.
 func (l *Link) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -204,6 +220,7 @@ func (l *Link) Close() error {
 		l.conn.Close()
 		l.conn = nil
 	}
+	l.out = nil
 	l.mu.Unlock()
 	l.cancel()
 	l.wg.Wait()
@@ -212,13 +229,14 @@ func (l *Link) Close() error {
 }
 
 // reader drains one connection generation, handling acks and dedup
-// inline and delivering everything else. On a wire error the dial side
-// heals the link in place; the accept side exits and waits for Attach.
+// inline and delivering everything else. It never writes. On a wire
+// error the dial side heals the link in place; the accept side exits
+// and waits for Attach.
 func (l *Link) reader(conn net.Conn, gen int) {
 	defer l.wg.Done()
-	br := bufio.NewReader(conn)
+	fr := &frameReader{r: bufio.NewReader(conn)}
 	for {
-		f, err := ReadFrame(br)
+		f, err := fr.next()
 		if err != nil {
 			l.connErr(conn, gen)
 			return
@@ -238,9 +256,10 @@ func (l *Link) reader(conn net.Conn, gen int) {
 
 // accept runs receive-side reliability for one sequenced frame: exactly
 // the next expected seqno is delivered; duplicates and post-gap frames
-// are discarded. Either way the cumulative ack cursor is re-announced,
-// so a discarded out-of-order frame doubles as the duplicate ack that
-// triggers the sender's go-back-N.
+// are discarded. Either way an ack of the cumulative cursor becomes due
+// (the writer coalesces every ack due since its last pass into one), and
+// a discarded frame makes that ack a duplicate, which triggers the
+// sender's go-back-N.
 func (l *Link) accept(f Frame) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -248,13 +267,11 @@ func (l *Link) accept(f Frame) bool {
 	if ok {
 		l.recvSeq = f.Seq
 		l.emit(telemetry.OpLinkRecv, int64(f.Seq))
+	} else {
+		l.dupAckDue = true
 	}
-	if l.conn != nil {
-		ack := Frame{Type: FrameAck, From: l.cfg.Local, To: l.cfg.Peer, Seq: l.recvSeq}
-		if err := WriteFrame(l.conn, ack); err != nil {
-			l.conn.Close()
-		}
-	}
+	l.ackDue = true
+	l.kick()
 	return ok
 }
 
@@ -277,18 +294,31 @@ func (l *Link) handleAck(seq uint64) {
 	}
 }
 
+// retransmitLocked queues the whole unacked window again (go-back-N).
 func (l *Link) retransmitLocked() {
 	if l.conn == nil || len(l.unacked) == 0 {
 		return
 	}
 	l.emit(telemetry.OpLinkRetransmit, int64(len(l.unacked)))
 	for _, f := range l.unacked {
-		if err := WriteFrame(l.conn, f); err != nil {
-			l.conn.Close()
-			return
-		}
+		l.out = AppendFrame(l.out, f)
 	}
+	l.kick()
 	l.lastProgress = time.Now()
+}
+
+// queueLocked encodes f onto the writer's queue.
+func (l *Link) queueLocked(f Frame) {
+	l.out = AppendFrame(l.out, f)
+	l.kick()
+}
+
+// kick wakes the writer; a wake-up already pending covers this one.
+func (l *Link) kick() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
 }
 
 // connErr handles a dead connection observed by generation gen's
@@ -328,25 +358,74 @@ func (l *Link) deliver(f Frame) {
 	}
 }
 
-// backstop retransmits a stalled unacked window: a dropped tail frame
-// produces no out-of-order arrival at the peer, hence no duplicate ack,
-// so timer-driven recovery is the only way it ever lands.
-func (l *Link) backstop() {
+// writer is the only goroutine that writes to the link's sockets, for
+// the life of the link. Each pass writes everything queued for the
+// current connection with one Write and no lock held, and loops until
+// the queue is empty. It also runs the backstop, which retransmits a
+// stalled unacked window: a dropped tail frame produces no out-of-order
+// arrival at the peer, hence no duplicate ack, so timer-driven recovery
+// is the only way it ever lands.
+func (l *Link) writer() {
 	defer l.wg.Done()
 	t := time.NewTicker(retransmitAfter / 2)
 	defer t.Stop()
+	var batch []byte
 	for {
 		select {
 		case <-l.ctx.Done():
 			return
+		case <-l.wake:
 		case <-t.C:
+			l.mu.Lock()
+			if !l.closed && len(l.unacked) > 0 && time.Since(l.lastProgress) > retransmitAfter {
+				l.retransmitLocked()
+			}
+			l.mu.Unlock()
 		}
-		l.mu.Lock()
-		if !l.closed && len(l.unacked) > 0 && time.Since(l.lastProgress) > retransmitAfter {
-			l.retransmitLocked()
+		for {
+			var conn net.Conn
+			if conn, batch = l.takeBatch(batch[:0]); conn == nil {
+				break
+			}
+			if _, err := conn.Write(batch); err != nil {
+				conn.Close() // the reader notices and heals it
+			}
 		}
-		l.mu.Unlock()
 	}
+}
+
+// takeBatch hands the writer the queued bytes and the connection they
+// were queued for, first appending one cumulative ack if one is due,
+// and gives the queue the writer's spent buffer in exchange. A nil
+// connection means there is nothing to write; buf comes back unused.
+func (l *Link) takeBatch(buf []byte) (net.Conn, []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.conn == nil {
+		// No peer to reach: what is queued is in the unacked window
+		// (Attach queues it again) or best-effort.
+		l.out = l.out[:0]
+		l.ackDue, l.dupAckDue = false, false
+		return nil, buf
+	}
+	if l.ackDue {
+		ack := Frame{Type: FrameAck, From: l.cfg.Local, To: l.cfg.Peer, Seq: l.recvSeq}
+		if l.dupAckDue && l.ackQueued != l.recvSeq {
+			// The cursor moved and a frame was discarded in the same
+			// pass: announce the cursor twice so the second copy reads
+			// as the duplicate ack that starts the peer's go-back-N.
+			l.out = AppendFrame(l.out, ack)
+		}
+		l.out = AppendFrame(l.out, ack)
+		l.ackQueued = l.recvSeq
+		l.ackDue, l.dupAckDue = false, false
+	}
+	if len(l.out) == 0 {
+		return nil, buf
+	}
+	batch := l.out
+	l.out = buf
+	return l.conn, batch
 }
 
 // emit publishes a link event attributed to the peer stage.

@@ -2,7 +2,10 @@ package transport
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -63,6 +66,12 @@ func newLinkPair(t *testing.T, plan string, tel *telemetry.Bus) (dial, accept *L
 // once in-order delivery (link seqnos 1..n with no gaps or repeats).
 func collect(t *testing.T, l *Link, n int) []Frame {
 	t.Helper()
+	return collectFrom(t, l, 1, n)
+}
+
+// collectFrom is collect for link seqnos first..first+n-1.
+func collectFrom(t *testing.T, l *Link, first uint64, n int) []Frame {
+	t.Helper()
 	var got []Frame
 	deadline := time.After(10 * time.Second)
 	for len(got) < n {
@@ -74,7 +83,7 @@ func collect(t *testing.T, l *Link, n int) []Frame {
 			if !f.Type.Sequenced() {
 				continue
 			}
-			if want := uint64(len(got) + 1); f.Seq != want {
+			if want := first + uint64(len(got)); f.Seq != want {
 				t.Fatalf("frame %d has link seq %d, want %d (dup or gap)", len(got), f.Seq, want)
 			}
 			got = append(got, f)
@@ -156,12 +165,19 @@ func TestLinkRecoversDroppedFrames(t *testing.T) {
 	// very last frame (only the timer backstop can recover the tail).
 	dial, accept := newLinkPair(t, "seed=3,linkdropat=0:5:10,linkdropat=0:5:100", tel)
 	const n = 100
-	for i := 0; i < n; i++ {
+	send := func(i int) {
 		if err := dial.Send(Msg{Type: FrameFwd, From: Coordinator, To: 5, Seq: i}.Frame()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	collect(t, accept, n)
+	for i := 0; i < n-1; i++ {
+		send(i)
+	}
+	// The tail goes out only once 1..99 have landed, so the go-back-N
+	// that healed frame 10 cannot carry it: the backstop has to.
+	collect(t, accept, n-1)
+	send(n - 1)
+	collectFrom(t, accept, n, 1)
 	snap := tel.Snapshot()
 	if snap.LinkDrops != 2 {
 		t.Errorf("LinkDrops = %d, want 2", snap.LinkDrops)
@@ -178,6 +194,11 @@ func TestLinkUnsequencedIsBestEffort(t *testing.T) {
 	err := l.Send(Frame{Type: FrameHeartbeat, From: 1, To: Coordinator})
 	if err != ErrNotConnected {
 		t.Fatalf("disconnected heartbeat Send = %v, want ErrNotConnected", err)
+	}
+	// A body no reader would accept is refused before it takes a seqno.
+	var de *DecodeError
+	if err := l.Send(Frame{Type: FrameFwd, Payload: make([]byte, MaxFrame)}); !errors.As(err, &de) {
+		t.Fatalf("oversized Send = %v, want *DecodeError", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -236,4 +257,183 @@ func TestLinkIdleThenSendDoesNotRetransmit(t *testing.T) {
 		return
 	}
 	t.Fatal("host never held a send-to-check window under retransmitAfter in 10 attempts")
+}
+
+// TestLinkTwoWayFloodDoesNotWedge floods both directions of a link pair
+// over net.Pipe, which buffers nothing: a Write returns only once the
+// peer's reader has taken the bytes. If a reader wrote its own acks, both
+// readers could block in that Write at once and neither would read
+// again. Only the writer goroutines write, and a reader never waits on
+// one, so the flood drains.
+func TestLinkTwoWayFloodDoesNotWedge(t *testing.T) {
+	checkLeaks(t)
+	const n = 2000
+	a := NewLink(LinkConfig{Local: 0, Peer: 1})
+	b := NewLink(LinkConfig{Local: 1, Peer: 0})
+	ca, cb := net.Pipe()
+	t.Cleanup(func() {
+		// The pipe ends go first: they release any Write a wedged link
+		// is stuck in, so the links can close.
+		ca.Close()
+		cb.Close()
+		a.Close()
+		b.Close()
+	})
+	a.Attach(ca)
+	b.Attach(cb)
+
+	finished := make(chan error, 4)
+	for _, l := range []*Link{a, b} {
+		go func(l *Link) { // consumer: in-order link seqnos 1..n
+			want := uint64(1)
+			for f := range l.In() {
+				if !f.Type.Sequenced() {
+					continue
+				}
+				if f.Seq != want {
+					finished <- fmt.Errorf("link seq %d delivered, want %d", f.Seq, want)
+					return
+				}
+				if want == n {
+					finished <- nil
+					return
+				}
+				want++
+			}
+			finished <- fmt.Errorf("delivery closed after %d of %d frames", want-1, n)
+		}(l)
+		go func(l *Link) { // producer: n frames, no echo awaited
+			for i := 0; i < n; i++ {
+				if err := l.Send(Msg{Type: FrameFwd, From: 0, To: 1, Seq: i}.Frame()); err != nil {
+					finished <- err
+					return
+				}
+			}
+			finished <- nil
+		}(l)
+	}
+	deadline := time.After(10 * time.Second)
+	for i := 0; i < cap(finished); i++ {
+		select {
+		case err := <-finished:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatalf("two-way flood of %d frames each way wedged", n)
+		}
+	}
+}
+
+// TestLinkCoalescesAcks drives a link from a raw peer over net.Pipe and
+// reads every ack it writes. A burst of in-order frames is answered by
+// fewer acks than frames, the last carrying the burst's cursor; a frame
+// after a gap is still answered with the cursor, the duplicate ack the
+// sender's go-back-N keys on.
+func TestLinkCoalescesAcks(t *testing.T) {
+	checkLeaks(t)
+	const n = 1000
+	l := NewLink(LinkConfig{Local: 5, Peer: Coordinator})
+	near, far := net.Pipe()
+	t.Cleanup(func() {
+		far.Close()
+		l.Close()
+	})
+	l.Attach(near)
+	go func() {
+		for range l.In() {
+		}
+	}()
+	far.SetDeadline(time.Now().Add(10 * time.Second))
+	frames := func(seqs ...uint64) []byte {
+		var b []byte
+		for _, s := range seqs {
+			b = AppendFrame(b, Frame{Type: FrameFwd, From: Coordinator, To: 5, Seq: s})
+		}
+		return b
+	}
+	nextAck := func() uint64 {
+		t.Helper()
+		for {
+			f, err := ReadFrame(far)
+			if err != nil {
+				t.Fatalf("reading acks: %v", err)
+			}
+			if f.Type == FrameAck {
+				return f.Seq
+			}
+		}
+	}
+
+	// Nothing reads acks until the whole burst is written, so the link's
+	// writer sits in its first Write while the reader runs on; what it
+	// has not written by then comes out as one ack per pass.
+	burst := make([]uint64, n)
+	for i := range burst {
+		burst[i] = uint64(i + 1)
+	}
+	if _, err := far.Write(frames(burst...)); err != nil {
+		t.Fatal(err)
+	}
+	acks := 0
+	for last := uint64(0); last != n; acks++ {
+		if last = nextAck(); last > n {
+			t.Fatalf("ack %d beyond the %d frames sent", last, n)
+		}
+	}
+	if acks >= n {
+		t.Errorf("%d in-order frames answered by %d acks, want fewer", n, acks)
+	}
+
+	// Frame n+1 is missing: n+2 is discarded and answered with n.
+	if _, err := far.Write(frames(n + 2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := nextAck(); got != n {
+		t.Fatalf("post-gap frame acked %d, want duplicate ack %d", got, n)
+	}
+
+}
+
+// TestAckPassAnnouncesDiscardAsDuplicate takes the writer's passes by
+// hand. A pass that moves the ack cursor and also answers a discarded
+// frame queues the cursor twice: the sender has not seen the new cursor
+// yet, so only a second copy reads as the duplicate that starts its
+// go-back-N. A pass that only answers discards queues it once.
+func TestAckPassAnnouncesDiscardAsDuplicate(t *testing.T) {
+	checkLeaks(t)
+	near, far := net.Pipe()
+	defer far.Close()
+	defer near.Close()
+	// Built without NewLink, so no writer goroutine races the test's passes.
+	l := &Link{cfg: LinkConfig{Local: 5, Peer: Coordinator}, conn: near, wake: make(chan struct{}, 1)}
+	pass := func(arrivals ...uint64) []uint64 {
+		for _, s := range arrivals {
+			l.accept(Frame{Type: FrameFwd, Seq: s})
+		}
+		_, b := l.takeBatch(nil)
+		var acks []uint64
+		for len(b) > 0 {
+			f, n, err := ParseFrame(b)
+			if err != nil || n == 0 || f.Type != FrameAck {
+				t.Fatalf("queued bytes %x do not parse as acks (%+v, %d, %v)", b, f, n, err)
+			}
+			acks = append(acks, f.Seq)
+			b = b[n:]
+		}
+		return acks
+	}
+	for _, c := range []struct {
+		arrivals, acks []uint64
+	}{
+		{[]uint64{1, 2, 3}, []uint64{3}}, // in order: one coalesced ack
+		{[]uint64{5}, []uint64{3}},       // post-gap: the cursor again, a duplicate
+		{[]uint64{4, 6}, []uint64{4, 4}}, // cursor moved and a discard: twice
+		{[]uint64{2}, []uint64{4}},       // stale duplicate: once
+		{nil, nil},                       // nothing due, nothing queued
+	} {
+		if got := pass(c.arrivals...); !slices.Equal(got, c.acks) {
+			t.Fatalf("frames %v answered with acks %v, want %v", c.arrivals, got, c.acks)
+		}
+	}
 }
