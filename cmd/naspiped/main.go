@@ -24,12 +24,12 @@
 //
 // Observability rides on the same listener: GET /metrics serves the
 // Prometheus text exposition (service, scheduler, supervision, and
-// telemetry planes; per-tenant labels), /debug/ serves pprof, expvar,
-// and the live engine-telemetry snapshot, and every log line is a
-// structured record — JSON by default — carrying the job ID, so one
-// `grep '"job":"j0001"'` follows a job from submit through crash,
-// restart, and verification. -log-format text keeps the legacy
-// human-readable lines.
+// telemetry planes; per-tenant labels), /debug/ serves pprof, expvar's
+// standard vars, and the live engine-telemetry rollup on
+// /debug/telemetry, and every log line is a structured record — JSON
+// by default — carrying the job ID, so one `grep '"job":"j0001"'`
+// follows a job from submit through crash, restart, and verification.
+// -log-format text keeps the legacy human-readable lines.
 //
 // `naspiped dist` is a different mode entirely: instead of serving
 // HTTP it coordinates a multi-process training fleet — one
@@ -73,7 +73,7 @@ func main() {
 		quota     = flag.Int("quota", 8, "per-tenant quota on active (queued+running) jobs; submits beyond it get 429")
 		queue     = flag.Int("queue", 16, "global admission-queue bound; submits beyond it get 429 (backpressure)")
 		eventBuf  = flag.Int("event-buf", 1<<16, "per-job telemetry ring capacity (events kept for /events streaming)")
-		debugAddr = flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this extra address too")
+		debugAddr = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/telemetry on this extra address too")
 		logFormat = flag.String("log-format", "json", "log record format: json or text")
 		noMetrics = flag.Bool("no-metrics", false, "disable the metrics registry and /metrics endpoint")
 		quiet     = flag.Bool("quiet", false, "suppress per-decision scheduler logging")

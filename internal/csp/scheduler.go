@@ -365,13 +365,3 @@ func (s *Scheduler) FinishedSeqs() []int {
 	}
 	return out
 }
-
-// ActiveSeqs returns the registered, non-eliminated sequence IDs in
-// ascending order (diagnostics).
-func (s *Scheduler) ActiveSeqs() []int {
-	out := make([]int, len(s.subs))
-	for i := range out {
-		out[i] = s.frontier + i
-	}
-	return out
-}

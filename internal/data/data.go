@@ -123,12 +123,6 @@ func NewSource(kind Kind, dim, batchSize int, seed uint64) *Source {
 	return s
 }
 
-// Kind returns the dataset family.
-func (s *Source) Kind() Kind { return s.kind }
-
-// BatchSize returns the configured items per batch.
-func (s *Source) BatchSize() int { return s.batchSize }
-
 // Batch returns the training batch for a step. Pure in (source config,
 // step).
 func (s *Source) Batch(step int) Batch {

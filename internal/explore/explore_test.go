@@ -1,10 +1,12 @@
 package explore
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"naspipe/internal/data"
+	"naspipe/internal/rng"
 	"naspipe/internal/supernet"
 	"naspipe/internal/train"
 )
@@ -61,6 +63,33 @@ func TestSearchImprovesOverRandom(t *testing.T) {
 	}
 	if res.Evaluated != sc.Population+sc.Generations {
 		t.Fatalf("evaluated %d", res.Evaluated)
+	}
+}
+
+// TestEvolutionCompetitiveWithRandom: at equal evaluation budget,
+// evolution must not lose badly to the best of uniformly sampled subnets
+// (it typically wins on structured spaces).
+func TestEvolutionCompetitiveWithRandom(t *testing.T) {
+	cfg, net := trainedNet(t, 12)
+	sc := DefaultSearchConfig(6)
+	sc.Population = 10
+	sc.Generations = 30 // 40 evaluations total
+	evo, err := Search(cfg, net, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.Labeled(6, "random-search/"+cfg.Space.Name)
+	random := math.Inf(-1)
+	for i := 0; i < evo.Evaluated; i++ {
+		choices := make([]int, cfg.Space.Blocks)
+		for b := range choices {
+			choices[b] = r.Intn(cfg.Space.Choices)
+		}
+		loss := train.Evaluate(cfg, net, supernet.Subnet{Seq: i, Choices: choices}, sc.ValBatches)
+		random = math.Max(random, train.Score(cfg.Space.Domain, loss))
+	}
+	if evo.Best.Score < random*0.97 {
+		t.Fatalf("evolution (%.3f) lost badly to random (%.3f)", evo.Best.Score, random)
 	}
 }
 

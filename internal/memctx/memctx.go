@@ -315,14 +315,3 @@ func (m *Manager) makeRoom(newBytes int64, now float64) bool {
 	}
 	return true
 }
-
-// ResidentBytesAt returns total bytes resident (arrived) at the time.
-func (m *Manager) ResidentBytesAt(now float64) int64 {
-	var total int64
-	for i := range m.entries {
-		if e := &m.entries[i]; e.readyAt <= now {
-			total += e.bytes
-		}
-	}
-	return total
-}

@@ -269,9 +269,6 @@ type Registry struct {
 // New returns an enabled, empty registry.
 func New() *Registry { return &Registry{fams: make(map[string]*family)} }
 
-// Enabled reports whether metrics go anywhere. Nil-safe.
-func (r *Registry) Enabled() bool { return r != nil }
-
 // register validates and installs a family; panics on an invalid or
 // duplicate name (programmer error).
 func (r *Registry) register(f *family) *family {

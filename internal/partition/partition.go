@@ -208,71 +208,3 @@ func ImbalanceRatio(costs []float64, p Partition) float64 {
 	mean := total / float64(len(sc))
 	return max / mean
 }
-
-// BalancedFast computes the same min-max contiguous partition as Balanced
-// using parametric search (binary search over the bottleneck value with a
-// greedy feasibility check) in O(m log(Σcosts/ε)) instead of the DP's
-// O(m²·d). For the paper's geometries both are instant; BalancedFast
-// exists for very deep supernets (thousands of blocks) where per-subnet
-// repartitioning at second-level subnet frequency must stay negligible.
-// Ties may be broken differently from Balanced, but the bottleneck cost
-// is optimal to within ε relative precision.
-func BalancedFast(costs []float64, d int) Partition {
-	m := len(costs)
-	if d <= 0 {
-		panic("partition: non-positive stage count")
-	}
-	if m == 0 {
-		b := make([]int, d+1)
-		return Partition{D: d, Bounds: b}
-	}
-	var total, max float64
-	for _, c := range costs {
-		total += c
-		if c > max {
-			max = c
-		}
-	}
-	// feasible reports whether a partition with bottleneck <= limit
-	// exists, and returns the greedy cuts if so.
-	feasible := func(limit float64) ([]int, bool) {
-		bounds := make([]int, 0, d+1)
-		bounds = append(bounds, 0)
-		var acc float64
-		for i := 0; i < m; i++ {
-			if costs[i] > limit {
-				return nil, false
-			}
-			if acc+costs[i] > limit {
-				bounds = append(bounds, i)
-				acc = 0
-				if len(bounds) > d {
-					return nil, false
-				}
-			}
-			acc += costs[i]
-		}
-		for len(bounds) < d {
-			bounds = append(bounds, m)
-		}
-		bounds = append(bounds, m)
-		return bounds, true
-	}
-	lo, hi := max, total
-	const eps = 1e-9
-	for hi-lo > eps*(1+hi) {
-		mid := (lo + hi) / 2
-		if _, ok := feasible(mid); ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	bounds, ok := feasible(hi)
-	if !ok {
-		// hi == total is always feasible; this is unreachable, but fall
-		// back to the DP rather than panic on float pathology.
-		return Balanced(costs, d)
-	}
-	return Partition{D: d, Bounds: bounds}
-}

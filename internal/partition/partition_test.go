@@ -384,53 +384,3 @@ func BenchmarkBalanced48x8(b *testing.B) {
 		_ = Balanced(costs, 8)
 	}
 }
-
-// Property: BalancedFast achieves the DP's optimal bottleneck (within
-// float tolerance) on random inputs, with valid bounds.
-func TestQuickBalancedFastMatchesDP(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		m := 1 + r.Intn(40)
-		d := 1 + r.Intn(16)
-		costs := make([]float64, m)
-		for i := range costs {
-			costs[i] = r.Float64()*10 + 0.01
-		}
-		fast := BalancedFast(costs, d)
-		if fast.Validate(m) != nil {
-			return false
-		}
-		want := MaxStageCost(costs, Balanced(costs, d))
-		got := MaxStageCost(costs, fast)
-		return got <= want*(1+1e-6)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBalancedFastEdgeCases(t *testing.T) {
-	p := BalancedFast(nil, 3)
-	if err := p.Validate(0); err != nil {
-		t.Fatal(err)
-	}
-	p = BalancedFast([]float64{5}, 4)
-	if err := p.Validate(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := MaxStageCost([]float64{5}, p); got != 5 {
-		t.Fatalf("single block bottleneck %f", got)
-	}
-}
-
-func BenchmarkBalancedFast48x8(b *testing.B) {
-	r := rng.New(1)
-	costs := make([]float64, 48)
-	for i := range costs {
-		costs[i] = r.Float64()*20 + 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = BalancedFast(costs, 8)
-	}
-}

@@ -74,9 +74,6 @@ func (n *Numeric) At(block, choice int) *layers.Layer {
 	return n.Layer[n.Space.ID(block, choice)]
 }
 
-// ByID returns the trainable layer for a dense ID.
-func (n *Numeric) ByID(id LayerID) *layers.Layer { return n.Layer[id] }
-
 // Checksum returns a single bitwise digest over every parameter of every
 // candidate layer, in layer-ID order. Equal checksums mean bitwise-equal
 // supernets (Definition 1's equality test).

@@ -1,5 +1,5 @@
-// Debug HTTP endpoint: net/http/pprof profiles, expvar counters, and a
-// live telemetry snapshot, behind the cmds' -debug-addr flag.
+// Debug HTTP endpoint: net/http/pprof profiles, expvar's standard vars,
+// and a live telemetry snapshot, behind the cmds' -debug-addr flag.
 //
 //	naspipe-bench -concurrent -debug-addr localhost:6060 &
 //	go tool pprof http://localhost:6060/debug/pprof/profile
@@ -7,11 +7,9 @@
 //
 // Snapshot sourcing is per-server: each ServeDebug call (and each
 // NewDebugMux) binds its own snapshot source, so two debug servers in
-// one process report their own buses — a second ServeDebug call no
-// longer repoints the first server's /debug/telemetry. The one
-// process-global piece is expvar's "naspipe.telemetry" var (expvar has
-// a single process-wide namespace): it reports the PublishBus bus,
-// last publish wins.
+// one process report their own buses. /debug/vars serves only expvar's
+// process-wide standard vars (cmdline, memstats); the engine counters
+// are on /debug/telemetry.
 package telemetry
 
 import (
@@ -20,45 +18,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-// globalBus backs the legacy late-publish path: CLIs that start the
-// debug server before constructing the run's bus call
-// ServeDebug(addr, nil) then PublishBus(bus) once it exists. It is also
-// what the process-wide expvar var reports.
-var (
-	debugMu   sync.Mutex
-	globalBus *Bus
-	pubOnce   sync.Once
-)
-
-// PublishBus swaps the process-global bus: the one servers started with
-// a nil bus report, and the one expvar's "naspipe.telemetry" reads.
-// Servers started with a non-nil bus (or a snapshot func) are unaffected.
-func PublishBus(bus *Bus) {
-	debugMu.Lock()
-	globalBus = bus
-	debugMu.Unlock()
-}
-
-func globalSnapshot() Snapshot {
-	debugMu.Lock()
-	b := globalBus
-	debugMu.Unlock()
-	return b.Snapshot()
-}
 
 // NewDebugMux builds the debug mux — /debug/pprof/*, /debug/vars, and
 // /debug/telemetry serving snap() as JSON — without binding a listener,
 // so a daemon can mount it on its own server. snap is this mux's
 // private snapshot source (pass an aggregating closure to report many
-// buses at once); nil selects the process-global PublishBus bus.
+// buses at once).
 func NewDebugMux(snap func() Snapshot) *http.ServeMux {
-	if snap == nil {
-		snap = globalSnapshot
-	}
-	registerExpvarOnce()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -73,26 +40,13 @@ func NewDebugMux(snap func() Snapshot) *http.ServeMux {
 	return mux
 }
 
-func registerExpvarOnce() {
-	pubOnce.Do(func() {
-		expvar.Publish("naspipe.telemetry", expvar.Func(func() any {
-			return globalSnapshot()
-		}))
-	})
-}
-
-// ServeDebug starts an HTTP server on addr exposing the debug mux. With
-// a non-nil bus the server's /debug/telemetry is bound to that bus for
-// its lifetime; with a nil bus it follows the process-global PublishBus
-// bus. Returns the bound listener address (useful with ":0") and a
-// shutdown function. The server runs until shutdown is called; serve
-// errors after shutdown are ignored.
+// ServeDebug starts an HTTP server on addr exposing the debug mux, its
+// /debug/telemetry bound to bus for the server's lifetime (a nil bus
+// reports zeros). Returns the bound listener address (useful with ":0")
+// and a shutdown function. The server runs until shutdown is called;
+// serve errors after shutdown are ignored.
 func ServeDebug(addr string, bus *Bus) (string, func(), error) {
-	var snap func() Snapshot
-	if bus != nil {
-		snap = bus.Snapshot
-	}
-	return ServeDebugMux(addr, NewDebugMux(snap))
+	return ServeDebugMux(addr, NewDebugMux(bus.Snapshot))
 }
 
 // ServeDebugMux serves a pre-built debug mux on addr — for daemons that

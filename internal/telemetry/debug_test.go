@@ -52,28 +52,6 @@ func TestServeDebugPerServer(t *testing.T) {
 	}
 }
 
-// TestServeDebugNilFollowsPublishBus pins the legacy late-publish path:
-// a server started with a nil bus follows PublishBus swaps.
-func TestServeDebugNilFollowsPublishBus(t *testing.T) {
-	defer PublishBus(nil)
-	addr, stop, err := ServeDebug("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	if got := snapshotFrom(t, addr).Started; got != 0 {
-		t.Fatalf("pre-publish snapshot Started=%d, want 0", got)
-	}
-	b := NewBus(16)
-	b.Emit(Event{Op: OpTaskStart})
-	b.Emit(Event{Op: OpTaskStart})
-	PublishBus(b)
-	if got := snapshotFrom(t, addr).Started; got != 2 {
-		t.Fatalf("post-publish snapshot Started=%d, want 2", got)
-	}
-}
-
 // TestNewDebugMuxSnapshotClosure: a daemon-style aggregating closure is
 // evaluated per request.
 func TestNewDebugMuxSnapshotClosure(t *testing.T) {

@@ -382,7 +382,7 @@ func (b *Bus) Count(op Op) int64 {
 }
 
 // Snapshot is a point-in-time copy of the live counters — cheap enough
-// for a progress ticker, and the payload ServeDebug publishes via expvar.
+// for a progress ticker, and the payload /debug/telemetry serves.
 type Snapshot struct {
 	ElapsedNs    int64  `json:"elapsed_ns"`
 	Emitted      uint64 `json:"emitted"`

@@ -105,10 +105,9 @@ func combineChecksumsRef(sums []uint64) uint64 {
 	return h.Sum64()
 }
 
-// kernelShapes covers below-threshold, at-tile-boundary, off-boundary,
-// and rectangular shapes so both the sequential fallback and the tiled
-// fan-out paths are exercised, and row and column counts of every
-// residue mod 4 so the kernels' four-wide passes meet every tail length.
+// kernelShapes covers square, rectangular and large (up to 512×128)
+// shapes, and row and column counts of every residue mod 4 so the
+// kernels' four-wide passes meet every tail length.
 func kernelShapes() [][2]int {
 	return [][2]int{
 		{1, 1}, {3, 5}, {12, 12}, {63, 65}, {64, 64},
@@ -164,43 +163,54 @@ func checkKernels(m *Matrix, x, xt, a Vector, acc *Matrix, alpha float32, same f
 
 func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 
-// TestKernelsBitwiseEqualAcrossParallelism proves the tiled kernels
-// produce bitwise-identical output to the sequential reference at every
-// worker count — the Definition 1 obligation that lets the rest of the
-// system treat kernel parallelism as invisible.
+// TestKernelsBitwiseEqualAcrossParallelism proves every kernel produces
+// bitwise-identical output to its sequential reference on every shape:
+// the Definition 1 obligation that lets the rest of the system run the
+// kernels on any stage goroutine at any GOMAXPROCS.
 func TestKernelsBitwiseEqualAcrossParallelism(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8, 64} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			prev := SetParallelism(workers)
-			defer SetParallelism(prev)
-			r := rng.New(99).Split("kernels")
-			for _, shape := range kernelShapes() {
-				rows, cols := shape[0], shape[1]
-				m := randMat(r, rows, cols)
-				x, xt, a := randVec(r, cols), randVec(r, rows), randVec(r, rows)
-				if err := checkKernels(m, x, xt, a, randMat(r, rows, cols), 0.25, sameBits); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
+	r := rng.New(99).Split("kernels")
+	for _, shape := range kernelShapes() {
+		rows, cols := shape[0], shape[1]
+		m := randMat(r, rows, cols)
+		x, xt, a := randVec(r, cols), randVec(r, rows), randVec(r, rows)
+		if err := checkKernels(m, x, xt, a, randMat(r, rows, cols), 0.25, sameBits); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestKernelsDoNotAllocate pins the dense kernels allocation-free at
+// 512×512 (eight times the largest dim any workload trains at), at
+// whatever GOMAXPROCS the test runs with.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	const n = 512
+	r := rng.New(5).Split("allocs")
+	m, acc := randMat(r, n, n), randMat(r, n, n)
+	x, dst := randVec(r, n), make(Vector, n)
+	for name, kernel := range map[string]func(){
+		"MatVec":     func() { MatVec(dst, m, x) },
+		"MatTVec":    func() { MatTVec(dst, m, x) },
+		"OuterAccum": func() { OuterAccum(acc, x, x, 1e-3) },
+	} {
+		if got := testing.AllocsPerRun(20, kernel); got != 0 {
+			t.Errorf("%s %dx%d: %v allocs/op, want 0", name, n, n, got)
+		}
 	}
 }
 
 // FuzzKernels checks every kernel against its oracle on fuzzed shapes and
-// fuzzed float bit patterns, infinities, NaNs and subnormals included,
-// at a fuzzed worker count. Finite results must match bit for bit. A NaN
+// fuzzed float bit patterns, infinities, NaNs and subnormals included.
+// Finite results must match bit for bit. A NaN
 // need only meet a NaN: which operand's payload an add propagates is the
 // hardware's choice, and Definition 1 is about finite weights.
 func FuzzKernels(f *testing.F) {
-	f.Add(uint8(5), uint8(7), uint8(1), []byte{0, 0, 128, 63, 0, 0, 0, 192})
-	f.Add(uint8(66), uint8(131), uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add(uint8(201), uint8(254), uint8(4), []byte{205, 204, 76, 62, 154, 153, 25, 191})
-	f.Add(uint8(4), uint8(4), uint8(2), []byte{0, 0, 128, 127, 0, 0, 192, 127, 1, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, rowsRaw, colsRaw, workers uint8, raw []byte) {
-		// Up to 256×256, past parallelMinWork, so the tiled path runs too.
+	f.Add(uint8(5), uint8(7), []byte{0, 0, 128, 63, 0, 0, 0, 192})
+	f.Add(uint8(66), uint8(131), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(201), uint8(254), []byte{205, 204, 76, 62, 154, 153, 25, 191})
+	f.Add(uint8(4), uint8(4), []byte{0, 0, 128, 127, 0, 0, 192, 127, 1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, rowsRaw, colsRaw uint8, raw []byte) {
+		// Up to 256×256.
 		rows, cols := int(rowsRaw)+1, int(colsRaw)+1
-		prev := SetParallelism(int(workers)%8 + 1)
-		defer SetParallelism(prev)
 		i := 0
 		next := func() float32 {
 			var bits uint32

@@ -6,16 +6,13 @@
 // addition is not associative, so bitwise reproducibility requires a fixed
 // reduction order. Every reduction over a single output element is a
 // strict left-to-right sequential loop; no reassociation, no
-// fused-multiply-add intrinsics. The large kernels do fan out across
-// goroutines, but only over disjoint tiles of the *output* index space
-// with shape-determined split points (see parallel.go), so every output
-// element is still produced by the exact sequential accumulation and the
-// result is bitwise identical at any worker count. This mirrors the role
-// of Nvidia's framework-determinism configuration in the original
-// artifact (CUBLAS_WORKSPACE_CONFIG=:4096:8): it makes the *intra-subnet*
-// computation deterministic so that the only remaining source of
-// nondeterminism is the *inter-subnet* read/write interleaving, which the
-// CSP scheduler then controls.
+// fused-multiply-add intrinsics. Every kernel runs on the calling
+// goroutine: the pipeline stage, not the kernel, is the unit of
+// parallelism. This mirrors the role of Nvidia's framework-determinism
+// configuration in the original artifact (CUBLAS_WORKSPACE_CONFIG=:4096:8):
+// it makes the *intra-subnet* computation deterministic so that the only
+// remaining source of nondeterminism is the *inter-subnet* read/write
+// interleaving, which the CSP scheduler then controls.
 package tensor
 
 import (
@@ -54,15 +51,6 @@ func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
-}
-
-// CopyFrom copies src's contents into m. Shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch %dx%d vs %dx%d",
-			m.Rows, m.Cols, src.Rows, src.Cols))
-	}
-	copy(m.Data, src.Data)
 }
 
 // Zero resets all elements of m to zero.
@@ -111,13 +99,7 @@ func MatVec(dst Vector, m *Matrix, x Vector) {
 	if slicesOverlap(dst, x) {
 		panic("tensor: MatVec dst aliases x")
 	}
-	if !useParallel(m.Rows, m.Rows*m.Cols) {
-		matVecRange(dst, m, x, 0, m.Rows)
-		return
-	}
-	parallelSpans(m.Rows, func(lo, hi int) {
-		matVecRange(dst, m, x, lo, hi)
-	})
+	matVecRange(dst, m, x, 0, m.Rows)
 }
 
 // matVecRange is the sequential MatVec kernel over output rows [lo, hi).
@@ -157,9 +139,7 @@ func matVecRange(dst Vector, m *Matrix, x Vector, lo, hi int) {
 
 // MatTVec computes dst = mᵀ * x. dst must have length m.Cols and x length
 // m.Rows; dst and x must not alias (checked). The accumulation order per
-// output column is fixed (ascending row index) for determinism; the tiles
-// split only the column space, so each dst[c] sees the exact sequential
-// order regardless of worker count.
+// output column is fixed (ascending row index) for determinism.
 func MatTVec(dst Vector, m *Matrix, x Vector) {
 	if len(dst) != m.Cols || len(x) != m.Rows {
 		panic(fmt.Sprintf("tensor: MatTVec shape mismatch dst=%d m=%dx%d x=%d",
@@ -168,13 +148,7 @@ func MatTVec(dst Vector, m *Matrix, x Vector) {
 	if slicesOverlap(dst, x) {
 		panic("tensor: MatTVec dst aliases x")
 	}
-	if !useParallel(m.Cols, m.Rows*m.Cols) {
-		matTVecCols(dst, m, x, 0, m.Cols)
-		return
-	}
-	parallelSpans(m.Cols, func(lo, hi int) {
-		matTVecCols(dst, m, x, lo, hi)
-	})
+	matTVecCols(dst, m, x, 0, m.Cols)
 }
 
 // matTVecCols is the sequential MatTVec kernel over output columns
@@ -220,13 +194,7 @@ func OuterAccum(dst *Matrix, a, b Vector, scale float32) {
 		panic(fmt.Sprintf("tensor: OuterAccum shape mismatch a=%d b=%d dst=%dx%d",
 			len(a), len(b), dst.Rows, dst.Cols))
 	}
-	if !useParallel(dst.Rows, dst.Rows*dst.Cols) {
-		outerAccumRange(dst, a, b, scale, 0, dst.Rows)
-		return
-	}
-	parallelSpans(dst.Rows, func(lo, hi int) {
-		outerAccumRange(dst, a, b, scale, lo, hi)
-	})
+	outerAccumRange(dst, a, b, scale, 0, dst.Rows)
 }
 
 // outerAccumRange is the sequential OuterAccum kernel over rows [lo, hi).

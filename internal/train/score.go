@@ -75,12 +75,6 @@ func BestSubnetScore(cfg Config, net *supernet.Numeric, candidates []supernet.Su
 	return out[0].sub, out[0].score
 }
 
-// ChecksumVector flattens the checksum into a printable hex-like pair for
-// full-precision result comparison in reports.
-func ChecksumVector(sum uint64) [2]uint32 {
-	return [2]uint32{uint32(sum >> 32), uint32(sum)}
-}
-
 // LossesBitwiseEqual reports whether two loss series are bitwise equal —
 // the artifact's experiment 1 criterion ("all 500 training steps outputs
 // in full precision floating point matches between settings").
