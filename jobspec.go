@@ -578,25 +578,27 @@ func (j *Job) Verify(res Result) (Result, error) {
 // land bitwise on the uninterrupted sequential run's checksum. It
 // returns that checksum on success. Job.Verify runs it for every spec
 // that sets Verify: the check behind the CLIs' "resume verified" line,
-// the scenario cells and the service plane's verified flag.
+// the scenario cells and the service plane's verified flag. The prefix
+// is trained once: the replay runs on a copy of the net at BaseSeq, and
+// the reference continues on the original.
 func VerifyAgainstSequential(tc TrainConfig, cfg Config, res Result) (uint64, error) {
 	full := cfg.ResolveSubnets()
 	if res.BaseSeq < 0 || res.BaseSeq > len(full) {
 		return 0, fmt.Errorf("naspipe: verify: resume base %d out of range [0, %d]", res.BaseSeq, len(full))
 	}
-	want := train.Sequential(tc, full).Checksum
 	prefix := train.Sequential(tc, full[:res.BaseSeq])
-	got := prefix.Checksum
-	if res.BaseSeq < len(full) {
-		if res.ObservedTrace == nil {
-			return 0, fmt.Errorf("naspipe: verify: the run recorded no observed trace (enable tracing)")
-		}
-		rep, err := train.ReplayOn(tc, prefix.Net, full[res.BaseSeq:], res.ObservedTrace)
-		if err != nil {
-			return 0, err
-		}
-		got = rep.Checksum
+	if res.BaseSeq == len(full) {
+		return prefix.Checksum, nil
 	}
+	if res.ObservedTrace == nil {
+		return 0, fmt.Errorf("naspipe: verify: the run recorded no observed trace (enable tracing)")
+	}
+	suffix := full[res.BaseSeq:]
+	rep, err := train.ReplayOn(tc, prefix.Net.Clone(), suffix, res.ObservedTrace)
+	if err != nil {
+		return 0, err
+	}
+	got, want := rep.Checksum, train.SequentialOn(tc, prefix.Net, suffix).Checksum
 	if got != want {
 		return 0, fmt.Errorf("naspipe: verify: weights %016x diverge from sequential reference %016x", got, want)
 	}

@@ -3,6 +3,7 @@ package naspipe_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -120,5 +121,47 @@ func TestJobVerifyRejectsSwappedWrites(t *testing.T) {
 	bad.ObservedTrace = &trace.Trace{Events: evs}
 	if _, err := job.Verify(bad); err == nil {
 		t.Fatal("Job.Verify accepted a trace with two consecutive subnets' WRITEs swapped")
+	}
+}
+
+// TestVerifyAgainstSequentialAtEveryBase pins the one-pass verifier.
+// With the committed prefix at 0, N/2 or N subnets and the rest of a CSP
+// run's trace as the observed suffix, it returns the sequential
+// reference's checksum. A base outside [0, N] is refused with the same
+// error as ever.
+func TestVerifyAgainstSequentialAtEveryBase(t *testing.T) {
+	spec := verifySpec()
+	want := sequentialChecksum(t, spec)
+	tc, _ := spec.TrainConfig()
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := naspipe.RunJob(context.Background(), spec, false, naspipe.SuperviseConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := spec.Subnets
+	for _, base := range []int{0, n / 2, n} {
+		suffix := res
+		suffix.BaseSeq = base
+		suffix.ObservedTrace = &trace.Trace{}
+		for _, ev := range res.ObservedTrace.Events {
+			if ev.Subnet >= base {
+				suffix.ObservedTrace.Events = append(suffix.ObservedTrace.Events, ev)
+			}
+		}
+		got, err := naspipe.VerifyAgainstSequential(tc, cfg, suffix)
+		if err != nil || got != want {
+			t.Errorf("base %d: checksum %016x, error %v; want %016x", base, got, err, want)
+		}
+	}
+	for _, base := range []int{-1, n + 1} {
+		bad := res
+		bad.BaseSeq = base
+		_, err := naspipe.VerifyAgainstSequential(tc, cfg, bad)
+		if msg := fmt.Sprintf("naspipe: verify: resume base %d out of range [0, %d]", base, n); err == nil || err.Error() != msg {
+			t.Errorf("base %d: error %v, want %q", base, err, msg)
+		}
 	}
 }
