@@ -245,9 +245,7 @@ func overheadGate(ctx context.Context, f *clicfg.Flags) naspipe.ExitCode {
 		}
 		cfg.TimingJitter = 1.0
 		cfg.JitterSeed = spec.Seed
-		if bus != nil {
-			opts = append(opts, naspipe.WithTelemetry(bus))
-		}
+		cfg.Telemetry = bus
 		r, err := naspipe.NewRunner(opts...)
 		if err != nil {
 			return 0, err

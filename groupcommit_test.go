@@ -210,7 +210,6 @@ func TestCheckpointedRunLeavesLatestCutAndNoWriter(t *testing.T) {
 				naspipe.WithExecutor(naspipe.ExecutorConcurrent),
 				naspipe.WithCheckpoint(path),
 				naspipe.WithCheckpointTraining(crashTrainCfg(crashCfg(2))),
-				naspipe.WithTelemetry(bus),
 			}
 			if tc.faults != "" {
 				plan, err := naspipe.ParseFaultPlan(tc.faults)
@@ -241,7 +240,9 @@ func TestCheckpointedRunLeavesLatestCutAndNoWriter(t *testing.T) {
 					}
 				}()
 			}
-			res, err := r.Run(ctx, crashCfg(2))
+			cfg := crashCfg(2)
+			cfg.Telemetry = bus
+			res, err := r.Run(ctx, cfg)
 			tc.check(t, err)
 			settleGoroutines(t, base)
 			if tc.rmDir {

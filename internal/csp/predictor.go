@@ -1,13 +1,11 @@
 package csp
 
-import "naspipe/internal/task"
-
 // Fetch is a context-prefetch request emitted by the predictor: bring the
 // layers of subnet Seq's partition on this stage into GPU memory before
 // the corresponding task is scheduled.
 type Fetch struct {
 	Seq    int
-	Kind   task.Kind
+	Kind   Kind
 	Reason string // human-readable provenance, for logs and tests
 }
 
@@ -68,7 +66,7 @@ func (p *Predictor) OnBackward(dst []Fetch, queue []int, recvSeq int, carried []
 	// Lines 4–9: L' = L_f + recv.id; the forward SCHEDULE would now pick
 	// has the highest chance to be scheduled next.
 	if _, fwd := p.sched.ScheduleAssuming(queue, recvSeq); fwd >= 0 {
-		dst = append(dst, Fetch{Seq: fwd, Kind: task.Forward,
+		dst = append(dst, Fetch{Seq: fwd, Kind: Forward,
 			Reason: "forward unblocked by backward completion"})
 	}
 	// Lines 10–11: remember blocked backwards announced by later stages.
@@ -85,7 +83,7 @@ func (p *Predictor) OnForward(dst []Fetch, queue []int, currentSeq int) []Fetch 
 	kept := p.blocked[:0]
 	for _, b := range p.blocked {
 		if b.Precedence == currentSeq {
-			dst = append(dst, Fetch{Seq: b.Seq, Kind: task.Backward,
+			dst = append(dst, Fetch{Seq: b.Seq, Kind: Backward,
 				Reason: "backward released by this forward"})
 		} else {
 			kept = append(kept, b)
@@ -94,7 +92,7 @@ func (p *Predictor) OnForward(dst []Fetch, queue []int, currentSeq int) []Fetch 
 	p.blocked = kept
 	// Lines 16–18.
 	if _, fwd := p.sched.Schedule(queue); fwd >= 0 && fwd != currentSeq {
-		dst = append(dst, Fetch{Seq: fwd, Kind: task.Forward,
+		dst = append(dst, Fetch{Seq: fwd, Kind: Forward,
 			Reason: "next schedulable forward"})
 	}
 	return dst

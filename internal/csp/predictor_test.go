@@ -1,10 +1,6 @@
 package csp
 
-import (
-	"testing"
-
-	"naspipe/internal/task"
-)
+import "testing"
 
 func TestOnBackwardPredictsUnblockedForward(t *testing.T) {
 	s := New(0)
@@ -13,7 +9,7 @@ func TestOnBackwardPredictsUnblockedForward(t *testing.T) {
 	// Backward of 0 is about to run; afterwards subnet 1 becomes
 	// schedulable and should be prefetched.
 	fetches := p.OnBackward(nil, []int{1, 2}, 0, nil)
-	if len(fetches) != 1 || fetches[0].Seq != 1 || fetches[0].Kind != task.Forward {
+	if len(fetches) != 1 || fetches[0].Seq != 1 || fetches[0].Kind != Forward {
 		t.Fatalf("fetches = %+v, want forward of subnet 1", fetches)
 	}
 }
@@ -50,7 +46,7 @@ func TestPendingBackwardRelease(t *testing.T) {
 	fetches := p.OnForward(nil, []int{}, 1)
 	foundBwd := false
 	for _, f := range fetches {
-		if f.Seq == 1 && f.Kind == task.Backward {
+		if f.Seq == 1 && f.Kind == Backward {
 			foundBwd = true
 		}
 	}
@@ -68,7 +64,7 @@ func TestOnForwardPredictsNextForward(t *testing.T) {
 	p := NewPredictor(s)
 	// Forward of 0 runs; queue still holds 1 and 2, 1 is unblocked.
 	fetches := p.OnForward(nil, []int{1, 2}, 0)
-	if len(fetches) != 1 || fetches[0].Seq != 1 || fetches[0].Kind != task.Forward {
+	if len(fetches) != 1 || fetches[0].Seq != 1 || fetches[0].Kind != Forward {
 		t.Fatalf("fetches = %+v, want forward of 1", fetches)
 	}
 }
@@ -79,7 +75,7 @@ func TestOnForwardDoesNotRefetchCurrent(t *testing.T) {
 	p := NewPredictor(s)
 	fetches := p.OnForward(nil, []int{0}, 0)
 	for _, f := range fetches {
-		if f.Seq == 0 && f.Kind == task.Forward {
+		if f.Seq == 0 && f.Kind == Forward {
 			t.Fatalf("predictor refetched the currently executing forward: %+v", fetches)
 		}
 	}
@@ -96,7 +92,7 @@ func TestPendingBackwardKeptUntilPrecedence(t *testing.T) {
 		t.Fatalf("pending retired too early: %d", p.PendingCount())
 	}
 	fetches := p.OnForward(nil, nil, 2)
-	if len(fetches) != 1 || fetches[0].Seq != 2 || fetches[0].Kind != task.Backward {
+	if len(fetches) != 1 || fetches[0].Seq != 2 || fetches[0].Kind != Backward {
 		t.Fatalf("fetches = %+v", fetches)
 	}
 }
@@ -119,7 +115,7 @@ func TestRetireDropsPendingRecords(t *testing.T) {
 	}
 	// The surviving record still releases normally.
 	fetches := p.OnForward(nil, nil, 2)
-	if len(fetches) != 1 || fetches[0].Seq != 2 || fetches[0].Kind != task.Backward {
+	if len(fetches) != 1 || fetches[0].Seq != 2 || fetches[0].Kind != Backward {
 		t.Fatalf("fetches = %+v", fetches)
 	}
 	p.Retire(7) // unknown subnet: harmless

@@ -11,6 +11,10 @@
 // (internal/prefetch) that its machine's requests land in, applied by
 // the requesting goroutine; a stall is one clock.Sleep inside Acquire.
 // Prefetching moves data only — admission never consults the cache.
+// Events go to the caller's bus, Config.Telemetry, and nowhere else: the
+// plane builds no bus and reads none back, so Result.Spans stays nil and
+// a caller wanting a timeline derives it with SpansFromEvents over its
+// own bus.
 //
 // Determinism under real parallelism is the point. The raw interleaving of
 // parameter accesses across stages is wall-clock-nondeterministic — it
@@ -36,12 +40,12 @@ import (
 	"time"
 
 	"naspipe/internal/clock"
+	"naspipe/internal/csp"
 	"naspipe/internal/fault"
 	"naspipe/internal/metrics"
 	"naspipe/internal/prefetch"
 	"naspipe/internal/rng"
 	"naspipe/internal/supernet"
-	"naspipe/internal/task"
 	"naspipe/internal/telemetry"
 	"naspipe/internal/trace"
 	"naspipe/internal/transport"
@@ -125,10 +129,6 @@ type ccRun struct {
 	mu  sync.Mutex
 	obs *trace.Trace // raw interleaving; nil unless RecordTrace
 
-	// tel is Config.Telemetry, or a private bus when RecordTrace needs
-	// Result.Spans without one; nil = telemetry disabled.
-	tel *telemetry.Bus
-
 	// Fault plane (nil when Config.Faults is disabled).
 	inj *fault.Injector
 
@@ -158,6 +158,7 @@ var errLostWakeup = errors.New("engine: every stage parked with no message in fl
 // accesses), StallMs, DroppedPrefetches, CachedParamBytes (the summed
 // cache budget), and CPUMemBytes (the pinned supernet stash). With the
 // cache disabled the memory fields stay zero and CacheHitRate is -1.
+// Spans stays nil: task spans are events on Config.Telemetry.
 //
 // Cancellation: stage goroutines check ctx between tasks; on cancellation
 // the partial Result (Deadlock set, Completed < N) returns with ctx.Err().
@@ -196,14 +197,7 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.RecordTrace {
 		c.obs = &trace.Trace{}
 	}
-	n := len(w.Subnets)
-	tel := cfg.Telemetry
-	if tel == nil && cfg.RecordTrace {
-		// A traced run wants Result.Spans even without an external bus:
-		// capture privately, sized for the full span/flow event volume.
-		tel = telemetry.NewBus(32*n*w.D + 4096)
-	}
-	c.tel = tel
+	n, tel := len(w.Subnets), cfg.Telemetry
 	local := make([]int, w.D) // the stages this process runs
 	for k := range local {
 		local[k] = k
@@ -302,11 +296,6 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 			res.Trace = FilterTrace(res.Trace, cfg.Dist.Stages)
 		}
 	}
-	if c.tel != nil {
-		// The first real concurrent-plane spans: reconstructed from the
-		// event stream, so timeline/figure renderers work on both planes.
-		res.Spans = SpansFromEvents(c.tel.Events())
-	}
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
@@ -389,8 +378,8 @@ func (c *ccRun) requestFetch(s *ccStage, seq int) {
 // stageLoop is the body of one stage goroutine: drain inputs, run the
 // machine's next admissible task, park when nothing is runnable.
 func (c *ccRun) stageLoop(s *ccStage) {
-	// The flush pairs with RunConcurrent's wg.Wait before it reads the
-	// bus: no batched event may outlive its producer goroutine.
+	// The flush pairs with RunConcurrent's wg.Wait: every batched event
+	// is on the caller's bus before the run returns.
 	defer s.telb.Flush()
 	defer c.enterIdle() // a stage that leaves its loop stays idle
 	if s.k == 0 {
@@ -430,7 +419,7 @@ func (c *ccRun) stageLoop(s *ccStage) {
 // run executes the task pick chose as one step: the fault plane's task
 // boundary (a wedge or crash fires here, before any side effect), then
 // admission, compute and completion.
-func (c *ccRun) run(s *ccStage, kind task.Kind, idx int) {
+func (c *ccRun) run(s *ccStage, kind csp.Kind, idx int) {
 	seq, tk := s.m.queue(kind)[idx], telKind(kind)
 	if c.maybeWedge(s, seq, tk) || c.maybeCrash(s, seq, tk) {
 		return
@@ -498,9 +487,9 @@ func (c *ccRun) drain(s *ccStage) {
 func (c *ccRun) receive(s *ccStage, m transport.Msg) {
 	switch m.Type {
 	case transport.FrameFwd, transport.FrameBwd:
-		kind := task.Forward
+		kind := csp.Forward
 		if m.Type == transport.FrameBwd {
-			kind = task.Backward
+			kind = csp.Backward
 		}
 		if s.fresh(delivery{kind, m.Seq}) {
 			s.m.arrive(kind, m.Seq, m.Carried)
@@ -516,7 +505,7 @@ func (c *ccRun) receive(s *ccStage, m transport.Msg) {
 
 // delivery names one activation or gradient for the dedup set.
 type delivery struct {
-	kind task.Kind
+	kind csp.Kind
 	seq  int
 }
 
@@ -651,7 +640,7 @@ func (c *ccRun) now() float64 { return 0 }
 
 // acquire opens the task's span and takes its context, sleeping out any
 // stall inside AcquireFor.
-func (c *ccRun) acquire(t task.Task) float64 {
+func (c *ccRun) acquire(t csp.Task) float64 {
 	s := c.stages[t.Stage]
 	s.m.event(telemetry.OpTaskStart, telemetry.PhaseBegin, t.Subnet, t.Kind, 0)
 	if s.cache != nil {
@@ -663,11 +652,11 @@ func (c *ccRun) acquire(t task.Task) float64 {
 // release unlocks the task's context; a backward's flushed context is
 // finished on this stage and leaves the cache (the paper's eviction of
 // finished contexts).
-func (c *ccRun) release(t task.Task) {
+func (c *ccRun) release(t csp.Task) {
 	if s := c.stages[t.Stage]; s.cache != nil {
 		ids := c.w.stageIDs[t.Subnet][t.Stage]
 		s.cache.Release(ids)
-		if t.Kind == task.Backward {
+		if t.Kind == csp.Backward {
 			s.cache.Evict(ids)
 		}
 	}
@@ -705,7 +694,7 @@ const ccStraggleUnit = 25 * time.Microsecond
 // top (heterogeneous clusters, stragglers). Without either it still
 // yields to the Go scheduler so stage interleavings stay adversarial
 // rather than lockstep.
-func (c *ccRun) compute(seq, stage int, kind task.Kind) {
+func (c *ccRun) compute(seq, stage int, kind csp.Kind) {
 	var d time.Duration
 	if c.cfg.TimingJitter > 0 {
 		r := rng.Labeled(c.cfg.JitterSeed, fmt.Sprintf("ccjitter/%d/%d/%d", c.base+seq, stage, int(kind)))

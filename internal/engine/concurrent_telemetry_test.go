@@ -50,11 +50,16 @@ func TestConcurrentTelemetryChromeTraceCanonicalCounts(t *testing.T) {
 		t.Fatalf("trace names %d stages, want %d", st.Stages, d)
 	}
 
-	// The same census drives Result.Spans (the figure timelines).
-	if want := 2 * n * d; len(res.Spans) != want {
-		t.Fatalf("reconstructed %d spans, want %d", len(res.Spans), want)
+	// The same census drives the spans the caller rebuilds from its bus
+	// (the figure timelines); the engine fills no Result.Spans itself.
+	if res.Spans != nil {
+		t.Fatalf("the goroutine plane filled %d Result.Spans", len(res.Spans))
 	}
-	for _, s := range res.Spans {
+	spans := engine.SpansFromEvents(bus.Events())
+	if want := 2 * n * d; len(spans) != want {
+		t.Fatalf("reconstructed %d spans, want %d", len(spans), want)
+	}
+	for _, s := range spans {
 		if s.EndMs <= s.StartMs {
 			t.Fatalf("span %+v is empty or inverted", s)
 		}
@@ -71,17 +76,37 @@ func TestConcurrentTelemetryChromeTraceCanonicalCounts(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecordTracePopulatesSpansWithoutBus: RecordTrace alone
-// (no caller-supplied bus) still yields Result.Spans via a private bus,
-// so figure-cc renders without telemetry wiring at the call site.
-func TestConcurrentRecordTracePopulatesSpansWithoutBus(t *testing.T) {
-	cfg := ccCfg(4, false)
-	res, err := engine.RunConcurrent(context.Background(), cfg)
+// TestConcurrentRecordTraceLeavesSpansNil: RecordTrace records the
+// access trace and nothing else. With no bus of the caller's, a traced
+// run is still verified against the sequential reference, but the
+// engine builds no bus of its own, so Result.Spans stays nil.
+func TestConcurrentRecordTraceLeavesSpansNil(t *testing.T) {
+	res, err := engine.RunConcurrent(context.Background(), ccCfg(4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * cfg.NumSubnets * 4; len(res.Spans) != want {
-		t.Fatalf("RecordTrace produced %d spans, want %d", len(res.Spans), want)
+	if res.ObservedTrace == nil || res.Trace == nil {
+		t.Fatal("a traced run returned no traces")
+	}
+	if res.Spans != nil {
+		t.Fatalf("a traced run with no bus produced %d spans", len(res.Spans))
+	}
+}
+
+// TestConcurrentTracedAllocationCeiling pins what a traced run with no
+// bus allocates: 455 per run (25.3 per subnet) measured, ceiling about
+// 1.15× that. A bus the engine builds for itself, and the span rebuild
+// read back from it, cost 633 and fail it.
+func TestConcurrentTracedAllocationCeiling(t *testing.T) {
+	const ceiling = 520
+	cfg := ccCfg(4, false)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := engine.RunConcurrent(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("a traced run with no bus made %.0f allocations, ceiling %d", allocs, ceiling)
 	}
 }
 

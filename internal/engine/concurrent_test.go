@@ -219,6 +219,18 @@ func BenchmarkConcurrentTelemetry(b *testing.B) {
 	}
 }
 
+// BenchmarkConcurrentTraced is the configuration every verified run
+// uses: the access trace on (the Definition 1 check), no bus.
+func BenchmarkConcurrentTraced(b *testing.B) {
+	cfg := ccCfg(4, false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.RunConcurrent(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ccMemCfg is ccCfg plus the paper's memory-context configuration: cache
 // factor 3 (executing + evicting + prefetched subnet) with the Algorithm 3
 // predictor driving prefetch.

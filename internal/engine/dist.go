@@ -36,7 +36,6 @@ import (
 	"naspipe/internal/csp"
 	"naspipe/internal/fault"
 	"naspipe/internal/supernet"
-	"naspipe/internal/task"
 	"naspipe/internal/telemetry"
 	"naspipe/internal/trace"
 	"naspipe/internal/transport"
@@ -118,10 +117,10 @@ func (c *ccRun) post(m transport.Msg) {
 // (Delay). A Drop burns one bounded retry with exponential backoff; when
 // retries are exhausted the message escalates to the reliable path and
 // delivers — faults slow the pipeline, they never wedge it.
-func (c *ccRun) send(from int, kind task.Kind, seq int, carried []csp.PendingBackward) {
+func (c *ccRun) send(from int, kind csp.Kind, seq int, carried []csp.PendingBackward) {
 	s := c.stages[from]
 	m := transport.Msg{Type: transport.FrameFwd, From: from, To: from + 1, Seq: seq}
-	if kind == task.Backward {
+	if kind == csp.Backward {
 		m = transport.Msg{Type: transport.FrameBwd, From: from, To: from - 1, Seq: seq, Carried: carried}
 		s.cont.Carried += int64(len(carried))
 	}

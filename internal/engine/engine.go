@@ -19,7 +19,6 @@ import (
 	"naspipe/internal/partition"
 	"naspipe/internal/rng"
 	"naspipe/internal/supernet"
-	"naspipe/internal/task"
 	"naspipe/internal/telemetry"
 	"naspipe/internal/trace"
 )
@@ -41,7 +40,9 @@ type Config struct {
 	InflightLimit int
 
 	// RecordTrace enables parameter-access trace emission (needed by the
-	// numeric replay plane; adds memory proportional to accesses).
+	// numeric replay plane; adds memory proportional to accesses). It
+	// emits no telemetry; on the simulated plane it also fills
+	// Result.Spans.
 	RecordTrace bool
 
 	// BatchOverride forces the pipeline batch size instead of deriving it
@@ -86,10 +87,12 @@ type Config struct {
 	// scheduler decisions, prefetch-cache traffic, and cross-stage
 	// transfer flows, on both execution planes. Nil (the default)
 	// disables telemetry entirely — the hot paths emit nothing and
-	// allocate nothing. The simulated plane stamps events with simulated
-	// nanoseconds; the concurrent plane with wall-clock offsets from the
-	// bus epoch, so span-derived output (Result.Spans, timelines) wants a
-	// bus constructed just before the run.
+	// allocate nothing. The bus is the caller's: the engine never builds
+	// one and never reads one back. The simulated plane stamps events
+	// with simulated nanoseconds; the concurrent plane with wall-clock
+	// offsets from the bus epoch, so spans derived from it
+	// (SpansFromEvents, timelines) want a bus constructed just before
+	// the run.
 	Telemetry *telemetry.Bus
 
 	// Faults, when non-nil and enabled, activates the deterministic
@@ -265,8 +268,10 @@ type Result struct {
 	StageStallMs []float64 // per-stage swap stalls (diagnostics)
 	AvgInflight  float64   // time-averaged subnets in flight (diagnostics)
 
-	// Spans records every task's admission and completion (only when
-	// Config.RecordTrace is set), for timeline rendering (Figure 1).
+	// Spans records every task's admission and completion, for timeline
+	// rendering (Figure 1): the simulated plane's, when
+	// Config.RecordTrace is set. The concurrent plane leaves it nil; on
+	// goroutines, derive spans from your bus with SpansFromEvents.
 	Spans []TaskSpan
 
 	Trace *trace.Trace // nil unless Config.RecordTrace
@@ -312,7 +317,7 @@ type Result struct {
 // admission time (context acquire begins), End the completion; the task
 // may have been preempted in between by backward micro-tasks.
 type TaskSpan struct {
-	Task    task.Task
+	Task    csp.Task
 	StartMs float64
 	EndMs   float64
 	StallMs float64
@@ -332,7 +337,7 @@ type event struct {
 	kind   evKind
 	stage  int
 	subnet int
-	tkind  task.Kind // evArrive: which task's input
+	tkind  csp.Kind // evArrive: which task's input
 }
 
 // eventQueue is a binary min-heap of events by (time, order). order is
@@ -389,7 +394,7 @@ func (q *eventQueue) pop() event {
 // higher-priority task (a backward) preempts a running forward at the
 // next layer boundary rather than waiting out the whole stage pass.
 type execState struct {
-	t           task.Task
+	t           csp.Task
 	remaining   []float64 // per-layer compute cost at the run batch, in order
 	next        int       // index of the next micro-task
 	availableAt float64   // context Acquire completion
@@ -425,7 +430,7 @@ type stageState struct {
 
 func (st *stageState) hasForwardActive() bool {
 	for _, x := range st.active {
-		if x.t.Kind == task.Forward {
+		if x.t.Kind == csp.Forward {
 			return true
 		}
 	}
@@ -760,11 +765,11 @@ func (e *Engine) wake(k int) {
 		if idx < 0 {
 			break
 		}
-		if k == 0 && kind == task.Forward {
+		if k == 0 && kind == csp.Forward {
 			e.accrueInflight()
 		}
 		st.m.admit(kind, idx)
-		if kind == task.Forward {
+		if kind == csp.Forward {
 			break
 		}
 	}
@@ -797,7 +802,7 @@ func (e *Engine) dispatch(k int) {
 			pick = x
 			continue
 		}
-		if x.t.Kind == task.Backward && (pick.t.Kind == task.Forward || x.t.Subnet < pick.t.Subnet) {
+		if x.t.Kind == csp.Backward && (pick.t.Kind == csp.Forward || x.t.Subnet < pick.t.Subnet) {
 			pick = x
 		}
 	}
@@ -874,7 +879,7 @@ func (e *Engine) completeTask(x *execState) {
 			e.stages[k].cur = nil
 		}
 	}
-	if t.Kind == task.Forward {
+	if t.Kind == csp.Forward {
 		e.fwdDur[seq][k] = x.computeMs + x.stallMs
 		e.stages[k].m.complete(t)
 		return
@@ -916,7 +921,7 @@ func (e *Engine) fetch(_, k, seq int) {
 
 // acquire starts the task's context acquire and lays its compute out as
 // per-layer micro-tasks on the stage's active set.
-func (e *Engine) acquire(t task.Task) float64 {
+func (e *Engine) acquire(t csp.Task) float64 {
 	k := t.Stage
 	ids := e.w.stageIDs[t.Subnet][k]
 	readyAt := e.mem[k].Acquire(ids, e.w.bytesOf, e.nowMs)
@@ -941,7 +946,7 @@ func (e *Engine) acquire(t task.Task) float64 {
 	}
 	for _, id := range ids {
 		m := e.w.Net.Meta[id]
-		x.remaining = append(x.remaining, jitter*e.cfg.Spec.ComputeMs(m.CostMs(t.Kind == task.Backward), e.batch, e.refBatch))
+		x.remaining = append(x.remaining, jitter*e.cfg.Spec.ComputeMs(m.CostMs(t.Kind == csp.Backward), e.batch, e.refBatch))
 	}
 	if len(x.remaining) == 0 {
 		// An empty stage partition still relays activations; charge a
@@ -957,18 +962,18 @@ func (e *Engine) acquire(t task.Task) float64 {
 	return readyAt
 }
 
-func (e *Engine) release(t task.Task) {
+func (e *Engine) release(t csp.Task) {
 	ids := e.w.stageIDs[t.Subnet][t.Stage]
 	e.mem[t.Stage].Release(ids, e.nowMs)
-	if t.Kind == task.Backward && e.traits.CacheFactor > 0 {
+	if t.Kind == csp.Backward && e.traits.CacheFactor > 0 {
 		e.mem[t.Stage].Evict(ids, e.nowMs)
 	}
 }
 
 // send delivers the message after its modelled transfer time.
-func (e *Engine) send(from int, kind task.Kind, seq int, _ []csp.PendingBackward) {
+func (e *Engine) send(from int, kind csp.Kind, seq int, _ []csp.PendingBackward) {
 	to := from + 1
-	if kind == task.Backward {
+	if kind == csp.Backward {
 		to = from - 1
 	}
 	e.push(event{time: e.nowMs + e.cfg.Spec.CommMs(from, to, e.msgBytes),

@@ -9,7 +9,6 @@ import (
 
 	"naspipe/internal/csp"
 	"naspipe/internal/supernet"
-	"naspipe/internal/task"
 	"naspipe/internal/telemetry"
 	"naspipe/internal/trace"
 )
@@ -25,13 +24,13 @@ type driver interface {
 	fetch(from, k, seq int)
 	// acquire brings task t's context in and starts its compute; it
 	// returns when, on the driver's clock, the context is resident.
-	acquire(t task.Task) float64
+	acquire(t csp.Task) float64
 	// release lets go of a finished task's context; a backward's leaves
 	// the stage.
-	release(t task.Task)
+	release(t csp.Task)
 	// send hands subnet seq's activation (Forward) to stage from+1, or its
 	// gradient (Backward) with the carried records to stage from−1.
-	send(from int, kind task.Kind, seq int, carried []csp.PendingBackward)
+	send(from int, kind csp.Kind, seq int, carried []csp.PendingBackward)
 	// note tells every stage but from that subnet seq's WRITE of ids has
 	// flushed on from (finished: from is stage 0, the subnet is retired).
 	note(from, seq int, ids []supernet.LayerID, finished bool)
@@ -114,8 +113,8 @@ func (m *stage) done() bool {
 }
 
 // queue returns the candidate list tasks of kind wait in.
-func (m *stage) queue(kind task.Kind) []int {
-	if kind == task.Backward {
+func (m *stage) queue(kind csp.Kind) []int {
+	if kind == csp.Backward {
 		return m.bwdReady
 	}
 	return m.fwdQ
@@ -123,7 +122,7 @@ func (m *stage) queue(kind task.Kind) []int {
 
 // event emits one stage-scoped event about subnet seq (a local sequence;
 // the event carries the global one).
-func (m *stage) event(op telemetry.Op, ph telemetry.Phase, seq int, kind task.Kind, arg int64) {
+func (m *stage) event(op telemetry.Op, ph telemetry.Phase, seq int, kind csp.Kind, arg int64) {
 	if !m.tel {
 		return
 	}
@@ -136,7 +135,7 @@ func (m *stage) event(op telemetry.Op, ph telemetry.Phase, seq int, kind task.Ki
 
 // flow emits one end of a cross-stage transfer arrow; from is the
 // sending stage on both ends.
-func (m *stage) flow(op telemetry.Op, ph telemetry.Phase, seq int, kind task.Kind, from int) {
+func (m *stage) flow(op telemetry.Op, ph telemetry.Phase, seq int, kind csp.Kind, from int) {
 	if m.tel {
 		m.event(op, ph, seq, kind, telemetry.FlowID(telKind(kind), int32(m.w.SeqBase+seq), int32(from)))
 	}
@@ -149,7 +148,7 @@ func (m *stage) flow(op telemetry.Op, ph telemetry.Phase, seq int, kind task.Kin
 func (m *stage) refill() {
 	for m.retrieved < len(m.w.Subnets) && m.retrieved-m.bwdDone < m.window {
 		m.fwdQ = append(m.fwdQ, m.retrieved)
-		m.event(telemetry.OpTaskAdmit, telemetry.PhaseInstant, m.retrieved, task.Forward, 0)
+		m.event(telemetry.OpTaskAdmit, telemetry.PhaseInstant, m.retrieved, csp.Forward, 0)
 		m.retrieved++
 	}
 }
@@ -159,8 +158,8 @@ func (m *stage) refill() {
 // pending-backward records it carried, which prefetches the backward's
 // context. A forward's context needs no arrival fetch: the upstream
 // stage pushed it when it admitted the forward.
-func (m *stage) arrive(kind task.Kind, seq int, carried []csp.PendingBackward) {
-	if kind == task.Forward {
+func (m *stage) arrive(kind csp.Kind, seq int, carried []csp.PendingBackward) {
+	if kind == csp.Forward {
 		m.fwdQ = append(m.fwdQ, seq)
 		m.flow(telemetry.OpTransferRecv, telemetry.PhaseFlowEnd, seq, kind, m.k-1)
 		m.event(telemetry.OpTaskAdmit, telemetry.PhaseInstant, seq, kind, 0)
@@ -187,10 +186,10 @@ func (m *stage) note(seq int, ids []supernet.LayerID, finished bool) {
 // stage's admissible set), else — when fwdOK — the forward it admits.
 // idx is the task's position in queue(kind), -1 when nothing is
 // admissible. A held-back forward queue is reported once per episode.
-func (m *stage) pick(fwdOK bool) (kind task.Kind, idx int) {
+func (m *stage) pick(fwdOK bool) (kind csp.Kind, idx int) {
 	now := m.fx.now()
 	if idx = m.pol.SelectBackward(m.k, m.bwdReady, now); idx >= 0 || !fwdOK {
-		return task.Backward, idx
+		return csp.Backward, idx
 	}
 	idx = m.pol.SelectForward(m.k, m.fwdQ, now)
 	if idx < 0 && m.tel && len(m.fwdQ) > 0 {
@@ -201,19 +200,19 @@ func (m *stage) pick(fwdOK bool) (kind task.Kind, idx int) {
 			if writer >= 0 {
 				writer += m.w.SeqBase
 			}
-			m.event(telemetry.OpSchedDelay, telemetry.PhaseInstant, head, task.Forward, int64(writer))
+			m.event(telemetry.OpSchedDelay, telemetry.PhaseInstant, head, csp.Forward, int64(writer))
 		}
 	}
-	return task.Forward, idx
+	return csp.Forward, idx
 }
 
 // admit takes the task pick chose and starts it: forecasts, the context
 // push, the acquire, and a forward's READs.
-func (m *stage) admit(kind task.Kind, idx int) task.Task {
+func (m *stage) admit(kind csp.Kind, idx int) csp.Task {
 	q := m.queue(kind)
 	seq := q[idx]
 	q = slices.Delete(q, idx, idx+1)
-	if kind == task.Backward {
+	if kind == csp.Backward {
 		m.bwdReady = q
 	} else {
 		m.fwdQ = q
@@ -221,7 +220,7 @@ func (m *stage) admit(kind task.Kind, idx int) task.Task {
 	}
 	m.event(telemetry.OpSchedAdmit, telemetry.PhaseInstant, seq, kind, int64(idx))
 	if m.tr.predict {
-		if kind == task.Backward {
+		if kind == csp.Backward {
 			carried := m.carried[seq]
 			delete(m.carried, seq)
 			m.fetches = m.pol.PredictBackward(m.k, m.fwdQ, seq, carried, m.fetches[:0])
@@ -233,15 +232,15 @@ func (m *stage) admit(kind task.Kind, idx int) task.Task {
 		}
 	}
 	next := m.k + 1 // the stage that runs this subnet next
-	if kind == task.Backward {
+	if kind == csp.Backward {
 		next = m.k - 1
 	}
 	if m.tr.prefetch && next >= 0 && next < m.w.D {
 		m.fx.fetch(m.k, next, seq)
 	}
-	t := task.Task{Subnet: seq, Stage: m.k, Kind: kind}
+	t := csp.Task{Subnet: seq, Stage: m.k, Kind: kind}
 	at := m.fx.acquire(t)
-	if kind == task.Forward {
+	if kind == csp.Forward {
 		m.fx.access(m.k, m.w.stageIDs[seq][m.k], seq, trace.Read, at)
 	}
 	return t
@@ -252,18 +251,18 @@ func (m *stage) admit(kind task.Kind, idx int) task.Task {
 // computed and its backward is ready at once); a backward WRITEs, notes
 // the release to every stage, and returns its gradient upstream — or, on
 // stage 0, retires the subnet and refills.
-func (m *stage) complete(t task.Task) {
+func (m *stage) complete(t csp.Task) {
 	seq, now := t.Subnet, m.fx.now()
 	m.fx.release(t)
-	if t.Kind == task.Forward {
+	if t.Kind == csp.Forward {
 		m.pol.OnForwardDone(m.k, seq, now)
 		m.fwdDone++
 		if m.k < m.w.D-1 {
-			m.flow(telemetry.OpTransferSend, telemetry.PhaseFlowBegin, seq, task.Forward, m.k)
-			m.fx.send(m.k, task.Forward, seq, nil)
+			m.flow(telemetry.OpTransferSend, telemetry.PhaseFlowBegin, seq, csp.Forward, m.k)
+			m.fx.send(m.k, csp.Forward, seq, nil)
 		} else {
 			m.bwdReady = append(m.bwdReady, seq)
-			m.event(telemetry.OpTaskAdmit, telemetry.PhaseInstant, seq, task.Backward, 0)
+			m.event(telemetry.OpTaskAdmit, telemetry.PhaseInstant, seq, csp.Backward, 0)
 		}
 		return
 	}
@@ -278,8 +277,8 @@ func (m *stage) complete(t task.Task) {
 		m.refill()
 		return
 	}
-	m.flow(telemetry.OpTransferSend, telemetry.PhaseFlowBegin, seq, task.Backward, m.k)
-	m.fx.send(m.k, task.Backward, seq, m.carry())
+	m.flow(telemetry.OpTransferSend, telemetry.PhaseFlowBegin, seq, csp.Backward, m.k)
+	m.fx.send(m.k, csp.Backward, seq, m.carry())
 }
 
 // carry collects the pending-backward records a gradient takes upstream

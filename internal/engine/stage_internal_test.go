@@ -7,7 +7,6 @@ import (
 	"naspipe/internal/cluster"
 	"naspipe/internal/csp"
 	"naspipe/internal/supernet"
-	"naspipe/internal/task"
 	"naspipe/internal/telemetry"
 	"naspipe/internal/trace"
 )
@@ -19,7 +18,7 @@ import (
 type fetchReq struct{ from, k, seq int }
 
 type sendReq struct {
-	kind task.Kind
+	kind csp.Kind
 	seq  int
 }
 
@@ -32,8 +31,8 @@ type noteReq struct {
 type recorder struct {
 	fetches      []fetchReq
 	fetchedFirst int // fetches issued before the last acquire
-	acquired     []task.Task
-	released     []task.Task
+	acquired     []csp.Task
+	released     []csp.Task
 	sends        []sendReq
 	notes        []noteReq
 	accesses     []trace.AccessKind
@@ -41,12 +40,12 @@ type recorder struct {
 
 func (r *recorder) now() float64           { return 0 }
 func (r *recorder) fetch(from, k, seq int) { r.fetches = append(r.fetches, fetchReq{from, k, seq}) }
-func (r *recorder) acquire(t task.Task) float64 {
+func (r *recorder) acquire(t csp.Task) float64 {
 	r.acquired, r.fetchedFirst = append(r.acquired, t), len(r.fetches)
 	return 0
 }
-func (r *recorder) release(t task.Task) { r.released = append(r.released, t) }
-func (r *recorder) send(_ int, kind task.Kind, seq int, _ []csp.PendingBackward) {
+func (r *recorder) release(t csp.Task) { r.released = append(r.released, t) }
+func (r *recorder) send(_ int, kind csp.Kind, seq int, _ []csp.PendingBackward) {
 	r.sends = append(r.sends, sendReq{kind, seq})
 }
 func (r *recorder) note(_, seq int, _ []supernet.LayerID, finished bool) {
@@ -161,7 +160,7 @@ func TestStageMachineDrivesStageZero(t *testing.T) {
 		ids := w.StageLayerIDs(s, 1)
 		m.note(s, ids, false)
 		o.note(s, ids, false)
-		m.arrive(task.Backward, s, nil)
+		m.arrive(csp.Backward, s, nil)
 		if want := []fetchReq{{0, 0, s}}; !slices.Equal(rec.fetches, want) {
 			t.Fatalf("gradient %d arrival fetched %v, want %v", s, rec.fetches, want)
 		}
@@ -186,7 +185,7 @@ func TestStageMachineDrivesStageZero(t *testing.T) {
 		}
 		queue := slices.Clone(m.queue(kind))
 		seq := queue[idx]
-		if kind == task.Backward {
+		if kind == csp.Backward {
 			if seq != slices.Min(queue) {
 				t.Fatalf("backward %d picked from %v, want the lowest", seq, queue)
 			}
@@ -200,20 +199,20 @@ func TestStageMachineDrivesStageZero(t *testing.T) {
 		}
 		rest := slices.Delete(slices.Clone(queue), idx, idx+1)
 		var forecast int
-		if kind == task.Backward {
+		if kind == csp.Backward {
 			forecast = o.admit(m.fwdQ, seq)
 		} else if forecast = o.admit(rest); forecast == seq {
 			forecast = -1
 		}
 		got := m.admit(kind, idx)
-		if got != (task.Task{Subnet: seq, Stage: 0, Kind: kind}) {
+		if got != (csp.Task{Subnet: seq, Stage: 0, Kind: kind}) {
 			t.Fatalf("admitted %v, picked %d%v", got, seq, kind)
 		}
 		var want []fetchReq
 		if forecast >= 0 {
 			want = append(want, fetchReq{0, 0, forecast})
 		}
-		if kind == task.Forward {
+		if kind == csp.Forward {
 			want = append(want, fetchReq{0, 1, seq}) // the push, before the acquire
 		}
 		if !slices.Equal(rec.fetches, want) {
@@ -223,8 +222,8 @@ func TestStageMachineDrivesStageZero(t *testing.T) {
 			t.Fatalf("acquired %v after %d of its fetches, want %v after all %d", last, rec.fetchedFirst, got, len(want))
 		}
 		m.complete(got)
-		if kind == task.Forward {
-			if last := rec.sends[len(rec.sends)-1]; last != (sendReq{task.Forward, seq}) {
+		if kind == csp.Forward {
+			if last := rec.sends[len(rec.sends)-1]; last != (sendReq{csp.Forward, seq}) {
 				t.Fatalf("forward %d sent %v", seq, last)
 			}
 			stage1 = append(stage1, seq)
@@ -253,11 +252,11 @@ func TestStageMachinePushTarget(t *testing.T) {
 	w := stageWorld(t, 3, 4)
 	for _, tc := range []struct {
 		k    int
-		kind task.Kind
+		kind csp.Kind
 		want int // -1: no push
 	}{
-		{0, task.Forward, 1}, {1, task.Forward, 2}, {2, task.Forward, -1},
-		{2, task.Backward, 1}, {1, task.Backward, 0}, {0, task.Backward, -1},
+		{0, csp.Forward, 1}, {1, csp.Forward, 2}, {2, csp.Forward, -1},
+		{2, csp.Backward, 1}, {1, csp.Backward, 0}, {0, csp.Backward, -1},
 	} {
 		rec := &recorder{}
 		_, ms := cspStages(t, w, rec, stageTraits{prefetch: true}, 12)
@@ -337,9 +336,9 @@ type counter struct{ actions int }
 
 func (c *counter) now() float64                                                   { return 0 }
 func (c *counter) fetch(int, int, int)                                            { c.actions++ }
-func (c *counter) acquire(task.Task) float64                                      { c.actions++; return 0 }
-func (c *counter) release(task.Task)                                              { c.actions++ }
-func (c *counter) send(int, task.Kind, int, []csp.PendingBackward)                { c.actions++ }
+func (c *counter) acquire(csp.Task) float64                                       { c.actions++; return 0 }
+func (c *counter) release(csp.Task)                                               { c.actions++ }
+func (c *counter) send(int, csp.Kind, int, []csp.PendingBackward)                 { c.actions++ }
 func (c *counter) note(int, int, []supernet.LayerID, bool)                        { c.actions++ }
 func (c *counter) access(int, []supernet.LayerID, int, trace.AccessKind, float64) { c.actions++ }
 func (c *counter) emit(int, telemetry.Event)                                      { c.actions++ }

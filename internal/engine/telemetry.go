@@ -1,15 +1,15 @@
 // Telemetry glue shared by both execution planes: emission helpers for
 // the simulated engine (simulated-nanosecond timestamps) and the span
-// reconstruction that turns a captured event stream back into
-// Result.Spans — the bridge that lets the concurrent plane, which has no
-// discrete-event clock, feed the same timeline/figure renderers as the
-// simulator.
+// reconstruction that turns a caller's captured event stream into
+// TaskSpans — how a caller of the concurrent plane, which has no
+// discrete-event clock and fills no Result.Spans, feeds the same
+// timeline/figure renderers as the simulator.
 package engine
 
 import (
 	"sort"
 
-	"naspipe/internal/task"
+	"naspipe/internal/csp"
 	"naspipe/internal/telemetry"
 )
 
@@ -18,8 +18,8 @@ import (
 func simNs(ms float64) int64 { return int64(ms * 1e6) }
 
 // telKind maps a task kind onto the bus's dependency-free encoding.
-func telKind(k task.Kind) int8 {
-	if k == task.Backward {
+func telKind(k csp.Kind) int8 {
+	if k == csp.Backward {
 		return telemetry.KindBackward
 	}
 	return telemetry.KindForward
@@ -105,12 +105,12 @@ func SpansFromEvents(evs []telemetry.Event) []TaskSpan {
 		if !a.hasStart || !a.hasEnd || a.end < a.start {
 			continue
 		}
-		kind := task.Forward
+		kind := csp.Forward
 		if k.kind == telemetry.KindBackward {
-			kind = task.Backward
+			kind = csp.Backward
 		}
 		spans = append(spans, TaskSpan{
-			Task:    task.Task{Subnet: int(k.subnet), Stage: int(k.stage), Kind: kind},
+			Task:    csp.Task{Subnet: int(k.subnet), Stage: int(k.stage), Kind: kind},
 			StartMs: a.start, EndMs: a.end, StallMs: a.stallMs,
 		})
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"naspipe/internal/task"
+	"naspipe/internal/csp"
 )
 
 // RenderTimeline draws an ASCII Gantt chart of a run's task spans, one
@@ -41,8 +41,8 @@ func RenderTimeline(spans []TaskSpan, stages, width int, totalMs float64) string
 		}
 		return c
 	}
-	glyph := func(t task.Task) byte {
-		if t.Kind == task.Forward {
+	glyph := func(t csp.Task) byte {
+		if t.Kind == csp.Forward {
 			return byte('0' + t.Subnet%10)
 		}
 		return byte('a' + t.Subnet%10)
@@ -50,7 +50,7 @@ func RenderTimeline(spans []TaskSpan, stages, width int, totalMs float64) string
 	// Paint forwards first so backwards (which preempt) overwrite them.
 	for pass := 0; pass < 2; pass++ {
 		for _, s := range spans {
-			if (pass == 0) != (s.Task.Kind == task.Forward) {
+			if (pass == 0) != (s.Task.Kind == csp.Forward) {
 				continue
 			}
 			if s.Task.Stage < 0 || s.Task.Stage >= stages {

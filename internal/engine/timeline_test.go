@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"naspipe/internal/csp"
 	"naspipe/internal/engine"
-	"naspipe/internal/task"
 )
 
 // stageRow extracts the painted cells of one stage row from the rendered
@@ -26,8 +26,8 @@ func stageRow(t *testing.T, out string, stage int) string {
 // task ending at t and its successor starting at t split the axis cleanly.
 func TestRenderTimelineExclusiveEnd(t *testing.T) {
 	spans := []engine.TaskSpan{
-		{Task: task.Task{Subnet: 1, Stage: 0, Kind: task.Forward}, StartMs: 0, EndMs: 50},
-		{Task: task.Task{Subnet: 2, Stage: 0, Kind: task.Forward}, StartMs: 50, EndMs: 100},
+		{Task: csp.Task{Subnet: 1, Stage: 0, Kind: csp.Forward}, StartMs: 0, EndMs: 50},
+		{Task: csp.Task{Subnet: 2, Stage: 0, Kind: csp.Forward}, StartMs: 50, EndMs: 100},
 	}
 	row := stageRow(t, engine.RenderTimeline(spans, 1, 10, 100), 0)
 	if row != "1111122222" {
@@ -39,8 +39,8 @@ func TestRenderTimelineExclusiveEnd(t *testing.T) {
 // a span ending exactly at totalMs must not run past the axis.
 func TestRenderTimelineTinyAndEdgeSpans(t *testing.T) {
 	spans := []engine.TaskSpan{
-		{Task: task.Task{Subnet: 3, Stage: 0, Kind: task.Forward}, StartMs: 20, EndMs: 20},
-		{Task: task.Task{Subnet: 4, Stage: 1, Kind: task.Backward}, StartMs: 90, EndMs: 100},
+		{Task: csp.Task{Subnet: 3, Stage: 0, Kind: csp.Forward}, StartMs: 20, EndMs: 20},
+		{Task: csp.Task{Subnet: 4, Stage: 1, Kind: csp.Backward}, StartMs: 90, EndMs: 100},
 	}
 	out := engine.RenderTimeline(spans, 2, 10, 100)
 	if row := stageRow(t, out, 0); row != "..3......." {

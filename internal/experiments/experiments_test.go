@@ -17,6 +17,36 @@ func TestNamesDispatch(t *testing.T) {
 	}
 }
 
+// TestFigureCCDrawsThePipeline: figure-cc renders its timeline from its
+// own bus, on an axis from the first task (stage 0's first forward) to
+// the last (subnet 7's backward on stage 0), so every stage row shows
+// the stream's backward passes rather than one crowded cell.
+func TestFigureCCDrawsThePipeline(t *testing.T) {
+	out := FigureCC(context.Background(), Quick())
+	rows := 0
+	for _, l := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(l, "stage ") {
+			continue
+		}
+		rows++
+		if cells, ok := strings.CutPrefix(l, "stage 0 |"); ok && (cells[0] == '.' || !strings.HasSuffix(cells, "h|")) {
+			t.Errorf("stage 0 row %q does not run from the first task to subnet 7's backward", l)
+		}
+		backward := map[rune]bool{}
+		for _, c := range l {
+			if c >= 'a' && c <= 'h' {
+				backward[c] = true
+			}
+		}
+		if len(backward) < 4 {
+			t.Errorf("row %q shows %d of 8 backward passes", l, len(backward))
+		}
+	}
+	if rows != 3 {
+		t.Fatalf("figure-cc drew %d stage rows, want 3:\n%s", rows, out)
+	}
+}
+
 func TestTable1ListsSevenSpaces(t *testing.T) {
 	out := Table1(context.Background(), Quick())
 	for _, sp := range []string{"NLP.c0", "NLP.c1", "NLP.c2", "NLP.c3", "CV.c1", "CV.c2", "CV.c3"} {

@@ -9,6 +9,7 @@ import (
 	"naspipe/internal/layers"
 	"naspipe/internal/metrics"
 	"naspipe/internal/supernet"
+	"naspipe/internal/telemetry"
 	"naspipe/internal/train"
 )
 
@@ -165,14 +166,16 @@ func Figure7(ctx context.Context, o Options) string {
 }
 
 // FigureCC renders a pipeline timeline of the *concurrent* execution
-// plane — real goroutines, wall-clock time — from the telemetry-derived
-// spans, alongside its contention and cache tables. Wall-clock timings
-// vary run to run, so this figure is dispatchable by name ("figure-cc")
-// but deliberately excluded from Names(): AllExperiments' output must
-// stay byte-identical across worker counts, and this report cannot be.
+// plane — real goroutines, wall-clock time — from the spans of its own
+// telemetry bus, alongside its contention and cache tables. Wall-clock
+// timings vary run to run, so this figure is dispatchable by name
+// ("figure-cc") but deliberately excluded from Names(): AllExperiments'
+// output must stay byte-identical across worker counts, and this report
+// cannot be.
 func FigureCC(ctx context.Context, o Options) string {
 	o = o.withDefaults()
 	sp := supernet.NLPc3.Scaled(6, 2)
+	bus := telemetry.NewBus(0)
 	res, err := engine.RunConcurrent(ctx, engine.Config{
 		Space:         sp,
 		Spec:          cluster.Default(3),
@@ -181,13 +184,23 @@ func FigureCC(ctx context.Context, o Options) string {
 		InflightLimit: o.Inflight,
 		RecordTrace:   true,
 		ConcurrentMem: engine.MemPlaneConfig{CacheFactor: 3, Predictor: true},
+		Telemetry:     bus,
 	})
 	if err != nil {
 		return fmt.Sprintf("figure-cc: ERROR: %v\n", err)
 	}
+	// The bus epoch precedes the run's setup: the axis starts at the
+	// first task (spans come sorted by start) and ends at the last.
+	spans := engine.SpansFromEvents(bus.Events())
+	if len(spans) > 0 {
+		t0 := spans[0].StartMs
+		for i := range spans {
+			spans[i].StartMs -= t0
+			spans[i].EndMs -= t0
+		}
+	}
 	out := fmt.Sprintf("Figure CC: concurrent CSP executor, %d subnets, %d stages (wall clock — not byte-stable)\n%s",
-		res.Completed, res.D,
-		engine.RenderTimeline(res.Spans, res.D, 72, res.TotalMs))
+		res.Completed, res.D, engine.RenderTimeline(spans, res.D, 72, 0))
 	out += metrics.ContentionTable(res.Contention)
 	out += metrics.CacheTable(res.CacheStats)
 	return out

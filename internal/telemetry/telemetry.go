@@ -178,7 +178,7 @@ func PhaseByName(name string) (Phase, bool) {
 	return 0, false
 }
 
-// Task kinds, mirroring internal/task without the import (the bus is
+// Task kinds, mirroring csp.Kind without the import (the bus is
 // dependency-free).
 const (
 	KindNone     int8 = -1 // not task-scoped (cache traffic, scheduler scans)

@@ -497,8 +497,9 @@ func (s JobSpec) Config() (Config, error) {
 // the Runner options (executor, policy, cache, faults, checkpointing,
 // elasticity) and the engine Config (space, cluster, stream, jitter,
 // tracing). The options are the lowered Runner as one option, so an
-// option appended after it (WithTelemetry, say) overrides it. RunJob
-// runs a spec the way the CLIs, the scenario plane and the service do.
+// option appended after it overrides it; a telemetry bus goes on the
+// Config. RunJob runs a spec the way the CLIs, the scenario plane and
+// the service do.
 func FromSpec(s JobSpec) ([]RunnerOption, Config, error) {
 	r, cfg, err := s.lower()
 	if err != nil {

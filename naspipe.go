@@ -98,7 +98,7 @@ type (
 	MemPlaneConfig = engine.MemPlaneConfig
 	// TelemetryBus is the structured event stream both executors publish
 	// to (task spans, scheduler decisions, cache traffic, transfer
-	// flows); see Config.Telemetry and WithTelemetry.
+	// flows); attach one with Config.Telemetry.
 	TelemetryBus = telemetry.Bus
 	// TelemetryEvent is one entry of the telemetry stream.
 	TelemetryEvent = telemetry.Event
@@ -285,9 +285,9 @@ func NewTraceRecord(space Space, policy string, gpus int, seed uint64, numSubnet
 func ReadTraceRecord(r io.Reader) (*TraceRecord, error) { return trace.ReadRecord(r) }
 
 // NewTelemetryBus returns a telemetry bus with the given ring capacity
-// (≤0 uses the default). Attach it via Config.Telemetry or
-// WithTelemetry; export its events with WriteChromeTrace/WriteJSONL in
-// internal consumers or through cmd/naspipe-bench's -trace-out flag.
+// (≤0 uses the default). Attach it via Config.Telemetry, the one way a
+// bus reaches a run; export its events with WriteChromeTrace/WriteJSONL
+// in internal consumers or through cmd/naspipe-bench's -trace-out flag.
 func NewTelemetryBus(capacity int) *TelemetryBus { return telemetry.NewBus(capacity) }
 
 // ExperimentNames lists the reproducible paper experiments

@@ -10,7 +10,6 @@ import (
 	"naspipe/internal/parallel"
 	"naspipe/internal/sched"
 	"naspipe/internal/supernet"
-	"naspipe/internal/telemetry"
 	"naspipe/internal/train"
 )
 
@@ -65,7 +64,6 @@ type Runner struct {
 	cacheFactor float64
 	cacheSet    bool
 	predictor   bool
-	tel         *telemetry.Bus
 
 	faults    *fault.Plan
 	ckptPath  string
@@ -116,16 +114,6 @@ func WithCache(factor float64) RunnerOption {
 // factor 3 is used. Concurrent executor only.
 func WithPredictor(on bool) RunnerOption {
 	return func(r *Runner) { r.predictor = on }
-}
-
-// WithTelemetry attaches a telemetry bus: every run publishes its
-// structured event stream (task spans, scheduler decisions, cache
-// traffic, transfer flows) to it, on either executor, overriding
-// Config.Telemetry. Nil (the default) leaves telemetry to the Config.
-// Span timestamps are offsets from the bus's construction, so a bus
-// created just before the run gives the cleanest timelines.
-func WithTelemetry(bus *telemetry.Bus) RunnerOption {
-	return func(r *Runner) { r.tel = bus }
 }
 
 // WithFaults activates the deterministic fault-injection plane for every
@@ -340,9 +328,6 @@ func (r *Runner) resumePoint(cfg Config, n int, weightAt func(int) uint64) (faul
 func (r *Runner) applyOverrides(cfg *Config) {
 	if r.traceSet {
 		cfg.RecordTrace = r.trace
-	}
-	if r.tel != nil {
-		cfg.Telemetry = r.tel
 	}
 	if r.executor == ExecutorConcurrent {
 		if r.cacheSet {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"naspipe"
+	"naspipe/internal/engine"
 )
 
 func runnerCfg(gpus, n int) naspipe.Config {
@@ -240,15 +241,17 @@ func TestRunnerMemoryPlaneOptions(t *testing.T) {
 	}
 }
 
-// TestRunnerWithTelemetry attaches one bus to each executor in turn: both
-// planes must publish the full task lifecycle to it (the simulated plane
-// in simulated nanoseconds, the concurrent plane in wall-clock offsets),
-// and a concurrent run with telemetry must surface reconstructed spans.
+// TestRunnerWithTelemetry attaches one bus to each executor in turn
+// through Config.Telemetry: both planes must publish the full task
+// lifecycle to it (the simulated plane in simulated nanoseconds, the
+// concurrent plane in wall-clock offsets), and the bus must rebuild
+// every task's span.
 func TestRunnerWithTelemetry(t *testing.T) {
 	cfg := runnerCfg(4, 16)
 	for _, exec := range []naspipe.ExecutorKind{naspipe.ExecutorSimulated, naspipe.ExecutorConcurrent} {
 		bus := naspipe.NewTelemetryBus(0)
-		r, err := naspipe.NewRunner(naspipe.WithExecutor(exec), naspipe.WithTelemetry(bus))
+		cfg.Telemetry = bus
+		r, err := naspipe.NewRunner(naspipe.WithExecutor(exec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,9 +268,8 @@ func TestRunnerWithTelemetry(t *testing.T) {
 		if snap.Dropped != 0 {
 			t.Fatalf("executor %v: bus dropped %d events at default capacity", exec, snap.Dropped)
 		}
-		if exec == naspipe.ExecutorConcurrent && len(res.Spans) != int(want) {
-			t.Fatalf("concurrent run with telemetry reconstructed %d spans, want %d",
-				len(res.Spans), want)
+		if spans := engine.SpansFromEvents(bus.Events()); len(spans) != int(want) {
+			t.Fatalf("executor %v: bus rebuilt %d spans, want %d", exec, len(spans), want)
 		}
 	}
 }

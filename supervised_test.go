@@ -238,7 +238,6 @@ func TestSupervisedWatchdogRecoversWedge(t *testing.T) {
 		naspipe.WithFaults(plan),
 		naspipe.WithCheckpoint(filepath.Join(t.TempDir(), "run.ckpt")),
 		naspipe.WithCheckpointTraining(crashTrainCfg(cfg)),
-		naspipe.WithTelemetry(bus),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -246,6 +245,7 @@ func TestSupervisedWatchdogRecoversWedge(t *testing.T) {
 	sc := superviseTestConfig()
 	sc.Watchdog.StallAfter = 150 * time.Millisecond
 	sc.Telemetry = bus
+	cfg.Telemetry = bus
 	res, rep, err := r.RunSupervised(context.Background(), cfg, sc)
 	if err != nil {
 		t.Fatalf("wedged supervised run failed: %v", err)

@@ -84,19 +84,19 @@ func (r *Runner) supervise(ctx context.Context, cfg Config, sc SuperviseConfig, 
 // spec.Supervise is set, under supervise.Run; resume starts the first
 // incarnation from the spec's checkpoint. hooks carries what callers
 // differ in — Telemetry (one bus for engine events and health transitions
-// alike), Log, Observer and OnIncident — and nothing else is read from
-// it: every budget comes from the spec. A completed job whose spec sets
-// Verify is held to the sequential reference by Job.Verify, the check
-// the fleet coordinator runs too, and its Result carries the checksum.
-// The Report is nil for an unsupervised job; ExitCodeOf classifies the
-// error.
+// alike: it goes on the lowered Config), Log, Observer and OnIncident —
+// and nothing else is read from it: every budget comes from the spec. A
+// completed job whose spec sets Verify is held to the sequential
+// reference by Job.Verify, the check the fleet coordinator runs too, and
+// its Result carries the checksum. The Report is nil for an unsupervised
+// job; ExitCodeOf classifies the error.
 func RunJob(ctx context.Context, spec JobSpec, resume bool, hooks SuperviseConfig) (Result, *SuperviseReport, error) {
 	j, err := LowerJob(spec)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	r := j.r
-	r.tel = hooks.Telemetry
+	j.cfg.Telemetry = hooks.Telemetry
 	var res Result
 	var rep *SuperviseReport
 	if sc, supervised := spec.SuperviseConfig(); supervised {

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"naspipe"
+	"naspipe/internal/engine"
+	"naspipe/internal/telemetry"
 	"naspipe/internal/trace"
 )
 
@@ -79,6 +81,49 @@ func TestRunJobVerifies(t *testing.T) {
 		}
 		res, _, err := naspipe.RunJob(ctx, spec, true, naspipe.SuperviseConfig{})
 		check(t, res, err)
+	})
+}
+
+// TestRunJobHooksBusCarriesEveryTask: hooks.Telemetry is the run's one
+// bus on both paths. Unsupervised, it carries every task's start and
+// completion once; supervised through a pinned crash, it is shared by
+// both incarnations, and the spans the caller rebuilds from it cover
+// every task of the stream. The engine fills no Result.Spans on either.
+func TestRunJobHooksBusCarriesEveryTask(t *testing.T) {
+	spec := verifySpec()
+	tasks := 2 * spec.Subnets * spec.GPUs
+	t.Run("unsupervised", func(t *testing.T) {
+		bus := naspipe.NewTelemetryBus(0)
+		res, _, err := naspipe.RunJob(context.Background(), spec, false, naspipe.SuperviseConfig{Telemetry: bus})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap := bus.Snapshot(); snap.Started != int64(tasks) || snap.Completed != int64(tasks) {
+			t.Fatalf("bus counted %d/%d task starts/completions, want %d", snap.Started, snap.Completed, tasks)
+		}
+		if spans := engine.SpansFromEvents(bus.Events()); len(spans) != tasks || res.Spans != nil {
+			t.Fatalf("bus rebuilt %d spans (want %d), Result.Spans %d", len(spans), tasks, len(res.Spans))
+		}
+	})
+	t.Run("supervised", func(t *testing.T) {
+		spec := spec
+		spec.Faults = "seed=7,crashat=2:5:F" // incarnation 0 only
+		spec.Checkpoint = filepath.Join(t.TempDir(), "run.ckpt")
+		spec.Supervise = &naspipe.SuperviseSpec{
+			Backoff: naspipe.Duration(100 * time.Microsecond), BackoffMax: naspipe.Duration(time.Millisecond),
+		}
+		bus := naspipe.NewTelemetryBus(0)
+		res, rep, err := naspipe.RunJob(context.Background(), spec, false, naspipe.SuperviseConfig{Telemetry: bus})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Restarts != 1 || bus.Count(telemetry.OpFaultCrash) != 1 {
+			t.Fatalf("%d restarts, %d crash events on the bus, want the pinned crash's 1",
+				rep.Restarts, bus.Count(telemetry.OpFaultCrash))
+		}
+		if spans := engine.SpansFromEvents(bus.Events()); len(spans) != tasks || res.Spans != nil {
+			t.Fatalf("bus rebuilt %d spans over both incarnations (want %d), Result.Spans %d", len(spans), tasks, len(res.Spans))
+		}
 	})
 }
 
