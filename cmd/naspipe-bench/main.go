@@ -68,6 +68,7 @@ import (
 
 	"naspipe"
 	"naspipe/internal/clicfg"
+	"naspipe/internal/engine"
 	"naspipe/internal/metrics"
 	"naspipe/internal/telemetry"
 )
@@ -231,28 +232,28 @@ const (
 // testing.B benchmark does: the on arm's fresh ring is 5 MB, and the GC
 // cycle that allocation sets off otherwise runs inside the timed run —
 // ≈ 1.5 ms of harness, not of telemetry, since a process allocates its
-// bus once.
+// bus once. The spec is lowered once, and every run goes straight to
+// engine.RunConcurrent: all a job does for a concurrent spec that keeps
+// no checkpoint.
 func overheadGate(ctx context.Context, f *clicfg.Flags) naspipe.ExitCode {
 	spec := smokeSpec(f, false)
-	if err := spec.Validate(); err != nil {
+	if spec.Checkpoint != "" {
+		fmt.Fprintln(os.Stderr, "overhead: the gate times the uncheckpointed smoke config; drop -checkpoint")
+		return naspipe.ExitUsage
+	}
+	job, err := naspipe.LowerJob(spec)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return naspipe.ExitUsage
 	}
 	timeRun := func(bus *telemetry.Bus) (time.Duration, error) {
-		opts, cfg, err := naspipe.FromSpec(spec)
-		if err != nil {
-			return 0, err
-		}
+		cfg := job.EngineConfig()
 		cfg.TimingJitter = 1.0
 		cfg.JitterSeed = spec.Seed
 		cfg.Telemetry = bus
-		r, err := naspipe.NewRunner(opts...)
-		if err != nil {
-			return 0, err
-		}
 		runtime.GC()
 		t0 := time.Now()
-		_, err = r.Run(ctx, cfg)
+		_, err := engine.RunConcurrent(ctx, cfg)
 		return time.Since(t0), err
 	}
 	var ratios []float64

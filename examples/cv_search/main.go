@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,11 +37,12 @@ func main() {
 	fmt.Printf("%-22s val-loss=%.4f  top5-proxy=%.2f  checksum=%016x\n",
 		"sequential reference", valLoss(ref.Net), naspipe.Score(sp, valLoss(ref.Net)), ref.Checksum)
 
+	trace := true
 	for _, policy := range []string{"naspipe", "gpipe", "pipedream"} {
-		run, err := naspipe.RunPolicy(naspipe.Config{
-			Space: sp, Spec: naspipe.DefaultCluster(8), Seed: 11,
-			NumSubnets: steps, RecordTrace: true,
-		}, policy)
+		run, _, err := naspipe.RunJob(context.Background(), naspipe.JobSpec{
+			Space: "CV.c2", ScaleBlocks: 10, ScaleChoices: 3, Policy: policy,
+			GPUs: 8, Subnets: steps, Seed: 11, Trace: &trace,
+		}, false, naspipe.SuperviseConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}

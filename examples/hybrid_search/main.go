@@ -28,12 +28,18 @@ func main() {
 		union.Space.Name, union.Space.Blocks, len(union.Members),
 		union.Members[0].Choices, union.Members[1].Choices)
 
+	// An injected stream is a Config a JobSpec cannot express, so these
+	// runs go through naspipe.Run.
 	run := func(space naspipe.Space, injected []naspipe.Subnet, label string) {
 		cfg := naspipe.Config{
 			Space: space, Spec: naspipe.DefaultCluster(8), Seed: 9,
 			NumSubnets: n, Subnets: injected, InflightLimit: 48,
 		}
-		res, err := naspipe.RunPolicy(cfg, "naspipe")
+		policy, err := naspipe.NewPolicy("naspipe")
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := naspipe.Run(cfg, policy)
 		if err != nil {
 			log.Fatal(err)
 		}

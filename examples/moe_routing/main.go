@@ -48,10 +48,16 @@ func main() {
 				hottest = c
 			}
 		}
-		res, err := naspipe.RunPolicy(naspipe.Config{
+		// The routed stream is injected, which a JobSpec cannot express:
+		// it runs as a Config through naspipe.Run.
+		policy, err := naspipe.NewPolicy("naspipe")
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := naspipe.Run(naspipe.Config{
 			Space: space, Spec: naspipe.DefaultCluster(8), Seed: 13,
 			Subnets: subs, InflightLimit: 48,
-		}, "naspipe")
+		}, policy)
 		if err != nil {
 			log.Fatal(err)
 		}

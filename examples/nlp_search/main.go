@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,10 +29,11 @@ func main() {
 
 	// 1. Schedule the subnet stream with CSP on a simulated 8-GPU cluster,
 	//    recording the parameter access trace.
-	run, err := naspipe.RunPolicy(naspipe.Config{
-		Space: sp, Spec: naspipe.DefaultCluster(8), Seed: 7,
-		NumSubnets: steps, RecordTrace: true,
-	}, "naspipe")
+	trace := true
+	run, _, err := naspipe.RunJob(context.Background(), naspipe.JobSpec{
+		Space: full.Name, ScaleBlocks: 12, ScaleChoices: 9,
+		GPUs: 8, Subnets: steps, Seed: 7, Trace: &trace,
+	}, false, naspipe.SuperviseConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,24 +17,17 @@ import (
 func main() {
 	ctx := context.Background()
 
-	// Pick a Table-1 search space and the paper's 8-GPU testbed.
+	// Pick a Table-1 search space and the paper's 8-GPU testbed. A run is
+	// described once, as a JobSpec; RunJob lowers and runs it.
 	space := naspipe.NLPc1
-	cfg := naspipe.Config{
-		Space:      space,
-		Spec:       naspipe.DefaultCluster(8),
-		Seed:       1,
-		NumSubnets: 120,
-	}
+	spec := naspipe.JobSpec{Space: space.Name, GPUs: 8, Subnets: 120, Seed: 1}
 
 	fmt.Printf("search space %s: %d choice blocks x %d candidate layers (%s)\n\n",
 		space.Name, space.Blocks, space.Choices, space.Dataset)
 
 	for _, policy := range []string{"naspipe", "gpipe"} {
-		r, err := naspipe.NewRunner(naspipe.WithPolicy(policy))
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := r.Run(ctx, cfg)
+		spec.Policy = policy
+		res, _, err := naspipe.RunJob(ctx, spec, false, naspipe.SuperviseConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,14 +48,9 @@ func main() {
 	// stage, channels for activations/gradients, per-stage CSP admission.
 	// The run fails loudly if the observed parameter-access order ever
 	// diverges from the sequential reference.
-	cc, err := naspipe.NewRunner(
-		naspipe.WithExecutor(naspipe.ExecutorConcurrent),
-		naspipe.WithTrace(true),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := cc.Run(ctx, cfg)
+	trace := true
+	spec.Policy, spec.Executor, spec.Trace = "naspipe", naspipe.ExecutorConcurrent.String(), &trace
+	res, _, err := naspipe.RunJob(ctx, spec, false, naspipe.SuperviseConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

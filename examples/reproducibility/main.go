@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,16 +20,17 @@ func main() {
 	cfg := naspipe.TrainConfig{Space: sp, Dim: 10, Seed: 3, BatchSize: 3, LR: 0.05}
 	subs := naspipe.SampleSubnets(sp, 3, steps)
 	gpuCounts := []int{1, 2, 4, 8}
+	trace := true
 
 	for _, policy := range []string{"naspipe", "gpipe"} {
 		fmt.Printf("--- %s ---\n", policy)
 		var first uint64
 		allEqual := true
 		for i, d := range gpuCounts {
-			run, err := naspipe.RunPolicy(naspipe.Config{
-				Space: sp, Spec: naspipe.DefaultCluster(d), Seed: 3,
-				NumSubnets: steps, RecordTrace: true,
-			}, policy)
+			run, _, err := naspipe.RunJob(context.Background(), naspipe.JobSpec{
+				Space: "NLP.c2", ScaleBlocks: 10, ScaleChoices: 4, Policy: policy,
+				GPUs: d, Subnets: steps, Seed: 3, Trace: &trace,
+			}, false, naspipe.SuperviseConfig{})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -10,6 +10,7 @@ import (
 
 	"naspipe"
 	"naspipe/internal/data"
+	"naspipe/internal/fault"
 	"naspipe/internal/scenario"
 )
 
@@ -30,6 +31,16 @@ func crashCfg(gpus int) naspipe.Config {
 func crashTrainCfg(cfg naspipe.Config) naspipe.TrainConfig {
 	return naspipe.TrainConfig{Space: cfg.Space, Dim: 8, Seed: cfg.Seed,
 		BatchSize: 2, LR: 0.05, Dataset: data.WNMT}
+}
+
+// crashSpec is crashCfg(gpus) as a concurrent JobSpec that keeps its
+// checkpoint at ckpt and trains crashTrainCfg's numeric plane.
+func crashSpec(gpus int, ckpt string) naspipe.JobSpec {
+	return naspipe.JobSpec{
+		Space: "NLP.c3", ScaleBlocks: 8, ScaleChoices: 3, Executor: "concurrent",
+		GPUs: gpus, Subnets: 18, Seed: 7, Checkpoint: ckpt,
+		Train: &naspipe.TrainSpec{Dim: 8, BatchSize: 2, LR: 0.05},
+	}
 }
 
 // crashSchedules is the fault matrix: deterministic targeted crashes at
@@ -88,7 +99,7 @@ func TestCrashResumeMatrix(t *testing.T) {
 				res, _, err := naspipe.RunJob(ctx, spec, false, naspipe.SuperviseConfig{})
 				crashes := 0
 				for ; err != nil; crashes++ {
-					var crash *naspipe.CrashError
+					var crash *fault.CrashError
 					if !errors.As(err, &crash) {
 						t.Fatalf("non-crash failure after %d crashes: %v", crashes, err)
 					}
@@ -130,49 +141,42 @@ func TestCrashResumeMatrix(t *testing.T) {
 
 // TestResumeRejectsMismatchedConfig pins the checkpoint identity guard:
 // a checkpoint written for one run must refuse to resume a different
-// space, seed, GPU count, or stream length.
+// space, seed, GPU count, stream length, or jitter seed.
 func TestResumeRejectsMismatchedConfig(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	plan, err := naspipe.ParseFaultPlan("seed=1,crashat=1:4:F")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := naspipe.NewRunner(
-		naspipe.WithExecutor(naspipe.ExecutorConcurrent),
-		naspipe.WithFaults(plan),
-		naspipe.WithCheckpoint(ckpt),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := crashSpec(4, filepath.Join(t.TempDir(), "run.ckpt"))
+	spec.Train = nil
+	spec.Faults = "seed=1,crashat=1:4:F"
 	ctx := context.Background()
-	if _, err := r.Run(ctx, crashCfg(4)); err == nil {
+	hooks := naspipe.SuperviseConfig{}
+	if _, _, err := naspipe.RunJob(ctx, spec, false, hooks); err == nil {
 		t.Fatal("targeted crash did not fire")
 	}
 
-	for name, mutate := range map[string]func(*naspipe.Config){
-		"seed":    func(c *naspipe.Config) { c.Seed++ },
-		"gpus":    func(c *naspipe.Config) { c.Spec = naspipe.DefaultCluster(8) },
-		"subnets": func(c *naspipe.Config) { c.NumSubnets++ },
-		"space":   func(c *naspipe.Config) { c.Space = naspipe.NLPc2.Scaled(8, 3) },
-		"jitter":  func(c *naspipe.Config) { c.JitterSeed = 99 },
+	for name, mutate := range map[string]func(*naspipe.JobSpec){
+		"seed":    func(s *naspipe.JobSpec) { s.Seed++ },
+		"gpus":    func(s *naspipe.JobSpec) { s.GPUs = 8 },
+		"subnets": func(s *naspipe.JobSpec) { s.Subnets++ },
+		"space":   func(s *naspipe.JobSpec) { s.Space = "NLP.c2" },
+		"jitter":  func(s *naspipe.JobSpec) { s.JitterSeed = 99 },
 	} {
-		cfg := crashCfg(4)
-		mutate(&cfg)
-		if _, err := r.Resume(ctx, cfg); err == nil {
+		s := spec
+		mutate(&s)
+		if _, _, err := naspipe.RunJob(ctx, s, true, hooks); err == nil {
 			t.Errorf("resume accepted a checkpoint with mismatched %s", name)
 		}
 	}
 
-	// The unmutated config must still resume cleanly.
-	if _, err := r.Resume(ctx, crashCfg(4)); err != nil {
-		t.Fatalf("matching config failed to resume: %v", err)
+	// The unmutated spec must still resume cleanly.
+	if _, _, err := naspipe.RunJob(ctx, spec, true, hooks); err != nil {
+		t.Fatalf("matching spec failed to resume: %v", err)
 	}
 }
 
 // TestRunnerFaultOptionValidation pins the option surface: fault and
-// checkpoint options are concurrent-plane-only, refinements require
-// their base option, and invalid plans are rejected at construction.
+// checkpoint options are concurrent-plane-only, checkpoint training
+// requires a checkpoint, and invalid plans are rejected at construction.
+// A resume needs a checkpoint to resume from. (checkpoint_every's rules
+// are rows of TestJobSpecValidate.)
 func TestRunnerFaultOptionValidation(t *testing.T) {
 	plan := &naspipe.FaultPlan{Seed: 1, DropRate: 0.1}
 	cases := []struct {
@@ -181,16 +185,11 @@ func TestRunnerFaultOptionValidation(t *testing.T) {
 	}{
 		{"faults-on-simulated", []naspipe.RunnerOption{naspipe.WithFaults(plan)}},
 		{"checkpoint-on-simulated", []naspipe.RunnerOption{naspipe.WithCheckpoint("x.ckpt")}},
-		{"every-without-checkpoint", []naspipe.RunnerOption{
-			naspipe.WithExecutor(naspipe.ExecutorConcurrent), naspipe.WithCheckpointEvery(4)}},
 		{"training-without-checkpoint", []naspipe.RunnerOption{
 			naspipe.WithExecutor(naspipe.ExecutorConcurrent), naspipe.WithCheckpointTraining(naspipe.TrainConfig{})}},
 		{"invalid-plan", []naspipe.RunnerOption{
 			naspipe.WithExecutor(naspipe.ExecutorConcurrent),
 			naspipe.WithFaults(&naspipe.FaultPlan{DropRate: 1.5})}},
-		{"negative-every", []naspipe.RunnerOption{
-			naspipe.WithExecutor(naspipe.ExecutorConcurrent),
-			naspipe.WithCheckpoint("x.ckpt"), naspipe.WithCheckpointEvery(-1)}},
 	}
 	for _, c := range cases {
 		if _, err := naspipe.NewRunner(c.opts...); err == nil {
@@ -200,11 +199,7 @@ func TestRunnerFaultOptionValidation(t *testing.T) {
 	if _, err := naspipe.NewRunner(naspipe.WithExecutor(naspipe.ExecutorConcurrent)); err != nil {
 		t.Errorf("baseline concurrent runner rejected: %v", err)
 	}
-	r, err := naspipe.NewRunner(naspipe.WithExecutor(naspipe.ExecutorConcurrent))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Resume(context.Background(), crashCfg(2)); err == nil {
-		t.Error("Resume without WithCheckpoint must fail")
+	if _, _, err := naspipe.RunJob(context.Background(), crashSpec(2, ""), true, naspipe.SuperviseConfig{}); err == nil {
+		t.Error("a resume without a checkpoint path must fail")
 	}
 }

@@ -130,17 +130,11 @@ func TestCheckpointKillAtAnyCutResumesFromLaggingFile(t *testing.T) {
 	if err := os.WriteFile(path, probe.worst, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := naspipe.NewRunner(
-		naspipe.WithExecutor(naspipe.ExecutorConcurrent),
-		naspipe.WithTrace(true),
-		naspipe.WithCheckpoint(path),
-		naspipe.WithCheckpointTraining(tc),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := crashSpec(4, path)
+	trace := true
+	spec.Trace = &trace
 	cfg = crashCfg(4)
-	res, err := r.Resume(context.Background(), cfg)
+	res, _, err := naspipe.RunJob(context.Background(), spec, true, naspipe.SuperviseConfig{})
 	if err != nil {
 		t.Fatalf("resume from the lagging file: %v", err)
 	}
@@ -182,7 +176,7 @@ func TestCheckpointedRunLeavesLatestCutAndNoWriter(t *testing.T) {
 			}
 		}},
 		{name: "crash", faults: "seed=1,crashat=1:9:F", incarnation: 1, check: func(t *testing.T, err error) {
-			var crash *naspipe.CrashError
+			var crash *fault.CrashError
 			if !errors.As(err, &crash) {
 				t.Fatalf("got %v, want a *CrashError", err)
 			}
@@ -205,7 +199,7 @@ func TestCheckpointedRunLeavesLatestCutAndNoWriter(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(dir, "run.ckpt")
-			bus := naspipe.NewTelemetryBus(0)
+			bus := telemetry.NewBus(0)
 			opts := []naspipe.RunnerOption{
 				naspipe.WithExecutor(naspipe.ExecutorConcurrent),
 				naspipe.WithCheckpoint(path),

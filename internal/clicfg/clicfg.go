@@ -142,8 +142,9 @@ func (f *Flags) ConcurrentRequested() bool {
 }
 
 // Spec assembles the JobSpec the parsed flags describe for the given
-// executor ("simulated" or "concurrent"). Validation is left to
-// naspipe.FromSpec so every surface reports identical errors.
+// executor ("simulated" or "concurrent"). Validation is left to the
+// spec's lowering (naspipe.RunJob) so every surface reports identical
+// errors.
 func (f *Flags) Spec(executor string) naspipe.JobSpec {
 	s := naspipe.JobSpec{
 		Space:        f.Space,

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"naspipe"
+	"naspipe/internal/fault"
 	"naspipe/internal/telemetry"
 )
 
@@ -35,7 +36,7 @@ func TestRunExportsOnCrash(t *testing.T) {
 	code := f.Run(context.Background(), &stdout, &stderr, Job{Name: "test", Spec: spec,
 		Run: func(ctx context.Context, hooks naspipe.SuperviseConfig) (naspipe.Result, *naspipe.SuperviseReport, error) {
 			res, rep, err := naspipe.RunJob(ctx, spec, false, hooks)
-			var crash *naspipe.CrashError
+			var crash *fault.CrashError
 			if !errors.As(err, &crash) {
 				t.Errorf("run error %v, want a *CrashError", err)
 			}

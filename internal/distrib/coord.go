@@ -145,7 +145,7 @@ func (c *Coordinator) bump() error {
 // check RunJob runs, and carries the checksum. Every return path
 // flushes the recorder (latest committed cut on disk, no writer).
 func (c *Coordinator) Run(ctx context.Context) (res naspipe.Result, rep *supervise.Report, err error) {
-	// Resuming, the job's recorder applies Runner.Resume's guard before
+	// Resuming, the job's recorder applies the guard RunJob's resume applies before
 	// any worker launches: a foreign checkpoint must not reach the fleet.
 	rec, err := c.job.OpenCheckpoint(c.cfg.Resume)
 	if err != nil {

@@ -390,7 +390,7 @@ func TestProcessWaitServesEveryCaller(t *testing.T) {
 }
 
 // TestCoordinatorResumeRejectsForeignCheckpoint pins the resume guard:
-// Coordinator.Run{Resume} applies the identity check Runner.Resume
+// Coordinator.Run{Resume} applies the identity check RunJob's resume
 // applies, and a mismatch is refused before any worker is launched —
 // not discovered later inside one.
 func TestCoordinatorResumeRejectsForeignCheckpoint(t *testing.T) {
@@ -441,7 +441,7 @@ func TestCoordinatorResumeRejectsForeignCheckpoint(t *testing.T) {
 }
 
 // TestCoordinatorResumeRequiresCheckpoint: Resume on a spec with no
-// checkpoint path is refused, as Runner.Resume refuses it, instead of
+// checkpoint path is refused, as RunJob's resume refuses it, instead of
 // silently running fresh from cursor 0.
 func TestCoordinatorResumeRequiresCheckpoint(t *testing.T) {
 	co, err := distrib.NewCoordinator(distrib.CoordConfig{

@@ -249,7 +249,7 @@ func awaitAssign(ctx context.Context, wc WorkerConfig, link *transport.Link) (tr
 // workerEngineConfig turns an assignment into the engine configuration
 // for this worker's slice of the run: the engine config of the job the
 // assigned spec lowers to, and the resume suffix renumbered from the
-// committed cursor (Config.ResumeAt, as in Runner.Resume), so fault
+// committed cursor (Config.ResumeAt, as in RunJob's resume), so fault
 // schedules, traces, and checkpoint cuts all stay globally addressed.
 func workerEngineConfig(wc WorkerConfig, a transport.Assign) (engine.Config, error) {
 	var spec naspipe.JobSpec

@@ -117,9 +117,9 @@ type Config struct {
 	// SeqBase offsets every externally visible sequence ID (trace,
 	// telemetry, fault decisions, checkpoint cuts) by a resume cursor:
 	// the engine executes Subnets with local seqs 0..len-1 while the
-	// outside world sees BaseSeq..BaseSeq+len-1. Used by Runner.Resume to
-	// run the uncommitted suffix of an interrupted stream. Concurrent
-	// plane only.
+	// outside world sees BaseSeq..BaseSeq+len-1. A resume (RunJob's, a
+	// fleet worker's) runs the uncommitted suffix of an interrupted
+	// stream with it. Concurrent plane only.
 	SeqBase int
 
 	// Probe, when non-nil, receives the run's live health state: per-stage

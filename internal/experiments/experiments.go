@@ -13,7 +13,6 @@ import (
 	"naspipe/internal/cluster"
 	"naspipe/internal/data"
 	"naspipe/internal/engine"
-	"naspipe/internal/parallel"
 	"naspipe/internal/sched"
 	"naspipe/internal/supernet"
 	"naspipe/internal/train"
@@ -271,12 +270,6 @@ func RunContext(ctx context.Context, name string, o Options) (string, error) {
 	return out, nil
 }
 
-// All runs every experiment and concatenates the reports.
-func All(o Options) string {
-	out, _ := AllContext(context.Background(), o)
-	return out
-}
-
 // AllContext runs every experiment on a bounded worker pool (see
 // Options.Parallelism) and concatenates the reports in canonical Names()
 // order. The output is byte-identical to the serial harness regardless of
@@ -287,8 +280,7 @@ func All(o Options) string {
 // report assembled so far.
 func AllContext(ctx context.Context, o Options) (string, error) {
 	names := Names()
-	workers := parallel.Workers(o.Parallelism, len(names))
-	parts, err := parallel.Map(ctx, workers, len(names), func(i int) (string, error) {
+	parts, err := parallelMap(ctx, o.Parallelism, len(names), func(i int) (string, error) {
 		out, err := RunContext(ctx, names[i], o)
 		if err != nil {
 			if ctx.Err() != nil {

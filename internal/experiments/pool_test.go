@@ -1,19 +1,18 @@
-package parallel_test
+package experiments
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"naspipe/internal/parallel"
 )
 
 func TestMapPreservesOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
-		got, err := parallel.Map(context.Background(), workers, 40, func(i int) (int, error) {
+		got, err := parallelMap(context.Background(), workers, 40, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -28,10 +27,10 @@ func TestMapPreservesOrder(t *testing.T) {
 }
 
 func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
-	ref, _ := parallel.Map(context.Background(), 1, 25, func(i int) (string, error) {
+	ref, _ := parallelMap(context.Background(), 1, 25, func(i int) (string, error) {
 		return fmt.Sprintf("job-%d", i), nil
 	})
-	par, _ := parallel.Map(context.Background(), 8, 25, func(i int) (string, error) {
+	par, _ := parallelMap(context.Background(), 8, 25, func(i int) (string, error) {
 		return fmt.Sprintf("job-%d", i), nil
 	})
 	for i := range ref {
@@ -41,33 +40,45 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestMapBoundsConcurrency holds every job at a barrier until the pool
+// has `workers` jobs in flight at once, then lets them all run: the bound
+// is reached (otherwise the barrier never opens) and never exceeded.
 func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int32
-	_, err := parallel.Map(context.Background(), workers, 30, func(i int) (int, error) {
+	full := make(chan struct{})
+	var open sync.Once
+	_, err := parallelMap(context.Background(), workers, 30, func(i int) (int, error) {
 		cur := inFlight.Add(1)
+		defer inFlight.Add(-1)
 		for {
 			p := peak.Load()
 			if cur <= p || peak.CompareAndSwap(p, cur) {
 				break
 			}
 		}
-		time.Sleep(time.Millisecond)
-		inFlight.Add(-1)
-		return i, nil
+		if cur == workers {
+			open.Do(func() { close(full) })
+		}
+		select {
+		case <-full:
+			return i, nil
+		case <-time.After(10 * time.Second):
+			return 0, fmt.Errorf("job %d: at most %d of %d workers ever ran at once", i, peak.Load(), workers)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := peak.Load(); got > workers {
-		t.Fatalf("observed %d concurrent jobs, want <= %d", got, workers)
+	if got := peak.Load(); got != workers {
+		t.Fatalf("observed %d concurrent jobs, want exactly %d", got, workers)
 	}
 }
 
 func TestMapFirstErrorByIndex(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
-	_, err := parallel.Map(context.Background(), 4, 20, func(i int) (int, error) {
+	_, err := parallelMap(context.Background(), 4, 20, func(i int) (int, error) {
 		switch i {
 		case 3:
 			return 0, errLow
@@ -84,7 +95,7 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 func TestMapCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int32
-	_, err := parallel.Map(ctx, 2, 1000, func(i int) (int, error) {
+	_, err := parallelMap(ctx, 2, 1000, func(i int) (int, error) {
 		if started.Add(1) == 4 {
 			cancel()
 		}
@@ -99,33 +110,20 @@ func TestMapCancellation(t *testing.T) {
 }
 
 func TestMapZeroJobs(t *testing.T) {
-	got, err := parallel.Map(context.Background(), 4, 0, func(i int) (int, error) { return i, nil })
+	got, err := parallelMap(context.Background(), 4, 0, func(i int) (int, error) { return i, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("zero jobs: %v %v", got, err)
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := parallel.ForEach(context.Background(), 4, 10, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum %d", sum.Load())
-	}
-}
-
 func TestWorkers(t *testing.T) {
-	if parallel.Workers(5, 3) != 3 {
+	if workerCount(5, 3) != 3 {
 		t.Fatal("not capped at job count")
 	}
-	if parallel.Workers(0, 100) < 1 {
+	if workerCount(0, 100) < 1 {
 		t.Fatal("default workers below 1")
 	}
-	if parallel.Workers(2, 100) != 2 {
+	if workerCount(2, 100) != 2 {
 		t.Fatal("explicit worker count not honored")
 	}
 }

@@ -185,7 +185,7 @@ func Load(path string) (Checkpoint, error) {
 
 // VerifyResume checks that ck, loaded from a file, is a checkpoint of the
 // run whose identity fields (Space, Seed, GPUs, NumSubnets, JitterSeed)
-// are want's: every resume path — Runner.Resume, the fleet coordinator —
+// are want's: every resume path — RunJob's resume, the fleet coordinator —
 // guards with it before running anything. elastic waives the GPU count
 // (the suffix may re-partition at another depth). weightAt, when non-nil,
 // retrains the committed prefix so a recorded weight checksum is

@@ -110,11 +110,15 @@ func simPass(comp *Compiled, cell *Cell) error {
 		if j.Spec.CacheFactor != nil {
 			cfg.SimCacheFactor = *j.Spec.CacheFactor
 		}
-		policy := j.Spec.Policy
-		if policy == "" {
-			policy = "naspipe"
+		name := j.Spec.Policy
+		if name == "" {
+			name = "naspipe"
 		}
-		res, err := naspipe.RunPolicy(cfg, policy)
+		policy, err := naspipe.NewPolicy(name)
+		if err != nil {
+			return err
+		}
+		res, err := naspipe.Run(cfg, policy)
 		if err != nil {
 			return fmt.Errorf("scenario %s: simulated pass: %w", comp.Scenario.Name, err)
 		}

@@ -280,15 +280,19 @@ func TestServiceLoad(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Phase 2: cancel/resume over the API. A slow jittered job is
-	// canceled mid-stream and resumed; it must complete verified from its
-	// committed frontier.
+	// Phase 2: cancel/resume over the API. The ops job wedges at stage
+	// 0's backward of subnet 10, which holds it at committed cursor 10
+	// (frontier commits are contiguous) until it is canceled: its stall
+	// timeout is an hour, so the watchdog cannot end the wedge first, and
+	// the cancel provably lands mid-run. The cancel bumps the
+	// incarnation, so the resumed job does not wedge again; it must
+	// complete verified from its committed frontier.
 	opsClient := NewClient(base)
 	opsClient.HTTP = transports[0]
 	slow := verifyJobSpec("tenant-ops", 500)
 	slow.Subnets = 64
-	slow.Jitter = 0.9
-	slow.JitterSeed = 500
+	slow.Faults = "seed=7,wedgeat=0:10:B"
+	slow.Supervise = &naspipe.SuperviseSpec{StallTimeout: naspipe.Duration(time.Hour)}
 	ts := time.Now()
 	st, err := opsClient.Submit(ctx, slow)
 	submitLat.add(time.Since(ts))
@@ -303,7 +307,7 @@ func TestServiceLoad(t *testing.T) {
 		if gerr != nil {
 			t.Fatalf("ops status: %v", gerr)
 		}
-		if got.Cursor >= 2 && got.State == StateRunning {
+		if got.Cursor >= 10 && got.State == StateRunning {
 			break
 		}
 		if got.State.Terminal() {
@@ -315,8 +319,8 @@ func TestServiceLoad(t *testing.T) {
 		t.Fatalf("ops cancel: %v", err)
 	}
 	got, err := opsClient.Wait(ctx, st.ID, 10*time.Millisecond)
-	if err != nil || got.State != StateCanceled || !got.Resumable {
-		t.Fatalf("ops cancel landed as %s resumable=%v err=%v", got.State, got.Resumable, err)
+	if err != nil || got.State != StateCanceled || !got.Resumable || got.Cursor != 10 {
+		t.Fatalf("ops cancel landed as %s at cursor %d resumable=%v err=%v", got.State, got.Cursor, got.Resumable, err)
 	}
 	if _, err := opsClient.Resume(ctx, st.ID); err != nil {
 		t.Fatalf("ops resume: %v", err)

@@ -1,6 +1,6 @@
 // Package supervise is the supervision plane: an in-process supervisor
-// that wraps the concurrent executor's incarnations (Runner.Run /
-// Runner.Resume) and drives a health state machine
+// that wraps the concurrent executor's incarnations (a job's run and
+// resume) and drives a health state machine
 //
 //	running → degraded → recovering → … → done | failed
 //

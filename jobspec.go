@@ -9,7 +9,10 @@ import (
 	"time"
 
 	"naspipe/internal/data"
+	"naspipe/internal/engine"
 	"naspipe/internal/fault"
+	"naspipe/internal/sched"
+	"naspipe/internal/supervise"
 	"naspipe/internal/train"
 )
 
@@ -31,7 +34,7 @@ const (
 	// it passed.
 	ExitOK ExitCode = 0
 	// ExitFailure: the run or its verification failed, including a
-	// supervisor give-up (*GiveUpError) — not resumable as-is.
+	// supervisor give-up — not resumable as-is.
 	ExitFailure ExitCode = 1
 	// ExitUsage: the invocation was malformed (bad flag, unknown space
 	// or policy, invalid JobSpec) and nothing ran.
@@ -51,7 +54,7 @@ const (
 // predicate a checkpointed run bumps its incarnation on, so the exit
 // code never promises a -resume the checkpoint cannot keep.
 func ExitCodeOf(ctx context.Context, err error, checkpointed bool) ExitCode {
-	var giveUp *GiveUpError
+	var giveUp *supervise.GiveUpError
 	switch {
 	case err == nil:
 		return ExitOK
@@ -148,8 +151,8 @@ type SuperviseSpec struct {
 
 // JobSpec is the canonical, JSON-round-trippable description of one
 // search job: the single configuration surface shared by the Go API
-// (FromSpec → NewRunner), the CLI flag sets (internal/clicfg), and the
-// naspiped service wire format (POST /v1/jobs). Adding a knob here adds
+// (RunJob), the CLI flag sets (internal/clicfg), and the naspiped
+// service wire format (POST /v1/jobs). Adding a knob here adds
 // it everywhere at once; the three surfaces cannot drift.
 //
 // The zero value is not valid — at minimum Space, GPUs, and Subnets
@@ -212,10 +215,18 @@ type JobSpec struct {
 	// Checkpoint persists crash-consistent checkpoints to this path; the
 	// service plane overrides it with the job's own state file.
 	Checkpoint string `json:"checkpoint,omitempty"`
-	// CheckpointEvery throttles saves to one per n cursor advances.
+	// CheckpointEvery makes one cut in n cursor advances due for the
+	// checkpoint writer (0 or 1 = every advance; the final cut is always
+	// saved). The writer group-commits — it saves the latest due cut,
+	// one save at a time, off the pipeline — so this only bounds the
+	// write rate on media faster than the commit rate.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// Elastic permits resuming across a different GPU count
-	// (WithElasticResume); implied by Supervise.ElasticAfter.
+	// Elastic permits resuming across a different GPU count: the GPU
+	// identity check is relaxed and the suffix re-partitioned at the new
+	// depth. Legal under CSP — Definition 1 orders parameter accesses by
+	// subnet sequence, not stage count, so the re-partitioned suffix
+	// still composes bitwise with the committed prefix. Implied by
+	// Supervise.ElasticAfter.
 	Elastic bool `json:"elastic,omitempty"`
 
 	// Train attaches the numeric training plane (prefix checksums in
@@ -293,8 +304,8 @@ func (s JobSpec) Validate() error {
 // lower is the one JobSpec lowering, so the one owner of every spec
 // rule: it checks the rows only a spec has, parses the fault plan, and
 // builds the Runner and engine Config the spec describes, the Runner
-// checked by the init NewRunner runs. Validate, FromSpec, LowerJob and
-// RunJob all come through here.
+// checked by the init NewRunner runs. Validate, LowerJob and RunJob all
+// come through here.
 func (s JobSpec) lower() (*Runner, Config, error) {
 	if err := s.check(); err != nil {
 		return nil, Config{}, err
@@ -303,23 +314,16 @@ func (s JobSpec) lower() (*Runner, Config, error) {
 	r := &Runner{
 		policy:    s.policyName(),
 		executor:  kind,
-		predictor: s.Predictor,
 		ckptPath:  s.Checkpoint,
 		ckptEvery: s.CheckpointEvery,
 		elastic:   s.Elastic || (s.Supervise != nil && s.Supervise.ElasticAfter > 0),
 	}
 	if s.Faults != "" {
-		plan, err := fault.ParsePlan(s.Faults)
+		plan, err := ParseFaultPlan(s.Faults)
 		if err != nil {
 			return nil, Config{}, &specErr{Field: "faults", Msg: err.Error()}
 		}
 		r.faults = plan
-	}
-	if s.Trace != nil {
-		r.trace, r.traceSet = *s.Trace, true
-	}
-	if s.CacheFactor != nil {
-		r.cacheFactor, r.cacheSet = *s.CacheFactor, true
 	}
 	if tc, ok := s.TrainConfig(); ok && s.Checkpoint != "" {
 		r.trainCfg = &tc
@@ -331,7 +335,8 @@ func (s JobSpec) lower() (*Runner, Config, error) {
 	return r, cfg, err
 }
 
-// check runs the rows only a spec has; the Runner's init checks the rest.
+// check runs the rows only a spec has; the Runner's init checks the
+// rules it shares with NewRunner's options.
 func (s JobSpec) check() error {
 	if s.APIVersion != "" && s.APIVersion != JobSpecVersion {
 		return &specErr{Field: "api_version", Msg: fmt.Sprintf("unsupported version %q (this build speaks %q)", s.APIVersion, JobSpecVersion)}
@@ -357,7 +362,7 @@ func (s JobSpec) check() error {
 	if s.Window < 0 {
 		return &specErr{Field: "window", Msg: fmt.Sprintf("negative admission window %d", s.Window)}
 	}
-	if s.Jitter < 0 || s.Jitter >= 1 {
+	if !(s.Jitter >= 0 && s.Jitter < 1) { // NaN fails both
 		return &specErr{Field: "jitter", Msg: fmt.Sprintf("jitter must be in [0, 1), got %v", s.Jitter)}
 	}
 	if len(s.StageSpeeds) > 0 && len(s.StageSpeeds) != s.GPUs {
@@ -372,9 +377,33 @@ func (s JobSpec) check() error {
 	if err != nil {
 		return err
 	}
+	if _, err := sched.New(s.policyName()); err != nil {
+		return &specErr{Field: "policy", Msg: err.Error()}
+	}
+	if kind == ExecutorConcurrent && s.policyName() != "naspipe" {
+		return &specErr{Field: "policy", Msg: fmt.Sprintf("the concurrent executor implements CSP only; policy %q requires the simulated executor", s.Policy)}
+	}
+	if cf := s.CacheFactor; cf != nil && (!(*cf >= 0) || math.IsInf(*cf, 0)) {
+		return &specErr{Field: "cache_factor", Msg: fmt.Sprintf("cache factor %v; it must be non-negative and finite", *cf)}
+	}
+	if (s.CacheFactor != nil || s.Predictor) && kind != ExecutorConcurrent {
+		return &specErr{Field: "cache_factor", Msg: fmt.Sprintf("the cache and predictor configure the concurrent memory plane; the %v executor has its own memory model", kind)}
+	}
+	if s.Predictor && s.CacheFactor != nil && *s.CacheFactor == 0 {
+		return &specErr{Field: "predictor", Msg: "the predictor requires a cache; cache factor 0 disables it"}
+	}
+	if s.CheckpointEvery < 0 {
+		return &specErr{Field: "checkpoint_every", Msg: fmt.Sprintf("negative checkpoint interval %d", s.CheckpointEvery)}
+	}
+	if (s.CheckpointEvery != 0 || s.Elastic) && s.Checkpoint == "" {
+		return &specErr{Field: "checkpoint", Msg: "checkpoint_every/elastic refine a checkpoint path, which is not set"}
+	}
 	if s.Train != nil {
 		if s.Train.Dim < 0 || s.Train.BatchSize < 0 {
 			return &specErr{Field: "train", Msg: "negative dim or batch_size"}
+		}
+		if math.IsNaN(s.Train.LR) || math.IsInf(s.Train.LR, 0) {
+			return &specErr{Field: "train.lr", Msg: fmt.Sprintf("learning rate %v; it must be finite", s.Train.LR)}
 		}
 		if s.Train.Dataset != "" {
 			if _, err := data.KindByName(s.Train.Dataset); err != nil {
@@ -469,8 +498,9 @@ func (s JobSpec) space() (Space, error) {
 	return sp, nil
 }
 
-// Config materializes the engine configuration the spec describes.
-// Most callers want FromSpec, which also derives the Runner options.
+// Config materializes the engine configuration the spec describes,
+// memory plane included: a predictor without a cache factor gets the
+// paper's factor 3 (executing + evicting + prefetched subnet).
 func (s JobSpec) Config() (Config, error) {
 	sp, err := s.space()
 	if err != nil {
@@ -490,22 +520,13 @@ func (s JobSpec) Config() (Config, error) {
 	if s.Verify {
 		cfg.RecordTrace = true
 	}
-	return cfg, nil
-}
-
-// FromSpec validates the spec and derives both halves of a run from it:
-// the Runner options (executor, policy, cache, faults, checkpointing,
-// elasticity) and the engine Config (space, cluster, stream, jitter,
-// tracing). The options are the lowered Runner as one option, so an
-// option appended after it overrides it; a telemetry bus goes on the
-// Config. RunJob runs a spec the way the CLIs, the scenario plane and
-// the service do.
-func FromSpec(s JobSpec) ([]RunnerOption, Config, error) {
-	r, cfg, err := s.lower()
-	if err != nil {
-		return nil, Config{}, err
+	if s.CacheFactor != nil || s.Predictor {
+		cfg.ConcurrentMem = engine.MemPlaneConfig{CacheFactor: 3, Predictor: s.Predictor}
+		if s.CacheFactor != nil {
+			cfg.ConcurrentMem.CacheFactor = *s.CacheFactor
+		}
 	}
-	return []RunnerOption{func(dst *Runner) { *dst = *r }}, cfg, nil
+	return cfg, nil
 }
 
 // Job is a JobSpec lowered once: validated, its fault plan parsed, its
@@ -529,8 +550,7 @@ func LowerJob(spec JobSpec) (*Job, error) {
 }
 
 // EngineConfig is the engine configuration an incarnation of the job
-// runs: the spec's Config with the Runner's overrides applied (tracing,
-// the cache and predictor with their default factor, the fault plan).
+// runs: the spec's Config with the fault plan applied.
 func (j *Job) EngineConfig() Config {
 	cfg := j.cfg
 	j.r.applyOverrides(&cfg)
@@ -540,9 +560,9 @@ func (j *Job) EngineConfig() Config {
 // OpenCheckpoint starts the job's checkpoint recorder for a driver that
 // runs the incarnations itself, as the fleet coordinator does: fresh at
 // cursor 0 or, resuming, at the file's cursor and incarnation once the
-// file has passed Runner.Resume's guard. Identity and prefix weight
-// function are the Runner's. The recorder is nil when the spec keeps no
-// checkpoint; resuming one is an error.
+// file has passed the guard RunJob's resume applies. Identity and prefix
+// weight function are the Runner's. The recorder is nil when the spec
+// keeps no checkpoint; resuming one is an error.
 func (j *Job) OpenCheckpoint(resume bool) (*fault.FileRecorder, error) {
 	if j.r.ckptPath == "" && !resume {
 		return nil, nil

@@ -5,11 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"naspipe/internal/engine"
+	"naspipe/internal/fault"
+	"naspipe/internal/supervise"
 )
 
 // fullSpec returns a JobSpec with every field populated, for round-trip
@@ -84,6 +89,7 @@ func TestJobSpecValidate(t *testing.T) {
 		{"zero gpus", func(s *JobSpec) { s.GPUs = 0 }, "gpus"},
 		{"negative subnets", func(s *JobSpec) { s.Subnets = -1 }, "subnets"},
 		{"jitter out of range", func(s *JobSpec) { s.Jitter = 1.0 }, "jitter"},
+		{"NaN jitter", func(s *JobSpec) { s.Jitter = math.NaN() }, "jitter"},
 		{"stage speeds ok", func(s *JobSpec) { s.StageSpeeds = []float64{1, 3, 1, 2} }, ""},
 		{"stage speeds wrong length", func(s *JobSpec) { s.StageSpeeds = []float64{1, 2} }, "stage_speeds"},
 		{"zero stage speed", func(s *JobSpec) { s.StageSpeeds = []float64{1, 0, 1, 1} }, "stage_speeds"},
@@ -104,7 +110,12 @@ func TestJobSpecValidate(t *testing.T) {
 		{"faults need concurrent", func(s *JobSpec) { s.Executor = "simulated"; s.Faults = "seed=7,drop=0.1" }, "faults"},
 		{"cache needs concurrent", func(s *JobSpec) { s.Executor = "simulated"; cf := 3.0; s.CacheFactor = &cf }, "cache_factor"},
 		{"negative cache", func(s *JobSpec) { cf := -1.0; s.CacheFactor = &cf }, "cache_factor"},
+		{"NaN cache", func(s *JobSpec) { cf := math.NaN(); s.CacheFactor = &cf }, "cache_factor"},
+		{"infinite cache", func(s *JobSpec) { cf := math.Inf(1); s.CacheFactor = &cf }, "cache_factor"},
 		{"predictor needs cache", func(s *JobSpec) { cf := 0.0; s.CacheFactor = &cf; s.Predictor = true }, "predictor"},
+		{"checkpoint needs concurrent", func(s *JobSpec) { s.Executor = "simulated"; s.Checkpoint = "x.ckpt" }, "faults"},
+		{"negative checkpoint_every", func(s *JobSpec) { s.Checkpoint = "x.ckpt"; s.CheckpointEvery = -1 }, "checkpoint_every"},
+		{"checkpoint_every needs checkpoint", func(s *JobSpec) { s.CheckpointEvery = 4 }, "checkpoint"},
 		{"supervise needs checkpoint", func(s *JobSpec) { s.Supervise = &SuperviseSpec{} }, "supervise"},
 		{"elastic needs checkpoint", func(s *JobSpec) { s.Elastic = true }, "checkpoint"},
 		{"verify needs train", func(s *JobSpec) { s.Verify = true }, "verify"},
@@ -115,6 +126,8 @@ func TestJobSpecValidate(t *testing.T) {
 			s.Trace = &off
 		}, "trace"},
 		{"bad dataset", func(s *JobSpec) { s.Train = &TrainSpec{Dataset: "MNIST"} }, "train.dataset"},
+		{"NaN learning rate", func(s *JobSpec) { s.Train = &TrainSpec{LR: math.NaN()} }, "train.lr"},
+		{"infinite learning rate", func(s *JobSpec) { s.Train = &TrainSpec{LR: math.Inf(-1)} }, "train.lr"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,66 +151,62 @@ func TestJobSpecValidate(t *testing.T) {
 }
 
 // TestNewRunnerDelegatesToSpecValidation pins the shared-kernel design:
-// the functional options and the JobSpec surface report the same
-// violations with the same field attribution.
+// the rules the options share with a JobSpec are reported the same way
+// on both surfaces, with the same field attribution.
 func TestNewRunnerDelegatesToSpecValidation(t *testing.T) {
-	_, err := NewRunner(WithExecutor(ExecutorSimulated), WithCache(3))
+	_, err := NewRunner(WithExecutor(ExecutorSimulated), WithFaults(&FaultPlan{Seed: 1, DropRate: 0.1}))
 	if err == nil {
-		t.Fatal("cache on the simulated executor accepted")
+		t.Fatal("faults on the simulated executor accepted")
 	}
-	if got := SpecField(err); got != "cache_factor" {
-		t.Fatalf("option-path violation field = %q, want cache_factor (err: %v)", got, err)
+	if got := SpecField(err); got != "faults" {
+		t.Fatalf("option-path violation field = %q, want faults (err: %v)", got, err)
 	}
 	s := validBase()
 	s.Executor = "simulated"
-	cf := 3.0
-	s.CacheFactor = &cf
-	if got := SpecField(s.Validate()); got != "cache_factor" {
-		t.Fatalf("spec-path violation field = %q, want cache_factor", got)
+	s.Faults = "seed=1,drop=0.1"
+	if got := SpecField(s.Validate()); got != "faults" {
+		t.Fatalf("spec-path violation field = %q, want faults", got)
 	}
 }
 
-// TestFromSpecRuns drives a complete concurrent run purely from a
-// JobSpec and checks the result against the spec's own verification
-// path — the same composition the service plane uses.
-func TestFromSpecRuns(t *testing.T) {
+// TestLowerJobRuns drives a complete concurrent run purely from a
+// JobSpec, lowered once, and checks the result against the spec's own
+// verification path — the same composition the service plane uses. The
+// spec's memory plane reaches the engine: the run reports cache traffic.
+func TestLowerJobRuns(t *testing.T) {
 	s := fullSpec(filepath.Join(t.TempDir(), "run.ckpt"))
 	s.Faults = "" // keep this one clean; fault paths are covered elsewhere
 	s.Jitter = 0
 	s.JitterSeed = 0
-	opts, cfg, err := FromSpec(s)
+	job, err := LowerJob(s)
 	if err != nil {
-		t.Fatalf("FromSpec: %v", err)
+		t.Fatalf("LowerJob: %v", err)
 	}
-	r, err := NewRunner(opts...)
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
+	cfg := job.EngineConfig()
+	if want := (engine.MemPlaneConfig{CacheFactor: 2.5, Predictor: true}); cfg.ConcurrentMem != want {
+		t.Fatalf("lowered memory plane %+v, want %+v", cfg.ConcurrentMem, want)
 	}
-	res, err := r.Run(context.Background(), cfg)
+	res, err := job.r.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.Completed != s.Subnets {
-		t.Fatalf("completed %d of %d subnets", res.Completed, s.Subnets)
+	if res.Completed != s.Subnets || len(res.CacheStats) != res.D {
+		t.Fatalf("completed %d of %d subnets, %d stages of cache stats", res.Completed, s.Subnets, len(res.CacheStats))
 	}
-	tc, ok := s.TrainConfig()
-	if !ok {
-		t.Fatal("TrainConfig not derived despite Train being set")
-	}
-	sum, err := VerifyAgainstSequential(tc, cfg, res)
+	res, err = job.Verify(res)
 	if err != nil {
 		t.Fatalf("verification: %v", err)
 	}
-	if sum == 0 {
+	if res.Checksum == 0 {
 		t.Fatal("verification returned a zero checksum")
 	}
 }
 
-func TestFromSpecRejectsInvalid(t *testing.T) {
+func TestLowerJobRejectsInvalid(t *testing.T) {
 	s := validBase()
 	s.GPUs = -3
-	if _, _, err := FromSpec(s); err == nil || SpecField(err) != "gpus" {
-		t.Fatalf("FromSpec accepted an invalid spec (err: %v)", err)
+	if _, err := LowerJob(s); err == nil || SpecField(err) != "gpus" {
+		t.Fatalf("LowerJob accepted an invalid spec (err: %v)", err)
 	}
 }
 
@@ -221,8 +230,8 @@ func TestExitCodeOf(t *testing.T) {
 	live := context.Background()
 	ended, cancel := context.WithCancel(live)
 	cancel()
-	crash := &CrashError{Stage: 2, Seq: 9}
-	giveUp := &GiveUpError{Reason: "crash loop", Report: &SuperviseReport{}}
+	crash := &fault.CrashError{Stage: 2, Seq: 9}
+	giveUp := &supervise.GiveUpError{Reason: "crash loop", Report: &SuperviseReport{}}
 	cases := []struct {
 		name         string
 		ctx          context.Context

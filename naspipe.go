@@ -10,20 +10,21 @@
 // reproducibility claims (bitwise-equal weights across cluster sizes) are
 // checked mechanically rather than asserted.
 //
-// This package is the public facade: it re-exports the pieces a
-// downstream user needs — the Table 1 search spaces, the scheduling
-// policies (NASPipe's CSP, GPipe, PipeDream, VPipe, ablations), the
-// pipeline engine, the numeric trainer, evolutionary search, and the
+// This package is the public facade. A run is described once, as data: a
+// JobSpec in, through RunJob, and a Result out — the way the CLIs, the
+// scenario plane and the service run too. A stream a JobSpec cannot
+// express (an injected or hybrid subnet stream) runs as a Config through
+// Run. Around the two entry points it re-exports the Table 1 search
+// spaces, the scheduling policies (NASPipe's CSP, GPipe, PipeDream,
+// VPipe, ablations), the numeric trainer, evolutionary search, and the
 // experiment harness that regenerates every table and figure of the
 // paper's evaluation.
 //
 // Quick start:
 //
-//	res, err := naspipe.RunPolicy(naspipe.Config{
-//	        Space: naspipe.NLPc1,
-//	        Spec:  naspipe.DefaultCluster(8),
-//	        Seed:  1, NumSubnets: 100,
-//	}, "naspipe")
+//	res, _, err := naspipe.RunJob(ctx, naspipe.JobSpec{
+//	        Space: "NLP.c1", GPUs: 8, Subnets: 100, Seed: 1,
+//	}, false, naspipe.SuperviseConfig{})
 //
 // See examples/ for runnable programs.
 package naspipe
@@ -39,11 +40,9 @@ import (
 	"naspipe/internal/explore"
 	"naspipe/internal/fault"
 	"naspipe/internal/hybrid"
-	"naspipe/internal/metrics"
 	"naspipe/internal/moe"
 	"naspipe/internal/sched"
 	"naspipe/internal/supernet"
-	"naspipe/internal/telemetry"
 	"naspipe/internal/trace"
 	"naspipe/internal/train"
 )
@@ -87,38 +86,16 @@ type (
 	// MoEStreamConfig parameterizes popularity-skewed (MoE/dynamic
 	// network) subnet routing (the paper's other §5.5 application).
 	MoEStreamConfig = moe.StreamConfig
-	// StageContention reports one stage's scheduling pressure on the
-	// concurrent execution plane (see Result.Contention).
-	StageContention = metrics.StageContention
-	// StageCache reports one stage's memory-context counters on the
-	// concurrent execution plane (see Result.CacheStats).
-	StageCache = metrics.StageCache
-	// MemPlaneConfig configures the concurrent plane's prefetching
-	// layer caches and Algorithm 3 predictor (Config.ConcurrentMem).
-	MemPlaneConfig = engine.MemPlaneConfig
-	// TelemetryBus is the structured event stream both executors publish
-	// to (task spans, scheduler decisions, cache traffic, transfer
-	// flows); attach one with Config.Telemetry.
-	TelemetryBus = telemetry.Bus
-	// TelemetryEvent is one entry of the telemetry stream.
-	TelemetryEvent = telemetry.Event
-	// TelemetrySnapshot is a consistent view of a bus's live counters.
-	TelemetrySnapshot = telemetry.Snapshot
 	// StalenessReport quantifies causal-order violations in a trace.
 	StalenessReport = analysis.StalenessReport
 	// DepStats characterizes a subnet stream's dependency structure.
 	DepStats = analysis.DepStats
 	// FaultPlan is a deterministic seed-driven fault-injection schedule
 	// for the concurrent plane (crashes, message drops/delays/duplicates,
-	// prefetch failures); see WithFaults and ParseFaultPlan.
+	// prefetch failures); see ParseFaultPlan and JobSpec.Faults.
 	FaultPlan = fault.Plan
-	// FaultTaskRef pins a targeted crash to one (stage, seq, kind) task.
-	FaultTaskRef = fault.TaskRef
-	// CrashError is the typed error an injected stage crash surfaces;
-	// detect it with errors.As to drive a resume loop.
-	CrashError = fault.CrashError
-	// Checkpoint is the crash-consistent resume state persisted by
-	// WithCheckpoint; see LoadCheckpoint and Runner.Resume.
+	// Checkpoint is the crash-consistent resume state a job with
+	// JobSpec.Checkpoint persists; see LoadCheckpoint.
 	Checkpoint = fault.Checkpoint
 )
 
@@ -132,9 +109,6 @@ var (
 	CVc2  = supernet.CVc2
 	CVc3  = supernet.CVc3
 )
-
-// Spaces lists the Table 1 search spaces in the paper's order.
-func Spaces() []Space { return supernet.Spaces() }
 
 // SpaceByName resolves a Table 1 space by name ("NLP.c1", "CV.c3", ...).
 func SpaceByName(name string) (Space, error) { return supernet.SpaceByName(name) }
@@ -160,34 +134,15 @@ func PolicyNames() []string { return sched.Names() }
 // stateful: construct a new one per run.
 func NewPolicy(name string) (Policy, error) { return sched.New(name) }
 
-// Run executes one pipeline training run under the given policy.
-// Invalid configurations (malformed cluster spec, gapped injected subnet
-// stream) return an error; a run that fails for modeled reasons (e.g.
-// parameters exceed GPU memory) returns a Result with Failed set and no
-// error.
-//
-// Deprecated: build a Runner instead — it adds executor selection,
-// context cancellation, and bounded fan-out. Run remains as a thin
-// wrapper over the simulated plane.
+// Run executes one pipeline training run on the simulated plane under
+// the given policy (see NewPolicy). It is the entry point for a Config a
+// JobSpec cannot express — an injected subnet stream (Config.Subnets), a
+// SpaceUnion's interleave, an MoE stream; everything else goes through
+// RunJob. Invalid configurations (malformed cluster spec, gapped injected
+// subnet stream) return an error; a run that fails for modeled reasons
+// (e.g. parameters exceed GPU memory) returns a Result with Failed set
+// and no error.
 func Run(cfg Config, policy Policy) (Result, error) { return engine.Run(cfg, policy) }
-
-// RunPolicy is Run with policy construction by name.
-//
-// Deprecated: use NewRunner(WithPolicy(name)) and Runner.Run, which add
-// executor selection and context cancellation.
-func RunPolicy(cfg Config, policyName string) (Result, error) {
-	p, err := sched.New(policyName)
-	if err != nil {
-		return Result{}, err
-	}
-	return engine.Run(cfg, p)
-}
-
-// BuildNumeric instantiates trainable parameters for a (typically scaled)
-// space; see Space.Scaled.
-func BuildNumeric(space Space, dim int, seed uint64) *Numeric {
-	return supernet.BuildNumeric(space, dim, seed)
-}
 
 // TrainSequential trains the subnets strictly in exploration order — the
 // reference semantics against which reproducibility is defined.
@@ -202,27 +157,13 @@ func TrainReplay(cfg TrainConfig, subnets []Subnet, tr *Trace) (TrainResult, err
 	return train.Replay(cfg, subnets, tr)
 }
 
-// TrainSequentialOn continues sequential training on an existing live
-// supernet — the resume path's reference semantics: train the committed
-// prefix on a fresh net, then the suffix on the same net.
-func TrainSequentialOn(cfg TrainConfig, net *Numeric, subnets []Subnet) TrainResult {
-	return train.SequentialOn(cfg, net, subnets)
-}
-
-// TrainReplayOn executes a trace's access order against an existing live
-// supernet; with a resumed run's suffix trace on a sequential-prefix
-// net, it reproduces the uninterrupted run bitwise.
-func TrainReplayOn(cfg TrainConfig, net *Numeric, subnets []Subnet, tr *Trace) (TrainResult, error) {
-	return train.ReplayOn(cfg, net, subnets, tr)
-}
-
 // ParseFaultPlan parses a comma-separated fault plan spec, e.g.
 // "seed=7,drop=0.1,delay=0.05,crashat=2:9:F" (see fault.ParsePlan for
-// the full key set). Feed the result to WithFaults.
+// the full key set) — the grammar of JobSpec.Faults.
 func ParseFaultPlan(spec string) (*FaultPlan, error) { return fault.ParsePlan(spec) }
 
 // LoadCheckpoint reads and integrity-checks a checkpoint file written by
-// a WithCheckpoint run.
+// a checkpointed run.
 func LoadCheckpoint(path string) (Checkpoint, error) { return fault.Load(path) }
 
 // Evaluate returns a subnet's validation loss on a trained supernet.
@@ -245,12 +186,6 @@ func Search(cfg TrainConfig, net *Numeric, sc SearchConfig) (SearchResult, error
 	return explore.Search(cfg, net, sc)
 }
 
-// SearchContext is Search under a context: cancellation is honored
-// between generations and returns the best-so-far result with ctx.Err().
-func SearchContext(ctx context.Context, cfg TrainConfig, net *Numeric, sc SearchConfig) (SearchResult, error) {
-	return explore.SearchContext(ctx, cfg, net, sc)
-}
-
 // NewSpaceUnion combines same-geometry search spaces into one supernet
 // whose subnet streams interleave through a single pipeline — the hybrid
 // traverse of multiple search spaces the paper envisions in §5.5.
@@ -271,10 +206,6 @@ func AnalyzeDependencies(subs []Subnet) DepStats { return analysis.Dependencies(
 // Inject it via Config.Subnets.
 func MoEStream(c MoEStreamConfig, n int) ([]Subnet, error) { return moe.Stream(c, n) }
 
-// LoadNumeric reads a trained supernet checkpoint written with
-// Numeric.Save — bitwise identical to the saved weights.
-func LoadNumeric(r io.Reader) (*Numeric, error) { return supernet.LoadNumeric(r) }
-
 // NewTraceRecord packages a run's identity and access trace for
 // persistence (deterministic training replay, §2.1).
 func NewTraceRecord(space Space, policy string, gpus int, seed uint64, numSubnets int, tr *Trace) *TraceRecord {
@@ -283,12 +214,6 @@ func NewTraceRecord(space Space, policy string, gpus int, seed uint64, numSubnet
 
 // ReadTraceRecord loads a record written with TraceRecord.Save.
 func ReadTraceRecord(r io.Reader) (*TraceRecord, error) { return trace.ReadRecord(r) }
-
-// NewTelemetryBus returns a telemetry bus with the given ring capacity
-// (≤0 uses the default). Attach it via Config.Telemetry, the one way a
-// bus reaches a run; export its events with WriteChromeTrace/WriteJSONL
-// in internal consumers or through cmd/naspipe-bench's -trace-out flag.
-func NewTelemetryBus(capacity int) *TelemetryBus { return telemetry.NewBus(capacity) }
 
 // ExperimentNames lists the reproducible paper experiments
 // ("table1".."table5", "figure1"/"figure4".."figure7",
@@ -301,25 +226,17 @@ func DefaultExperimentOptions() ExperimentOptions { return experiments.Default()
 // QuickExperimentOptions returns reduced options for smoke runs.
 func QuickExperimentOptions() ExperimentOptions { return experiments.Quick() }
 
-// Experiment regenerates one of the paper's tables or figures and returns
-// the rendered report.
-func Experiment(name string, o ExperimentOptions) (string, error) {
-	return experiments.Run(name, o)
-}
-
-// ExperimentContext is Experiment under a context; cancellation returns
-// the partial report with ctx.Err().
+// ExperimentContext regenerates one of the paper's tables or figures and
+// returns the rendered report; cancellation returns the partial report
+// with ctx.Err().
 func ExperimentContext(ctx context.Context, name string, o ExperimentOptions) (string, error) {
 	return experiments.RunContext(ctx, name, o)
 }
 
-// AllExperiments runs the full evaluation suite on a bounded worker pool
-// (ExperimentOptions.Parallelism; default GOMAXPROCS). The report is
-// byte-identical to a serial run at any worker count.
-func AllExperiments(o ExperimentOptions) string { return experiments.All(o) }
-
-// AllExperimentsContext is AllExperiments under a context; cancellation
-// returns the partial report with ctx.Err().
+// AllExperimentsContext runs the full evaluation suite on a bounded
+// worker pool (ExperimentOptions.Parallelism; default GOMAXPROCS). The
+// report is byte-identical to a serial run at any worker count;
+// cancellation returns the partial report with ctx.Err().
 func AllExperimentsContext(ctx context.Context, o ExperimentOptions) (string, error) {
 	return experiments.AllContext(ctx, o)
 }

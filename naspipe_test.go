@@ -1,14 +1,17 @@
 package naspipe_test
 
 import (
+	"context"
 	"testing"
 
 	"naspipe"
 )
 
 func TestFacadeSpaces(t *testing.T) {
-	if len(naspipe.Spaces()) != 7 {
-		t.Fatal("expected 7 Table-1 spaces")
+	for _, sp := range []naspipe.Space{naspipe.NLPc0, naspipe.NLPc1, naspipe.NLPc2, naspipe.NLPc3, naspipe.CVc1, naspipe.CVc2, naspipe.CVc3} {
+		if got, err := naspipe.SpaceByName(sp.Name); err != nil || got.Name != sp.Name {
+			t.Fatalf("SpaceByName(%q): %v %+v", sp.Name, err, got)
+		}
 	}
 	sp, err := naspipe.SpaceByName("NLP.c1")
 	if err != nil || sp.Blocks != 48 || sp.Choices != 72 {
@@ -17,7 +20,7 @@ func TestFacadeSpaces(t *testing.T) {
 }
 
 func TestFacadeRunPolicy(t *testing.T) {
-	res, err := naspipe.RunPolicy(naspipe.Config{
+	res, err := runPolicy(naspipe.Config{
 		Space: naspipe.CVc3, Spec: naspipe.DefaultCluster(4), Seed: 1, NumSubnets: 12,
 	}, "naspipe")
 	if err != nil {
@@ -26,7 +29,7 @@ func TestFacadeRunPolicy(t *testing.T) {
 	if res.Failed || res.Deadlock || res.Completed != 12 {
 		t.Fatalf("run broken: %+v", res)
 	}
-	if _, err := naspipe.RunPolicy(naspipe.Config{}, "bogus"); err == nil {
+	if _, err := naspipe.NewPolicy("bogus"); err == nil {
 		t.Fatal("expected error for unknown policy")
 	}
 }
@@ -39,7 +42,7 @@ func TestFacadeEndToEndReproducibility(t *testing.T) {
 	subs := naspipe.SampleSubnets(sp, 5, 16)
 	var sums []uint64
 	for _, d := range []int{1, 4} {
-		res, err := naspipe.RunPolicy(naspipe.Config{
+		res, err := runPolicy(naspipe.Config{
 			Space: sp, Spec: naspipe.DefaultCluster(d), Seed: 5, NumSubnets: 16, RecordTrace: true,
 		}, "naspipe")
 		if err != nil {
@@ -78,7 +81,7 @@ func TestFacadeSearch(t *testing.T) {
 }
 
 func TestFacadeExperimentDispatch(t *testing.T) {
-	out, err := naspipe.Experiment("table1", naspipe.QuickExperimentOptions())
+	out, err := naspipe.ExperimentContext(context.Background(), "table1", naspipe.QuickExperimentOptions())
 	if err != nil || out == "" {
 		t.Fatalf("experiment dispatch: %v", err)
 	}

@@ -11,6 +11,7 @@ package naspipe
 //	go test -run TestQuickReportGolden -update-report .
 
 import (
+	"context"
 	"flag"
 	"hash/fnv"
 	"os"
@@ -21,7 +22,7 @@ import (
 var updateReport = flag.Bool("update-report", false, "rewrite testdata/experiments_quick.golden")
 
 func TestQuickReportGolden(t *testing.T) {
-	got := AllExperiments(QuickExperimentOptions())
+	got := allReport(t, QuickExperimentOptions())
 	path := filepath.Join("testdata", "experiments_quick.golden")
 	if *updateReport {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -44,12 +45,22 @@ func TestDefaultReportHash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale report takes seconds")
 	}
-	got := AllExperiments(DefaultExperimentOptions())
+	got := allReport(t, DefaultExperimentOptions())
 	h := fnv.New64a()
 	h.Write([]byte(got))
 	if n, sum := len(got), h.Sum64(); n != 20024 || sum != 0x29ec6f4dae27f317 {
 		t.Fatalf("default-scale report changed: %d bytes, fnv64a %016x (pinned: 20024 bytes, 29ec6f4dae27f317)", n, sum)
 	}
+}
+
+// allReport renders the whole evaluation suite.
+func allReport(t *testing.T, o ExperimentOptions) string {
+	t.Helper()
+	out, err := AllExperimentsContext(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // diffReport fails with the first differing line of two reports.

@@ -7,7 +7,6 @@ import (
 
 	"naspipe/internal/engine"
 	"naspipe/internal/fault"
-	"naspipe/internal/parallel"
 	"naspipe/internal/sched"
 	"naspipe/internal/supernet"
 	"naspipe/internal/train"
@@ -42,30 +41,28 @@ func (k ExecutorKind) String() string {
 	return fmt.Sprintf("ExecutorKind(%d)", int(k))
 }
 
-// Runner is the configured entry point for pipeline training runs. Build
-// one with NewRunner and functional options; the zero configuration is
-// the paper's default (CSP policy on the simulated plane):
+// Runner is one run's plan below the Config: the policy, the execution
+// plane, and the checkpoint plane (path, save interval, training config,
+// elasticity) — what a Config does not hold. RunJob builds one from a
+// JobSpec's lowering; that is the way in:
 //
-//	r, err := naspipe.NewRunner(
-//	        naspipe.WithPolicy("naspipe"),
-//	        naspipe.WithExecutor(naspipe.ExecutorConcurrent),
-//	        naspipe.WithTrace(true),
-//	)
-//	res, err := r.Run(ctx, cfg)
+//	res, _, err := naspipe.RunJob(ctx, naspipe.JobSpec{
+//	        Space: "NLP.c1", Executor: "concurrent",
+//	        GPUs: 8, Subnets: 120, Seed: 1,
+//	}, false, naspipe.SuperviseConfig{})
 //
-// A Runner is immutable after construction and safe for concurrent use;
-// it builds a fresh policy instance per run.
+// NewRunner and its options remain only for the benchmark harness's
+// checkpoint probes, which set the trace and fault overrides on a Runner
+// of their own (ROADMAP item 13). A Runner is immutable after
+// construction and safe for concurrent use; it builds a fresh policy
+// instance per run.
 type Runner struct {
-	policy      string
-	executor    ExecutorKind
-	trace       bool
-	traceSet    bool
-	parallelism int
-	cacheFactor float64
-	cacheSet    bool
-	predictor   bool
+	policy   string
+	executor ExecutorKind
+	trace    bool
+	traceSet bool
+	faults   *fault.Plan
 
-	faults    *fault.Plan
 	ckptPath  string
 	ckptEvery int
 	trainCfg  *train.Config
@@ -74,12 +71,6 @@ type Runner struct {
 
 // RunnerOption configures a Runner under construction.
 type RunnerOption func(*Runner)
-
-// WithPolicy selects the scheduling policy by name (see PolicyNames).
-// Default: "naspipe".
-func WithPolicy(name string) RunnerOption {
-	return func(r *Runner) { r.policy = name }
-}
 
 // WithExecutor selects the execution plane. Default: ExecutorSimulated.
 func WithExecutor(kind ExecutorKind) RunnerOption {
@@ -92,30 +83,6 @@ func WithTrace(record bool) RunnerOption {
 	return func(r *Runner) { r.trace = record; r.traceSet = true }
 }
 
-// WithParallelism bounds the worker pool RunMany uses to fan out
-// independent runs. Zero (the default) means GOMAXPROCS.
-func WithParallelism(n int) RunnerOption {
-	return func(r *Runner) { r.parallelism = n }
-}
-
-// WithCache gives every concurrent-plane stage a prefetching layer cache
-// provisioned at factor × the stage's average subnet-partition footprint
-// (the paper's configuration is 3: executing + evicting + prefetched
-// subnet). Factor 0 disables the cache. Overrides Config.ConcurrentMem.
-// Concurrent executor only.
-func WithCache(factor float64) RunnerOption {
-	return func(r *Runner) { r.cacheFactor = factor; r.cacheSet = true }
-}
-
-// WithPredictor enables the Algorithm 3 context predictor on the
-// concurrent plane: each stage forecasts upcoming tasks (including
-// pending-backward records carried upstream with gradients) and prefetches
-// their contexts. Requires a cache; if WithCache is not given, the paper's
-// factor 3 is used. Concurrent executor only.
-func WithPredictor(on bool) RunnerOption {
-	return func(r *Runner) { r.predictor = on }
-}
-
 // WithFaults activates the deterministic fault-injection plane for every
 // run: seed-driven stage crashes at task boundaries, dropped/delayed/
 // duplicated cross-stage messages with bounded retry and exponential
@@ -126,25 +93,16 @@ func WithFaults(plan *FaultPlan) RunnerOption {
 }
 
 // WithCheckpoint persists crash-consistent checkpoints to path as the
-// pipeline's committed frontier advances, and enables Resume from that
-// file. Run starts fresh (overwriting path); Resume continues from it.
-// Concurrent executor only.
+// pipeline's committed frontier advances. Run starts fresh, overwriting
+// path; RunJob with resume set continues from it. Concurrent executor
+// only.
 func WithCheckpoint(path string) RunnerOption {
 	return func(r *Runner) { r.ckptPath = path }
 }
 
-// WithCheckpointEvery makes one cut in n cursor advances due for the
-// checkpoint writer (default 1 = every advance; the final cut is always
-// saved). The writer group-commits — it saves the latest due cut, one
-// save at a time, off the pipeline — so this only bounds the write rate
-// on media faster than the commit rate. Requires WithCheckpoint.
-func WithCheckpointEvery(n int) RunnerOption {
-	return func(r *Runner) { r.ckptEvery = n }
-}
-
 // WithCheckpointTraining attaches a numeric training config to the
 // checkpoint plane: every saved checkpoint then carries the FNV-64
-// weight checksum of the committed sequential prefix, and Resume
+// weight checksum of the committed sequential prefix, and a resume
 // verifies the stream against it before continuing. Requires
 // WithCheckpoint; the incremental training steps up to a cut run on the
 // checkpoint writer, once per saved cut, off the pipeline's stage 0.
@@ -152,22 +110,8 @@ func WithCheckpointTraining(tc TrainConfig) RunnerOption {
 	return func(r *Runner) { r.trainCfg = &tc }
 }
 
-// WithElasticResume allows Resume to re-partition an interrupted run
-// across a different GPU count than the checkpoint recorded: the GPU
-// identity check is relaxed, the suffix is re-partitioned at the
-// config's depth, and the checkpoint is rewritten to the new depth.
-// Legal under CSP — Definition 1 orders parameter accesses by subnet
-// sequence, not stage count, so the re-partitioned suffix still
-// composes bitwise with the committed prefix. The supervision plane's
-// elastic degraded-mode recovery requires it. Requires WithCheckpoint.
-func WithElasticResume() RunnerOption {
-	return func(r *Runner) { r.elastic = true }
-}
-
-// NewRunner validates the option set and returns an immutable Runner.
-// Validation is the Runner's init, which the JobSpec lowering runs too,
-// so the functional options, the CLI flag sets, and the service API all
-// enforce exactly the same rules.
+// NewRunner validates the option set and returns an immutable Runner
+// running the "naspipe" policy.
 func NewRunner(opts ...RunnerOption) (*Runner, error) {
 	r := &Runner{policy: "naspipe"}
 	for _, opt := range opts {
@@ -179,32 +123,15 @@ func NewRunner(opts ...RunnerOption) (*Runner, error) {
 	return r, nil
 }
 
-// init checks every cross-option invariant, then fills the defaults.
-// Errors are *specErr, so both NewRunner and JobSpec.Validate surface
-// the offending field.
+// init checks the rules the options share with a JobSpec's lowering, so
+// both report them with the same field: the plane exists, and faults,
+// checkpoints and checkpoint training belong to the concurrent plane.
+// JobSpec.check holds every rule only a spec can break.
 func (r *Runner) init() error {
-	if _, err := sched.New(r.policy); err != nil {
-		return &specErr{Field: "policy", Msg: err.Error()}
-	}
 	if r.executor != ExecutorSimulated && r.executor != ExecutorConcurrent {
 		return &specErr{Field: "executor", Msg: fmt.Sprintf("unknown executor %v", r.executor)}
 	}
-	if r.executor == ExecutorConcurrent && r.policy != "naspipe" {
-		return &specErr{Field: "policy", Msg: fmt.Sprintf("the concurrent executor implements CSP only; policy %q requires the simulated executor", r.policy)}
-	}
-	if r.parallelism < 0 {
-		return &specErr{Field: "parallelism", Msg: fmt.Sprintf("negative parallelism %d", r.parallelism)}
-	}
-	if r.cacheSet && r.cacheFactor < 0 {
-		return &specErr{Field: "cache_factor", Msg: fmt.Sprintf("negative cache factor %v", r.cacheFactor)}
-	}
-	if (r.cacheSet || r.predictor) && r.executor != ExecutorConcurrent {
-		return &specErr{Field: "cache_factor", Msg: fmt.Sprintf("the cache and predictor configure the concurrent memory plane; the %v executor has its own memory model", r.executor)}
-	}
-	if r.predictor && r.cacheSet && r.cacheFactor == 0 {
-		return &specErr{Field: "predictor", Msg: "the predictor requires a cache; cache factor 0 disables it"}
-	}
-	if (r.faults != nil || r.ckptPath != "" || r.ckptEvery != 0 || r.trainCfg != nil) && r.executor != ExecutorConcurrent {
+	if (r.faults != nil || r.ckptPath != "" || r.trainCfg != nil) && r.executor != ExecutorConcurrent {
 		return &specErr{Field: "faults", Msg: fmt.Sprintf("faults/checkpoint/training configure the concurrent execution plane; the %v executor has no goroutines to crash or resume", r.executor)}
 	}
 	if r.faults != nil {
@@ -212,18 +139,9 @@ func (r *Runner) init() error {
 			return &specErr{Field: "faults", Msg: err.Error()}
 		}
 	}
-	if r.ckptEvery < 0 {
-		return &specErr{Field: "checkpoint_every", Msg: fmt.Sprintf("negative checkpoint interval %d", r.ckptEvery)}
-	}
-	if (r.ckptEvery != 0 || r.elastic) && r.ckptPath == "" {
-		return &specErr{Field: "checkpoint", Msg: "checkpoint_every/elastic refine a checkpoint path, which is not set"}
-	}
 	// trainCfg without a checkpoint path has nothing to checksum.
 	if r.trainCfg != nil && r.ckptPath == "" {
 		return &specErr{Field: "checkpoint", Msg: "WithCheckpointTraining refines WithCheckpoint, which is not set"}
-	}
-	if r.predictor && !r.cacheSet {
-		r.cacheFactor, r.cacheSet = 3, true // the paper's default footprint
 	}
 	return nil
 }
@@ -234,9 +152,9 @@ func (r *Runner) init() error {
 //
 // With WithCheckpoint, Run starts fresh — it overwrites the checkpoint
 // file with cursor 0 and persists cuts as the run commits subnets. A
-// fault-injected crash surfaces as a *CrashError after the crash
-// incarnation has been recorded, so a subsequent Resume continues where
-// the committed frontier stopped.
+// fault-injected crash surfaces as a *fault.CrashError after the crash
+// incarnation has been recorded, so a resume continues where the
+// committed frontier stopped.
 func (r *Runner) Run(ctx context.Context, cfg Config) (Result, error) {
 	return r.run(ctx, cfg, nil)
 }
@@ -261,23 +179,15 @@ func (r *Runner) run(ctx context.Context, cfg Config, weightAt func(int) uint64)
 	}
 }
 
-// Resume continues an interrupted checkpointed run from the file set
-// with WithCheckpoint. cfg must describe the same run handed to Run —
-// the checkpoint's identity fields (space, seed, GPU count, stream
-// length, jitter seed) are verified against it, and with
-// WithCheckpointTraining the recorded prefix weight checksum is
-// verified by retraining the committed prefix. The suffix then executes
-// with the checkpoint's cursor as its sequence base and the next crash
-// incarnation's fault schedule; the returned Result covers the suffix
-// only (Result.BaseSeq tells how many subnets the checkpoint had
-// already committed). Resume may itself crash under an aggressive fault
-// plan — call it in a loop until the error is no longer a *CrashError.
-func (r *Runner) Resume(ctx context.Context, cfg Config) (Result, error) {
-	return r.resume(ctx, cfg, nil)
-}
-
-// resume is Resume on weightAt, as run: nil verifies by retraining the
-// prefix, a supervised job's stands at the cursor it last checksummed.
+// resume continues an interrupted checkpointed run from the checkpoint
+// file. cfg must describe the same run the file records: its identity
+// fields (space, seed, GPU count, stream length, jitter seed) are
+// verified, and with a training config so is the committed prefix's
+// weight checksum. The suffix then executes with the checkpoint's cursor
+// as its sequence base and the next incarnation's fault schedule; the
+// Result covers the suffix only (Result.BaseSeq is the cursor). weightAt
+// is as for run: nil verifies by retraining the prefix, a supervised
+// job's stands at the cursor it last checksummed.
 func (r *Runner) resume(ctx context.Context, cfg Config, weightAt func(int) uint64) (Result, error) {
 	r.applyOverrides(&cfg)
 	full := cfg.ResolveSubnets()
@@ -310,7 +220,7 @@ func (r *Runner) identity(cfg Config, n int) fault.Checkpoint {
 // the rewritten identity persists the depth actually running.
 func (r *Runner) resumePoint(cfg Config, n int, weightAt func(int) uint64) (fault.Checkpoint, error) {
 	if r.ckptPath == "" {
-		return fault.Checkpoint{}, errors.New("naspipe: resume requires a checkpoint path (WithCheckpoint)")
+		return fault.Checkpoint{}, errors.New("naspipe: resume requires a checkpoint path")
 	}
 	ck, err := fault.Load(r.ckptPath)
 	if err == nil {
@@ -323,22 +233,14 @@ func (r *Runner) resumePoint(cfg Config, n int, weightAt func(int) uint64) (faul
 	return ck, nil
 }
 
-// applyOverrides folds the Runner's option overrides into a run config;
-// shared by Run and Resume.
+// applyOverrides folds the Runner's trace and fault overrides into a run
+// config; shared by run and resume.
 func (r *Runner) applyOverrides(cfg *Config) {
 	if r.traceSet {
 		cfg.RecordTrace = r.trace
 	}
-	if r.executor == ExecutorConcurrent {
-		if r.cacheSet {
-			cfg.ConcurrentMem = engine.MemPlaneConfig{
-				CacheFactor: r.cacheFactor,
-				Predictor:   r.predictor,
-			}
-		}
-		if r.faults != nil {
-			cfg.Faults = r.faults
-		}
+	if r.executor == ExecutorConcurrent && r.faults != nil {
+		cfg.Faults = r.faults
 	}
 }
 
@@ -352,7 +254,7 @@ func (r *Runner) faultSeed() uint64 {
 
 // weightFn returns the prefix weight checksum function over the complete
 // global subnet stream: shared when the caller has one, else a fresh
-// Checkpointer's (nil without WithCheckpointTraining).
+// Checkpointer's (nil without a training config).
 func (r *Runner) weightFn(full []supernet.Subnet, shared func(int) uint64) func(cursor int) uint64 {
 	if r.trainCfg == nil || shared != nil {
 		return shared
@@ -383,7 +285,7 @@ func (r *Runner) openRecorder(ident fault.Checkpoint, weightFn func(int) uint64)
 // path ends in one synchronous recorder edge, so the file holds the
 // latest committed cut and no writer outlives the incarnation: Bump after
 // an injected crash or an interruption (signal, watchdog, deadline), so
-// the next Resume rolls a fresh fault schedule — an incarnation-0 wedge
+// the next resume rolls a fresh fault schedule — an incarnation-0 wedge
 // that forced the interruption cannot refire — and Flush otherwise.
 func (r *Runner) runCheckpointed(ctx context.Context, cfg Config, weightFn func(int) uint64, ident fault.Checkpoint) (Result, error) {
 	rec, err := r.openRecorder(ident, weightFn)
@@ -414,16 +316,4 @@ func (r *Runner) runCheckpointed(ctx context.Context, cfg Config, weightFn func(
 func interrupted(ctx context.Context, err error) bool {
 	var crash *fault.CrashError
 	return errors.As(err, &crash) || (err != nil && ctx.Err() != nil)
-}
-
-// RunMany fans the configurations out over a bounded worker pool (see
-// WithParallelism) and returns results in input order — deterministically,
-// regardless of worker count or completion order. The first error by
-// input index is returned; on cancellation the partial results come back
-// with ctx.Err().
-func (r *Runner) RunMany(ctx context.Context, cfgs []Config) ([]Result, error) {
-	workers := parallel.Workers(r.parallelism, len(cfgs))
-	return parallel.Map(ctx, workers, len(cfgs), func(i int) (Result, error) {
-		return r.Run(ctx, cfgs[i])
-	})
 }

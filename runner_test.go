@@ -7,6 +7,8 @@ import (
 
 	"naspipe"
 	"naspipe/internal/engine"
+	"naspipe/internal/explore"
+	"naspipe/internal/telemetry"
 )
 
 func runnerCfg(gpus, n int) naspipe.Config {
@@ -19,6 +21,17 @@ func runnerCfg(gpus, n int) naspipe.Config {
 	}
 }
 
+// runPolicy runs cfg on the simulated plane under the named policy.
+func runPolicy(cfg naspipe.Config, name string) (naspipe.Result, error) {
+	p, err := naspipe.NewPolicy(name)
+	if err != nil {
+		return naspipe.Result{}, err
+	}
+	return naspipe.Run(cfg, p)
+}
+
+// TestRunnerDefaultsMatchRunPolicy: the default Runner runs the naspipe
+// policy on the simulated plane, exactly as Run does.
 func TestRunnerDefaultsMatchRunPolicy(t *testing.T) {
 	cfg := runnerCfg(4, 16)
 	r, err := naspipe.NewRunner()
@@ -29,13 +42,13 @@ func TestRunnerDefaultsMatchRunPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := naspipe.RunPolicy(cfg, "naspipe")
+	want, err := runPolicy(cfg, "naspipe")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.TotalMs != want.TotalMs || got.Completed != want.Completed ||
 		!got.Trace.Equal(want.Trace) {
-		t.Fatal("default Runner diverges from RunPolicy(naspipe)")
+		t.Fatal("default Runner diverges from Run under the naspipe policy")
 	}
 }
 
@@ -68,23 +81,18 @@ func TestRunnerExecutorPlanesAgree(t *testing.T) {
 	}
 }
 
+// TestRunnerOptionValidation: an unknown plane fails at construction,
+// and a JobSpec naming a non-CSP policy for the concurrent plane says
+// why it cannot run.
 func TestRunnerOptionValidation(t *testing.T) {
-	if _, err := naspipe.NewRunner(naspipe.WithPolicy("bogus")); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-	if _, err := naspipe.NewRunner(
-		naspipe.WithPolicy("gpipe"),
-		naspipe.WithExecutor(naspipe.ExecutorConcurrent),
-	); err == nil {
-		t.Fatal("concurrent executor must reject non-CSP policies")
-	} else if !strings.Contains(err.Error(), "CSP") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
 	if _, err := naspipe.NewRunner(naspipe.WithExecutor(naspipe.ExecutorKind(99))); err == nil {
 		t.Fatal("unknown executor accepted")
 	}
-	if _, err := naspipe.NewRunner(naspipe.WithParallelism(-1)); err == nil {
-		t.Fatal("negative parallelism accepted")
+	spec := naspipe.JobSpec{Space: "NLP.c1", Policy: "gpipe", Executor: "concurrent", GPUs: 4, Subnets: 8}
+	if err := spec.Validate(); err == nil {
+		t.Fatal("concurrent executor must reject non-CSP policies")
+	} else if !strings.Contains(err.Error(), "CSP") {
+		t.Fatalf("unhelpful error: %v", err)
 	}
 }
 
@@ -104,42 +112,12 @@ func TestRunnerWithTraceOverride(t *testing.T) {
 	}
 }
 
-func TestRunnerRunManyDeterministicOrder(t *testing.T) {
-	cfgs := make([]naspipe.Config, 6)
-	for i := range cfgs {
-		cfgs[i] = runnerCfg(2+i%3, 8)
-		cfgs[i].Seed = uint64(i + 1)
-	}
-	serial, err := naspipe.NewRunner(naspipe.WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fanned, err := naspipe.NewRunner(naspipe.WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := serial.RunMany(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fanned.RunMany(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i].TotalMs != b[i].TotalMs || a[i].Completed != b[i].Completed ||
-			!a[i].Trace.Equal(b[i].Trace) {
-			t.Fatalf("slot %d differs between worker counts", i)
-		}
-	}
-}
-
 func TestRunInvalidConfigsAreErrors(t *testing.T) {
 	cfg := runnerCfg(4, 0)
 	subs := naspipe.SampleSubnets(cfg.Space, cfg.Seed, 4)
 	subs[2].Seq = 7 // gapped sequence IDs
 	cfg.Subnets = subs
-	if _, err := naspipe.RunPolicy(cfg, "naspipe"); err == nil {
+	if _, err := runPolicy(cfg, "naspipe"); err == nil {
 		t.Fatal("gapped subnet stream accepted")
 	}
 	r, err := naspipe.NewRunner(naspipe.WithExecutor(naspipe.ExecutorConcurrent))
@@ -151,7 +129,7 @@ func TestRunInvalidConfigsAreErrors(t *testing.T) {
 	}
 	bad := runnerCfg(4, 8)
 	bad.Spec.GPUsPerHost = 0
-	if _, err := naspipe.RunPolicy(bad, "naspipe"); err == nil {
+	if _, err := runPolicy(bad, "naspipe"); err == nil {
 		t.Fatal("invalid cluster spec accepted")
 	}
 }
@@ -174,7 +152,10 @@ func TestAllExperimentsParallelMatchesSerial(t *testing.T) {
 	}
 	o := naspipe.QuickExperimentOptions()
 	o.Parallelism = 1
-	serial := naspipe.AllExperiments(o)
+	serial, err := naspipe.AllExperimentsContext(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	o.Parallelism = 4
 	fanned, err := naspipe.AllExperimentsContext(context.Background(), o)
 	if err != nil {
@@ -192,7 +173,7 @@ func TestSearchContextCancellation(t *testing.T) {
 	trained := naspipe.TrainSequential(cfg, subs)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := naspipe.SearchContext(ctx, cfg, trained.Net, naspipe.DefaultSearch(1))
+	res, err := explore.SearchContext(ctx, cfg, trained.Net, naspipe.DefaultSearch(1))
 	if err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -201,28 +182,25 @@ func TestSearchContextCancellation(t *testing.T) {
 	}
 }
 
-// TestRunnerMemoryPlaneOptions wires WithCache/WithPredictor end to end:
-// the concurrent plane reports real cache traffic, the trace still equals
-// the cache-less run's, and a predictor without an explicit cache defaults
-// to the paper's factor 3.
+// TestRunnerMemoryPlaneOptions wires a JobSpec's cache_factor and
+// predictor end to end: the spec lowers a predictor without a cache
+// factor to the paper's factor 3, the concurrent plane reports real
+// cache traffic, and the trace still equals the cache-less run's.
 func TestRunnerMemoryPlaneOptions(t *testing.T) {
-	cfg := runnerCfg(4, 16)
-	plain, err := naspipe.NewRunner(naspipe.WithExecutor(naspipe.ExecutorConcurrent))
+	trace := true
+	spec := naspipe.JobSpec{
+		Space: "NLP.c3", ScaleBlocks: 8, ScaleChoices: 3, Executor: "concurrent",
+		GPUs: 4, Subnets: 16, Seed: 3, Trace: &trace,
+	}
+	plainRes, _, err := naspipe.RunJob(context.Background(), spec, false, naspipe.SuperviseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := naspipe.NewRunner(
-		naspipe.WithExecutor(naspipe.ExecutorConcurrent),
-		naspipe.WithPredictor(true), // no WithCache: factor defaults to 3
-	)
-	if err != nil {
-		t.Fatal(err)
+	spec.Predictor = true // no cache_factor: it defaults to 3
+	if cfg, err := spec.Config(); err != nil || cfg.ConcurrentMem.CacheFactor != 3 || !cfg.ConcurrentMem.Predictor {
+		t.Fatalf("predictor-only spec lowered to %+v (%v), want factor 3 with the predictor", cfg.ConcurrentMem, err)
 	}
-	plainRes, err := plain.Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cached.Run(context.Background(), cfg)
+	res, _, err := naspipe.RunJob(context.Background(), spec, false, naspipe.SuperviseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +227,7 @@ func TestRunnerMemoryPlaneOptions(t *testing.T) {
 func TestRunnerWithTelemetry(t *testing.T) {
 	cfg := runnerCfg(4, 16)
 	for _, exec := range []naspipe.ExecutorKind{naspipe.ExecutorSimulated, naspipe.ExecutorConcurrent} {
-		bus := naspipe.NewTelemetryBus(0)
+		bus := telemetry.NewBus(0)
 		cfg.Telemetry = bus
 		r, err := naspipe.NewRunner(naspipe.WithExecutor(exec))
 		if err != nil {
@@ -274,35 +252,33 @@ func TestRunnerWithTelemetry(t *testing.T) {
 	}
 }
 
-// TestRunnerMemoryPlaneOptionValidation: the memory options belong to the
-// concurrent plane and must reject nonsensical combinations at
-// construction time.
+// TestRunnerMemoryPlaneOptionValidation: a JobSpec's memory-plane
+// options belong to the concurrent plane, and nonsensical combinations
+// are rejected before anything runs.
 func TestRunnerMemoryPlaneOptionValidation(t *testing.T) {
-	if _, err := naspipe.NewRunner(naspipe.WithCache(3)); err == nil {
-		t.Fatal("WithCache accepted on the simulated executor")
+	spec := func(executor string, cache *float64, predictor bool) naspipe.JobSpec {
+		return naspipe.JobSpec{Space: "NLP.c1", Executor: executor, GPUs: 4, Subnets: 8,
+			CacheFactor: cache, Predictor: predictor}
+	}
+	factor := func(f float64) *float64 { return &f }
+	if err := spec("simulated", factor(3), false).Validate(); err == nil {
+		t.Fatal("a cache factor accepted on the simulated executor")
 	} else if !strings.Contains(err.Error(), "concurrent") {
 		t.Fatalf("unhelpful error: %v", err)
 	}
-	if _, err := naspipe.NewRunner(naspipe.WithPredictor(true)); err == nil {
-		t.Fatal("WithPredictor accepted on the simulated executor")
+	if err := spec("simulated", nil, true).Validate(); err == nil {
+		t.Fatal("the predictor accepted on the simulated executor")
 	}
-	if _, err := naspipe.NewRunner(
-		naspipe.WithExecutor(naspipe.ExecutorConcurrent),
-		naspipe.WithCache(-2),
-	); err == nil {
+	if err := spec("concurrent", factor(-2), false).Validate(); err == nil {
 		t.Fatal("negative cache factor accepted")
 	}
-	if _, err := naspipe.NewRunner(
-		naspipe.WithExecutor(naspipe.ExecutorConcurrent),
-		naspipe.WithCache(0),
-		naspipe.WithPredictor(true),
-	); err == nil {
+	if err := spec("concurrent", factor(0), true).Validate(); err == nil {
 		t.Fatal("predictor with an explicitly disabled cache accepted")
 	}
-	if _, err := naspipe.NewRunner(
-		naspipe.WithExecutor(naspipe.ExecutorConcurrent),
-		naspipe.WithCache(0),
-	); err != nil {
-		t.Fatalf("WithCache(0) alone should be a valid no-op: %v", err)
+	if err := spec("concurrent", factor(0), false).Validate(); err != nil {
+		t.Fatalf("cache factor 0 alone should be a valid no-op: %v", err)
+	}
+	if err := spec("concurrent", nil, true).Validate(); err != nil {
+		t.Fatalf("the predictor alone should default its cache: %v", err)
 	}
 }

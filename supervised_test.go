@@ -12,7 +12,10 @@ import (
 	"time"
 
 	"naspipe"
+	"naspipe/internal/engine"
 	"naspipe/internal/scenario"
+	"naspipe/internal/telemetry"
+	"naspipe/internal/train"
 )
 
 // superviseTestConfig is the test baseline: generous budgets (the
@@ -26,6 +29,15 @@ func superviseTestConfig() naspipe.SuperviseConfig {
 	sc.BackoffBase = 100 * time.Microsecond
 	sc.BackoffMax = time.Millisecond
 	return sc
+}
+
+// superviseTestSpec is superviseTestConfig as a JobSpec's supervise
+// block.
+func superviseTestSpec() *naspipe.SuperviseSpec {
+	return &naspipe.SuperviseSpec{
+		MaxRestarts: 60, CrashLoopWindow: 25,
+		Backoff: naspipe.Duration(100 * time.Microsecond), BackoffMax: naspipe.Duration(time.Millisecond),
+	}
 }
 
 // assertSupervisedBitwise composes the committed sequential prefix with
@@ -47,7 +59,7 @@ func assertSupervisedBitwise(t *testing.T, res naspipe.Result) {
 	prefix := naspipe.TrainSequential(tc, full[:res.BaseSeq])
 	got := prefix.Checksum
 	if res.BaseSeq < len(full) {
-		rep, err := naspipe.TrainReplayOn(tc, prefix.Net, full[res.BaseSeq:], res.Trace)
+		rep, err := train.ReplayOn(tc, prefix.Net, full[res.BaseSeq:], res.Trace)
 		if err != nil {
 			t.Fatalf("suffix replay: %v", err)
 		}
@@ -113,7 +125,7 @@ func TestRunJobDispatch(t *testing.T) {
 				if supervised {
 					spec.Supervise = &naspipe.SuperviseSpec{}
 				}
-				bus := naspipe.NewTelemetryBus(0)
+				bus := telemetry.NewBus(0)
 				observed := 0
 				res, rep, err := naspipe.RunJob(context.Background(), spec, resume, naspipe.SuperviseConfig{
 					Telemetry: bus,
@@ -149,25 +161,13 @@ func TestRunJobDispatch(t *testing.T) {
 // still bitwise identical — CSP orders accesses by subnet sequence, not
 // stage count.
 func TestSupervisedElasticDegrade(t *testing.T) {
-	plan, err := naspipe.ParseFaultPlan("seed=101,crashat=1:5:F")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := crashCfg(8)
-	r, err := naspipe.NewRunner(
-		naspipe.WithExecutor(naspipe.ExecutorConcurrent),
-		naspipe.WithTrace(true),
-		naspipe.WithFaults(plan),
-		naspipe.WithCheckpoint(filepath.Join(t.TempDir(), "run.ckpt")),
-		naspipe.WithCheckpointTraining(crashTrainCfg(cfg)),
-		naspipe.WithElasticResume(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := superviseTestConfig()
-	sc.ElasticAfter = 1
-	res, rep, err := r.RunSupervised(context.Background(), cfg, sc)
+	spec := crashSpec(8, filepath.Join(t.TempDir(), "run.ckpt"))
+	trace := true
+	spec.Trace = &trace
+	spec.Faults = "seed=101,crashat=1:5:F"
+	spec.Supervise = superviseTestSpec()
+	spec.Supervise.ElasticAfter = 1 // implies elastic resume
+	res, rep, err := naspipe.RunJob(context.Background(), spec, false, naspipe.SuperviseConfig{})
 	if err != nil {
 		t.Fatalf("elastic supervised run failed: %v", err)
 	}
@@ -180,9 +180,10 @@ func TestSupervisedElasticDegrade(t *testing.T) {
 	assertSupervisedBitwise(t, res)
 }
 
-// TestSupervisedElasticNeedsOptIn pins the validation: ElasticAfter
-// without a Runner built WithElasticResume is a config error, because
-// the checkpoint identity guard would reject the re-partitioned resume.
+// TestSupervisedElasticNeedsOptIn pins the validation: ElasticAfter on a
+// Runner without elastic resume (only a JobSpec lowers one) is a config
+// error, because the checkpoint identity guard would reject the
+// re-partitioned resume.
 func TestSupervisedElasticNeedsOptIn(t *testing.T) {
 	r, err := naspipe.NewRunner(
 		naspipe.WithExecutor(naspipe.ExecutorConcurrent),
@@ -194,7 +195,7 @@ func TestSupervisedElasticNeedsOptIn(t *testing.T) {
 	sc := superviseTestConfig()
 	sc.ElasticAfter = 1
 	_, rep, err := r.RunSupervised(context.Background(), crashCfg(8), sc)
-	if err == nil || !strings.Contains(err.Error(), "WithElasticResume") {
+	if err == nil || !strings.Contains(err.Error(), "elastic resume") {
 		t.Fatalf("elastic config without opt-in accepted: %v", err)
 	}
 	if rep.FinalState != naspipe.HealthFailed {
@@ -231,7 +232,7 @@ func TestSupervisedWatchdogRecoversWedge(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := crashCfg(4)
-	bus := naspipe.NewTelemetryBus(0)
+	bus := telemetry.NewBus(0)
 	r, err := naspipe.NewRunner(
 		naspipe.WithExecutor(naspipe.ExecutorConcurrent),
 		naspipe.WithTrace(true),
@@ -285,10 +286,10 @@ func TestSupervisedWatchdogQuietOnFaultFreeMatrix(t *testing.T) {
 			cfg := crashCfg(gpus)
 			cfg.TimingJitter = 1.0
 			cfg.JitterSeed = cfg.Seed
+			cfg.ConcurrentMem = engine.MemPlaneConfig{CacheFactor: 1}
 			r, err := naspipe.NewRunner(
 				naspipe.WithExecutor(naspipe.ExecutorConcurrent),
 				naspipe.WithTrace(true),
-				naspipe.WithCache(1),
 				naspipe.WithCheckpoint(filepath.Join(t.TempDir(), "run.ckpt")),
 				naspipe.WithCheckpointTraining(crashTrainCfg(cfg)),
 			)
@@ -317,25 +318,15 @@ func TestSupervisedWatchdogQuietOnFaultFreeMatrix(t *testing.T) {
 // finishes bitwise identical.
 func TestSupervisedCancelLeavesResumableCheckpointAndNoLeaks(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	plan, err := naspipe.ParseFaultPlan("seed=7,wedgeat=0:10:B")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	cfg := crashCfg(2)
-	tc := crashTrainCfg(cfg)
-	r, err := naspipe.NewRunner(
-		naspipe.WithExecutor(naspipe.ExecutorConcurrent),
-		naspipe.WithTrace(true),
-		naspipe.WithFaults(plan),
-		naspipe.WithCheckpoint(ckpt),
-		naspipe.WithCheckpointTraining(tc),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := superviseTestConfig()
-	sc.Watchdog.StallAfter = time.Minute // the test cancels first
+	spec := crashSpec(2, ckpt)
+	trace := true
+	spec.Trace = &trace
+	spec.Faults = "seed=7,wedgeat=0:10:B"
+	spec.Supervise = superviseTestSpec()
+	spec.Supervise.StallTimeout = naspipe.Duration(time.Minute) // the test cancels first
+	hooks := naspipe.SuperviseConfig{}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -345,7 +336,7 @@ func TestSupervisedCancelLeavesResumableCheckpointAndNoLeaks(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		res, rep, runErr = r.RunSupervised(ctx, cfg, sc)
+		res, rep, runErr = naspipe.RunJob(ctx, spec, false, hooks)
 	}()
 
 	// The wedge at stage 0's backward of subnet 10 holds the run exactly
@@ -401,7 +392,7 @@ func TestSupervisedCancelLeavesResumableCheckpointAndNoLeaks(t *testing.T) {
 
 	// The interrupted run resumes under supervision to a bitwise finish;
 	// the incarnation bump means the wedge does not refire.
-	res2, rep2, err := r.ResumeSupervised(context.Background(), cfg, sc)
+	res2, rep2, err := naspipe.RunJob(context.Background(), spec, true, hooks)
 	if err != nil {
 		t.Fatalf("supervised resume after interruption failed: %v", err)
 	}

@@ -10,23 +10,15 @@ import (
 )
 
 // The supervision plane's public surface (see internal/supervise): a
-// supervisor that drives Runner.Run/Resume incarnations through the
+// supervisor that drives a job's run and resume incarnations through the
 // running → degraded → recovering → done|failed health state machine,
 // with watchdog stall detection, in-process auto-resume under a retry
 // budget, and elastic degraded-mode recovery.
 type (
 	SuperviseConfig  = supervise.Config
 	SuperviseReport  = supervise.Report
-	SuperviseJob     = supervise.Job
 	HealthState      = supervise.State
 	HealthTransition = supervise.Transition
-	Incident         = supervise.Incident
-	WatchdogConfig   = supervise.WatchdogConfig
-	StallError       = supervise.StallError
-	StallDiagnosis   = supervise.StallDiagnosis
-	GiveUpError      = supervise.GiveUpError
-	RunProbe         = engine.RunProbe
-	StageHealth      = engine.StageHealth
 )
 
 // Health states, re-exported for callers switching on Report.FinalState.
@@ -46,25 +38,17 @@ func DefaultSuperviseConfig() SuperviseConfig { return supervise.Defaults() }
 // RunSupervised executes the configuration under the supervision plane:
 // a fresh checkpointed run whose crashes and watchdog-diagnosed stalls
 // are caught in-process and resumed from the latest checkpoint, with
-// exponential backoff, crash-loop give-up, and (when sc.ElasticAfter is
-// set and the Runner has WithElasticResume) elastic halving of the
-// pipeline depth after repeated same-stage incidents.
+// exponential backoff and crash-loop give-up. Elastic halving of the
+// pipeline depth (sc.ElasticAfter) needs the elastic resume only a
+// JobSpec lowers; run such a job with RunJob.
 //
 // Requires the concurrent executor and WithCheckpoint. The returned
 // Report is non-nil on every path; the error contract follows
 // supervise.Run — nil on completion, the context error on external
-// interruption (resumable), *GiveUpError on budget exhaustion or crash
-// loop, the underlying error otherwise.
+// interruption (resumable), a *supervise.GiveUpError on budget
+// exhaustion or crash loop, the underlying error otherwise.
 func (r *Runner) RunSupervised(ctx context.Context, cfg Config, sc SuperviseConfig) (Result, *SuperviseReport, error) {
 	return r.supervise(ctx, cfg, sc, false)
-}
-
-// ResumeSupervised continues an interrupted checkpointed run under the
-// supervision plane: every incarnation, including the first, resumes
-// from the checkpoint file. Same requirements and contract as
-// RunSupervised.
-func (r *Runner) ResumeSupervised(ctx context.Context, cfg Config, sc SuperviseConfig) (Result, *SuperviseReport, error) {
-	return r.supervise(ctx, cfg, sc, true)
 }
 
 // supervise drives the job's incarnations through supervise.Run, the
@@ -102,12 +86,10 @@ func RunJob(ctx context.Context, spec JobSpec, resume bool, hooks SuperviseConfi
 	if sc, supervised := spec.SuperviseConfig(); supervised {
 		sc.Telemetry, sc.Log, sc.Observer, sc.OnIncident = hooks.Telemetry, hooks.Log, hooks.Observer, hooks.OnIncident
 		res, rep, err = r.supervise(ctx, j.cfg, sc, resume)
+	} else if resume {
+		res, err = r.resume(ctx, j.cfg, nil)
 	} else {
-		run := r.run
-		if resume {
-			run = r.resume
-		}
-		res, err = run(ctx, j.cfg, nil)
+		res, err = r.Run(ctx, j.cfg)
 	}
 	if err == nil {
 		res, err = j.Verify(res)
@@ -117,15 +99,15 @@ func RunJob(ctx context.Context, spec JobSpec, resume bool, hooks SuperviseConfi
 
 // superviseJob validates the runner/config pairing and builds the
 // supervise.Job closing over it.
-func (r *Runner) superviseJob(cfg Config, sc SuperviseConfig, resuming bool) (SuperviseJob, error) {
+func (r *Runner) superviseJob(cfg Config, sc SuperviseConfig, resuming bool) (supervise.Job, error) {
 	if r.executor != ExecutorConcurrent {
-		return SuperviseJob{}, fmt.Errorf("naspipe: supervision wraps the concurrent executor; the %v executor has no incarnations to supervise", r.executor)
+		return supervise.Job{}, fmt.Errorf("naspipe: supervision wraps the concurrent executor; the %v executor has no incarnations to supervise", r.executor)
 	}
 	if r.ckptPath == "" {
-		return SuperviseJob{}, fmt.Errorf("naspipe: supervision requires WithCheckpoint — recovery resumes from it")
+		return supervise.Job{}, fmt.Errorf("naspipe: supervision requires a checkpoint path — recovery resumes from it")
 	}
 	if sc.ElasticAfter > 0 && !r.elastic {
-		return SuperviseJob{}, fmt.Errorf("naspipe: SuperviseConfig.ElasticAfter needs a Runner built WithElasticResume")
+		return supervise.Job{}, fmt.Errorf("naspipe: SuperviseConfig.ElasticAfter needs elastic resume, which a JobSpec sets (supervise.elastic_after); run it with RunJob")
 	}
 	full := cfg.ResolveSubnets()
 	// One Checkpointer for the job, as on the fleet coordinator: it stands
@@ -147,7 +129,7 @@ func (r *Runner) superviseJob(cfg Config, sc SuperviseConfig, resuming bool) (Su
 			return res, err
 		}
 	}
-	job := SuperviseJob{
+	job := supervise.Job{
 		Run:    incarnation(r.run),
 		Resume: incarnation(r.resume),
 		Cursor: func() (int, error) {

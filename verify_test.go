@@ -10,6 +10,7 @@ import (
 
 	"naspipe"
 	"naspipe/internal/engine"
+	"naspipe/internal/fault"
 	"naspipe/internal/telemetry"
 	"naspipe/internal/trace"
 )
@@ -75,7 +76,7 @@ func TestRunJobVerifies(t *testing.T) {
 	})
 	t.Run("resumed", func(t *testing.T) {
 		spec := crashing(t)
-		var crash *naspipe.CrashError
+		var crash *fault.CrashError
 		if _, _, err := naspipe.RunJob(ctx, spec, false, naspipe.SuperviseConfig{}); !errors.As(err, &crash) {
 			t.Fatalf("first incarnation returned %v, want the pinned crash", err)
 		}
@@ -93,7 +94,7 @@ func TestRunJobHooksBusCarriesEveryTask(t *testing.T) {
 	spec := verifySpec()
 	tasks := 2 * spec.Subnets * spec.GPUs
 	t.Run("unsupervised", func(t *testing.T) {
-		bus := naspipe.NewTelemetryBus(0)
+		bus := telemetry.NewBus(0)
 		res, _, err := naspipe.RunJob(context.Background(), spec, false, naspipe.SuperviseConfig{Telemetry: bus})
 		if err != nil {
 			t.Fatal(err)
@@ -112,7 +113,7 @@ func TestRunJobHooksBusCarriesEveryTask(t *testing.T) {
 		spec.Supervise = &naspipe.SuperviseSpec{
 			Backoff: naspipe.Duration(100 * time.Microsecond), BackoffMax: naspipe.Duration(time.Millisecond),
 		}
-		bus := naspipe.NewTelemetryBus(0)
+		bus := telemetry.NewBus(0)
 		res, rep, err := naspipe.RunJob(context.Background(), spec, false, naspipe.SuperviseConfig{Telemetry: bus})
 		if err != nil {
 			t.Fatal(err)
