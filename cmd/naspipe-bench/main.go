@@ -20,7 +20,7 @@
 //
 //	naspipe-bench -concurrent -trace-out trace.json   # Chrome/Perfetto trace
 //	naspipe-bench -concurrent -events-out run.jsonl   # replayable event log
-//	naspipe-bench -concurrent -debug-addr :6060       # pprof + live counters
+//	naspipe-bench -concurrent -debug-addr :6060       # pprof + the bus counters on /metrics
 //	naspipe-bench -concurrent -progress 200ms         # periodic counter lines
 //	naspipe-bench -concurrent -overhead               # telemetry cost gate
 //
@@ -69,7 +69,7 @@ import (
 	"naspipe"
 	"naspipe/internal/clicfg"
 	"naspipe/internal/engine"
-	"naspipe/internal/metrics"
+	"naspipe/internal/experiments"
 	"naspipe/internal/telemetry"
 )
 
@@ -191,14 +191,14 @@ func concurrentSmoke(f *clicfg.Flags) naspipe.ExitCode {
 				fmt.Printf("per-layer access order verified against the sequential reference (%d observed events)\n",
 					len(res.ObservedTrace.Events))
 			}
-			fmt.Print(metrics.ContentionTable(res.Contention))
+			fmt.Print(experiments.ContentionTable(res.Contention))
 			if res.CacheStats == nil {
 				return nil
 			}
-			fmt.Print(metrics.CacheTable(res.CacheStats))
+			fmt.Print(experiments.CacheTable(res.CacheStats))
 			fmt.Printf("cache hit rate %s (budget %s of %s supernet, predictor %v)\n",
-				metrics.Percent(res.CacheHitRate), metrics.Gigabytes(res.CachedParamBytes),
-				metrics.Gigabytes(res.CPUMemBytes), spec.Predictor)
+				experiments.Percent(res.CacheHitRate), experiments.Gigabytes(res.CachedParamBytes),
+				experiments.Gigabytes(res.CPUMemBytes), spec.Predictor)
 			if spec.Predictor && res.CacheHitRate <= 0 {
 				return fmt.Errorf("predictor enabled but cache hit rate is %v", res.CacheHitRate)
 			}

@@ -7,7 +7,7 @@
 //	naspipe-train -space NLP.c1 -policy naspipe -gpus 8 -subnets 240
 //	naspipe-train -space NLP.c1 -policy gpipe   # compare a baseline
 //	naspipe-train -trace-out run.json           # Chrome trace (simulated time)
-//	naspipe-train -debug-addr :6060             # pprof + live counters
+//	naspipe-train -debug-addr :6060             # pprof + the bus counters on /metrics
 //	naspipe-train search -generations 64        # CSP-train, then evolve
 //
 // Every run flag is the shared set from internal/clicfg, parsed into

@@ -24,11 +24,11 @@
 //
 // Observability rides on the same listener: GET /metrics serves the
 // Prometheus text exposition (service, scheduler, supervision, and
-// telemetry planes; per-tenant labels), /debug/ serves pprof, expvar's
-// standard vars, and the live engine-telemetry rollup on
-// /debug/telemetry, and every log line is a structured record — JSON
-// by default — carrying the job ID, so one `grep '"job":"j0001"'`
-// follows a job from submit through crash, restart, and verification.
+// telemetry planes; per-tenant labels; every bus counter summed over
+// finished jobs and every live bus), /debug/pprof/ serves profiles, and
+// every log line is a structured record — JSON by default — carrying
+// the job ID, so one `grep '"job":"j0001"'` follows a job from submit
+// through crash, restart, and verification.
 // -log-format text keeps the legacy human-readable lines.
 //
 // `naspiped dist` is a different mode entirely: instead of serving
@@ -73,7 +73,7 @@ func main() {
 		quota     = flag.Int("quota", 8, "per-tenant quota on active (queued+running) jobs; submits beyond it get 429")
 		queue     = flag.Int("queue", 16, "global admission-queue bound; submits beyond it get 429 (backpressure)")
 		eventBuf  = flag.Int("event-buf", 1<<16, "per-job telemetry ring capacity (events kept for /events streaming)")
-		debugAddr = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/telemetry on this extra address too")
+		debugAddr = flag.String("debug-addr", "", "serve /debug/pprof/ and /metrics on this extra address too")
 		logFormat = flag.String("log-format", "json", "log record format: json or text")
 		noMetrics = flag.Bool("no-metrics", false, "disable the metrics registry and /metrics endpoint")
 		quiet     = flag.Bool("quiet", false, "suppress per-decision scheduler logging")
@@ -119,11 +119,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(int(naspipe.ExitUsage))
 	}
-	// /debug/ sources its telemetry snapshot from the scheduler's rollup:
-	// finished jobs' totals plus every live bus.
-	debugMux := telemetry.NewDebugMux(sched.TelemetrySnapshot)
+	debugMux := telemetry.NewDebugMux(reg)
 	srv := service.NewServer(sched).WithObs(reg, logger).WithDebug(debugMux)
-	bound, shutdown, err := service.ServeHandler(*addr, srv)
+	bound, shutdown, err := telemetry.Serve(*addr, srv)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(int(naspipe.ExitUsage))
@@ -132,13 +130,13 @@ func main() {
 		"state_dir", *stateDir, "workers", *workers, "quota", *quota, "queue", *queue,
 		"metrics", !*noMetrics)
 	if *debugAddr != "" {
-		dbg, stopDbg, derr := telemetry.ServeDebugMux(*debugAddr, debugMux)
+		dbg, stopDbg, derr := telemetry.Serve(*debugAddr, debugMux)
 		if derr != nil {
 			fmt.Fprintln(os.Stderr, derr)
 			os.Exit(int(naspipe.ExitUsage))
 		}
 		defer stopDbg()
-		logger.Info("debug server up", "addr", "http://"+dbg+"/debug/")
+		logger.Info("debug server up", "addr", "http://"+dbg+"/")
 	}
 
 	// SIGINT/SIGTERM drain gracefully: stop admitting, cancel running

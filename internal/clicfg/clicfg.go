@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"naspipe"
+	"naspipe/internal/obs"
 	"naspipe/internal/telemetry"
 )
 
@@ -106,7 +107,7 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 	fs.IntVar(&f.ElasticAfter, "elastic", 0, "with -supervise: halve the pipeline depth after N consecutive incidents on one stage (0 = off)")
 	fs.StringVar(&f.TraceOut, "trace-out", "", "write a Chrome trace-event JSON of the run (load in Perfetto / chrome://tracing)")
 	fs.StringVar(&f.EventsOut, "events-out", "", "write the raw telemetry stream as JSONL (inspect with naspipe-replay -events)")
-	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/telemetry on this address for the process lifetime")
+	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve /debug/pprof/ and the run's bus counters on /metrics at this address for the process lifetime")
 	fs.DurationVar(&f.Progress, "progress", 0, "print a live counter line at this interval (e.g. 200ms)")
 	return f
 }
@@ -326,18 +327,19 @@ func echoCheckpoint(w io.Writer, path, hint string) {
 	fmt.Fprintln(w, line)
 }
 
-// ServeDebug serves /debug/pprof, /debug/vars and /debug/telemetry on
-// -debug-addr, the last bound to bus (nil serves an empty snapshot),
-// until the returned stop is called. Without -debug-addr it does
-// nothing.
+// ServeDebug serves /debug/pprof/ and /metrics, where bus's counters are
+// registered (a nil bus reads zeros), on -debug-addr until the returned
+// stop is called. Without -debug-addr it does nothing.
 func (f *Flags) ServeDebug(w io.Writer, bus *telemetry.Bus) (stop func(), err error) {
 	if f.DebugAddr == "" {
 		return func() {}, nil
 	}
-	addr, stop, err := telemetry.ServeDebug(f.DebugAddr, bus)
+	reg := obs.New()
+	telemetry.Register(reg, bus.Counters)
+	addr, stop, err := telemetry.Serve(f.DebugAddr, telemetry.NewDebugMux(reg))
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(w, "debug server on http://%s/debug/ (pprof, vars, telemetry)\n", addr)
+	fmt.Fprintf(w, "debug server on http://%s/ (/debug/pprof/, /metrics)\n", addr)
 	return stop, nil
 }

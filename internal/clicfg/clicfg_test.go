@@ -5,13 +5,16 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"naspipe"
 	"naspipe/internal/fault"
+	"naspipe/internal/obs"
 	"naspipe/internal/telemetry"
 )
 
@@ -88,5 +91,59 @@ func TestRunExitCodes(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: exit %d, want %d\nstderr:\n%s", tc.name, got, tc.want, stderr.String())
 		}
+	}
+}
+
+// -debug-addr serves the pprof index and /metrics, where the run's own
+// bus counters read what the bus counted, and nothing else:
+// /debug/telemetry and /debug/vars are not found.
+func TestDebugAddrServesMetricsAndPprof(t *testing.T) {
+	f := parse(t, "-debug-addr", "127.0.0.1:0")
+	spec := f.Spec(naspipe.ExecutorSimulated.String())
+	var stdout, stderr bytes.Buffer
+	checked := false
+	code := f.Run(context.Background(), &stdout, &stderr, Job{Name: "test", Spec: spec,
+		Run: func(ctx context.Context, hooks naspipe.SuperviseConfig) (naspipe.Result, *naspipe.SuperviseReport, error) {
+			res, rep, err := naspipe.RunJob(ctx, spec, false, hooks)
+			m := regexp.MustCompile(`debug server on http://(\S+)/ `).FindStringSubmatch(stderr.String())
+			if m == nil {
+				t.Fatalf("no debug server line on stderr:\n%s", stderr.String())
+			}
+			base := "http://" + m[1]
+			for path, want := range map[string]int{
+				"/debug/pprof/": http.StatusOK, "/debug/telemetry": http.StatusNotFound, "/debug/vars": http.StatusNotFound,
+			} {
+				resp, herr := http.Get(base + path)
+				if herr != nil {
+					t.Fatalf("GET %s: %v", path, herr)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != want {
+					t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+				}
+			}
+			resp, herr := http.Get(base + "/metrics")
+			if herr != nil {
+				t.Fatalf("GET /metrics: %v", herr)
+			}
+			defer resp.Body.Close()
+			samples, perr := obs.ParseText(resp.Body)
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			done := hooks.Telemetry.Count(telemetry.OpTaskComplete)
+			for _, smp := range samples {
+				if smp.Name == "naspipe_telemetry_task_complete_total" {
+					checked = true
+					if smp.Value != float64(done) || done == 0 {
+						t.Errorf("task_complete_total = %v, bus counted %d", smp.Value, done)
+					}
+				}
+			}
+			return res, rep, err
+		},
+		Report: func(naspipe.Result, *naspipe.SuperviseReport) error { return nil }})
+	if code != naspipe.ExitOK || !checked {
+		t.Fatalf("exit %d, task_complete_total scraped %v\nstderr:\n%s", code, checked, stderr.String())
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"naspipe/internal/clock"
 	"naspipe/internal/csp"
 	"naspipe/internal/fault"
-	"naspipe/internal/metrics"
 	"naspipe/internal/prefetch"
 	"naspipe/internal/rng"
 	"naspipe/internal/supernet"
@@ -78,7 +77,7 @@ type ccStage struct {
 	// ledger (enterIdle).
 	sent, processed int
 
-	cont metrics.StageContention
+	cont StageContention
 
 	tel *telemetry.Bus // nil = telemetry disabled
 	// telb batches this stage goroutine's own events (task lifecycle,
@@ -220,7 +219,7 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 			k:    k,
 			m:    newStage(k, w, pol, c, tr, cfg.InflightLimit, tel != nil),
 			in:   c.tp.Recv(k),
-			cont: metrics.StageContention{Stage: k},
+			cont: StageContention{Stage: k},
 			tel:  tel,
 			telb: telemetry.NewBatcher(tel),
 		}
@@ -271,9 +270,9 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 		}
 	}
 	res.Deadlock = res.Completed < n
-	res.Contention = make([]metrics.StageContention, w.D)
+	res.Contention = make([]StageContention, w.D)
 	for k, s := range c.stages {
-		res.Contention[k] = metrics.StageContention{Stage: k}
+		res.Contention[k] = StageContention{Stage: k}
 		if s != nil { // the scheduler is this run's own: its counters are this run's
 			_, empty := pol.scheds[k].Stats()
 			s.cont.BlockedScans = int64(empty)
@@ -330,16 +329,16 @@ func (c *ccRun) collectCacheStats(res *Result) {
 	if !c.cfg.ConcurrentMem.Enabled() {
 		return
 	}
-	res.CacheStats = make([]metrics.StageCache, c.w.D)
+	res.CacheStats = make([]StageCache, c.w.D)
 	var hits, misses int
 	var budget int64
 	for k, s := range c.stages {
 		if s == nil {
-			res.CacheStats[k] = metrics.StageCache{Stage: k}
+			res.CacheStats[k] = StageCache{Stage: k}
 			continue
 		}
 		st := s.cache.Stats()
-		res.CacheStats[k] = metrics.StageCache{Stage: k, Stats: st}
+		res.CacheStats[k] = StageCache{Stage: k, Stats: st}
 		hits += st.Hits
 		misses += st.Misses
 		res.StallMs += st.StallMs

@@ -15,7 +15,6 @@ import (
 	"naspipe/internal/csp"
 	"naspipe/internal/fault"
 	"naspipe/internal/memctx"
-	"naspipe/internal/metrics"
 	"naspipe/internal/partition"
 	"naspipe/internal/rng"
 	"naspipe/internal/supernet"
@@ -286,13 +285,13 @@ type Result struct {
 
 	// Contention carries per-stage scheduling-pressure counters from the
 	// concurrent execution plane; nil on the simulated plane.
-	Contention []metrics.StageContention
+	Contention []StageContention
 
 	// CacheStats carries per-stage memory-context counters from the
 	// concurrent execution plane's prefetching layer cache; nil when the
 	// cache is disabled or on the simulated plane (which reports the
 	// aggregate fields above instead).
-	CacheStats []metrics.StageCache
+	CacheStats []StageCache
 
 	// BaseSeq echoes Config.SeqBase: the global sequence ID of the run's
 	// first subnet. Trace and telemetry seqs start here; Completed counts
@@ -311,6 +310,29 @@ type Result struct {
 	// JobSpec's Verify — naspipe.RunJob and the fleet coordinator; zero
 	// when nothing was verified.
 	Checksum uint64
+}
+
+// StageContention aggregates one pipeline stage's scheduling-pressure
+// counters on the concurrent execution plane: how often the stage worker
+// ran tasks, parked with nothing admissible, applied cross-stage
+// dependency notifications, and scanned a queue where every forward was
+// CSP-blocked. The simulated plane leaves these nil (a simulated stage
+// never contends — it is woken exactly when something is runnable).
+type StageContention struct {
+	Stage        int
+	Tasks        int64 // forward + backward tasks executed
+	Parks        int64 // blocking waits with nothing admissible
+	Notes        int64 // write/finish notifications applied
+	BlockedScans int64 // admission scans finding every queued forward blocked
+	Carried      int64 // pending-backward records announced upstream (Algorithm 3)
+}
+
+// StageCache is one pipeline stage's memory-context counters on the
+// concurrent execution plane: the stage index and the counters
+// themselves, in the one shape both planes' context manager reports.
+type StageCache struct {
+	Stage int
+	memctx.Stats
 }
 
 // TaskSpan is one task's timeline extent on its stage. Start is the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"naspipe/internal/metrics"
 	"naspipe/internal/supernet"
 	"naspipe/internal/train"
 )
@@ -39,7 +38,7 @@ func ArtifactCompare(ctx context.Context, o Options) string {
 			matches++
 		}
 	}
-	tb := metrics.NewTable("Artifact Experiment 1: reproducible training, 1 GPU vs 4 GPUs (NLP.c0 scaled)",
+	tb := NewTable("Artifact Experiment 1: reproducible training, 1 GPU vs 4 GPUs (NLP.c0 scaled)",
 		"Check", "Result")
 	tb.AddRow("training steps compared", steps)
 	tb.AddRow("step outputs matching (full fp32 precision)", fmt.Sprintf("%d/%d", matches, steps))
@@ -56,7 +55,7 @@ func ArtifactCompare(ctx context.Context, o Options) string {
 func ArtifactThroughput(ctx context.Context, o Options) string {
 	o = o.withDefaults()
 	spaces := []supernet.Space{supernet.NLPc0, supernet.NLPc1, supernet.NLPc2, supernet.NLPc3}
-	tb := metrics.NewTable("Artifact Experiment 2: NASPipe throughput ordering on 4 GPUs",
+	tb := NewTable("Artifact Experiment 2: NASPipe throughput ordering on 4 GPUs",
 		"Space", "Samples/s", "Subnets/hour", "Bubble")
 	prev := -1.0
 	ordered := true

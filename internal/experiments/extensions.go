@@ -8,7 +8,6 @@ import (
 	"naspipe/internal/cluster"
 	"naspipe/internal/engine"
 	"naspipe/internal/hybrid"
-	"naspipe/internal/metrics"
 	"naspipe/internal/moe"
 	"naspipe/internal/sched"
 	"naspipe/internal/supernet"
@@ -25,7 +24,7 @@ func ExtHybrid(ctx context.Context, o Options) string {
 	if err != nil {
 		return fmt.Sprintf("ext-hybrid: %v\n", err)
 	}
-	tb := metrics.NewTable("Extension: hybrid traverse of multiple search spaces (§5.5, 8 GPUs)",
+	tb := NewTable("Extension: hybrid traverse of multiple search spaces (§5.5, 8 GPUs)",
 		"Traverse", "Bubble", "Subnets/hour", "Samples/s")
 	run := func(space supernet.Space, subs []supernet.Subnet, label string) {
 		p, _ := sched.New("naspipe")
@@ -52,7 +51,7 @@ func ExtHybrid(ctx context.Context, o Options) string {
 // degrades gracefully and stays deterministic.
 func ExtMoE(ctx context.Context, o Options) string {
 	o = o.withDefaults()
-	tb := metrics.NewTable("Extension: MoE-style skewed routing (§5.5, NLP.c1, 8 GPUs)",
+	tb := NewTable("Extension: MoE-style skewed routing (§5.5, NLP.c1, 8 GPUs)",
 		"Routing skew", "Dep. rate", "Bubble", "Subnets/hour")
 	for _, skew := range []float64{0, 0.5, 1.0, 2.0} {
 		subs, err := moe.Stream(moe.StreamConfig{Space: supernet.NLPc1, Seed: o.Seed, Skew: skew}, o.Subnets)
@@ -85,7 +84,7 @@ func ExtMoE(ctx context.Context, o Options) string {
 func ExtAnalysis(ctx context.Context, o Options) string {
 	o = o.withDefaults()
 	sp := supernet.NLPc3 // dependency-dense
-	tb := metrics.NewTable("Extension: stale-read analysis of the three disciplines (NLP.c3)",
+	tb := NewTable("Extension: stale-read analysis of the three disciplines (NLP.c3)",
 		"System", "GPUs", "Reads", "Stale reads", "Missed updates", "Worst read")
 	for _, policy := range []string{"naspipe", "gpipe", "pipedream"} {
 		for _, d := range []int{4, 8} {
@@ -114,7 +113,7 @@ func ExtAnalysis(ctx context.Context, o Options) string {
 // switching is the decisive mechanism.
 func ExtHardware(ctx context.Context, o Options) string {
 	o = o.withDefaults()
-	tb := metrics.NewTable("Extension: hardware sensitivity on NLP.c1 (8 GPUs)",
+	tb := NewTable("Extension: hardware sensitivity on NLP.c1 (8 GPUs)",
 		"Testbed", "System", "Batch", "Samples/s", "Bubble", "Cache Hit")
 	for _, hw := range []struct {
 		name string
@@ -136,7 +135,7 @@ func ExtHardware(ctx context.Context, o Options) string {
 			tb.AddRow(hw.name, policyLabel(policy), res.Batch,
 				fmt.Sprintf("%.0f", res.SamplesPerSec),
 				fmt.Sprintf("%.2f", res.BubbleRatio),
-				metrics.Percent(res.CacheHitRate))
+				Percent(res.CacheHitRate))
 		}
 	}
 	tb.AddNote("reproducibility is hardware-independent; the batch advantage is memory-pressure-dependent")
@@ -156,7 +155,7 @@ func ExtJitter(ctx context.Context, o Options) string {
 	subs := supernet.Sample(sp, o.Seed, o.NumericSubnets)
 	cfg := o.numericCfg(supernet.NLPc3)
 	cfg.Space = sp
-	tb := metrics.NewTable("Extension: timing-perturbation reproducibility (±30% task jitter)",
+	tb := NewTable("Extension: timing-perturbation reproducibility (±30% task jitter)",
 		"System", "Jitter seed", "Total (sim ms)", "Weights checksum", "Bitwise equal")
 	for _, policy := range []string{"naspipe", "pipedream"} {
 		var first uint64

@@ -7,7 +7,6 @@ import (
 	"naspipe/internal/cluster"
 	"naspipe/internal/engine"
 	"naspipe/internal/layers"
-	"naspipe/internal/metrics"
 	"naspipe/internal/supernet"
 	"naspipe/internal/telemetry"
 	"naspipe/internal/train"
@@ -22,7 +21,7 @@ func Figure1(ctx context.Context, o Options) string {
 	sp := supernet.NLPc3.Scaled(6, 2) // dense dependencies, like the figure
 	oo := o
 	oo.Subnets = 5
-	tb := metrics.NewTable("Figure 1: ASP vs BSP vs CSP on 5 subnets, 3 stages",
+	tb := NewTable("Figure 1: ASP vs BSP vs CSP on 5 subnets, 3 stages",
 		"Discipline", "System", "Bubble", "Dependencies preserved", "First violation")
 	timelines := ""
 	for _, policy := range []string{"pipedream", "gpipe", "naspipe"} {
@@ -57,7 +56,7 @@ func Figure4(ctx context.Context, o Options) string {
 	if o.Quick {
 		spaces = spaces[:2]
 	}
-	tb := metrics.NewTable("Figure 4: end-to-end training convergence (numeric plane)",
+	tb := NewTable("Figure 4: end-to-end training convergence (numeric plane)",
 		"Space", "Sync.", "Loss@25%", "Loss@50%", "Loss@75%", "Final Val Loss", "Score")
 	for _, sp := range spaces {
 		for _, policy := range []string{"naspipe", "gpipe", "pipedream"} {
@@ -89,7 +88,7 @@ func Figure4(ctx context.Context, o Options) string {
 // values).
 func Figure5(ctx context.Context, o Options) string {
 	o = o.withDefaults()
-	tb := metrics.NewTable("Figure 5: throughput of four systems on seven search spaces (8 GPUs)",
+	tb := NewTable("Figure 5: throughput of four systems on seven search spaces (8 GPUs)",
 		"Space", "System", "Samples/s", "vs GPipe", "Subnets/hour", "Bubble")
 	for _, sp := range supernet.Spaces() {
 		gpipe := runPerf(ctx, o, sp, "gpipe", o.GPUs, false)
@@ -101,7 +100,7 @@ func Figure5(ctx context.Context, o Options) string {
 			}
 			rel := "-"
 			if !gpipe.Failed && gpipe.SamplesPerSec > 0 {
-				rel = metrics.Factor(res.SamplesPerSec / gpipe.SamplesPerSec)
+				rel = Factor(res.SamplesPerSec / gpipe.SamplesPerSec)
 			}
 			tb.AddRow(sp.Name, policyLabel(policy),
 				fmt.Sprintf("%.0f", res.SamplesPerSec), rel,
@@ -118,7 +117,7 @@ func Figure5(ctx context.Context, o Options) string {
 func Figure6(ctx context.Context, o Options) string {
 	o = o.withDefaults()
 	systems := []string{"naspipe", "naspipe-noscheduler", "naspipe-nopredictor", "naspipe-nomirroring"}
-	tb := metrics.NewTable("Figure 6: ablation of NASPipe's components (8 GPUs)",
+	tb := NewTable("Figure 6: ablation of NASPipe's components (8 GPUs)",
 		"Space", "System", "Samples/s", "Batch", "Bubble", "Subnets/hour")
 	for _, sp := range supernet.Spaces() {
 		for _, policy := range systems {
@@ -147,7 +146,7 @@ func Figure7(ctx context.Context, o Options) string {
 	}
 	var out string
 	for _, policy := range perfSystems {
-		var s metrics.Series
+		var s Series
 		s.Name = fmt.Sprintf("Figure 7: total GPU ALU on NLP.c1 — %s", policyLabel(policy))
 		for _, d := range gpuCounts {
 			oo := o
@@ -201,8 +200,8 @@ func FigureCC(ctx context.Context, o Options) string {
 	}
 	out := fmt.Sprintf("Figure CC: concurrent CSP executor, %d subnets, %d stages (wall clock — not byte-stable)\n%s",
 		res.Completed, res.D, engine.RenderTimeline(spans, res.D, 72, 0))
-	out += metrics.ContentionTable(res.Contention)
-	out += metrics.CacheTable(res.CacheStats)
+	out += ContentionTable(res.Contention)
+	out += CacheTable(res.CacheStats)
 	return out
 }
 

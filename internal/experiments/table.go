@@ -1,12 +1,14 @@
-// Package metrics provides the units and table rendering the experiment
-// harness uses to print the paper's tables and figure series.
-package metrics
+// The units and table rendering the experiment harness prints the
+// paper's tables and figure series with; naspipe-bench renders the
+// concurrent plane's per-stage tables with them too.
+
+package experiments
 
 import (
 	"fmt"
 	"strings"
 
-	"naspipe/internal/memctx"
+	"naspipe/internal/engine"
 )
 
 // Gigabytes renders a byte count like the paper's CPU-memory column
@@ -123,23 +125,8 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// StageContention aggregates one pipeline stage's scheduling-pressure
-// counters on the concurrent execution plane: how often the stage worker
-// ran tasks, parked with nothing admissible, applied cross-stage
-// dependency notifications, and scanned a queue where every forward was
-// CSP-blocked. The simulated plane leaves these nil (a simulated stage
-// never contends — it is woken exactly when something is runnable).
-type StageContention struct {
-	Stage        int
-	Tasks        int64 // forward + backward tasks executed
-	Parks        int64 // blocking waits with nothing admissible
-	Notes        int64 // write/finish notifications applied
-	BlockedScans int64 // admission scans finding every queued forward blocked
-	Carried      int64 // pending-backward records announced upstream (Algorithm 3)
-}
-
 // ContentionTable renders per-stage contention counters with totals.
-func ContentionTable(cs []StageContention) string {
+func ContentionTable(cs []engine.StageContention) string {
 	tb := NewTable("per-stage contention (concurrent execution plane)",
 		"Stage", "Tasks", "Parks", "Notes", "Blocked scans", "Carried")
 	var tasks, parks, notes, blocked, carried int64
@@ -155,21 +142,13 @@ func ContentionTable(cs []StageContention) string {
 	return tb.Render()
 }
 
-// StageCache is one pipeline stage's memory-context counters on the
-// concurrent execution plane: the stage index and the counters
-// themselves, in the one shape both planes' context manager reports.
-type StageCache struct {
-	Stage int
-	memctx.Stats
-}
-
 // CacheTable renders per-stage memory-context counters with totals and
 // an aggregate hit rate. Stages with no accesses render their hit-rate
 // cell as N/A rather than 0% or 100%.
-func CacheTable(cs []StageCache) string {
+func CacheTable(cs []engine.StageCache) string {
 	tb := NewTable("per-stage memory context (concurrent execution plane)",
 		"Stage", "Hits", "Misses", "Hit rate", "Prefetches", "Late", "Dropped", "Evictions", "Stall (ms)", "Peak")
-	var tot StageCache
+	var tot engine.StageCache
 	for _, c := range cs {
 		rate := "N/A"
 		if c.Hits+c.Misses > 0 {

@@ -1,9 +1,10 @@
-package metrics
+package experiments
 
 import (
 	"strings"
 	"testing"
 
+	"naspipe/internal/engine"
 	"naspipe/internal/memctx"
 )
 
@@ -84,7 +85,7 @@ func TestSeriesEmptySafe(t *testing.T) {
 // TestCacheTable pins the rendered bytes: an idle stage's hit-rate cell is
 // N/A (not 0% or 100%) and the totals row aggregates only active stages.
 func TestCacheTable(t *testing.T) {
-	got := CacheTable([]StageCache{
+	got := CacheTable([]engine.StageCache{
 		{Stage: 0, Stats: memctx.Stats{Hits: 90, Misses: 10, Prefetches: 80, LatePrefetches: 4,
 			DroppedPrefetches: 3, EvictionsForced: 7, StallMs: 1.25, PeakBytes: 1 << 30}},
 		{Stage: 1},
@@ -101,7 +102,7 @@ func TestCacheTable(t *testing.T) {
 }
 
 func TestContentionTableCarriedColumn(t *testing.T) {
-	out := ContentionTable([]StageContention{
+	out := ContentionTable([]engine.StageContention{
 		{Stage: 0, Tasks: 4},
 		{Stage: 1, Tasks: 4, Carried: 7},
 	})

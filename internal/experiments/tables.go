@@ -8,7 +8,6 @@ import (
 	"naspipe/internal/cluster"
 	"naspipe/internal/engine"
 	"naspipe/internal/layers"
-	"naspipe/internal/metrics"
 	"naspipe/internal/supernet"
 	"naspipe/internal/trace"
 	"naspipe/internal/train"
@@ -16,11 +15,11 @@ import (
 
 // Table1 prints the seven search-space configurations (paper Table 1).
 func Table1(ctx context.Context, o Options) string {
-	tb := metrics.NewTable("Table 1: default evaluation setup of seven search spaces",
+	tb := NewTable("Table 1: default evaluation setup of seven search spaces",
 		"Search Space", "# Choice Blocks", "# Layer/Block", "Dataset", "Supernet Params")
 	for _, sp := range supernet.Spaces() {
 		net := supernet.Build(sp)
-		tb.AddRow(sp.Name, sp.Blocks, sp.Choices, sp.Dataset, metrics.Params(net.TotalParamBytes()))
+		tb.AddRow(sp.Name, sp.Blocks, sp.Choices, sp.Dataset, Params(net.TotalParamBytes()))
 	}
 	tb.AddNote("parameter counts derive from Table 5 swap-time-calibrated layer sizes")
 	return tb.Render()
@@ -36,7 +35,7 @@ var table2Spaces = []supernet.Space{
 // Table2 reproduces the resource-consumption and micro-event table.
 func Table2(ctx context.Context, o Options) string {
 	o = o.withDefaults()
-	tb := metrics.NewTable("Table 2: resource consumption and micro events (8 GPUs)",
+	tb := NewTable("Table 2: resource consumption and micro events (8 GPUs)",
 		"Space", "System", "Para.", "Score", "Batch", "GPU Mem.", "GPU ALU", "CPU Mem.", "Exec.(s)", "Bub.", "Cache Hit")
 	for _, sp := range table2Spaces {
 		// Score column: numeric plane, one run per system class.
@@ -61,12 +60,12 @@ func Table2(ctx context.Context, o Options) string {
 				para = res.SupernetBytes
 			}
 			tb.AddRow(sp.Name, res.Policy,
-				metrics.Params(para),
+				Params(para),
 				scores[policy],
 				res.Batch,
-				metrics.Factor(res.GPUMemX),
-				metrics.Factor(res.ALUTotal),
-				metrics.Gigabytes(res.CPUMemBytes),
+				Factor(res.GPUMemX),
+				Factor(res.ALUTotal),
+				Gigabytes(res.CPUMemBytes),
 				fmt.Sprintf("%.2f", res.ExecMsAvg/1000),
 				fmt.Sprintf("%.2f", res.BubbleRatio),
 				cacheHitCell(res),
@@ -83,7 +82,7 @@ func Table2(ctx context.Context, o Options) string {
 // when prefetches were abandoned because capacity was pinned by locked
 // contexts — previously those drops were silent.
 func cacheHitCell(res engine.Result) string {
-	cell := metrics.Percent(res.CacheHitRate)
+	cell := Percent(res.CacheHitRate)
 	if res.DroppedPrefetches > 0 {
 		cell += fmt.Sprintf(" (%d dropped)", res.DroppedPrefetches)
 	}
@@ -100,7 +99,7 @@ func Table3(ctx context.Context, o Options) string {
 		spaces = spaces[:2]
 		gpuCounts = []int{4, 8}
 	}
-	tb := metrics.NewTable("Table 3: reproducibility (supernet loss | search accuracy | checksum)",
+	tb := NewTable("Table 3: reproducibility (supernet loss | search accuracy | checksum)",
 		append([]string{"Space", "Sync."},
 			append(lossHeaders(gpuCounts), append(accHeaders(gpuCounts), "Reproducible")...)...)...)
 	for _, sp := range spaces {
@@ -193,7 +192,7 @@ func Table4(ctx context.Context, o Options) string {
 	if target < 0 {
 		return "Table 4: no layer shared by >=3 of the first subnets (unexpected)\n"
 	}
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("Table 4: access & update order of supernet layer %d (sampled by subnets %v)", target, counts[target]),
 		"System", "4 GPUs", "8 GPUs")
 	for _, policy := range []string{"naspipe", "gpipe", "pipedream"} {
@@ -244,7 +243,7 @@ func policyLabel(policy string) string {
 // Table5 reproduces the per-layer computation and swap-time profile.
 func Table5(ctx context.Context, o Options) string {
 	spec := cluster.Default(8)
-	tb := metrics.NewTable("Table 5: computation vs swap time for eight representative layers",
+	tb := NewTable("Table 5: computation vs swap time for eight representative layers",
 		"Domain", "Input Size", "Layer", "Comp. (fwd/bwd ms)", "Swap (ms)")
 	for _, dom := range []layers.Domain{layers.NLP, layers.CV} {
 		for _, k := range layers.Kinds(dom) {

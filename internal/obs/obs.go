@@ -1,8 +1,9 @@
-// Package obs is the service-wide metrics plane: a dependency-free
-// (standard-library-only) metrics registry that every other plane —
-// the naspiped HTTP layer, the job scheduler, the supervision state
-// machine, and the telemetry bus — publishes into, so one Prometheus
-// scrape (prom.go) accounts for the whole system.
+// Package obs is the one metrics registry: a dependency-free
+// (standard-library-only) registry that every live counter is published
+// into — the naspiped HTTP layer, the job scheduler, the supervision
+// state machine, and the telemetry bus (in the daemon or behind a CLI's
+// -debug-addr) — so one Prometheus scrape (prom.go) accounts for the
+// whole process.
 //
 // Design constraints, in the same order as the telemetry bus's:
 //

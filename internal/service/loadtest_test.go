@@ -14,6 +14,7 @@ import (
 
 	"naspipe"
 	"naspipe/internal/obs"
+	"naspipe/internal/telemetry"
 )
 
 // loadReport is the BENCH_service.json schema: the service plane's
@@ -115,7 +116,7 @@ func obsLoadTrial(t *testing.T, enabled bool) time.Duration {
 	if enabled {
 		srv = srv.WithObs(reg, nil)
 	}
-	addr, shutdown, err := ServeHandler("127.0.0.1:0", srv)
+	addr, shutdown, err := telemetry.Serve("127.0.0.1:0", srv)
 	if err != nil {
 		sched.Close()
 		t.Fatalf("obs trial serve: %v", err)
@@ -194,7 +195,7 @@ func TestServiceLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewScheduler: %v", err)
 	}
-	addr, shutdown, err := Serve("127.0.0.1:0", sched)
+	addr, shutdown, err := telemetry.Serve("127.0.0.1:0", NewServer(sched))
 	if err != nil {
 		sched.Close()
 		t.Fatalf("Serve: %v", err)

@@ -41,7 +41,7 @@ var runBuckets = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 
 // newSchedMetrics registers the scheduler's instruments plus the
 // scrape-time funcs that read live scheduler state (queue depth, run
-// EWMA, aggregated telemetry counters). With a nil registry everything
+// EWMA, the summed bus counters). With a nil registry everything
 // is disabled. Called once from NewScheduler, before workers start.
 func newSchedMetrics(r *obs.Registry, s *Scheduler) *schedMetrics {
 	m := &schedMetrics{
@@ -66,7 +66,11 @@ func newSchedMetrics(r *obs.Registry, s *Scheduler) *schedMetrics {
 		return m
 	}
 	r.GaugeFunc("naspipe_sched_queue_depth", "Jobs admitted but not yet running (the backpressure input).",
-		func() float64 { return float64(len(s.queue)) })
+		func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(len(s.queue))
+		})
 	r.GaugeFunc("naspipe_sched_queue_limit", "Admission-queue capacity.",
 		func() float64 { return float64(s.cfg.QueueLimit) })
 	r.GaugeFunc("naspipe_sched_worker_slots", "Configured executor-pool size.",
@@ -77,17 +81,9 @@ func newSchedMetrics(r *obs.Registry, s *Scheduler) *schedMetrics {
 			defer s.mu.Unlock()
 			return s.runEWMA.Seconds()
 		})
-	// Telemetry-plane rollup: finished jobs' totals plus every live bus,
-	// evaluated at scrape time so one scrape shows engine-level event
-	// traffic without a second collection path.
-	r.CounterFunc("naspipe_telemetry_events_emitted_total", "Engine telemetry events emitted across all job buses.",
-		func() float64 { return float64(s.TelemetrySnapshot().Emitted) })
-	r.CounterFunc("naspipe_telemetry_events_dropped_total", "Engine telemetry events dropped by full rings across all job buses.",
-		func() float64 { return float64(s.TelemetrySnapshot().Dropped) })
-	r.CounterFunc("naspipe_telemetry_batch_flushes_total", "Batcher bulk flushes into job buses.",
-		func() float64 { return float64(s.TelemetrySnapshot().BatchFlushes) })
-	r.CounterFunc("naspipe_telemetry_checkpoints_total", "Consistency cuts recorded across all job buses.",
-		func() float64 { return float64(s.TelemetrySnapshot().Checkpoints) })
+	// The bus counters, summed over finished jobs' totals and every live
+	// bus at scrape time.
+	telemetry.Register(r, s.busTotals)
 	return m
 }
 
@@ -120,18 +116,18 @@ func (s *Scheduler) superviseHooks(jobID string, bus *telemetry.Bus) naspipe.Sup
 	return naspipe.SuperviseConfig{Telemetry: bus, Log: s.cfg.Log, Observer: observer, OnIncident: onIncident}
 }
 
-// TelemetrySnapshot aggregates the engine-telemetry counters of every
-// job this daemon has run: finished jobs' accumulated totals plus each
-// live bus. It is the source for the naspipe_telemetry_* series and the
-// daemon's /debug/telemetry endpoint.
-func (s *Scheduler) TelemetrySnapshot() telemetry.Snapshot {
+// busTotals sums the telemetry counters of every job this daemon has
+// run: finished jobs' totals plus each live bus.
+func (s *Scheduler) busTotals() telemetry.Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := s.telTotals
+	c := s.telTotals
 	for _, id := range s.order {
 		if b := s.jobs[id].bus; b != nil {
-			snap = snap.Add(b.Snapshot())
+			for i, v := range b.Counters() {
+				c[i] += v
+			}
 		}
 	}
-	return snap
+	return c
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"naspipe/internal/obs"
+	"naspipe/internal/telemetry"
 )
 
 // sampleSet indexes a scrape for assertion lookups.
@@ -60,10 +61,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewScheduler: %v", err)
 	}
-	addr, shutdown, err := ServeHandler("127.0.0.1:0", NewServer(sched).WithObs(reg, logger))
+	addr, shutdown, err := telemetry.Serve("127.0.0.1:0", NewServer(sched).WithObs(reg, logger))
 	if err != nil {
 		sched.Close()
-		t.Fatalf("ServeHandler: %v", err)
+		t.Fatalf("Serve: %v", err)
 	}
 	defer func() { shutdown(); sched.Close() }()
 	c := NewClient("http://" + addr)
@@ -183,7 +184,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 // registers against the repo convention:
 // naspipe_<plane>_<name>[_unit], plane ∈ {service, sched, supervise,
 // telemetry}; counters end in _total; histograms measure durations and
-// end in _seconds.
+// end in _seconds. Every op the bus counts is among them.
 func TestMetricNamingConvention(t *testing.T) {
 	reg := obs.New()
 	sched, err := NewScheduler(SchedulerConfig{StateDir: t.TempDir(), Metrics: reg})
@@ -197,6 +198,18 @@ func TestMetricNamingConvention(t *testing.T) {
 	fams := reg.Families()
 	if len(fams) < 15 {
 		t.Fatalf("only %d families registered; the daemon wires more than that", len(fams))
+	}
+	names := strings.Join(reg.Names(), " ") + " "
+	for op := telemetry.Op(0); !strings.HasPrefix(op.String(), "op("); op++ {
+		want := "naspipe_telemetry_" + strings.ReplaceAll(op.String(), "-", "_") + "_total "
+		if !strings.Contains(names, want) {
+			t.Errorf("no family %sfor bus op %s", want, op)
+		}
+	}
+	for _, want := range []string{"cache_stall_seconds", "events_emitted", "events_dropped", "batch_flushes"} {
+		if !strings.Contains(names, "naspipe_telemetry_"+want+"_total ") {
+			t.Errorf("no family naspipe_telemetry_%s_total for the bus-level counter", want)
+		}
 	}
 	for _, f := range fams {
 		if !nameRe.MatchString(f.Name) {
@@ -237,7 +250,7 @@ func TestListStatsExposure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewScheduler: %v", err)
 	}
-	addr, shutdown, err := Serve("127.0.0.1:0", sched)
+	addr, shutdown, err := telemetry.Serve("127.0.0.1:0", NewServer(sched))
 	if err != nil {
 		sched.Close()
 		t.Fatalf("Serve: %v", err)

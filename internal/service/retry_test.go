@@ -23,7 +23,6 @@ func TestRetryAfterDerivation(t *testing.T) {
 		cfg:    SchedulerConfig{StateDir: t.TempDir(), Workers: 2, QueueLimit: 8, TenantQuota: 2}.withDefaults(),
 		jobs:   make(map[string]*job),
 		active: make(map[string]int),
-		queue:  make(chan *job, 8),
 	}
 
 	// No completed run on record: nothing to extrapolate from, so both
@@ -37,7 +36,7 @@ func TestRetryAfterDerivation(t *testing.T) {
 
 	s.runEWMA = 10 * time.Second
 	for i := 0; i < 4; i++ {
-		s.queue <- &job{}
+		s.queue = append(s.queue, &job{})
 	}
 	// 4 queued jobs drain through 2 workers at ~10s each → ~20s.
 	if got := s.retryAfterLocked(CodeBackpressure, "a"); got != 20 {

@@ -126,7 +126,8 @@ type Scheduler struct {
 	order   []string       // submission order, for List
 	active  map[string]int // tenant → queued+running
 	nextID  int
-	queue   chan *job
+	queue   []*job        // admitted, not yet running, in FIFO order
+	wake    sync.Cond     // on mu: signalled per queued job and at Close
 	runEWMA time.Duration // smoothed wall time of completed runs
 	closed  bool
 	rootCtx context.Context
@@ -135,9 +136,9 @@ type Scheduler struct {
 
 	// met holds the scheduler's metric instruments (nil-safe when
 	// cfg.Metrics is nil); telTotals accumulates finished jobs' bus
-	// snapshots for the telemetry rollup (guarded by mu).
+	// counters for busTotals (guarded by mu).
 	met       *schedMetrics
-	telTotals telemetry.Snapshot
+	telTotals telemetry.Counters
 }
 
 // NewScheduler builds the scheduler, recovers any persisted jobs from
@@ -156,10 +157,10 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		cfg:     cfg,
 		jobs:    make(map[string]*job),
 		active:  make(map[string]int),
-		queue:   make(chan *job, cfg.QueueLimit),
 		rootCtx: ctx,
 		stop:    cancel,
 	}
+	s.wake.L = &s.mu
 	s.met = newSchedMetrics(cfg.Metrics, s)
 	if err := s.recover(); err != nil {
 		cancel()
@@ -258,24 +259,22 @@ func (s *Scheduler) recover() error {
 		// checkpoint means the committed frontier survived; continue from
 		// it. Otherwise start over.
 		j.resume = j.hasCheckpoint()
+		if len(s.queue) >= s.cfg.QueueLimit {
+			j.state = StateFailed
+			j.detail = "recovery overflowed the admission queue"
+			close(j.done)
+			s.persistLocked(j)
+			continue
+		}
 		j.state = StateQueued
 		j.detail = "recovered after daemon restart"
 		j.queuedAt = time.Now()
 		s.active[j.spec.Tenant]++
 		s.tenantGaugeLocked(j.spec.Tenant)
 		s.persistLocked(j)
-		select {
-		case s.queue <- j:
-			s.met.recovered.Inc()
-			s.log("job recovered", "job", j.id, "tenant", tenantName(j.spec.Tenant), "resume", j.resume)
-		default:
-			j.state = StateFailed
-			j.detail = "recovery overflowed the admission queue"
-			s.active[j.spec.Tenant]--
-			s.tenantGaugeLocked(j.spec.Tenant)
-			close(j.done)
-			s.persistLocked(j)
-		}
+		s.enqueueLocked(j)
+		s.met.recovered.Inc()
+		s.log("job recovered", "job", j.id, "tenant", tenantName(j.spec.Tenant), "resume", j.resume)
 	}
 	return nil
 }
@@ -337,6 +336,9 @@ func (s *Scheduler) Submit(spec naspipe.JobSpec) (JobStatus, error) {
 		return JobStatus{}, &APIError{Code: CodeQuotaExceeded, RetryAfterSec: ra,
 			Message: fmt.Sprintf("tenant %q already has %d active jobs (quota %d); retry in ~%ds", tenantName(spec.Tenant), s.active[spec.Tenant], s.cfg.TenantQuota, ra)}
 	}
+	if err := s.queueFullLocked(spec.Tenant); err != nil {
+		return JobStatus{}, err
+	}
 	now := time.Now()
 	j := &job{
 		id: id, spec: spec, dir: dir,
@@ -344,14 +346,7 @@ func (s *Scheduler) Submit(spec naspipe.JobSpec) (JobStatus, error) {
 		gpus: spec.GPUs,
 		done: make(chan struct{}),
 	}
-	select {
-	case s.queue <- j:
-	default:
-		ra := s.retryAfterLocked(CodeBackpressure, spec.Tenant)
-		s.met.rejections.With(string(CodeBackpressure)).Inc()
-		return JobStatus{}, &APIError{Code: CodeBackpressure, RetryAfterSec: ra,
-			Message: fmt.Sprintf("admission queue full (%d queued); retry in ~%ds", s.cfg.QueueLimit, ra)}
-	}
+	s.enqueueLocked(j)
 	s.nextID++
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -471,7 +466,13 @@ func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 	}
 	switch j.state {
 	case StateQueued:
-		// The worker skips canceled jobs when it drains them.
+		// Out of the queue at once: its admission slot is free again.
+		for i, q := range s.queue {
+			if q == j {
+				s.queue = append(s.queue[:i], s.queue[i+1:]...)
+				break
+			}
+		}
 		s.finishLocked(j, StateCanceled, "canceled while queued")
 	case StateRunning:
 		j.wantCancel = true
@@ -509,15 +510,8 @@ func (s *Scheduler) Resume(id string) (JobStatus, error) {
 		return JobStatus{}, &APIError{Code: CodeQuotaExceeded, RetryAfterSec: ra,
 			Message: fmt.Sprintf("tenant %q already has %d active jobs (quota %d); retry in ~%ds", tenantName(j.spec.Tenant), s.active[j.spec.Tenant], s.cfg.TenantQuota, ra)}
 	}
-	// Enqueue first: a worker that receives j blocks on s.mu until the
-	// fields below are set, and a full queue refuses before any is.
-	select {
-	case s.queue <- j:
-	default:
-		ra := s.retryAfterLocked(CodeBackpressure, j.spec.Tenant)
-		s.met.rejections.With(string(CodeBackpressure)).Inc()
-		return JobStatus{}, &APIError{Code: CodeBackpressure, RetryAfterSec: ra,
-			Message: fmt.Sprintf("admission queue full (%d queued); retry in ~%ds", s.cfg.QueueLimit, ra)}
+	if err := s.queueFullLocked(j.spec.Tenant); err != nil {
+		return JobStatus{}, err
 	}
 	j.resume = true
 	j.wantCancel = false
@@ -529,6 +523,7 @@ func (s *Scheduler) Resume(id string) (JobStatus, error) {
 	s.met.resumed.With(tenantName(j.spec.Tenant)).Inc()
 	s.tenantGaugeLocked(j.spec.Tenant)
 	s.persistLocked(j)
+	s.enqueueLocked(j)
 	s.log("resume queued", "job", id, "tenant", tenantName(j.spec.Tenant))
 	return s.statusLocked(j, true), nil
 }
@@ -610,17 +605,47 @@ func (s *Scheduler) Close() {
 		return
 	}
 	s.closed = true
-	close(s.queue)
+	s.wake.Broadcast()
 	s.mu.Unlock()
 	s.stop() // cancels every running incarnation
 	s.wg.Wait()
 }
 
+// enqueueLocked appends j to the admission queue and wakes a worker.
+// Caller holds s.mu.
+func (s *Scheduler) enqueueLocked(j *job) {
+	s.queue = append(s.queue, j)
+	s.wake.Signal()
+}
+
+// queueFullLocked refuses an admission into a full queue with
+// CodeBackpressure (HTTP 429), counting the rejection. Caller holds s.mu.
+func (s *Scheduler) queueFullLocked(tenant string) error {
+	if len(s.queue) < s.cfg.QueueLimit {
+		return nil
+	}
+	ra := s.retryAfterLocked(CodeBackpressure, tenant)
+	s.met.rejections.With(string(CodeBackpressure)).Inc()
+	return &APIError{Code: CodeBackpressure, RetryAfterSec: ra,
+		Message: fmt.Sprintf("admission queue full (%d queued); retry in ~%ds", s.cfg.QueueLimit, ra)}
+}
+
 // worker is one executor-pool goroutine: it owns at most one job at a
-// time, end to end.
+// time, end to end. After Close it drains what is still queued; each of
+// those runs under the canceled root context and ends interrupted.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for len(s.queue) == 0 && !s.closed {
+			s.wake.Wait()
+		}
+		if len(s.queue) == 0 {
+			return
+		}
+		j := s.queue[0]
+		s.queue = s.queue[1:]
 		s.runJob(j)
 	}
 }
@@ -769,14 +794,9 @@ func (s *Scheduler) persistLocked(j *job) {
 
 // runJob executes one job through naspipe.RunJob — a concurrent job
 // under the supervision plane, verified there when the spec asks — and
-// classifies its outcome into the service lifecycle.
+// classifies its outcome into the service lifecycle. Caller holds s.mu,
+// which runJob releases for the run itself.
 func (s *Scheduler) runJob(j *job) {
-	s.mu.Lock()
-	if j.state != StateQueued {
-		// Canceled while queued (or recovery marked it failed).
-		s.mu.Unlock()
-		return
-	}
 	ctx, cancel := context.WithCancel(s.rootCtx)
 	defer cancel()
 	bus := telemetry.NewBus(s.cfg.EventBufSize)
@@ -798,7 +818,6 @@ func (s *Scheduler) runJob(j *job) {
 	res, rep, err := naspipe.RunJob(ctx, spec, resume, s.superviseHooks(j.id, bus))
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.met.activeJobs.Dec()
 	if rep != nil {
 		j.restarts += rep.Restarts
@@ -806,9 +825,11 @@ func (s *Scheduler) runJob(j *job) {
 		j.gpus = rep.FinalGPUs
 		j.health = rep.FinalState.String()
 	}
-	// Fold the finished bus into the rollup before it is dropped, so the
-	// naspipe_telemetry_* series keep counting events from completed jobs.
-	s.telTotals = s.telTotals.Add(bus.Snapshot())
+	// Fold the finished bus into the totals before it is dropped, so the
+	// naspipe_telemetry_* families keep counting completed jobs' events.
+	for i, v := range bus.Counters() {
+		s.telTotals[i] += v
+	}
 	j.flushEvents(s, bus)
 	j.bus = nil
 	j.cancel = nil

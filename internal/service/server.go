@@ -1,12 +1,10 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
 	"strconv"
@@ -20,7 +18,7 @@ import (
 )
 
 // Server exposes a Scheduler over the versioned HTTP/JSON API. It is a
-// plain http.Handler; mount it on any mux or serve it with Serve.
+// plain http.Handler; mount it on any mux or serve it with telemetry.Serve.
 // WithObs adds the observability plane (GET /metrics, HTTP-layer
 // metrics, structured request logs); WithDebug mounts a debug handler
 // under /debug/.
@@ -61,36 +59,11 @@ func (s *Server) WithObs(reg *obs.Registry, logger *slog.Logger) *Server {
 	return s
 }
 
-// WithDebug mounts h under /debug/ (typically
-// telemetry.NewDebugMux(sched.TelemetrySnapshot): pprof, expvar, and
-// the live telemetry snapshot). Returns s for chaining.
+// WithDebug mounts h under /debug/ (typically telemetry.NewDebugMux:
+// pprof). Returns s for chaining.
 func (s *Server) WithDebug(h http.Handler) *Server {
 	s.debug = h
 	return s
-}
-
-// Serve binds addr (host:port; :0 picks a free port), serves the API on
-// it, and returns the bound address and a shutdown func. The pattern
-// matches telemetry.ServeDebug so CLIs treat both the same way.
-func Serve(addr string, s *Scheduler) (string, func(), error) {
-	return ServeHandler(addr, NewServer(s))
-}
-
-// ServeHandler is Serve for a pre-built handler — the daemon uses it to
-// serve a Server configured with WithObs/WithDebug.
-func ServeHandler(addr string, h http.Handler) (string, func(), error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("service: listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: h}
-	go func() { _ = srv.Serve(ln) }()
-	shutdown := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}
-	return ln.Addr().String(), shutdown, nil
 }
 
 // writeJSON emits a JSON response body with status.

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"naspipe"
+	"naspipe/internal/telemetry"
 )
 
 // newTestDaemon stands up a scheduler + HTTP server on a free port and
@@ -25,7 +27,7 @@ func newTestDaemon(t *testing.T, cfg SchedulerConfig) (*Client, *Scheduler) {
 	if err != nil {
 		t.Fatalf("NewScheduler: %v", err)
 	}
-	addr, shutdown, err := Serve("127.0.0.1:0", sched)
+	addr, shutdown, err := telemetry.Serve("127.0.0.1:0", NewServer(sched))
 	if err != nil {
 		sched.Close()
 		t.Fatalf("Serve: %v", err)
@@ -356,33 +358,35 @@ func asCode(err error) ErrorCode {
 // TestCancelThenResumeContinuesFromCheckpoint drives the full operator
 // loop over the API: cancel a running job mid-stream, observe it
 // resumable at its committed frontier, resume it, and verify the
-// finished weights bitwise.
+// finished weights bitwise. A wedge at stage 0's backward of subnet 10
+// holds the first incarnation at committed cursor 10 (it fires in
+// incarnation 0 only, so the resume runs clean); the 1 h stall timeout
+// keeps the watchdog out of it.
 func TestCancelThenResumeContinuesFromCheckpoint(t *testing.T) {
 	c, _ := newTestDaemon(t, SchedulerConfig{})
 	ctx := context.Background()
 
+	const wedgeCursor = 10
 	spec := slowSpec("")
 	spec.Verify = true
+	spec.Faults = fmt.Sprintf("seed=7,wedgeat=0:%d:B", wedgeCursor)
+	spec.Supervise = &naspipe.SuperviseSpec{StallTimeout: naspipe.Duration(time.Hour)}
 	st, err := c.Submit(ctx, spec)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	// Wait until the committed frontier has visibly advanced, so the
-	// cancel provably lands mid-run with a checkpoint on disk.
-	deadline := time.Now().Add(30 * time.Second)
+	// Wait until the durable cursor reaches the wedge: the run can go no
+	// further, so the cancel lands at exactly that frontier.
 	for {
 		got, err := c.Get(ctx, st.ID)
 		if err != nil {
 			t.Fatalf("status: %v", err)
 		}
-		if got.Cursor >= 2 && got.State == StateRunning {
+		if got.Cursor >= wedgeCursor {
 			break
 		}
 		if got.State.Terminal() {
-			t.Fatalf("job reached %s before it could be canceled mid-run", got.State)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no frontier progress before deadline (state %s cursor %d)", got.State, got.Cursor)
+			t.Fatalf("job reached %s before the wedge held it", got.State)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -399,8 +403,8 @@ func TestCancelThenResumeContinuesFromCheckpoint(t *testing.T) {
 	if !got.Resumable || got.ExitCode != int(naspipe.ExitResumable) {
 		t.Fatalf("canceled mid-run but resumable=%v exit=%d", got.Resumable, got.ExitCode)
 	}
-	if got.Cursor <= 0 || got.Cursor >= got.Total {
-		t.Fatalf("cancel frontier %d/%d is not mid-stream", got.Cursor, got.Total)
+	if got.Cursor != wedgeCursor {
+		t.Fatalf("cancel frontier %d/%d, want the wedge's %d", got.Cursor, got.Total, wedgeCursor)
 	}
 
 	// The checkpoint endpoint serves the committed frontier's bytes.
@@ -421,6 +425,48 @@ func TestCancelThenResumeContinuesFromCheckpoint(t *testing.T) {
 	}
 	if final.Cursor != final.Total {
 		t.Fatalf("resumed job frontier %d/%d", final.Cursor, final.Total)
+	}
+}
+
+// TestCancelQueuedJobFreesAdmissionSlot: a job canceled while queued
+// leaves the admission queue at once, so the queue depth drops and its
+// slot admits the next job while the worker is still busy.
+func TestCancelQueuedJobFreesAdmissionSlot(t *testing.T) {
+	sched, err := NewScheduler(SchedulerConfig{StateDir: t.TempDir(), Workers: 1, QueueLimit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sched.Close)
+	// A holds the one worker for good; B is admitted only once the worker
+	// has taken A, and then waits in the queue.
+	wedge := quickSpec()
+	wedge.Faults = "seed=1,wedgeat=1:1:F"
+	wedge.Supervise = &naspipe.SuperviseSpec{StallTimeout: naspipe.Duration(time.Hour)}
+	if _, err := sched.Submit(wedge); err != nil {
+		t.Fatalf("submit A: %v", err)
+	}
+	var b JobStatus
+	for {
+		b, err = sched.Submit(quickSpec())
+		if err == nil {
+			break
+		}
+		if asCode(err) != CodeBackpressure {
+			t.Fatalf("submit B: %v", err)
+		}
+		runtime.Gosched()
+	}
+	if got := sched.Stats().QueueDepth; got != 1 {
+		t.Fatalf("queue depth with B waiting = %d, want 1", got)
+	}
+	if st, err := sched.Cancel(b.ID); err != nil || st.State != StateCanceled {
+		t.Fatalf("cancel B: state %s, err %v", st.State, err)
+	}
+	if got := sched.Stats().QueueDepth; got != 0 {
+		t.Fatalf("queue depth after canceling queued B = %d, want 0", got)
+	}
+	if _, err := sched.Submit(quickSpec()); err != nil {
+		t.Fatalf("submit C into the slot B freed: %v", err)
 	}
 }
 

@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
 	"strings"
 	"testing"
 )
@@ -124,34 +122,5 @@ func TestValidateRejectsGarbage(t *testing.T) {
 ]`
 	if _, err := ValidateChromeTrace(strings.NewReader(backwards)); err == nil {
 		t.Fatal("non-monotonic per-thread timestamps accepted")
-	}
-}
-
-func TestServeDebugEndpoints(t *testing.T) {
-	b := NewBus(16)
-	b.Emit(Event{Op: OpTaskStart, Phase: PhaseBegin, Subnet: 0, Kind: KindForward})
-	addr, shutdown, err := ServeDebug("127.0.0.1:0", b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	for _, path := range []string{"/debug/telemetry", "/debug/vars", "/debug/pprof/cmdline"} {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		if path == "/debug/telemetry" {
-			var s Snapshot
-			if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-				t.Fatalf("snapshot decode: %v", err)
-			}
-			if s.Started != 1 {
-				t.Fatalf("snapshot over HTTP: %+v", s)
-			}
-		}
-		resp.Body.Close()
 	}
 }

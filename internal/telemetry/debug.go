@@ -1,63 +1,56 @@
-// Debug HTTP endpoint: net/http/pprof profiles, expvar's standard vars,
-// and a live telemetry snapshot, behind the cmds' -debug-addr flag.
+// Debug HTTP endpoint behind the -debug-addr flags: net/http/pprof
+// profiles and an obs registry's Prometheus text on /metrics — the one
+// format, and with the daemon's API listener the one place, a process
+// serves its live counters.
 //
 //	naspipe-bench -concurrent -debug-addr localhost:6060 &
 //	go tool pprof http://localhost:6060/debug/pprof/profile
-//	curl http://localhost:6060/debug/telemetry
+//	curl http://localhost:6060/metrics
 //
-// Snapshot sourcing is per-server: each ServeDebug call (and each
-// NewDebugMux) binds its own snapshot source, so two debug servers in
-// one process report their own buses. /debug/vars serves only expvar's
-// process-wide standard vars (cmdline, memstats); the engine counters
-// are on /debug/telemetry.
+// A CLI registers its run's bus (Register with Bus.Counters); the daemon
+// serves its whole registry, where the same Register reads finished
+// jobs' totals plus every live bus. Memstats and the command line are on
+// /debug/pprof/heap?debug=1 and /debug/pprof/cmdline.
 package telemetry
 
 import (
-	"encoding/json"
-	"expvar"
+	"context"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
+
+	"naspipe/internal/obs"
 )
 
-// NewDebugMux builds the debug mux — /debug/pprof/*, /debug/vars, and
-// /debug/telemetry serving snap() as JSON — without binding a listener,
-// so a daemon can mount it on its own server. snap is this mux's
-// private snapshot source (pass an aggregating closure to report many
-// buses at once).
-func NewDebugMux(snap func() Snapshot) *http.ServeMux {
+// NewDebugMux builds the debug mux — /debug/pprof/* and /metrics serving
+// reg — without binding a listener, so a daemon can also mount it on its
+// own server. A nil reg serves an empty exposition.
+func NewDebugMux(reg *obs.Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/telemetry", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(snap())
-	})
+	mux.Handle("/metrics", reg.Handler())
 	return mux
 }
 
-// ServeDebug starts an HTTP server on addr exposing the debug mux, its
-// /debug/telemetry bound to bus for the server's lifetime (a nil bus
-// reports zeros). Returns the bound listener address (useful with ":0")
-// and a shutdown function. The server runs until shutdown is called;
-// serve errors after shutdown are ignored.
-func ServeDebug(addr string, bus *Bus) (string, func(), error) {
-	return ServeDebugMux(addr, NewDebugMux(bus.Snapshot))
-}
-
-// ServeDebugMux serves a pre-built debug mux on addr — for daemons that
-// already constructed one with NewDebugMux and want it on an extra
-// listener too. Same return contract as ServeDebug.
-func ServeDebugMux(addr string, mux *http.ServeMux) (string, func(), error) {
+// Serve binds addr (host:port; :0 picks a free port) and serves h on it
+// until the returned stop is called, which lets in-flight requests finish
+// for up to 5s. Returns the bound address.
+func Serve(addr string, h http.Handler) (string, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: h}
 	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), func() { _ = srv.Close() }, nil
+	stop := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}
+	return ln.Addr().String(), stop, nil
 }

@@ -10,25 +10,28 @@
 //     engines' hot paths therefore carry telemetry calls unconditionally.
 //  2. Emission never blocks the pipeline. The bus is a fixed-capacity
 //     ring: when the stream is full, new events are dropped and counted
-//     (Snapshot.Dropped) rather than stalling a stage goroutine on a
+//     (Bus.Dropped) rather than stalling a stage goroutine on a
 //     consumer. Live counters keep advancing even while the stream drops.
 //  3. Race-clean by construction. Counters are atomics; the stream is
 //     guarded by one mutex with O(1) critical sections. Events are
 //     emitted concurrently by stage workers and the caches they share.
 //
-// The package is dependency-free (standard library only) so every layer
-// of the system — engine, csp, prefetch, metrics, cmds — can publish to
-// it without import cycles. Exporters turn a captured stream into a
-// Perfetto-loadable Chrome trace (chrometrace.go) or a replayable JSONL
-// log (jsonl.go); ServeDebug (debug.go) exposes pprof, expvar, and live
-// snapshots over HTTP.
+// The package depends only on internal/obs (itself standard-library
+// only), so every layer of the system — engine, csp, prefetch, cmds — can
+// publish to it without import cycles. Exporters turn a captured stream
+// into a Perfetto-loadable Chrome trace (chrometrace.go) or a replayable
+// JSONL log (jsonl.go); Register names every live counter once as an obs
+// family, and the debug endpoint (debug.go) serves pprof and /metrics.
 package telemetry
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"naspipe/internal/obs"
 )
 
 // Op identifies what happened — the event taxonomy. The three families
@@ -97,7 +100,19 @@ const (
 	opCount
 )
 
-var opNames = [opCount]string{
+// Bus-level live counters, kept after the ops in Counters.
+const (
+	cStallNs      = int(opCount) + iota // compute stalled on PCIe, ns (Arg of OpCacheStall instants and span ends)
+	cEmitted                            // events emitted, dropped ones included
+	cDropped                            // events the full ring refused
+	cBatchFlushes                       // Batcher bulk flushes (EmitBatch calls)
+	numCounters
+)
+
+// counterNames names every live counter once, in Counters order: the ops
+// by their wire names, then the bus-level counters. Op.String, OpByName
+// and Register read it.
+var counterNames = [numCounters]string{
 	"task-admit", "task-start", "task-preempt", "task-resume", "task-complete",
 	"sched-admit", "sched-delay",
 	"prefetch-request", "prefetch-land", "prefetch-drop",
@@ -108,18 +123,19 @@ var opNames = [opCount]string{
 	"health",
 	"link-send", "link-recv", "link-drop", "link-cut", "link-reconnect",
 	"link-retransmit",
+	"cache-stall-seconds", "events-emitted", "events-dropped", "batch-flushes",
 }
 
 func (o Op) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
+	if o < opCount {
+		return counterNames[o]
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
 // OpByName resolves the wire name used in JSONL logs back to an Op.
 func OpByName(name string) (Op, bool) {
-	for i, n := range opNames {
+	for i, n := range counterNames[:opCount] {
 		if n == name {
 			return Op(i), true
 		}
@@ -178,8 +194,8 @@ func PhaseByName(name string) (Phase, bool) {
 	return 0, false
 }
 
-// Task kinds, mirroring csp.Kind without the import (the bus is
-// dependency-free).
+// Task kinds, mirroring csp.Kind without the import (the bus imports no
+// plane it observes).
 const (
 	KindNone     int8 = -1 // not task-scoped (cache traffic, scheduler scans)
 	KindForward  int8 = 0
@@ -227,11 +243,7 @@ type Event struct {
 type Bus struct {
 	epoch time.Time
 
-	counters [opCount]atomic.Int64
-	stallNs  atomic.Int64
-	emitted  atomic.Uint64
-	dropped  atomic.Uint64
-	flushes  atomic.Uint64
+	counters [numCounters]atomic.Int64
 
 	mu  sync.Mutex
 	buf []Event // ring slab; len grows to cap, then the stream drops
@@ -298,9 +310,9 @@ func (b *Bus) count(ev Event) {
 	}
 	if ev.Op == OpCacheStall && ev.Phase != PhaseBegin {
 		// Count stall time once per stall (instant or span end).
-		b.stallNs.Add(ev.Arg)
+		b.counters[cStallNs].Add(ev.Arg)
 	}
-	b.emitted.Add(1)
+	b.counters[cEmitted].Add(1)
 }
 
 func (b *Bus) record(ev Event) {
@@ -312,7 +324,7 @@ func (b *Bus) record(ev Event) {
 		return
 	}
 	b.mu.Unlock()
-	b.dropped.Add(1)
+	b.counters[cDropped].Add(1)
 }
 
 // EmitBatch records a slice of already-stamped events under a single ring
@@ -325,7 +337,7 @@ func (b *Bus) EmitBatch(evs []Event) {
 	if b == nil || len(evs) == 0 {
 		return
 	}
-	b.flushes.Add(1)
+	b.counters[cBatchFlushes].Add(1)
 	for i := range evs {
 		b.count(evs[i])
 	}
@@ -337,7 +349,7 @@ func (b *Bus) EmitBatch(evs []Event) {
 	b.buf = append(b.buf, evs[:take]...)
 	b.mu.Unlock()
 	if take < len(evs) {
-		b.dropped.Add(uint64(len(evs) - take))
+		b.counters[cDropped].Add(int64(len(evs) - take))
 	}
 }
 
@@ -369,7 +381,7 @@ func (b *Bus) Dropped() uint64 {
 	if b == nil {
 		return 0
 	}
-	return b.dropped.Load()
+	return uint64(b.counters[cDropped].Load())
 }
 
 // Count returns the live counter for one op (counted even for events the
@@ -381,45 +393,87 @@ func (b *Bus) Count(op Op) int64 {
 	return b.counters[op].Load()
 }
 
-// Snapshot is a point-in-time copy of the live counters — cheap enough
-// for a progress ticker, and the payload /debug/telemetry serves.
+// Counters is every live counter in one array, indexed as counterNames
+// names them: the op counts, then stall ns, emitted, dropped and batch
+// flushes. Register publishes it; a daemon sums its jobs' buses into one.
+type Counters [numCounters]int64
+
+// Counters reads the live counters. Nil-safe (zeros).
+func (b *Bus) Counters() Counters {
+	var c Counters
+	if b == nil {
+		return c
+	}
+	for i := range c {
+		c[i] = b.counters[i].Load()
+	}
+	return c
+}
+
+// Register publishes each live counter on r once, as the counter family
+// naspipe_telemetry_<name>_total read from read at scrape time: one
+// bus's Counters (a CLI's -debug-addr), or a daemon's sum over its jobs.
+// Stall time is exposed in seconds. Nil-safe.
+func Register(r *obs.Registry, read func() Counters) {
+	for i, name := range counterNames {
+		help := "Events of op " + name + ", counted even when the ring drops them."
+		scale := 1.0
+		switch i {
+		case int(OpCacheHit), int(OpCacheMiss):
+			help = "Layer accesses reported by " + name + " events."
+		case cStallNs:
+			help, scale = "Compute time stalled on PCIe copies.", 1e-9
+		case cEmitted:
+			help = "Events emitted, dropped ones included."
+		case cDropped:
+			help = "Events the full ring refused; the exports lack them."
+		case cBatchFlushes:
+			help = "Batcher bulk flushes into the bus."
+		}
+		r.CounterFunc("naspipe_telemetry_"+strings.ReplaceAll(name, "-", "_")+"_total", help,
+			func() float64 { return scale * float64(read()[i]) })
+	}
+}
+
+// Snapshot is a point-in-time copy of the live counters under named
+// fields — cheap enough for a progress ticker. Derived from Counters.
 type Snapshot struct {
-	ElapsedNs    int64  `json:"elapsed_ns"`
-	Emitted      uint64 `json:"emitted"`
-	Dropped      uint64 `json:"dropped"`
-	BatchFlushes uint64 `json:"batch_flushes"`
+	ElapsedNs    int64
+	Emitted      uint64
+	Dropped      uint64
+	BatchFlushes uint64
 
-	Admitted  int64 `json:"admitted"`
-	Started   int64 `json:"started"`
-	Preempted int64 `json:"preempted"`
-	Completed int64 `json:"completed"`
+	Admitted  int64
+	Started   int64
+	Preempted int64
+	Completed int64
 
-	SchedAdmits int64 `json:"sched_admits"`
-	SchedDelays int64 `json:"sched_delays"`
+	SchedAdmits int64
+	SchedDelays int64
 
-	PrefetchRequests int64 `json:"prefetch_requests"`
-	PrefetchDrops    int64 `json:"prefetch_drops"`
-	CacheHits        int64 `json:"cache_hits"`
-	CacheMisses      int64 `json:"cache_misses"`
-	CacheEvicts      int64 `json:"cache_evicts"`
-	StallNs          int64 `json:"stall_ns"`
+	PrefetchRequests int64
+	PrefetchDrops    int64
+	CacheHits        int64
+	CacheMisses      int64
+	CacheEvicts      int64
+	StallNs          int64
 
-	Crashes      int64 `json:"fault_crashes"`
-	FaultDrops   int64 `json:"fault_drops"`
-	FaultDelays  int64 `json:"fault_delays"`
-	FaultDups    int64 `json:"fault_dups"`
-	FaultFetches int64 `json:"fault_fetches"`
-	FaultWedges  int64 `json:"fault_wedges"`
-	Checkpoints  int64 `json:"checkpoints"`
+	Crashes      int64
+	FaultDrops   int64
+	FaultDelays  int64
+	FaultDups    int64
+	FaultFetches int64
+	FaultWedges  int64
+	Checkpoints  int64
 
-	HealthTransitions int64 `json:"health_transitions"`
+	HealthTransitions int64
 
-	LinkSends       int64 `json:"link_sends"`
-	LinkRecvs       int64 `json:"link_recvs"`
-	LinkDrops       int64 `json:"link_drops"`
-	LinkCuts        int64 `json:"link_cuts"`
-	LinkReconnects  int64 `json:"link_reconnects"`
-	LinkRetransmits int64 `json:"link_retransmits"`
+	LinkSends       int64
+	LinkRecvs       int64
+	LinkDrops       int64
+	LinkCuts        int64
+	LinkReconnects  int64
+	LinkRetransmits int64
 }
 
 // Snapshot reads the live counters. Nil-safe (zero snapshot).
@@ -427,81 +481,39 @@ func (b *Bus) Snapshot() Snapshot {
 	if b == nil {
 		return Snapshot{}
 	}
+	c := b.Counters()
 	return Snapshot{
-		ElapsedNs:        b.Now(),
-		Emitted:          b.emitted.Load(),
-		Dropped:          b.dropped.Load(),
-		BatchFlushes:     b.flushes.Load(),
-		Admitted:         b.counters[OpTaskAdmit].Load(),
-		Started:          b.counters[OpTaskStart].Load(),
-		Preempted:        b.counters[OpTaskPreempt].Load(),
-		Completed:        b.counters[OpTaskComplete].Load(),
-		SchedAdmits:      b.counters[OpSchedAdmit].Load(),
-		SchedDelays:      b.counters[OpSchedDelay].Load(),
-		PrefetchRequests: b.counters[OpPrefetchRequest].Load(),
-		PrefetchDrops:    b.counters[OpPrefetchDrop].Load(),
-		CacheHits:        b.counters[OpCacheHit].Load(),
-		CacheMisses:      b.counters[OpCacheMiss].Load(),
-		CacheEvicts:      b.counters[OpCacheEvict].Load(),
-		StallNs:          b.stallNs.Load(),
-		Crashes:          b.counters[OpFaultCrash].Load(),
-		FaultDrops:       b.counters[OpFaultDrop].Load(),
-		FaultDelays:      b.counters[OpFaultDelay].Load(),
-		FaultDups:        b.counters[OpFaultDup].Load(),
-		FaultFetches:     b.counters[OpFaultFetch].Load(),
-		FaultWedges:      b.counters[OpFaultWedge].Load(),
-		Checkpoints:      b.counters[OpCheckpoint].Load(),
-
-		HealthTransitions: b.counters[OpHealth].Load(),
-
-		LinkSends:       b.counters[OpLinkSend].Load(),
-		LinkRecvs:       b.counters[OpLinkRecv].Load(),
-		LinkDrops:       b.counters[OpLinkDrop].Load(),
-		LinkCuts:        b.counters[OpLinkCut].Load(),
-		LinkReconnects:  b.counters[OpLinkReconnect].Load(),
-		LinkRetransmits: b.counters[OpLinkRetransmit].Load(),
+		ElapsedNs:         b.Now(),
+		Emitted:           uint64(c[cEmitted]),
+		Dropped:           uint64(c[cDropped]),
+		BatchFlushes:      uint64(c[cBatchFlushes]),
+		Admitted:          c[OpTaskAdmit],
+		Started:           c[OpTaskStart],
+		Preempted:         c[OpTaskPreempt],
+		Completed:         c[OpTaskComplete],
+		SchedAdmits:       c[OpSchedAdmit],
+		SchedDelays:       c[OpSchedDelay],
+		PrefetchRequests:  c[OpPrefetchRequest],
+		PrefetchDrops:     c[OpPrefetchDrop],
+		CacheHits:         c[OpCacheHit],
+		CacheMisses:       c[OpCacheMiss],
+		CacheEvicts:       c[OpCacheEvict],
+		StallNs:           c[cStallNs],
+		Crashes:           c[OpFaultCrash],
+		FaultDrops:        c[OpFaultDrop],
+		FaultDelays:       c[OpFaultDelay],
+		FaultDups:         c[OpFaultDup],
+		FaultFetches:      c[OpFaultFetch],
+		FaultWedges:       c[OpFaultWedge],
+		Checkpoints:       c[OpCheckpoint],
+		HealthTransitions: c[OpHealth],
+		LinkSends:         c[OpLinkSend],
+		LinkRecvs:         c[OpLinkRecv],
+		LinkDrops:         c[OpLinkDrop],
+		LinkCuts:          c[OpLinkCut],
+		LinkReconnects:    c[OpLinkReconnect],
+		LinkRetransmits:   c[OpLinkRetransmit],
 	}
-}
-
-// Add returns the field-wise sum of two snapshots — how the service
-// scheduler aggregates per-job buses (live and finished) into one
-// system-wide view for /metrics and /debug/telemetry. ElapsedNs takes
-// the max: the summed counters describe overlapping runs, so elapsed
-// time is "longest run observed", not a sum.
-func (s Snapshot) Add(o Snapshot) Snapshot {
-	if o.ElapsedNs > s.ElapsedNs {
-		s.ElapsedNs = o.ElapsedNs
-	}
-	s.Emitted += o.Emitted
-	s.Dropped += o.Dropped
-	s.BatchFlushes += o.BatchFlushes
-	s.Admitted += o.Admitted
-	s.Started += o.Started
-	s.Preempted += o.Preempted
-	s.Completed += o.Completed
-	s.SchedAdmits += o.SchedAdmits
-	s.SchedDelays += o.SchedDelays
-	s.PrefetchRequests += o.PrefetchRequests
-	s.PrefetchDrops += o.PrefetchDrops
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.CacheEvicts += o.CacheEvicts
-	s.StallNs += o.StallNs
-	s.Crashes += o.Crashes
-	s.FaultDrops += o.FaultDrops
-	s.FaultDelays += o.FaultDelays
-	s.FaultDups += o.FaultDups
-	s.FaultFetches += o.FaultFetches
-	s.FaultWedges += o.FaultWedges
-	s.Checkpoints += o.Checkpoints
-	s.HealthTransitions += o.HealthTransitions
-	s.LinkSends += o.LinkSends
-	s.LinkRecvs += o.LinkRecvs
-	s.LinkDrops += o.LinkDrops
-	s.LinkCuts += o.LinkCuts
-	s.LinkReconnects += o.LinkReconnects
-	s.LinkRetransmits += o.LinkRetransmits
-	return s
 }
 
 // HitRate returns cache hits/(hits+misses), or -1 with no accesses — the
@@ -551,7 +563,7 @@ func FlowID(kind int8, subnet, fromStage int32) int64 {
 // HealthArg packs a supervision state transition into an OpHealth event's
 // Arg payload. State codes are the supervision plane's (see
 // internal/supervise): 0 running, 1 degraded, 2 recovering, 3 done,
-// 4 failed; the bus itself stays dependency-free.
+// 4 failed; the bus imports no plane it observes.
 func HealthArg(from, to int32) int64 {
 	return int64(from)<<8 | int64(to)
 }
