@@ -1,9 +1,10 @@
 // The dist subcommand turns naspiped into the coordinator of a
-// multi-process fleet: it listens on a TCP star, launches one
+// multi-process fleet: it listens for its workers, launches one
 // `naspiped stage` process per pipeline stage (its own executable, or
-// -worker-bin), relays their engine traffic, collects stage-0
-// consistency cuts into the checkpoint, and relaunches the whole fleet
-// from the committed cursor when any worker dies — including by kill -9.
+// -worker-bin), hands them each other's addresses so engine traffic
+// flows stage to stage, collects stage-0 consistency cuts into the
+// checkpoint, and relaunches the whole fleet from the committed cursor
+// when any worker dies — including by kill -9.
 //
 //	naspiped dist -gpus 4 -subnets 24 -checkpoint fleet.ckpt -log-dir logs
 //	kill -9 <a naspiped stage pid>   # the fleet resumes on its own
@@ -76,10 +77,10 @@ func distMain(args []string) naspipe.ExitCode {
 		id = fmt.Sprintf("dist-%d", os.Getpid())
 	}
 
-	// The coordinator's telemetry bus sees its side of every link (the
-	// star topology relays all engine traffic through it), so the JSONL
-	// log carries the full transport story: sends, drops, cuts,
-	// reconnects and go-back-N retransmits, per peer stage. SIGINT/SIGTERM
+	// The coordinator's telemetry bus sees its side of its control links
+	// only: engine traffic moves on the workers' own links, whose sends,
+	// drops, cuts, reconnects and retransmits stay inside the worker
+	// processes, so the JSONL log shows the control links. SIGINT/SIGTERM
 	// abort the fleet and exit resumable: the committed cursor is already
 	// checkpointed.
 	return f.Run(context.Background(), os.Stdout, os.Stderr, clicfg.Job{Name: "naspiped dist", Spec: spec,

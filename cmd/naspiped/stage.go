@@ -1,8 +1,10 @@
 // The stage subcommand is one stage worker of the distributed execution
-// plane: it dials the coordinator, introduces itself with a Hello, waits
-// for its stage assignment, runs its slice of the pipeline over the
-// fault-tolerant transport link, and reports its observed trace back for
-// the global merge verification.
+// plane: it dials the coordinator, introduces itself with a Hello that
+// names the address it accepts peer links on, waits for its stage
+// assignment and the fleet's address table, joins the mesh of
+// fault-tolerant links to its peer stages, runs its slice of the
+// pipeline over them, and reports its observed trace back to the
+// coordinator for the global merge verification.
 //
 // Operators rarely run it by hand — `naspiped dist` launches one per
 // stage and relaunches the fleet after any death — but it is a plain

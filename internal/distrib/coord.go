@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,7 +62,6 @@ type Coordinator struct {
 	spec     naspipe.JobSpec
 	job      *naspipe.Job
 	specJSON []byte
-	plan     *fault.Plan // the job's fault plan (nil when none)
 
 	mu          sync.Mutex
 	cursor      int
@@ -93,7 +93,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distrib: encoding spec: %w", err)
 	}
-	return &Coordinator{cfg: cfg, spec: cfg.Spec, job: job, specJSON: specJSON, plan: job.EngineConfig().Faults}, nil
+	return &Coordinator{cfg: cfg, spec: cfg.Spec, job: job, specJSON: specJSON}, nil
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -195,7 +195,7 @@ type workerExit struct {
 }
 
 // fleetState is one incarnation's mutable bookkeeping, shared between
-// the relay pumps, the accept loop, and the main select loop.
+// the control pumps, the accept loop, and the main select loop.
 type fleetState struct {
 	mu        sync.Mutex
 	beats     []time.Time
@@ -282,10 +282,10 @@ func (st *fleetState) deadStage(deadAfter time.Duration) int {
 }
 
 // incarnate runs one fleet incarnation: listen, launch one worker per
-// stage, relay frames, and either collect every Done (success) or
-// convert the first death into a *fault.CrashError after tearing the
-// fleet down (the supervision plane resumes from the committed
-// cursor).
+// stage, hand out the peer table, serve the control traffic, and
+// either collect every Done (success) or convert the first death into
+// a *fault.CrashError after tearing the fleet down (the supervision
+// plane resumes from the committed cursor).
 func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.RunProbe) (engine.Result, error) {
 	cursor, incNo := c.state()
 	total := c.spec.Subnets
@@ -310,20 +310,12 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 	}
 	defer ln.Close()
 
-	// The transport fault plane injects on the coordinator-side links
-	// only — one deterministic site per (incarnation, stage, seqno),
-	// like the engine's per-task fault sites.
-	var inj *fault.Injector
-	if c.plan != nil && c.plan.TransportEnabled() {
-		if inj, err = fault.NewInjector(*c.plan, incNo); err != nil {
-			return res, err
-		}
-	}
+	// Control links only: engine traffic flows on the workers' mesh,
+	// where the job's transport faults fire.
 	links := make([]*transport.Link, gpus)
 	for k := range links {
 		links[k] = transport.NewLink(transport.LinkConfig{
-			Local: transport.Coordinator, Peer: k,
-			Injector: inj, Tel: c.cfg.Tel,
+			Local: transport.Coordinator, Peer: k, Tel: c.cfg.Tel,
 		})
 	}
 	defer func() {
@@ -333,7 +325,7 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 	}()
 
 	st := newFleetState(gpus)
-	go c.acceptLoop(ctx, ln, links, gpus, cursor, incNo, st)
+	go c.acceptLoop(ln, links, gpus, cursor, incNo, st)
 	var pumps sync.WaitGroup
 	for k := range links {
 		pumps.Add(1)
@@ -345,7 +337,7 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 
 	procs := make([]Process, gpus)
 	// teardown is the one way an incarnation ends short of success: kill
-	// the fleet, stop the relay, and roll the incarnation so the relaunch
+	// the fleet, stop the pumps, and roll the incarnation so the relaunch
 	// (or a later resume) draws a fresh fault schedule — in particular an
 	// incarnation-pinned crash or wedge cannot refire. It returns cause.
 	teardown := func(why string, cause error) (engine.Result, error) {
@@ -512,9 +504,14 @@ func (c *Coordinator) broadcast(links []*transport.Link, reason string) {
 // Reconnects after a cut re-enter here — same handshake, same link,
 // and the link's reliability plane retransmits whatever the dead conn
 // lost. Stale incarnations (a zombie surviving a fleet kill) are
-// refused.
-func (c *Coordinator) acceptLoop(ctx context.Context, ln net.Listener, links []*transport.Link,
+// refused. Each Hello carries the address its worker accepts peer data
+// links on; once every stage has said hello, each worker is assigned its
+// stage with the whole address table, so the fleet can join its mesh.
+func (c *Coordinator) acceptLoop(ln net.Listener, links []*transport.Link,
 	gpus, cursor, incNo int, st *fleetState) {
+	var mu sync.Mutex
+	peers := make([]string, gpus)
+	assigned := false
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -528,7 +525,7 @@ func (c *Coordinator) acceptLoop(ctx context.Context, ln net.Listener, links []*
 				return
 			}
 			h, err := transport.DecodeHello(f.Payload)
-			if err != nil || h.RunID != c.cfg.RunID || h.Stage < 0 || h.Stage >= gpus {
+			if err != nil || h.RunID != c.cfg.RunID || h.Stage < 0 || h.Stage >= gpus || h.Addr == "" {
 				conn.Close()
 				return
 			}
@@ -542,25 +539,43 @@ func (c *Coordinator) acceptLoop(ctx context.Context, ln net.Listener, links []*
 				return
 			}
 			conn.SetReadDeadline(time.Time{})
+			// (Re)issue the assignment once the table is whole: to the
+			// whole fleet when this Hello completes it, to this stage
+			// alone on a reconnect. A worker acts on the first one it
+			// sees and ignores the rest.
+			var to []int
+			mu.Lock()
 			links[h.Stage].Attach(conn)
 			st.beat(h.Stage)
-			// (Re)issue the assignment. The worker acts on the first
-			// one it sees and ignores the rest.
-			_ = links[h.Stage].Send(transport.Frame{
-				Type: transport.FrameAssign, From: transport.Coordinator, To: h.Stage,
-				Payload: transport.Assign{
-					Stage: h.Stage, D: gpus, Cursor: cursor,
-					Incarnation: incNo, Spec: c.specJSON,
-				}.Encode(),
-			})
+			if peers[h.Stage] == "" {
+				peers[h.Stage] = h.Addr
+			}
+			switch {
+			case assigned:
+				to = []int{h.Stage}
+			case !slices.Contains(peers, ""):
+				assigned = true
+				for k := range links {
+					to = append(to, k)
+				}
+			}
+			mu.Unlock()
+			for _, k := range to {
+				_ = links[k].Send(transport.Frame{
+					Type: transport.FrameAssign, From: transport.Coordinator, To: k,
+					Payload: transport.Assign{
+						Stage: k, D: gpus, Cursor: cursor,
+						Incarnation: incNo, Spec: c.specJSON, Peers: peers,
+					}.Encode(),
+				})
+			}
 		}(conn)
 	}
 }
 
-// pump relays one stage's inbound frames: engine traffic routes to its
-// destination stage (broadcasts fan out to everyone but the sender),
-// control frames feed the fleet state, the checkpoint recorder, and
-// the health probe.
+// pump serves one stage's control traffic: cuts feed the checkpoint
+// recorder, heartbeats the fleet state and the health probe, Done and
+// Failed the main loop.
 func (c *Coordinator) pump(ctx context.Context, k int, links []*transport.Link,
 	probe *engine.RunProbe, st *fleetState) {
 	for {
@@ -572,8 +587,6 @@ func (c *Coordinator) pump(ctx context.Context, k int, links []*transport.Link,
 				return
 			}
 			switch f.Type {
-			case transport.FrameFwd, transport.FrameBwd, transport.FrameNote, transport.FrameFetch:
-				c.route(links, f)
 			case transport.FrameCut:
 				cut, err := transport.DecodeCut(f.Payload)
 				if err == nil {
@@ -611,26 +624,6 @@ func (c *Coordinator) pump(ctx context.Context, k int, links []*transport.Link,
 				}
 			}
 		}
-	}
-}
-
-// route forwards one engine frame to its destination link. Broadcast
-// fans out to every stage except the sender — the completion-note
-// pattern, with the coordinator doing the expansion so each worker
-// link carries exactly the frames its stage must see.
-func (c *Coordinator) route(links []*transport.Link, f transport.Frame) {
-	if f.To == transport.Broadcast {
-		for j := range links {
-			if j != f.From {
-				g := f
-				g.To = j
-				_ = links[j].Send(g)
-			}
-		}
-		return
-	}
-	if f.To >= 0 && f.To < len(links) {
-		_ = links[f.To].Send(f)
 	}
 }
 

@@ -1,16 +1,25 @@
-// Package distrib is the distributed execution plane's control half:
-// a coordinator that owns a training run and a fleet of stage workers
-// that execute it, one OS process (or goroutine, under the in-process
-// launcher) per pipeline stage, connected in a TCP star.
+// Package distrib is the distributed execution plane: a coordinator
+// that owns a training run and a fleet of stage workers that execute
+// it, one OS process (or goroutine, under the in-process launcher) per
+// pipeline stage.
 //
-// The topology is deliberately a star, not a mesh: every worker holds
-// exactly one fault-tolerant transport.Link to the coordinator, which
-// relays engine traffic by destination stage and expands broadcasts.
-// That puts every cross-stage frame through one choke point where the
-// deterministic fault plane can drop, cut, and partition links, and it
-// makes worker death observable in one place — a worker is declared
-// dead when its heartbeats stop arriving before the deadline or its
-// process exits without reporting a result.
+// Data and control travel apart. Engine traffic — activations,
+// gradients, CSP write notes, prefetch pushes — moves on a mesh of
+// worker-to-worker fault-tolerant transport.Links, one TCP hop per
+// message, as the paper's decentralised CSP synchronisation and
+// PipeDream's point-to-point stage workers have it: each stage resolves
+// its dependencies from what its peers send it, with no server between
+// them. Each worker listens beside its coordinator connection and names
+// that address in its Hello; once the whole fleet has said hello, the
+// coordinator's Assign carries the peer address table, and each worker
+// dials its lower stages and accepts its higher ones behind the same
+// Hello and incarnation fence. The job's transport faults fire on the
+// sending end of each peer link. The coordinator keeps one control Link
+// per worker and relays nothing: it serves Hello/Assign, heartbeats,
+// stage-0 cuts, Done/Failed and Abort, and it observes worker death in
+// one place — a worker is declared dead when its heartbeats stop
+// arriving before the deadline or its process exits without reporting
+// a result.
 //
 // Recovery is the single-process supervision story lifted across
 // process boundaries. The coordinator is the only holder of durable
@@ -138,7 +147,7 @@ func (l *ExecLauncher) Start(ctx context.Context, w WorkerSpec) (Process, error)
 }
 
 // InProcLauncher runs each worker as a goroutine inside this process —
-// same worker code, same TCP links, same frames on the wire; only the
+// same worker code, same TCP links and mesh, same frames on the wire; only the
 // process boundary is simulated. Kill cancels the worker's context
 // without any farewell frame, which from the coordinator's side is
 // indistinguishable from kill -9: the connection just dies.

@@ -15,6 +15,7 @@ import (
 	"naspipe/internal/engine"
 	"naspipe/internal/fault"
 	"naspipe/internal/supervise"
+	"naspipe/internal/telemetry"
 	"naspipe/internal/train"
 )
 
@@ -461,4 +462,50 @@ type noLauncher struct{ t *testing.T }
 func (l noLauncher) Start(context.Context, distrib.WorkerSpec) (distrib.Process, error) {
 	l.t.Error("a worker was launched")
 	return nil, context.Canceled
+}
+
+// TestFleetSurvivesLinkFaults runs a fleet whose data links drop
+// frames at a rate and at a pinned frame, are cut, and are partitioned
+// all at once. Each key fires on the sending end of a worker-to-worker
+// link whose peer is the key's stage (a partition on every link). The
+// links heal below the engine: no restart, the sequential checksum,
+// and the bus shows the retransmits and reconnects that did it.
+func TestFleetSurvivesLinkFaults(t *testing.T) {
+	checkLeaks(t)
+	spec := distSpec(t, 32)
+	spec.Faults = "seed=5,linkdrop=0.02,linkdropat=1:10,disconnect=2:15,partition=30"
+	bus := telemetry.NewBus(0)
+	co, err := distrib.NewCoordinator(distrib.CoordConfig{
+		Spec: spec, RunID: "link-fault-test", Tel: bus, Log: t.Logf,
+		Launcher: &distrib.InProcLauncher{Tel: bus, Log: t.Logf},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	res, rep, err := co.Run(ctx)
+	if err != nil {
+		t.Fatalf("fleet run under link faults: %v\nincidents:\n%s", err, rep.Timeline())
+	}
+	if rep.Restarts != 0 || res.Completed != spec.Subnets {
+		t.Fatalf("%d restarts with %d/%d completed, want 0 and all\n%s",
+			rep.Restarts, res.Completed, spec.Subnets, rep.Timeline())
+	}
+	tc, _ := spec.TrainConfig()
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := train.Sequential(tc, cfg.ResolveSubnets()).Checksum; res.Checksum != want {
+		t.Fatalf("fleet checksum %016x, want sequential %016x", res.Checksum, want)
+	}
+	for _, op := range []telemetry.Op{telemetry.OpLinkDrop, telemetry.OpLinkCut,
+		telemetry.OpLinkRetransmit, telemetry.OpLinkReconnect} {
+		t.Logf("%s: %d", op, bus.Count(op))
+	}
+	if bus.Count(telemetry.OpLinkRetransmit) < 1 || bus.Count(telemetry.OpLinkReconnect) < 1 {
+		t.Fatalf("bus saw %d link-retransmit and %d link-reconnect events, want at least one of each",
+			bus.Count(telemetry.OpLinkRetransmit), bus.Count(telemetry.OpLinkReconnect))
+	}
 }

@@ -78,21 +78,47 @@ func Aborted(err error) bool {
 	return errors.As(err, &a)
 }
 
-// starTransport adapts the worker's single coordinator link to the
-// engine's Transport interface. Sends frame straight onto the link
-// (the coordinator routes by destination stage); receives are demuxed
-// into per-stage queues by the worker's control loop.
-type starTransport struct {
-	link *transport.Link
-	qs   map[int]chan transport.Msg
+// meshTransport is the worker's engine Transport: one fault-tolerant
+// Link to every peer stage, so each message crosses one TCP hop. Sends
+// go straight onto the destination's link, and a broadcast is encoded
+// once and queued on every peer link; the peer links' receive pumps feed
+// the one stage queue the engine drains.
+type meshTransport struct {
+	links []*transport.Link // by peer stage; nil at this worker's own
+	in    chan transport.Msg
 }
 
-func (t *starTransport) Send(m transport.Msg) error { return t.link.Send(m.Frame()) }
+func (t *meshTransport) Send(m transport.Msg) error {
+	f := m.Frame()
+	if m.To != transport.Broadcast {
+		if m.To < 0 || m.To >= len(t.links) || t.links[m.To] == nil {
+			return fmt.Errorf("distrib: no data link from stage %d to stage %d", m.From, m.To)
+		}
+		return t.links[m.To].Send(f)
+	}
+	for j, l := range t.links {
+		if l != nil && j != m.From {
+			f.To = j
+			if err := l.Send(f); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
-func (t *starTransport) Recv(stage int) <-chan transport.Msg { return t.qs[stage] }
+func (t *meshTransport) Recv(int) <-chan transport.Msg { return t.in }
 
-// Close is a no-op: the worker owns the link's lifecycle.
-func (t *starTransport) Close() error { return nil }
+// Close closes every peer link. The engine never calls it; the worker
+// does, on its way out.
+func (t *meshTransport) Close() error {
+	for _, l := range t.links {
+		if l != nil {
+			l.Close()
+		}
+	}
+	return nil
+}
 
 // cutSender forwards stage-0 consistency cuts to the coordinator's
 // checkpoint recorder as reliable FrameCut messages; cuts and the
@@ -120,10 +146,18 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
+	// Peers reach this worker's data links on the interface it reaches
+	// the coordinator by; the listener opens beside the first coordinator
+	// connection and its address rides every Hello.
+	var peers net.Listener
+	defer func() {
+		if peers != nil {
+			peers.Close()
+		}
+	}()
 	// Every fresh connection introduces itself before carrying
 	// anything else, so reconnects re-identify automatically and the
 	// coordinator can attach the socket to the right link.
-	hello := transport.Hello{RunID: wc.RunID, Stage: wc.Stage, Incarnation: wc.Incarnation}.Encode()
 	link := transport.NewLink(transport.LinkConfig{
 		Local: wc.Stage, Peer: transport.Coordinator,
 		Redial: func(ctx context.Context) (net.Conn, error) {
@@ -132,10 +166,16 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 			if err != nil {
 				return nil, err
 			}
-			if err := transport.WriteFrame(conn, transport.Frame{
-				Type: transport.FrameHello, From: wc.Stage, To: transport.Coordinator,
-				Payload: hello,
-			}); err != nil {
+			if peers == nil {
+				host, _, _ := net.SplitHostPort(conn.LocalAddr().String())
+				if peers, err = net.Listen("tcp", net.JoinHostPort(host, "0")); err != nil {
+					conn.Close()
+					return nil, err
+				}
+			}
+			hello := transport.Hello{RunID: wc.RunID, Stage: wc.Stage, Incarnation: wc.Incarnation,
+				Addr: peers.Addr().String()}
+			if err := writeHello(conn, hello, transport.Coordinator); err != nil {
 				conn.Close()
 				return nil, err
 			}
@@ -148,10 +188,12 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 		return fmt.Errorf("distrib: worker %d connecting to %s: %w", wc.Stage, wc.Addr, err)
 	}
 	wc.logf("worker %d: connected to %s (incarnation %d)", wc.Stage, wc.Addr, wc.Incarnation)
+	// Beacons start with the connection: the assignment waits for the
+	// whole fleet's Hellos, and the death deadline runs meanwhile.
+	probe := &engine.RunProbe{}
+	go heartbeatLoop(ctx, wc, link, probe)
 
-	// Wait for the assignment; data frames racing ahead of it (another
-	// stage started first) are buffered and replayed into the demux.
-	assign, pending, err := awaitAssign(ctx, wc, link)
+	assign, err := awaitAssign(ctx, wc, link)
 	if err != nil {
 		return err
 	}
@@ -161,20 +203,19 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	}
 	n := cfg.NumSubnets
 	wc.logf("worker %d: assigned D=%d cursor=%d (%d subnets to run)", wc.Stage, assign.D, assign.Cursor, n)
+	release := make(chan struct{}, 1)
+	go demux(ctx, cancel, link, release)
 
-	st := &starTransport{link: link, qs: map[int]chan transport.Msg{
-		wc.Stage: make(chan transport.Msg, engine.DistQueueCap(assign.D, n)),
-	}}
-	cfg.Dist = &engine.DistConfig{Transport: st, Stages: []int{wc.Stage}}
-	probe := &engine.RunProbe{}
+	mesh, err := joinMesh(ctx, cancel, wc, assign, peers, cfg.Faults, engine.DistQueueCap(assign.D, n))
+	defer mesh.Close()
+	if err != nil {
+		return err
+	}
+	cfg.Dist = &engine.DistConfig{Transport: mesh, Stages: []int{wc.Stage}}
 	cfg.Probe = probe
 	if wc.Stage == 0 {
 		cfg.Checkpoint = cutSender{link: link, stage: 0}
 	}
-
-	release := make(chan struct{}, 1)
-	go demux(ctx, cancel, link, st, pending, release)
-	go heartbeatLoop(ctx, wc, link, probe)
 
 	res, err := engine.RunConcurrent(ctx, cfg)
 	if err == nil {
@@ -213,34 +254,168 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	return err
 }
 
-// awaitAssign reads frames until the coordinator's assignment arrives,
-// buffering any engine traffic that raced ahead of it.
-func awaitAssign(ctx context.Context, wc WorkerConfig, link *transport.Link) (transport.Assign, []transport.Frame, error) {
-	var pending []transport.Frame
+// writeHello introduces a fresh connection to the coordinator or a peer.
+func writeHello(conn net.Conn, h transport.Hello, to int) error {
+	return transport.WriteFrame(conn, transport.Frame{
+		Type: transport.FrameHello, From: h.Stage, To: to, Payload: h.Encode(),
+	})
+}
+
+// awaitAssign reads the control link until the coordinator's
+// assignment arrives.
+func awaitAssign(ctx context.Context, wc WorkerConfig, link *transport.Link) (transport.Assign, error) {
 	deadline := time.NewTimer(wc.AssignTimeout)
 	defer deadline.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			return transport.Assign{}, nil, context.Cause(ctx)
+			return transport.Assign{}, context.Cause(ctx)
 		case <-deadline.C:
-			return transport.Assign{}, nil, fmt.Errorf("distrib: worker %d: no assignment within %v", wc.Stage, wc.AssignTimeout)
+			return transport.Assign{}, fmt.Errorf("distrib: worker %d: no assignment within %v", wc.Stage, wc.AssignTimeout)
 		case f, ok := <-link.In():
 			if !ok {
-				return transport.Assign{}, nil, fmt.Errorf("distrib: worker %d: link closed before assignment", wc.Stage)
+				return transport.Assign{}, fmt.Errorf("distrib: worker %d: link closed before assignment", wc.Stage)
 			}
 			switch f.Type {
 			case transport.FrameAssign:
 				a, err := transport.DecodeAssign(f.Payload)
 				if err != nil {
-					return transport.Assign{}, nil, fmt.Errorf("distrib: worker %d: bad assignment: %w", wc.Stage, err)
+					return transport.Assign{}, fmt.Errorf("distrib: worker %d: bad assignment: %w", wc.Stage, err)
 				}
-				return a, pending, nil
+				return a, nil
 			case transport.FrameAbort:
 				a, _ := transport.DecodeAbort(f.Payload)
-				return transport.Assign{}, nil, &abortError{reason: a.Reason}
-			default:
-				pending = append(pending, f)
+				return transport.Assign{}, &abortError{reason: a.Reason}
+			}
+		}
+	}
+}
+
+// joinMesh opens this worker's data links, one per peer stage: it dials
+// every lower stage at the address the assignment lists and accepts
+// every higher one on its own listener, each side presenting a Hello
+// that the other fences on run ID and incarnation, as the coordinator
+// fences its own. The job's transport faults (linkdrop, linkdropat,
+// disconnect, partition) fire on the sending end of each link, the
+// link's peer standing for the key's stage. joinMesh returns once every
+// link is up, with a receive pump per link feeding the stage queue; the
+// listener keeps accepting for the life of the worker, which is how a
+// cut link redialled by its peer heals. The returned transport is the
+// caller's to Close, even on error.
+func joinMesh(ctx context.Context, cancel context.CancelCauseFunc, wc WorkerConfig, a transport.Assign,
+	peers net.Listener, plan *fault.Plan, queueCap int) (*meshTransport, error) {
+	mesh := &meshTransport{links: make([]*transport.Link, a.D), in: make(chan transport.Msg, queueCap)}
+	if len(a.Peers) != a.D {
+		return mesh, fmt.Errorf("distrib: worker %d: assignment lists %d peer addresses for %d stages", wc.Stage, len(a.Peers), a.D)
+	}
+	var inj *fault.Injector
+	if plan.TransportEnabled() {
+		var err error
+		if inj, err = fault.NewInjector(*plan, a.Incarnation); err != nil {
+			return mesh, err
+		}
+	}
+	hello := transport.Hello{RunID: wc.RunID, Stage: wc.Stage, Incarnation: wc.Incarnation}
+	for j := range mesh.links {
+		if j == wc.Stage {
+			continue
+		}
+		lc := transport.LinkConfig{Local: wc.Stage, Peer: j, Injector: inj, Tel: wc.Tel}
+		if j < wc.Stage {
+			addr, to := a.Peers[j], j
+			lc.Redial = func(ctx context.Context) (net.Conn, error) {
+				d := net.Dialer{Timeout: wc.DialTimeout}
+				conn, err := d.DialContext(ctx, "tcp", addr)
+				if err != nil {
+					return nil, err
+				}
+				if err := writeHello(conn, hello, to); err != nil {
+					conn.Close()
+					return nil, err
+				}
+				return conn, nil
+			}
+		}
+		mesh.links[j] = transport.NewLink(lc)
+	}
+
+	up := make(chan int, a.D) // each peer stage once, on its link's first connection
+	go acceptPeers(wc, peers, mesh.links, up)
+	for j, l := range mesh.links {
+		if l != nil && j < wc.Stage {
+			go func(j int, l *transport.Link) {
+				if l.Connect(ctx) == nil {
+					up <- j
+				}
+			}(j, l)
+		}
+	}
+	deadline := time.NewTimer(wc.AssignTimeout)
+	defer deadline.Stop()
+	for joined := 0; joined < a.D-1; joined++ {
+		select {
+		case <-up:
+		case <-ctx.Done():
+			return mesh, context.Cause(ctx)
+		case <-deadline.C:
+			return mesh, fmt.Errorf("distrib: worker %d: %d of %d peer links up within %v", wc.Stage, joined, a.D-1, wc.AssignTimeout)
+		}
+	}
+	for _, l := range mesh.links {
+		if l != nil {
+			go pumpPeer(ctx, cancel, l, mesh.in)
+		}
+	}
+	return mesh, nil
+}
+
+// acceptPeers attaches every connection a higher peer stage dials to
+// that stage's link, once its Hello passes the fence, until the
+// listener closes with the worker. A Hello from another run or
+// incarnation, or from a stage that does not dial this one, is refused.
+func acceptPeers(wc WorkerConfig, ln net.Listener, links []*transport.Link, up chan<- int) {
+	seen := make([]bool, len(links))
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		f, err := transport.ReadFrame(conn)
+		if err != nil || f.Type != transport.FrameHello {
+			conn.Close()
+			continue
+		}
+		h, err := transport.DecodeHello(f.Payload)
+		if err != nil || h.RunID != wc.RunID || h.Incarnation != wc.Incarnation ||
+			h.Stage <= wc.Stage || h.Stage >= len(links) {
+			conn.Close()
+			continue
+		}
+		conn.SetReadDeadline(time.Time{})
+		links[h.Stage].Attach(conn)
+		if !seen[h.Stage] {
+			seen[h.Stage] = true
+			up <- h.Stage
+		}
+	}
+}
+
+// pumpPeer is one peer link's receive loop: each engine frame decoded
+// into the stage queue, in the link's order, until the link closes.
+func pumpPeer(ctx context.Context, cancel context.CancelCauseFunc, l *transport.Link, in chan<- transport.Msg) {
+	for f := range l.In() {
+		switch f.Type {
+		case transport.FrameFwd, transport.FrameBwd, transport.FrameNote, transport.FrameFetch:
+			m, err := transport.MsgFromFrame(f)
+			if err != nil {
+				cancel(fmt.Errorf("distrib: corrupt %s frame: %w", f.Type, err))
+				return
+			}
+			select {
+			case in <- m:
+			case <-ctx.Done():
+				return
 			}
 		}
 	}
@@ -278,39 +453,10 @@ func workerEngineConfig(wc WorkerConfig, a transport.Assign) (engine.Config, err
 	return cfg.ResumeAt(full, a.Cursor, a.Incarnation), nil
 }
 
-// demux is the worker's inbound frame loop: engine traffic into the
-// stage queue, Abort into run cancellation, release into the linger
-// channel. It is the sole reader of link.In() once the run starts.
-func demux(ctx context.Context, cancel context.CancelCauseFunc, link *transport.Link,
-	st *starTransport, pending []transport.Frame, release chan struct{}) {
-	handle := func(f transport.Frame) {
-		switch f.Type {
-		case transport.FrameFwd, transport.FrameBwd, transport.FrameNote, transport.FrameFetch:
-			m, err := transport.MsgFromFrame(f)
-			if err != nil {
-				cancel(fmt.Errorf("distrib: corrupt %s frame: %w", f.Type, err))
-				return
-			}
-			q := st.qs[f.To]
-			if q == nil {
-				return // not ours; a confused relay, drop
-			}
-			select {
-			case q <- m:
-			case <-ctx.Done():
-			}
-		case transport.FrameAbort:
-			a, _ := transport.DecodeAbort(f.Payload)
-			select {
-			case release <- struct{}{}:
-			default:
-			}
-			cancel(&abortError{reason: a.Reason})
-		}
-	}
-	for _, f := range pending {
-		handle(f)
-	}
+// demux is the worker's control loop: an Abort from the coordinator
+// cancels the run and releases the linger. It is the sole reader of the
+// coordinator link's In() once the run starts.
+func demux(ctx context.Context, cancel context.CancelCauseFunc, link *transport.Link, release chan struct{}) {
 	for {
 		select {
 		case <-ctx.Done():
@@ -319,7 +465,14 @@ func demux(ctx context.Context, cancel context.CancelCauseFunc, link *transport.
 			if !ok {
 				return
 			}
-			handle(f)
+			if f.Type == transport.FrameAbort {
+				a, _ := transport.DecodeAbort(f.Payload)
+				select {
+				case release <- struct{}{}:
+				default:
+				}
+				cancel(&abortError{reason: a.Reason})
+			}
 		}
 	}
 }

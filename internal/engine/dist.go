@@ -8,8 +8,8 @@
 // the transport and the stage. Which transport is the only thing that
 // varies: a private ChanTransport built here when Config.Dist is nil, or
 // the caller's when a DistConfig names the subset of stages this process
-// executes — a shared ChanTransport in tests, the worker's TCP star
-// (internal/distrib) in a fleet. Scheduler, admission rule, trace
+// executes — a shared ChanTransport in tests, the worker's mesh of TCP
+// links to its peer stages (internal/distrib) in a fleet. Scheduler, admission rule, trace
 // emission and the send/receive code are identical in all of them.
 //
 // Senders never block. A transport that cannot take a message — closed,
@@ -30,7 +30,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"naspipe/internal/clock"
 	"naspipe/internal/csp"
@@ -229,121 +228,140 @@ func FilterTrace(tr *trace.Trace, stages []int) *trace.Trace {
 // workers whose local orders say nothing about each other. Only the
 // per-layer gate restores that cross-worker edge.
 func MergeStageTraces(depth, base int, parts []*trace.Trace) *trace.Trace {
-	rank := func(ev trace.Event) int {
-		seq := ev.Subnet - base
-		if ev.Kind == trace.Read {
-			return seq*2*depth + ev.Stage
-		}
-		return seq*2*depth + depth + (depth - 1 - ev.Stage)
-	}
-	// Per-subnet causal chains over the (kind, stage) groups that
-	// actually occur — a subnet with an empty partition on some stage
-	// simply has no group there. The chain orders each subnet's READs
-	// downstream then its WRITEs upstream; an access is eligible when
-	// its group is the subnet's current chain position, which encodes
-	// both pipeline causality and reads-before-first-write.
-	type group struct {
-		kind  trace.AccessKind
-		stage int
-	}
-	// Per-layer CSP chains over the (subnet, kind) groups that occur on
-	// each layer, in the sequential order Definition 1 fixes: subnets
-	// ascending, READs before WRITEs within a subnet. For one subnet a
-	// layer lives on one stage, so each group comes from one worker and
-	// group-internal order is that worker's local order.
-	type lgroup struct {
-		seq  int
-		kind trace.AccessKind
-	}
-	counts := make(map[int]map[group]int)
-	lcounts := make(map[supernet.LayerID]map[lgroup]int)
+	out := &trace.Trace{}
+	// Dense index spaces: subnets by seq − base and layers by LayerID,
+	// each shifted by its smallest value so any input indexes in range.
+	total, qlo, qhi, llo, lhi := 0, 0, 0, 0, 0
 	for _, tr := range parts {
 		for _, ev := range tr.Events {
-			q := ev.Subnet - base
-			if counts[q] == nil {
-				counts[q] = make(map[group]int)
+			q, l := ev.Subnet-base, int(ev.Layer)
+			if total == 0 {
+				qlo, qhi, llo, lhi = q, q, l, l
 			}
-			counts[q][group{ev.Kind, ev.Stage}]++
-			if lcounts[ev.Layer] == nil {
-				lcounts[ev.Layer] = make(map[lgroup]int)
-			}
-			lcounts[ev.Layer][lgroup{q, ev.Kind}]++
+			qlo, qhi, llo, lhi = min(qlo, q), max(qhi, q), min(llo, l), max(lhi, l)
+			total++
 		}
 	}
-	chains := make(map[int][]group, len(counts))
-	for q, gs := range counts {
-		var chain []group
-		for k := 0; k < depth; k++ {
-			if gs[group{trace.Read, k}] > 0 {
-				chain = append(chain, group{trace.Read, k})
+	if total == 0 {
+		return out
+	}
+	nq, nl := qhi-qlo+1, lhi-llo+1
+	// Per-subnet causal chains. A subnet's chain walks its READ groups
+	// downstream, then its WRITE groups upstream: chain index ci is the
+	// stage for a READ and 2D−1−stage for a WRITE, which is also the
+	// access's canonical rank within the subnet. left[q·2D+ci] counts the
+	// group's accesses not yet emitted; pos[q] is the subnet's current
+	// chain position, the first group with any left (a subnet with an
+	// empty partition on some stage simply has no group there). An access
+	// is eligible when its group is at pos, which encodes both pipeline
+	// causality and reads-before-first-write.
+	width := 2 * depth
+	chainIndex := func(ev *trace.Event) int {
+		switch {
+		case ev.Stage < 0 || ev.Stage >= depth:
+			return -1
+		case ev.Kind == trace.Read:
+			return ev.Stage
+		case ev.Kind == trace.Write:
+			return width - 1 - ev.Stage
+		}
+		return -1
+	}
+	left := make([]int, nq*width)
+	// Per-layer CSP chains over the (subnet, kind) groups that occur on
+	// each layer, in the sequential order Definition 1 fixes: subnets
+	// ascending, READs before WRITEs within a subnet — the group key
+	// q·2+kind. For one subnet a layer lives on one stage, so each group
+	// comes from one worker and group-internal order is that worker's
+	// local order. The chains are built by one counting sort on the key.
+	keyCount := make([]int, nq*2+1)
+	for _, tr := range parts {
+		for i := range tr.Events {
+			ev := &tr.Events[i]
+			if ci := chainIndex(ev); ci >= 0 {
+				q := ev.Subnet - base - qlo
+				left[q*width+ci]++
+				keyCount[q*2+int(ev.Kind)+1]++
 			}
 		}
-		for k := depth - 1; k >= 0; k-- {
-			if gs[group{trace.Write, k}] > 0 {
-				chain = append(chain, group{trace.Write, k})
+	}
+	for k := 1; k < len(keyCount); k++ {
+		keyCount[k] += keyCount[k-1]
+	}
+	byKey := make([]int, keyCount[len(keyCount)-1]) // layers, grouped by key ascending
+	for _, tr := range parts {
+		for i := range tr.Events {
+			ev := &tr.Events[i]
+			if chainIndex(ev) >= 0 {
+				k := (ev.Subnet-base-qlo)*2 + int(ev.Kind)
+				byKey[keyCount[k]] = int(ev.Layer) - llo
+				keyCount[k]++
 			}
 		}
-		chains[q] = chain
 	}
-	lchains := make(map[supernet.LayerID][]lgroup, len(lcounts))
-	for l, gs := range lcounts {
-		chain := make([]lgroup, 0, len(gs))
-		for g := range gs {
-			chain = append(chain, g)
+	type lgroup struct{ key, left int }
+	lchains := make([][]lgroup, nl)
+	for k, i := 0, 0; i < len(byKey); i++ {
+		for i >= keyCount[k] {
+			k++
 		}
-		sort.Slice(chain, func(i, j int) bool { // Read < Write
-			a, b := chain[i], chain[j]
-			return a.seq < b.seq || a.seq == b.seq && a.kind < b.kind
-		})
-		lchains[l] = chain
+		l := byKey[i]
+		if c := lchains[l]; len(c) > 0 && c[len(c)-1].key == k {
+			c[len(c)-1].left++
+		} else {
+			lchains[l] = append(c, lgroup{key: k, left: 1})
+		}
 	}
-	type qgroup struct {
-		q int
-		g group
+	pos := make([]int, nq)
+	for q := range pos {
+		for pos[q] < width && left[q*width+pos[q]] == 0 {
+			pos[q]++
+		}
 	}
-	type layerGroup struct {
-		l supernet.LayerID
-		g lgroup
-	}
-	pos := make(map[int]int, len(chains))
-	lpos := make(map[supernet.LayerID]int, len(lchains))
-	emitted := make(map[qgroup]int)
-	lemitted := make(map[layerGroup]int)
+	lpos := make([]int, nl)
 	idx := make([]int, len(parts))
-	out := &trace.Trace{}
+	out.Events = make([]trace.Event, 0, total)
 	for {
 		best, bestRank := -1, 0
 		for i, tr := range parts {
 			if idx[i] >= len(tr.Events) {
 				continue
 			}
-			ev := tr.Events[idx[i]]
-			q := ev.Subnet - base
-			if chains[q][pos[q]] != (group{ev.Kind, ev.Stage}) {
+			ev := &tr.Events[idx[i]]
+			ci := chainIndex(ev)
+			q := ev.Subnet - base - qlo
+			if ci < 0 || pos[q] != ci {
 				continue
 			}
-			if lchains[ev.Layer][lpos[ev.Layer]] != (lgroup{q, ev.Kind}) {
+			l := int(ev.Layer) - llo
+			if lchains[l][lpos[l]].key != q*2+int(ev.Kind) {
 				continue
 			}
-			if r := rank(ev); best < 0 || r < bestRank {
+			if r := q*width + ci; best < 0 || r < bestRank {
 				best, bestRank = i, r
 			}
 		}
 		if best < 0 {
-			return out
+			break
 		}
 		ev := parts[best].Events[idx[best]]
 		idx[best]++
 		ev.Order = len(out.Events)
 		out.Events = append(out.Events, ev)
-		q := ev.Subnet - base
-		k := qgroup{q, group{ev.Kind, ev.Stage}}
-		if emitted[k]++; emitted[k] == counts[q][k.g] {
-			pos[q]++
+		q, l := bestRank/width, int(ev.Layer)-llo
+		if left[bestRank]--; left[bestRank] == 0 {
+			for pos[q] < width && left[q*width+pos[q]] == 0 {
+				pos[q]++
+			}
 		}
-		lk := layerGroup{ev.Layer, lgroup{q, ev.Kind}}
-		if lemitted[lk]++; lemitted[lk] == lcounts[ev.Layer][lk.g] {
-			lpos[ev.Layer]++
+		if g := &lchains[l][lpos[l]]; g.left > 1 {
+			g.left--
+		} else {
+			lpos[l]++
 		}
 	}
+	if len(out.Events) == 0 {
+		out.Events = nil
+	}
+	return out
 }

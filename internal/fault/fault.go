@@ -128,7 +128,11 @@ type Plan struct {
 	BackoffMax  time.Duration // 0 = default 2ms; backoff ceiling
 
 	// Transport-level faults, consulted by the multi-process transport
-	// plane's links (the in-proc channel path has no wire to cut).
+	// plane's links (the in-proc channel path has no wire to cut). In a
+	// fleet they fire on the sending end of the worker-to-worker data
+	// links, and a key's stage names the link's peer: linkdropat=2:10
+	// drops the 10th data frame every worker sends to stage 2. The
+	// coordinator's control links carry no faults.
 	//
 	// LinkDropRate is the probability that one data frame is discarded
 	// at the sender before reaching the wire; the link's retransmit
@@ -136,23 +140,25 @@ type Plan struct {
 	// are keyed by (incarnation, stage, frame seqno), so a given frame
 	// is dropped at most once and delivery always terminates.
 	LinkDropRate float64
-	// LinkDrops are targeted single-frame drops: stage's link discards
-	// exactly the AfterFrames-th data frame of the named incarnation.
+	// LinkDrops are targeted single-frame drops: each link whose peer is
+	// the named stage discards exactly its AfterFrames-th data frame of
+	// the named incarnation.
 	LinkDrops []LinkEvent
-	// Disconnects are targeted link cuts: the named stage's link to the
-	// coordinator is severed once it has sent AfterFrames data frames in
+	// Disconnects are targeted link cuts: each link whose peer is the
+	// named stage is severed once it has sent AfterFrames data frames in
 	// the named incarnation. The link's reconnect loop (shared backoff
 	// policy) restores it and retransmits everything unacknowledged.
 	Disconnects []LinkEvent
 	// Partitions sever every link at once: each link cuts itself when
 	// its own data-frame count reaches AfterFrames in the named
-	// incarnation (Stage is ignored), so the whole fleet loses the
-	// coordinator around the same point and must heal by reconnecting.
+	// incarnation (Stage is ignored), so the whole mesh goes down
+	// around the same point and must heal by reconnecting.
 	Partitions []LinkEvent
 }
 
-// LinkEvent names one deterministic transport fault site: a stage's
-// link, after it has sent AfterFrames data frames, in one incarnation.
+// LinkEvent names one deterministic transport fault site: the links to
+// a peer stage, after each has sent AfterFrames data frames, in one
+// incarnation.
 type LinkEvent struct {
 	Incarnation int
 	Stage       int
@@ -268,7 +274,11 @@ func (p Plan) withDefaults() Plan {
 // crashat/wedgeat take stage:seq:kind with kind F or B (the one-shot
 // incarnation-0 target), or incarnation:stage:seq:kind to append a
 // storm entry pinned to that incarnation; repeating the key builds the
-// full storm. Unknown keys are errors.
+// full storm. The transport keys act on a fleet's data links:
+// linkdrop=rate, linkdropat and disconnect take stage:frames or
+// incarnation:stage:frames, where stage names the link's peer (the
+// stage the frames go to), and partition takes frames or
+// incarnation:frames and cuts every link. Unknown keys are errors.
 func ParsePlan(spec string) (*Plan, error) {
 	p := &Plan{}
 	for _, kv := range strings.Split(spec, ",") {

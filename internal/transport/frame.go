@@ -9,12 +9,15 @@
 //     sequence-numbered delivery, cumulative acks with go-back-N
 //     retransmission, receiver-side dedup, and an interruptible
 //     exponential-backoff reconnect loop (internal/backoff — the same
-//     policy the supervision plane restarts with). Coordinator and
-//     worker processes (internal/distrib) compose Links into a star.
+//     policy the supervision plane restarts with). Worker processes
+//     (internal/distrib) compose Links into a mesh for engine traffic,
+//     and each holds one more to the coordinator for control.
 //     One writer goroutine per Link owns the socket's write side:
 //     senders and go-back-N queue encoded frames, the reader never
-//     writes and only marks an ack due, and each writer pass sends the
-//     queue plus one coalesced cumulative ack in a single Write.
+//     writes, and each writer pass sends the queue in a single Write.
+//     Acks are deferred: a cumulative ack rides the next data batch,
+//     and with no data to carry it waits for ackEvery in-order frames
+//     or ackDelay; an ack announcing a discard goes at once.
 //
 // The wire format is deliberately boring: every frame is
 //
@@ -34,7 +37,7 @@ import (
 // Wire constants.
 const (
 	Magic       = 0x4E50 // "NP"
-	Version     = 1
+	Version     = 2
 	headerBytes = 16      // magic..seq, after the length prefix
 	MaxFrame    = 1 << 22 // 4 MiB hard ceiling on a frame body
 )
@@ -44,8 +47,8 @@ const (
 type FrameType uint8
 
 const (
-	FrameHello     FrameType = iota + 1 // worker → coordinator: identify (RunID, stage, incarnation)
-	FrameAssign                         // coordinator → worker: stage assignment + job spec suffix
+	FrameHello     FrameType = iota + 1 // worker → coordinator or peer: identify (RunID, stage, incarnation, data-link address)
+	FrameAssign                         // coordinator → worker: stage assignment + job spec suffix + peer address table
 	FrameFwd                            // activation handoff: forward seq to the next stage
 	FrameBwd                            // gradient handoff: backward seq + carried releases
 	FrameNote                           // completion note broadcast (scheduler bookkeeping)
@@ -89,7 +92,7 @@ func (t FrameType) Sequenced() bool {
 
 // Frame is one wire frame. From/To are stage addresses: >= 0 is a
 // pipeline stage, Broadcast (-1) fans out to every stage but From, and
-// Coordinator (-2) addresses the hub of the star. Seq is the link seqno
+// Coordinator (-2) addresses the fleet's coordinator. Seq is the link seqno
 // for sequenced types (assigned by Link.Send; zero on unsequenced
 // frames) and the cumulative ack cursor on FrameAck.
 type Frame struct {

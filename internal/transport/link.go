@@ -55,14 +55,22 @@ type LinkConfig struct {
 //
 // Only the writer goroutine writes to the link's sockets: Send, the
 // go-back-N and the backstop queue encoded frames on out, and the reader
-// only marks an ack due, so neither end's reader can block on the other.
+// only queues an ack or marks one due, so neither end's reader can block
+// on the other.
+//
+// Acks are deferred: a cumulative ack rides the next data batch, and
+// with nothing to send it waits until ackEvery in-order frames are due
+// or ackDelay has passed on the one ack timer, armed only while an ack
+// waits. An ack for a discarded frame — the duplicate that starts the
+// peer's go-back-N — goes out at once.
 type Link struct {
-	cfg    LinkConfig
-	ctx    context.Context
-	cancel context.CancelFunc
-	in     chan Frame
-	wake   chan struct{} // capacity 1: the writer has something to look at
-	wg     sync.WaitGroup
+	cfg      LinkConfig
+	ctx      context.Context
+	cancel   context.CancelFunc
+	in       chan Frame
+	wake     chan struct{} // capacity 1: the writer has something to look at
+	ackTimer *time.Timer   // the deferred ack's deadline; read by the writer
+	wg       sync.WaitGroup
 
 	mu           sync.Mutex
 	conn         net.Conn
@@ -70,6 +78,8 @@ type Link struct {
 	out          []byte  // encoded frames queued for conn, in send order
 	ackDue       bool    // a sequenced frame arrived since the last ack was queued
 	dupAckDue    bool    // and one of them was discarded (duplicate or post-gap)
+	ackArmed     bool    // ackTimer runs and its tick is not yet taken
+	ackLate      bool    // a due ack has waited ackDelay: the writer sends it alone
 	ackQueued    uint64  // the cursor the last queued ack carried
 	nextSeq      uint64  // last data seqno assigned
 	acked        uint64  // peer's cumulative ack
@@ -85,9 +95,27 @@ type Link struct {
 // ack to trigger go-back-N), the window is re-sent wholesale.
 const retransmitAfter = 40 * time.Millisecond
 
+// The deferred-ack bounds: with nothing to send, a receiver acks once
+// ackEvery in-order frames are due or the oldest has waited ackDelay,
+// far inside retransmitAfter, so a quiet receiver never trips the
+// sender's backstop and a one-way flood keeps the sender's window
+// within ackEvery frames of what is still on the wire.
+const (
+	ackEvery = 32
+	ackDelay = time.Millisecond
+)
+
 // NewLink returns an unconnected link. Dial-side links call Connect;
 // accept-side links wait for Attach.
 func NewLink(cfg LinkConfig) *Link {
+	l := newLink(cfg)
+	l.wg.Add(1)
+	go l.writer()
+	return l
+}
+
+// newLink builds a link without its writer goroutine.
+func newLink(cfg LinkConfig) *Link {
 	if cfg.InboxCap <= 0 {
 		cfg.InboxCap = 256
 	}
@@ -101,10 +129,10 @@ func NewLink(cfg LinkConfig) *Link {
 		cancel:       cancel,
 		in:           make(chan Frame, cfg.InboxCap),
 		wake:         make(chan struct{}, 1),
+		ackTimer:     time.NewTimer(time.Hour),
 		lastProgress: time.Now(),
 	}
-	l.wg.Add(1)
-	go l.writer()
+	l.ackTimer.Stop()
 	return l
 }
 
@@ -150,7 +178,7 @@ func (l *Link) Attach(conn net.Conn) {
 	// queued for the dead one is either in the unacked window, queued
 	// again just below, or unsequenced and best-effort.
 	l.out = l.out[:0]
-	l.ackDue, l.dupAckDue = false, false
+	l.ackDue, l.dupAckDue, l.ackLate = false, false, false
 	l.retransmitLocked()
 	l.wg.Add(1)
 	go l.reader(conn, l.gen)
@@ -224,6 +252,7 @@ func (l *Link) Close() error {
 	l.mu.Unlock()
 	l.cancel()
 	l.wg.Wait()
+	l.ackTimer.Stop()
 	close(l.in)
 	return nil
 }
@@ -256,23 +285,43 @@ func (l *Link) reader(conn net.Conn, gen int) {
 
 // accept runs receive-side reliability for one sequenced frame: exactly
 // the next expected seqno is delivered; duplicates and post-gap frames
-// are discarded. Either way an ack of the cumulative cursor becomes due
-// (the writer coalesces every ack due since its last pass into one), and
-// a discarded frame makes that ack a duplicate, which triggers the
-// sender's go-back-N.
+// are discarded. Either way an ack of the cumulative cursor becomes due.
+// A discarded frame makes that ack a duplicate, which triggers the
+// sender's go-back-N, so the writer is woken to send it now (coalescing
+// every ack due since its last pass into one). An in-order frame's ack
+// is deferred: the reader queues it itself once ackEvery frames are
+// due, and otherwise arms the ack timer, unless the next data batch
+// carries it first.
 func (l *Link) accept(f Frame) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ok := f.Seq == l.recvSeq+1
-	if ok {
-		l.recvSeq = f.Seq
-		l.emit(telemetry.OpLinkRecv, int64(f.Seq))
-	} else {
-		l.dupAckDue = true
-	}
 	l.ackDue = true
-	l.kick()
-	return ok
+	if f.Seq != l.recvSeq+1 {
+		l.dupAckDue = true
+		l.kick()
+		return false
+	}
+	l.recvSeq = f.Seq
+	l.emit(telemetry.OpLinkRecv, int64(f.Seq))
+	switch {
+	case l.recvSeq-l.ackQueued >= ackEvery:
+		l.queueAckLocked()
+		l.kick()
+	case !l.ackArmed:
+		l.ackArmed = true
+		l.ackTimer.Reset(ackDelay)
+	}
+	return true
+}
+
+// ackDeadline is the writer's half of the ack timer: the timer has
+// fired, so whatever ack is due now goes out even with no data to carry
+// it.
+func (l *Link) ackDeadline() {
+	l.mu.Lock()
+	l.ackArmed = false
+	l.ackLate = l.ackDue
+	l.mu.Unlock()
 }
 
 func (l *Link) handleAck(seq uint64) {
@@ -375,6 +424,8 @@ func (l *Link) writer() {
 		case <-l.ctx.Done():
 			return
 		case <-l.wake:
+		case <-l.ackTimer.C:
+			l.ackDeadline()
 		case <-t.C:
 			l.mu.Lock()
 			if !l.closed && len(l.unacked) > 0 && time.Since(l.lastProgress) > retransmitAfter {
@@ -395,9 +446,11 @@ func (l *Link) writer() {
 }
 
 // takeBatch hands the writer the queued bytes and the connection they
-// were queued for, first appending one cumulative ack if one is due,
-// and gives the queue the writer's spent buffer in exchange. A nil
-// connection means there is nothing to write; buf comes back unused.
+// were queued for, first appending one cumulative ack if one is due and
+// may go now — with data to ride on, for a discard, or past its
+// deadline — and gives the queue the writer's spent buffer in exchange.
+// A nil connection means there is nothing to write; buf comes back
+// unused.
 func (l *Link) takeBatch(buf []byte) (net.Conn, []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -405,20 +458,11 @@ func (l *Link) takeBatch(buf []byte) (net.Conn, []byte) {
 		// No peer to reach: what is queued is in the unacked window
 		// (Attach queues it again) or best-effort.
 		l.out = l.out[:0]
-		l.ackDue, l.dupAckDue = false, false
+		l.ackDue, l.dupAckDue, l.ackLate = false, false, false
 		return nil, buf
 	}
-	if l.ackDue {
-		ack := Frame{Type: FrameAck, From: l.cfg.Local, To: l.cfg.Peer, Seq: l.recvSeq}
-		if l.dupAckDue && l.ackQueued != l.recvSeq {
-			// The cursor moved and a frame was discarded in the same
-			// pass: announce the cursor twice so the second copy reads
-			// as the duplicate ack that starts the peer's go-back-N.
-			l.out = AppendFrame(l.out, ack)
-		}
-		l.out = AppendFrame(l.out, ack)
-		l.ackQueued = l.recvSeq
-		l.ackDue, l.dupAckDue = false, false
+	if l.ackDue && (len(l.out) > 0 || l.dupAckDue || l.ackLate) {
+		l.queueAckLocked()
 	}
 	if len(l.out) == 0 {
 		return nil, buf
@@ -426,6 +470,20 @@ func (l *Link) takeBatch(buf []byte) (net.Conn, []byte) {
 	batch := l.out
 	l.out = buf
 	return l.conn, batch
+}
+
+// queueAckLocked queues one cumulative ack of the receive cursor.
+func (l *Link) queueAckLocked() {
+	ack := Frame{Type: FrameAck, From: l.cfg.Local, To: l.cfg.Peer, Seq: l.recvSeq}
+	if l.dupAckDue && l.ackQueued != l.recvSeq {
+		// The cursor moved and a frame was discarded since the last
+		// ack: announce the cursor twice so the second copy reads as
+		// the duplicate ack that starts the peer's go-back-N.
+		l.out = AppendFrame(l.out, ack)
+	}
+	l.out = AppendFrame(l.out, ack)
+	l.ackQueued = l.recvSeq
+	l.ackDue, l.dupAckDue, l.ackLate = false, false, false
 }
 
 // emit publishes a link event attributed to the peer stage.

@@ -69,6 +69,13 @@ func collect(t *testing.T, l *Link, n int) []Frame {
 	return collectFrom(t, l, 1, n)
 }
 
+// unackedLen is the sender's window: frames sent and not yet acked.
+func (l *Link) unackedLen() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.unacked)
+}
+
 // collectFrom is collect for link seqnos first..first+n-1.
 func collectFrom(t *testing.T, l *Link, first uint64, n int) []Frame {
 	t.Helper()
@@ -327,9 +334,9 @@ func TestLinkTwoWayFloodDoesNotWedge(t *testing.T) {
 
 // TestLinkCoalescesAcks drives a link from a raw peer over net.Pipe and
 // reads every ack it writes. A burst of in-order frames is answered by
-// fewer acks than frames, the last carrying the burst's cursor; a frame
-// after a gap is still answered with the cursor, the duplicate ack the
-// sender's go-back-N keys on.
+// fewer acks than frames, the last carrying the burst's cursor once the
+// deferral bound has passed; a frame after a gap is still answered with
+// the cursor, the duplicate ack the sender's go-back-N keys on.
 func TestLinkCoalescesAcks(t *testing.T) {
 	checkLeaks(t)
 	const n = 1000
@@ -365,9 +372,9 @@ func TestLinkCoalescesAcks(t *testing.T) {
 		}
 	}
 
-	// Nothing reads acks until the whole burst is written, so the link's
-	// writer sits in its first Write while the reader runs on; what it
-	// has not written by then comes out as one ack per pass.
+	// The link sends nothing else, so each ack is deferred: one per
+	// ackEvery in-order frames, and the burst's tail once its deadline
+	// passes.
 	burst := make([]uint64, n)
 	for i := range burst {
 		burst[i] = uint64(i + 1)
@@ -405,11 +412,18 @@ func TestAckPassAnnouncesDiscardAsDuplicate(t *testing.T) {
 	near, far := net.Pipe()
 	defer far.Close()
 	defer near.Close()
-	// Built without NewLink, so no writer goroutine races the test's passes.
-	l := &Link{cfg: LinkConfig{Local: 5, Peer: Coordinator}, conn: near, wake: make(chan struct{}, 1)}
-	pass := func(arrivals ...uint64) []uint64 {
+	// Built without its writer goroutine, so nothing races the test's
+	// passes; a row's deadline stands in for the writer taking the ack
+	// timer's tick.
+	l := newLink(LinkConfig{Local: 5, Peer: Coordinator})
+	defer l.Close()
+	l.conn = near
+	pass := func(deadline bool, arrivals ...uint64) []uint64 {
 		for _, s := range arrivals {
 			l.accept(Frame{Type: FrameFwd, Seq: s})
+		}
+		if deadline {
+			l.ackDeadline()
 		}
 		_, b := l.takeBatch(nil)
 		var acks []uint64
@@ -424,16 +438,107 @@ func TestAckPassAnnouncesDiscardAsDuplicate(t *testing.T) {
 		return acks
 	}
 	for _, c := range []struct {
+		deadline       bool
 		arrivals, acks []uint64
 	}{
-		{[]uint64{1, 2, 3}, []uint64{3}}, // in order: one coalesced ack
-		{[]uint64{5}, []uint64{3}},       // post-gap: the cursor again, a duplicate
-		{[]uint64{4, 6}, []uint64{4, 4}}, // cursor moved and a discard: twice
-		{[]uint64{2}, []uint64{4}},       // stale duplicate: once
-		{nil, nil},                       // nothing due, nothing queued
+		{false, []uint64{1, 2, 3}, nil},         // in order, nothing to ride on: deferred
+		{true, nil, []uint64{3}},                // ... until its deadline: one coalesced ack
+		{false, []uint64{5}, []uint64{3}},       // post-gap: the cursor again, a duplicate
+		{false, []uint64{4, 6}, []uint64{4, 4}}, // cursor moved and a discard: twice
+		{false, []uint64{2}, []uint64{4}},       // stale duplicate: once
+		{false, nil, nil},                       // nothing due, nothing queued
 	} {
-		if got := pass(c.arrivals...); !slices.Equal(got, c.acks) {
-			t.Fatalf("frames %v answered with acks %v, want %v", c.arrivals, got, c.acks)
+		if got := pass(c.deadline, c.arrivals...); !slices.Equal(got, c.acks) {
+			t.Fatalf("frames %v (deadline %v) answered with acks %v, want %v", c.arrivals, c.deadline, got, c.acks)
+		}
+	}
+}
+
+// TestQuietReceiverAcksWithinDeferral: a receiver with nothing to send
+// still acks, within the deferral bound, so the sender's window empties
+// without its 40 ms backstop ever firing.
+func TestQuietReceiverAcksWithinDeferral(t *testing.T) {
+	checkLeaks(t)
+	for attempt := 0; attempt < 10; attempt++ {
+		tel := telemetry.NewBus(0)
+		dial, accept := newLinkPair(t, "", tel)
+		go func() {
+			for range accept.In() {
+			}
+		}()
+		var worst time.Duration
+		for i := 0; i < 5; i++ { // each frame alone, well under ackEvery
+			sent := time.Now()
+			if err := dial.Send(Msg{Type: FrameFwd, From: Coordinator, To: 5, Seq: i}.Frame()); err != nil {
+				t.Fatal(err)
+			}
+			for dial.unackedLen() > 0 {
+				if time.Since(sent) > 10*time.Second {
+					t.Fatal("a quiet receiver never acked")
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			worst = max(worst, time.Since(sent))
+		}
+		if worst >= retransmitAfter {
+			continue // the host stalled past the backstop: a retransmit would be legitimate
+		}
+		if n := tel.Snapshot().LinkRetransmits; n != 0 {
+			t.Fatalf("acks landed within %v (< %v) yet the sender retransmitted %d times", worst, retransmitAfter, n)
+		}
+		return
+	}
+	t.Fatal("host never held a send-to-ack window under retransmitAfter in 10 attempts")
+}
+
+// TestOneWayFloodBoundsUnackedWindow floods one direction of a link pair
+// whose receiver sends nothing back but acks. At every sample the
+// sender's unacked window holds at most ackEvery frames beyond those in
+// flight: frames the receiver has not taken yet, and frames it has
+// acked whose ack the sender has not yet read.
+func TestOneWayFloodBoundsUnackedWindow(t *testing.T) {
+	checkLeaks(t)
+	const n = 5000
+	a := NewLink(LinkConfig{Local: 0, Peer: 1})
+	b := NewLink(LinkConfig{Local: 1, Peer: 0})
+	ca, cb := net.Pipe()
+	t.Cleanup(func() {
+		ca.Close()
+		cb.Close()
+		a.Close()
+		b.Close()
+	})
+	a.Attach(ca)
+	b.Attach(cb)
+	go func() {
+		for i := 0; i < n; i++ {
+			if a.Send(Msg{Type: FrameFwd, From: 0, To: 1, Seq: i}.Frame()) != nil {
+				return
+			}
+		}
+	}()
+	deadline := time.After(10 * time.Second)
+	for got := 0; got < n; {
+		select {
+		case f := <-b.In():
+			if !f.Type.Sequenced() {
+				continue
+			}
+			got++
+			// No other code holds both locks, so taking them nested is
+			// safe and gives one consistent view of both ends.
+			b.mu.Lock()
+			a.mu.Lock()
+			unacked := len(a.unacked)
+			inFlight := int(a.nextSeq-b.recvSeq) + int(b.ackQueued-a.acked)
+			a.mu.Unlock()
+			b.mu.Unlock()
+			if unacked > ackEvery+inFlight {
+				t.Fatalf("after %d frames the sender holds %d unacked, %d in flight: more than ackEvery = %d beyond",
+					got, unacked, inFlight, ackEvery)
+			}
+		case <-deadline:
+			t.Fatalf("one-way flood stalled after %d of %d frames", got, n)
 		}
 	}
 }

@@ -12,8 +12,9 @@ const (
 	// Broadcast as a Msg.To fans the message out to every stage except
 	// the sender — the completion-note pattern.
 	Broadcast = -1
-	// Coordinator addresses the hub of the TCP star (the naspiped
-	// coordinator); it never appears in engine-level traffic.
+	// Coordinator addresses the fleet's coordinator (naspiped dist),
+	// which carries control traffic only; it never appears in
+	// engine-level traffic.
 	Coordinator = -2
 )
 

@@ -55,7 +55,15 @@ func (r *pr) u8() byte {
 	return v
 }
 
-func (r *pr) bool() bool { return r.u8() != 0 }
+// bool decodes a flag byte, which must be 0 or 1: any other value would
+// re-encode to different bytes.
+func (r *pr) bool() bool {
+	v := r.u8()
+	if v > 1 {
+		r.err = decodeErrf(r.off-1, "flag byte %d is neither 0 nor 1", v)
+	}
+	return v == 1
+}
 
 // count decodes a repeat count and sanity-bounds it by the bytes that
 // remain, so a corrupt length cannot drive a huge allocation.
@@ -103,38 +111,44 @@ func appendBytes(b, v []byte) []byte      { return append(appendInt(b, len(v)), 
 func appendStr(b []byte, s string) []byte { return appendBytes(b, []byte(s)) }
 
 // Hello identifies a worker on a fresh connection: which run it belongs
-// to, which (primary) stage it serves, and which incarnation launched
-// it. The coordinator refuses helloes from stale incarnations — a
-// zombie from before a fleet restart cannot rejoin.
+// to, which stage it serves, and which incarnation launched it. The
+// receiving end — the coordinator, or a peer worker — refuses helloes
+// from stale incarnations: a zombie from before a fleet restart cannot
+// rejoin. Addr is where the worker accepts its peers' data links; a
+// worker sends it to the coordinator and leaves it empty towards peers.
 type Hello struct {
 	RunID       string
 	Stage       int
 	Incarnation int
+	Addr        string
 }
 
 func (h Hello) Encode() []byte {
 	b := appendStr(nil, h.RunID)
 	b = appendInt(b, h.Stage)
-	return appendInt(b, h.Incarnation)
+	b = appendInt(b, h.Incarnation)
+	return appendStr(b, h.Addr)
 }
 
 func DecodeHello(b []byte) (Hello, error) {
 	r := &pr{b: b}
-	h := Hello{RunID: r.str(), Stage: r.intv(), Incarnation: r.intv()}
+	h := Hello{RunID: r.str(), Stage: r.intv(), Incarnation: r.intv(), Addr: r.str()}
 	return h, r.done()
 }
 
 // Assign is the coordinator's stage assignment: the job spec (JSON, the
 // versioned JobSpec the service API already speaks), the stage this
-// worker owns, the pipeline depth, and the resume point — the committed
+// worker owns, the pipeline depth, the resume point — the committed
 // checkpoint cursor the suffix run renumbers from (SeqBase) plus the
-// incarnation whose fault schedule it replays.
+// incarnation whose fault schedule it replays — and Peers, every
+// stage's data-link address by stage, from the fleet's Hellos.
 type Assign struct {
 	Stage       int
 	D           int
 	Cursor      int
 	Incarnation int
 	Spec        []byte
+	Peers       []string
 }
 
 func (a Assign) Encode() []byte {
@@ -142,12 +156,23 @@ func (a Assign) Encode() []byte {
 	b = appendInt(b, a.D)
 	b = appendInt(b, a.Cursor)
 	b = appendInt(b, a.Incarnation)
-	return appendBytes(b, a.Spec)
+	b = appendBytes(b, a.Spec)
+	b = appendInt(b, len(a.Peers))
+	for _, p := range a.Peers {
+		b = appendStr(b, p)
+	}
+	return b
 }
 
 func DecodeAssign(b []byte) (Assign, error) {
 	r := &pr{b: b}
 	a := Assign{Stage: r.intv(), D: r.intv(), Cursor: r.intv(), Incarnation: r.intv(), Spec: r.bytes()}
+	if n := r.count(8); n > 0 {
+		a.Peers = make([]string, n)
+		for i := range a.Peers {
+			a.Peers[i] = r.str()
+		}
+	}
 	return a, r.done()
 }
 

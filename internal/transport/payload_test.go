@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -12,11 +13,12 @@ import (
 
 func TestPayloadRoundTrips(t *testing.T) {
 	checkLeaks(t)
-	hello := Hello{RunID: "run-77", Stage: 3, Incarnation: 2}
+	hello := Hello{RunID: "run-77", Stage: 3, Incarnation: 2, Addr: "127.0.0.1:4100"}
 	if got, err := DecodeHello(hello.Encode()); err != nil || got != hello {
 		t.Errorf("Hello round trip = (%+v, %v)", got, err)
 	}
-	assign := Assign{Stage: 1, D: 4, Cursor: 24, Incarnation: 2, Spec: []byte(`{"gpus":4}`)}
+	assign := Assign{Stage: 1, D: 4, Cursor: 24, Incarnation: 2, Spec: []byte(`{"gpus":4}`),
+		Peers: []string{"127.0.0.1:4100", "127.0.0.1:4101", "127.0.0.1:4102", "127.0.0.1:4103"}}
 	if got, err := DecodeAssign(assign.Encode()); err != nil || !reflect.DeepEqual(got, assign) {
 		t.Errorf("Assign round trip = (%+v, %v)", got, err)
 	}
@@ -75,4 +77,61 @@ func TestPayloadDecodeRejectsCorruption(t *testing.T) {
 	if _, err := DecodeTask(huge); !structured(err) {
 		t.Errorf("hostile repeat count accepted: %v", err)
 	}
+}
+
+// payloadCodecs is every payload decoder paired with its encoder, keyed
+// by the fuzzer's selector byte.
+var payloadCodecs = []struct {
+	name string
+	// roundTrip decodes b and, when that succeeds, re-encodes the value.
+	roundTrip func(b []byte) ([]byte, error)
+}{
+	{"hello", func(b []byte) ([]byte, error) { v, err := DecodeHello(b); return v.Encode(), err }},
+	{"assign", func(b []byte) ([]byte, error) { v, err := DecodeAssign(b); return v.Encode(), err }},
+	{"task", func(b []byte) ([]byte, error) { v, err := DecodeTask(b); return v.Encode(), err }},
+	{"note", func(b []byte) ([]byte, error) { v, err := DecodeNote(b); return v.Encode(), err }},
+	{"cut", func(b []byte) ([]byte, error) { v, err := DecodeCut(b); return EncodeCut(v), err }},
+	{"heartbeat", func(b []byte) ([]byte, error) { v, err := DecodeHeartbeat(b); return v.Encode(), err }},
+	{"done", func(b []byte) ([]byte, error) { v, err := DecodeDone(b); return v.Encode(), err }},
+	{"failed", func(b []byte) ([]byte, error) { v, err := DecodeFailed(b); return v.Encode(), err }},
+	{"abort", func(b []byte) ([]byte, error) { v, err := DecodeAbort(b); return v.Encode(), err }},
+}
+
+// FuzzPayloadDecode holds every payload decoder to the frame codec's
+// contract: decoding never panics, a failure is a *DecodeError, and a
+// successful decode re-encodes to the identical bytes. The first byte
+// picks the decoder; the rest is its payload.
+func FuzzPayloadDecode(f *testing.F) {
+	for i, p := range [][]byte{
+		Hello{RunID: "run-1", Stage: 2, Incarnation: 1, Addr: "127.0.0.1:4100"}.Encode(),
+		Assign{Stage: 1, D: 2, Cursor: 3, Incarnation: 1, Spec: []byte("{}"), Peers: []string{"a:1", "b:2"}}.Encode(),
+		Task{Seq: 9, Carried: []csp.PendingBackward{{Seq: 4, Precedence: 9}}}.Encode(),
+		Note{Seq: 5, Finished: true, IDs: layerIDs(3)}.Encode(),
+		EncodeCut(fault.Cut{Cursor: 4, Finished: []int{1, 3}}),
+		Heartbeat{Stage: 1, Frontier: 8, Tasks: 16}.Encode(),
+		Done{Stage: 1, Completed: 2, Trace: []trace.Event{{Order: 1, TimeMs: 0.5, Layer: 3, Subnet: 1, Kind: trace.Write}}}.Encode(),
+		Failed{Stage: 2, Seq: 11, Kind: "crash", Msg: "injected"}.Encode(),
+		Abort{Reason: "complete"}.Encode(),
+	} {
+		f.Add(append([]byte{byte(i)}, p...))
+	}
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0, 5, 2}) // a note whose flag byte is 2
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		c := payloadCodecs[int(data[0])%len(payloadCodecs)]
+		in := data[1:]
+		out, err := c.roundTrip(in)
+		if err != nil {
+			var de *DecodeError
+			if !errors.As(err, &de) {
+				t.Fatalf("%s: non-structured decode error %T: %v", c.name, err, err)
+			}
+			return
+		}
+		if !bytes.Equal(out, in) {
+			t.Fatalf("%s: decode∘encode not a fixed point:\n in  %x\n out %x", c.name, in, out)
+		}
+	})
 }
