@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"naspipe"
+	"naspipe/internal/distrib"
 	"naspipe/internal/fault"
 	"naspipe/internal/obs"
 	"naspipe/internal/telemetry"
@@ -145,5 +146,46 @@ func TestDebugAddrServesMetricsAndPprof(t *testing.T) {
 		Report: func(naspipe.Result, *naspipe.SuperviseReport) error { return nil }})
 	if code != naspipe.ExitOK || !checked {
 		t.Fatalf("exit %d, task_complete_total scraped %v\nstderr:\n%s", code, checked, stderr.String())
+	}
+}
+
+// TestFleetSummaryOmitsWorkerCounters runs a fleet job the way
+// `naspiped dist` does: the coordinator's bus sees its control links and
+// health only, while task and scheduler events stay inside the stage
+// workers. The closing telemetry line must not report those counters as
+// zeros.
+func TestFleetSummaryOmitsWorkerCounters(t *testing.T) {
+	f := parse(t, "-events-out", filepath.Join(t.TempDir(), "events.jsonl"))
+	spec := naspipe.JobSpec{
+		Space: "NLP.c3", ScaleBlocks: 8, ScaleChoices: 3,
+		Executor: "concurrent", GPUs: 4, Subnets: 12, Seed: 7,
+		Train:  &naspipe.TrainSpec{Dim: 8, BatchSize: 2, LR: 0.05},
+		Verify: true,
+	}
+	var stdout, stderr bytes.Buffer
+	code := f.Run(context.Background(), &stdout, &stderr, Job{Name: "fleet", Spec: spec,
+		Run: func(ctx context.Context, hooks naspipe.SuperviseConfig) (naspipe.Result, *naspipe.SuperviseReport, error) {
+			co, err := distrib.NewCoordinator(distrib.CoordConfig{
+				Spec: spec, RunID: "summary-test", Launcher: &distrib.InProcLauncher{},
+				Tel: hooks.Telemetry, Log: hooks.Log,
+			})
+			if err != nil {
+				return naspipe.Result{}, nil, err
+			}
+			return co.Run(ctx)
+		},
+		Report: func(naspipe.Result, *naspipe.SuperviseReport) error { return nil }})
+	if code != naspipe.ExitOK {
+		t.Fatalf("fleet exit %d\nstderr:\n%s", code, stderr.String())
+	}
+	line := regexp.MustCompile(`(?m)^telemetry: .*$`).FindString(stdout.String())
+	if line == "" {
+		t.Fatalf("no telemetry summary line:\n%s", stdout.String())
+	}
+	if strings.Contains(line, "tasks") || strings.Contains(line, "sched") {
+		t.Fatalf("fleet summary reports worker-side counters the coordinator never sees: %q", line)
+	}
+	if !strings.Contains(line, "link ") {
+		t.Fatalf("fleet summary lost the coordinator's own link counters: %q", line)
 	}
 }

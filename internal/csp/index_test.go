@@ -9,13 +9,21 @@ import (
 )
 
 // indexModel is the test-side truth the per-layer writer queues are
-// compared with: what was registered, which (subnet, layer) writes were
-// reported, and which subnets finished, as bitmasks over an 8-layer
+// compared with: what was registered, which (subnet, layer) writes count
+// as done, and which subnets finished, as bitmasks over an 8-layer
 // universe. It knows nothing about queues — ReferenceSchedule, run over
 // the model's view, is the oracle.
+//
+// The model follows MarkWritten's contract: a note for a layer on which
+// its subnet is still pending also releases every earlier selector of
+// that layer. With exact set, it follows the rule before targeted notes
+// instead — a note releases its own (subnet, layer) pairs only — which
+// TestThroughReleaseMatchesExactOnOrderedWrites holds equal to the
+// contract wherever each layer's writes arrive in sequence order.
 type indexModel struct {
 	all, stage, written []byte // indexed by seq
 	fin                 []bool
+	exact               bool
 }
 
 func maskIDs(m byte) []supernet.LayerID {
@@ -38,24 +46,62 @@ func (m *indexModel) frontier() int {
 
 func (m *indexModel) known(seq int) bool { return seq >= 0 && seq < len(m.fin) }
 
+// pending reports the layers of mask on which subnet seq still has a
+// queue entry: registered, unfinished, selected and not yet released.
 // Notes about subnets the scheduler has never seen, or has eliminated,
 // carry no information; the model drops them like the scheduler does.
+func (m *indexModel) pending(seq int, mask byte) byte {
+	if !m.known(seq) || m.fin[seq] {
+		return 0
+	}
+	return mask & m.all[seq] &^ m.written[seq]
+}
+
+// markWritten releases seq's pending layers in mask and, under the
+// contract, every earlier selector's entry on them.
 func (m *indexModel) markWritten(seq int, mask byte) {
-	if m.known(seq) {
-		m.written[seq] |= mask
+	if m.exact {
+		if m.known(seq) {
+			m.written[seq] |= mask
+		}
+		return
+	}
+	if p := m.pending(seq, mask); p != 0 {
+		for w := 0; w <= seq; w++ {
+			m.written[w] |= p
+		}
 	}
 }
 
+// markFinished retires seq; under the contract its layers release
+// through it as a note for all of them would.
 func (m *indexModel) markFinished(seq int) {
-	if m.known(seq) {
-		m.fin[seq] = true
+	if !m.known(seq) {
+		return
 	}
+	if !m.exact {
+		m.markWritten(seq, m.all[seq])
+	}
+	m.fin[seq] = true
 }
 
 // oracle renders the model as ReferenceSchedule's arguments. A written
 // layer leaves the writer's AllLayers: the reference then sees exactly
-// the (subnet, layer) pairs that still have a pending WRITE.
+// the (subnet, layer) pairs that still have a pending WRITE. Assumed
+// subnets count as finished, releasing their pending layers as
+// markFinished would, but the frontier stays where it is, as
+// ScheduleAssuming leaves it.
 func (m *indexModel) oracle(assume ...int) (map[int]bool, int, map[int]*SubnetInfo) {
+	written := m.written
+	if len(assume) > 0 {
+		v := *m
+		v.written = slices.Clone(m.written)
+		v.fin = slices.Clone(m.fin)
+		for _, a := range assume {
+			v.markFinished(a)
+		}
+		written = v.written
+	}
 	fr := m.frontier()
 	fin := map[int]bool{}
 	subs := map[int]*SubnetInfo{}
@@ -64,13 +110,34 @@ func (m *indexModel) oracle(assume ...int) (map[int]bool, int, map[int]*SubnetIn
 			fin[seq] = true
 		}
 		subs[seq] = &SubnetInfo{Seq: seq,
-			AllLayers:   maskIDs(m.all[seq] &^ m.written[seq]),
+			AllLayers:   maskIDs(m.all[seq] &^ written[seq]),
 			StageLayers: maskIDs(m.stage[seq])}
 	}
 	for _, a := range assume {
 		fin[a] = true
 	}
 	return fin, fr, subs
+}
+
+// scheduleAssuming is ScheduleAssuming from the model: the first queued
+// subnet the reference admits once the assumed subnets below it have
+// finished. An assumption at or above a candidate releases nothing for
+// it — under CSP no subnet can finish before an earlier one that shares
+// its layers has written them.
+func (m *indexModel) scheduleAssuming(queue, assume []int) (qidx, qval int) {
+	for i, seq := range queue {
+		var below []int
+		for _, a := range assume {
+			if a < seq {
+				below = append(below, a)
+			}
+		}
+		fin, fr, subs := m.oracle(below...)
+		if ri, _ := ReferenceSchedule([]int{seq}, fin, fr, subs); ri == 0 {
+			return i, seq
+		}
+	}
+	return -1, -1
 }
 
 // blockingWriter is BlockingWriter from first principles: the smallest
@@ -122,9 +189,8 @@ func (m *indexModel) check(t *testing.T, s *Scheduler, queue, assume []int) {
 		}
 	}
 	for n := 1; n <= len(assume); n++ {
-		afin, _, _ := m.oracle(assume[:n]...)
 		gi, gv := s.ScheduleAssuming(queue, assume[:n]...)
-		if ri, rv := ReferenceSchedule(queue, afin, fr, subs); gi != ri || gv != rv {
+		if ri, rv := m.scheduleAssuming(queue, assume[:n]); gi != ri || gv != rv {
 			t.Fatalf("ScheduleAssuming(%v, %v) = (%d,%d), reference (%d,%d)", queue, assume[:n], gi, gv, ri, rv)
 		}
 	}
@@ -298,5 +364,94 @@ func TestIndexMatchesReferenceOnRandomInterleavings(t *testing.T) {
 			}
 		}
 		runIndexOps(t, ops, r)
+	}
+}
+
+// TestThroughReleaseMatchesExactOnOrderedWrites is the argument that
+// MarkWritten's release-through contract leaves the simulator's results
+// unchanged. The simulator delivers every note to every stage at once,
+// so the writes a scheduler has seen on a layer are always a prefix of
+// the layer's selectors in sequence order. On such note sequences — any
+// registration, notes and finishes, as long as no write to a layer
+// arrives before every earlier selector's — the contract and the exact
+// rule (a note releases only its own pairs) must agree on every pending
+// pair at every step, and so must the one-ahead lookahead for any
+// assumed subnet that has seen its layers' earlier writes. The
+// scheduler is held to the contract's model throughout.
+func TestThroughReleaseMatchesExactOnOrderedWrites(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		r := rng.New(seed)
+		s, through, exact := New(0), &indexModel{}, &indexModel{exact: true}
+		models := []*indexModel{through, exact}
+		// inOrder reports whether every earlier selector of the layers in
+		// mask has written them or finished: a write of seq to them keeps
+		// each layer's seen writes a prefix.
+		inOrder := func(seq int, mask byte) bool {
+			for w := 0; w < seq && w < len(exact.fin); w++ {
+				if !exact.fin[w] && exact.all[w]&^exact.written[w]&mask != 0 {
+					return false
+				}
+			}
+			return true
+		}
+		for step, steps := 0, 40+r.Intn(80); step < steps; step++ {
+			n := len(exact.fin)
+			seq := r.Intn(n+3) - 1
+			switch p := r.Intn(10); {
+			case p < 3 || n == 0:
+				all := byte(r.Intn(256))
+				stage := all & byte(r.Intn(256))
+				if err := s.AddSubnet(SubnetInfo{Seq: n, AllLayers: maskIDs(all), StageLayers: maskIDs(stage)}); err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range models {
+					m.all, m.stage = append(m.all, all), append(m.stage, stage)
+					m.written, m.fin = append(m.written, 0), append(m.fin, false)
+				}
+			case p < 7:
+				var mask byte
+				for b := 0; b < 8; b++ {
+					if bit := byte(1) << b; r.Intn(2) == 0 && (!exact.known(seq) || inOrder(seq, bit)) {
+						mask |= bit
+					}
+				}
+				s.MarkWritten(seq, maskIDs(mask))
+				for _, m := range models {
+					m.markWritten(seq, mask)
+				}
+			default:
+				if exact.known(seq) && !inOrder(seq, exact.all[seq]) {
+					continue
+				}
+				s.MarkFinished(seq)
+				for _, m := range models {
+					m.markFinished(seq)
+				}
+			}
+			for q := range exact.fin {
+				if through.fin[q] != exact.fin[q] || !exact.fin[q] && through.pending(q, 0xff) != exact.pending(q, 0xff) {
+					t.Fatalf("seed %d step %d: subnet %d pending %08b finished %v under the contract, %08b %v exactly",
+						seed, step, q, through.pending(q, 0xff), through.fin[q], exact.pending(q, 0xff), exact.fin[q])
+				}
+			}
+			var queue, assume []int
+			for q := -1; q <= len(exact.fin); q++ {
+				if r.Intn(2) == 0 {
+					queue = append(queue, q)
+				}
+				if exact.known(q) && r.Intn(3) == 0 && inOrder(q, exact.all[q]) {
+					assume = append(assume, q)
+				}
+			}
+			for k := 0; k <= len(assume); k++ {
+				ti, tv := through.scheduleAssuming(queue, assume[:k])
+				ei, ev := exact.scheduleAssuming(queue, assume[:k])
+				if ti != ei || tv != ev {
+					t.Fatalf("seed %d step %d: lookahead on %v assuming %v picks (%d,%d) under the contract, (%d,%d) exactly",
+						seed, step, queue, assume[:k], ti, tv, ei, ev)
+				}
+			}
+			through.check(t, s, queue, assume)
+		}
 	}
 }

@@ -15,6 +15,14 @@
 // bounds the scan: once every subnet below a sequence ID has finished,
 // those subnets drop out of both the finished list and the dependency
 // check.
+//
+// Cross-stage releases are write notes (MarkWritten). A stage need not
+// hear every subnet's note: under CSP a layer's writes happen in
+// sequence order, so the note of a layer's immediate predecessor
+// pred(s, L) releases every earlier writer of L with it. The goroutine
+// plane sends each note only to the stages that run its layers' next
+// readers; the stage that retires subnets (stage 0) also marks them
+// finished, and the elimination frontier moves there.
 package csp
 
 import (
@@ -145,7 +153,8 @@ func (s *Scheduler) AddSubnet(info SubnetInfo) error {
 // completed and flushed on this stage, then advances the elimination
 // frontier (Algorithm 1 line 10 plus the §3.2 elimination scheme). A
 // finished subnet blocks nobody, so layers it never reported written
-// leave their queues here: the queues never hold a finished subnet.
+// leave their queues here, with every earlier writer on them (MarkWritten's
+// rule): the queues never hold a finished subnet.
 func (s *Scheduler) MarkFinished(seq int) {
 	sub := s.lookup(seq)
 	if sub == nil || sub.finished {
@@ -164,8 +173,13 @@ func (s *Scheduler) MarkFinished(seq int) {
 
 // MarkWritten records that subnet seq's WRITE to the given layers has
 // completed (the backward pass of the stage owning them finished, and —
-// for mirrored layers — the update has been pushed, §4.2). Blocked stops
-// considering those (layer, subnet) pairs immediately, which unblocks
+// for mirrored layers — the update has been pushed, §4.2). On each layer
+// where seq is still queued it releases every pending writer at or below
+// seq, not only seq: under CSP seq could read the layer only after every
+// earlier selector had written it, so their writes are done too. That is
+// what lets a stage hear only the note of each layer's immediate
+// predecessor (pred(s, L)) and still drop every earlier entry. Blocked
+// stops considering the released pairs immediately, which unblocks
 // dependents at per-layer granularity: tighter than whole-subnet
 // completion when two subnets' balanced partitions place a shared layer
 // on different stages. Repeated, unknown and unselected (seq, layer)
@@ -175,26 +189,20 @@ func (s *Scheduler) MarkWritten(seq int, ids []supernet.LayerID) {
 		if uint(l) >= uint(len(s.queues)) {
 			continue
 		}
-		// Walk from the head to seq's entry. The walk stops at the first
-		// subnet that is not earlier, so it passes only seq's unwritten
-		// predecessors on l: under CSP the in-flight window, never the
-		// stream.
+		// Walk from the head to seq's entry. When seq is queued the walk
+		// passes only entries it then releases, so over a run each entry
+		// is passed once.
 		q := &s.queues[l]
-		var prev *writer
 		w := q.head
 		for w != nil && w.seq < seq {
-			prev, w = w, w.next
+			w = w.next
 		}
 		if w == nil || w.seq != seq {
 			continue
 		}
-		if prev == nil {
-			q.head = w.next
-		} else {
-			prev.next = w.next
-		}
+		q.head = w.next
 		if w.next == nil {
-			q.tail = prev
+			q.tail = nil
 		}
 	}
 }
@@ -266,10 +274,12 @@ func (s *Scheduler) ResetStats() (scheduleCalls, emptyScans int) {
 }
 
 // ScheduleAssuming runs Schedule as if the given extra subnets were
-// already finished. The predictor uses it to look one backward completion
-// ahead (Algorithm 3 lines 4–9). It sits on the predictor's per-task
-// admission path, so the assumption set is scanned as a slice — the
-// lookahead is one or two entries — and the call performs no allocation.
+// already finished, each releasing the writers before it on its layers
+// as MarkWritten does. The predictor uses it to look one backward
+// completion ahead (Algorithm 3 lines 4–9). It sits on the predictor's
+// per-task admission path, so the assumption set is scanned as a slice
+// — the lookahead is one or two entries — and the call performs no
+// allocation.
 func (s *Scheduler) ScheduleAssuming(queue []int, finished ...int) (qidx, qval int) {
 	for i, seq := range queue {
 		if !s.blockedAssuming(seq, finished) {
@@ -279,9 +289,11 @@ func (s *Scheduler) ScheduleAssuming(queue []int, finished ...int) (qidx, qval i
 	return -1, -1
 }
 
-// blockedAssuming is Blocked with the assumed subnets taken as finished:
-// on each stage layer it passes over assumed entries at the head of the
-// queue and stops at the first other one.
+// blockedAssuming is Blocked with the assumed subnets taken as finished,
+// under MarkWritten's rule: an assumed entry below seq releases every
+// entry before it, so seq is blocked on a layer exactly when the last
+// queue entry below seq is not assumed. The walk stops at the first
+// entry above every assumption, which no later entry can release.
 func (s *Scheduler) blockedAssuming(seq int, assume []int) bool {
 	sub := s.lookup(seq)
 	if sub == nil {
@@ -289,12 +301,20 @@ func (s *Scheduler) blockedAssuming(seq int, assume []int) bool {
 		// registered it yet, so its dependencies cannot be checked.
 		return true
 	}
+	top := -1 // the largest assumption
+	for _, a := range assume {
+		top = max(top, a)
+	}
 	for _, l := range sub.info.StageLayers {
+		blocked := false
 		for w := s.head(l); w != nil && w.seq < seq; w = w.next {
 			s.inspected++
-			if !slices.Contains(assume, w.seq) {
-				return true
+			if blocked = !slices.Contains(assume, w.seq); blocked && w.seq > top {
+				break
 			}
+		}
+		if blocked {
+			return true
 		}
 	}
 	return false

@@ -223,27 +223,35 @@ func TestRealSupernetScheduling(t *testing.T) {
 }
 
 // Property: differential test — the indexed Schedule agrees with the
-// paper-literal ReferenceSchedule on random states.
+// paper-literal ReferenceSchedule on random states. A finish releases
+// the earlier writers of the finished subnet's layers (MarkWritten's
+// rule), so the reference runs over indexModel's view rather than the
+// Snapshot, which omits per-layer releases.
 func TestQuickScheduleMatchesReference(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 2 + r.Intn(10)
 		layersPer := 1 + r.Intn(4)
 		universe := 1 + r.Intn(8)
-		s := New(0)
+		s, m := New(0), &indexModel{}
 		for i := 0; i < n; i++ {
 			ids := make([]int, layersPer)
+			var mask byte
 			for j := range ids {
 				ids[j] = r.Intn(universe)
+				mask |= 1 << ids[j]
 			}
 			if err := s.AddSubnet(info(i, ids...)); err != nil {
 				return false
 			}
+			m.all, m.stage = append(m.all, mask), append(m.stage, mask)
+			m.written, m.fin = append(m.written, 0), append(m.fin, false)
 		}
 		// Finish a random prefix-biased subset.
 		for i := 0; i < n; i++ {
 			if r.Intn(3) == 0 {
 				s.MarkFinished(i)
+				m.markFinished(i)
 			}
 		}
 		// Queue: the unfinished subnets in a shuffled order.
@@ -254,7 +262,7 @@ func TestQuickScheduleMatchesReference(t *testing.T) {
 			}
 		}
 		r.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
-		fin, frontier, subs := s.Snapshot()
+		fin, frontier, subs := m.oracle()
 		ri, rv := ReferenceSchedule(queue, fin, frontier, subs)
 		gi, gv := s.Schedule(queue)
 		return ri == gi && rv == gv

@@ -20,7 +20,7 @@ import (
 )
 
 // distSpec is the shared fleet job: small enough to run in CI, deep
-// enough (D=4) that every relay path — forwards, gradients, broadcast
+// enough (D=4) that every link path — forwards, gradients, write
 // notes — carries real traffic, with jitter so interleavings vary.
 func distSpec(t *testing.T, subnets int) naspipe.JobSpec {
 	t.Helper()

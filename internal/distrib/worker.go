@@ -80,31 +80,18 @@ func Aborted(err error) bool {
 
 // meshTransport is the worker's engine Transport: one fault-tolerant
 // Link to every peer stage, so each message crosses one TCP hop. Sends
-// go straight onto the destination's link, and a broadcast is encoded
-// once and queued on every peer link; the peer links' receive pumps feed
-// the one stage queue the engine drains.
+// go straight onto the destination's link; the peer links' receive
+// pumps feed the one stage queue the engine drains.
 type meshTransport struct {
 	links []*transport.Link // by peer stage; nil at this worker's own
 	in    chan transport.Msg
 }
 
 func (t *meshTransport) Send(m transport.Msg) error {
-	f := m.Frame()
-	if m.To != transport.Broadcast {
-		if m.To < 0 || m.To >= len(t.links) || t.links[m.To] == nil {
-			return fmt.Errorf("distrib: no data link from stage %d to stage %d", m.From, m.To)
-		}
-		return t.links[m.To].Send(f)
+	if m.To < 0 || m.To >= len(t.links) || t.links[m.To] == nil {
+		return fmt.Errorf("distrib: no data link from stage %d to stage %d", m.From, m.To)
 	}
-	for j, l := range t.links {
-		if l != nil && j != m.From {
-			f.To = j
-			if err := l.Send(f); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return t.links[m.To].Send(m.Frame())
 }
 
 func (t *meshTransport) Recv(int) <-chan transport.Msg { return t.in }

@@ -72,9 +72,8 @@ type ccStage struct {
 
 	lastTaskNs int64 // wall-clock ns of the last completed task (health probe)
 
-	// sent counts deliveries handed to the transport (a broadcast is D−1),
-	// processed the inbox messages folded in: the lost-wake-up check's
-	// ledger (enterIdle).
+	// sent counts messages handed to the transport, processed the inbox
+	// messages folded in: the lost-wake-up check's ledger (enterIdle).
 	sent, processed int
 
 	cont StageContention
@@ -111,7 +110,8 @@ type ccRun struct {
 	stages []*ccStage // indexed by stage; nil for stages remote to this process
 	base   int        // Config.SeqBase
 
-	tp transport.Transport // all cross-stage traffic (see dist.go)
+	tp     transport.Transport // all cross-stage traffic (see dist.go)
+	routes noteRoutes          // where each write note goes
 
 	// done and stop belong to the run context. A stage parks on its inbox
 	// and done only; every failure — an injected crash, a recorder or
@@ -186,7 +186,7 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	c := &ccRun{cfg: cfg, w: w, csp: pol, base: cfg.SeqBase, rec: cfg.Checkpoint, probe: cfg.Probe}
+	c := &ccRun{cfg: cfg, w: w, csp: pol, base: cfg.SeqBase, rec: cfg.Checkpoint, probe: cfg.Probe, routes: newNoteRoutes(w)}
 	if cfg.Faults.Enabled() {
 		c.inj, err = fault.NewInjector(*cfg.Faults, cfg.FaultIncarnation)
 		if err != nil {
@@ -495,7 +495,7 @@ func (c *ccRun) receive(s *ccStage, m transport.Msg) {
 		}
 	case transport.FrameNote:
 		s.cont.Notes++
-		s.m.note(m.Seq, m.IDs, m.Finished)
+		s.m.note(m.Seq, m.IDs, false)
 	case transport.FrameFetch:
 		c.requestFetch(s, m.Seq)
 	}

@@ -2,14 +2,17 @@
 // distributed half: stage processes.
 //
 // Every cross-stage message — activation handoff, gradient return,
-// completion-note broadcast, remote prefetch push — is a transport.Msg
-// sent through ccRun.tp and received by the destination stage's own
-// goroutine from its inbox, Transport.Recv(k). No goroutine sits between
-// the transport and the stage. Which transport is the only thing that
-// varies: a private ChanTransport built here when Config.Dist is nil, or
-// the caller's when a DistConfig names the subset of stages this process
-// executes — a shared ChanTransport in tests, the worker's mesh of TCP
-// links to its peer stages (internal/distrib) in a fleet. Scheduler, admission rule, trace
+// write note, remote prefetch push — is a transport.Msg sent through
+// ccRun.tp to one stage and received by that stage's own goroutine from
+// its inbox, Transport.Recv(k). No goroutine sits between the transport
+// and the stage. A write note goes only to the stages that run the next
+// reader of a layer it releases (noteRoutes, built once per run): at most
+// D−1 per write, about two per subnet on the fleet's stream.
+// Which transport is the only thing that varies: a private ChanTransport
+// built here when Config.Dist is nil, or the caller's when a DistConfig
+// names the subset of stages this process executes — a shared
+// ChanTransport in tests, the worker's mesh of TCP links to its peer
+// stages (internal/distrib) in a fleet. Scheduler, admission rule, trace
 // emission and the send/receive code are identical in all of them.
 //
 // Senders never block. A transport that cannot take a message — closed,
@@ -79,7 +82,9 @@ func (d *DistConfig) validate(depth int) error {
 // every task, and between two drains at most (D+2)·W messages can land
 // on it, W = min(InflightLimit, n). refill keeps at most W subnets in
 // flight; each of those can still owe the stage one activation, one
-// gradient and D−1 notes, and each can retire and admit one successor,
+// gradient and at most D−1 notes (one per other stage's write, and only
+// when the stage runs a next reader), and each can retire and admit one
+// successor,
 // which can reach the stage with an activation but no further — its
 // gradient and notes need the stage itself to run. The fault plane may
 // deliver a message twice, hence the doubling; +8 is slack for tiny
@@ -103,11 +108,7 @@ func (c *ccRun) post(m transport.Msg) {
 		c.stop(fmt.Errorf("engine: transport send (stage %d -> %d): %w", m.From, m.To, err))
 		return
 	}
-	if m.To == transport.Broadcast {
-		c.stages[m.From].sent += c.w.D - 1
-	} else {
-		c.stages[m.From].sent++
-	}
+	c.stages[m.From].sent++
 }
 
 // send hands an activation to stage from+1, or a gradient with its
@@ -153,17 +154,79 @@ func (c *ccRun) send(from int, kind csp.Kind, seq int, carried []csp.PendingBack
 	}
 }
 
-// note fans the release of subnet seq's WRITE of ids on stage from out
-// to every other stage (the receiving end is stage.note). On stage 0 the
-// release advanced the frontier, which is committed first.
+// note sends the release of subnet seq's WRITE of ids on stage from to
+// the stages its routing row names, one message each (the receiving end
+// is stage.note). Every message carries all of ids: a receiver releases
+// through seq on each layer it still queues, which MarkWritten's rule
+// makes safe whichever of them it is waiting on. On stage 0 the release
+// advanced the frontier, which is committed first; the stage retires the
+// subnet on its own scheduler and no other stage needs to hear it.
 func (c *ccRun) note(from, seq int, ids []supernet.LayerID, finished bool) {
 	if finished {
 		c.snapshotCut(c.stages[from])
 	}
-	c.post(transport.Msg{
-		Type: transport.FrameNote, From: from, To: transport.Broadcast,
-		Seq: seq, IDs: ids, Finished: finished,
-	})
+	for _, to := range c.routes.row(seq, from) {
+		c.post(transport.Msg{Type: transport.FrameNote, From: from, To: int(to), Seq: seq, IDs: ids})
+	}
+}
+
+// noteRoutes is where write notes go: row i·D+k lists the stages, other
+// than k, that run the next reader of a layer subnet i writes on stage k
+// — the pred(s, L) rule (the last earlier selector of L) turned around.
+// Under CSP a layer's next selector reads it only after this write, and
+// every later writer waits for that read, so the note of each layer's
+// immediate predecessor is the only one any stage needs; a stage that
+// runs the next reader itself releases with its self-note. Each row
+// holds at most D−1 stages.
+type noteRoutes struct {
+	d   int
+	off []int32 // row r is dst[off[r]:off[r+1]]
+	dst []int32
+}
+
+// newNoteRoutes builds the table in one backward walk over the stream,
+// keeping per layer the stage of its next selector: O(accesses) time
+// and four allocations, whatever the pipeline depth. Rows are filled
+// from the end of dst, so the table's unused slack is its front.
+func newNoteRoutes(w *World) noteRoutes {
+	n, d := len(w.Subnets), w.D
+	total := 0
+	for i := range w.Subnets {
+		total += len(w.allIDs[i])
+	}
+	next := make([]int32, w.Space.NumLayers()) // stage of the layer's next selector, −1 for none
+	for l := range next {
+		next[l] = -1
+	}
+	listed := make([]int32, d) // the row (+1) that last listed each stage
+	r := noteRoutes{d: d, off: make([]int32, n*d+1), dst: make([]int32, total)}
+	pos := int32(total)
+	r.off[n*d] = pos
+	for i := n - 1; i >= 0; i-- {
+		for k := d - 1; k >= 0; k-- {
+			row := int32(i*d + k)
+			for _, id := range w.stageIDs[i][k] {
+				if to := next[id]; to >= 0 && to != int32(k) && listed[to] != row+1 {
+					listed[to] = row + 1
+					pos--
+					r.dst[pos] = to
+				}
+			}
+			r.off[row] = pos
+		}
+		for k, ids := range w.stageIDs[i] {
+			for _, id := range ids {
+				next[id] = int32(k)
+			}
+		}
+	}
+	return r
+}
+
+// row returns the stages subnet seq's write on stage k is noted to.
+func (r noteRoutes) row(seq, k int) []int32 {
+	i := seq*r.d + k
+	return r.dst[r.off[i]:r.off[i+1]]
 }
 
 // fetch forwards a prefetch of subnet seq's stage-k context: a direct
@@ -182,7 +245,8 @@ func (c *ccRun) fetch(from, k, seq int) {
 // queue for the worst case, so it holds whatever stages in other
 // processes send however late this one drains: per stage, at most n
 // forwards + n backwards (×2 under fault-plane duplication), (D-1)·n
-// notes, and ~2n fetch pushes can ever arrive.
+// notes (one per other stage's write of a subnet, if targeted at this
+// stage), and ~2n fetch pushes can ever arrive.
 func DistQueueCap(d, n int) int { return 2*(d+4)*n + 16 }
 
 // FilterTrace returns the sub-trace of tr on the given stages, in

@@ -75,7 +75,21 @@ func TestDistChanTransportPinsSingleProcess(t *testing.T) {
 // deadlock the stage goroutines and hang this test; a panic would kill it.
 func TestFullInboxFailsTheRunLoudly(t *testing.T) {
 	const d = 4
+	// Stage 0 hands stage 1 a window of twelve forwards that share no
+	// layer, so none waits on another, while stage 1, a 400× straggler,
+	// sleeps 10 ms in every task: the activations pile up on its inbox.
 	cfg := ccCfg(d, false)
+	cfg.Space = supernet.NLPc3.Scaled(8, 12)
+	cfg.Subnets = make([]supernet.Subnet, 12)
+	for i := range cfg.Subnets {
+		choices := make([]int, cfg.Space.Blocks)
+		for b := range choices {
+			choices[b] = i
+		}
+		cfg.Subnets[i] = supernet.Subnet{Seq: i, Choices: choices}
+	}
+	cfg.NumSubnets = len(cfg.Subnets)
+	cfg.StageSpeeds = []float64{1, 401, 1, 1}
 	tp := transport.NewChanTransport(d, 1)
 	defer tp.Close()
 	cfg.Dist = &engine.DistConfig{Transport: tp, Stages: []int{0, 1, 2, 3}}

@@ -167,9 +167,11 @@ type Policy interface {
 	OnBackwardDone(stage, seq int, now float64)
 	// Note tells stage that subnet seq's WRITE of ids has flushed, on
 	// that stage or another; finished marks the write of the subnet's
-	// backward on stage 0, which retires the subnet. Every stage hears
-	// every note once: the simulator delivers it at once, the goroutine
-	// plane by message.
+	// backward on stage 0, which retires the subnet. The simulator
+	// delivers every note to every stage at once; the goroutine plane
+	// delivers it by message only to the stages that run the written
+	// layers' next readers, and only stage 0 hears finished — enough
+	// under csp.Scheduler.MarkWritten's release-through rule.
 	Note(stage, seq int, ids []supernet.LayerID, finished bool)
 	// Blocker returns the earlier subnet whose unfinished WRITE holds
 	// subnet seq's forward back on stage, or -1 when no dependency does.
@@ -304,8 +306,9 @@ func (p *CSP) SelectForward(stage int, queue []int, now float64) int {
 }
 
 // Note applies a write release to the stage's scheduler: per-layer
-// MarkWritten (the mirroring push of §4.2 doubles as the dependency
-// release), then MarkFinished once the subnet's backward reached stage 0.
+// MarkWritten, which releases through seq (the mirroring push of §4.2
+// doubles as the dependency release), then MarkFinished once the
+// subnet's backward reached stage 0.
 func (p *CSP) Note(stage, seq int, ids []supernet.LayerID, finished bool) {
 	s := p.scheds[stage]
 	s.MarkWritten(seq, ids)

@@ -31,8 +31,10 @@ type driver interface {
 	// send hands subnet seq's activation (Forward) to stage from+1, or its
 	// gradient (Backward) with the carried records to stage from−1.
 	send(from int, kind csp.Kind, seq int, carried []csp.PendingBackward)
-	// note tells every stage but from that subnet seq's WRITE of ids has
-	// flushed on from (finished: from is stage 0, the subnet is retired).
+	// note tells other stages that subnet seq's WRITE of ids has flushed
+	// on from (finished: from is stage 0, the subnet is retired): the
+	// simulator tells every stage at once, the goroutine plane only the
+	// stages that run each layer's next reader.
 	note(from, seq int, ids []supernet.LayerID, finished bool)
 	// access records subnet seq's accesses of ids on stage k at time at.
 	access(k int, ids []supernet.LayerID, seq int, kind trace.AccessKind, at float64)
@@ -249,8 +251,9 @@ func (m *stage) admit(kind csp.Kind, idx int) csp.Task {
 // complete finishes task t once its compute is over: the context goes,
 // then a forward hands its activation on (at the last stage the loss is
 // computed and its backward is ready at once); a backward WRITEs, notes
-// the release to every stage, and returns its gradient upstream — or, on
-// stage 0, retires the subnet and refills.
+// the release to its own stage and through the driver to the others, and
+// returns its gradient upstream — or, on stage 0, retires the subnet and
+// refills.
 func (m *stage) complete(t csp.Task) {
 	seq, now := t.Subnet, m.fx.now()
 	m.fx.release(t)

@@ -74,8 +74,8 @@ func awaitWedge(t *testing.T, probe *engine.RunProbe, k int) {
 // TestLostWakeupFailsTheRun is the negative control for the engine's
 // lost-wake-up check. Every stage runs in this process over a transport
 // that still delivers every note stage 0 sends, but stripped of its layer
-// IDs and finished flag: receivers wake and learn nothing, so a later
-// subnet stays blocked behind a write nobody will report. Once every stage
+// IDs: receivers wake and learn nothing, so a later subnet stays blocked
+// behind a write nobody will report. Once every stage
 // has parked with nothing in flight, the run must fail with a *StallError
 // naming the blocked head and the subnet owning it, rather than hang until
 // a deadline or a watchdog.
@@ -89,7 +89,7 @@ func TestLostWakeupFailsTheRun(t *testing.T) {
 		t.Run(fmt.Sprintf("gpus=%d", d), func(t *testing.T) {
 			cfg, ct := hookCfg(ccCfg(d, false), func(ct *transport.ChanTransport, m transport.Msg) error {
 				if m.Type == transport.FrameNote && m.From == 0 {
-					m.IDs, m.Finished = nil, false
+					m.IDs = nil
 				}
 				return ct.Send(m)
 			})

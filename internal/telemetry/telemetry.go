@@ -529,28 +529,35 @@ func (s Snapshot) HitRate() float64 {
 // String renders the one-line progress format the cmds print:
 //
 //	[2.1s] tasks 96/128 started/done, sched 32 delays, cache 91.2% hit (12 stall ms), events 4521 (0 dropped)
+//
+// The task and scheduler fields appear only once the bus has seen a task
+// event: a fleet coordinator's bus never does, since its stage workers
+// keep theirs, and zeros there would misreport the run.
 func (s Snapshot) String() string {
-	out := fmt.Sprintf("[%.1fs] tasks %d/%d started/done, sched %d delays",
-		float64(s.ElapsedNs)/1e9, s.Started, s.Completed, s.SchedDelays)
+	var parts []string
+	if s.Admitted+s.Started+s.Completed+s.SchedAdmits > 0 {
+		parts = append(parts, fmt.Sprintf("tasks %d/%d started/done, sched %d delays", s.Started, s.Completed, s.SchedDelays))
+	}
 	if s.CacheHits+s.CacheMisses > 0 {
-		out += fmt.Sprintf(", cache %.1f%% hit (%.1f stall ms)",
-			100*s.HitRate(), float64(s.StallNs)/1e6)
+		parts = append(parts, fmt.Sprintf("cache %.1f%% hit (%.1f stall ms)",
+			100*s.HitRate(), float64(s.StallNs)/1e6))
 	}
 	if faults := s.Crashes + s.FaultDrops + s.FaultDelays + s.FaultDups + s.FaultFetches + s.FaultWedges; faults > 0 {
-		out += fmt.Sprintf(", faults %d (%d crashes), ckpts %d", faults, s.Crashes, s.Checkpoints)
+		parts = append(parts, fmt.Sprintf("faults %d (%d crashes), ckpts %d", faults, s.Crashes, s.Checkpoints))
 	}
 	if s.HealthTransitions > 0 {
-		out += fmt.Sprintf(", health %d transitions", s.HealthTransitions)
+		parts = append(parts, fmt.Sprintf("health %d transitions", s.HealthTransitions))
 	}
 	if s.LinkSends+s.LinkRecvs > 0 {
-		out += fmt.Sprintf(", link %d/%d sent/recvd", s.LinkSends, s.LinkRecvs)
+		link := fmt.Sprintf("link %d/%d sent/recvd", s.LinkSends, s.LinkRecvs)
 		if disturbed := s.LinkDrops + s.LinkCuts; disturbed > 0 {
-			out += fmt.Sprintf(" (%d drops, %d cuts, %d reconnects)",
+			link += fmt.Sprintf(" (%d drops, %d cuts, %d reconnects)",
 				s.LinkDrops, s.LinkCuts, s.LinkReconnects)
 		}
+		parts = append(parts, link)
 	}
-	out += fmt.Sprintf(", events %d (%d dropped)", s.Emitted, s.Dropped)
-	return out
+	parts = append(parts, fmt.Sprintf("events %d (%d dropped)", s.Emitted, s.Dropped))
+	return fmt.Sprintf("[%.1fs] %s", float64(s.ElapsedNs)/1e9, strings.Join(parts, ", "))
 }
 
 // FlowID packs a cross-stage transfer identity (kind, subnet, sending

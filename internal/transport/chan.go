@@ -30,37 +30,21 @@ func NewChanTransport(stages, capacity int) *ChanTransport {
 	return t
 }
 
-// Send delivers to m.To, or to every stage but m.From when To is
-// Broadcast. It never blocks: a full destination queue is an error
-// naming the stage pair, because a sender parked on a stage that is
-// itself parked on a send is a silent pipeline deadlock.
+// Send delivers to m.To. It never blocks: a full destination queue is
+// an error naming the stage pair, because a sender parked on a stage
+// that is itself parked on a send is a silent pipeline deadlock.
 func (t *ChanTransport) Send(m Msg) error {
-	if m.To == Broadcast {
-		for k := range t.qs {
-			if k == m.From {
-				continue
-			}
-			if err := t.put(k, m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	if m.To < 0 || m.To >= len(t.qs) {
 		return decodeErrf(0, "stage %d outside the %d-stage pipeline", m.To, len(t.qs))
 	}
-	return t.put(m.To, m)
-}
-
-func (t *ChanTransport) put(k int, m Msg) error {
 	if t.closed.Load() {
 		return ErrClosed
 	}
 	select {
-	case t.qs[k] <- m:
+	case t.qs[m.To] <- m:
 		return nil
 	default:
-		return fmt.Errorf("transport: stage %d -> %d: delivery queue full (cap %d)", m.From, k, cap(t.qs[k]))
+		return fmt.Errorf("transport: stage %d -> %d: delivery queue full (cap %d)", m.From, m.To, cap(t.qs[m.To]))
 	}
 }
 

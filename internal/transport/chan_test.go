@@ -6,7 +6,10 @@ import (
 	"time"
 )
 
-func TestChanTransportRoutesAndBroadcasts(t *testing.T) {
+// TestChanTransportRoutes pins point-to-point delivery: a message lands
+// on its destination's queue only, and an address outside the pipeline
+// (−1, the coordinator's, one past the last stage) is refused.
+func TestChanTransportRoutes(t *testing.T) {
 	checkLeaks(t)
 	tr := NewChanTransport(4, 8)
 	defer tr.Close()
@@ -14,32 +17,31 @@ func TestChanTransportRoutesAndBroadcasts(t *testing.T) {
 	if err := tr.Send(Msg{Type: FrameFwd, From: 0, To: 1, Seq: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if m := <-tr.Recv(1); m.Seq != 5 || m.Type != FrameFwd {
-		t.Fatalf("stage 1 received %+v", m)
-	}
-
-	// Broadcast reaches every stage but the sender.
-	if err := tr.Send(Msg{Type: FrameNote, From: 2, To: Broadcast, Seq: 9, Finished: true}); err != nil {
+	if err := tr.Send(Msg{Type: FrameNote, From: 2, To: 3, Seq: 9}); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{0, 1, 3} {
+	for k, want := range map[int]Msg{1: {Type: FrameFwd, From: 0, To: 1, Seq: 5}, 3: {Type: FrameNote, From: 2, To: 3, Seq: 9}} {
 		select {
 		case m := <-tr.Recv(k):
-			if m.Seq != 9 || !m.Finished {
-				t.Fatalf("stage %d received %+v", k, m)
+			if m.Type != want.Type || m.From != want.From || m.Seq != want.Seq {
+				t.Fatalf("stage %d received %+v, want %+v", k, m, want)
 			}
 		case <-time.After(time.Second):
-			t.Fatalf("stage %d never saw the broadcast", k)
+			t.Fatalf("stage %d never saw its message", k)
 		}
 	}
-	select {
-	case m := <-tr.Recv(2):
-		t.Fatalf("sender received its own broadcast: %+v", m)
-	default:
+	for _, k := range []int{0, 2} {
+		select {
+		case m := <-tr.Recv(k):
+			t.Fatalf("stage %d received %+v addressed elsewhere", k, m)
+		default:
+		}
 	}
 
-	if err := tr.Send(Msg{Type: FrameFwd, From: 0, To: 7}); err == nil {
-		t.Error("send to a stage outside the pipeline succeeded")
+	for _, to := range []int{-1, Coordinator, 7} {
+		if err := tr.Send(Msg{Type: FrameNote, From: 0, To: to}); err == nil {
+			t.Errorf("send to stage %d outside the pipeline succeeded", to)
+		}
 	}
 }
 
@@ -57,10 +59,10 @@ func TestChanTransportFullQueueAndClose(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "stage 0 -> 1: delivery queue full") {
 		t.Fatalf("Send to a full queue = %v, want an error naming stage 0 -> 1", err)
 	}
-	// A broadcast names the stage that overflowed, not Broadcast.
-	err = tr.Send(Msg{Type: FrameNote, From: 2, To: Broadcast, Seq: 3})
+	// Each sender is named: a note into the same full queue names its pair.
+	err = tr.Send(Msg{Type: FrameNote, From: 2, To: 1, Seq: 3})
 	if err == nil || !strings.Contains(err.Error(), "stage 2 -> 1: delivery queue full") {
-		t.Fatalf("broadcast into a full queue = %v, want an error naming stage 2 -> 1", err)
+		t.Fatalf("note into a full queue = %v, want an error naming stage 2 -> 1", err)
 	}
 	tr.Close()
 	if m := <-tr.Recv(1); m.Seq != 1 {

@@ -21,26 +21,38 @@
 //
 // The wire format is deliberately boring: every frame is
 //
-//	u32 length | u16 magic | u8 version | u8 type | i16 from | i16 to | u64 seq | payload
+//	u32 length | u16 magic | u8 version | u8 type | i16 from | i16 to | u64 seq | u32 crc | payload
 //
-// with the length prefix counting everything after itself. Frames are
-// versioned so a coordinator can refuse a worker built from a different
-// tree instead of silently mis-parsing it.
+// with the length prefix counting everything after itself, and crc the
+// CRC-32C (Castagnoli) of every other byte of the frame: length prefix,
+// header and payload. A frame whose checksum does not match is refused
+// with a *DecodeError, so a flipped bit never reaches a decoder as a
+// plausible message. Frames are versioned so a coordinator can refuse a
+// worker built from a different tree instead of silently mis-parsing it.
 package transport
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 )
 
 // Wire constants.
 const (
 	Magic       = 0x4E50 // "NP"
-	Version     = 2
-	headerBytes = 16      // magic..seq, after the length prefix
+	Version     = 3
+	headerBytes = 20      // magic..crc, after the length prefix
+	crcOff      = 4 + 16  // the checksum's offset in the frame
 	MaxFrame    = 1 << 22 // 4 MiB hard ceiling on a frame body
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// frameCRC is the checksum of a frame whose first crcOff bytes are head.
+func frameCRC(head, payload []byte) uint32 {
+	return crc32.Update(crc32.Checksum(head[:crcOff], castagnoli), castagnoli, payload)
+}
 
 // FrameType identifies a frame's payload. The zero value is invalid on
 // purpose: an all-zero buffer never parses as a frame.
@@ -51,7 +63,7 @@ const (
 	FrameAssign                         // coordinator → worker: stage assignment + job spec suffix + peer address table
 	FrameFwd                            // activation handoff: forward seq to the next stage
 	FrameBwd                            // gradient handoff: backward seq + carried releases
-	FrameNote                           // completion note broadcast (scheduler bookkeeping)
+	FrameNote                           // write note to the stage of a layer's next reader (scheduler bookkeeping)
 	FrameFetch                          // cross-stage prefetch request
 	FrameCut                            // stage-0 consistency cut → coordinator checkpoint
 	FrameHeartbeat                      // worker liveness + committed frontier (timer-driven)
@@ -91,8 +103,7 @@ func (t FrameType) Sequenced() bool {
 }
 
 // Frame is one wire frame. From/To are stage addresses: >= 0 is a
-// pipeline stage, Broadcast (-1) fans out to every stage but From, and
-// Coordinator (-2) addresses the fleet's coordinator. Seq is the link seqno
+// pipeline stage and Coordinator (-2) addresses the fleet's coordinator. Seq is the link seqno
 // for sequenced types (assigned by Link.Send; zero on unsequenced
 // frames) and the cumulative ack cursor on FrameAck.
 type Frame struct {
@@ -125,12 +136,14 @@ func (f Frame) EncodedLen() int { return 4 + headerBytes + len(f.Payload) }
 
 // AppendFrame appends the frame's wire encoding to dst.
 func AppendFrame(dst []byte, f Frame) []byte {
+	start := len(dst)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(headerBytes+len(f.Payload)))
 	dst = binary.BigEndian.AppendUint16(dst, Magic)
 	dst = append(dst, Version, byte(f.Type))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(int16(f.From)))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(int16(f.To)))
 	dst = binary.BigEndian.AppendUint64(dst, f.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, frameCRC(dst[start:], f.Payload))
 	return append(dst, f.Payload...)
 }
 
@@ -156,10 +169,22 @@ func ParseFrame(b []byte) (Frame, int, error) {
 	if err != nil {
 		return Frame{}, 0, err
 	}
-	if body > headerBytes {
-		f.Payload = append([]byte(nil), b[4+headerBytes:4+body]...)
+	payload := b[4+headerBytes : 4+body]
+	if err := checkCRC(b, payload); err != nil {
+		return Frame{}, 0, err
+	}
+	if len(payload) > 0 {
+		f.Payload = append([]byte(nil), payload...)
 	}
 	return f, 4 + body, nil
+}
+
+// checkCRC verifies the checksum of a frame whose header starts frame.
+func checkCRC(frame, payload []byte) error {
+	if got, want := binary.BigEndian.Uint32(frame[crcOff:]), frameCRC(frame, payload); got != want {
+		return decodeErrf(crcOff, "checksum %#08x, frame hashes to %#08x", got, want)
+	}
+	return nil
 }
 
 // parseHeader decodes the headerBytes that follow the length prefix.
@@ -238,6 +263,9 @@ func (fr *frameReader) next() (Frame, error) {
 		if _, err := io.ReadFull(fr.r, f.Payload); err != nil {
 			return Frame{}, err
 		}
+	}
+	if err := checkCRC(fr.hdr[:], f.Payload); err != nil {
+		return Frame{}, err
 	}
 	return f, nil
 }

@@ -14,7 +14,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	checkLeaks(t)
 	frames := []Frame{
 		{Type: FrameFwd, From: 0, To: 1, Seq: 7, Payload: Task{Seq: 12}.Encode()},
-		{Type: FrameNote, From: 3, To: Broadcast, Seq: 9001, Payload: Note{Seq: 4, Finished: true, IDs: layerIDs(5)}.Encode()},
+		{Type: FrameNote, From: 3, To: 1, Seq: 9001, Payload: Note{Seq: 4, IDs: layerIDs(5)}.Encode()},
 		{Type: FrameHello, From: 2, To: Coordinator, Payload: Hello{RunID: "r1", Stage: 2, Incarnation: 3}.Encode()},
 		{Type: FrameAck, From: Coordinator, To: 1, Seq: 42},
 	}
@@ -104,6 +104,29 @@ func TestParseFrameCorruptionIsStructured(t *testing.T) {
 	}
 }
 
+// TestFrameChecksumRejectsFlippedBits flips every bit of a version-3
+// frame that the structural checks let through — payload, seq, stage
+// addresses, the checksum itself — and holds both decoders to a
+// *DecodeError for each: a corrupted frame never decodes.
+func TestFrameChecksumRejectsFlippedBits(t *testing.T) {
+	checkLeaks(t)
+	good := AppendFrame(nil, Frame{Type: FrameNote, From: 2, To: 1, Seq: 41, Payload: Note{Seq: 7, IDs: layerIDs(4)}.Encode()})
+	if _, _, err := ParseFrame(good); err != nil {
+		t.Fatalf("intact frame: %v", err)
+	}
+	for bit := 8 * 8; bit < 8*len(good); bit++ { // past the length, magic, version and type
+		wire := append([]byte(nil), good...)
+		wire[bit/8] ^= 1 << (bit % 8)
+		var de *DecodeError
+		if _, _, err := ParseFrame(wire); !errors.As(err, &de) {
+			t.Fatalf("bit %d flipped: ParseFrame error = %v, want *DecodeError", bit, err)
+		}
+		if _, err := ReadFrame(bytes.NewReader(wire)); !errors.As(err, &de) {
+			t.Fatalf("bit %d flipped: ReadFrame error = %v, want *DecodeError", bit, err)
+		}
+	}
+}
+
 // FuzzFrameDecode holds the codec to its contract: decoding never
 // panics, structurally-bad input yields a *DecodeError, and anything
 // that decodes re-encodes to the identical bytes (decode∘encode is a
@@ -114,6 +137,15 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Type: FrameCut, From: 0, To: Coordinator, Seq: 1, Payload: []byte{0, 0, 0}}))
 	f.Add([]byte{0, 0, 0, 16, 0x4E, 0x50, 1, 0xFF})
 	f.Add([]byte("not a frame at all"))
+	note := AppendFrame(nil, Frame{Type: FrameNote, From: 3, To: 1, Seq: 12, Payload: Note{Seq: 4, IDs: layerIDs(2)}.Encode()})
+	f.Add(note)
+	flipped := append([]byte(nil), note...)
+	flipped[len(flipped)-1] ^= 0x10 // a payload bit the checksum catches
+	f.Add(flipped)
+	v2 := binary.BigEndian.AppendUint32(nil, uint32(16+len(note)-24)) // the version-2 layout: no checksum
+	v2 = append(append(v2, note[4:20]...), note[24:]...)
+	v2[6] = 2
+	f.Add(v2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := ParseFrame(data)
 		// The stream reader agrees with the buffer parser: it reads a

@@ -7,29 +7,22 @@ import (
 	"naspipe/internal/supernet"
 )
 
-// Stage addresses.
-const (
-	// Broadcast as a Msg.To fans the message out to every stage except
-	// the sender — the completion-note pattern.
-	Broadcast = -1
-	// Coordinator addresses the fleet's coordinator (naspiped dist),
-	// which carries control traffic only; it never appears in
-	// engine-level traffic.
-	Coordinator = -2
-)
+// Coordinator is the stage address of the fleet's coordinator
+// (naspiped dist), which carries control traffic only; it never appears
+// in engine-level traffic.
+const Coordinator = -2
 
 // Msg is the engine-facing message: what one stage says to another,
 // independent of how it travels. Exactly one payload family is
 // populated, keyed by Type: Fwd carries Seq; Bwd carries Seq + Carried;
-// Note carries Seq + IDs + Finished; Fetch carries Seq.
+// Note carries Seq + IDs; Fetch carries Seq.
 type Msg struct {
-	Type     FrameType
-	From     int
-	To       int
-	Seq      int
-	Carried  []csp.PendingBackward // FrameBwd: Algorithm 2's carried releases
-	IDs      []supernet.LayerID    // FrameNote: layers the finished pass touched
-	Finished bool                  // FrameNote: subnet fully done
+	Type    FrameType
+	From    int
+	To      int
+	Seq     int
+	Carried []csp.PendingBackward // FrameBwd: Algorithm 2's carried releases
+	IDs     []supernet.LayerID    // FrameNote: layers the backward wrote
 }
 
 // Transport moves Msgs between pipeline stages. Send is safe for
@@ -54,7 +47,7 @@ func (m Msg) Frame() Frame {
 	case FrameFwd, FrameBwd, FrameFetch:
 		f.Payload = Task{Seq: m.Seq, Carried: m.Carried}.Encode()
 	case FrameNote:
-		f.Payload = Note{Seq: m.Seq, Finished: m.Finished, IDs: m.IDs}.Encode()
+		f.Payload = Note{Seq: m.Seq, IDs: m.IDs}.Encode()
 	}
 	return f
 }
@@ -75,7 +68,7 @@ func MsgFromFrame(f Frame) (Msg, error) {
 		if err != nil {
 			return Msg{}, err
 		}
-		m.Seq, m.IDs, m.Finished = n.Seq, n.IDs, n.Finished
+		m.Seq, m.IDs = n.Seq, n.IDs
 	default:
 		return Msg{}, decodeErrf(0, "frame type %s is not engine traffic", f.Type)
 	}

@@ -46,25 +46,6 @@ func (r *pr) i64() int64 { return int64(r.u64()) }
 // intv decodes an int64 that must fit the host int.
 func (r *pr) intv() int { return int(r.i64()) }
 
-func (r *pr) u8() byte {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-// bool decodes a flag byte, which must be 0 or 1: any other value would
-// re-encode to different bytes.
-func (r *pr) bool() bool {
-	v := r.u8()
-	if v > 1 {
-		r.err = decodeErrf(r.off-1, "flag byte %d is neither 0 nor 1", v)
-	}
-	return v == 1
-}
-
 // count decodes a repeat count and sanity-bounds it by the bytes that
 // remain, so a corrupt length cannot drive a huge allocation.
 func (r *pr) count(elemBytes int) int {
@@ -99,14 +80,8 @@ func (r *pr) done() error {
 	return r.err
 }
 
-func appendI64(b []byte, v int64) []byte { return binary.BigEndian.AppendUint64(b, uint64(v)) }
-func appendInt(b []byte, v int) []byte   { return appendI64(b, int64(v)) }
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
+func appendI64(b []byte, v int64) []byte  { return binary.BigEndian.AppendUint64(b, uint64(v)) }
+func appendInt(b []byte, v int) []byte    { return appendI64(b, int64(v)) }
 func appendBytes(b, v []byte) []byte      { return append(appendInt(b, len(v)), v...) }
 func appendStr(b []byte, s string) []byte { return appendBytes(b, []byte(s)) }
 
@@ -207,17 +182,15 @@ func DecodeTask(b []byte) (Task, error) {
 	return t, r.done()
 }
 
-// Note is a completion-note broadcast: the subnet whose pass finished,
-// the layers it touched, and whether the subnet is fully done.
+// Note is a write note: the subnet whose backward finished on the
+// sending stage and the layers it wrote there.
 type Note struct {
-	Seq      int
-	Finished bool
-	IDs      []supernet.LayerID
+	Seq int
+	IDs []supernet.LayerID
 }
 
 func (n Note) Encode() []byte {
 	b := appendInt(nil, n.Seq)
-	b = appendBool(b, n.Finished)
 	b = appendInt(b, len(n.IDs))
 	for _, id := range n.IDs {
 		b = appendInt(b, int(id))
@@ -227,7 +200,7 @@ func (n Note) Encode() []byte {
 
 func DecodeNote(b []byte) (Note, error) {
 	r := &pr{b: b}
-	n := Note{Seq: r.intv(), Finished: r.bool()}
+	n := Note{Seq: r.intv()}
 	if c := r.count(8); c > 0 {
 		n.IDs = make([]supernet.LayerID, c)
 		for i := range n.IDs {

@@ -26,7 +26,7 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if got, err := DecodeTask(task.Encode()); err != nil || !reflect.DeepEqual(got, task) {
 		t.Errorf("Task round trip = (%+v, %v)", got, err)
 	}
-	note := Note{Seq: 5, Finished: true, IDs: layerIDs(3)}
+	note := Note{Seq: 5, IDs: layerIDs(3)}
 	if got, err := DecodeNote(note.Encode()); err != nil || !reflect.DeepEqual(got, note) {
 		t.Errorf("Note round trip = (%+v, %v)", got, err)
 	}
@@ -106,7 +106,7 @@ func FuzzPayloadDecode(f *testing.F) {
 		Hello{RunID: "run-1", Stage: 2, Incarnation: 1, Addr: "127.0.0.1:4100"}.Encode(),
 		Assign{Stage: 1, D: 2, Cursor: 3, Incarnation: 1, Spec: []byte("{}"), Peers: []string{"a:1", "b:2"}}.Encode(),
 		Task{Seq: 9, Carried: []csp.PendingBackward{{Seq: 4, Precedence: 9}}}.Encode(),
-		Note{Seq: 5, Finished: true, IDs: layerIDs(3)}.Encode(),
+		Note{Seq: 5, IDs: layerIDs(3)}.Encode(),
 		EncodeCut(fault.Cut{Cursor: 4, Finished: []int{1, 3}}),
 		Heartbeat{Stage: 1, Frontier: 8, Tasks: 16}.Encode(),
 		Done{Stage: 1, Completed: 2, Trace: []trace.Event{{Order: 1, TimeMs: 0.5, Layer: 3, Subnet: 1, Kind: trace.Write}}}.Encode(),
@@ -115,7 +115,9 @@ func FuzzPayloadDecode(f *testing.F) {
 	} {
 		f.Add(append([]byte{byte(i)}, p...))
 	}
-	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0, 5, 2}) // a note whose flag byte is 2
+	// A version-2 note payload, whose flag byte after the seq reads as the
+	// first byte of the ID count now: structured rejection, not a decode.
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0, 5, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
