@@ -55,18 +55,15 @@ func (c CoordConfig) withDefaults() CoordConfig {
 	return c
 }
 
-// Coordinator owns one distributed run: the durable cursor, the fleet
-// lifecycle, and the global verification.
+// Coordinator owns one distributed run's fleet lifecycle: it launches,
+// watches and tears down the stage workers of each incarnation, which
+// the job's recovery loop (naspipe.Job.RunSupervised) starts from the
+// committed cursor.
 type Coordinator struct {
 	cfg      CoordConfig
 	spec     naspipe.JobSpec
 	job      *naspipe.Job
 	specJSON []byte
-
-	mu          sync.Mutex
-	cursor      int
-	incarnation int
-	rec         *fault.FileRecorder // nil without a checkpoint path
 }
 
 // NewCoordinator validates the configuration and builds a coordinator.
@@ -102,89 +99,22 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-func (c *Coordinator) state() (cursor, incarnation int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cursor, c.incarnation
-}
-
-// record applies a stage-0 consistency cut: the in-memory cursor
-// always advances (re-admission after a kill needs it even without a
-// checkpoint file), and the file recorder commits it when configured.
-func (c *Coordinator) record(cut fault.Cut) error {
-	c.mu.Lock()
-	if cut.Cursor > c.cursor {
-		c.cursor = cut.Cursor
-	}
-	rec := c.rec
-	c.mu.Unlock()
-	if rec != nil {
-		return rec.Snapshot(cut)
-	}
-	return nil
-}
-
-// bump rolls the incarnation after an incident so the relaunched fleet
-// draws a fresh fault schedule.
-func (c *Coordinator) bump() error {
-	c.mu.Lock()
-	c.incarnation++
-	rec := c.rec
-	c.mu.Unlock()
-	if rec != nil {
-		return rec.Bump()
-	}
-	return nil
-}
-
 // Run executes the job to completion under supervision: launch fleet,
 // collect, and on any worker death relaunch from the committed cursor
-// until the stream finishes or the restart budget runs out. The
-// returned Result covers the final incarnation's suffix (BaseSeq tells
-// where it started); with spec.Verify it has passed Job.Verify, the
-// check RunJob runs, and carries the checksum. Every return path
-// flushes the recorder (latest committed cut on disk, no writer).
-func (c *Coordinator) Run(ctx context.Context) (res naspipe.Result, rep *supervise.Report, err error) {
-	// Resuming, the job's recorder applies the guard RunJob's resume applies before
-	// any worker launches: a foreign checkpoint must not reach the fleet.
-	rec, err := c.job.OpenCheckpoint(c.cfg.Resume)
-	if err != nil {
-		return naspipe.Result{}, &supervise.Report{}, fmt.Errorf("distrib: %w", err)
+// until the stream finishes or the restart budget runs out. The job's
+// recovery loop owns the cursor, the incarnation and the checkpoint
+// (kept in memory when the spec names no file), applies the resume
+// guard before any worker launches, and with spec.Verify holds the
+// result to Job.Verify, the check RunJob runs. The returned Result
+// covers the final incarnation's suffix (BaseSeq tells where it
+// started).
+func (c *Coordinator) Run(ctx context.Context) (naspipe.Result, *supervise.Report, error) {
+	res, rep, err := c.job.RunSupervised(ctx, c.cfg.Resume,
+		naspipe.SuperviseConfig{Telemetry: c.cfg.Tel, Log: c.cfg.Log}, c.incarnate)
+	if err == nil && c.spec.Verify {
+		c.logf("coordinator: resume verified: weights %016x match the sequential reference", res.Checksum)
 	}
-	if rec != nil {
-		ck := rec.Committed()
-		c.rec, c.cursor, c.incarnation = rec, ck.Cursor, ck.Incarnation
-		defer func() {
-			if ferr := rec.Flush(); ferr != nil && err == nil {
-				err = fmt.Errorf("distrib: flushing the checkpoint: %w", ferr)
-			}
-			res.CheckpointStats = rec.Stats()
-		}()
-	}
-
-	scfg, ok := c.spec.SuperviseConfig()
-	if !ok {
-		scfg = supervise.Defaults()
-	}
-	scfg.Telemetry = c.cfg.Tel
-	scfg.Log = c.cfg.Log
-	inc := func(ctx context.Context, gpus int, probe *engine.RunProbe) (engine.Result, error) {
-		return c.incarnate(ctx, gpus, probe)
-	}
-	job := supervise.Job{
-		Run: inc, Resume: inc,
-		Cursor: func() (int, error) { cur, _ := c.state(); return cur, nil },
-		GPUs:   c.spec.GPUs, Total: c.spec.Subnets,
-	}
-	res, rep, err = supervise.Run(ctx, scfg, job)
-	if err != nil {
-		return res, rep, err
-	}
-	if res, err = c.job.Verify(res); err != nil || !c.spec.Verify {
-		return res, rep, err
-	}
-	c.logf("coordinator: resume verified: weights %016x match the sequential reference", res.Checksum)
-	return res, rep, nil
+	return res, rep, err
 }
 
 // workerExit is a process-watcher report: the stage whose process
@@ -202,6 +132,7 @@ type fleetState struct {
 	lastTasks []int64
 	done      []*transport.Done
 	remaining int
+	cut       int // the highest cut cursor a worker reported
 
 	allDone chan struct{}
 	deaths  chan workerExit
@@ -249,6 +180,12 @@ func (st *fleetState) taskDelta(stage int, tasks int64) int64 {
 	return d
 }
 
+func (st *fleetState) setCut(cursor int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.cut = max(st.cut, cursor)
+}
+
 func (st *fleetState) setDone(stage int, d *transport.Done) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -281,24 +218,21 @@ func (st *fleetState) deadStage(deadAfter time.Duration) int {
 	return -1
 }
 
-// incarnate runs one fleet incarnation: listen, launch one worker per
-// stage, hand out the peer table, serve the control traffic, and
-// either collect every Done (success) or convert the first death into
-// a *fault.CrashError after tearing the fleet down (the supervision
-// plane resumes from the committed cursor).
-func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.RunProbe) (engine.Result, error) {
-	cursor, incNo := c.state()
+// incarnate runs one fleet incarnation, the executor the job's
+// recovery loop hands cfg: the suffix from cfg.SeqBase under
+// cfg.FaultIncarnation at depth cfg.Spec.GPUs. It listens, launches one
+// worker per stage, hands out the peer table, serves the control
+// traffic — worker cuts go to cfg.Checkpoint, heartbeats to cfg.Probe —
+// and either collects every Done (success) or converts the first death
+// into a *fault.CrashError after tearing the fleet down (the recovery
+// loop resumes from the committed cursor).
+func (c *Coordinator) incarnate(parent context.Context, cfg naspipe.Config) (naspipe.Result, error) {
+	gpus, cursor, incNo, probe := cfg.Spec.GPUs, cfg.SeqBase, cfg.FaultIncarnation, cfg.Probe
 	total := c.spec.Subnets
 	start := time.Now()
 	res := engine.Result{
 		Policy: "NASPipe", Space: c.spec.Space, D: gpus, // the workers' CSP admission
 		BaseSeq: cursor,
-	}
-	if cursor >= total {
-		// The previous incarnation's crash landed after the final
-		// commit; nothing left to run.
-		res.Completed = 0
-		return res, nil
 	}
 	probe.Attach(gpus, cursor)
 
@@ -331,31 +265,27 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 		pumps.Add(1)
 		go func(k int) {
 			defer pumps.Done()
-			c.pump(ctx, k, links, probe, st)
+			c.pump(ctx, k, links, cfg, st)
 		}(k)
 	}
 
 	procs := make([]Process, gpus)
 	// teardown is the one way an incarnation ends short of success: kill
-	// the fleet, stop the pumps, and roll the incarnation so the relaunch
-	// (or a later resume) draws a fresh fault schedule — in particular an
-	// incarnation-pinned crash or wedge cannot refire. It returns cause.
+	// the fleet and stop the pumps. It returns cause; the recovery loop
+	// bumps the incarnation on a crash or an interruption.
 	teardown := func(why string, cause error) (engine.Result, error) {
 		c.logf("coordinator: incarnation %d: %s; tearing fleet down", incNo, why)
 		c.killFleet(procs, links, why)
 		cancel()
 		pumps.Wait()
-		if berr := c.bump(); berr != nil {
-			return res, fmt.Errorf("distrib: recording incarnation %d's end: %w (it ended with: %v)", incNo, berr, cause)
-		}
 		return res, cause
 	}
-	// died charges a worker death to the committed cursor; the
-	// supervision plane resumes from there.
+	// died charges a worker death to the committed frontier; the
+	// recovery loop resumes from there.
 	died := func(stage int, why string) (engine.Result, error) {
-		cur, _ := c.state()
+		frontier, _ := probe.Progress()
 		return teardown(fmt.Sprintf("stage %d died (%s)", stage, why),
-			&fault.CrashError{Stage: stage, Seq: cur, Incarnation: incNo})
+			&fault.CrashError{Stage: stage, Seq: frontier, Incarnation: incNo})
 	}
 	addr := ln.Addr().String()
 	for k := range procs {
@@ -387,7 +317,7 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 			c.reapFleet(procs)
 			cancel()
 			pumps.Wait()
-			return c.finish(res, gpus, cursor, st, start)
+			return c.finish(res, cfg, st, start)
 		case f := <-st.failed:
 			if f.Kind == "crash" {
 				return teardown(fmt.Sprintf("stage %d reported crash at seq %d", f.Stage, f.Seq),
@@ -413,7 +343,8 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 // reports: stage 0's completion count is authoritative, and the
 // workers' observed traces merge topologically into the global
 // observation the verification plane replays.
-func (c *Coordinator) finish(res engine.Result, gpus, cursor int, st *fleetState, start time.Time) (engine.Result, error) {
+func (c *Coordinator) finish(res engine.Result, cfg naspipe.Config, st *fleetState, start time.Time) (engine.Result, error) {
+	gpus, cursor := cfg.Spec.GPUs, cfg.SeqBase
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	parts := make([]*trace.Trace, 0, gpus)
@@ -435,22 +366,14 @@ func (c *Coordinator) finish(res engine.Result, gpus, cursor int, st *fleetState
 	// but an unthrottled recorder is not guaranteed — commit the
 	// authoritative count.
 	final := cursor + res.Completed
-	if final > c.cursorLocked() {
-		c.mu.Lock()
-		if final > c.cursor {
-			c.cursor = final
+	if final > st.cut {
+		if err := cfg.Checkpoint.Snapshot(fault.Cut{Cursor: final}); err != nil {
+			c.logf("coordinator: checkpoint save failed: %v", err)
 		}
-		c.mu.Unlock()
 	}
 	c.logf("coordinator: stream complete: %d subnets (cursor %d), %d trace events merged",
 		res.Completed, final, len(res.ObservedTrace.Events))
 	return res, nil
-}
-
-func (c *Coordinator) cursorLocked() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cursor
 }
 
 // killFleet aborts and kills every worker. Abort is best-effort (the
@@ -573,11 +496,11 @@ func (c *Coordinator) acceptLoop(ln net.Listener, links []*transport.Link,
 	}
 }
 
-// pump serves one stage's control traffic: cuts feed the checkpoint
-// recorder, heartbeats the fleet state and the health probe, Done and
-// Failed the main loop.
+// pump serves one stage's control traffic: cuts feed the incarnation's
+// checkpoint recorder, heartbeats the fleet state and the health probe
+// (one publish each), Done and Failed the main loop.
 func (c *Coordinator) pump(ctx context.Context, k int, links []*transport.Link,
-	probe *engine.RunProbe, st *fleetState) {
+	cfg naspipe.Config, st *fleetState) {
 	for {
 		select {
 		case <-ctx.Done():
@@ -590,7 +513,8 @@ func (c *Coordinator) pump(ctx context.Context, k int, links []*transport.Link,
 			case transport.FrameCut:
 				cut, err := transport.DecodeCut(f.Payload)
 				if err == nil {
-					if rerr := c.record(cut); rerr != nil {
+					st.setCut(cut.Cursor)
+					if rerr := cfg.Checkpoint.Snapshot(cut); rerr != nil {
 						c.logf("coordinator: checkpoint save failed: %v", rerr)
 					}
 				}
@@ -600,15 +524,9 @@ func (c *Coordinator) pump(ctx context.Context, k int, links []*transport.Link,
 					continue
 				}
 				st.beat(h.Stage)
-				probe.AdvanceFrontier(h.Frontier)
-				health := engine.StageHealth{Stage: h.Stage, BlockedHead: -1, OwnerSubnet: -1}
-				delta := st.taskDelta(h.Stage, h.Tasks)
-				if delta == 0 {
-					probe.Publish(health, false)
-				}
-				for ; delta > 0; delta-- {
-					probe.Publish(health, true)
-				}
+				cfg.Probe.AdvanceFrontier(h.Frontier)
+				cfg.Probe.Publish(engine.StageHealth{Stage: h.Stage, BlockedHead: -1, OwnerSubnet: -1},
+					st.taskDelta(h.Stage, h.Tasks))
 			case transport.FrameDone:
 				d, err := transport.DecodeDone(f.Payload)
 				if err == nil {

@@ -21,16 +21,18 @@
 // arriving before the deadline or its process exits without reporting
 // a result.
 //
-// Recovery is the single-process supervision story lifted across
-// process boundaries. The coordinator is the only holder of durable
-// state: the stage-0 worker streams consistency cuts to it, and the
-// coordinator's checkpoint recorder persists them. When any worker
+// Recovery is the single-process recovery loop itself, with another
+// executor: Coordinator.Run hands naspipe.Job.RunSupervised its
+// incarnate, which launches one fleet per incarnation. The loop holds
+// the only durable state — the job's one checkpoint recorder, kept in
+// memory when the spec names no file — and the stage-0 worker streams
+// its consistency cuts to it through the coordinator. When any worker
 // dies — a crash injected by the fault plane, a kill -9, a silent
-// hang — the coordinator tears the whole incarnation down, bumps the
-// incarnation, and relaunches the fleet from the committed cursor; the
-// suffix renumbers through SeqBase exactly as a single-process resume
-// does, so the merged result is bitwise identical to the uninterrupted
-// run (CSP, Definition 1).
+// hang — the coordinator tears the incarnation's fleet down, the loop
+// bumps the incarnation, and the next fleet launches from the
+// committed cursor; the suffix renumbers through SeqBase exactly as a
+// single-process resume does, so the merged result is bitwise
+// identical to the uninterrupted run (CSP, Definition 1).
 //
 // Verification composes across the fleet: each worker checks its local
 // per-layer projection inside the engine, reports its observed trace

@@ -243,6 +243,41 @@ func TestFleetSurvivesWorkerKill(t *testing.T) {
 	}
 }
 
+// TestFleetWithoutCheckpointRecoversFromMemory: a fleet whose spec
+// names no checkpoint file still restarts from its committed cursor,
+// which the job's recovery loop keeps in a memory-only recorder.
+// Incarnation 0 wedges mid-stream and the watchdog ends it (a spec
+// without a checkpoint path carries no supervise block, so the fleet
+// supervises with the defaults: a 2 s stall timeout); the bumped
+// incarnation does not wedge and finishes the suffix.
+func TestFleetWithoutCheckpointRecoversFromMemory(t *testing.T) {
+	checkLeaks(t)
+	spec := distSpec(t, 12)
+	spec.Faults = "seed=1,wedgeat=0:0:6:B"
+	co := coordFor(t, spec, "memory-cursor-test")
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	res, rep, err := co.Run(ctx)
+	if err != nil {
+		t.Fatalf("fleet run: %v\nincidents:\n%s", err, rep.Timeline())
+	}
+	if rep.Restarts != 1 || rep.WatchdogFires != 1 {
+		t.Fatalf("%d restarts, %d watchdog fires, want 1 and 1\n%s", rep.Restarts, rep.WatchdogFires, rep.Timeline())
+	}
+	if res.BaseSeq < 1 || res.BaseSeq+res.Completed != spec.Subnets {
+		t.Fatalf("the relaunch covers base %d + completed %d of %d subnets",
+			res.BaseSeq, res.Completed, spec.Subnets)
+	}
+	tc, _ := spec.TrainConfig()
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := naspipe.VerifyAgainstSequential(tc, cfg, res); err != nil || sum != res.Checksum {
+		t.Fatalf("verification: checksum %016x against the run's %016x: %v", sum, res.Checksum, err)
+	}
+}
+
 // TestFleetResumeAcrossCoordinators models coordinator death: interrupt
 // a fleet mid-stream, drop the whole coordinator, then build a fresh one
 // resuming from the checkpoint file.

@@ -65,14 +65,11 @@ func (p *RunProbe) attach(d, base int) {
 // publish records one stage's current health; taskDone additionally
 // bumps the monotone progress counter.
 func (p *RunProbe) publish(h StageHealth, taskDone bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if h.Stage >= 0 && h.Stage < len(p.stages) {
-		p.stages[h.Stage] = h
-	}
+	var tasks int64
 	if taskDone {
-		p.tasks++
+		tasks = 1
 	}
+	p.Publish(h, tasks)
 }
 
 // advanceFrontier records the committed stage-0 backward frontier
@@ -92,10 +89,20 @@ func (p *RunProbe) advanceFrontier(f int) {
 // in-process.
 func (p *RunProbe) Attach(d, base int) { p.attach(d, base) }
 
-// Publish records one stage's health as reported over the wire;
-// taskDone bumps the monotone progress counter. The coordinator feeds
-// worker heartbeats through this.
-func (p *RunProbe) Publish(h StageHealth, taskDone bool) { p.publish(h, taskDone) }
+// Publish records one stage's health as reported over the wire and
+// adds the tasks it completed since its last report to the monotone
+// progress counter. The coordinator feeds each worker heartbeat through
+// this once.
+func (p *RunProbe) Publish(h StageHealth, tasks int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if h.Stage >= 0 && h.Stage < len(p.stages) {
+		p.stages[h.Stage] = h
+	}
+	if tasks > 0 {
+		p.tasks += tasks
+	}
+}
 
 // AdvanceFrontier records a remotely-reported committed stage-0
 // backward frontier.

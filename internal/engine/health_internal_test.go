@@ -58,6 +58,14 @@ func TestRunProbeSemantics(t *testing.T) {
 	if f, n := p.Progress(); f != 7 || n != 3 {
 		t.Fatalf("out-of-range publish mishandled: (%d, %d)", f, n)
 	}
+
+	// A remote heartbeat reports every task its stage completed since
+	// the last one in a single publish.
+	p.Publish(StageHealth{Stage: 0, BwdDone: 4}, 4)
+	p.Publish(StageHealth{Stage: 0, BwdDone: 4}, 0)
+	if _, n := p.Progress(); n != 7 || p.Snapshot()[0].BwdDone != 4 {
+		t.Fatalf("heartbeat publishes counted %d tasks (want 7), stage 0 %+v", n, p.Snapshot()[0])
+	}
 }
 
 // TestStallErrorDump is the seeded deadlock fixture: the dump must name

@@ -185,11 +185,11 @@ func Load(path string) (Checkpoint, error) {
 
 // VerifyResume checks that ck, loaded from a file, is a checkpoint of the
 // run whose identity fields (Space, Seed, GPUs, NumSubnets, JitterSeed)
-// are want's: every resume path — RunJob's resume, the fleet coordinator —
-// guards with it before running anything. elastic waives the GPU count
-// (the suffix may re-partition at another depth). weightAt, when non-nil,
-// retrains the committed prefix so a recorded weight checksum is
-// verified too.
+// are want's: a job that opens its checkpoint to resume — in one
+// process or on a fleet — guards with it before running anything.
+// elastic waives the GPU count (the suffix may re-partition at another
+// depth). weightAt, when non-nil, retrains the committed prefix so a
+// recorded weight checksum is verified too.
 func (ck Checkpoint) VerifyResume(want Checkpoint, elastic bool, weightAt func(cursor int) uint64) error {
 	switch {
 	case ck.Space != want.Space:
@@ -240,6 +240,10 @@ type Recorder interface {
 //   - a SIGKILL loses at most the cuts committed during one in-flight
 //     save; resume re-executes them (Definition 1 is untouched);
 //   - a write error is sticky: every later Snapshot, Bump, Flush returns it.
+//
+// A recorder with no path keeps the committed cursor and incarnation in
+// memory only: no file, no writer goroutine, and Snapshot allocates
+// nothing.
 type FileRecorder struct {
 	mu       sync.Mutex
 	idle     sync.Cond // signalled when the writer slot frees
@@ -262,21 +266,17 @@ type RecorderStats struct {
 	SyncEdge            time.Duration
 }
 
-// Add combines the stats of two incarnations' recorders.
-func (s RecorderStats) Add(o RecorderStats) RecorderStats {
-	return RecorderStats{s.Cuts + o.Cuts, s.Saves + o.Saves, max(s.MaxLag, o.MaxLag), s.SyncEdge + o.SyncEdge}
-}
-
 func (s RecorderStats) String() string {
 	return fmt.Sprintf("%d cuts committed, %d saves hit disk, durable lag ≤ %d subnets, %.1f ms in synchronous saves",
 		s.Cuts, s.Saves, s.MaxLag, float64(s.SyncEdge)/1e6)
 }
 
-// NewFileRecorder builds a recorder writing to path. ident carries the
-// run identity (and, on resume, the starting cursor/incarnation); every
-// makes one cut in `every` cursor advances due for the writer (<=1: every
-// cut); weightFn, when non-nil, supplies the weight checksum for a cursor
-// and is invoked only for cuts actually saved, on the saving goroutine.
+// NewFileRecorder builds a recorder writing to path ("" = memory only).
+// ident carries the run identity (and, on resume, the starting
+// cursor/incarnation); every makes one cut in `every` cursor advances
+// due for the writer (<=1: every cut); weightFn, when non-nil, supplies
+// the weight checksum for a cursor and is invoked only for cuts actually
+// saved, on the saving goroutine.
 func NewFileRecorder(path string, ident Checkpoint, every int, weightFn func(int) uint64) *FileRecorder {
 	if every < 1 {
 		every = 1
@@ -290,6 +290,9 @@ func NewFileRecorder(path string, ident Checkpoint, every int, weightFn func(int
 // first cut still leaves a resumable file; a file that already holds
 // exactly that state (a resume with unchanged identity) is left alone.
 func (r *FileRecorder) Init() error {
+	if r.path == "" {
+		return nil
+	}
 	return r.syncSave(func() bool {
 		buf, err := os.ReadFile(r.path)
 		if err != nil || !bytes.Equal(buf, r.ckpt.Encode()) {
@@ -311,9 +314,12 @@ func (r *FileRecorder) Snapshot(cut Cut) error {
 		return r.err
 	}
 	r.ckpt.Cursor = cut.Cursor
+	r.stats.Cuts++
+	if r.path == "" {
+		return nil
+	}
 	r.ckpt.Finished = append([]int(nil), cut.Finished...)
 	sort.Ints(r.ckpt.Finished)
-	r.stats.Cuts++
 	r.stats.MaxLag = max(r.stats.MaxLag, cut.Cursor-r.durable.Cursor)
 	if cut.Cursor < r.ckpt.NumSubnets && cut.Cursor%r.every != 0 {
 		return nil
@@ -369,7 +375,7 @@ func (r *FileRecorder) syncSave(edit func() (save bool)) error {
 	for r.writing {
 		r.idle.Wait()
 	}
-	if r.err == nil && edit() {
+	if r.err == nil && edit() && r.path != "" {
 		r.dirty, r.writing = true, true
 		r.write()
 	}

@@ -153,6 +153,44 @@ func TestFileRecorderFlushPersistsThrottledCut(t *testing.T) {
 	}
 }
 
+// TestFileRecorderWithoutPathKeepsCursorInMemory: a recorder with no
+// path is a fleet's cursor when its spec keeps no checkpoint. Cuts and
+// bumps move the committed state; nothing touches a disk, no writer
+// starts, and a cut allocates nothing.
+func TestFileRecorderWithoutPathKeepsCursorInMemory(t *testing.T) {
+	base := runtime.NumGoroutine()
+	r := NewFileRecorder("", Checkpoint{NumSubnets: 1000}, 1, func(int) uint64 {
+		t.Error("a memory-only recorder computed a weight checksum")
+		return 0
+	})
+	if err := r.Init(); err != nil {
+		t.Fatal(err)
+	}
+	finished := []int{9, 7}
+	cur := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		cur++
+		if err := r.Snapshot(Cut{Cursor: cur, Finished: finished}); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Snapshot allocates %v per cut, want 0", allocs)
+	}
+	if err := r.Bump(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Committed(); got.Cursor != cur || got.Incarnation != 1 {
+		t.Fatalf("committed %+v, want cursor %d at incarnation 1", got, cur)
+	}
+	if st := r.Stats(); st.Cuts != cur || st.Saves != 0 {
+		t.Fatalf("stats %+v, want %d cuts and no saves", st, cur)
+	}
+	settleGoroutines(t, base)
+}
+
 func TestFileRecorderIgnoresStaleCuts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.bin")
 	r := NewFileRecorder(path, Checkpoint{NumSubnets: 10, Cursor: 5}, 1, nil)

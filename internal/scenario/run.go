@@ -148,33 +148,27 @@ func simPass(comp *Compiled, cell *Cell) error {
 // the supervision plane (the lowering attaches one to every job), which
 // verifies the final result bitwise.
 func directRun(ctx context.Context, spec naspipe.JobSpec, cell *Cell, obs *Observed) {
-	var firstFail time.Time
-	res, rep, err := naspipe.RunJob(ctx, spec, false, naspipe.SuperviseConfig{
-		Observer: func(tr naspipe.HealthTransition) {
-			switch tr.To {
-			case naspipe.HealthDegraded:
-				if firstFail.IsZero() {
-					firstFail = time.Now()
-				}
-			case naspipe.HealthDone:
-				if !firstFail.IsZero() {
-					obs.Recovery = time.Since(firstFail)
-				}
-			}
-		},
-	})
-	if rep != nil {
-		cell.Restarts = rep.Restarts
-		cell.WatchdogFires = rep.WatchdogFires
-		if rep.FinalGPUs > 0 {
-			cell.FinalGPUs = rep.FinalGPUs
-		}
-	}
+	res, rep, err := naspipe.RunJob(ctx, spec, false, naspipe.SuperviseConfig{})
+	report(rep, cell, obs)
 	if err != nil {
 		cell.Failures = append(cell.Failures, fmt.Sprintf("supervised run: %v", err))
 		return
 	}
 	closeCell(spec, res, cell)
+}
+
+// report copies a supervised run's account into the cell, and its
+// recovery time (first failure to completion) into obs.
+func report(rep *naspipe.SuperviseReport, cell *Cell, obs *Observed) {
+	if rep == nil {
+		return
+	}
+	cell.Restarts = rep.Restarts
+	cell.WatchdogFires = rep.WatchdogFires
+	if rep.FinalGPUs > 0 {
+		cell.FinalGPUs = rep.FinalGPUs
+	}
+	obs.Recovery = rep.Recovery()
 }
 
 // closeCell closes out a single-job cell whose run returned verified
@@ -207,18 +201,8 @@ func distribRun(ctx context.Context, s *Scenario, spec naspipe.JobSpec, opt Opti
 	if err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	start := time.Now()
 	res, rep, err := co.Run(ctx)
-	if rep != nil {
-		cell.Restarts = rep.Restarts
-		cell.WatchdogFires = rep.WatchdogFires
-		if rep.FinalGPUs > 0 {
-			cell.FinalGPUs = rep.FinalGPUs
-		}
-		if rep.Restarts > 0 {
-			obs.Recovery = time.Since(start)
-		}
-	}
+	report(rep, cell, obs)
 	if err != nil {
 		cell.Failures = append(cell.Failures, fmt.Sprintf("distributed fleet: %v", err))
 		return nil

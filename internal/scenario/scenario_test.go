@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -340,6 +341,27 @@ func TestRunDistributedScenario(t *testing.T) {
 	}
 	if soloCell.Checksum != cell.Checksum {
 		t.Fatalf("distributed checksum %s != single-process %s", cell.Checksum, soloCell.Checksum)
+	}
+}
+
+// TestDistributedFleetRecoveryTime: the catalog's distributed-fleet cell
+// loses a worker once, and its recovery time is measured from that
+// failure to completion, as on the single-process plane — inside the
+// pass's wall time, not all of it.
+func TestDistributedFleetRecoveryTime(t *testing.T) {
+	s, err := Load(filepath.Join(catalogDir, "distributed-fleet.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, obs, err := Run(context.Background(), s, Options{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cell.Failures) > 0 || cell.Restarts != 1 {
+		t.Fatalf("cell failed or did not restart once: %+v", cell)
+	}
+	if obs.Recovery <= 0 || obs.Recovery >= obs.Wall {
+		t.Fatalf("recovery %v, want within (0, wall %v)", obs.Recovery, obs.Wall)
 	}
 }
 

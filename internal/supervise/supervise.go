@@ -1,6 +1,7 @@
 // Package supervise is the supervision plane: an in-process supervisor
-// that wraps the concurrent executor's incarnations (a job's run and
-// resume) and drives a health state machine
+// that wraps a job's incarnations — each runs the uncommitted suffix
+// from the committed cursor, in one process or on a fleet — and drives
+// a health state machine
 //
 //	running → degraded → recovering → … → done | failed
 //
@@ -63,8 +64,9 @@ func (s State) String() string {
 // Transition is one recorded state-machine edge.
 type Transition struct {
 	From, To    State
-	Incarnation int // supervisor attempt index (0 = the initial Run)
+	Incarnation int // supervisor attempt index (0 = the first)
 	Reason      string
+	At          time.Time // wall time the edge was taken
 }
 
 // Incident is one recoverable incarnation failure: which attempt, the
@@ -99,6 +101,22 @@ type Report struct {
 	FinalState    State
 	FinalGPUs     int
 	ElasticSteps  []int // pipeline depth after each elastic halving, in order
+}
+
+// Recovery is the wall time from the first failure (the first edge into
+// Degraded) to completion (the edge into Done); 0 when nothing failed or
+// the run did not complete.
+func (r *Report) Recovery() time.Duration {
+	var first time.Time
+	for _, tr := range r.Transitions {
+		switch {
+		case tr.To == Degraded && first.IsZero():
+			first = tr.At
+		case tr.To == Done && !first.IsZero():
+			return tr.At.Sub(first)
+		}
+	}
+	return 0
 }
 
 // Timeline renders the incident history, the "full fault timeline" a
@@ -222,19 +240,17 @@ func Defaults() Config { return Config{}.withDefaults() }
 
 // Incarnation runs one attempt at the given pipeline depth, publishing
 // health into the probe. The supervisor owns the probe and the context;
-// the closure wires them into the executor (Runner sets Config.Probe
-// and Spec.GPUs).
+// the job's recovery loop wires them into the executor's Config and
+// starts the attempt from the committed cursor.
 type Incarnation func(ctx context.Context, gpus int, probe *engine.RunProbe) (engine.Result, error)
 
 // Job is the work under supervision.
 type Job struct {
-	// Run executes attempt 0; Resume executes every later attempt from
-	// the latest checkpoint.
-	Run    Incarnation
-	Resume Incarnation
-	// Cursor reads the committed global cursor from the checkpoint plane
-	// after an incident — the crash-loop detector's progress signal.
-	Cursor func() (int, error)
+	// Run executes every attempt.
+	Run Incarnation
+	// Cursor reads the committed global cursor after an incident — the
+	// crash-loop detector's progress signal.
+	Cursor func() int
 	// GPUs is the initial pipeline depth; Total the stream length (both
 	// for reporting).
 	GPUs  int
@@ -253,8 +269,8 @@ type Job struct {
 //     Failed).
 func Run(ctx context.Context, cfg Config, job Job) (engine.Result, *Report, error) {
 	cfg = cfg.withDefaults()
-	if job.Run == nil || job.Resume == nil || job.Cursor == nil {
-		return engine.Result{}, &Report{FinalState: Failed}, fmt.Errorf("supervise: job needs Run, Resume, and Cursor")
+	if job.Run == nil || job.Cursor == nil {
+		return engine.Result{}, &Report{FinalState: Failed}, fmt.Errorf("supervise: job needs Run and Cursor")
 	}
 	sup := &supervisor{cfg: cfg, job: job, rep: &Report{FinalGPUs: job.GPUs}}
 	res, err := sup.loop(ctx)
@@ -279,9 +295,8 @@ func (sv *supervisor) logf(format string, args ...any) {
 func (sv *supervisor) transition(to State, inc int, reason string) {
 	from := sv.state
 	sv.state = to
-	sv.rep.Transitions = append(sv.rep.Transitions, Transition{
-		From: from, To: to, Incarnation: inc, Reason: reason,
-	})
+	tr := Transition{From: from, To: to, Incarnation: inc, Reason: reason, At: time.Now()}
+	sv.rep.Transitions = append(sv.rep.Transitions, tr)
 	sv.rep.FinalState = to
 	if sv.cfg.Telemetry != nil {
 		sv.cfg.Telemetry.Emit(telemetry.Event{
@@ -293,7 +308,7 @@ func (sv *supervisor) transition(to State, inc int, reason string) {
 	}
 	sv.logf("supervise: %s → %s (incarnation %d): %s", from, to, inc, reason)
 	if sv.cfg.Observer != nil {
-		sv.cfg.Observer(Transition{From: from, To: to, Incarnation: inc, Reason: reason})
+		sv.cfg.Observer(tr)
 	}
 }
 
@@ -301,7 +316,6 @@ func (sv *supervisor) loop(ctx context.Context) (engine.Result, error) {
 	var (
 		gpus         = sv.job.GPUs
 		probe        = &engine.RunProbe{}
-		run          = sv.job.Run
 		inc          = 0
 		lastCursor   = 0
 		noAdvance    = 0
@@ -314,7 +328,7 @@ func (sv *supervisor) loop(ctx context.Context) (engine.Result, error) {
 		// a watchdog stall from an external interruption.
 		runCtx, cancel := context.WithCancelCause(ctx)
 		stop := startWatchdog(runCtx, cancel, sv.cfg.Watchdog, probe, inc)
-		res, err := run(runCtx, gpus, probe)
+		res, err := sv.job.Run(runCtx, gpus, probe)
 		cancel(nil)
 		<-stop
 
@@ -350,11 +364,7 @@ func (sv *supervisor) loop(ctx context.Context) (engine.Result, error) {
 			return res, err
 		}
 
-		cursor, cerr := sv.job.Cursor()
-		if cerr != nil {
-			sv.transition(Failed, inc, fmt.Sprintf("checkpoint unreadable after incident: %v", cerr))
-			return res, fmt.Errorf("supervise: checkpoint unreadable after incident: %w", cerr)
-		}
+		cursor := sv.job.Cursor()
 		incident := Incident{
 			Incarnation: inc, Stage: stage, Err: err, Stall: stall,
 			CursorBefore: lastCursor, CursorAfter: cursor, GPUs: gpus,
@@ -406,7 +416,6 @@ func (sv *supervisor) loop(ctx context.Context) (engine.Result, error) {
 		}
 		inc++
 		sv.transition(Running, inc, fmt.Sprintf("incarnation %d starting", inc))
-		run = sv.job.Resume
 	}
 }
 

@@ -38,9 +38,9 @@ func crashOn(stage int, total int, shouldCrash func(gpus int) bool, gpusSeen *[]
 
 // advancingCursor returns a Cursor that moves forward on every read —
 // the signal that keeps the crash-loop detector satisfied.
-func advancingCursor() func() (int, error) {
+func advancingCursor() func() int {
 	n := 0
-	return func() (int, error) { n++; return n, nil }
+	return func() int { n++; return n }
 }
 
 func transitionStates(rep *supervise.Report) []supervise.State {
@@ -54,7 +54,7 @@ func transitionStates(rep *supervise.Report) []supervise.State {
 func TestSupervisorHappyPath(t *testing.T) {
 	ok := crashOn(0, 9, func(int) bool { return false }, nil)
 	res, rep, err := supervise.Run(context.Background(), quietCfg(), supervise.Job{
-		Run: ok, Resume: ok, Cursor: advancingCursor(), GPUs: 8, Total: 9,
+		Run: ok, Cursor: advancingCursor(), GPUs: 8, Total: 9,
 	})
 	if err != nil {
 		t.Fatalf("happy path errored: %v", err)
@@ -77,7 +77,7 @@ func TestSupervisorCrashThenResume(t *testing.T) {
 		return engine.Result{Completed: 9, BaseSeq: 3}, nil
 	}
 	res, rep, err := supervise.Run(context.Background(), quietCfg(), supervise.Job{
-		Run: run, Resume: run, Cursor: func() (int, error) { return 3, nil }, GPUs: 8, Total: 9,
+		Run: run, Cursor: func() int { return 3 }, GPUs: 8, Total: 9,
 	})
 	if err != nil {
 		t.Fatalf("supervised crash did not recover: %v", err)
@@ -110,7 +110,7 @@ func TestSupervisorRestartBudget(t *testing.T) {
 	cfg.CrashLoopWindow = 100 // keep the other give-up out of the way
 	always := crashOn(1, 9, func(int) bool { return true }, nil)
 	_, rep, err := supervise.Run(context.Background(), cfg, supervise.Job{
-		Run: always, Resume: always, Cursor: advancingCursor(), GPUs: 4, Total: 9,
+		Run: always, Cursor: advancingCursor(), GPUs: 4, Total: 9,
 	})
 	var giveUp *supervise.GiveUpError
 	if !errors.As(err, &giveUp) {
@@ -129,8 +129,8 @@ func TestSupervisorCrashLoopGiveUp(t *testing.T) {
 	cfg.CrashLoopWindow = 3
 	always := crashOn(0, 9, func(int) bool { return true }, nil)
 	_, rep, err := supervise.Run(context.Background(), cfg, supervise.Job{
-		Run: always, Resume: always,
-		Cursor: func() (int, error) { return 0, nil }, // never advances
+		Run:    always,
+		Cursor: func() int { return 0 }, // never advances
 		GPUs:   4, Total: 9,
 	})
 	var giveUp *supervise.GiveUpError
@@ -162,7 +162,7 @@ func TestSupervisorElasticHalving(t *testing.T) {
 	// Crash on stage 3 until the supervisor has halved the depth to 2.
 	run := crashOn(3, 9, func(gpus int) bool { return gpus > 2 }, &gpusSeen)
 	_, rep, err := supervise.Run(context.Background(), cfg, supervise.Job{
-		Run: run, Resume: run, Cursor: advancingCursor(), GPUs: 8, Total: 9,
+		Run: run, Cursor: advancingCursor(), GPUs: 8, Total: 9,
 	})
 	if err != nil {
 		t.Fatalf("elastic recovery failed: %v", err)
@@ -192,7 +192,7 @@ func TestSupervisorElasticFloor(t *testing.T) {
 	var gpusSeen []int
 	always := crashOn(1, 9, func(int) bool { return true }, &gpusSeen)
 	_, rep, err := supervise.Run(context.Background(), cfg, supervise.Job{
-		Run: always, Resume: always, Cursor: advancingCursor(), GPUs: 8, Total: 9,
+		Run: always, Cursor: advancingCursor(), GPUs: 8, Total: 9,
 	})
 	var giveUp *supervise.GiveUpError
 	if !errors.As(err, &giveUp) {
@@ -217,7 +217,7 @@ func TestSupervisorInterruptionPassthrough(t *testing.T) {
 		return engine.Result{Completed: 2}, runCtx.Err()
 	}
 	res, rep, err := supervise.Run(ctx, quietCfg(), supervise.Job{
-		Run: run, Resume: run, Cursor: advancingCursor(), GPUs: 4, Total: 9,
+		Run: run, Cursor: advancingCursor(), GPUs: 4, Total: 9,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interruption not passed through: %v", err)
@@ -240,7 +240,7 @@ func TestSupervisorNonRecoverableFails(t *testing.T) {
 		return engine.Result{}, boom
 	}
 	_, rep, err := supervise.Run(context.Background(), quietCfg(), supervise.Job{
-		Run: run, Resume: run, Cursor: advancingCursor(), GPUs: 4, Total: 9,
+		Run: run, Cursor: advancingCursor(), GPUs: 4, Total: 9,
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("non-recoverable error rewritten: %v", err)
@@ -254,9 +254,8 @@ func TestSupervisorJobValidation(t *testing.T) {
 	ok := crashOn(0, 1, func(int) bool { return false }, nil)
 	cur := advancingCursor()
 	for name, job := range map[string]supervise.Job{
-		"no-run":    {Resume: ok, Cursor: cur},
-		"no-resume": {Run: ok, Cursor: cur},
-		"no-cursor": {Run: ok, Resume: ok},
+		"no-run":    {Cursor: cur},
+		"no-cursor": {Run: ok},
 	} {
 		_, rep, err := supervise.Run(context.Background(), quietCfg(), job)
 		if err == nil {
@@ -284,28 +283,13 @@ func TestSupervisorBackoffInterruptible(t *testing.T) {
 	}()
 	t0 := time.Now()
 	_, _, err := supervise.Run(ctx, cfg, supervise.Job{
-		Run: run, Resume: run, Cursor: advancingCursor(), GPUs: 4, Total: 9,
+		Run: run, Cursor: advancingCursor(), GPUs: 4, Total: 9,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled backoff returned %v", err)
 	}
 	if d := time.Since(t0); d > 5*time.Second {
 		t.Fatalf("backoff ignored cancellation for %v", d)
-	}
-}
-
-func TestSupervisorCursorErrorIsTerminal(t *testing.T) {
-	run := crashOn(0, 9, func(int) bool { return true }, nil)
-	_, rep, err := supervise.Run(context.Background(), quietCfg(), supervise.Job{
-		Run: run, Resume: run,
-		Cursor: func() (int, error) { return 0, errors.New("checkpoint corrupt") },
-		GPUs:   4, Total: 9,
-	})
-	if err == nil || !strings.Contains(err.Error(), "checkpoint unreadable") {
-		t.Fatalf("cursor failure not surfaced: %v", err)
-	}
-	if rep.FinalState != supervise.Failed {
-		t.Fatalf("state=%v, want failed", rep.FinalState)
 	}
 }
 
@@ -359,7 +343,7 @@ func TestWatchdogFiresOnFlatProbe(t *testing.T) {
 		return engine.Result{}, ctx.Err()
 	}
 	_, rep, err := supervise.Run(context.Background(), cfg, supervise.Job{
-		Run: run, Resume: run, Cursor: func() (int, error) { return 0, nil }, GPUs: 4, Total: 9,
+		Run: run, Cursor: func() int { return 0 }, GPUs: 4, Total: 9,
 	})
 	var giveUp *supervise.GiveUpError
 	if !errors.As(err, &giveUp) {
@@ -391,7 +375,7 @@ func TestSupervisorHooks(t *testing.T) {
 		return engine.Result{Completed: 9}, nil
 	}
 	_, rep, err := supervise.Run(context.Background(), cfg, supervise.Job{
-		Run: run, Resume: run, Cursor: advancingCursor(), GPUs: 4, Total: 9,
+		Run: run, Cursor: advancingCursor(), GPUs: 4, Total: 9,
 	})
 	if err != nil {
 		t.Fatalf("run errored: %v", err)
@@ -406,5 +390,38 @@ func TestSupervisorHooks(t *testing.T) {
 	}
 	if len(incidents) != 1 || incidents[0].Stage != 1 {
 		t.Fatalf("incidents = %+v, want one on stage 1", incidents)
+	}
+}
+
+// TestReportRecovery derives the recovery time from a hand-built
+// transition list: first edge into degraded to the edge into done, a
+// later incident inside the window changing nothing; 0 without an
+// incident or without completion.
+func TestReportRecovery(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	edges := []supervise.Transition{
+		{From: supervise.Running, To: supervise.Degraded, Incarnation: 0, At: at(10)},
+		{From: supervise.Degraded, To: supervise.Recovering, Incarnation: 0, At: at(11)},
+		{From: supervise.Recovering, To: supervise.Running, Incarnation: 1, At: at(15)},
+		{From: supervise.Running, To: supervise.Degraded, Incarnation: 1, At: at(40)},
+		{From: supervise.Degraded, To: supervise.Recovering, Incarnation: 1, At: at(41)},
+		{From: supervise.Recovering, To: supervise.Running, Incarnation: 2, At: at(45)},
+		{From: supervise.Running, To: supervise.Done, Incarnation: 2, At: at(70)},
+	}
+	for _, c := range []struct {
+		name  string
+		edges []supervise.Transition
+		want  time.Duration
+	}{
+		{"recovered", edges, 60 * time.Millisecond},
+		{"clean", []supervise.Transition{{From: supervise.Running, To: supervise.Done, At: at(5)}}, 0},
+		{"unfinished", edges[:6], 0},
+		{"none", nil, 0},
+	} {
+		rep := &supervise.Report{Transitions: c.edges}
+		if got := rep.Recovery(); got != c.want {
+			t.Errorf("%s: Recovery() = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"naspipe/internal/data"
 	"naspipe/internal/engine"
-	"naspipe/internal/fault"
 	"naspipe/internal/sched"
 	"naspipe/internal/supervise"
 	"naspipe/internal/train"
@@ -555,28 +554,6 @@ func (j *Job) EngineConfig() Config {
 	cfg := j.cfg
 	j.r.applyOverrides(&cfg)
 	return cfg
-}
-
-// OpenCheckpoint starts the job's checkpoint recorder for a driver that
-// runs the incarnations itself, as the fleet coordinator does: fresh at
-// cursor 0 or, resuming, at the file's cursor and incarnation once the
-// file has passed the guard RunJob's resume applies. Identity and prefix
-// weight function are the Runner's. The recorder is nil when the spec
-// keeps no checkpoint; resuming one is an error.
-func (j *Job) OpenCheckpoint(resume bool) (*fault.FileRecorder, error) {
-	if j.r.ckptPath == "" && !resume {
-		return nil, nil
-	}
-	full := j.cfg.ResolveSubnets()
-	weightAt := j.r.weightFn(full, nil)
-	ident := j.r.identity(j.cfg, len(full))
-	if resume {
-		var err error
-		if ident, err = j.r.resumePoint(j.cfg, len(full), weightAt); err != nil {
-			return nil, err
-		}
-	}
-	return j.r.openRecorder(ident, weightAt)
 }
 
 // Verify holds a completed run to the spec's Verify: its weights — the

@@ -156,85 +156,33 @@ func (r *Runner) init() error {
 // incarnation has been recorded, so a resume continues where the
 // committed frontier stopped.
 func (r *Runner) Run(ctx context.Context, cfg Config) (Result, error) {
-	return r.run(ctx, cfg, nil)
-}
-
-// run is Run on weightAt, a supervised job's shared prefix weight
-// function; nil (a cold process) builds one.
-func (r *Runner) run(ctx context.Context, cfg Config, weightAt func(int) uint64) (Result, error) {
-	r.applyOverrides(&cfg)
-	switch r.executor {
-	case ExecutorConcurrent:
-		if r.ckptPath == "" {
-			return engine.RunConcurrent(ctx, cfg)
-		}
-		full := cfg.ResolveSubnets()
-		return r.runCheckpointed(ctx, cfg, r.weightFn(full, weightAt), r.identity(cfg, len(full)))
-	default:
-		p, err := sched.New(r.policy)
-		if err != nil {
-			return Result{}, err
-		}
-		return engine.RunContext(ctx, cfg, p)
+	if r.executor == ExecutorConcurrent {
+		res, _, err := (&Job{r: r, cfg: cfg}).drive(ctx, false, nil, engine.RunConcurrent)
+		return res, err
 	}
-}
-
-// resume continues an interrupted checkpointed run from the checkpoint
-// file. cfg must describe the same run the file records: its identity
-// fields (space, seed, GPU count, stream length, jitter seed) are
-// verified, and with a training config so is the committed prefix's
-// weight checksum. The suffix then executes with the checkpoint's cursor
-// as its sequence base and the next incarnation's fault schedule; the
-// Result covers the suffix only (Result.BaseSeq is the cursor). weightAt
-// is as for run: nil verifies by retraining the prefix, a supervised
-// job's stands at the cursor it last checksummed.
-func (r *Runner) resume(ctx context.Context, cfg Config, weightAt func(int) uint64) (Result, error) {
 	r.applyOverrides(&cfg)
-	full := cfg.ResolveSubnets()
-	weightAt = r.weightFn(full, weightAt) // one checkpointer: the verified prefix is not retrained for the first cut
-	ck, err := r.resumePoint(cfg, len(full), weightAt)
+	p, err := sched.New(r.policy)
 	if err != nil {
 		return Result{}, err
 	}
-	if ck.Cursor == len(full) {
-		// Nothing left to run: the crash landed after the final commit.
-		return Result{BaseSeq: ck.Cursor}, nil
-	}
-	return r.runCheckpointed(ctx, cfg.ResumeAt(full, ck.Cursor, ck.Incarnation), weightAt, ck)
+	return engine.RunContext(ctx, cfg, p)
 }
 
 // identity is the checkpoint identity of a run of n subnets at cfg: the
 // fields a resume verifies, plus the fault seed it runs under.
 func (r *Runner) identity(cfg Config, n int) fault.Checkpoint {
-	return fault.Checkpoint{
+	ck := fault.Checkpoint{
 		Space: cfg.Space.Name, Seed: cfg.Seed, GPUs: cfg.Spec.GPUs,
-		NumSubnets: n, FaultSeed: r.faultSeed(), JitterSeed: cfg.JitterSeed,
+		NumSubnets: n, JitterSeed: cfg.JitterSeed,
 	}
-}
-
-// resumePoint loads the checkpoint file and checks that it continues
-// the run of n subnets cfg describes (identity, and with weightAt the
-// committed prefix's weight checksum). It returns the file's state as
-// the resumed recorder's starting point, re-stamped with this run's
-// fault seed and depth: an elastic resume re-partitions the suffix, and
-// the rewritten identity persists the depth actually running.
-func (r *Runner) resumePoint(cfg Config, n int, weightAt func(int) uint64) (fault.Checkpoint, error) {
-	if r.ckptPath == "" {
-		return fault.Checkpoint{}, errors.New("naspipe: resume requires a checkpoint path")
+	if r.faults != nil {
+		ck.FaultSeed = r.faults.Seed
 	}
-	ck, err := fault.Load(r.ckptPath)
-	if err == nil {
-		err = ck.VerifyResume(r.identity(cfg, n), r.elastic, weightAt)
-	}
-	if err != nil {
-		return fault.Checkpoint{}, fmt.Errorf("naspipe: resume: %w", err)
-	}
-	ck.FaultSeed, ck.GPUs = r.faultSeed(), cfg.Spec.GPUs
-	return ck, nil
+	return ck
 }
 
 // applyOverrides folds the Runner's trace and fault overrides into a run
-// config; shared by run and resume.
+// config.
 func (r *Runner) applyOverrides(cfg *Config) {
 	if r.traceSet {
 		cfg.RecordTrace = r.trace
@@ -244,20 +192,12 @@ func (r *Runner) applyOverrides(cfg *Config) {
 	}
 }
 
-// faultSeed reports the active fault plan's seed for checkpoint identity.
-func (r *Runner) faultSeed() uint64 {
-	if r.faults == nil {
-		return 0
-	}
-	return r.faults.Seed
-}
-
 // weightFn returns the prefix weight checksum function over the complete
-// global subnet stream: shared when the caller has one, else a fresh
-// Checkpointer's (nil without a training config).
-func (r *Runner) weightFn(full []supernet.Subnet, shared func(int) uint64) func(cursor int) uint64 {
-	if r.trainCfg == nil || shared != nil {
-		return shared
+// global subnet stream: a Checkpointer's, which a job builds once (nil
+// without a training config).
+func (r *Runner) weightFn(full []supernet.Subnet) func(cursor int) uint64 {
+	if r.trainCfg == nil {
+		return nil
 	}
 	return prefixChecksummer(*r.trainCfg, full)
 }
@@ -267,50 +207,9 @@ var prefixChecksummer = func(tc train.Config, full []supernet.Subnet) func(int) 
 	return train.NewCheckpointer(tc, full).ChecksumAt
 }
 
-// openRecorder starts a file recorder at ident and persists that state
-// at once, so a crash before the first cut still leaves a resumable file.
-func (r *Runner) openRecorder(ident fault.Checkpoint, weightFn func(int) uint64) (*fault.FileRecorder, error) {
-	rec := fault.NewFileRecorder(r.ckptPath, ident, r.ckptEvery, weightFn)
-	if err := rec.Init(); err != nil {
-		return nil, fmt.Errorf("naspipe: checkpoint init: %w", err)
-	}
-	return rec, nil
-}
-
-// runCheckpointed executes a concurrent run with a file recorder wired
-// to the engine's consistency cuts. weightFn gives a cut's prefix weight
-// checksum (nil = none); the recorder's writer calls it once per saved
-// cut, off the pipeline. ident seeds the recorder with the run identity
-// plus, on resume, the starting cursor and incarnation. Every return
-// path ends in one synchronous recorder edge, so the file holds the
-// latest committed cut and no writer outlives the incarnation: Bump after
-// an injected crash or an interruption (signal, watchdog, deadline), so
-// the next resume rolls a fresh fault schedule — an incarnation-0 wedge
-// that forced the interruption cannot refire — and Flush otherwise.
-func (r *Runner) runCheckpointed(ctx context.Context, cfg Config, weightFn func(int) uint64, ident fault.Checkpoint) (Result, error) {
-	rec, err := r.openRecorder(ident, weightFn)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg.Checkpoint = rec
-	res, err := engine.RunConcurrent(ctx, cfg)
-	edge, doing := rec.Flush, "flushing the checkpoint"
-	if interrupted(ctx, err) {
-		edge, doing = rec.Bump, "recording the ended incarnation"
-	}
-	if eerr := edge(); eerr != nil && !errors.Is(err, eerr) {
-		if err != nil {
-			eerr = fmt.Errorf("%w (run ended with: %v)", eerr, err)
-		}
-		err = fmt.Errorf("naspipe: %s: %w", doing, eerr)
-	}
-	res.CheckpointStats = rec.Stats()
-	return res, err
-}
-
 // interrupted reports whether err ended a run that its checkpoint can
 // continue: an injected crash, or any error once ctx ended (signal,
-// watchdog, deadline). runCheckpointed bumps the incarnation on it and
+// watchdog, deadline). The recovery loop bumps the incarnation on it and
 // ExitCodeOf maps it to ExitResumable, so a run and its exit code agree
 // on what is resumable.
 func interrupted(ctx context.Context, err error) bool {

@@ -2,15 +2,17 @@ package naspipe
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"naspipe/internal/engine"
 	"naspipe/internal/fault"
+	"naspipe/internal/supernet"
 	"naspipe/internal/supervise"
 )
 
 // The supervision plane's public surface (see internal/supervise): a
-// supervisor that drives a job's run and resume incarnations through the
+// supervisor that drives a job's incarnations through the
 // running → degraded → recovering → done|failed health state machine,
 // with watchdog stall detection, in-process auto-resume under a retry
 // budget, and elastic degraded-mode recovery.
@@ -37,7 +39,7 @@ func DefaultSuperviseConfig() SuperviseConfig { return supervise.Defaults() }
 
 // RunSupervised executes the configuration under the supervision plane:
 // a fresh checkpointed run whose crashes and watchdog-diagnosed stalls
-// are caught in-process and resumed from the latest checkpoint, with
+// are caught in-process and resumed from the committed cursor, with
 // exponential backoff and crash-loop give-up. Elastic halving of the
 // pipeline depth (sc.ElasticAfter) needs the elastic resume only a
 // JobSpec lowers; run such a job with RunJob.
@@ -48,48 +50,131 @@ func DefaultSuperviseConfig() SuperviseConfig { return supervise.Defaults() }
 // interruption (resumable), a *supervise.GiveUpError on budget
 // exhaustion or crash loop, the underlying error otherwise.
 func (r *Runner) RunSupervised(ctx context.Context, cfg Config, sc SuperviseConfig) (Result, *SuperviseReport, error) {
-	return r.supervise(ctx, cfg, sc, false)
-}
-
-// supervise drives the job's incarnations through supervise.Run, the
-// one recovery loop: the first incarnation runs fresh or, resuming,
-// continues from the checkpoint like every later one.
-func (r *Runner) supervise(ctx context.Context, cfg Config, sc SuperviseConfig, resuming bool) (Result, *SuperviseReport, error) {
-	job, err := r.superviseJob(cfg, sc, resuming)
-	if err != nil {
-		return Result{}, &SuperviseReport{FinalState: supervise.Failed}, err
+	var err error
+	switch {
+	case r.executor != ExecutorConcurrent:
+		err = fmt.Errorf("naspipe: supervision wraps the concurrent executor; the %v executor has no incarnations to supervise", r.executor)
+	case r.ckptPath == "":
+		err = fmt.Errorf("naspipe: supervision requires a checkpoint path — recovery resumes from it")
+	case sc.ElasticAfter > 0 && !r.elastic:
+		err = fmt.Errorf("naspipe: SuperviseConfig.ElasticAfter needs elastic resume, which a JobSpec sets (supervise.elastic_after); run it with RunJob")
+	default:
+		return (&Job{r: r, cfg: cfg}).drive(ctx, false, &sc, engine.RunConcurrent)
 	}
-	return supervise.Run(ctx, sc, job)
+	return Result{}, &SuperviseReport{FinalState: supervise.Failed}, err
 }
 
-// RunJob is the one restart driver: the CLIs, the scenario plane and the
-// service scheduler run every JobSpec through it. It validates the spec
-// and builds its Runner, then runs the job as one incarnation or, when
+// RunJob is the one way a JobSpec runs in this process: the CLIs, the
+// scenario plane and the service scheduler run every JobSpec through
+// it. It validates the spec and runs the job's incarnations on this
+// process's executor through the recovery loop the fleet coordinator
+// shares (Job.RunSupervised) — as one incarnation or, when
 // spec.Supervise is set, under supervise.Run; resume starts the first
 // incarnation from the spec's checkpoint. hooks carries what callers
-// differ in — Telemetry (one bus for engine events and health transitions
-// alike: it goes on the lowered Config), Log, Observer and OnIncident —
-// and nothing else is read from it: every budget comes from the spec. A
-// completed job whose spec sets Verify is held to the sequential
-// reference by Job.Verify, the check the fleet coordinator runs too, and
-// its Result carries the checksum. The Report is nil for an unsupervised
-// job; ExitCodeOf classifies the error.
+// differ in — Telemetry (one bus for engine events and health
+// transitions alike: it goes on the lowered Config), Log, Observer and
+// OnIncident — and nothing else is read from it: every budget comes
+// from the spec. A completed job whose spec sets Verify is held to the
+// sequential reference by Job.Verify, and its Result carries the
+// checksum. The Report is nil for an unsupervised job; ExitCodeOf
+// classifies the error.
 func RunJob(ctx context.Context, spec JobSpec, resume bool, hooks SuperviseConfig) (Result, *SuperviseReport, error) {
 	j, err := LowerJob(spec)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	r := j.r
 	j.cfg.Telemetry = hooks.Telemetry
+	switch {
+	case spec.Supervise != nil:
+		return j.RunSupervised(ctx, resume, hooks, engine.RunConcurrent)
+	case j.r.executor != ExecutorConcurrent && !resume:
+		res, err := j.r.Run(ctx, j.cfg) // the simulator has no incarnations
+		return res, nil, err
+	}
+	return j.drive(ctx, resume, nil, engine.RunConcurrent)
+}
+
+// RunSupervised runs the job under the supervision plane with exec as
+// the executor of every incarnation: the spec's supervise block (the
+// defaults when it has none) with hooks' Telemetry, Log, Observer and
+// OnIncident; resume starts from the spec's checkpoint. It is how a
+// driver that runs incarnations its own way — the fleet coordinator,
+// whose exec launches stage workers — shares RunJob's recovery loop.
+// exec reads the incarnation from the Config it is handed: SeqBase is
+// the committed cursor it starts at, FaultIncarnation its fault epoch,
+// Spec.GPUs the supervisor's depth, Probe the health probe to publish
+// to, and Checkpoint the recorder its consistency cuts go to.
+func (j *Job) RunSupervised(ctx context.Context, resume bool, hooks SuperviseConfig, exec func(context.Context, Config) (Result, error)) (Result, *SuperviseReport, error) {
+	sc, ok := j.Spec.SuperviseConfig()
+	if !ok {
+		sc = supervise.Defaults()
+	}
+	sc.Telemetry, sc.Log, sc.Observer, sc.OnIncident = hooks.Telemetry, hooks.Log, hooks.Observer, hooks.OnIncident
+	return j.drive(ctx, resume, &sc, exec)
+}
+
+// drive is the one recovery loop. The job's recorder is opened once, by
+// the first incarnation (a refused checkpoint is then a failed
+// incarnation the Report records): fresh, or resuming behind the
+// VerifyResume guard; a job with no checkpoint path keeps its cursor in
+// a memory-only recorder. Every incarnation runs the suffix from the
+// recorder's committed cursor under its incarnation number, at the
+// supervisor's depth and probe, and ends in one synchronous recorder
+// edge, so the file holds the latest committed cut and no writer
+// outlives it: Bump when it was interrupted (an injected crash, or its
+// ctx ended: signal, watchdog, deadline), so the next one draws a fresh
+// fault schedule and an incarnation-pinned crash or wedge cannot
+// refire; Flush otherwise. sc nil runs one incarnation unsupervised,
+// and a job that then neither keeps a checkpoint nor resumes runs exec
+// with no recorder at all. A completed job is held to the spec's Verify.
+func (j *Job) drive(ctx context.Context, resume bool, sc *SuperviseConfig, exec func(context.Context, Config) (Result, error)) (Result, *SuperviseReport, error) {
+	cfg := j.EngineConfig()
+	cfg.Subnets = cfg.ResolveSubnets()
+	full := cfg.Subnets
+	j = &Job{Spec: j.Spec, r: j.r, cfg: cfg} // incarnations and Verify share one sampled stream
+	var rec *fault.FileRecorder
+	run := func(ctx context.Context, gpus int, probe *engine.RunProbe) (Result, error) {
+		if rec == nil {
+			var err error
+			if rec, err = j.openCheckpoint(full, resume); err != nil {
+				return Result{}, err
+			}
+		}
+		ck := rec.Committed()
+		if ck.Cursor == len(full) {
+			// Nothing left to run: the crash landed after the final commit.
+			return Result{BaseSeq: ck.Cursor, CheckpointStats: rec.Stats()}, nil
+		}
+		c := cfg.ResumeAt(full, ck.Cursor, ck.Incarnation)
+		c.Spec.GPUs, c.Probe, c.Checkpoint = gpus, probe, rec
+		res, err := exec(ctx, c)
+		edge, doing := rec.Flush, "flushing the checkpoint"
+		if interrupted(ctx, err) {
+			edge, doing = rec.Bump, "recording the ended incarnation"
+		}
+		if eerr := edge(); eerr != nil && !errors.Is(err, eerr) {
+			if err != nil {
+				eerr = fmt.Errorf("%w (run ended with: %v)", eerr, err)
+			}
+			err = fmt.Errorf("naspipe: %s: %w", doing, eerr)
+		}
+		res.CheckpointStats = rec.Stats()
+		return res, err
+	}
 	var res Result
 	var rep *SuperviseReport
-	if sc, supervised := spec.SuperviseConfig(); supervised {
-		sc.Telemetry, sc.Log, sc.Observer, sc.OnIncident = hooks.Telemetry, hooks.Log, hooks.Observer, hooks.OnIncident
-		res, rep, err = r.supervise(ctx, j.cfg, sc, resume)
-	} else if resume {
-		res, err = r.resume(ctx, j.cfg, nil)
-	} else {
-		res, err = r.Run(ctx, j.cfg)
+	var err error
+	switch {
+	case sc != nil:
+		res, rep, err = supervise.Run(ctx, *sc, supervise.Job{
+			Run:    run,
+			Cursor: func() int { return rec.Committed().Cursor },
+			GPUs:   cfg.Spec.GPUs, Total: len(full),
+		})
+	case resume || j.r.ckptPath != "":
+		res, err = run(ctx, cfg.Spec.GPUs, nil)
+	default:
+		res, err = exec(ctx, cfg)
 	}
 	if err == nil {
 		res, err = j.Verify(res)
@@ -97,53 +182,33 @@ func RunJob(ctx context.Context, spec JobSpec, resume bool, hooks SuperviseConfi
 	return res, rep, err
 }
 
-// superviseJob validates the runner/config pairing and builds the
-// supervise.Job closing over it.
-func (r *Runner) superviseJob(cfg Config, sc SuperviseConfig, resuming bool) (supervise.Job, error) {
-	if r.executor != ExecutorConcurrent {
-		return supervise.Job{}, fmt.Errorf("naspipe: supervision wraps the concurrent executor; the %v executor has no incarnations to supervise", r.executor)
-	}
-	if r.ckptPath == "" {
-		return supervise.Job{}, fmt.Errorf("naspipe: supervision requires a checkpoint path — recovery resumes from it")
-	}
-	if sc.ElasticAfter > 0 && !r.elastic {
-		return supervise.Job{}, fmt.Errorf("naspipe: SuperviseConfig.ElasticAfter needs elastic resume, which a JobSpec sets (supervise.elastic_after); run it with RunJob")
-	}
-	full := cfg.ResolveSubnets()
-	// One Checkpointer for the job, as on the fleet coordinator: it stands
-	// at the cursor the ended incarnation checksummed, so an in-process
-	// resume does not retrain [0, cursor) — recovery cost is cursor-free.
-	weightAt := r.weightFn(full, nil)
-	var ckStats fault.RecorderStats // summed over the (sequential) incarnations
-	// incarnation adapts run/resume into a supervised attempt: the closure
-	// wires the supervisor's depth (elastic steps shrink it) and health
-	// probe into the engine config.
-	incarnation := func(attempt func(context.Context, Config, func(int) uint64) (Result, error)) supervise.Incarnation {
-		return func(ctx context.Context, gpus int, probe *engine.RunProbe) (Result, error) {
-			c := cfg
-			c.Spec.GPUs = gpus
-			c.Probe = probe
-			res, err := attempt(ctx, c, weightAt)
-			ckStats = ckStats.Add(res.CheckpointStats)
-			res.CheckpointStats = ckStats
-			return res, err
+// openCheckpoint opens the job's recorder over full, its resolved
+// stream: at cursor 0 or, resuming, at the file's cursor and
+// incarnation once the file has passed the resume guard (identity, and
+// with a training config the committed prefix's weight checksum). The
+// file's identity is re-stamped with this run's fault seed and declared
+// depth. Resuming without a checkpoint path is an error.
+func (j *Job) openCheckpoint(full []supernet.Subnet, resume bool) (*fault.FileRecorder, error) {
+	r := j.r
+	weightAt := r.weightFn(full)
+	ck := r.identity(j.cfg, len(full))
+	if resume {
+		if r.ckptPath == "" {
+			return nil, errors.New("naspipe: resume requires a checkpoint path")
 		}
+		file, err := fault.Load(r.ckptPath)
+		if err == nil {
+			err = file.VerifyResume(ck, r.elastic, weightAt)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("naspipe: resume: %w", err)
+		}
+		file.FaultSeed, file.GPUs = ck.FaultSeed, ck.GPUs
+		ck = file
 	}
-	job := supervise.Job{
-		Run:    incarnation(r.run),
-		Resume: incarnation(r.resume),
-		Cursor: func() (int, error) {
-			ck, err := fault.Load(r.ckptPath)
-			if err != nil {
-				return 0, err
-			}
-			return ck.Cursor, nil
-		},
-		GPUs:  cfg.Spec.GPUs,
-		Total: len(full),
+	rec := fault.NewFileRecorder(r.ckptPath, ck, r.ckptEvery, weightAt)
+	if err := rec.Init(); err != nil {
+		return nil, fmt.Errorf("naspipe: checkpoint init: %w", err)
 	}
-	if resuming {
-		job.Run = job.Resume
-	}
-	return job, nil
+	return rec, nil
 }
