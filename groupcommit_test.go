@@ -327,3 +327,31 @@ func TestSupervisedJobSharesOneCheckpointer(t *testing.T) {
 		t.Fatalf("Result.CheckpointStats %+v against %d weight calls over 3 resumes", st, len(cursors))
 	}
 }
+
+// TestPathlessJobBuildsNoCheckpointer: a job with no checkpoint path
+// (a fleet spec without one) keeps its cursor in a memory-only recorder,
+// which never saves, so even with a train spec the job builds no weight
+// Checkpointer — and still runs supervised to completion.
+func TestPathlessJobBuildsNoCheckpointer(t *testing.T) {
+	builds := 0
+	restore := naspipe.HookWeightFn(func(fn func(int) uint64) func(int) uint64 {
+		builds++
+		return fn
+	})
+	defer restore()
+	spec := crashSpec(4, "")
+	j, err := naspipe.LowerJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, rep, err := j.RunSupervised(context.Background(), false, naspipe.SuperviseConfig{}, engine.RunConcurrent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != spec.Subnets || rep.FinalState != naspipe.HealthDone {
+		t.Fatalf("completed %d/%d subnets, final state %v", res.Completed, spec.Subnets, rep.FinalState)
+	}
+	if builds != 0 {
+		t.Fatalf("a path-less job built %d Checkpointers, want 0", builds)
+	}
+}

@@ -13,6 +13,7 @@ import (
 
 	"naspipe"
 	"naspipe/internal/engine"
+	"naspipe/internal/fault"
 	"naspipe/internal/scenario"
 	"naspipe/internal/telemetry"
 	"naspipe/internal/train"
@@ -219,6 +220,46 @@ func TestSupervisedRequiresCheckpointAndConcurrent(t *testing.T) {
 	}
 	if _, _, err := simulated.RunSupervised(context.Background(), crashCfg(2), superviseTestConfig()); err == nil {
 		t.Fatal("supervision on the simulated executor accepted")
+	}
+}
+
+// TestSupervisedResumeGuardRunsBeforeWatchdog: a supervised resume
+// verifies its checkpoint before the first incarnation, outside the
+// watchdog. A prefix retrain slower than the stall timeout that then
+// refuses the file fails the job with the guard's error and a failed
+// Report — no watchdog fire, no restart, no panic.
+func TestSupervisedResumeGuardRunsBeforeWatchdog(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	spec := crashSpec(4, ckpt)
+	spec.Faults = "seed=1,crashat=1:9:F"
+	ctx := context.Background()
+	if _, _, err := naspipe.RunJob(ctx, spec, false, naspipe.SuperviseConfig{}); err == nil {
+		t.Fatal("targeted crash did not fire")
+	}
+	ck, err := fault.Load(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.WeightChecksum ^= 1
+	if err := ck.Save(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	const stall = 20 * time.Millisecond
+	restore := naspipe.HookWeightFn(func(fn func(int) uint64) func(int) uint64 {
+		return func(cursor int) uint64 {
+			time.Sleep(10 * stall) // a prefix retrain outlasting the watchdog
+			return fn(cursor)
+		}
+	})
+	defer restore()
+	spec.Supervise = superviseTestSpec()
+	spec.Supervise.StallTimeout = naspipe.Duration(stall)
+	_, rep, err := naspipe.RunJob(ctx, spec, true, naspipe.SuperviseConfig{})
+	if err == nil || !strings.Contains(err.Error(), "weight checksum") {
+		t.Fatalf("resume with a corrupt weight checksum = %v, want the guard's refusal", err)
+	}
+	if rep == nil || rep.FinalState != naspipe.HealthFailed || rep.Restarts != 0 || rep.WatchdogFires != 0 {
+		t.Fatalf("report %+v, want failed with no restart and no watchdog fire", rep)
 	}
 }
 

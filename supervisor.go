@@ -113,11 +113,12 @@ func (j *Job) RunSupervised(ctx context.Context, resume bool, hooks SuperviseCon
 	return j.drive(ctx, resume, &sc, exec)
 }
 
-// drive is the one recovery loop. The job's recorder is opened once, by
-// the first incarnation (a refused checkpoint is then a failed
-// incarnation the Report records): fresh, or resuming behind the
-// VerifyResume guard; a job with no checkpoint path keeps its cursor in
-// a memory-only recorder. Every incarnation runs the suffix from the
+// drive is the one recovery loop. The job's recorder is opened once,
+// before the first incarnation and outside the watchdog, so a slow
+// prefix retrain is no stall: fresh, or resuming behind the
+// VerifyResume guard, whose refusal fails the job (supervised, as a
+// non-recoverable first incarnation); a job with no checkpoint path
+// keeps its cursor in a memory-only recorder. Every incarnation runs the suffix from the
 // recorder's committed cursor under its incarnation number, at the
 // supervisor's depth and probe, and ends in one synchronous recorder
 // edge, so the file holds the latest committed cut and no writer
@@ -133,13 +134,14 @@ func (j *Job) drive(ctx context.Context, resume bool, sc *SuperviseConfig, exec 
 	full := cfg.Subnets
 	j = &Job{Spec: j.Spec, r: j.r, cfg: cfg} // incarnations and Verify share one sampled stream
 	var rec *fault.FileRecorder
+	var err error
+	if sc != nil || resume || j.r.ckptPath != "" {
+		rec, err = j.openCheckpoint(full, resume)
+	}
+	if err != nil && sc == nil {
+		return Result{}, nil, err
+	}
 	run := func(ctx context.Context, gpus int, probe *engine.RunProbe) (Result, error) {
-		if rec == nil {
-			var err error
-			if rec, err = j.openCheckpoint(full, resume); err != nil {
-				return Result{}, err
-			}
-		}
 		ck := rec.Committed()
 		if ck.Cursor == len(full) {
 			// Nothing left to run: the crash landed after the final commit.
@@ -163,15 +165,22 @@ func (j *Job) drive(ctx context.Context, resume bool, sc *SuperviseConfig, exec 
 	}
 	var res Result
 	var rep *SuperviseReport
-	var err error
 	switch {
 	case sc != nil:
-		res, rep, err = supervise.Run(ctx, *sc, supervise.Job{
+		job := supervise.Job{
 			Run:    run,
 			Cursor: func() int { return rec.Committed().Cursor },
 			GPUs:   cfg.Spec.GPUs, Total: len(full),
-		})
-	case resume || j.r.ckptPath != "":
+		}
+		if refused := err; refused != nil {
+			// The refusal is the first incarnation, failing at once (well
+			// inside a watchdog tick): the supervisor records it as
+			// non-recoverable, and the recorder never opened has cursor 0.
+			job.Run = func(context.Context, int, *engine.RunProbe) (Result, error) { return Result{}, refused }
+			job.Cursor = func() int { return 0 }
+		}
+		res, rep, err = supervise.Run(ctx, *sc, job)
+	case rec != nil:
 		res, err = run(ctx, cfg.Spec.GPUs, nil)
 	default:
 		res, err = exec(ctx, cfg)
@@ -190,7 +199,7 @@ func (j *Job) drive(ctx context.Context, resume bool, sc *SuperviseConfig, exec 
 // depth. Resuming without a checkpoint path is an error.
 func (j *Job) openCheckpoint(full []supernet.Subnet, resume bool) (*fault.FileRecorder, error) {
 	r := j.r
-	weightAt := r.weightFn(full)
+	weightAt := r.weightFn(full) // nil without a path: a job lowers no train config then
 	ck := r.identity(j.cfg, len(full))
 	if resume {
 		if r.ckptPath == "" {
