@@ -27,16 +27,23 @@ func TestAdmissionPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestAddSubnetAllocatesOncePerSubnet pins registration — both executors
+// TestAddSubnetAllocatesOncePerChunk pins registration — both executors
 // register the whole stream in every stage's scheduler — at one
-// allocation per subnet (its queue entries) plus the amortised growth of
-// the subnet window and the layer table.
-func TestAddSubnetAllocatesOncePerSubnet(t *testing.T) {
+// allocation per writerChunk queue entries plus the amortised growth of
+// the subnet window and the layer table: registering a subnet costs no
+// allocation of its own.
+func TestAddSubnetAllocatesOncePerChunk(t *testing.T) {
 	const n = 1024
 	infos := streamInfos(n)
+	entries := 0
+	for _, in := range infos {
+		entries += len(in.AllLayers)
+	}
+	chunks := (entries + writerChunk - 1) / writerChunk
 	allocs := testing.AllocsPerRun(5, func() { register(t, infos) })
-	if allocs > n+32 {
-		t.Fatalf("registering %d subnets allocated %.0f times, want at most one each plus slice growth", n, allocs)
+	if allocs > float64(chunks+32) {
+		t.Fatalf("registering %d subnets (%d queue entries) allocated %.0f times, want at most one per %d entries (%d) plus slice growth",
+			n, entries, allocs, writerChunk, chunks)
 	}
 }
 

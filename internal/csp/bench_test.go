@@ -19,7 +19,7 @@ func streamInfos(n int) []SubnetInfo {
 	sn := supernet.Build(supernet.NLPc1)
 	infos := make([]SubnetInfo, n)
 	for i, sub := range supernet.Sample(supernet.NLPc1, 3, n) {
-		p := partition.BalancedForSubnet(sn, sub, 8)
+		p := partition.Balanced(partition.SubnetCosts(nil, sn, sub), 8)
 		lo, hi := p.Blocks(0)
 		var stageIDs []supernet.LayerID
 		for blk := lo; blk < hi; blk++ {

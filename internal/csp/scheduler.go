@@ -63,6 +63,9 @@ type Scheduler struct {
 	// only entry an admission check has to look at: a candidate is blocked
 	// on l exactly when the head is an earlier subnet.
 	queues []queue
+	// chunk is where AddSubnet carves queue entries from: the unused
+	// tail of the last writerChunk-entry block it allocated.
+	chunk []writer
 
 	// Scheduling-pressure counters (see Stats). A Scheduler is owned by a
 	// single stage — one simulator loop or one stage goroutine — so plain
@@ -81,11 +84,17 @@ type subnet struct {
 }
 
 // writer is one (subnet, layer) entry of a layer's pending-writer queue.
-// A subnet's entries are allocated together by AddSubnet.
+// AddSubnet carves a subnet's entries from a shared block of writerChunk
+// entries, so registering a stream allocates once per block, not once
+// per subnet.
 type writer struct {
 	seq  int
 	next *writer
 }
+
+// writerChunk is the entry count of one block: 16 KiB, a few hundred
+// subnets' worth on the paper's spaces.
+const writerChunk = 1024
 
 type queue struct{ head, tail *writer }
 
@@ -127,7 +136,12 @@ func (s *Scheduler) AddSubnet(info SubnetInfo) error {
 	if next := s.frontier + len(s.subs); info.Seq != next {
 		return fmt.Errorf("csp: subnet %d registered out of order, next is %d", info.Seq, next)
 	}
-	entries := make([]writer, len(info.AllLayers))
+	n := len(info.AllLayers)
+	if len(s.chunk) < n {
+		s.chunk = make([]writer, max(writerChunk, n))
+	}
+	entries := s.chunk[:n:n]
+	s.chunk = s.chunk[n:]
 	for i, l := range info.AllLayers {
 		for int(l) >= len(s.queues) {
 			s.queues = append(s.queues, queue{})

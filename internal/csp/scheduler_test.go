@@ -183,7 +183,7 @@ func TestMarkFinishedIdempotent(t *testing.T) {
 func buildStageInfos(sn *supernet.Supernet, subs []supernet.Subnet, d, stage int) []SubnetInfo {
 	out := make([]SubnetInfo, len(subs))
 	for i, sub := range subs {
-		p := partition.BalancedForSubnet(sn, sub, d)
+		p := partition.Balanced(partition.SubnetCosts(nil, sn, sub), d)
 		lo, hi := p.Blocks(stage)
 		var stageIDs []supernet.LayerID
 		for b := lo; b < hi; b++ {

@@ -229,3 +229,44 @@ func TestSimulatedTelemetryChromeTraceValidates(t *testing.T) {
 		t.Fatal("CSP preemption never fired on a dependency-dense simulated run")
 	}
 }
+
+// TestSchedDelayReportedOncePerEpisode pins the OpSchedDelay
+// de-duplication in the stage machine's pick: a stage reports a held-back
+// forward queue once per (blocked head, blocking writer) pair, again only
+// when either changes or a forward was admitted in between. On one fixed
+// stream the simulator's count is exact, so reporting every blocked pick,
+// or only picks where both the head and the writer changed, moves it.
+func TestSchedDelayReportedOncePerEpisode(t *testing.T) {
+	for _, tc := range []struct {
+		policy string
+		want   int
+	}{
+		{"naspipe", 94},             // Algorithm 2 reorders past a blocked head
+		{"naspipe-noscheduler", 51}, // FIFO: the head waits out one writer after another
+	} {
+		cfg := ccCfg(4, false)
+		cfg.NumSubnets, cfg.RecordTrace = 48, false
+		bus := telemetry.NewBus(0)
+		cfg.Telemetry = bus
+		run(t, tc.policy, cfg)
+		type pair struct{ head, writer int64 }
+		last := map[int32]pair{} // per stage, the episode reported last
+		delays := 0
+		for _, ev := range bus.Events() {
+			switch {
+			case ev.Op == telemetry.OpSchedAdmit && ev.Kind == telemetry.KindForward:
+				delete(last, ev.Stage)
+			case ev.Op == telemetry.OpSchedDelay:
+				delays++
+				p := pair{int64(ev.Subnet), ev.Arg}
+				if prev, ok := last[ev.Stage]; ok && prev == p {
+					t.Errorf("%s: stage %d reported head %d blocked by %d twice in a row", tc.policy, ev.Stage, p.head, p.writer)
+				}
+				last[ev.Stage] = p
+			}
+		}
+		if delays != tc.want {
+			t.Errorf("%s: %d OpSchedDelay events, want %d", tc.policy, delays, tc.want)
+		}
+	}
+}

@@ -253,14 +253,30 @@ func DistQueueCap(d, n int) int { return 2*(d+4)*n + 16 }
 // order — the canonical reference a dist worker checks its local
 // observation against, and the shape the coordinator's merge consumes.
 func FilterTrace(tr *trace.Trace, stages []int) *trace.Trace {
-	keep := make(map[int]bool, len(stages))
+	var keep []bool // indexed by stage
 	for _, k := range stages {
+		if k < 0 {
+			continue // no event runs there
+		}
+		if k >= len(keep) {
+			keep = append(keep, make([]bool, k+1-len(keep))...)
+		}
 		keep[k] = true
 	}
+	kept := func(stage int) bool { return uint(stage) < uint(len(keep)) && keep[stage] }
+	n := 0
+	for i := range tr.Events {
+		if kept(tr.Events[i].Stage) {
+			n++
+		}
+	}
 	out := &trace.Trace{}
-	for _, ev := range tr.Events {
-		if keep[ev.Stage] {
-			out.Events = append(out.Events, ev)
+	if n > 0 {
+		out.Events = make([]trace.Event, 0, n)
+		for _, ev := range tr.Events {
+			if kept(ev.Stage) {
+				out.Events = append(out.Events, ev)
+			}
 		}
 	}
 	return out

@@ -346,3 +346,31 @@ func TestDistConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterTraceKeepsListedStagesInOrder checks FilterTrace against a
+// direct filter of a simulated run's trace: every event of a listed stage,
+// in order, orders untouched; a stage no event runs on, or a list naming
+// nothing that ran, keeps nothing.
+func TestFilterTraceKeepsListedStagesInOrder(t *testing.T) {
+	cfg := ccCfg(4, false)
+	tr := run(t, "naspipe", cfg).Trace
+	for _, stages := range [][]int{{0}, {3, 1}, {0, 1, 2, 3}, {2, 9}, {-1, 7}, nil} {
+		var want []trace.Event
+		for _, e := range tr.Events {
+			for _, k := range stages {
+				if e.Stage == k {
+					want = append(want, e)
+				}
+			}
+		}
+		got := engine.FilterTrace(tr, stages).Events
+		if len(got) != len(want) || (want == nil) != (got == nil) {
+			t.Fatalf("stages %v: kept %d events (nil %v), want %d (nil %v)", stages, len(got), got == nil, len(want), want == nil)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("stages %v: event %d is %+v, want %+v", stages, i, got[i], want[i])
+			}
+		}
+	}
+}

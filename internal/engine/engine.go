@@ -415,6 +415,7 @@ func (q *eventQueue) pop() event {
 // per-layer micro-tasks. Real stages run one CUDA kernel per layer, so a
 // higher-priority task (a backward) preempts a running forward at the
 // next layer boundary rather than waiting out the whole stage pass.
+// Records are recycled through Engine.free once their task completes.
 type execState struct {
 	t           csp.Task
 	remaining   []float64 // per-layer compute cost at the run batch, in order
@@ -477,8 +478,15 @@ type Engine struct {
 	msgBytes int64 // one activation or gradient message at the run batch
 
 	// per-subnet per-stage task durations (compute+stall) for the exec
-	// metric.
+	// metric, rows of one slab.
 	fwdDur, bwdDur [][]float64
+
+	// free holds the records of completed tasks for acquire to reuse,
+	// each keeping its remaining slice's storage; completed is
+	// microDone's scratch list. Together they make the event loop
+	// allocation-free once the pipeline has filled.
+	free      []*execState
+	completed []*execState
 
 	inflightArea float64 // ∫ inflight dt
 	lastInfT     float64
@@ -571,10 +579,18 @@ func NewWorld(cfg Config, mode PartitionMode) (*World, error) {
 	d := cfg.Spec.GPUs
 	home := partition.Static(net, d)
 	parts := make([]partition.Partition, len(subs))
-	for i, sub := range subs {
-		if mode == PartitionBalanced {
-			parts[i] = partition.BalancedForSubnet(net, sub, d)
-		} else {
+	if mode == PartitionBalanced {
+		// Every subnet's bounds are a row of one slab; the DP and cost
+		// buffers are reused from subnet to subnet.
+		var bal partition.Balancer
+		costs := make([]float64, 0, cfg.Space.Blocks)
+		bounds := make([]int, len(subs)*(d+1))
+		for i, sub := range subs {
+			costs = partition.SubnetCosts(costs[:0], net, sub)
+			parts[i] = bal.Balance(costs, d, bounds[i*(d+1):(i+1)*(d+1):(i+1)*(d+1)])
+		}
+	} else {
+		for i := range parts {
 			parts[i] = home
 		}
 	}
@@ -583,7 +599,7 @@ func NewWorld(cfg Config, mode PartitionMode) (*World, error) {
 		Subnets: subs, Home: home, Parts: parts,
 		SeqBase: cfg.SeqBase,
 	}
-	w.BuildIndexes()
+	w.buildIndexes()
 	return w, nil
 }
 
@@ -722,12 +738,13 @@ func (e *Engine) setup() {
 		}
 		e.mem[k] = m
 	}
-	e.fwdDur = make([][]float64, len(w.Subnets))
-	e.bwdDur = make([][]float64, len(w.Subnets))
-	for i := range w.Subnets {
-		e.fwdDur[i] = make([]float64, d)
-		e.bwdDur[i] = make([]float64, d)
+	n := len(w.Subnets)
+	slab := make([]float64, 2*n*d)
+	rows := make([][]float64, 2*n)
+	for i := range rows {
+		rows[i] = slab[i*d : (i+1)*d : (i+1)*d]
 	}
+	e.fwdDur, e.bwdDur = rows[:n], rows[n:]
 	if e.cfg.RecordTrace {
 		e.tr = &trace.Trace{}
 	}
@@ -866,8 +883,7 @@ func (e *Engine) microDone(ev event) {
 		st.running = false
 	}
 	// Complete any finished execs.
-	kept := st.active[:0]
-	var completed []*execState
+	kept, completed := st.active[:0], e.completed[:0]
 	for _, x := range st.active {
 		if x.done() {
 			completed = append(completed, x)
@@ -875,9 +891,10 @@ func (e *Engine) microDone(ev event) {
 			kept = append(kept, x)
 		}
 	}
-	st.active = kept
+	st.active, e.completed = kept, completed
 	for _, x := range completed {
 		e.completeTask(x)
+		e.free = append(e.free, x)
 	}
 	e.wake(k)
 }
@@ -960,7 +977,13 @@ func (e *Engine) acquire(t csp.Task) float64 {
 		ev.Phase = telemetry.PhaseEnd
 		e.tel.EmitAt(simNs(readyAt), ev)
 	}
-	x := &execState{t: t, availableAt: readyAt, stallMs: readyAt - e.nowMs, startedAt: e.nowMs}
+	var x *execState
+	if n := len(e.free); n > 0 {
+		x, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		x = new(execState)
+	}
+	*x = execState{t: t, remaining: x.remaining[:0], availableAt: readyAt, stallMs: readyAt - e.nowMs, startedAt: e.nowMs}
 	jitter := e.cfg.StageSpeed(k)
 	if e.cfg.TimingJitter > 0 {
 		r := rng.Labeled(e.cfg.JitterSeed, fmt.Sprintf("jitter/%d/%d/%d", t.Subnet, t.Stage, int(t.Kind)))
@@ -973,7 +996,7 @@ func (e *Engine) acquire(t csp.Task) float64 {
 	if len(x.remaining) == 0 {
 		// An empty stage partition still relays activations; charge a
 		// token cost so the pipeline stays well-ordered.
-		x.remaining = []float64{e.cfg.Spec.ComputeMs(0.01, e.batch, e.refBatch)}
+		x.remaining = append(x.remaining, e.cfg.Spec.ComputeMs(0.01, e.batch, e.refBatch))
 	}
 	e.stages[k].active = append(e.stages[k].active, x)
 	if readyAt > e.nowMs {

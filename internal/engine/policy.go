@@ -94,30 +94,34 @@ type World struct {
 	// local index + SeqBase.
 	SeqBase int
 
-	// stageIDs[i][k] are subnet i's layer IDs on stage k under Parts[i];
-	// allIDs[i] is the full layer set.
+	// allIDs[i] is subnet i's full layer set in block order, and
+	// stageIDs[i][k] its layers on stage k under Parts[i]: the stage's
+	// block range of allIDs[i]. Every row is carved from per-world slabs.
 	stageIDs [][][]supernet.LayerID
 	allIDs   [][]supernet.LayerID
 }
 
-// BuildIndexes populates the derived per-subnet layer indexes from Space,
-// Subnets, and Parts. Run() calls it during world construction; tests or
-// external world builders must call it before handing the World to a
-// policy.
-func (w *World) BuildIndexes() {
-	w.stageIDs = make([][][]supernet.LayerID, len(w.Subnets))
-	w.allIDs = make([][]supernet.LayerID, len(w.Subnets))
+// buildIndexes populates the derived per-subnet layer indexes from Space,
+// Subnets and Parts. A partition's stages are contiguous block ranges, so
+// a stage's layer IDs are a subslice of the subnet's; one slab holds
+// every subnet's IDs and another every subnet's row of stage slices.
+func (w *World) buildIndexes() {
+	n, d, m := len(w.Subnets), w.D, w.Space.Blocks
+	ids := make([]supernet.LayerID, n*m)
+	rows := make([][]supernet.LayerID, n*d)
+	w.allIDs = make([][]supernet.LayerID, n)
+	w.stageIDs = make([][][]supernet.LayerID, n)
 	for i, sub := range w.Subnets {
-		w.allIDs[i] = sub.LayerIDs(w.Space)
-		w.stageIDs[i] = make([][]supernet.LayerID, w.D)
-		for k := 0; k < w.D; k++ {
-			lo, hi := w.Parts[i].Blocks(k)
-			ids := make([]supernet.LayerID, 0, hi-lo)
-			for b := lo; b < hi; b++ {
-				ids = append(ids, w.Space.ID(b, sub.Choices[b]))
-			}
-			w.stageIDs[i][k] = ids
+		all := ids[i*m : (i+1)*m : (i+1)*m]
+		for b, c := range sub.Choices {
+			all[b] = w.Space.ID(b, c)
 		}
+		row := rows[i*d : (i+1)*d : (i+1)*d]
+		for k := range row {
+			lo, hi := w.Parts[i].Blocks(k)
+			row[k] = all[lo:hi:hi]
+		}
+		w.allIDs[i], w.stageIDs[i] = all, row
 	}
 }
 

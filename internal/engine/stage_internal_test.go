@@ -6,6 +6,7 @@ import (
 
 	"naspipe/internal/cluster"
 	"naspipe/internal/csp"
+	"naspipe/internal/partition"
 	"naspipe/internal/supernet"
 	"naspipe/internal/telemetry"
 	"naspipe/internal/trace"
@@ -34,6 +35,7 @@ type recorder struct {
 	acquired     []csp.Task
 	released     []csp.Task
 	sends        []sendReq
+	carried      [][]csp.PendingBackward // per send, what rode along
 	notes        []noteReq
 	accesses     []trace.AccessKind
 }
@@ -45,8 +47,9 @@ func (r *recorder) acquire(t csp.Task) float64 {
 	return 0
 }
 func (r *recorder) release(t csp.Task) { r.released = append(r.released, t) }
-func (r *recorder) send(_ int, kind csp.Kind, seq int, _ []csp.PendingBackward) {
+func (r *recorder) send(_ int, kind csp.Kind, seq int, carried []csp.PendingBackward) {
 	r.sends = append(r.sends, sendReq{kind, seq})
+	r.carried = append(r.carried, carried)
 }
 func (r *recorder) note(_, seq int, _ []supernet.LayerID, finished bool) {
 	r.notes = append(r.notes, noteReq{seq, finished})
@@ -328,6 +331,73 @@ func TestStageMachineRefillWindow(t *testing.T) {
 		if m.retrieved != n || len(m.fwdQ) != 0 {
 			t.Fatalf("window %d: stream not drained (%d retrieved, queue %v)", window, m.retrieved, m.fwdQ)
 		}
+	}
+}
+
+// TestStageMachineCarriesBlockerZero pins Algorithm 3's pending-backward
+// announcement when the blocker is the stream's first subnet: on the last
+// stage of two, subnet 1's forward waits for subnet 0's WRITE of a layer
+// that subnet 0's own partition runs on stage 0, so subnet 0's gradient
+// leaves stage 1 with subnet 1 still blocked and must carry
+// {Seq: 1, Precedence: 0}. Later gradients (subnet 2 runs past the
+// blocked subnet 1) must not announce it again.
+func TestStageMachineCarriesBlockerZero(t *testing.T) {
+	sp := supernet.NLPc3.Scaled(3, 3)
+	subs := []supernet.Subnet{
+		{Seq: 0, Choices: []int{0, 0, 0}},
+		{Seq: 1, Choices: []int{1, 0, 1}}, // shares layer (1, 0) with subnet 0
+		{Seq: 2, Choices: []int{2, 2, 2}}, // shares nothing
+	}
+	w, err := NewWorld(Config{Space: sp, Spec: cluster.Default(2), Subnets: subs}, PartitionStatic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Parts = []partition.Partition{
+		{D: 2, Bounds: []int{0, 3, 3}}, // subnet 0: every block on stage 0
+		{D: 2, Bounds: []int{0, 1, 3}},
+		{D: 2, Bounds: []int{0, 1, 3}},
+	}
+	w.buildIndexes()
+	rec := &recorder{}
+	_, ms := cspStages(t, w, rec, stageTraits{carry: true}, 12)
+	m := ms[1]
+	run := func(want csp.Kind, seq int) {
+		t.Helper()
+		kind, idx := m.pick(true)
+		if idx < 0 || kind != want || m.queue(kind)[idx] != seq {
+			t.Fatalf("stage 1 picked %v at %d from %v/%v, want %v of subnet %d", kind, idx, m.fwdQ, m.bwdReady, want, seq)
+		}
+		m.complete(m.admit(kind, idx))
+	}
+	m.arrive(csp.Forward, 0, nil)
+	run(csp.Forward, 0)
+	m.arrive(csp.Forward, 1, nil)
+	m.arrive(csp.Forward, 2, nil)
+	run(csp.Backward, 0)
+	run(csp.Forward, 2) // subnet 1 is still blocked
+	run(csp.Backward, 2)
+	m.note(0, w.StageLayerIDs(0, 0), true) // stage 0 retires subnet 0
+	run(csp.Forward, 1)
+	run(csp.Backward, 1)
+
+	want := csp.PendingBackward{Seq: 1, Precedence: 0}
+	announced := 0
+	for i, sr := range rec.sends {
+		if sr.kind != csp.Backward {
+			continue
+		}
+		for _, pb := range rec.carried[i] {
+			if pb != want {
+				t.Errorf("gradient of subnet %d carried %+v; only subnet 1 is ever blocked", sr.seq, pb)
+			}
+			announced++
+		}
+		if sr.seq == 0 && !slices.Equal(rec.carried[i], []csp.PendingBackward{want}) {
+			t.Errorf("subnet 0's gradient carried %+v, want [%+v]", rec.carried[i], want)
+		}
+	}
+	if announced != 1 {
+		t.Errorf("%+v announced %d times, want once", want, announced)
 	}
 }
 

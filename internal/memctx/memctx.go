@@ -28,6 +28,7 @@ package memctx
 
 import (
 	"fmt"
+	"slices"
 
 	"naspipe/internal/supernet"
 )
@@ -88,10 +89,13 @@ type Manager struct {
 	stats     Stats
 
 	// entries holds every resident or in-flight layer, densely and in no
-	// particular order; slot maps a layer to its index there. An *entry
-	// is valid only until the next insert or evict.
+	// particular order. An *entry is valid only until the next insert or
+	// evict. slot is the dense index into it: slot[id] is 1 + the layer's
+	// position in entries, 0 (or id past the end) when the manager does
+	// not hold it. LayerIDs are dense per space, so the index grows to the
+	// largest ID inserted and a lookup is one bounds-checked load.
 	entries []entry
-	slot    map[supernet.LayerID]int
+	slot    []int32
 }
 
 // New returns a manager with the given byte capacity and PCIe bandwidth
@@ -102,17 +106,22 @@ func New(capacity int64, bandwidth float64) *Manager {
 	if bandwidth <= 0 {
 		panic(fmt.Sprintf("memctx: invalid bandwidth %f", bandwidth))
 	}
-	return &Manager{
-		capacity:  capacity,
-		bandwidth: bandwidth,
-		slot:      make(map[supernet.LayerID]int),
+	return &Manager{capacity: capacity, bandwidth: bandwidth}
+}
+
+// index returns the layer's position in entries, or -1 when it is neither
+// resident nor in flight.
+func (m *Manager) index(id supernet.LayerID) int {
+	if uint(id) < uint(len(m.slot)) {
+		return int(m.slot[id]) - 1
 	}
+	return -1
 }
 
 // lookup returns the layer's entry, or nil when it is neither resident
 // nor in flight.
 func (m *Manager) lookup(id supernet.LayerID) *entry {
-	if i, ok := m.slot[id]; ok {
+	if i := m.index(id); i >= 0 {
 		return &m.entries[i]
 	}
 	return nil
@@ -121,8 +130,13 @@ func (m *Manager) lookup(id supernet.LayerID) *entry {
 // insert adds an entry for a layer the manager does not hold and returns
 // it.
 func (m *Manager) insert(e entry) *entry {
-	m.slot[e.id] = len(m.entries)
+	if n := int(e.id) + 1; n > len(m.slot) {
+		old := len(m.slot)
+		m.slot = slices.Grow(m.slot, n-old)[:n]
+		clear(m.slot[old:])
+	}
 	m.entries = append(m.entries, e)
+	m.slot[e.id] = int32(len(m.entries))
 	m.used += e.bytes
 	return &m.entries[len(m.entries)-1]
 }
@@ -132,10 +146,10 @@ func (m *Manager) insert(e entry) *entry {
 func (m *Manager) evict(i int, now float64) {
 	b := m.entries[i].bytes
 	last := len(m.entries) - 1
-	delete(m.slot, m.entries[i].id)
+	m.slot[m.entries[i].id] = 0
 	if i != last {
 		m.entries[i] = m.entries[last]
-		m.slot[m.entries[i].id] = i
+		m.slot[m.entries[i].id] = int32(i + 1)
 	}
 	m.entries = m.entries[:last]
 	m.used -= b
@@ -165,7 +179,7 @@ func (m *Manager) Resident(id supernet.LayerID, now float64) bool {
 // of non-swapping systems).
 func (m *Manager) Preload(ids []supernet.LayerID, bytes func(supernet.LayerID) int64) {
 	for _, id := range ids {
-		if _, ok := m.slot[id]; ok {
+		if m.index(id) >= 0 {
 			continue
 		}
 		m.insert(entry{id: id, bytes: bytes(id)})
@@ -194,7 +208,7 @@ func (m *Manager) reserve(bytes int64, now float64) float64 {
 // synchronously. It reports whether a copy was issued and, if so, when
 // it completes.
 func (m *Manager) Prefetch(id supernet.LayerID, bytes int64, now float64) (done float64, issued bool) {
-	if _, ok := m.slot[id]; ok {
+	if m.index(id) >= 0 {
 		return 0, false
 	}
 	if !m.makeRoom(bytes, now) {
@@ -276,7 +290,7 @@ func (m *Manager) Release(ids []supernet.LayerID, now float64) {
 // compute directly.
 func (m *Manager) Evict(ids []supernet.LayerID, now float64) {
 	for _, id := range ids {
-		if i, ok := m.slot[id]; ok && m.entries[i].locked == 0 {
+		if i := m.index(id); i >= 0 && m.entries[i].locked == 0 {
 			m.evict(i, now)
 		}
 	}

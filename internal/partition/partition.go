@@ -86,16 +86,36 @@ func MaxStageCost(costs []float64, p Partition) float64 {
 // programming. Ties are broken toward the smallest boundary index, so the
 // result is a pure function of (costs, d).
 func Balanced(costs []float64, d int) Partition {
+	var bl Balancer
+	return bl.Balance(costs, d, make([]int, d+1))
+}
+
+// A Balancer computes Balanced partitions, reusing its dynamic-programming
+// buffers from call to call, so partitioning a stream of subnets costs no
+// allocation per subnet. The zero value is ready to use. A Balancer is not
+// safe for concurrent use.
+type Balancer struct {
+	prefix, dp []float64
+	cut        []int
+}
+
+// Balance is Balanced with the result's bounds written into bounds, which
+// must have length d+1; the returned Partition keeps it.
+func (bl *Balancer) Balance(costs []float64, d int, bounds []int) Partition {
 	m := len(costs)
 	if d <= 0 {
 		panic("partition: non-positive stage count")
 	}
+	if len(bounds) != d+1 {
+		panic(fmt.Sprintf("partition: %d bounds for %d stages", len(bounds), d))
+	}
 	if m == 0 {
-		b := make([]int, d+1)
-		return Partition{D: d, Bounds: b}
+		clear(bounds)
+		return Partition{D: d, Bounds: bounds}
 	}
 	// prefix[i] = sum(costs[0:i]).
-	prefix := make([]float64, m+1)
+	prefix := grow(bl.prefix, m+1)
+	prefix[0] = 0
 	for i, c := range costs {
 		prefix[i+1] = prefix[i] + c
 	}
@@ -104,8 +124,10 @@ func Balanced(costs []float64, d int) Partition {
 	// stages. cut[k*w+i]: the chosen last boundary.
 	const inf = 1e300
 	w := m + 1
-	dp := make([]float64, (d+1)*w)
-	cut := make([]int, (d+1)*w)
+	dp := grow(bl.dp, (d+1)*w)
+	cut := grow(bl.cut, (d+1)*w)
+	bl.prefix, bl.dp, bl.cut = prefix, dp, cut
+	dp[0] = 0
 	for i := 1; i < w; i++ {
 		dp[i] = inf // no blocks fit in zero stages
 	}
@@ -128,7 +150,6 @@ func Balanced(costs []float64, d int) Partition {
 			row[i], cut[k*w+i] = best, bestJ
 		}
 	}
-	bounds := make([]int, d+1)
 	bounds[d] = m
 	for k := d; k >= 1; k-- {
 		bounds[k-1] = cut[k*w+bounds[k]]
@@ -136,14 +157,23 @@ func Balanced(costs []float64, d int) Partition {
 	return Partition{D: d, Bounds: bounds}
 }
 
-// SubnetCosts returns the per-block fwd+bwd compute cost of the subnet's
-// chosen layers.
-func SubnetCosts(sn *supernet.Supernet, sub supernet.Subnet) []float64 {
-	out := make([]float64, len(sub.Choices))
-	for b, m := range sn.Layers(sub) {
-		out[b] = m.FwdMs + m.BwdMs
+// grow returns buf resliced to length n, reallocated only when its
+// capacity is short. Callers overwrite every element they read.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return out
+	return buf[:n]
+}
+
+// SubnetCosts appends the per-block fwd+bwd compute cost of the subnet's
+// chosen layers to dst and returns the extended slice.
+func SubnetCosts(dst []float64, sn *supernet.Supernet, sub supernet.Subnet) []float64 {
+	for b, c := range sub.Choices {
+		m := &sn.Meta[sn.Space.ID(b, c)]
+		dst = append(dst, m.FwdMs+m.BwdMs)
+	}
+	return dst
 }
 
 // BlockAverageCosts returns, per block, the mean fwd+bwd cost over the
@@ -169,11 +199,6 @@ func BlockAverageCosts(sn *supernet.Supernet) []float64 {
 // CPU storage (§4.2).
 func Static(sn *supernet.Supernet, d int) Partition {
 	return Balanced(BlockAverageCosts(sn), d)
-}
-
-// BalancedForSubnet computes the subnet's own balanced partition.
-func BalancedForSubnet(sn *supernet.Supernet, sub supernet.Subnet, d int) Partition {
-	return Balanced(SubnetCosts(sn, sub), d)
 }
 
 // Mirrors returns the blocks of the subnet that execute on a stage other

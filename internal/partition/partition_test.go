@@ -116,7 +116,7 @@ func TestBalancedBeatsStaticOnSubnets(t *testing.T) {
 	var balancedSum, staticSum float64
 	subs := supernet.Sample(supernet.NLPc1, 5, 30)
 	for _, sub := range subs {
-		costs := SubnetCosts(sn, sub)
+		costs := SubnetCosts(nil, sn, sub)
 		bp := Balanced(costs, 8)
 		balancedSum += MaxStageCost(costs, bp)
 		staticSum += MaxStageCost(costs, static)
@@ -365,7 +365,7 @@ func TestBalancedMatchesUnprunedDPOnSubnets(t *testing.T) {
 			t.Fatalf("home d=%d: bounds %v, unpruned DP %v", d, got.Bounds, want.Bounds)
 		}
 		for _, sub := range supernet.Sample(supernet.NLPc1, uint64(d), 40) {
-			costs := SubnetCosts(sn, sub)
+			costs := SubnetCosts(nil, sn, sub)
 			if got, want := Balanced(costs, d), unprunedBalanced(costs, d); !sameBounds(got, want) {
 				t.Fatalf("subnet %d d=%d: bounds %v, unpruned DP %v", sub.Seq, d, got.Bounds, want.Bounds)
 			}
@@ -373,14 +373,47 @@ func TestBalancedMatchesUnprunedDPOnSubnets(t *testing.T) {
 	}
 }
 
+// TestBalancerReuseMatchesBalanced runs one Balancer over subnets of
+// varying geometry and stage count — its buffers grow, shrink and keep
+// stale values — and pins every result to a fresh Balanced, and the
+// steady-state call at zero allocations.
+func TestBalancerReuseMatchesBalanced(t *testing.T) {
+	var bl Balancer
+	var costs []float64
+	for _, sp := range []supernet.Space{supernet.NLPc1, supernet.CVc3, supernet.NLPc3.Scaled(3, 4)} {
+		sn := supernet.Build(sp)
+		for _, d := range []int{8, 1, 5, 2} {
+			for _, sub := range supernet.Sample(sp, uint64(d), 20) {
+				costs = SubnetCosts(costs[:0], sn, sub)
+				got := bl.Balance(costs, d, make([]int, d+1))
+				if want := Balanced(costs, d); !sameBounds(got, want) {
+					t.Fatalf("%s d=%d subnet %d: reused balancer %v, fresh %v", sp.Name, d, sub.Seq, got.Bounds, want.Bounds)
+				}
+			}
+		}
+	}
+	if got := bl.Balance(nil, 3, []int{7, 7, 7, 7}); !sameBounds(got, Partition{D: 3, Bounds: []int{0, 0, 0, 0}}) {
+		t.Fatalf("no blocks: bounds %v, want all zero", got.Bounds)
+	}
+	bounds := make([]int, 9)
+	if allocs := testing.AllocsPerRun(50, func() { bl.Balance(costs, 8, bounds) }); allocs != 0 {
+		t.Fatalf("a reused Balancer allocated %.1f times per call", allocs)
+	}
+}
+
+// BenchmarkBalanced48x8 is one subnet's partition as NewWorld computes it:
+// a reused Balancer writing into caller-owned bounds.
 func BenchmarkBalanced48x8(b *testing.B) {
 	r := rng.New(1)
 	costs := make([]float64, 48)
 	for i := range costs {
 		costs[i] = r.Float64()*20 + 1
 	}
+	var bl Balancer
+	bounds := make([]int, 9)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Balanced(costs, 8)
+		_ = bl.Balance(costs, 8, bounds)
 	}
 }

@@ -5,32 +5,15 @@ import (
 
 	"naspipe/internal/cluster"
 	"naspipe/internal/engine"
-	"naspipe/internal/partition"
 	"naspipe/internal/supernet"
 )
 
 func world(t *testing.T, space supernet.Space, d, n int, mode engine.PartitionMode) *engine.World {
 	t.Helper()
-	// Build a world the way the engine does, via a tiny throwaway run; the
-	// policy Init contract only needs the structural fields, so construct
-	// directly.
-	net := supernet.Build(space)
-	subs := supernet.Sample(space, 1, n)
-	home := partition.Static(net, d)
-	w := &engine.World{
-		Space: space, Net: net, Spec: cluster.Default(d), D: d,
-		Subnets: subs, Home: home,
+	w, err := engine.NewWorld(engine.Config{Space: space, Spec: cluster.Default(d), Seed: 1, NumSubnets: n}, mode)
+	if err != nil {
+		t.Fatal(err)
 	}
-	parts := make([]partition.Partition, n)
-	for i, sub := range subs {
-		if mode == engine.PartitionBalanced {
-			parts[i] = partition.BalancedForSubnet(net, sub, d)
-		} else {
-			parts[i] = home
-		}
-	}
-	w.Parts = parts
-	w.BuildIndexes()
 	return w
 }
 

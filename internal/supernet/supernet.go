@@ -292,8 +292,11 @@ func NewSampler(space Space, seed uint64) *Sampler {
 }
 
 // Next samples the next subnet in exploration order.
-func (s *Sampler) Next() Subnet {
-	choices := make([]int, s.space.Blocks)
+func (s *Sampler) Next() Subnet { return s.nextInto(make([]int, s.space.Blocks)) }
+
+// nextInto is Next with the choices written into the given slice, one
+// entry per block.
+func (s *Sampler) nextInto(choices []int) Subnet {
 	for b := range choices {
 		choices[b] = s.r.Intn(s.space.Choices)
 	}
@@ -306,8 +309,10 @@ func (s *Sampler) Next() Subnet {
 func Sample(space Space, seed uint64, n int) []Subnet {
 	s := NewSampler(space, seed)
 	out := make([]Subnet, n)
+	m := space.Blocks
+	slab := make([]int, n*m) // every subnet's choices, one row each
 	for i := range out {
-		out[i] = s.Next()
+		out[i] = s.nextInto(slab[i*m : (i+1)*m : (i+1)*m])
 	}
 	return out
 }
