@@ -129,7 +129,6 @@ type workerExit struct {
 type fleetState struct {
 	mu        sync.Mutex
 	beats     []time.Time
-	lastTasks []int64
 	done      []*transport.Done
 	remaining int
 	cut       int // the highest cut cursor a worker reported
@@ -142,7 +141,6 @@ type fleetState struct {
 func newFleetState(gpus int) *fleetState {
 	st := &fleetState{
 		beats:     make([]time.Time, gpus),
-		lastTasks: make([]int64, gpus),
 		done:      make([]*transport.Done, gpus),
 		remaining: gpus,
 		allDone:   make(chan struct{}),
@@ -162,22 +160,6 @@ func (st *fleetState) beat(stage int) {
 	if stage >= 0 && stage < len(st.beats) {
 		st.beats[stage] = time.Now()
 	}
-}
-
-// taskDelta returns how many tasks the stage completed since its last
-// heartbeat (to feed the probe's monotone counter).
-func (st *fleetState) taskDelta(stage int, tasks int64) int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if stage < 0 || stage >= len(st.lastTasks) {
-		return 0
-	}
-	d := tasks - st.lastTasks[stage]
-	if d < 0 {
-		d = 0
-	}
-	st.lastTasks[stage] = tasks
-	return d
 }
 
 func (st *fleetState) setCut(cursor int) {
@@ -498,7 +480,8 @@ func (c *Coordinator) acceptLoop(ln net.Listener, links []*transport.Link,
 
 // pump serves one stage's control traffic: cuts feed the incarnation's
 // checkpoint recorder, heartbeats the fleet state and the health probe
-// (one publish each), Done and Failed the main loop.
+// (the worker's stage row, published as its stage goroutine publishes
+// it in one process), Done and Failed the main loop.
 func (c *Coordinator) pump(ctx context.Context, k int, links []*transport.Link,
 	cfg naspipe.Config, st *fleetState) {
 	for {
@@ -523,10 +506,9 @@ func (c *Coordinator) pump(ctx context.Context, k int, links []*transport.Link,
 				if err != nil {
 					continue
 				}
-				st.beat(h.Stage)
+				st.beat(h.Health.Stage)
 				cfg.Probe.AdvanceFrontier(h.Frontier)
-				cfg.Probe.Publish(engine.StageHealth{Stage: h.Stage, BlockedHead: -1, OwnerSubnet: -1},
-					st.taskDelta(h.Stage, h.Tasks))
+				cfg.Probe.Publish(h.Health)
 			case transport.FrameDone:
 				d, err := transport.DecodeDone(f.Payload)
 				if err == nil {

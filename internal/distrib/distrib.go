@@ -19,7 +19,10 @@
 // stage-0 cuts, Done/Failed and Abort, and it observes worker death in
 // one place — a worker is declared dead when its heartbeats stop
 // arriving before the deadline or its process exits without reporting
-// a result.
+// a result. A heartbeat carries the worker's stage health row, which
+// the coordinator publishes into the run probe as the stage goroutine
+// does in one process, so the supervision watchdog diagnoses a fleet
+// from the stages' own scheduler state.
 //
 // Recovery is the single-process recovery loop itself, with another
 // executor: Coordinator.Run hands naspipe.Job.RunSupervised its

@@ -278,6 +278,80 @@ func TestFleetWithoutCheckpointRecoversFromMemory(t *testing.T) {
 	}
 }
 
+// TestFleetWatchdogNamesWedgedStage: a fleet's watchdog reads the same
+// health rows the in-process plane publishes. Stage 2 of a 4-worker
+// fleet wedges on subnet 6's forward; the stall the watchdog declares
+// is attributed to stage 2 from the rows the workers' heartbeats carry
+// (the wedged flag and real task counters), and the relaunched fleet
+// finishes and verifies. The same spec run in one process through
+// RunJob names the same stage.
+func TestFleetWatchdogNamesWedgedStage(t *testing.T) {
+	wedged := func(t *testing.T) naspipe.JobSpec {
+		spec := distSpec(t, 12)
+		spec.Checkpoint = filepath.Join(t.TempDir(), "wedge.ckpt")
+		spec.Faults = "seed=1,wedgeat=2:6:F"
+		spec.Supervise = &naspipe.SuperviseSpec{
+			StallTimeout: naspipe.Duration(500 * time.Millisecond),
+			MaxRestarts:  4, Backoff: naspipe.Duration(time.Millisecond),
+			BackoffMax: naspipe.Duration(5 * time.Millisecond),
+		}
+		return spec
+	}
+	check := func(t *testing.T, spec naspipe.JobSpec, res naspipe.Result, rep *supervise.Report, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("wedged run: %v\nincidents:\n%s", err, rep.Timeline())
+		}
+		if rep.WatchdogFires != 1 || len(rep.Incidents) != 1 || rep.Incidents[0].Stall == nil {
+			t.Fatalf("%d watchdog fires, %d incidents, want one stall\n%s", rep.WatchdogFires, len(rep.Incidents), rep.Timeline())
+		}
+		in := rep.Incidents[0]
+		if in.Stage != 2 {
+			t.Fatalf("incident charged to stage %d, want the wedged stage 2\n%s", in.Stage, in.Stall.Error())
+		}
+		if msg := in.Stall.Error(); !strings.Contains(msg, "stage 2 is the blocked stage") {
+			t.Fatalf("diagnosis does not name stage 2:\n%s", msg)
+		}
+		diag := in.Stall.Diag
+		if len(diag.Stages) != 4 || !diag.Stages[2].Wedged {
+			t.Fatalf("row 2 not flagged wedged: %+v", diag.Stages)
+		}
+		// The rows are the stages' own counters: together they are every
+		// task the probe counted, and every stage ran a forward (subnet 0
+		// passes the wedge) and the last one a backward.
+		var sum int64
+		for _, h := range diag.Stages {
+			sum += int64(h.FwdDone + h.BwdDone)
+			if h.FwdDone == 0 {
+				t.Errorf("stage %d row reads no forwards: %+v", h.Stage, h)
+			}
+		}
+		if diag.Tasks == 0 || sum != diag.Tasks || diag.Stages[3].BwdDone == 0 {
+			t.Fatalf("rows sum to %d tasks against the probe's %d: %+v", sum, diag.Tasks, diag.Stages)
+		}
+		if rep.Restarts != 1 || res.BaseSeq+res.Completed != spec.Subnets {
+			t.Fatalf("%d restarts; the relaunch covers base %d + completed %d of %d subnets",
+				rep.Restarts, res.BaseSeq, res.Completed, spec.Subnets)
+		}
+	}
+
+	t.Run("fleet", func(t *testing.T) {
+		checkLeaks(t)
+		spec := wedged(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		defer cancel()
+		res, rep, err := coordFor(t, spec, "wedge-test").Run(ctx)
+		check(t, spec, res, rep, err)
+	})
+	t.Run("in-process", func(t *testing.T) {
+		spec := wedged(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		defer cancel()
+		res, rep, err := naspipe.RunJob(ctx, spec, false, naspipe.SuperviseConfig{})
+		check(t, spec, res, rep, err)
+	})
+}
+
 // TestFleetResumeAcrossCoordinators models coordinator death: interrupt
 // a fleet mid-stream, drop the whole coordinator, then build a fresh one
 // resuming from the checkpoint file.

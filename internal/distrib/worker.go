@@ -464,10 +464,11 @@ func demux(ctx context.Context, cancel context.CancelCauseFunc, link *transport.
 	}
 }
 
-// heartbeatLoop publishes the worker's liveness and progress on a
-// timer. Heartbeats are unsequenced: losing a few is fine, and they
-// must not perturb the deterministic sequenced-frame counts the fault
-// plane keys on.
+// heartbeatLoop publishes the worker's liveness, frontier and stage
+// health on a timer: the stage's row as the worker's probe last holds
+// it, or a fresh row before the engine attaches the probe. Heartbeats
+// are unsequenced: losing a few is fine, and they must not perturb the
+// deterministic sequenced-frame counts the fault plane keys on.
 func heartbeatLoop(ctx context.Context, wc WorkerConfig, link *transport.Link, probe *engine.RunProbe) {
 	t := time.NewTicker(wc.HeartbeatEvery)
 	defer t.Stop()
@@ -476,10 +477,14 @@ func heartbeatLoop(ctx context.Context, wc WorkerConfig, link *transport.Link, p
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			frontier, tasks := probe.Progress()
+			hb := transport.Heartbeat{Health: engine.StageHealth{Stage: wc.Stage, BlockedHead: -1, OwnerSubnet: -1}}
+			hb.Frontier, _ = probe.Progress()
+			if rows := probe.Snapshot(); wc.Stage < len(rows) {
+				hb.Health = rows[wc.Stage]
+			}
 			_ = link.Send(transport.Frame{
 				Type: transport.FrameHeartbeat, From: wc.Stage, To: transport.Coordinator,
-				Payload: transport.Heartbeat{Stage: wc.Stage, Frontier: frontier, Tasks: tasks}.Encode(),
+				Payload: hb.Encode(),
 			})
 		}
 	}

@@ -70,8 +70,6 @@ type ccStage struct {
 
 	cache *prefetch.Cache // nil when ConcurrentMem is disabled
 
-	lastTaskNs int64 // wall-clock ns of the last completed task (health probe)
-
 	// sent counts messages handed to the transport, processed the inbox
 	// messages folded in: the lost-wake-up check's ledger (enterIdle).
 	sent, processed int
@@ -232,7 +230,7 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 		c.stages[k] = s
 	}
 	if c.probe != nil {
-		c.probe.attach(w.D, c.base)
+		c.probe.Attach(w.D, c.base)
 	}
 	runCtx, stop := context.WithCancelCause(ctx)
 	defer stop(nil)
@@ -401,7 +399,7 @@ func (c *ccRun) stageLoop(s *ccStage) {
 		// natural batch boundary: flush so observers (debug snapshots, an
 		// overlapping reader) see a quiet stage's events promptly.
 		s.telb.Flush()
-		c.publishHealth(s, false, false)
+		c.publishHealth(s, false)
 		s.cont.Parks++
 		c.enterIdle()
 		select {
@@ -428,7 +426,7 @@ func (c *ccRun) run(s *ccStage, kind csp.Kind, idx int) {
 	s.m.complete(t)
 	s.m.event(telemetry.OpTaskComplete, telemetry.PhaseEnd, seq, kind, 0)
 	s.cont.Tasks++
-	c.publishHealth(s, true, false)
+	c.publishHealth(s, false)
 }
 
 // enterIdle puts a stage about to block, or one that left its loop, into
@@ -531,7 +529,7 @@ func (c *ccRun) healthOf(s *ccStage, wedged bool) StageHealth {
 		Stage: s.k, FwdDone: m.fwdDone, BwdDone: m.bwdDone,
 		QueueLen: len(m.fwdQ), BwdQueueLen: len(m.bwdReady),
 		BlockedHead: -1, OwnerSubnet: -1,
-		LastTaskNs: s.lastTaskNs, Wedged: wedged,
+		Wedged: wedged,
 	}
 	if len(m.fwdQ) > 0 {
 		head := m.fwdQ[0]
@@ -546,17 +544,13 @@ func (c *ccRun) healthOf(s *ccStage, wedged bool) StageHealth {
 	return h
 }
 
-// publishHealth pushes the stage's state into the health probe;
-// taskDone stamps the completion and bumps the probe's monotone
-// progress counter — parks and queue churn never count as progress.
-func (c *ccRun) publishHealth(s *ccStage, taskDone, wedged bool) {
-	if c.probe == nil {
-		return
+// publishHealth pushes the stage's state into the health probe, which
+// counts the tasks completed since the stage's last row as progress —
+// parks and queue churn never count.
+func (c *ccRun) publishHealth(s *ccStage, wedged bool) {
+	if c.probe != nil {
+		c.probe.Publish(c.healthOf(s, wedged))
 	}
-	if taskDone {
-		s.lastTaskNs = time.Now().UnixNano()
-	}
-	c.probe.publish(c.healthOf(s, wedged), taskDone)
 }
 
 // maybeWedge consults the fault plane's targeted wedge at a task
@@ -576,7 +570,7 @@ func (c *ccRun) maybeWedge(s *ccStage, seq int, kind int8) bool {
 	// invisible to mid-run observers (the watchdog's debug snapshot) for
 	// the whole stall — exactly when they matter most.
 	s.telb.Flush()
-	c.publishHealth(s, false, true)
+	c.publishHealth(s, true)
 	<-c.done
 	return true
 }
@@ -610,7 +604,7 @@ func (c *ccRun) maybeCrash(s *ccStage, seq int, kind int8) bool {
 func (c *ccRun) snapshotCut(s *ccStage) {
 	sched := c.csp.scheds[0]
 	if c.probe != nil {
-		c.probe.advanceFrontier(c.base + sched.Frontier())
+		c.probe.AdvanceFrontier(c.base + sched.Frontier())
 	}
 	if c.rec == nil {
 		return

@@ -44,10 +44,6 @@ type Config struct {
 	// Result.Spans.
 	RecordTrace bool
 
-	// BatchOverride forces the pipeline batch size instead of deriving it
-	// from the memory model. 0 derives it.
-	BatchOverride int
-
 	// TimingJitter perturbs every task's compute duration by a
 	// deterministic per-task factor in [1−j, 1+j], keyed by JitterSeed —
 	// a model of running on a *different cluster* with different (but
@@ -675,9 +671,6 @@ func (e *Engine) sizeBatch(res *Result) string {
 		if bk < batch {
 			batch = bk
 		}
-	}
-	if e.cfg.BatchOverride > 0 {
-		batch = e.cfg.BatchOverride
 	}
 	e.batch = batch
 	res.Batch = batch

@@ -252,15 +252,6 @@ func TestSingleGPURuns(t *testing.T) {
 	}
 }
 
-func TestBatchOverride(t *testing.T) {
-	cfg := smallCfg(supernet.CVc3, 2, 6)
-	cfg.BatchOverride = 5
-	res := run(t, "naspipe", cfg)
-	if res.Batch != 5 {
-		t.Fatalf("batch override ignored: %d", res.Batch)
-	}
-}
-
 func TestScalabilityALUGrowsWithGPUs(t *testing.T) {
 	// Figure 7: total ALU grows (sub-linearly) with GPU count.
 	prev := 0.0

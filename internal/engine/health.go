@@ -9,28 +9,15 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
+
+	"naspipe/internal/csp"
 )
 
 // StageHealth is one stage's scheduler state as last published by its
-// goroutine: task counters, queue depths, the blocked queue head and the
-// subnet whose unfinished WRITE blocks it (the paper's precedence
-// owner), cache residency, and the wall-clock stamp of the stage's last
-// completed task. Sequence IDs are global (SeqBase included); -1 means
-// none.
-type StageHealth struct {
-	Stage       int
-	FwdDone     int
-	BwdDone     int
-	QueueLen    int // L_q: forwards whose input arrived but did not run yet
-	BwdQueueLen int // backwards ready to run
-
-	BlockedHead int // global seq at the head of the forward queue (-1: empty)
-	OwnerSubnet int // global seq of the unfinished writer blocking the head (-1: unblocked)
-
-	CacheResidentBytes int64 // bytes resident in the stage cache (0 when disabled)
-	LastTaskNs         int64 // wall-clock ns of the last completed task (0: none yet)
-	Wedged             bool  // stage goroutine is hung at a task boundary (fault plane)
-}
+// goroutine (csp.StageHealth, the record a fleet worker's heartbeat
+// carries too).
+type StageHealth = csp.StageHealth
 
 // RunProbe receives live health state from the concurrent executor. One
 // probe may be reused across incarnations — RunConcurrent re-attaches
@@ -38,8 +25,10 @@ type StageHealth struct {
 // counters stay monotone across attaches so a watchdog polling
 // Progress never sees progress move backwards over a resume.
 //
-// All methods are safe for concurrent use: stage goroutines publish
-// under the mutex, the supervision plane polls under the same mutex.
+// Both planes publish through the same two methods: a stage goroutine
+// after every task and park, the fleet coordinator once per worker
+// heartbeat. All methods are safe for concurrent use: publishers and
+// the polling supervision plane share one mutex.
 type RunProbe struct {
 	mu       sync.Mutex
 	frontier int   // committed stage-0 backward frontier, global
@@ -47,10 +36,10 @@ type RunProbe struct {
 	stages   []StageHealth
 }
 
-// attach (re)binds the probe to a starting run of d stages at the given
-// sequence base. Called by RunConcurrent before any stage goroutine
-// starts.
-func (p *RunProbe) attach(d, base int) {
+// Attach (re)binds the probe to a starting run of d stages at the given
+// sequence base. RunConcurrent calls it before any stage goroutine
+// starts, the fleet coordinator when it launches an incarnation.
+func (p *RunProbe) Attach(d, base int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stages = make([]StageHealth, d)
@@ -62,51 +51,40 @@ func (p *RunProbe) attach(d, base int) {
 	}
 }
 
-// publish records one stage's current health; taskDone additionally
-// bumps the monotone progress counter.
-func (p *RunProbe) publish(h StageHealth, taskDone bool) {
-	var tasks int64
-	if taskDone {
-		tasks = 1
+// Publish records one stage's health. The tasks the stage completed
+// since its previous row — how far FwdDone+BwdDone grew, never less
+// than zero — move the monotone progress counter, and a row that grew
+// is stamped LastTaskNs by the probe's clock, so ages in a fleet's
+// dump never mix the workers' clocks with the coordinator's. A stage
+// goroutine publishes after each task (a growth of exactly one) and
+// at each park (none); a worker heartbeat carries every task since the
+// last beat. A row for a stage outside the attached table (a stale
+// goroutine of a wider incarnation) is dropped.
+func (p *RunProbe) Publish(h StageHealth) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if h.Stage < 0 || h.Stage >= len(p.stages) {
+		return
 	}
-	p.Publish(h, tasks)
+	prev := &p.stages[h.Stage]
+	h.LastTaskNs = prev.LastTaskNs
+	if d := h.FwdDone + h.BwdDone - prev.FwdDone - prev.BwdDone; d > 0 {
+		p.tasks += int64(d)
+		h.LastTaskNs = time.Now().UnixNano()
+	}
+	*prev = h
 }
 
-// advanceFrontier records the committed stage-0 backward frontier
-// (global cursor: subnets below it are fully retired).
-func (p *RunProbe) advanceFrontier(f int) {
+// AdvanceFrontier records the committed stage-0 backward frontier
+// (global cursor: subnets below it are fully retired); a stale commit
+// never moves it back.
+func (p *RunProbe) AdvanceFrontier(f int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if f > p.frontier {
 		p.frontier = f
 	}
 }
-
-// Attach (re)binds the probe to a starting run of d stages at the
-// given sequence base, exactly as RunConcurrent does internally. The
-// distributed coordinator calls it when a remote incarnation launches,
-// so the same supervision plane can watch a fleet it does not run
-// in-process.
-func (p *RunProbe) Attach(d, base int) { p.attach(d, base) }
-
-// Publish records one stage's health as reported over the wire and
-// adds the tasks it completed since its last report to the monotone
-// progress counter. The coordinator feeds each worker heartbeat through
-// this once.
-func (p *RunProbe) Publish(h StageHealth, tasks int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if h.Stage >= 0 && h.Stage < len(p.stages) {
-		p.stages[h.Stage] = h
-	}
-	if tasks > 0 {
-		p.tasks += tasks
-	}
-}
-
-// AdvanceFrontier records a remotely-reported committed stage-0
-// backward frontier.
-func (p *RunProbe) AdvanceFrontier(f int) { p.advanceFrontier(f) }
 
 // Progress returns the two monotone progress signals a watchdog
 // distinguishes slow-from-stalled by: the committed frontier and the
@@ -141,18 +119,10 @@ type StallError struct {
 func (e *StallError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "engine: concurrent run stalled at %d/%d subnets", e.Completed, e.Total)
+	now := time.Now().UnixNano()
 	for _, h := range e.Stages {
-		fmt.Fprintf(&b, "\n  stage %d: fwd %d bwd %d, queued %d fwd / %d bwd",
-			h.Stage, h.FwdDone, h.BwdDone, h.QueueLen, h.BwdQueueLen)
-		if h.BlockedHead >= 0 {
-			fmt.Fprintf(&b, ", head subnet %d", h.BlockedHead)
-			if h.OwnerSubnet >= 0 {
-				fmt.Fprintf(&b, " blocked by subnet %d", h.OwnerSubnet)
-			}
-		}
-		if h.Wedged {
-			b.WriteString(", WEDGED")
-		}
+		b.WriteString("\n  ")
+		b.WriteString(h.Line(now))
 	}
 	return b.String()
 }

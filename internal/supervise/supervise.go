@@ -187,11 +187,9 @@ type Config struct {
 	CrashLoopWindow int
 	// ElasticAfter enables degraded-mode recovery: after this many
 	// consecutive incidents attributed to the same stage, the next
-	// incarnation resumes at half the pipeline depth (never below
-	// MinGPUs). 0 disables elasticity.
+	// incarnation resumes at half the pipeline depth, down to one
+	// stage. 0 disables elasticity.
 	ElasticAfter int
-	// MinGPUs floors elastic halving. 0 = 1.
-	MinGPUs int
 
 	Watchdog WatchdogConfig
 
@@ -226,9 +224,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CrashLoopWindow <= 0 {
 		c.CrashLoopWindow = 3
-	}
-	if c.MinGPUs <= 0 {
-		c.MinGPUs = 1
 	}
 	c.Watchdog = c.Watchdog.withDefaults()
 	return c
@@ -402,7 +397,7 @@ func (sv *supervisor) loop(ctx context.Context) (engine.Result, error) {
 		} else {
 			sameStage, sameStageRun = stage, 1
 		}
-		if sv.cfg.ElasticAfter > 0 && sameStageRun >= sv.cfg.ElasticAfter && gpus/2 >= sv.cfg.MinGPUs {
+		if sv.cfg.ElasticAfter > 0 && sameStageRun >= sv.cfg.ElasticAfter && gpus > 1 {
 			gpus /= 2
 			sv.rep.ElasticSteps = append(sv.rep.ElasticSteps, gpus)
 			sameStage, sameStageRun = -1, 0

@@ -3,6 +3,7 @@ package supervise_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -156,7 +157,6 @@ func TestSupervisorCrashLoopGiveUp(t *testing.T) {
 func TestSupervisorElasticHalving(t *testing.T) {
 	cfg := quietCfg()
 	cfg.ElasticAfter = 2
-	cfg.MinGPUs = 2
 	cfg.MaxRestarts = 10
 	var gpusSeen []int
 	// Crash on stage 3 until the supervisor has halved the depth to 2.
@@ -184,28 +184,27 @@ func TestSupervisorElasticHalving(t *testing.T) {
 	}
 }
 
+// TestSupervisorElasticFloor: elastic halving stops at one stage. A
+// 2-stage job crashing on every attempt halves once, to 1, and every
+// later attempt runs at depth 1 until the budget gives up.
 func TestSupervisorElasticFloor(t *testing.T) {
 	cfg := quietCfg()
 	cfg.ElasticAfter = 1
-	cfg.MinGPUs = 4
 	cfg.MaxRestarts = 3
 	var gpusSeen []int
-	always := crashOn(1, 9, func(int) bool { return true }, &gpusSeen)
+	always := crashOn(0, 9, func(int) bool { return true }, &gpusSeen)
 	_, rep, err := supervise.Run(context.Background(), cfg, supervise.Job{
-		Run: always, Cursor: advancingCursor(), GPUs: 8, Total: 9,
+		Run: always, Cursor: advancingCursor(), GPUs: 2, Total: 9,
 	})
 	var giveUp *supervise.GiveUpError
 	if !errors.As(err, &giveUp) {
 		t.Fatalf("want budget give-up, got %v", err)
 	}
-	// One halving 8→4, then the MinGPUs floor holds depth at 4.
-	for i, g := range gpusSeen {
-		if g < 4 {
-			t.Fatalf("attempt %d ran below the MinGPUs floor: %v", i, gpusSeen)
-		}
+	if want := []int{2, 1, 1, 1}; !slices.Equal(gpusSeen, want) {
+		t.Fatalf("attempt depths %v, want %v", gpusSeen, want)
 	}
-	if len(rep.ElasticSteps) != 1 || rep.ElasticSteps[0] != 4 {
-		t.Fatalf("elastic steps %v, want [4]", rep.ElasticSteps)
+	if len(rep.ElasticSteps) != 1 || rep.ElasticSteps[0] != 1 || rep.FinalGPUs != 1 {
+		t.Fatalf("elastic steps %v, final depth %d, want [1] and 1", rep.ElasticSteps, rep.FinalGPUs)
 	}
 }
 

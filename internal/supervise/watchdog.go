@@ -71,22 +71,8 @@ func (e *StallError) Error() string {
 		e.Diag.Quiet.Round(time.Millisecond), e.Incarnation, e.Diag.Frontier, e.Diag.Tasks)
 	now := time.Now().UnixNano()
 	for _, h := range e.Diag.Stages {
-		fmt.Fprintf(&b, "\n  stage %d: fwd %d bwd %d, queued %d fwd / %d bwd", h.Stage, h.FwdDone, h.BwdDone, h.QueueLen, h.BwdQueueLen)
-		if h.BlockedHead >= 0 {
-			fmt.Fprintf(&b, ", head subnet %d", h.BlockedHead)
-			if h.OwnerSubnet >= 0 {
-				fmt.Fprintf(&b, " blocked by subnet %d", h.OwnerSubnet)
-			}
-		}
-		if h.CacheResidentBytes > 0 {
-			fmt.Fprintf(&b, ", cache %d B resident", h.CacheResidentBytes)
-		}
-		if h.LastTaskNs > 0 {
-			fmt.Fprintf(&b, ", last task %v ago", time.Duration(now-h.LastTaskNs).Round(time.Millisecond))
-		}
-		if h.Wedged {
-			b.WriteString(", WEDGED")
-		}
+		b.WriteString("\n  ")
+		b.WriteString(h.Line(now))
 	}
 	if s := e.BlockedStage(); s >= 0 {
 		fmt.Fprintf(&b, "\n  diagnosis: stage %d is the blocked stage", s)

@@ -28,7 +28,9 @@
 // header and payload. A frame whose checksum does not match is refused
 // with a *DecodeError, so a flipped bit never reaches a decoder as a
 // plausible message. Frames are versioned so a coordinator can refuse a
-// worker built from a different tree instead of silently mis-parsing it.
+// worker built from a different tree instead of silently mis-parsing it:
+// version 3 added the checksum, version 4 the stage health row a
+// heartbeat carries (csp.StageHealth, after the committed frontier).
 package transport
 
 import (
@@ -41,7 +43,7 @@ import (
 // Wire constants.
 const (
 	Magic       = 0x4E50 // "NP"
-	Version     = 3
+	Version     = 4
 	headerBytes = 20      // magic..crc, after the length prefix
 	crcOff      = 4 + 16  // the checksum's offset in the frame
 	MaxFrame    = 1 << 22 // 4 MiB hard ceiling on a frame body
@@ -66,7 +68,7 @@ const (
 	FrameNote                           // write note to the stage of a layer's next reader (scheduler bookkeeping)
 	FrameFetch                          // cross-stage prefetch request
 	FrameCut                            // stage-0 consistency cut → coordinator checkpoint
-	FrameHeartbeat                      // worker liveness + committed frontier (timer-driven)
+	FrameHeartbeat                      // worker liveness: committed frontier + its stage's health row (timer-driven)
 	FrameDone                           // worker finished its stages (completed count + local trace)
 	FrameFailed                         // worker hit a terminal error (structured crash fields)
 	FrameAbort                          // coordinator → workers: tear the incarnation down

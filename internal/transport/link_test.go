@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"naspipe/internal/backoff"
+	"naspipe/internal/csp"
 	"naspipe/internal/fault"
 	"naspipe/internal/telemetry"
 )
@@ -119,7 +120,7 @@ func TestLinkDeliversSequencedInOrder(t *testing.T) {
 	// The reverse direction works too, and unsequenced frames pass
 	// through without touching the seqno space.
 	if err := accept.Send(Frame{Type: FrameHeartbeat, From: 5, To: Coordinator,
-		Payload: Heartbeat{Stage: 5, Frontier: 3}.Encode()}); err != nil {
+		Payload: Heartbeat{Frontier: 3, Health: csp.StageHealth{Stage: 5}}.Encode()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := accept.Send(Msg{Type: FrameBwd, From: 5, To: 4, Seq: 7}.Frame()); err != nil {

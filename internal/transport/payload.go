@@ -43,6 +43,20 @@ func (r *pr) u64() uint64 {
 
 func (r *pr) i64() int64 { return int64(r.u64()) }
 
+// flag decodes a one-byte bool; any byte but 0 or 1 is corruption.
+func (r *pr) flag() bool {
+	if !r.need(1) {
+		return false
+	}
+	v := r.b[r.off]
+	if v > 1 {
+		r.err = decodeErrf(r.off, "flag byte %d is neither 0 nor 1", v)
+		return false
+	}
+	r.off++
+	return v == 1
+}
+
 // intv decodes an int64 that must fit the host int.
 func (r *pr) intv() int { return int(r.i64()) }
 
@@ -233,26 +247,39 @@ func DecodeCut(b []byte) (fault.Cut, error) {
 	return c, r.done()
 }
 
-// Heartbeat is the worker's timer-driven liveness beacon: its stage,
-// the committed frontier it has observed, and tasks completed so far.
-// The coordinator feeds these into the run probe and declares a worker
-// dead when its beacons stop arriving before the deadline.
+// Heartbeat is the worker's timer-driven liveness beacon: the committed
+// frontier it has observed and its stage's health row as the worker's
+// own probe last holds it — the record the in-process plane publishes,
+// blocked head and precedence owner included. The coordinator publishes
+// the row into the run probe and declares a worker dead when its
+// beacons stop arriving before the deadline.
 type Heartbeat struct {
-	Stage    int
 	Frontier int
-	Tasks    int64
+	Health   csp.StageHealth
 }
 
-func (h Heartbeat) Encode() []byte {
-	b := appendInt(nil, h.Stage)
-	b = appendInt(b, h.Frontier)
-	return appendI64(b, h.Tasks)
+func (hb Heartbeat) Encode() []byte {
+	h := hb.Health
+	b := appendInt(nil, hb.Frontier)
+	for _, v := range [...]int{h.Stage, h.FwdDone, h.BwdDone, h.QueueLen, h.BwdQueueLen, h.BlockedHead, h.OwnerSubnet} {
+		b = appendInt(b, v)
+	}
+	b = appendI64(b, h.CacheResidentBytes)
+	b = appendI64(b, h.LastTaskNs)
+	if h.Wedged {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 func DecodeHeartbeat(b []byte) (Heartbeat, error) {
 	r := &pr{b: b}
-	h := Heartbeat{Stage: r.intv(), Frontier: r.intv(), Tasks: r.i64()}
-	return h, r.done()
+	hb := Heartbeat{Frontier: r.intv(), Health: csp.StageHealth{
+		Stage: r.intv(), FwdDone: r.intv(), BwdDone: r.intv(), QueueLen: r.intv(), BwdQueueLen: r.intv(),
+		BlockedHead: r.intv(), OwnerSubnet: r.intv(),
+		CacheResidentBytes: r.i64(), LastTaskNs: r.i64(), Wedged: r.flag(),
+	}}
+	return hb, r.done()
 }
 
 // Done reports a worker's clean finish: how many subnets completed on

@@ -34,9 +34,14 @@ func TestPayloadRoundTrips(t *testing.T) {
 	if got, err := DecodeCut(EncodeCut(cut)); err != nil || !reflect.DeepEqual(got, cut) {
 		t.Errorf("Cut round trip = (%+v, %v)", got, err)
 	}
-	hb := Heartbeat{Stage: 2, Frontier: 31, Tasks: 62}
-	if got, err := DecodeHeartbeat(hb.Encode()); err != nil || got != hb {
-		t.Errorf("Heartbeat round trip = (%+v, %v)", got, err)
+	for _, hb := range []Heartbeat{
+		{Frontier: 31, Health: csp.StageHealth{Stage: 2, FwdDone: 40, BwdDone: 33, QueueLen: 3, BwdQueueLen: 1,
+			BlockedHead: 41, OwnerSubnet: 37, CacheResidentBytes: 1 << 33, LastTaskNs: 1_700_000_000_123_456_789, Wedged: true}},
+		{Frontier: 0, Health: csp.StageHealth{Stage: 0, BlockedHead: -1, OwnerSubnet: -1}},
+	} {
+		if got, err := DecodeHeartbeat(hb.Encode()); err != nil || got != hb {
+			t.Errorf("Heartbeat round trip = (%+v, %v), want %+v", got, err, hb)
+		}
 	}
 	done := Done{Stage: 1, Completed: 64, Trace: []trace.Event{
 		{Order: 0, TimeMs: 1.5, Layer: 7, Subnet: 0, Stage: 1, Kind: trace.Read},
@@ -69,8 +74,15 @@ func TestPayloadDecodeRejectsCorruption(t *testing.T) {
 		}
 	}
 	// Trailing garbage is corruption, not slack.
-	if _, err := DecodeHeartbeat(append(Heartbeat{Stage: 1}.Encode(), 0xAB)); !structured(err) {
+	beat := Heartbeat{Health: csp.StageHealth{Stage: 1}}.Encode()
+	if _, err := DecodeHeartbeat(append(beat, 0xAB)); !structured(err) {
 		t.Errorf("trailing byte accepted: %v", err)
+	}
+	// The wedged flag is one byte, 0 or 1: anything else is corruption,
+	// so decode∘encode stays a fixed point.
+	beat[len(beat)-1] = 2
+	if _, err := DecodeHeartbeat(beat); !structured(err) {
+		t.Errorf("flag byte 2 accepted: %v", err)
 	}
 	// A hostile repeat count cannot drive a giant allocation.
 	huge := appendI64(appendInt(nil, 1), 1<<40) // Task{Seq: 1} claiming 2^40 carried releases
@@ -108,7 +120,8 @@ func FuzzPayloadDecode(f *testing.F) {
 		Task{Seq: 9, Carried: []csp.PendingBackward{{Seq: 4, Precedence: 9}}}.Encode(),
 		Note{Seq: 5, IDs: layerIDs(3)}.Encode(),
 		EncodeCut(fault.Cut{Cursor: 4, Finished: []int{1, 3}}),
-		Heartbeat{Stage: 1, Frontier: 8, Tasks: 16}.Encode(),
+		Heartbeat{Frontier: 8, Health: csp.StageHealth{Stage: 1, FwdDone: 9, BwdDone: 8, QueueLen: 2,
+			BlockedHead: 10, OwnerSubnet: 7, CacheResidentBytes: 4096, LastTaskNs: 12345, Wedged: true}}.Encode(),
 		Done{Stage: 1, Completed: 2, Trace: []trace.Event{{Order: 1, TimeMs: 0.5, Layer: 3, Subnet: 1, Kind: trace.Write}}}.Encode(),
 		Failed{Stage: 2, Seq: 11, Kind: "crash", Msg: "injected"}.Encode(),
 		Abort{Reason: "complete"}.Encode(),
