@@ -166,7 +166,7 @@ func (s *Source) wnmtItem(r *rng.Stream) (in, tgt tensor.Vector) {
 	in = s.vocab[tok].Clone()
 	// Mild per-occurrence noise models context variation.
 	for j := range in {
-		in[j] += r.NormFloat32() * 0.05
+		in[j] += float32(r.NormFloat32() * 0.05)
 	}
 	tgt = make(tensor.Vector, s.dim)
 	copy(tgt, s.vocab[comp])
@@ -194,7 +194,7 @@ func (s *Source) imageItem(r *rng.Stream) (in, tgt tensor.Vector) {
 		if hi >= s.dim {
 			hi = s.dim - 1
 		}
-		in[j] = (base[lo]+base[j]+base[hi])/3 + r.NormFloat32()*0.1
+		in[j] = (base[lo]+base[j]+base[hi])/3 + float32(r.NormFloat32()*0.1)
 	}
 	tgt = make(tensor.Vector, s.dim)
 	for j := range tgt {

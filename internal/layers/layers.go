@@ -247,8 +247,13 @@ func (l *Layer) ApplySGD(g *Grads, lr float32) {
 }
 
 // Checksum returns a bitwise digest of the layer's parameters.
-func (l *Layer) Checksum() uint64 {
-	return tensor.CombineChecksums([]uint64{l.W.Checksum(), l.B.Checksum()})
+func (l *Layer) Checksum() uint64 { return l.ChecksumOf(l.W.Checksum()) }
+
+// ChecksumOf returns the layer's Checksum given wsum = l.W.Checksum(),
+// for a caller that hashes many layers' weights at once
+// (tensor.Checksum4).
+func (l *Layer) ChecksumOf(wsum uint64) uint64 {
+	return tensor.CombineChecksums([]uint64{wsum, l.B.Checksum()})
 }
 
 // Clone returns a deep copy of the layer (used to snapshot parameter

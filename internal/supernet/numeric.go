@@ -76,11 +76,21 @@ func (n *Numeric) At(block, choice int) *layers.Layer {
 
 // Checksum returns a single bitwise digest over every parameter of every
 // candidate layer, in layer-ID order. Equal checksums mean bitwise-equal
-// supernets (Definition 1's equality test).
+// supernets (Definition 1's equality test). Each layer's digest is its
+// own Checksum, but the weights of four layers at a time are hashed in
+// four overlapping chains (tensor.Checksum4).
 func (n *Numeric) Checksum() uint64 {
 	sums := make([]uint64, len(n.Layer))
-	for i, l := range n.Layer {
-		sums[i] = l.Checksum()
+	i := 0
+	for ; i+4 <= len(n.Layer); i += 4 {
+		l := n.Layer[i : i+4 : i+4]
+		w := tensor.Checksum4(l[0].W, l[1].W, l[2].W, l[3].W)
+		for k, wsum := range w {
+			sums[i+k] = l[k].ChecksumOf(wsum)
+		}
+	}
+	for ; i < len(n.Layer); i++ {
+		sums[i] = n.Layer[i].Checksum()
 	}
 	return tensor.CombineChecksums(sums)
 }

@@ -132,7 +132,7 @@ func jitter(spaceName string, block, choice int) float64 {
 	h := fnv.New64a()
 	h.Write(label)
 	u := float64(h.Sum64()>>11) / float64(uint64(1)<<53)
-	return 0.85 + 0.30*u
+	return 0.85 + float64(0.30*u)
 }
 
 // Supernet is the metadata instantiation of a space: one LayerMeta per

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"naspipe/internal/layers"
+	"naspipe/internal/tensor"
 )
 
 func TestSpacesMatchTable1(t *testing.T) {
@@ -464,5 +465,60 @@ func TestCheckpointRejectsGarbage(t *testing.T) {
 	truncated := buf.Bytes()[:buf.Len()/2]
 	if _, err := LoadNumeric(bytes.NewReader(truncated)); err == nil {
 		t.Fatal("expected truncation error")
+	}
+}
+
+// checksumRef is Numeric.Checksum's per-layer fold: each layer's
+// Checksum, then one CombineChecksums over them.
+func checksumRef(n *Numeric) uint64 {
+	sums := make([]uint64, len(n.Layer))
+	for i, l := range n.Layer {
+		sums[i] = l.Checksum()
+	}
+	return tensor.CombineChecksums(sums)
+}
+
+// TestChecksumEqualsPerLayerFold pins the four-chain Numeric.Checksum to
+// the per-layer fold on layer counts that leave every remainder mod 4,
+// with a bias changed in the first and last layer so both the chained
+// and the leftover layers must hash their vectors too.
+func TestChecksumEqualsPerLayerFold(t *testing.T) {
+	for _, n := range []int{1, 3, 5, 9, 96} {
+		net := BuildNumeric(NLPc3.Scaled(n, 1), 5, 21)
+		if got, want := net.Checksum(), checksumRef(net); got != want {
+			t.Fatalf("%d layers: Checksum = %#x, per-layer fold %#x", n, got, want)
+		}
+		before := net.Checksum()
+		net.Layer[0].B[2] = 0.5
+		net.Layer[n-1].B[4] = -0.25
+		if got, want := net.Checksum(), checksumRef(net); got != want || got == before {
+			t.Fatalf("%d layers, biases changed: Checksum = %#x, per-layer fold %#x, before %#x", n, got, want, before)
+		}
+	}
+}
+
+// sinkChecksum keeps the checksum benchmarks' calls live.
+var sinkChecksum uint64
+
+// numericChecksumNet is pipe-numeric's supernet: 96 layers at dim 64.
+func numericChecksumNet() *Numeric { return BuildNumeric(NLPc3.Scaled(8, 12), 64, 1) }
+
+func BenchmarkNumericChecksum(b *testing.B) {
+	net := numericChecksumNet()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkChecksum = net.Checksum()
+	}
+}
+
+// BenchmarkNumericChecksumRef times the one-chain-per-layer fold that
+// Numeric.Checksum replaced, on the same supernet.
+func BenchmarkNumericChecksumRef(b *testing.B) {
+	net := numericChecksumNet()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkChecksum = checksumRef(net)
 	}
 }

@@ -10,17 +10,19 @@ import (
 )
 
 // Reference implementations: the pre-optimization sequential kernels and
-// hash/fnv-based checksums, kept verbatim so the fast paths can be
-// differentially tested against them (and benchmarked against them — the
-// *Ref benchmarks are the "before" side of BENCH_speed.json, reproducible
-// from the final tree).
+// hash/fnv-based checksums, kept so the fast paths can be differentially
+// tested against them (and benchmarked against them — the *Ref
+// benchmarks are the "before" side of BENCH_speed.json, reproducible
+// from the final tree). Each product that feeds an add is written
+// float32(a*b), as in the kernels, so no target may fuse the pair into
+// one rounding and the oracles mean the same on every GOARCH.
 
 func matVecRef(dst Vector, m *Matrix, x Vector) {
 	for r := 0; r < m.Rows; r++ {
 		var sum float32
 		row := m.Data[r*m.Cols : (r+1)*m.Cols]
 		for c, v := range row {
-			sum += v * x[c]
+			sum += float32(v * x[c])
 		}
 		dst[r] = sum
 	}
@@ -34,7 +36,7 @@ func matTVecRef(dst Vector, m *Matrix, x Vector) {
 		xr := x[r]
 		row := m.Data[r*m.Cols : (r+1)*m.Cols]
 		for c, v := range row {
-			dst[c] += v * xr
+			dst[c] += float32(v * xr)
 		}
 	}
 }
@@ -44,14 +46,20 @@ func outerAccumRef(dst *Matrix, a, b Vector, scale float32) {
 		ar := a[r] * scale
 		row := dst.Data[r*dst.Cols : (r+1)*dst.Cols]
 		for c := range row {
-			row[c] += ar * b[c]
+			row[c] += float32(ar * b[c])
 		}
 	}
 }
 
-func matAXPYRef(dst *Matrix, alpha float32, x *Matrix) {
-	for i := range dst.Data {
-		dst.Data[i] += alpha * x.Data[i]
+func axpyRef(dst []float32, alpha float32, x []float32) {
+	for i := range dst {
+		dst[i] += float32(alpha * x[i])
+	}
+}
+
+func tanhGradRef(dst, g, y Vector) {
+	for i := range dst {
+		dst[i] = g[i] * (1 - float32(y[i]*y[i]))
 	}
 }
 
@@ -117,10 +125,39 @@ func kernelShapes() [][2]int {
 	}
 }
 
-// checkKernels runs every kernel and its ref_test.go oracle on one shape
-// and data set and reports the first whose output differs. same decides
-// equality of two output elements.
-func checkKernels(m *Matrix, x, xt, a Vector, acc *Matrix, alpha float32, same func(a, b float32) bool) error {
+// kernelPath is one implementation of the dense kernels, entered past
+// the exported functions' shape and alias checks.
+type kernelPath struct {
+	name       string
+	matVec     func(dst Vector, m *Matrix, x Vector)
+	matTVec    func(dst Vector, m *Matrix, x Vector)
+	outerAccum func(dst *Matrix, a, b Vector, scale float32)
+	axpy       func(d []float32, alpha float32, s []float32)
+	tanhGrad   func(dst, g, y Vector)
+}
+
+// kernelPaths returns the kernels this build's exported functions run
+// (SSE2 assembly on amd64 outside race builds) and, where those are not
+// the Go loops, the Go loops too, so both are tested on amd64.
+func kernelPaths() []kernelPath {
+	portable := kernelPath{
+		name:       "go",
+		matVec:     func(dst Vector, m *Matrix, x Vector) { matVecGo(dst, m, x, 0, m.Rows) },
+		matTVec:    func(dst Vector, m *Matrix, x Vector) { matTVecGo(dst, m, x, 0, m.Cols) },
+		outerAccum: outerAccumGo,
+		axpy:       axpyGo,
+		tanhGrad:   tanhGradGo,
+	}
+	if fastPath == portable.name {
+		return []kernelPath{portable}
+	}
+	return []kernelPath{{fastPath, matVec, matTVec, outerAccum, axpy, tanhGrad}, portable}
+}
+
+// checkKernels runs every kernel of one path and its ref_test.go oracle
+// on one shape and data set and reports the first whose output differs.
+// same decides equality of two output elements.
+func checkKernels(k kernelPath, m *Matrix, x, xt, a Vector, acc *Matrix, alpha float32, same func(a, b float32) bool) error {
 	rows, cols := m.Rows, m.Cols
 	equal := func(got, want []float32) bool {
 		for i := range got {
@@ -130,78 +167,102 @@ func checkKernels(m *Matrix, x, xt, a Vector, acc *Matrix, alpha float32, same f
 		}
 		return true
 	}
+	diverged := func(kernel string) error {
+		return fmt.Errorf("%s %s %dx%d diverged from the sequential reference", k.name, kernel, rows, cols)
+	}
 
 	got, want := make(Vector, rows), make(Vector, rows)
-	MatVec(got, m, x)
+	k.matVec(got, m, x)
 	matVecRef(want, m, x)
 	if !equal(got, want) {
-		return fmt.Errorf("MatVec %dx%d diverged from the sequential reference", rows, cols)
+		return diverged("MatVec")
 	}
 
 	gotT, wantT := make(Vector, cols), make(Vector, cols)
-	MatTVec(gotT, m, xt)
+	k.matTVec(gotT, m, xt)
 	matTVecRef(wantT, m, xt)
 	if !equal(gotT, wantT) {
-		return fmt.Errorf("MatTVec %dx%d diverged from the sequential reference", rows, cols)
+		return diverged("MatTVec")
 	}
 
 	accGot, accWant := acc.Clone(), acc.Clone()
-	OuterAccum(accGot, a, x, alpha)
+	k.outerAccum(accGot, a, x, alpha)
 	outerAccumRef(accWant, a, x, alpha)
 	if !equal(accGot.Data, accWant.Data) {
-		return fmt.Errorf("OuterAccum %dx%d diverged from the sequential reference", rows, cols)
+		return diverged("OuterAccum")
 	}
 
 	axGot, axWant := acc.Clone(), acc.Clone()
-	MatAXPY(axGot, alpha, m)
-	matAXPYRef(axWant, alpha, m)
+	k.axpy(axGot.Data, alpha, m.Data)
+	axpyRef(axWant.Data, alpha, m.Data)
 	if !equal(axGot.Data, axWant.Data) {
-		return fmt.Errorf("MatAXPY %dx%d diverged from the sequential reference", rows, cols)
+		return diverged("MatAXPY")
+	}
+
+	tgGot, tgWant := make(Vector, len(m.Data)), make(Vector, len(m.Data))
+	k.tanhGrad(tgGot, m.Data, acc.Data)
+	tanhGradRef(tgWant, m.Data, acc.Data)
+	if !equal(tgGot, tgWant) {
+		return diverged("TanhGrad")
+	}
+	// In place, as layers.BackwardInto may call it.
+	tgGot = acc.Clone().Data
+	k.tanhGrad(tgGot, m.Data, tgGot)
+	tanhGradRef(tgWant, m.Data, acc.Data)
+	if !equal(tgGot, tgWant) {
+		return diverged("TanhGrad in place")
 	}
 	return nil
 }
 
 func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 
-// TestKernelsBitwiseEqualAcrossParallelism proves every kernel produces
+// TestKernelsMatchReference proves every kernel of every path produces
 // bitwise-identical output to its sequential reference on every shape:
 // the Definition 1 obligation that lets the rest of the system run the
-// kernels on any stage goroutine at any GOMAXPROCS.
-func TestKernelsBitwiseEqualAcrossParallelism(t *testing.T) {
-	r := rng.New(99).Split("kernels")
-	for _, shape := range kernelShapes() {
-		rows, cols := shape[0], shape[1]
-		m := randMat(r, rows, cols)
-		x, xt, a := randVec(r, cols), randVec(r, rows), randVec(r, rows)
-		if err := checkKernels(m, x, xt, a, randMat(r, rows, cols), 0.25, sameBits); err != nil {
-			t.Fatal(err)
+// kernels on any stage goroutine, any host and any GOARCH.
+func TestKernelsMatchReference(t *testing.T) {
+	for _, k := range kernelPaths() {
+		r := rng.New(99).Split("kernels")
+		for _, shape := range kernelShapes() {
+			rows, cols := shape[0], shape[1]
+			m := randMat(r, rows, cols)
+			x, xt, a := randVec(r, cols), randVec(r, rows), randVec(r, rows)
+			if err := checkKernels(k, m, x, xt, a, randMat(r, rows, cols), 0.25, sameBits); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
 
-// TestKernelsDoNotAllocate pins the dense kernels allocation-free at
-// 512×512 (eight times the largest dim any workload trains at), at
-// whatever GOMAXPROCS the test runs with.
+// TestKernelsDoNotAllocate pins the dense kernels of every path
+// allocation-free at 512×512 (eight times the largest dim any workload
+// trains at), at whatever GOMAXPROCS the test runs with.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	const n = 512
 	r := rng.New(5).Split("allocs")
 	m, acc := randMat(r, n, n), randMat(r, n, n)
 	x, dst := randVec(r, n), make(Vector, n)
-	for name, kernel := range map[string]func(){
-		"MatVec":     func() { MatVec(dst, m, x) },
-		"MatTVec":    func() { MatTVec(dst, m, x) },
-		"OuterAccum": func() { OuterAccum(acc, x, x, 1e-3) },
-	} {
-		if got := testing.AllocsPerRun(20, kernel); got != 0 {
-			t.Errorf("%s %dx%d: %v allocs/op, want 0", name, n, n, got)
+	for _, k := range kernelPaths() {
+		for name, kernel := range map[string]func(){
+			"MatVec":     func() { k.matVec(dst, m, x) },
+			"MatTVec":    func() { k.matTVec(dst, m, x) },
+			"OuterAccum": func() { k.outerAccum(acc, x, x, 1e-3) },
+			"AXPY":       func() { k.axpy(dst, 1e-3, x) },
+			"MatAXPY":    func() { k.axpy(acc.Data, 1e-3, m.Data) },
+			"TanhGrad":   func() { k.tanhGrad(dst, x, dst) },
+		} {
+			if got := testing.AllocsPerRun(20, kernel); got != 0 {
+				t.Errorf("%s %s %dx%d: %v allocs/op, want 0", k.name, name, n, n, got)
+			}
 		}
 	}
 }
 
-// FuzzKernels checks every kernel against its oracle on fuzzed shapes and
-// fuzzed float bit patterns, infinities, NaNs and subnormals included.
-// Finite results must match bit for bit. A NaN
-// need only meet a NaN: which operand's payload an add propagates is the
+// FuzzKernels checks every kernel of every path against its oracle on
+// fuzzed shapes and fuzzed float bit patterns, infinities, NaNs and
+// subnormals included. Finite results must match bit for bit. A NaN need
+// only meet a NaN: which operand's payload an add propagates is the
 // hardware's choice, and Definition 1 is about finite weights.
 func FuzzKernels(f *testing.F) {
 	f.Add(uint8(5), uint8(7), []byte{0, 0, 128, 63, 0, 0, 0, 192})
@@ -238,8 +299,11 @@ func FuzzKernels(f *testing.F) {
 		x, xt, a := vec(cols), vec(rows), vec(rows)
 		acc := mat()
 		sameOrNaN := func(p, q float32) bool { return sameBits(p, q) || (p != p && q != q) }
-		if err := checkKernels(m, x, xt, a, acc, next(), sameOrNaN); err != nil {
-			t.Fatal(err)
+		alpha := next()
+		for _, k := range kernelPaths() {
+			if err := checkKernels(k, m, x, xt, a, acc, alpha, sameOrNaN); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }
@@ -258,6 +322,14 @@ func TestChecksumMatchesFNVReference(t *testing.T) {
 		m := randMat(r, shape[0], shape[1])
 		if got, want := m.Checksum(), matrixChecksumRef(m); got != want {
 			t.Fatalf("Matrix(%dx%d).Checksum = %#x, reference %#x", shape[0], shape[1], got, want)
+		}
+	}
+	// Four chains at once, over unequal shapes so each chain also runs
+	// past the common length on its own.
+	ms := [4]*Matrix{randMat(r, 12, 12), randMat(r, 3, 5), randMat(r, 12, 12), randMat(r, 37, 53)}
+	for k, got := range Checksum4(ms[0], ms[1], ms[2], ms[3]) {
+		if want := matrixChecksumRef(ms[k]); got != want {
+			t.Fatalf("Checksum4 chain %d (%dx%d) = %#x, reference %#x", k, ms[k].Rows, ms[k].Cols, got, want)
 		}
 	}
 	sums := make([]uint64, 33)
@@ -300,4 +372,34 @@ func TestDistinctSlicesDoNotTriggerAliasCheck(t *testing.T) {
 	buf := make(Vector, 8)
 	MatVec(buf[:4], m, buf[4:])
 	MatTVec(buf[4:], m, buf[:4])
+}
+
+// TestShiftedOverlapPanics pins the elementwise kernels' alias rule: dst
+// may be an operand itself, but an overlap at an offset would make the
+// result depend on how many elements a pass loads before it stores, so
+// it panics on every path.
+func TestShiftedOverlapPanics(t *testing.T) {
+	buf := make(Vector, 16)
+	m := &Matrix{Rows: 2, Cols: 4, Data: buf[:8]}
+	shifted := &Matrix{Rows: 2, Cols: 4, Data: buf[1:9]}
+	for name, call := range map[string]func(){
+		"AXPY":       func() { AXPY(buf[:8], 2, buf[1:9]) },
+		"MatAXPY":    func() { MatAXPY(m, 2, shifted) },
+		"TanhGrad":   func() { TanhGrad(buf[:8], buf[8:], buf[2:10]) },
+		"OuterAccum": func() { OuterAccum(m, buf[8:10], buf[6:10], 1) },
+		"short Data": func() { MatVec(buf[8:10], &Matrix{Rows: 2, Cols: 4, Data: buf[:7]}, buf[10:14]) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+	// The same slice on both sides is legal.
+	AXPY(buf[:8], 2, buf[:8])
+	MatAXPY(m, 2, m)
+	TanhGrad(buf[:8], buf[:8], buf[:8])
 }

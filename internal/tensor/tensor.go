@@ -5,14 +5,27 @@
 // equality of all layer parameters across repeated runs. Floating-point
 // addition is not associative, so bitwise reproducibility requires a fixed
 // reduction order. Every reduction over a single output element is a
-// strict left-to-right sequential loop; no reassociation, no
-// fused-multiply-add intrinsics. Every kernel runs on the calling
+// strict left-to-right sequential loop, and every product is rounded
+// before it is added: no reassociation and no fused multiply-add, on any
+// GOARCH (each product that feeds an add is written float32(a*b), which
+// the Go spec forbids fusing). Every kernel runs on the calling
 // goroutine: the pipeline stage, not the kernel, is the unit of
 // parallelism. This mirrors the role of Nvidia's framework-determinism
 // configuration in the original artifact (CUBLAS_WORKSPACE_CONFIG=:4096:8):
 // it makes the *intra-subnet* computation deterministic so that the only
 // remaining source of nondeterminism is the *inter-subnet* read/write
 // interleaving, which the CSP scheduler then controls.
+//
+// Like cuBLAS's deterministic kernels, the dense kernels are still
+// vectorized. On amd64 MatVec, MatTVec, OuterAccum, AXPY, MatAXPY and
+// TanhGrad run SSE2 assembly (kernels_amd64.s) whose SIMD lanes span
+// independent outputs only: four MatVec rows, four MatTVec columns, four
+// elements of an elementwise update. Each output sees exactly the Go
+// kernels' sequence of separately rounded multiplies and adds, so every
+// weight is bitwise the same on either path. Other GOARCHes and every
+// race build (the race detector cannot see memory that assembly touches)
+// run the Go kernels; ref_test.go checks both paths against one set of
+// oracles.
 package tensor
 
 import (
@@ -88,6 +101,23 @@ func slicesOverlap(a, b Vector) bool {
 	return aLo < bHi && bLo < aHi
 }
 
+// overlapsShifted reports whether a and b overlap without starting at
+// the same element. An elementwise kernel may write dst over an input
+// that is the very same slice, but a shifted overlap would make each
+// result depend on how many elements a pass loads before it stores.
+func overlapsShifted(a, b Vector) bool {
+	return slicesOverlap(a, b) && &a[0] != &b[0]
+}
+
+// checkData panics unless m.Data holds exactly m's shape: Matrix's
+// fields are exported, and a kernel indexes Data by shape alone.
+func (m *Matrix) checkData(op string) {
+	if len(m.Data) != m.Rows*m.Cols {
+		panic(fmt.Sprintf("tensor: %s matrix %dx%d holds %d elements",
+			op, m.Rows, m.Cols, len(m.Data)))
+	}
+}
+
 // MatVec computes dst = m * x. dst must have length m.Rows and x length
 // m.Cols; dst and x must not alias (checked — an aliased call would
 // silently corrupt results, so it panics like every shape mismatch does).
@@ -96,19 +126,20 @@ func MatVec(dst Vector, m *Matrix, x Vector) {
 		panic(fmt.Sprintf("tensor: MatVec shape mismatch dst=%d m=%dx%d x=%d",
 			len(dst), m.Rows, m.Cols, len(x)))
 	}
+	m.checkData("MatVec")
 	if slicesOverlap(dst, x) {
 		panic("tensor: MatVec dst aliases x")
 	}
-	matVecRange(dst, m, x, 0, m.Rows)
+	matVec(dst, m, x)
 }
 
-// matVecRange is the sequential MatVec kernel over output rows [lo, hi).
+// matVecGo is the portable MatVec kernel over output rows [lo, hi).
 // Each row's dot product accumulates strictly left to right. Four rows
 // share a pass, each in its own accumulator: one row's adds form a
 // dependency chain, so a single accumulator waits out the full add
 // latency per element, while four independent chains overlap it. No
 // row's order changes, so neither does any bit of dst.
-func matVecRange(dst Vector, m *Matrix, x Vector, lo, hi int) {
+func matVecGo(dst Vector, m *Matrix, x Vector, lo, hi int) {
 	cols := m.Cols
 	x = x[:cols]
 	r := lo
@@ -120,10 +151,10 @@ func matVecRange(dst Vector, m *Matrix, x Vector, lo, hi int) {
 		m3 := m.Data[base+3*cols : base+4*cols][:len(x)]
 		var s0, s1, s2, s3 float32
 		for c, xc := range x {
-			s0 += m0[c] * xc
-			s1 += m1[c] * xc
-			s2 += m2[c] * xc
-			s3 += m3[c] * xc
+			s0 += float32(m0[c] * xc)
+			s1 += float32(m1[c] * xc)
+			s2 += float32(m2[c] * xc)
+			s3 += float32(m3[c] * xc)
 		}
 		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
 	}
@@ -131,7 +162,7 @@ func matVecRange(dst Vector, m *Matrix, x Vector, lo, hi int) {
 		row := m.Data[r*cols : (r+1)*cols][:len(x)]
 		var sum float32
 		for c, xc := range x {
-			sum += row[c] * xc
+			sum += float32(row[c] * xc)
 		}
 		dst[r] = sum
 	}
@@ -145,17 +176,18 @@ func MatTVec(dst Vector, m *Matrix, x Vector) {
 		panic(fmt.Sprintf("tensor: MatTVec shape mismatch dst=%d m=%dx%d x=%d",
 			len(dst), m.Rows, m.Cols, len(x)))
 	}
+	m.checkData("MatTVec")
 	if slicesOverlap(dst, x) {
 		panic("tensor: MatTVec dst aliases x")
 	}
-	matTVecCols(dst, m, x, 0, m.Cols)
+	matTVec(dst, m, x)
 }
 
-// matTVecCols is the sequential MatTVec kernel over output columns
+// matTVecGo is the portable MatTVec kernel over output columns
 // [lo, hi): zero the span, then accumulate rows in ascending order. Four
 // rows fold into each dst[c] per pass, still in ascending row order, so
 // dst is loaded and stored once per four rows instead of once per row.
-func matTVecCols(dst Vector, m *Matrix, x Vector, lo, hi int) {
+func matTVecGo(dst Vector, m *Matrix, x Vector, lo, hi int) {
 	d := dst[lo:hi]
 	for c := range d {
 		d[c] = 0
@@ -171,10 +203,10 @@ func matTVecCols(dst Vector, m *Matrix, x Vector, lo, hi int) {
 		m2 := m.Data[base+2*cols:][:len(d)]
 		m3 := m.Data[base+3*cols:][:len(d)]
 		for c := range d {
-			acc := d[c] + m0[c]*x0
-			acc += m1[c] * x1
-			acc += m2[c] * x2
-			acc += m3[c] * x3
+			acc := d[c] + float32(m0[c]*x0)
+			acc += float32(m1[c] * x1)
+			acc += float32(m2[c] * x2)
+			acc += float32(m3[c] * x3)
 			d[c] = acc
 		}
 	}
@@ -182,65 +214,80 @@ func matTVecCols(dst Vector, m *Matrix, x Vector, lo, hi int) {
 		xr := x[r]
 		row := m.Data[r*cols+lo:][:len(d)]
 		for c := range d {
-			d[c] += row[c] * xr
+			d[c] += float32(row[c] * xr)
 		}
 	}
 }
 
 // OuterAccum accumulates dst += scale * (a ⊗ b), i.e. dst[r][c] +=
-// scale*a[r]*b[c]. Used to accumulate weight gradients.
+// scale*a[r]*b[c]. Used to accumulate weight gradients. Neither a nor b
+// may overlap dst (checked).
 func OuterAccum(dst *Matrix, a, b Vector, scale float32) {
 	if len(a) != dst.Rows || len(b) != dst.Cols {
 		panic(fmt.Sprintf("tensor: OuterAccum shape mismatch a=%d b=%d dst=%dx%d",
 			len(a), len(b), dst.Rows, dst.Cols))
 	}
-	outerAccumRange(dst, a, b, scale, 0, dst.Rows)
+	dst.checkData("OuterAccum")
+	if slicesOverlap(dst.Data, a) || slicesOverlap(dst.Data, b) {
+		panic("tensor: OuterAccum dst aliases an operand")
+	}
+	outerAccum(dst, a, b, scale)
 }
 
-// outerAccumRange is the sequential OuterAccum kernel over rows [lo, hi).
-// Every element takes exactly one add, so unrolling changes no result.
-func outerAccumRange(dst *Matrix, a, b Vector, scale float32, lo, hi int) {
+// outerAccumGo is the portable OuterAccum kernel. Every element takes
+// exactly one add, so the four-wide axpy changes no result.
+func outerAccumGo(dst *Matrix, a, b Vector, scale float32) {
 	cols := dst.Cols
-	for r := lo; r < hi; r++ {
-		axpy4(dst.Data[r*cols:(r+1)*cols], a[r]*scale, b)
+	for r, ar := range a {
+		axpyGo(dst.Data[r*cols:(r+1)*cols], ar*scale, b)
 	}
 }
 
-// axpy4 computes d[i] += alpha * s[i] for i < len(d), four elements per
+// axpyGo computes d[i] += alpha * s[i] for i < len(d), four elements per
 // pass. len(s) must be at least len(d). Each pass reslices four-element
 // windows, so the compiler proves the constant indices in range and the
 // adds carry no bounds checks.
-func axpy4(d []float32, alpha float32, s []float32) {
+func axpyGo(d []float32, alpha float32, s []float32) {
 	s = s[:len(d)]
 	i := 0
 	for ; i+4 <= len(d); i += 4 {
 		dw := d[i : i+4 : i+4]
 		sw := s[i : i+4 : i+4]
-		dw[0] += alpha * sw[0]
-		dw[1] += alpha * sw[1]
-		dw[2] += alpha * sw[2]
-		dw[3] += alpha * sw[3]
+		dw[0] += float32(alpha * sw[0])
+		dw[1] += float32(alpha * sw[1])
+		dw[2] += float32(alpha * sw[2])
+		dw[3] += float32(alpha * sw[3])
 	}
 	for ; i < len(d); i++ {
-		d[i] += alpha * s[i]
+		d[i] += float32(alpha * s[i])
 	}
 }
 
-// AXPY computes dst += alpha * x elementwise.
+// AXPY computes dst += alpha * x elementwise. x may be dst itself but
+// may not overlap it otherwise (checked).
 func AXPY(dst Vector, alpha float32, x Vector) {
 	if len(dst) != len(x) {
 		panic(fmt.Sprintf("tensor: AXPY length mismatch %d vs %d", len(dst), len(x)))
 	}
-	axpy4(dst, alpha, x)
+	if overlapsShifted(dst, x) {
+		panic("tensor: AXPY dst overlaps x")
+	}
+	axpy(dst, alpha, x)
 }
 
-// MatAXPY computes dst += alpha * x for matrices of equal shape.
+// MatAXPY computes dst += alpha * x for matrices of equal shape, under
+// AXPY's overlap rule.
 func MatAXPY(dst *Matrix, alpha float32, x *Matrix) {
 	if dst.Rows != x.Rows || dst.Cols != x.Cols {
 		panic(fmt.Sprintf("tensor: MatAXPY shape mismatch %dx%d vs %dx%d",
 			dst.Rows, dst.Cols, x.Rows, x.Cols))
 	}
-	axpy4(dst.Data, alpha, x.Data)
+	dst.checkData("MatAXPY")
+	x.checkData("MatAXPY")
+	if overlapsShifted(dst.Data, x.Data) {
+		panic("tensor: MatAXPY dst overlaps x")
+	}
+	axpy(dst.Data, alpha, x.Data)
 }
 
 // Dot returns the sequential dot product of a and b.
@@ -250,7 +297,7 @@ func Dot(a, b Vector) float32 {
 	}
 	var sum float32
 	for i := range a {
-		sum += a[i] * b[i]
+		sum += float32(a[i] * b[i])
 	}
 	return sum
 }
@@ -259,7 +306,7 @@ func Dot(a, b Vector) float32 {
 func SumSquares(a Vector) float32 {
 	var sum float32
 	for _, v := range a {
-		sum += v * v
+		sum += float32(v * v)
 	}
 	return sum
 }
@@ -275,13 +322,23 @@ func Tanh(dst, x Vector) {
 }
 
 // TanhGrad computes dst = g * (1 - y²) elementwise, where y = tanh(x) is
-// the saved activation. dst may alias g or y.
+// the saved activation. dst may be g or y itself but may not overlap
+// either otherwise (checked).
 func TanhGrad(dst, g, y Vector) {
 	if len(dst) != len(g) || len(dst) != len(y) {
 		panic("tensor: TanhGrad length mismatch")
 	}
+	if overlapsShifted(dst, g) || overlapsShifted(dst, y) {
+		panic("tensor: TanhGrad dst overlaps an operand")
+	}
+	tanhGrad(dst, g, y)
+}
+
+// tanhGradGo is the portable TanhGrad kernel.
+func tanhGradGo(dst, g, y Vector) {
+	g, y = g[:len(dst)], y[:len(dst)]
 	for i := range dst {
-		dst[i] = g[i] * (1 - y[i]*y[i])
+		dst[i] = g[i] * (1 - float32(y[i]*y[i]))
 	}
 }
 
@@ -350,9 +407,41 @@ func (v Vector) Checksum() uint64 {
 // Checksum returns an FNV-64a hash over the matrix's shape and bit
 // patterns.
 func (m *Matrix) Checksum() uint64 {
-	h := fnvU32(fnvOffset64, uint32(m.Rows))
-	h = fnvU32(h, uint32(m.Cols))
-	return fnvFloats(h, m.Data)
+	return fnvFloats(m.checksumShape(), m.Data)
+}
+
+// checksumShape starts a matrix's Checksum chain: the shape's bytes.
+func (m *Matrix) checksumShape() uint64 {
+	return fnvU32(fnvU32(fnvOffset64, uint32(m.Rows)), uint32(m.Cols))
+}
+
+// Checksum4 returns the Checksum of each of four matrices. A hash chain
+// is one multiply per byte, each waiting on the last, so hashing one
+// matrix at a time leaves the multiplier idle most of each step; here
+// the four chains advance in one loop and overlap. Each result is bit
+// for bit what Checksum returns: four chains, not one interleaved
+// stream. The matrices may differ in shape.
+func Checksum4(a, b, c, d *Matrix) [4]uint64 {
+	ms := [4]*Matrix{a, b, c, d}
+	var h [4]uint64
+	n := len(a.Data)
+	for k, m := range ms {
+		h[k] = m.checksumShape()
+		n = min(n, len(m.Data))
+	}
+	d0, d1, d2, d3 := a.Data[:n], b.Data[:n], c.Data[:n], d.Data[:n]
+	h0, h1, h2, h3 := h[0], h[1], h[2], h[3]
+	for i := range d0 {
+		h0 = fnvU32(h0, math.Float32bits(d0[i]))
+		h1 = fnvU32(h1, math.Float32bits(d1[i]))
+		h2 = fnvU32(h2, math.Float32bits(d2[i]))
+		h3 = fnvU32(h3, math.Float32bits(d3[i]))
+	}
+	h = [4]uint64{h0, h1, h2, h3}
+	for k, m := range ms {
+		h[k] = fnvFloats(h[k], m.Data[n:])
+	}
+	return h
 }
 
 // CombineChecksums folds a sequence of checksums into one, order

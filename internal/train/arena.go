@@ -62,7 +62,7 @@ func (a *arena) forward(b int, l *layers.Layer) {
 		for j := range out {
 			d := out[j] - tgt[j]
 			dy[j] = d
-			lossSum += 0.5 * d * d
+			lossSum += float32(0.5 * d * d)
 		}
 	}
 	a.loss = lossSum / float32(len(a.batch.Inputs))

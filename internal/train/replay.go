@@ -15,11 +15,13 @@ import (
 
 // inlineWork is the per-task work, dim² × batch, below which a replay
 // runs its task graph on the calling goroutine alone. On a 2-core Intel
-// Xeon (go1.24, linux/amd64), train.step_us_dim64 ≈ 567 µs at batch 4
-// puts a task at ≈ 1.4 ns per unit, so 4096 units are ≈ 6 µs, a few
-// wake-ups. A second worker cost +60 % CPU for no wall time at dim 8
-// (256 units), and bought −17 % wall for +32 % CPU at dim 16, −30 % for
-// +20 % at dim 32, −35 % for +9 % at dim 64 (pipe-numeric's 16384).
+// Xeon (go1.24, linux/amd64, SSE2 kernels), train.step_us_dim64 ≈
+// 200–220 µs at batch 4 puts a task at ≈ 0.55 ns per unit, so 4096
+// units are ≈ 2 µs, about one wake-up. A second worker cost +60 % CPU
+// for no wall time at dim 8 (256 units), and bought −17 % wall for
+// +32 % CPU at dim 16, −30 % for +20 % at dim 32, −35 % for +9 % at
+// dim 64 (pipe-numeric's 16384); those splits were measured with the
+// Go kernels, at ≈ 1.4 ns per unit, and were not re-measured.
 const inlineWork = 4096
 
 // Task kinds of a replayed block. A task's id is 3·slot + kind, where a

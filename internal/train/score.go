@@ -31,7 +31,7 @@ func Evaluate(cfg Config, net *supernet.Numeric, sub supernet.Subnet, nBatches i
 			var loss float32
 			for j := range x {
 				d := x[j] - batch.Targets[i][j]
-				loss += 0.5 * d * d
+				loss += float32(0.5 * d * d)
 			}
 			total += float64(loss)
 			count++
@@ -52,7 +52,7 @@ func Score(d layers.Domain, valLoss float64) float64 {
 		return 25 * math.Exp(-valLoss/2)
 	}
 	// Top-5-like percentage: approaches ~90 at low loss.
-	return 90 / (1 + valLoss/2)
+	return 90 / (1 + float64(valLoss/2))
 }
 
 // BestSubnetScore evaluates candidate subnets on the trained supernet and
