@@ -52,6 +52,8 @@ func KindByName(name string) (Kind, error) {
 }
 
 // Batch is one training step's input: item i maps Inputs[i] -> Targets[i].
+// A WNMT target is a row shared with every batch of its (dim, seed) that
+// targets the same token: callers read Targets and must not write it.
 type Batch struct {
 	Step    int
 	Inputs  []tensor.Vector
@@ -64,7 +66,7 @@ type Source struct {
 	dim       int
 	batchSize int
 	seed      uint64
-	vocab     []tensor.Vector // WNMT only: fixed embedding table
+	wnmt      wnmtTables // WNMT only
 }
 
 // vocabSize is the synthetic WNMT vocabulary size. Small enough that
@@ -83,31 +85,43 @@ type vocabKey struct {
 	seed uint64
 }
 
+// wnmtTables are a WNMT configuration's embeddings and, row for row, the
+// tanh of each: a target depends on its token alone, so it is computed
+// once per table rather than once per item.
+type wnmtTables struct {
+	vocab, targets []tensor.Vector
+}
+
 // vocabCacheLimit bounds vocabCache: a long-lived process that trains
 // many (dim, seed) configurations keeps only the most recent few.
 const vocabCacheLimit = 4
 
-// vocabCache memoizes immutable WNMT vocabulary tables. Entries are never
-// mutated after insertion: wnmtItem clones embeddings before writing.
-var vocabCache = memo.New[vocabKey, []tensor.Vector](vocabCacheLimit)
+// vocabCache memoizes immutable WNMT tables. Entries are never mutated
+// after insertion: wnmtItem clones embeddings before writing, and a
+// batch's targets are the shared rows, read-only.
+var vocabCache = memo.New[vocabKey, wnmtTables](vocabCacheLimit)
 
-func wnmtVocab(dim int, seed uint64) []tensor.Vector {
-	return vocabCache.Get(vocabKey{dim: dim, seed: seed}, func() []tensor.Vector {
+func wnmtVocab(dim int, seed uint64) wnmtTables {
+	return vocabCache.Get(vocabKey{dim: dim, seed: seed}, func() wnmtTables {
 		return buildVocab(dim, seed)
 	})
 }
 
-func buildVocab(dim int, seed uint64) []tensor.Vector {
+func buildVocab(dim int, seed uint64) wnmtTables {
 	r := rng.Labeled(seed, "wnmt/vocab")
-	slab := make([]float32, vocabSize*dim)
-	for i := range slab {
-		slab[i] = r.NormFloat32() * 0.5
+	slab := make([]float32, 2*vocabSize*dim)
+	emb, squashed := slab[:vocabSize*dim], slab[vocabSize*dim:]
+	for i := range emb {
+		emb[i] = r.NormFloat32() * 0.5
 	}
-	vocab := make([]tensor.Vector, vocabSize)
-	for i := range vocab {
-		vocab[i] = slab[i*dim : (i+1)*dim : (i+1)*dim]
+	// Squash targets into tanh range so the loss is achievable.
+	tensor.Tanh(squashed, emb)
+	t := wnmtTables{vocab: make([]tensor.Vector, vocabSize), targets: make([]tensor.Vector, vocabSize)}
+	for i := range t.vocab {
+		t.vocab[i] = emb[i*dim : (i+1)*dim : (i+1)*dim]
+		t.targets[i] = squashed[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	return vocab
+	return t
 }
 
 // NewSource builds a source. dim is the model dimension of the numeric
@@ -118,7 +132,7 @@ func NewSource(kind Kind, dim, batchSize int, seed uint64) *Source {
 	}
 	s := &Source{kind: kind, dim: dim, batchSize: batchSize, seed: seed}
 	if kind == WNMT {
-		s.vocab = wnmtVocab(dim, seed)
+		s.wnmt = wnmtVocab(dim, seed)
 	}
 	return s
 }
@@ -157,22 +171,19 @@ func (s *Source) generate(split string, step int) Batch {
 
 // wnmtItem draws a source token embedding and targets a deterministic
 // companion token (a fixed permutation of the vocabulary), modelling the
-// learnable token->token mapping of translation.
+// learnable token->token mapping of translation. The target is the
+// companion's shared tanh row.
 func (s *Source) wnmtItem(r *rng.Stream) (in, tgt tensor.Vector) {
 	tok := r.Intn(vocabSize)
 	// Companion token: multiplicative shuffle (odd multiplier => bijection
 	// on the vocabulary ring).
 	comp := (tok*37 + 11) % vocabSize
-	in = s.vocab[tok].Clone()
+	in = s.wnmt.vocab[tok].Clone()
 	// Mild per-occurrence noise models context variation.
 	for j := range in {
 		in[j] += float32(r.NormFloat32() * 0.05)
 	}
-	tgt = make(tensor.Vector, s.dim)
-	copy(tgt, s.vocab[comp])
-	// Squash targets into tanh range so the loss is achievable.
-	tensor.Tanh(tgt, tgt)
-	return in, tgt
+	return in, s.wnmt.targets[comp]
 }
 
 // imageItem synthesizes a smooth input whose low-frequency content encodes

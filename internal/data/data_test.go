@@ -3,6 +3,9 @@ package data
 import (
 	"testing"
 	"testing/quick"
+
+	"naspipe/internal/rng"
+	"naspipe/internal/tensor"
 )
 
 func TestKindByName(t *testing.T) {
@@ -99,6 +102,28 @@ func TestVocabCacheBounded(t *testing.T) {
 	for i := range first.Inputs {
 		if !first.Inputs[i].EqualBits(again.Inputs[i]) || !first.Targets[i].EqualBits(again.Targets[i]) {
 			t.Fatalf("item %d differs after the vocabulary was evicted and rebuilt", i)
+		}
+	}
+}
+
+// TestWNMTTargetsAreTanhOfCompanion: every item's target, a shared row
+// of the memoized table, is bit for bit the Tanh of its companion
+// token's embedding computed afresh, as each item once computed it.
+func TestWNMTTargetsAreTanhOfCompanion(t *testing.T) {
+	for _, dim := range []int{1, 8, 13, 64} {
+		s := NewSource(WNMT, dim, 1, 77)
+		items, twin := rng.Labeled(77, "targets"), rng.Labeled(77, "targets")
+		for i := 0; i < 200; i++ {
+			comp := (twin.Intn(vocabSize)*37 + 11) % vocabSize
+			for range dim {
+				twin.NormFloat32() // the item's input noise
+			}
+			_, got := s.wnmtItem(items)
+			want := make(tensor.Vector, dim)
+			tensor.Tanh(want, s.wnmt.vocab[comp].Clone())
+			if !got.EqualBits(want) {
+				t.Fatalf("dim %d item %d: target is not Tanh(vocab[%d])", dim, i, comp)
+			}
 		}
 	}
 }

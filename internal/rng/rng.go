@@ -152,10 +152,11 @@ func (r *Stream) Float64() float64 {
 }
 
 // NormFloat32 returns a standard normal variate computed with the
-// Box-Muller transform. Box-Muller is chosen over ziggurat because its
-// output is a simple composition of deterministic math functions: identical
-// on every platform that implements IEEE-754, which runtime ziggurat tables
-// also are, but Box-Muller keeps the implementation small and auditable.
+// Box-Muller transform. Box-Muller is chosen over ziggurat because it
+// keeps the implementation small and auditable. Its bits rest on
+// math.Log and math.Cos, which the repo does not own: Log is assembly on
+// amd64 and s390x, Cos on s390x. TestNormFloat32Digest pins 2²⁰ draws, so
+// a toolchain or GOARCH that moves them fails by name.
 func (r *Stream) NormFloat32() float32 {
 	// Draw until u1 is nonzero so the log is finite.
 	var u1 float64

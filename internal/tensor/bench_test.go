@@ -62,6 +62,28 @@ func BenchmarkOuterAccumRef(b *testing.B) {
 	benchKernel(b, func(m *Matrix, x, y Vector) { outerAccumRef(m, x, y, 0.5) })
 }
 
+// benchTanh times one tanh loop over an n-vector at every benchDims
+// size, the length of a layer's activation.
+func benchTanh(b *testing.B, tanh func(dst, x Vector)) {
+	for _, n := range benchDims() {
+		b.Run(fmt.Sprintf("dim=%d", n), func(b *testing.B) {
+			x, y := randVec(rng.New(1), n), make(Vector, n)
+			b.ReportAllocs()
+			b.SetBytes(int64(n) * 4)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tanh(y, x)
+			}
+		})
+	}
+}
+
+// BenchmarkTanh times Tanh, and BenchmarkTanhRef the math.Tanh loop it
+// replaced, on the same inputs.
+func BenchmarkTanh(b *testing.B) { benchTanh(b, Tanh) }
+
+func BenchmarkTanhRef(b *testing.B) { benchTanh(b, tanhRef) }
+
 func BenchmarkVectorChecksum(b *testing.B) {
 	for _, n := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("len=%d", n), func(b *testing.B) {

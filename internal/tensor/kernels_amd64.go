@@ -2,14 +2,16 @@
 
 package tensor
 
-// fastPath names the kernels MatVec, MatTVec, OuterAccum, AXPY, MatAXPY
-// and TanhGrad run here: SSE2 assembly (kernels_amd64.s). SSE2 is part of
-// the amd64 baseline (GOAMD64=v1), so no CPU check stands in front of
-// it. A lane holds one output element and nothing else, so each output
-// sees the same products and sums, in the same order and each rounded
-// on its own, as under the Go kernels. Every caller has checked the
-// shapes; the reslices below turn a short slice into Go's bounds panic
-// before any assembly reads it.
+import "math/bits"
+
+// fastPath names the kernels MatVec, MatTVec, OuterAccum, AXPY, MatAXPY,
+// Tanh and TanhGrad run here: SSE2 assembly (kernels_amd64.s). SSE2 is
+// part of the amd64 baseline (GOAMD64=v1), so no CPU check stands in
+// front of it. A lane holds one output element and nothing else, so
+// each output sees the same products and sums, in the same order and
+// each rounded on its own, as under the Go kernels. Every caller has
+// checked the shapes; the reslices below turn a short slice into Go's
+// bounds panic before any assembly reads it.
 const fastPath = "sse2"
 
 // matVecSSE computes, for each row r < len(dst) (a multiple of 4), the
@@ -34,6 +36,13 @@ func outerAccumSSE(dst, a, b []float32, scale float32)
 //
 //go:noescape
 func axpySSE(d []float32, alpha float32, s []float32)
+
+// tanhSSE computes dst[i] = Tanh(x[i]) for i < len(dst) (a multiple of
+// 4, at most 64) where t's guard holds, and returns the mask of the
+// elements where it fails; those keep x[i] in dst[i].
+//
+//go:noescape
+func tanhSSE(dst, x []float32) uint64
 
 // tanhGradSSE computes dst[i] = g[i] * (1 - y[i]*y[i]) for i < len(dst).
 //
@@ -81,3 +90,21 @@ func outerAccum(dst *Matrix, a, b Vector, scale float32) {
 func axpy(d []float32, alpha float32, s []float32) { axpySSE(d, alpha, s[:len(d)]) }
 
 func tanhGrad(dst, g, y Vector) { tanhGradSSE(dst, g[:len(dst)], y[:len(dst)]) }
+
+// tanh runs tanhSSE over the first len(dst) &^ 3 elements in chunks of
+// 64 and computes each element whose guard failed, and the last
+// len(dst) % 4, in Go. tanhSSE leaves x[i] in dst[i] where the guard
+// failed, so a chunk's slow path reads its input from dst and dst may
+// be x.
+func tanh(dst, x Vector) {
+	x = x[:len(dst)]
+	n := len(dst) &^ 3
+	for lo := 0; lo < n; lo += 64 {
+		d := dst[lo:min(lo+64, n)]
+		for slow := tanhSSE(d, x[lo:lo+len(d)]); slow != 0; slow &= slow - 1 {
+			i := bits.TrailingZeros64(slow)
+			d[i] = float32(tanhPort(float64(d[i])))
+		}
+	}
+	tanhGo(dst[n:], x[n:])
+}

@@ -363,3 +363,177 @@ vcols4:
 
 vdone:
 	RET
+
+// The constants of tanhSSE, each twice for the two float64 lanes; see
+// tanh.go for what each one is.
+#define K2(off, bits) DATA tanhK<>+off(SB)/8, $bits; DATA tanhK<>+(off+8)(SB)/8, $bits
+
+K2(0, 0x7fffffffffffffff)   // |·| mask
+K2(16, 0x3fb0000000000000)  // tanhPolyMax
+K2(32, 0x4022333333333333)  // tanhOneMin
+K2(48, 0x3f9664f4882c10fa)  // tanhC9
+K2(64, 0xbfaba1ba1ba1ba1c)  // tanhC7
+K2(80, 0x3fc1111111111111)  // tanhC5
+K2(96, 0xbfd5555555555555)  // tanhC3
+K2(112, 0xc000000000000000) // -2
+K2(128, 0x40471547652b82fe) // expInvStep
+K2(144, 0x4338000000000000) // expShift
+K2(160, 0x3f962e42fee00000) // expStepHi
+K2(176, 0x3d9a39ef35793c76) // expStepLo
+K2(192, 0x3f81111111111111) // expQ5
+K2(208, 0x3fa5555555555555) // expQ4
+K2(224, 0x3fc5555555555555) // expQ3
+K2(240, 0x3fe0000000000000) // expQ2
+K2(256, 0x3ff0000000000000) // 1
+K2(272, 0x3feffffffffe0000) // tanhGuardLo
+K2(288, 0x3ff0000000010000) // tanhGuardHi
+K2(304, 0xffffffffffffffe0) // ^31
+GLOBL tanhK<>(SB), RODATA|NOPTR, $320
+
+// TANH_POLY loads two float32s at src as float64s and leaves in p the
+// polynomial result where |x| < 1/16, 1 where 9.1 ≤ |x|, 0 elsewhere,
+// each with x's sign, and in s the exp branch's argument: min(|x|, 9.1)
+// where neither holds and 0 where one does, so that lane's exp branch
+// gives (1 − 1)/(1 + 1) = 0 and p alone is t. A NaN |x| fails both
+// compares and passes MINPD (which returns its source operand), so its t
+// is NaN. Clobbers a, m and sg.
+#define TANH_POLY(src, a, p, s, m, sg) \
+	MOVSD    src, a; \
+	CVTPS2PD a, a; \
+	MOVAPD   a, sg; \
+	ANDPD    tanhK<>+0(SB), a; \
+	XORPD    a, sg; \
+	MOVAPD   a, s; \
+	MULPD    a, s; \
+	MOVAPD   tanhK<>+48(SB), p; \
+	MULPD    s, p; \
+	ADDPD    tanhK<>+64(SB), p; \
+	MULPD    s, p; \
+	ADDPD    tanhK<>+80(SB), p; \
+	MULPD    s, p; \
+	ADDPD    tanhK<>+96(SB), p; \
+	MULPD    a, s; \
+	MULPD    s, p; \
+	ADDPD    a, p; \
+	MOVAPD   tanhK<>+32(SB), m; \
+	CMPPD    a, m, $2; \
+	MOVAPD   a, s; \
+	CMPPD    tanhK<>+16(SB), s, $1; \
+	ANDPD    s, p; \
+	ORPD     m, s; \
+	ANDPD    tanhK<>+256(SB), m; \
+	ORPD     m, p; \
+	ORPD     sg, p; \
+	MOVAPD   tanhK<>+32(SB), m; \
+	MINPD    a, m; \
+	ANDNPD   m, s
+
+// TANH_REDUCE turns the argument a in y into r = y − n·ln2/32, y = −2a,
+// and leaves n (as an int64 per lane) in k. Clobbers nf and t.
+#define TANH_REDUCE(y, k, nf, t) \
+	MULPD  tanhK<>+112(SB), y; \
+	MOVAPD tanhK<>+128(SB), k; \
+	MULPD  y, k; \
+	ADDPD  tanhK<>+144(SB), k; \
+	MOVAPD k, nf; \
+	SUBPD  tanhK<>+144(SB), nf; \
+	PSUBQ  tanhK<>+144(SB), k; \
+	MOVAPD tanhK<>+160(SB), t; \
+	MULPD  nf, t; \
+	SUBPD  t, y; \
+	MULPD  tanhK<>+176(SB), nf; \
+	SUBPD  nf, y
+
+// TANH_Q leaves e^r's degree-5 polynomial in q, r in y.
+#define TANH_Q(y, q) \
+	MOVAPD tanhK<>+192(SB), q; \
+	MULPD  y, q; \
+	ADDPD  tanhK<>+208(SB), q; \
+	MULPD  y, q; \
+	ADDPD  tanhK<>+224(SB), q; \
+	MULPD  y, q; \
+	ADDPD  tanhK<>+240(SB), q; \
+	MULPD  y, q; \
+	ADDPD  tanhK<>+256(SB), q; \
+	MULPD  y, q; \
+	ADDPD  tanhK<>+256(SB), q
+
+// TANH_U computes e = 2^(n/32)·q from n in k and q, then leaves
+// (1 − e)/(1 + e) in y. Clobbers k, t, j0 and j1.
+#define TANH_U(y, k, q, t, j0, j1) \
+	MOVQ   k, j0; \
+	PSHUFD $0xee, k, t; \
+	MOVQ   t, j1; \
+	ANDQ   $31, j0; \
+	ANDQ   $31, j1; \
+	MOVSD  (R10)(j0*8), t; \
+	MOVHPD (R10)(j1*8), t; \
+	PAND   tanhK<>+304(SB), k; \
+	PSLLQ  $47, k; \
+	PADDQ  k, t; \
+	MULPD  q, t; \
+	MOVAPD tanhK<>+256(SB), y; \
+	SUBPD  t, y; \
+	ADDPD  tanhK<>+256(SB), t; \
+	DIVPD  t, y
+
+// TANH_GUARD rounds t·(1 − 2⁻³⁶) into t and t·(1 + 2⁻³⁶) into hi, as
+// float32s in the low half.
+#define TANH_GUARD(t, hi) \
+	MOVAPD   t, hi; \
+	MULPD    tanhK<>+272(SB), t; \
+	MULPD    tanhK<>+288(SB), hi; \
+	CVTPD2PS t, t; \
+	CVTPD2PS hi, hi
+
+// func tanhSSE(dst, x []float32) uint64
+//
+// Four elements per pass, as two independent float64 pairs interleaved
+// stage by stage, through tanhApprox's operations in its order. Each
+// pair's t is p | u: TANH_POLY's p with TANH_U's u, one of which is 0 in
+// every lane. CVTPS2PD writes its whole register, so no pass waits on
+// the one before it. Bit i of the result is set where the guard fails;
+// there dst[i] keeps x[i] for the caller's slow path.
+TEXT ·tanhSSE(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), DX
+	MOVQ x_base+24(FP), SI
+	LEAQ ·expTable(SB), R10
+	XORQ CX, CX
+	XORQ R8, R8
+
+tanhQuad:
+	CMPQ     CX, DX
+	JGE      tanhDone
+	TANH_POLY((SI), X0, X1, X2, X3, X4)
+	TANH_POLY(8(SI), X5, X6, X7, X8, X9)
+	TANH_REDUCE(X2, X0, X3, X4)
+	TANH_REDUCE(X7, X5, X8, X9)
+	TANH_Q(X2, X3)
+	TANH_Q(X7, X8)
+	TANH_U(X2, X0, X3, X4, AX, BX)
+	TANH_U(X7, X5, X8, X9, R11, R12)
+	ORPD     X1, X2
+	ORPD     X6, X7
+	TANH_GUARD(X2, X1)
+	TANH_GUARD(X7, X6)
+	MOVLHPS  X7, X2              // the four float32s of t·(1 − 2⁻³⁶)
+	MOVLHPS  X6, X1              // and of t·(1 + 2⁻³⁶)
+	MOVAPS   X2, X10
+	CMPPS    X1, X10, $4         // not equal, or unordered
+	MOVMSKPS X10, AX
+	MOVUPS   (SI), X11
+	ANDPS    X10, X11
+	ANDNPS   X2, X10
+	ORPS     X11, X10
+	MOVUPS   X10, (DI)
+	SHLQ     CX, AX
+	ORQ      AX, R8
+	ADDQ     $4, CX
+	ADDQ     $16, SI
+	ADDQ     $16, DI
+	JMP      tanhQuad
+
+tanhDone:
+	MOVQ R8, ret+48(FP)
+	RET

@@ -57,6 +57,14 @@ func axpyRef(dst []float32, alpha float32, x []float32) {
 	}
 }
 
+// tanhRef is the libm loop Tanh replaced: the contract it must meet
+// bit for bit on every float32 input.
+func tanhRef(dst, x Vector) {
+	for i, v := range x {
+		dst[i] = float32(math.Tanh(float64(v)))
+	}
+}
+
 func tanhGradRef(dst, g, y Vector) {
 	for i := range dst {
 		dst[i] = g[i] * (1 - float32(y[i]*y[i]))
@@ -133,6 +141,7 @@ type kernelPath struct {
 	matTVec    func(dst Vector, m *Matrix, x Vector)
 	outerAccum func(dst *Matrix, a, b Vector, scale float32)
 	axpy       func(d []float32, alpha float32, s []float32)
+	tanh       func(dst, x Vector)
 	tanhGrad   func(dst, g, y Vector)
 }
 
@@ -146,12 +155,13 @@ func kernelPaths() []kernelPath {
 		matTVec:    func(dst Vector, m *Matrix, x Vector) { matTVecGo(dst, m, x, 0, m.Cols) },
 		outerAccum: outerAccumGo,
 		axpy:       axpyGo,
+		tanh:       tanhGo,
 		tanhGrad:   tanhGradGo,
 	}
 	if fastPath == portable.name {
 		return []kernelPath{portable}
 	}
-	return []kernelPath{{fastPath, matVec, matTVec, outerAccum, axpy, tanhGrad}, portable}
+	return []kernelPath{{fastPath, matVec, matTVec, outerAccum, axpy, tanh, tanhGrad}, portable}
 }
 
 // checkKernels runs every kernel of one path and its ref_test.go oracle
@@ -197,6 +207,19 @@ func checkKernels(k kernelPath, m *Matrix, x, xt, a Vector, acc *Matrix, alpha f
 	axpyRef(axWant.Data, alpha, m.Data)
 	if !equal(axGot.Data, axWant.Data) {
 		return diverged("MatAXPY")
+	}
+
+	thGot, thWant := make(Vector, len(m.Data)), make(Vector, len(m.Data))
+	k.tanh(thGot, m.Data)
+	tanhRef(thWant, m.Data)
+	if !equal(thGot, thWant) {
+		return diverged("Tanh")
+	}
+	// In place, as layers.ForwardInto calls it.
+	thGot = m.Clone().Data
+	k.tanh(thGot, thGot)
+	if !equal(thGot, thWant) {
+		return diverged("Tanh in place")
 	}
 
 	tgGot, tgWant := make(Vector, len(m.Data)), make(Vector, len(m.Data))
@@ -250,6 +273,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 			"OuterAccum": func() { k.outerAccum(acc, x, x, 1e-3) },
 			"AXPY":       func() { k.axpy(dst, 1e-3, x) },
 			"MatAXPY":    func() { k.axpy(acc.Data, 1e-3, m.Data) },
+			"Tanh":       func() { k.tanh(dst, x) },
 			"TanhGrad":   func() { k.tanhGrad(dst, x, dst) },
 		} {
 			if got := testing.AllocsPerRun(20, kernel); got != 0 {
@@ -385,6 +409,7 @@ func TestShiftedOverlapPanics(t *testing.T) {
 	for name, call := range map[string]func(){
 		"AXPY":       func() { AXPY(buf[:8], 2, buf[1:9]) },
 		"MatAXPY":    func() { MatAXPY(m, 2, shifted) },
+		"Tanh":       func() { Tanh(buf[:8], buf[3:11]) },
 		"TanhGrad":   func() { TanhGrad(buf[:8], buf[8:], buf[2:10]) },
 		"OuterAccum": func() { OuterAccum(m, buf[8:10], buf[6:10], 1) },
 		"short Data": func() { MatVec(buf[8:10], &Matrix{Rows: 2, Cols: 4, Data: buf[:7]}, buf[10:14]) },
@@ -402,4 +427,5 @@ func TestShiftedOverlapPanics(t *testing.T) {
 	AXPY(buf[:8], 2, buf[:8])
 	MatAXPY(m, 2, m)
 	TanhGrad(buf[:8], buf[:8], buf[:8])
+	Tanh(buf[:8], buf[:8])
 }

@@ -17,15 +17,19 @@
 // interleaving, which the CSP scheduler then controls.
 //
 // Like cuBLAS's deterministic kernels, the dense kernels are still
-// vectorized. On amd64 MatVec, MatTVec, OuterAccum, AXPY, MatAXPY and
-// TanhGrad run SSE2 assembly (kernels_amd64.s) whose SIMD lanes span
+// vectorized. On amd64 MatVec, MatTVec, OuterAccum, AXPY, MatAXPY, Tanh
+// and TanhGrad run SSE2 assembly (kernels_amd64.s) whose SIMD lanes span
 // independent outputs only: four MatVec rows, four MatTVec columns, four
-// elements of an elementwise update. Each output sees exactly the Go
-// kernels' sequence of separately rounded multiplies and adds, so every
-// weight is bitwise the same on either path. Other GOARCHes and every
-// race build (the race detector cannot see memory that assembly touches)
-// run the Go kernels; ref_test.go checks both paths against one set of
-// oracles.
+// elements of an elementwise update, two float64 lanes of Tanh. Each
+// output sees exactly the Go kernels' sequence of separately rounded
+// multiplies and adds, so every weight is bitwise the same on either
+// path. Other GOARCHes and every race build (the race detector cannot
+// see memory that assembly touches) run the Go kernels; ref_test.go
+// checks both paths against one set of oracles.
+//
+// Tanh calls no libm function: it is the package's own evaluation
+// (tanh.go), equal bit for bit to float32(math.Tanh(float64(x))) on all
+// 2³² float32 inputs, which the exhaustive test checks.
 package tensor
 
 import (
@@ -309,16 +313,6 @@ func SumSquares(a Vector) float32 {
 		sum += float32(v * v)
 	}
 	return sum
-}
-
-// Tanh applies tanh elementwise into dst (dst may alias x).
-func Tanh(dst, x Vector) {
-	if len(dst) != len(x) {
-		panic("tensor: Tanh length mismatch")
-	}
-	for i, v := range x {
-		dst[i] = float32(math.Tanh(float64(v)))
-	}
 }
 
 // TanhGrad computes dst = g * (1 - y²) elementwise, where y = tanh(x) is
