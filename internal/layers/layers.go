@@ -10,11 +10,14 @@
 // timing directly traceable to the paper's testbed.
 //
 // The numeric implementation is deliberately uniform: every layer computes
-// y = tanh(Wx + b) on a small dense matrix. Reproducibility (the property
-// under study) depends on the read/write interleaving of parameters, not on
-// the kernel being a convolution versus an attention block, so a single
-// auditable kernel keeps the numeric plane small while the cost metadata
-// keeps the performance plane faithful.
+// y = tanh(Wx + b) on a small dense matrix. It runs a whole batch at once
+// (ForwardBatch, BackwardBatch: one pass over W per four items, on
+// tensor's lane layout), and each item's bits are what it alone would
+// give. Reproducibility (the property under study) depends on the
+// read/write interleaving of parameters, not on the kernel being a
+// convolution versus an attention block, so a single auditable kernel
+// keeps the numeric plane small while the cost metadata keeps the
+// performance plane faithful.
 package layers
 
 import (
@@ -181,23 +184,28 @@ func isqrt(n int) float32 {
 	return float32(g)
 }
 
-// Forward computes y = tanh(W·x + b) and returns y. x is not modified.
-func (l *Layer) Forward(x tensor.Vector) tensor.Vector {
-	y := make(tensor.Vector, l.Dim)
-	l.ForwardInto(y, x)
-	return y
+// ForwardBatch computes y = tanh(W·x + b) for the n items of a batch
+// held in tensor's lane layout (tensor.Lanes items to a group): one pass
+// over W per group, then the bias and tanh elementwise, and the dead
+// lanes set to 0. Each item's output is bitwise what W·x, then + b, then
+// tanh give on that item alone. y must not overlap x.
+func (l *Layer) ForwardBatch(y, x tensor.Vector, n int) {
+	tensor.MatVecBatch(y, l.W, x, n)
+	for g := 0; g < len(y); g += l.Dim * tensor.Lanes {
+		yg := y[g : g+l.Dim*tensor.Lanes]
+		for r, b := range l.B {
+			w := yg[r*tensor.Lanes : (r+1)*tensor.Lanes : (r+1)*tensor.Lanes]
+			w[0] += b
+			w[1] += b
+			w[2] += b
+			w[3] += b
+		}
+	}
+	tensor.TanhBatch(y, l.Dim, n)
 }
 
-// ForwardInto computes dst = tanh(W·x + b) using a caller-provided output
-// buffer — the allocation-free variant the training arena uses. dst must
-// not alias x.
-func (l *Layer) ForwardInto(dst, x tensor.Vector) {
-	tensor.MatVec(dst, l.W, x)
-	tensor.AXPY(dst, 1, l.B)
-	tensor.Tanh(dst, dst)
-}
-
-// Grads holds the parameter gradients of one layer for one batch item.
+// Grads holds the parameter gradients of one layer, summed over a
+// batch's items.
 type Grads struct {
 	W *tensor.Matrix
 	B tensor.Vector
@@ -208,35 +216,24 @@ func (l *Layer) NewGrads() *Grads {
 	return &Grads{W: tensor.NewMatrix(l.Dim, l.Dim), B: make(tensor.Vector, l.Dim)}
 }
 
-// Reset zeroes the gradients in place so a pooled Grads can be reused.
-func (g *Grads) Reset() {
-	g.W.Zero()
-	for i := range g.B {
-		g.B[i] = 0
+// BackwardBatch is ForwardBatch's backward: given the forward output y
+// and the output gradient dy of n items in lane layout, it sets the
+// pre-activation gradient dz = dy ⊙ (1 − y²) and, unless dx is nil, the
+// input gradient dx = Wᵀ·dz. dx may be dy, which is consumed before dx
+// is written; dz must be a buffer of its own. The parameter gradients
+// follow from dz and the forward input (Grads.SetBatch).
+func (l *Layer) BackwardBatch(dx, dz, dy, y tensor.Vector, n int) {
+	tensor.TanhGrad(dz, dy, y)
+	if dx != nil {
+		tensor.MatTVecBatch(dx, l.W, dz, n)
 	}
 }
 
-// Backward computes the input gradient dx and accumulates parameter
-// gradients into g, given the forward input x, the saved activation y
-// (the forward output), and the output gradient dy.
-func (l *Layer) Backward(x, y, dy tensor.Vector, g *Grads) tensor.Vector {
-	dz := make(tensor.Vector, l.Dim)
-	dx := make(tensor.Vector, l.Dim)
-	l.BackwardInto(dx, dz, x, y, dy, g)
-	return dx
-}
-
-// BackwardInto is Backward with caller-provided buffers: dx receives the
-// input gradient and dz is pre-activation scratch. dx may alias dy (dy is
-// fully consumed before dx is written), but dx and dz must be distinct.
-func (l *Layer) BackwardInto(dx, dz, x, y, dy tensor.Vector, g *Grads) {
-	// Pre-activation gradient: dz = dy ⊙ (1 - y²).
-	tensor.TanhGrad(dz, dy, y)
-	// dW += dz ⊗ x; db += dz; dx = Wᵀ dz.
-	tensor.OuterAccum(g.W, dz, x, 1)
-	tensor.AXPY(g.B, 1, dz)
-	tensor.MatTVec(dx, l.W, dz)
-}
+// SetBatch sets g to the parameter gradients of the n items of a batch,
+// given their pre-activation gradients dz and forward inputs x in
+// lane layout: dW = Σ dz ⊗ x and db = Σ dz, each sum from +0 in item
+// order. g's old values are never read.
+func (g *Grads) SetBatch(dz, x tensor.Vector, n int) { tensor.OuterBatch(g.W, g.B, dz, x, n) }
 
 // ApplySGD performs the optimizer step W -= lr·gW, b -= lr·gB. This is the
 // WRITE access in the paper's causal-dependency model: a later subnet that

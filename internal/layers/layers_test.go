@@ -91,13 +91,94 @@ func TestNewLayerDeterministic(t *testing.T) {
 	}
 }
 
+// forward runs ForwardBatch on the single item x and returns its output.
+func forward(l *Layer, x tensor.Vector) tensor.Vector {
+	in, out := make(tensor.Vector, l.Dim*tensor.Lanes), make(tensor.Vector, l.Dim*tensor.Lanes)
+	tensor.PackLanes(in, []tensor.Vector{x})
+	l.ForwardBatch(out, in, 1)
+	return laneItem(out, l.Dim, 0)
+}
+
+// backward runs BackwardBatch on the single item (x, y, dy), sets g to
+// its gradients, and returns the input gradient.
+func backward(l *Layer, x, y, dy tensor.Vector, g *Grads) tensor.Vector {
+	bufs := make([]tensor.Vector, 5)
+	for k, v := range []tensor.Vector{x, y, dy, nil, nil} {
+		bufs[k] = make(tensor.Vector, l.Dim*tensor.Lanes)
+		if v != nil {
+			tensor.PackLanes(bufs[k], []tensor.Vector{v})
+		}
+	}
+	l.BackwardBatch(bufs[3], bufs[4], bufs[2], bufs[1], 1)
+	g.SetBatch(bufs[4], bufs[0], 1)
+	return laneItem(bufs[3], l.Dim, 0)
+}
+
+// laneItem returns item i of a lane buffer of dim-element items.
+func laneItem(buf tensor.Vector, dim, i int) tensor.Vector {
+	v := make(tensor.Vector, dim)
+	for j := range v {
+		v[j] = buf[tensor.LaneAt(dim, i, j)]
+	}
+	return v
+}
+
+// TestBatchEqualsItemByItem pins the batch contract at every batch size
+// from 1 to 9 and at dims whose row and column counts leave every tail
+// mod 4: each item's forward output and input gradient are bitwise what
+// the item alone gives, and the batch's gradients are the single items'
+// gradients summed in item order.
+func TestBatchEqualsItemByItem(t *testing.T) {
+	for _, dim := range []int{1, 3, 5, 8, 12, 13} {
+		l := NewLayer(SepConv3x3, dim, rng.Labeled(6, "batch"))
+		r := rng.Labeled(6, "data")
+		for n := 1; n <= 9; n++ {
+			xs, dys := make([]tensor.Vector, n), make([]tensor.Vector, n)
+			for i := range xs {
+				xs[i], dys[i] = make(tensor.Vector, dim), make(tensor.Vector, dim)
+				for j := range xs[i] {
+					xs[i][j], dys[i][j] = r.NormFloat32(), r.NormFloat32()
+				}
+			}
+			size := tensor.Groups(n) * tensor.Lanes * dim
+			x, y, dy := make(tensor.Vector, size), make(tensor.Vector, size), make(tensor.Vector, size)
+			tensor.PackLanes(x, xs)
+			tensor.PackLanes(dy, dys)
+			l.ForwardBatch(y, x, n)
+			ys := make([]tensor.Vector, n)
+			for i := range xs {
+				ys[i] = forward(l, xs[i])
+				if got := laneItem(y, dim, i); !got.EqualBits(ys[i]) {
+					t.Fatalf("dim %d batch %d: item %d forward %v, alone %v", dim, n, i, got, ys[i])
+				}
+			}
+			g, dz := l.NewGrads(), make(tensor.Vector, size)
+			l.BackwardBatch(dy, dz, dy, y, n)
+			g.SetBatch(dz, x, n)
+			sum := l.NewGrads()
+			for i := range xs {
+				gi := l.NewGrads()
+				dx := backward(l, xs[i], ys[i], dys[i], gi)
+				if got := laneItem(dy, dim, i); !got.EqualBits(dx) {
+					t.Fatalf("dim %d batch %d: item %d input gradient %v, alone %v", dim, n, i, got, dx)
+				}
+				tensor.MatAXPY(sum.W, 1, gi.W)
+				tensor.AXPY(sum.B, 1, gi.B)
+			}
+			if !g.W.Equal(sum.W) || !g.B.EqualBits(sum.B) {
+				t.Fatalf("dim %d batch %d: gradients differ from the items' summed in order", dim, n)
+			}
+		}
+	}
+}
+
 func TestForwardBounded(t *testing.T) {
 	l := NewLayer(Conv3x3, 8, rng.Labeled(2, "l"))
 	x := make(tensor.Vector, 8)
 	for i := range x {
 		x[i] = 10 // large input: tanh must squash
 	}
-	y := l.Forward(x)
+	y := forward(l, x)
 	for i, v := range y {
 		if v < -1 || v > 1 {
 			t.Fatalf("output %d = %v outside tanh range", i, v)
@@ -118,7 +199,7 @@ func TestBackwardGradientCheck(t *testing.T) {
 		target[i] = r.NormFloat32()
 	}
 	forwardLoss := func() float64 {
-		y := l.Forward(x)
+		y := forward(l, x)
 		var loss float64
 		for i := range y {
 			d := float64(y[i] - target[i])
@@ -126,13 +207,13 @@ func TestBackwardGradientCheck(t *testing.T) {
 		}
 		return loss
 	}
-	y := l.Forward(x)
+	y := forward(l, x)
 	dy := make(tensor.Vector, 5)
 	for i := range dy {
 		dy[i] = y[i] - target[i]
 	}
 	g := l.NewGrads()
-	l.Backward(x, y, dy, g)
+	backward(l, x, y, dy, g)
 
 	const eps = 1e-3
 	checks := [][2]int{{0, 0}, {1, 3}, {4, 4}, {2, 1}}
@@ -195,10 +276,10 @@ func TestQuickTrainingStepDeterministic(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat32()
 		}
-		y := l.Forward(x)
+		y := forward(l, x)
 		dy := y.Clone() // pretend target is zero
 		g := l.NewGrads()
-		l.Backward(x, y, dy, g)
+		backward(l, x, y, dy, g)
 		l.ApplySGD(g, 0.05)
 		return l.Checksum()
 	}
@@ -222,7 +303,7 @@ func TestQuickInputGradientDescends(t *testing.T) {
 			tgt[i] = r.NormFloat32()
 		}
 		loss := func(in tensor.Vector) float64 {
-			y := l.Forward(in)
+			y := forward(l, in)
 			var s float64
 			for i := range y {
 				d := float64(y[i] - tgt[i])
@@ -230,13 +311,13 @@ func TestQuickInputGradientDescends(t *testing.T) {
 			}
 			return s
 		}
-		y := l.Forward(x)
+		y := forward(l, x)
 		dy := make(tensor.Vector, 5)
 		for i := range dy {
 			dy[i] = y[i] - tgt[i]
 		}
 		g := l.NewGrads()
-		dx := l.Backward(x, y, dy, g)
+		dx := backward(l, x, y, dy, g)
 		norm := float64(tensor.SumSquares(dx))
 		if norm < 1e-8 {
 			return true // at a critical point; nothing to check
@@ -250,26 +331,27 @@ func TestQuickInputGradientDescends(t *testing.T) {
 	}
 }
 
-func BenchmarkForward16(b *testing.B) {
+func BenchmarkForwardBatch16(b *testing.B) {
 	l := NewLayer(Conv3x1, 16, rng.Labeled(1, "bench"))
-	x := make(tensor.Vector, 16)
+	x, y := make(tensor.Vector, 16*tensor.Lanes), make(tensor.Vector, 16*tensor.Lanes)
 	for i := range x {
 		x[i] = 0.5
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = l.Forward(x)
+		l.ForwardBatch(y, x, tensor.Lanes)
 	}
 }
 
 func TestDimOneLayer(t *testing.T) {
 	l := NewLayer(LightConv5x1, 1, rng.Labeled(1, "tiny"))
-	y := l.Forward(tensor.Vector{0.5})
+	y := forward(l, tensor.Vector{0.5})
 	if len(y) != 1 || y[0] < -1 || y[0] > 1 {
 		t.Fatalf("dim-1 forward broken: %v", y)
 	}
 	g := l.NewGrads()
-	dx := l.Backward(tensor.Vector{0.5}, y, tensor.Vector{1}, g)
+	dx := backward(l, tensor.Vector{0.5}, y, tensor.Vector{1}, g)
 	if len(dx) != 1 {
 		t.Fatal("dim-1 backward broken")
 	}

@@ -38,10 +38,6 @@ func BenchmarkMatVec(b *testing.B) {
 	benchKernel(b, func(m *Matrix, x, y Vector) { MatVec(y, m, x) })
 }
 
-func BenchmarkMatTVec(b *testing.B) {
-	benchKernel(b, func(m *Matrix, x, y Vector) { MatTVec(y, m, x) })
-}
-
 func BenchmarkOuterAccum(b *testing.B) {
 	benchKernel(b, func(m *Matrix, x, y Vector) { OuterAccum(m, x, y, 0.5) })
 }
@@ -54,12 +50,81 @@ func BenchmarkMatVecRef(b *testing.B) {
 	benchKernel(b, func(m *Matrix, x, y Vector) { matVecRef(y, m, x) })
 }
 
-func BenchmarkMatTVecRef(b *testing.B) {
-	benchKernel(b, func(m *Matrix, x, y Vector) { matTVecRef(y, m, x) })
-}
-
 func BenchmarkOuterAccumRef(b *testing.B) {
 	benchKernel(b, func(m *Matrix, x, y Vector) { outerAccumRef(m, x, y, 0.5) })
+}
+
+// benchBatch times one batch kernel at every benchDims size, on an n × n
+// matrix and lane buffers of benchItems items. The *Ref twins run the
+// per-item one-chain loops of ref_test.go on the same items, held one
+// vector each (the layout the per-item path kept), so the ratio is the
+// batch kernel's against scalar speed on the same work.
+func benchBatch(b *testing.B, kernel func(m *Matrix, xs, ys []Vector, x, y Vector)) {
+	for _, n := range benchDims() {
+		b.Run(fmt.Sprintf("dim=%d", n), func(b *testing.B) {
+			r := rng.New(1)
+			m := randMat(r, n, n)
+			xs, ys := make([]Vector, benchItems), make([]Vector, benchItems)
+			for i := range xs {
+				xs[i], ys[i] = randVec(r, n), randVec(r, n)
+			}
+			x, y := make(Vector, Groups(benchItems)*Lanes*n), make(Vector, Groups(benchItems)*Lanes*n)
+			PackLanes(x, xs)
+			PackLanes(y, ys)
+			b.ReportAllocs()
+			b.SetBytes(int64(n) * int64(n) * 4)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kernel(m, xs, ys, x, y)
+			}
+		})
+	}
+}
+
+// benchItems is the batch the batch kernels are timed at: pipe-numeric's.
+const benchItems = 4
+
+func BenchmarkMatVecBatch(b *testing.B) {
+	benchBatch(b, func(m *Matrix, _, _ []Vector, x, y Vector) { MatVecBatch(y, m, x, benchItems) })
+}
+
+func BenchmarkMatTVecBatch(b *testing.B) {
+	benchBatch(b, func(m *Matrix, _, _ []Vector, x, y Vector) { MatTVecBatch(y, m, x, benchItems) })
+}
+
+func BenchmarkOuterBatch(b *testing.B) {
+	gb := make(Vector, 512)
+	benchBatch(b, func(m *Matrix, _, _ []Vector, x, y Vector) { OuterBatch(m, gb[:m.Rows], y, x, benchItems) })
+}
+
+func BenchmarkMatVecBatchRef(b *testing.B) {
+	benchBatch(b, func(m *Matrix, xs, ys []Vector, _, _ Vector) {
+		for i := range xs {
+			matVecRef(ys[i], m, xs[i])
+		}
+	})
+}
+
+func BenchmarkMatTVecBatchRef(b *testing.B) {
+	benchBatch(b, func(m *Matrix, xs, ys []Vector, _, _ Vector) {
+		for i := range xs {
+			matTVecRef(ys[i], m, xs[i])
+		}
+	})
+}
+
+// BenchmarkOuterBatchRef zeroes the gradient and accumulates item by
+// item, as the per-item path did.
+func BenchmarkOuterBatchRef(b *testing.B) {
+	gb := make(Vector, 512)
+	benchBatch(b, func(m *Matrix, xs, ys []Vector, _, _ Vector) {
+		clear(m.Data)
+		clear(gb[:m.Rows])
+		for i := range xs {
+			outerAccumRef(m, ys[i], xs[i], 1)
+			axpyRef(gb[:m.Rows], 1, ys[i])
+		}
+	})
 }
 
 // benchTanh times one tanh loop over an n-vector at every benchDims

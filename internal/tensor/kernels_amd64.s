@@ -145,129 +145,10 @@ tanhGrad1:
 tanhGradDone:
 	RET
 
-// MATTVEC_ROWS_INIT starts a column block of matTVecSSE at row 0: R9
-// walks the block's row starts (stride R8 bytes), R10 the x values and
-// R11 counts the rows left. A block's lane for column c adds
-// m[r][c]*x[r] for r = 0, 1, 2, ... in turn.
-#define MATTVEC_ROWS_INIT \
-	MOVQ SI, R9; \
-	MOVQ BX, R10; \
-	MOVQ DX, R11
-
-// func matTVecSSE(dst, m, x []float32, stride int)
-TEXT ·matTVecSSE(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ m_base+24(FP), SI
-	MOVQ x_base+48(FP), BX
-	MOVQ x_len+56(FP), DX
-	MOVQ stride+72(FP), R8
-	SHLQ $2, R8
-
-	// Sixteen columns at a time, in four accumulators.
-tcols16:
-	CMPQ  CX, $16
-	JLT   tcols8
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	MATTVEC_ROWS_INIT
-
-trows16:
-	TESTQ  R11, R11
-	JEQ    tstore16
-	MOVSS  (R10), X4
-	SHUFPS $0x00, X4, X4
-	MOVUPS (R9), X5
-	MOVUPS 16(R9), X6
-	MOVUPS 32(R9), X7
-	MOVUPS 48(R9), X8
-	MULPS  X4, X5
-	MULPS  X4, X6
-	MULPS  X4, X7
-	MULPS  X4, X8
-	ADDPS  X5, X0
-	ADDPS  X6, X1
-	ADDPS  X7, X2
-	ADDPS  X8, X3
-	ADDQ   R8, R9
-	ADDQ   $4, R10
-	DECQ   R11
-	JMP    trows16
-
-tstore16:
-	MOVUPS X0, (DI)
-	MOVUPS X1, 16(DI)
-	MOVUPS X2, 32(DI)
-	MOVUPS X3, 48(DI)
-	ADDQ   $64, DI
-	ADDQ   $64, SI
-	SUBQ   $16, CX
-	JMP    tcols16
-
-	// Eight columns, in two accumulators.
-tcols8:
-	CMPQ  CX, $8
-	JLT   tcols4
-	XORPS X0, X0
-	XORPS X1, X1
-	MATTVEC_ROWS_INIT
-
-trows8:
-	TESTQ  R11, R11
-	JEQ    tstore8
-	MOVSS  (R10), X4
-	SHUFPS $0x00, X4, X4
-	MOVUPS (R9), X5
-	MOVUPS 16(R9), X6
-	MULPS  X4, X5
-	MULPS  X4, X6
-	ADDPS  X5, X0
-	ADDPS  X6, X1
-	ADDQ   R8, R9
-	ADDQ   $4, R10
-	DECQ   R11
-	JMP    trows8
-
-tstore8:
-	MOVUPS X0, (DI)
-	MOVUPS X1, 16(DI)
-	ADDQ   $32, DI
-	ADDQ   $32, SI
-	SUBQ   $8, CX
-
-	// Four columns, in one accumulator.
-tcols4:
-	CMPQ  CX, $4
-	JLT   tdone
-	XORPS X0, X0
-	MATTVEC_ROWS_INIT
-
-trows4:
-	TESTQ  R11, R11
-	JEQ    tstore4
-	MOVSS  (R10), X4
-	SHUFPS $0x00, X4, X4
-	MOVUPS (R9), X5
-	MULPS  X4, X5
-	ADDPS  X5, X0
-	ADDQ   R8, R9
-	ADDQ   $4, R10
-	DECQ   R11
-	JMP    trows4
-
-tstore4:
-	MOVUPS X0, (DI)
-
-tdone:
-	RET
-
-// TRANSPOSE_ADD takes the products of four rows with four columns, one
-// row per register (p0..p3), transposes them with t0 and t1 as scratch,
-// and adds column 0, then 1, 2 and 3 into acc, whose lane k is row k's
-// sum. It clobbers p0..p3, t0 and t1.
-#define TRANSPOSE_ADD(p0, p1, p2, p3, t0, t1, acc) \
+// TRANSPOSE4 transposes the 4 × 4 block whose rows are p0..p3, with t0
+// and t1 as scratch, leaving its columns 0, 1, 2 and 3 in p1, t1, p3 and
+// p2. It clobbers p0 and t0.
+#define TRANSPOSE4(p0, p1, p2, p3, t0, t1) \
 	MOVAPS   p0, t0; \
 	UNPCKLPS p1, t0; \
 	UNPCKHPS p1, p0; \
@@ -279,7 +160,14 @@ tdone:
 	MOVHLPS  t0, t1; \
 	MOVAPS   p0, p3; \
 	MOVLHPS  p2, p3; \
-	MOVHLPS  p0, p2; \
+	MOVHLPS  p0, p2
+
+// TRANSPOSE_ADD takes the products of four rows with four columns, one
+// row per register (p0..p3), transposes them with t0 and t1 as scratch,
+// and adds column 0, then 1, 2 and 3 into acc, whose lane k is row k's
+// sum. It clobbers p0..p3, t0 and t1.
+#define TRANSPOSE_ADD(p0, p1, p2, p3, t0, t1, acc) \
+	TRANSPOSE4(p0, p1, p2, p3, t0, t1); \
 	ADDPS    p1, acc; \
 	ADDPS    t1, acc; \
 	ADDPS    p3, acc; \
@@ -362,6 +250,376 @@ vcols4:
 	MOVUPS X0, (DI)
 
 vdone:
+	RET
+
+// The batch kernels take one lane group: a group's vector holds one
+// element of each of its four items, one item per lane (see batch.go),
+// so every lane is an independent output and a product's scalar operand
+// is broadcast with PSHUFD.
+
+// ROW_QUAD adds, for the row of m at addr, its four columns' products
+// with the group's column vectors in X8..X11 into acc, column by column.
+// It clobbers X12..X14.
+#define ROW_QUAD(addr, acc) \
+	MOVUPS addr, X12; \
+	PSHUFD $0x00, X12, X13; \
+	MULPS  X8, X13; \
+	ADDPS  X13, acc; \
+	PSHUFD $0x55, X12, X14; \
+	MULPS  X9, X14; \
+	ADDPS  X14, acc; \
+	PSHUFD $0xaa, X12, X13; \
+	MULPS  X10, X13; \
+	ADDPS  X13, acc; \
+	PSHUFD $0xff, X12, X14; \
+	MULPS  X11, X14; \
+	ADDPS  X14, acc
+
+// func matVecBatchSSE(y, m, x []float32, stride int)
+//
+// Eight rows per pass, one accumulator each: a row's four adds per four
+// columns form a chain, and eight chains keep both add ports busy.
+TEXT ·matVecBatchSSE(SB), NOSPLIT, $0-80
+	MOVQ  y_base+0(FP), DI
+	MOVQ  y_len+8(FP), CX
+	SHRQ  $2, CX
+	MOVQ  m_base+24(FP), SI
+	MOVQ  x_base+48(FP), BX
+	MOVQ  x_len+56(FP), DX
+	MOVQ  stride+72(FP), R8
+	TESTQ DX, DX
+	JEQ   bvdone
+	SHLQ  $2, R8
+	LEAQ  (R8)(R8*2), R12
+
+bvrows8:
+	CMPQ  CX, $8
+	JLT   bvrows4
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
+	MOVQ  SI, R9
+	LEAQ  (SI)(R8*4), R13
+	MOVQ  BX, R10
+	MOVQ  DX, R11
+
+bvcols8:
+	MOVUPS (R10), X8
+	MOVUPS 16(R10), X9
+	MOVUPS 32(R10), X10
+	MOVUPS 48(R10), X11
+	ROW_QUAD((R9), X0)
+	ROW_QUAD((R9)(R8*1), X1)
+	ROW_QUAD((R9)(R8*2), X2)
+	ROW_QUAD((R9)(R12*1), X3)
+	ROW_QUAD((R13), X4)
+	ROW_QUAD((R13)(R8*1), X5)
+	ROW_QUAD((R13)(R8*2), X6)
+	ROW_QUAD((R13)(R12*1), X7)
+	ADDQ $16, R9
+	ADDQ $16, R13
+	ADDQ $64, R10
+	SUBQ $16, R11
+	JNE  bvcols8
+
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	MOVUPS X4, 64(DI)
+	MOVUPS X5, 80(DI)
+	MOVUPS X6, 96(DI)
+	MOVUPS X7, 112(DI)
+	ADDQ   $128, DI
+	LEAQ   (SI)(R8*8), SI
+	SUBQ   $8, CX
+	JMP    bvrows8
+
+	// Four rows.
+bvrows4:
+	CMPQ  CX, $4
+	JLT   bvdone
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	MOVQ  SI, R9
+	MOVQ  BX, R10
+	MOVQ  DX, R11
+
+bvcols4:
+	MOVUPS (R10), X8
+	MOVUPS 16(R10), X9
+	MOVUPS 32(R10), X10
+	MOVUPS 48(R10), X11
+	ROW_QUAD((R9), X0)
+	ROW_QUAD((R9)(R8*1), X1)
+	ROW_QUAD((R9)(R8*2), X2)
+	ROW_QUAD((R9)(R12*1), X3)
+	ADDQ $16, R9
+	ADDQ $64, R10
+	SUBQ $16, R11
+	JNE  bvcols4
+
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+
+bvdone:
+	RET
+
+// COL_QUAD adds the products of the four m values in w, one column
+// each, with the group's dz vector in X8 into a0..a3. It clobbers X11
+// and X12.
+#define COL_QUAD(w, a0, a1, a2, a3) \
+	PSHUFD $0x00, w, X11; \
+	MULPS  X8, X11; \
+	ADDPS  X11, a0; \
+	PSHUFD $0x55, w, X12; \
+	MULPS  X8, X12; \
+	ADDPS  X12, a1; \
+	PSHUFD $0xaa, w, X11; \
+	MULPS  X8, X11; \
+	ADDPS  X11, a2; \
+	PSHUFD $0xff, w, X12; \
+	MULPS  X8, X12; \
+	ADDPS  X12, a3
+
+// func matTVecBatchSSE(dx, m, dz []float32, stride int)
+//
+// Eight columns per pass, then four, one accumulator each, adding rows
+// in ascending order.
+TEXT ·matTVecBatchSSE(SB), NOSPLIT, $0-80
+	MOVQ dx_base+0(FP), DI
+	MOVQ dx_len+8(FP), CX
+	SHRQ $2, CX
+	MOVQ m_base+24(FP), SI
+	MOVQ dz_base+48(FP), BX
+	MOVQ dz_len+56(FP), DX
+	SHRQ $2, DX
+	MOVQ stride+72(FP), R8
+	SHLQ $2, R8
+
+btcols8:
+	CMPQ  CX, $8
+	JLT   btcols4
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
+	MOVQ  SI, R9
+	MOVQ  BX, R10
+	MOVQ  DX, R11
+
+btrows8:
+	MOVUPS (R10), X8
+	MOVUPS (R9), X9
+	MOVUPS 16(R9), X10
+	COL_QUAD(X9, X0, X1, X2, X3)
+	COL_QUAD(X10, X4, X5, X6, X7)
+	ADDQ   R8, R9
+	ADDQ   $16, R10
+	DECQ   R11
+	JNE    btrows8
+
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	MOVUPS X4, 64(DI)
+	MOVUPS X5, 80(DI)
+	MOVUPS X6, 96(DI)
+	MOVUPS X7, 112(DI)
+	ADDQ   $128, DI
+	ADDQ   $32, SI
+	SUBQ   $8, CX
+	JMP    btcols8
+
+	// Four columns.
+btcols4:
+	CMPQ  CX, $4
+	JLT   btdone
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	MOVQ  SI, R9
+	MOVQ  BX, R10
+	MOVQ  DX, R11
+
+btrows4:
+	MOVUPS (R10), X8
+	MOVUPS (R9), X9
+	COL_QUAD(X9, X0, X1, X2, X3)
+	ADDQ   R8, R9
+	ADDQ   $16, R10
+	DECQ   R11
+	JNE    btrows4
+
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+
+btdone:
+	RET
+
+// OUTER_LANES adds to X6, the sums of one row's four columns, the
+// products of that row's dz value of item 0, 1, 2 and 3 in turn (from
+// the vector at R10) with the item's four x values (X1, X5, X3, X2),
+// stopping after the group's AX live items by jumping to done. It
+// clobbers X7..X9.
+#define OUTER_LANES(done) \
+	MOVUPS (R10), X7; \
+	PSHUFD $0x00, X7, X8; \
+	MULPS  X1, X8; \
+	ADDPS  X8, X6; \
+	CMPQ   AX, $1; \
+	JEQ    done; \
+	PSHUFD $0x55, X7, X9; \
+	MULPS  X5, X9; \
+	ADDPS  X9, X6; \
+	CMPQ   AX, $2; \
+	JEQ    done; \
+	PSHUFD $0xaa, X7, X8; \
+	MULPS  X3, X8; \
+	ADDPS  X8, X6; \
+	CMPQ   AX, $3; \
+	JEQ    done; \
+	PSHUFD $0xff, X7, X9; \
+	MULPS  X2, X9; \
+	ADDPS  X9, X6
+
+// OUTER8_LANE adds the products of one item's dz value (lane imm of X14)
+// with its x values of eight columns (lo, hi) to X12 and X13. It
+// clobbers X0 and X4.
+#define OUTER8_LANE(imm, lo, hi) \
+	PSHUFD imm, X14, X0; \
+	MOVAPS X0, X4; \
+	MULPS  lo, X0; \
+	MULPS  hi, X4; \
+	ADDPS  X0, X12; \
+	ADDPS  X4, X13
+
+// OUTER8_ROW adds one row's products of a full group to the sums of its
+// eight columns in X12 and X13, item by item, stores them and moves to
+// the next row.
+#define OUTER8_ROW \
+	MOVUPS (R10), X14; \
+	OUTER8_LANE($0x00, X1, X5); \
+	OUTER8_LANE($0x55, X9, X11); \
+	OUTER8_LANE($0xaa, X3, X7); \
+	OUTER8_LANE($0xff, X2, X6); \
+	MOVUPS X12, (R9); \
+	MOVUPS X13, 16(R9); \
+	ADDQ   R8, R9; \
+	ADDQ   $16, R10; \
+	DECQ   R11
+
+// func outerBatchSSE(gw, dz, x []float32, stride, lanes int, add bool)
+//
+// A full group takes eight columns per pass: their x vectors are
+// transposed into two vectors per item, then every row's eight sums take
+// the items in order, lanes holding columns. Rows are independent, so a
+// row's chain of adds overlaps the next row's. A part-dead group, and a
+// last block of four columns, take four columns per pass and test the
+// live count and add per row.
+TEXT ·outerBatchSSE(SB), NOSPLIT, $0-89
+	MOVQ    gw_base+0(FP), SI
+	MOVQ    dz_base+24(FP), BX
+	MOVQ    dz_len+32(FP), DX
+	SHRQ    $2, DX
+	MOVQ    x_base+48(FP), DI
+	MOVQ    x_len+56(FP), CX
+	SHRQ    $4, CX
+	MOVQ    stride+72(FP), R8
+	SHLQ    $2, R8
+	MOVQ    lanes+80(FP), AX
+	MOVBQZX add+88(FP), R12
+	CMPQ    AX, $4
+	JNE     oblock4
+
+oblock8:
+	CMPQ   CX, $2
+	JLT    oblock4
+	MOVUPS (DI), X0
+	MOVUPS 16(DI), X1
+	MOVUPS 32(DI), X2
+	MOVUPS 48(DI), X3
+	MOVUPS 64(DI), X4
+	MOVUPS 80(DI), X5
+	MOVUPS 96(DI), X6
+	MOVUPS 112(DI), X7
+	TRANSPOSE4(X0, X1, X2, X3, X8, X9)
+	TRANSPOSE4(X4, X5, X6, X7, X10, X11)
+	MOVQ   SI, R9
+	MOVQ   BX, R10
+	MOVQ   DX, R11
+	TESTQ  R12, R12
+	JNE    oadd8
+
+ozero8:
+	XORPS X12, X12
+	XORPS X13, X13
+	OUTER8_ROW
+	JNE   ozero8
+	JMP   onext8
+
+oadd8:
+	MOVUPS (R9), X12
+	MOVUPS 16(R9), X13
+	OUTER8_ROW
+	JNE    oadd8
+
+onext8:
+	ADDQ $128, DI
+	ADDQ $32, SI
+	SUBQ $2, CX
+	JMP  oblock8
+
+oblock4:
+	TESTQ  CX, CX
+	JEQ    odone
+	MOVUPS (DI), X0
+	MOVUPS 16(DI), X1
+	MOVUPS 32(DI), X2
+	MOVUPS 48(DI), X3
+	TRANSPOSE4(X0, X1, X2, X3, X4, X5)
+	MOVQ   SI, R9
+	MOVQ   BX, R10
+	MOVQ   DX, R11
+
+orow4:
+	XORPS  X6, X6
+	TESTQ  R12, R12
+	JEQ    oseeded4
+	MOVUPS (R9), X6
+
+oseeded4:
+	OUTER_LANES(ostore4)
+
+ostore4:
+	MOVUPS X6, (R9)
+	ADDQ   R8, R9
+	ADDQ   $16, R10
+	DECQ   R11
+	JNE    orow4
+	ADDQ   $64, DI
+	ADDQ   $16, SI
+	DECQ   CX
+	JMP    oblock4
+
+odone:
 	RET
 
 // The constants of tanhSSE, each twice for the two float64 lanes; see
@@ -486,18 +744,23 @@ GLOBL tanhK<>(SB), RODATA|NOPTR, $320
 	CVTPD2PS t, t; \
 	CVTPD2PS hi, hi
 
-// func tanhSSE(dst, x []float32) uint64
+// func tanhSSE(dst, x []float32, n, stride int) uint64
 //
 // Four elements per pass, as two independent float64 pairs interleaved
-// stage by stage, through tanhApprox's operations in its order. Each
-// pair's t is p | u: TANH_POLY's p with TANH_U's u, one of which is 0 in
-// every lane. CVTPS2PD writes its whole register, so no pass waits on
-// the one before it. Bit i of the result is set where the guard fails;
-// there dst[i] keeps x[i] for the caller's slow path.
-TEXT ·tanhSSE(SB), NOSPLIT, $0-56
+// stage by stage, through tanhApprox's operations in its order. The
+// second pair of a pass starts stride floats after the first, and a pass
+// advances 2·stride floats: stride 2 reads x contiguously, stride 4 the
+// first two lanes of consecutive lane-layout rows. Each pair's t is
+// p | u: TANH_POLY's p with TANH_U's u, one of which is 0 in every lane.
+// CVTPS2PD writes its whole register, so no pass waits on the one before
+// it. Bit i of the result is set where the guard fails for the pass's
+// element i; there dst keeps x for the caller's slow path.
+TEXT ·tanhSSE(SB), NOSPLIT, $0-72
 	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), DX
+	MOVQ n+48(FP), DX
 	MOVQ x_base+24(FP), SI
+	MOVQ stride+56(FP), R13
+	SHLQ $2, R13
 	LEAQ ·expTable(SB), R10
 	XORQ CX, CX
 	XORQ R8, R8
@@ -506,7 +769,7 @@ tanhQuad:
 	CMPQ     CX, DX
 	JGE      tanhDone
 	TANH_POLY((SI), X0, X1, X2, X3, X4)
-	TANH_POLY(8(SI), X5, X6, X7, X8, X9)
+	TANH_POLY((SI)(R13*1), X5, X6, X7, X8, X9)
 	TANH_REDUCE(X2, X0, X3, X4)
 	TANH_REDUCE(X7, X5, X8, X9)
 	TANH_Q(X2, X3)
@@ -522,18 +785,20 @@ tanhQuad:
 	MOVAPS   X2, X10
 	CMPPS    X1, X10, $4         // not equal, or unordered
 	MOVMSKPS X10, AX
-	MOVUPS   (SI), X11
+	MOVSD    (SI), X11
+	MOVHPS   (SI)(R13*1), X11
 	ANDPS    X10, X11
 	ANDNPS   X2, X10
 	ORPS     X11, X10
-	MOVUPS   X10, (DI)
+	MOVSD    X10, (DI)
+	MOVHPS   X10, (DI)(R13*1)
 	SHLQ     CX, AX
 	ORQ      AX, R8
 	ADDQ     $4, CX
-	ADDQ     $16, SI
-	ADDQ     $16, DI
+	LEAQ     (SI)(R13*2), SI
+	LEAQ     (DI)(R13*2), DI
 	JMP      tanhQuad
 
 tanhDone:
-	MOVQ R8, ret+48(FP)
+	MOVQ R8, ret+64(FP)
 	RET

@@ -136,13 +136,16 @@ func kernelShapes() [][2]int {
 // kernelPath is one implementation of the dense kernels, entered past
 // the exported functions' shape and alias checks.
 type kernelPath struct {
-	name       string
-	matVec     func(dst Vector, m *Matrix, x Vector)
-	matTVec    func(dst Vector, m *Matrix, x Vector)
-	outerAccum func(dst *Matrix, a, b Vector, scale float32)
-	axpy       func(d []float32, alpha float32, s []float32)
-	tanh       func(dst, x Vector)
-	tanhGrad   func(dst, g, y Vector)
+	name         string
+	matVec       func(dst Vector, m *Matrix, x Vector)
+	outerAccum   func(dst *Matrix, a, b Vector, scale float32)
+	axpy         func(d []float32, alpha float32, s []float32)
+	tanh         func(dst, x Vector)
+	tanhGrad     func(dst, g, y Vector)
+	tanhPairs    func(g Vector, rows int)
+	matVecBatch  func(y Vector, m *Matrix, x Vector, groups int)
+	matTVecBatch func(dx Vector, m *Matrix, dz Vector, groups int)
+	outerBatch   func(gw *Matrix, dz, x Vector, n int)
 }
 
 // kernelPaths returns the kernels this build's exported functions run
@@ -150,24 +153,27 @@ type kernelPath struct {
 // the Go loops, the Go loops too, so both are tested on amd64.
 func kernelPaths() []kernelPath {
 	portable := kernelPath{
-		name:       "go",
-		matVec:     func(dst Vector, m *Matrix, x Vector) { matVecGo(dst, m, x, 0, m.Rows) },
-		matTVec:    func(dst Vector, m *Matrix, x Vector) { matTVecGo(dst, m, x, 0, m.Cols) },
-		outerAccum: outerAccumGo,
-		axpy:       axpyGo,
-		tanh:       tanhGo,
-		tanhGrad:   tanhGradGo,
+		name:         "go",
+		matVec:       func(dst Vector, m *Matrix, x Vector) { matVecGo(dst, m, x, 0, m.Rows) },
+		outerAccum:   outerAccumGo,
+		axpy:         axpyGo,
+		tanh:         tanhGo,
+		tanhGrad:     tanhGradGo,
+		tanhPairs:    tanhPairsGo,
+		matVecBatch:  matVecBatchGo,
+		matTVecBatch: matTVecBatchGo,
+		outerBatch:   func(gw *Matrix, dz, x Vector, n int) { outerBatchGo(gw, dz, x, n, 0, gw.Cols) },
 	}
 	if fastPath == portable.name {
 		return []kernelPath{portable}
 	}
-	return []kernelPath{{fastPath, matVec, matTVec, outerAccum, axpy, tanh, tanhGrad}, portable}
+	return []kernelPath{{fastPath, matVec, outerAccum, axpy, tanh, tanhGrad, tanhPairs, matVecBatch, matTVecBatch, outerBatch}, portable}
 }
 
 // checkKernels runs every kernel of one path and its ref_test.go oracle
 // on one shape and data set and reports the first whose output differs.
 // same decides equality of two output elements.
-func checkKernels(k kernelPath, m *Matrix, x, xt, a Vector, acc *Matrix, alpha float32, same func(a, b float32) bool) error {
+func checkKernels(k kernelPath, m *Matrix, x, a Vector, acc *Matrix, alpha float32, same func(a, b float32) bool) error {
 	rows, cols := m.Rows, m.Cols
 	equal := func(got, want []float32) bool {
 		for i := range got {
@@ -186,13 +192,6 @@ func checkKernels(k kernelPath, m *Matrix, x, xt, a Vector, acc *Matrix, alpha f
 	matVecRef(want, m, x)
 	if !equal(got, want) {
 		return diverged("MatVec")
-	}
-
-	gotT, wantT := make(Vector, cols), make(Vector, cols)
-	k.matTVec(gotT, m, xt)
-	matTVecRef(wantT, m, xt)
-	if !equal(gotT, wantT) {
-		return diverged("MatTVec")
 	}
 
 	accGot, accWant := acc.Clone(), acc.Clone()
@@ -215,7 +214,7 @@ func checkKernels(k kernelPath, m *Matrix, x, xt, a Vector, acc *Matrix, alpha f
 	if !equal(thGot, thWant) {
 		return diverged("Tanh")
 	}
-	// In place, as layers.ForwardInto calls it.
+	// In place, as TanhBatch calls it.
 	thGot = m.Clone().Data
 	k.tanh(thGot, thGot)
 	if !equal(thGot, thWant) {
@@ -228,7 +227,7 @@ func checkKernels(k kernelPath, m *Matrix, x, xt, a Vector, acc *Matrix, alpha f
 	if !equal(tgGot, tgWant) {
 		return diverged("TanhGrad")
 	}
-	// In place, as layers.BackwardInto may call it.
+	// In place, as TanhGrad's contract allows.
 	tgGot = acc.Clone().Data
 	k.tanhGrad(tgGot, m.Data, tgGot)
 	tanhGradRef(tgWant, m.Data, acc.Data)
@@ -240,6 +239,217 @@ func checkKernels(k kernelPath, m *Matrix, x, xt, a Vector, acc *Matrix, alpha f
 
 func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 
+// sameOrNaN is sameBits, except that any NaN meets any NaN.
+func sameOrNaN(a, b float32) bool { return sameBits(a, b) || (a != a && b != b) }
+
+// laneItem returns item i of a lane buffer of dim-element items.
+func laneItem(buf Vector, dim, i int) Vector {
+	v := make(Vector, dim)
+	for j := range v {
+		v[j] = buf[LaneAt(dim, i, j)]
+	}
+	return v
+}
+
+// setLaneItem stores v as item i of a lane buffer.
+func setLaneItem(buf Vector, i int, v Vector) {
+	for j, f := range v {
+		buf[LaneAt(len(v), i, j)] = f
+	}
+}
+
+// matVecBatchRef runs matVecRef on every item of the lane buffer x, dead
+// lanes included.
+func matVecBatchRef(y Vector, m *Matrix, x Vector) {
+	for i := range len(x) / m.Cols {
+		out := make(Vector, m.Rows)
+		matVecRef(out, m, laneItem(x, m.Cols, i))
+		setLaneItem(y, i, out)
+	}
+}
+
+// matTVecBatchRef runs matTVecRef on every item of the lane buffer dz,
+// dead lanes included.
+func matTVecBatchRef(dx Vector, m *Matrix, dz Vector) {
+	for i := range len(dz) / m.Rows {
+		out := make(Vector, m.Cols)
+		matTVecRef(out, m, laneItem(dz, m.Rows, i))
+		setLaneItem(dx, i, out)
+	}
+}
+
+// outerBatchRef is the per-item gradient OuterBatch replaced: zero gw
+// and gb, then accumulate the first n items in order.
+func outerBatchRef(gw *Matrix, gb Vector, dz, x Vector, n int) {
+	clear(gw.Data)
+	clear(gb)
+	for i := 0; i < n; i++ {
+		d := laneItem(dz, gw.Rows, i)
+		outerAccumRef(gw, d, laneItem(x, gw.Cols, i), 1)
+		axpyRef(gb, 1, d)
+	}
+}
+
+// checkBatchKernels runs the batch kernels of one path and their oracles
+// on the m.Cols-element items of x and the m.Rows-element items of dz,
+// whose first n items are live, and reports the first output that
+// differs. The gradient's buffers start out NaN, so a kernel that reads
+// them before writing fails.
+func checkBatchKernels(k kernelPath, m *Matrix, x, dz Vector, n int, same func(a, b float32) bool) error {
+	equal := func(got, want []float32) bool {
+		for i := range got {
+			if !same(got[i], want[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	diverged := func(kernel string) error {
+		return fmt.Errorf("%s %s %dx%d batch %d diverged from the per-item reference", k.name, kernel, m.Rows, m.Cols, n)
+	}
+	y, yWant := make(Vector, len(dz)), make(Vector, len(dz))
+	k.matVecBatch(y, m, x, Groups(n))
+	matVecBatchRef(yWant, m, x)
+	if !equal(y, yWant) {
+		return diverged("MatVecBatch")
+	}
+	dx, dxWant := make(Vector, len(x)), make(Vector, len(x))
+	k.matTVecBatch(dx, m, dz, Groups(n))
+	matTVecBatchRef(dxWant, m, dz)
+	if !equal(dx, dxWant) {
+		return diverged("MatTVecBatch")
+	}
+	gw, gb := NewMatrix(m.Rows, m.Cols), make(Vector, m.Rows)
+	for i := range gw.Data {
+		gw.Data[i] = float32(math.NaN())
+	}
+	gwWant, gbWant := NewMatrix(m.Rows, m.Cols), make(Vector, m.Rows)
+	k.outerBatch(gw, dz, x, n)
+	sumBatch(gb, dz, n)
+	outerBatchRef(gwWant, gbWant, dz, x, n)
+	if !equal(gw.Data, gwWant.Data) || !equal(gb, gbWant) {
+		return diverged("OuterBatch")
+	}
+	return nil
+}
+
+// batchShapes are the batch kernels' test shapes: square dims 1–9, 12,
+// 13, 16, 64 and 65, and rectangles whose row and column tails differ.
+func batchShapes() [][2]int {
+	shapes := [][2]int{{3, 5}, {5, 3}, {13, 8}, {8, 13}, {65, 12}, {12, 65}}
+	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 64, 65} {
+		shapes = append(shapes, [2]int{d, d})
+	}
+	return shapes
+}
+
+// specials are the inputs beside normal floats the batch tests mix in:
+// zeros of both signs, infinities, a NaN, and subnormals.
+var specials = []float32{
+	float32(math.Copysign(0, -1)), 0, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.Float32frombits(1), math.Float32frombits(0x80400000), math.Float32frombits(0x007fffff),
+}
+
+// TestBatchKernelsMatchReference holds the batch kernels of every path
+// to the per-item oracles at batch sizes 1, 2, 3, 4, 5 and 8: bit for
+// bit on normal floats, and with −0, ±Inf, NaN and subnormal inputs mixed
+// in (a NaN need only meet a NaN). Dead lanes hold NaN, which a
+// gradient sum that took them in would show.
+func TestBatchKernelsMatchReference(t *testing.T) {
+	for _, k := range kernelPaths() {
+		r := rng.New(54).Split("batch")
+		for _, shape := range batchShapes() {
+			m := randMat(r, shape[0], shape[1])
+			for _, n := range []int{1, 2, 3, 4, 5, 8} {
+				x := randVec(r, Groups(n)*Lanes*m.Cols)
+				dz := randVec(r, Groups(n)*Lanes*m.Rows)
+				for i := n; i < Groups(n)*Lanes; i++ {
+					for j := 0; j < m.Cols; j++ {
+						x[LaneAt(m.Cols, i, j)] = float32(math.NaN())
+					}
+					for j := 0; j < m.Rows; j++ {
+						dz[LaneAt(m.Rows, i, j)] = float32(math.NaN())
+					}
+				}
+				if err := checkBatchKernels(k, m, x, dz, n, sameBits); err != nil {
+					t.Fatal(err)
+				}
+				ms, xs, dzs := m.Clone(), x.Clone(), dz.Clone()
+				for _, v := range [][]float32{ms.Data, xs, dzs} {
+					for i := range v {
+						if i%3 == 0 {
+							v[i] = specials[(i/3)%len(specials)]
+						}
+					}
+				}
+				if err := checkBatchKernels(k, ms, xs, dzs, n, sameOrNaN); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestTanhBatch holds TanhBatch to the libm loop on every live element,
+// at dims 1–9, 12, 13, 16, 64 and 65 and batch sizes 1, 2, 3, 4, 5 and
+// 8 with −0, ±Inf, NaN and subnormal inputs mixed in, and pins its dead
+// lanes at 0 and its calls allocation-free.
+func TestTanhBatch(t *testing.T) {
+	r := rng.New(55).Split("tanh")
+	for _, shape := range batchShapes() {
+		dim := shape[1]
+		for _, n := range []int{1, 2, 3, 4, 5, 8} {
+			y := randVec(r, Groups(n)*Lanes*dim)
+			for i := range y {
+				if i%5 == 0 {
+					y[i] = specials[(i/5)%len(specials)]
+				}
+			}
+			want := make(Vector, len(y))
+			tanhRef(want, y)
+			TanhBatch(y, dim, n)
+			for i := range Groups(n) * Lanes {
+				for j := 0; j < dim; j++ {
+					k := LaneAt(dim, i, j)
+					if i < n && !sameOrNaN(y[k], want[k]) || i >= n && math.Float32bits(y[k]) != 0 {
+						t.Fatalf("dim %d batch %d: item %d element %d = %v, want %v (dead lanes 0)", dim, n, i, j, y[k], want[k])
+					}
+				}
+			}
+			if got := testing.AllocsPerRun(5, func() { TanhBatch(y, dim, n) }); got != 0 {
+				t.Fatalf("dim %d batch %d: TanhBatch allocated %v times", dim, n, got)
+			}
+		}
+	}
+}
+
+// TestOuterBatchNegativeZero pins the write-only gradient's seed: every
+// product −0 (or, with mixed signs, ±0) sums to +0, as it did on a
+// zeroed buffer, and never to −0.
+func TestOuterBatchNegativeZero(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	for _, k := range kernelPaths() {
+		for _, n := range []int{1, 2, 3, 5} {
+			m := NewMatrix(6, 6)
+			x, dz := make(Vector, Groups(n)*Lanes*6), make(Vector, Groups(n)*Lanes*6)
+			for i := range x {
+				x[i], dz[i] = 1, negZero
+			}
+			if err := checkBatchKernels(k, m, x, dz, n, sameBits); err != nil {
+				t.Fatal(err)
+			}
+			gw, gb := NewMatrix(6, 6), make(Vector, 6)
+			k.outerBatch(gw, dz, x, n)
+			sumBatch(gb, dz, n)
+			for _, v := range append(gw.Data, gb...) {
+				if math.Float32bits(v) != 0 {
+					t.Fatalf("%s batch %d: a sum of −0 products is %v (bits %#x), want +0", k.name, n, v, math.Float32bits(v))
+				}
+			}
+		}
+	}
+}
+
 // TestKernelsMatchReference proves every kernel of every path produces
 // bitwise-identical output to its sequential reference on every shape:
 // the Definition 1 obligation that lets the rest of the system run the
@@ -250,8 +460,8 @@ func TestKernelsMatchReference(t *testing.T) {
 		for _, shape := range kernelShapes() {
 			rows, cols := shape[0], shape[1]
 			m := randMat(r, rows, cols)
-			x, xt, a := randVec(r, cols), randVec(r, rows), randVec(r, rows)
-			if err := checkKernels(k, m, x, xt, a, randMat(r, rows, cols), 0.25, sameBits); err != nil {
+			x, a := randVec(r, cols), randVec(r, rows)
+			if err := checkKernels(k, m, x, a, randMat(r, rows, cols), 0.25, sameBits); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -260,21 +470,27 @@ func TestKernelsMatchReference(t *testing.T) {
 
 // TestKernelsDoNotAllocate pins the dense kernels of every path
 // allocation-free at 512×512 (eight times the largest dim any workload
-// trains at), at whatever GOMAXPROCS the test runs with.
+// trains at), the batch kernels on 5 items, at whatever GOMAXPROCS the
+// test runs with.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	const n = 512
 	r := rng.New(5).Split("allocs")
 	m, acc := randMat(r, n, n), randMat(r, n, n)
 	x, dst := randVec(r, n), make(Vector, n)
+	const items = 5 // a full group and a part-dead one
+	xb, yb := randVec(r, Groups(items)*Lanes*n), make(Vector, Groups(items)*Lanes*n)
 	for _, k := range kernelPaths() {
 		for name, kernel := range map[string]func(){
-			"MatVec":     func() { k.matVec(dst, m, x) },
-			"MatTVec":    func() { k.matTVec(dst, m, x) },
-			"OuterAccum": func() { k.outerAccum(acc, x, x, 1e-3) },
-			"AXPY":       func() { k.axpy(dst, 1e-3, x) },
-			"MatAXPY":    func() { k.axpy(acc.Data, 1e-3, m.Data) },
-			"Tanh":       func() { k.tanh(dst, x) },
-			"TanhGrad":   func() { k.tanhGrad(dst, x, dst) },
+			"MatVec":       func() { k.matVec(dst, m, x) },
+			"OuterAccum":   func() { k.outerAccum(acc, x, x, 1e-3) },
+			"AXPY":         func() { k.axpy(dst, 1e-3, x) },
+			"MatAXPY":      func() { k.axpy(acc.Data, 1e-3, m.Data) },
+			"Tanh":         func() { k.tanh(dst, x) },
+			"TanhGrad":     func() { k.tanhGrad(dst, x, dst) },
+			"TanhPairs":    func() { k.tanhPairs(yb[:n*Lanes], n) },
+			"MatVecBatch":  func() { k.matVecBatch(yb, m, xb, Groups(items)) },
+			"MatTVecBatch": func() { k.matTVecBatch(yb, m, xb, Groups(items)) },
+			"OuterBatch":   func() { k.outerBatch(acc, xb, yb, items) },
 		} {
 			if got := testing.AllocsPerRun(20, kernel); got != 0 {
 				t.Errorf("%s %s %dx%d: %v allocs/op, want 0", k.name, name, n, n, got)
@@ -289,11 +505,12 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 // only meet a NaN: which operand's payload an add propagates is the
 // hardware's choice, and Definition 1 is about finite weights.
 func FuzzKernels(f *testing.F) {
-	f.Add(uint8(5), uint8(7), []byte{0, 0, 128, 63, 0, 0, 0, 192})
-	f.Add(uint8(66), uint8(131), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add(uint8(201), uint8(254), []byte{205, 204, 76, 62, 154, 153, 25, 191})
-	f.Add(uint8(4), uint8(4), []byte{0, 0, 128, 127, 0, 0, 192, 127, 1, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, rowsRaw, colsRaw uint8, raw []byte) {
+	f.Add(uint8(5), uint8(7), uint8(3), []byte{0, 0, 128, 63, 0, 0, 0, 192})
+	f.Add(uint8(66), uint8(131), uint8(4), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(201), uint8(254), uint8(1), []byte{205, 204, 76, 62, 154, 153, 25, 191})
+	f.Add(uint8(4), uint8(4), uint8(6), []byte{0, 0, 128, 127, 0, 0, 192, 127, 1, 0, 0, 0})
+	f.Add(uint8(63), uint8(63), uint8(3), []byte{0, 0, 0, 128, 1, 0, 0, 0, 0, 0, 128, 255})
+	f.Fuzz(func(t *testing.T, rowsRaw, colsRaw, nRaw uint8, raw []byte) {
 		// Up to 256×256.
 		rows, cols := int(rowsRaw)+1, int(colsRaw)+1
 		i := 0
@@ -320,12 +537,17 @@ func FuzzKernels(f *testing.F) {
 			return v
 		}
 		m := mat()
-		x, xt, a := vec(cols), vec(rows), vec(rows)
+		x, a := vec(cols), vec(rows)
 		acc := mat()
-		sameOrNaN := func(p, q float32) bool { return sameBits(p, q) || (p != p && q != q) }
 		alpha := next()
+		// Up to 8 items, so a batch spans a full and a part-dead group.
+		n := int(nRaw)%8 + 1
+		xb, dz := vec(Groups(n)*Lanes*cols), vec(Groups(n)*Lanes*rows)
 		for _, k := range kernelPaths() {
-			if err := checkKernels(k, m, x, xt, a, acc, alpha, sameOrNaN); err != nil {
+			if err := checkKernels(k, m, x, a, acc, alpha, sameOrNaN); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkBatchKernels(k, m, xb, dz, n, sameOrNaN); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -380,22 +602,76 @@ func TestMatVecPanicsOnAlias(t *testing.T) {
 
 func TestMatTVecPanicsOnAlias(t *testing.T) {
 	m := NewMatrix(4, 4)
-	buf := make(Vector, 4)
+	buf := make(Vector, 16)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MatTVec with aliased dst/x did not panic")
+			t.Fatal("MatTVecBatch with aliased dx/dz did not panic")
 		}
 	}()
-	MatTVec(buf, m, buf)
+	MatTVecBatch(buf, m, buf, 4)
+}
+
+// TestBatchKernelsPanic pins the batch kernels' checks: an aliased
+// operand, a buffer that is not whole groups, a live count outside the
+// last group, a matrix with no rows or columns, and a gradient that
+// overlaps its inputs all panic.
+func TestBatchKernelsPanic(t *testing.T) {
+	m := NewMatrix(4, 4)
+	buf := make(Vector, 64)
+	for name, call := range map[string]func(){
+		"MatVecBatch alias":     func() { MatVecBatch(buf[:16], m, buf[8:24], 4) },
+		"MatVecBatch short x":   func() { MatVecBatch(buf[:16], m, buf[16:30], 4) },
+		"MatTVecBatch shape":    func() { MatTVecBatch(buf[:16], m, buf[16:48], 5) },
+		"MatVecBatch no items":  func() { MatVecBatch(buf[:16], m, buf[16:32], 0) },
+		"OuterBatch short gb":   func() { OuterBatch(NewMatrix(4, 4), buf[:3], buf[16:32], buf[32:48], 4) },
+		"OuterBatch n too big":  func() { OuterBatch(NewMatrix(4, 4), buf[:4], buf[16:32], buf[32:48], 5) },
+		"OuterBatch n too low":  func() { OuterBatch(NewMatrix(4, 4), buf[:4], buf[16:48], buf[32:64], 4) },
+		"OuterBatch gw alias":   func() { OuterBatch(&Matrix{Rows: 4, Cols: 4, Data: buf[:16]}, buf[48:52], buf[8:24], buf[24:40], 4) },
+		"OuterBatch gb alias":   func() { OuterBatch(NewMatrix(4, 4), buf[20:24], buf[16:32], buf[32:48], 4) },
+		"PackLanes ragged dst":  func() { PackLanes(buf[:10], []Vector{buf[20:23]}) },
+		"TanhBatch n too big":   func() { TanhBatch(buf[:16], 4, 5) },
+		"TanhBatch n too low":   func() { TanhBatch(buf[:32], 4, 4) },
+		"PackLanes empty batch": func() { PackLanes(buf[:16], nil) },
+		"MatVecBatch no rows":   func() { MatVecBatch(nil, &Matrix{Cols: 4}, buf[16:32], 4) },
+		"MatTVecBatch no rows":  func() { MatTVecBatch(buf[:16], &Matrix{Cols: 4}, nil, 4) },
+		"OuterBatch no rows":    func() { OuterBatch(&Matrix{Cols: 4}, nil, nil, buf[16:32], 4) },
+		"MatTVecBatch no cols":  func() { MatTVecBatch(nil, &Matrix{Rows: 4}, buf[16:32], 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// TestPackLanes pins the lane layout: item i's element j lands at
+// LaneAt(dim, i, j) and dead lanes are zeroed.
+func TestPackLanes(t *testing.T) {
+	items := []Vector{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}, {13, 14, 15}}
+	dst := make(Vector, Groups(len(items))*Lanes*3)
+	for i := range dst {
+		dst[i] = -1
+	}
+	PackLanes(dst, items)
+	want := Vector{1, 4, 7, 10, 2, 5, 8, 11, 3, 6, 9, 12, 13, 0, 0, 0, 14, 0, 0, 0, 15, 0, 0, 0}
+	if !dst.EqualBits(want) {
+		t.Fatalf("PackLanes = %v, want %v", dst, want)
+	}
 }
 
 // TestDistinctSlicesDoNotTriggerAliasCheck guards against false positives:
 // adjacent but non-overlapping views of one backing array are legal.
 func TestDistinctSlicesDoNotTriggerAliasCheck(t *testing.T) {
 	m := NewMatrix(4, 4)
-	buf := make(Vector, 8)
-	MatVec(buf[:4], m, buf[4:])
-	MatTVec(buf[4:], m, buf[:4])
+	buf := make(Vector, 34)
+	MatVec(buf[:4], m, buf[4:8])
+	MatVecBatch(buf[:16], m, buf[16:32], 4)
+	MatTVecBatch(buf[16:32], m, buf[:16], 4)
+	OuterBatch(&Matrix{Rows: 2, Cols: 4, Data: buf[:8]}, buf[8:10], buf[10:18], buf[18:34], 4)
 }
 
 // TestShiftedOverlapPanics pins the elementwise kernels' alias rule: dst

@@ -51,8 +51,27 @@ func scanTanh(stride uint64) tanhScan {
 		mu.Unlock()
 		failed.Store(true)
 	}
-	check := func(x, want, got Vector) bool {
+	check := func(x, want, got, pairs Vector) bool {
 		for _, k := range paths {
+			// As the first two lanes of lane-layout rows, in place.
+			rows := len(x) / 2
+			for i := range pairs[:rows*Lanes] {
+				pairs[i] = float32(math.NaN()) // lanes 2 and 3 must be left alone
+				if l := i % Lanes; l < 2 {
+					pairs[i] = x[i/Lanes*2+l]
+				}
+			}
+			k.tanhPairs(pairs, rows)
+			for i := range pairs[:rows*Lanes] {
+				wantBits := uint32(0x7fc00000)
+				if l := i % Lanes; l < 2 {
+					wantBits = math.Float32bits(want[i/Lanes*2+l])
+				}
+				if math.Float32bits(pairs[i]) != wantBits {
+					fail(fmt.Errorf("%s tanhPairs element %d = %#08x, want %#08x", k.name, i, math.Float32bits(pairs[i]), wantBits))
+					return false
+				}
+			}
 			// Into a separate dst, then in place (the fallback must read
 			// the input, not a result written over it).
 			for _, inPlace := range []bool{false, true} {
@@ -92,7 +111,7 @@ func scanTanh(stride uint64) tanhScan {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			x, want, got := make(Vector, chunk), make(Vector, chunk), make(Vector, chunk)
+			x, want, got, pairs := make(Vector, chunk), make(Vector, chunk), make(Vector, chunk), make(Vector, 2*chunk)
 			for {
 				first := next.Add(chunk) - chunk
 				if first >= total || failed.Load() {
@@ -103,7 +122,7 @@ func scanTanh(stride uint64) tanhScan {
 					x[i] = math.Float32frombits(uint32((first + uint64(i)) * stride))
 				}
 				tanhRef(want[:n], x[:n])
-				if !check(x[:n], want[:n], got[:n]) {
+				if !check(x[:n], want[:n], got[:n], pairs) {
 					return
 				}
 			}
@@ -117,7 +136,7 @@ func scanTanh(stride uint64) tanhScan {
 		}
 		want := make(Vector, len(x))
 		tanhRef(want, x)
-		check(x, want, make(Vector, len(x)))
+		check(x, want, make(Vector, len(x)), make(Vector, 2*len(x)))
 	}
 	scan.inputs, scan.fallbacks = inputs.Load(), fallbacks.Load()
 	return scan

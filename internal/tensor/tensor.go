@@ -17,15 +17,17 @@
 // interleaving, which the CSP scheduler then controls.
 //
 // Like cuBLAS's deterministic kernels, the dense kernels are still
-// vectorized. On amd64 MatVec, MatTVec, OuterAccum, AXPY, MatAXPY, Tanh
-// and TanhGrad run SSE2 assembly (kernels_amd64.s) whose SIMD lanes span
-// independent outputs only: four MatVec rows, four MatTVec columns, four
-// elements of an elementwise update, two float64 lanes of Tanh. Each
-// output sees exactly the Go kernels' sequence of separately rounded
-// multiplies and adds, so every weight is bitwise the same on either
-// path. Other GOARCHes and every race build (the race detector cannot
-// see memory that assembly touches) run the Go kernels; ref_test.go
-// checks both paths against one set of oracles.
+// vectorized. On amd64 MatVec, OuterAccum, the batch kernels, AXPY,
+// MatAXPY, Tanh and TanhGrad run SSE2 assembly (kernels_amd64.s) whose
+// SIMD lanes span independent outputs only: four MatVec rows, four
+// elements of an elementwise update, two float64 lanes of Tanh; in the
+// batch kernels (batch.go), the four items of a batch a lane group
+// holds, or four columns of a weight gradient. Each output sees exactly
+// the Go kernels' sequence of separately rounded multiplies and adds, so
+// every weight is bitwise the same on either path. Other GOARCHes and
+// every race build (the race detector cannot see memory that assembly
+// touches) run the Go kernels; ref_test.go checks both paths against one
+// set of oracles.
 //
 // Tanh calls no libm function: it is the package's own evaluation
 // (tanh.go), equal bit for bit to float32(math.Tanh(float64(x))) on all
@@ -68,13 +70,6 @@ func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
-}
-
-// Zero resets all elements of m to zero.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
 }
 
 // Equal reports whether m and o have identical shape and bitwise identical
@@ -169,57 +164,6 @@ func matVecGo(dst Vector, m *Matrix, x Vector, lo, hi int) {
 			sum += float32(row[c] * xc)
 		}
 		dst[r] = sum
-	}
-}
-
-// MatTVec computes dst = mᵀ * x. dst must have length m.Cols and x length
-// m.Rows; dst and x must not alias (checked). The accumulation order per
-// output column is fixed (ascending row index) for determinism.
-func MatTVec(dst Vector, m *Matrix, x Vector) {
-	if len(dst) != m.Cols || len(x) != m.Rows {
-		panic(fmt.Sprintf("tensor: MatTVec shape mismatch dst=%d m=%dx%d x=%d",
-			len(dst), m.Rows, m.Cols, len(x)))
-	}
-	m.checkData("MatTVec")
-	if slicesOverlap(dst, x) {
-		panic("tensor: MatTVec dst aliases x")
-	}
-	matTVec(dst, m, x)
-}
-
-// matTVecGo is the portable MatTVec kernel over output columns
-// [lo, hi): zero the span, then accumulate rows in ascending order. Four
-// rows fold into each dst[c] per pass, still in ascending row order, so
-// dst is loaded and stored once per four rows instead of once per row.
-func matTVecGo(dst Vector, m *Matrix, x Vector, lo, hi int) {
-	d := dst[lo:hi]
-	for c := range d {
-		d[c] = 0
-	}
-	cols := m.Cols
-	x = x[:m.Rows]
-	r := 0
-	for ; r+4 <= len(x); r += 4 {
-		x0, x1, x2, x3 := x[r], x[r+1], x[r+2], x[r+3]
-		base := r*cols + lo
-		m0 := m.Data[base:][:len(d)]
-		m1 := m.Data[base+cols:][:len(d)]
-		m2 := m.Data[base+2*cols:][:len(d)]
-		m3 := m.Data[base+3*cols:][:len(d)]
-		for c := range d {
-			acc := d[c] + float32(m0[c]*x0)
-			acc += float32(m1[c] * x1)
-			acc += float32(m2[c] * x2)
-			acc += float32(m3[c] * x3)
-			d[c] = acc
-		}
-	}
-	for ; r < len(x); r++ {
-		xr := x[r]
-		row := m.Data[r*cols+lo:][:len(d)]
-		for c := range d {
-			d[c] += float32(row[c] * xr)
-		}
 	}
 }
 

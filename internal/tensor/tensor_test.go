@@ -75,12 +75,41 @@ func TestMatVecKnown(t *testing.T) {
 func TestMatTVecKnown(t *testing.T) {
 	m := NewMatrix(2, 3)
 	copy(m.Data, []float32{1, 2, 3, 4, 5, 6})
-	x := Vector{1, -1}
-	dst := make(Vector, 3)
-	MatTVec(dst, m, x)
-	want := Vector{-3, -3, -3}
-	if !dst.EqualBits(want) {
-		t.Fatalf("got %v want %v", dst, want)
+	dz := make(Vector, 2*Lanes)
+	PackLanes(dz, []Vector{{1, -1}, {0, 1}})
+	dx := make(Vector, 3*Lanes)
+	MatTVecBatch(dx, m, dz, 2)
+	want := Vector{-3, 4, 0, 0, -3, 5, 0, 0, -3, 6, 0, 0}
+	if !dx.EqualBits(want) {
+		t.Fatalf("got %v want %v", dx, want)
+	}
+}
+
+func TestMatVecBatchKnown(t *testing.T) {
+	m := NewMatrix(2, 3)
+	copy(m.Data, []float32{1, 2, 3, 4, 5, 6})
+	x := make(Vector, 3*Lanes)
+	PackLanes(x, []Vector{{1, 0, -1}, {0, 1, 0}, {1, 1, 1}})
+	y := make(Vector, 2*Lanes)
+	MatVecBatch(y, m, x, 3)
+	want := Vector{-2, 2, 6, 0, -2, 5, 15, 0}
+	if !y.EqualBits(want) {
+		t.Fatalf("got %v want %v", y, want)
+	}
+}
+
+func TestOuterBatchKnown(t *testing.T) {
+	gw, gb := NewMatrix(2, 2), make(Vector, 2)
+	dz, x := make(Vector, 2*Lanes), make(Vector, 2*Lanes)
+	PackLanes(dz, []Vector{{1, 2}, {3, 4}})
+	PackLanes(x, []Vector{{3, 4}, {1, -1}})
+	OuterBatch(gw, gb, dz, x, 2)
+	// dz₀⊗x₀ + dz₁⊗x₁ = [[3 4] [6 8]] + [[3 -3] [4 -4]].
+	if want := []float32{6, 1, 10, 4}; !Vector(gw.Data).EqualBits(want) {
+		t.Fatalf("gw = %v want %v", gw.Data, want)
+	}
+	if want := (Vector{4, 6}); !gb.EqualBits(want) {
+		t.Fatalf("gb = %v want %v", gb, want)
 	}
 }
 
@@ -257,17 +286,17 @@ func TestQuickMatVecLinear(t *testing.T) {
 }
 
 // Property: the transpose identity ⟨Mx, y⟩ == ⟨x, Mᵀy⟩ holds within
-// tolerance for random shapes.
+// tolerance for random shapes and every item of a batch.
 func TestQuickTransposeAdjoint(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		rows, cols := 2+r.Intn(8), 2+r.Intn(8)
+		rows, cols, n := 2+r.Intn(8), 2+r.Intn(8), 1+r.Intn(6)
 		m := randMat(r, rows, cols)
-		x, y := randVec(r, cols), randVec(r, rows)
-		mx := make(Vector, rows)
-		MatVec(mx, m, x)
-		mty := make(Vector, cols)
-		MatTVec(mty, m, y)
+		x, y := randVec(r, Groups(n)*Lanes*cols), randVec(r, Groups(n)*Lanes*rows)
+		mx := make(Vector, len(y))
+		MatVecBatch(mx, m, x, n)
+		mty := make(Vector, len(x))
+		MatTVecBatch(mty, m, y, n)
 		lhs, rhs := Dot(mx, y), Dot(x, mty)
 		return math.Abs(float64(lhs-rhs)) <= 1e-3*(1+math.Abs(float64(rhs)))
 	}

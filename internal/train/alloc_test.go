@@ -8,9 +8,10 @@ import (
 )
 
 // TestStepComputePathIsAllocationFree pins the arena contract: once the
-// scratch buffers are warm, a full subnet step — every block's forward
-// over the batch, the loss, every block's backward with its gradient
-// accumulation — performs zero heap allocations.
+// scratch buffers are warm, a full subnet step — every block's batched
+// forward, the loss, every block's batched backward, and per block the
+// write-only gradient and its SGD write — performs zero heap
+// allocations.
 // Batch generation is the data plane's job and is excluded by fetching
 // the batch outside the measured region, exactly as the trainers do.
 // A future PR that reintroduces per-task garbage on this path fails here
@@ -26,17 +27,19 @@ func TestStepComputePathIsAllocationFree(t *testing.T) {
 	ar := newArena(cfg.Dim)
 	m := len(sub.Choices)
 	ar.begin(batch, m) // warm: the first begin sizes the buffers
-	for b, c := range sub.Choices {
-		ar.grads[b] = net.At(b, c).NewGrads()
-	}
+	g := net.At(0, sub.Choices[0]).NewGrads()
 	blocks := func() {
 		ar.begin(batch, m)
 		for b, c := range sub.Choices {
 			ar.forward(b, net.At(b, c))
 		}
+		ar.seed()
 		for b := m - 1; b >= 0; b-- {
-			ar.grads[b].Reset()
 			ar.backward(b, net.At(b, sub.Choices[b]))
+		}
+		for b, c := range sub.Choices {
+			ar.gradient(b, g)
+			net.At(b, c).ApplySGD(g, cfg.LR)
 		}
 	}
 

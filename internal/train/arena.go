@@ -9,82 +9,86 @@ import (
 	"naspipe/internal/tensor"
 )
 
-// arena is one subnet step's scratch: the batch, every item's block
-// outputs and output gradient, the pre-activation scratch, and per
-// block the gradient set its backward sums into. Warm, its forward and
-// backward allocate nothing (TestStepComputePathIsAllocationFree). It
-// belongs to one subnet at a time, whose blocks run one after another
-// on any goroutine.
+// arena is one subnet step's scratch, every buffer in tensor's lane
+// layout (tensor.Lanes items to a group) and cut from one slab: the
+// packed batch input, each block's output and pre-activation gradient,
+// and the output gradient carried down the chain. Activations keep that
+// one layout from block to block, so no kernel packs or unpacks. A
+// block's parameter gradient is a function of its pre-activation
+// gradient and its input, both kept until the subnet's last write, so
+// it is computed at the block's SGD write into a scratch set that stays
+// hot in cache. Warm, a step allocates nothing
+// (TestStepComputePathIsAllocationFree). An arena belongs to one subnet
+// at a time, whose blocks run one after another on any goroutine.
 type arena struct {
 	dim   int
 	m     int
+	n     int // items in the batch
 	batch data.Batch
-	ys    []tensor.Vector // item i's block outputs are ys[i*m:][:m]
-	dy    []tensor.Vector // per item: the output gradient, carried down the chain
-	tmp   tensor.Vector   // pre-activation scratch for BackwardInto
-	grads []*layers.Grads // per block: zeroed before its backward, summed over items in item order
-	loss  float32         // the batch's average loss, set by the last block's forward
+	slab  tensor.Vector // 2m+2 lane buffers: input, block outputs, block dz's, output gradient
+	g     *layers.Grads // stepOn's gradient scratch
 }
 
-func newArena(dim int) *arena { return &arena{dim: dim, tmp: make(tensor.Vector, dim)} }
+func newArena(dim int) *arena { return &arena{dim: dim} }
 
-// begin sizes the arena for a step of m blocks on batch. The gradient
-// sets are the caller's: stepOn owns one per block, a replay lends one
-// to each backward.
+// begin sizes the arena for a step of m blocks on batch and packs the
+// batch input.
 func (a *arena) begin(batch data.Batch, m int) {
-	a.batch, a.m = batch, m
-	n := len(batch.Inputs)
-	if len(a.ys) < n*m || len(a.dy) < n { // cut from one slab
-		slab, vs := make([]float32, (n*m+n)*a.dim), make([]tensor.Vector, n*m+n)
-		for i := range vs {
-			vs[i] = slab[i*a.dim:][:a.dim:a.dim]
-		}
-		a.ys, a.dy = vs[:n*m], vs[n*m:]
+	a.batch, a.m, a.n = batch, m, len(batch.Inputs)
+	if size := (2*m + 2) * a.laneLen(); len(a.slab) < size {
+		a.slab = make(tensor.Vector, size)
 	}
-	for len(a.grads) < m {
-		a.grads = append(a.grads, nil)
-	}
+	tensor.PackLanes(a.buf(0), batch.Inputs)
 }
 
-// forward runs block b over every item of the batch. After the last
-// block it computes the loss, 0.5·‖y − target‖², and seeds each item's
-// output gradient.
-func (a *arena) forward(b int, l *layers.Layer) {
-	for i := range a.batch.Inputs {
-		l.ForwardInto(a.ys[i*a.m+b], a.input(i, b))
-	}
-	if b < a.m-1 {
-		return
-	}
+// laneLen is the length of one lane buffer of the batch.
+func (a *arena) laneLen() int { return tensor.Groups(a.n) * tensor.Lanes * a.dim }
+
+// buf returns lane buffer k: the packed input at 0, block b's output at
+// b+1 and its pre-activation gradient at m+1+b, and the output gradient
+// at 2m+1.
+func (a *arena) buf(k int) tensor.Vector {
+	n := a.laneLen()
+	return a.slab[k*n : (k+1)*n : (k+1)*n]
+}
+
+// forward runs block b over the whole batch.
+func (a *arena) forward(b int, l *layers.Layer) { l.ForwardBatch(a.buf(b+1), a.buf(b), a.n) }
+
+// seed computes the loss after the last block, 0.5·‖y − target‖² summed
+// item by item in order, sets each item's output gradient y − target
+// (dead lanes 0), and returns the batch's average loss.
+func (a *arena) seed() float32 {
+	out, dy := a.buf(a.m), a.buf(2*a.m+1)
+	clear(dy)
 	var lossSum float32
 	for i, tgt := range a.batch.Targets {
-		out, dy := a.ys[i*a.m+b], a.dy[i]
-		for j := range out {
-			d := out[j] - tgt[j]
-			dy[j] = d
+		for j := range a.dim {
+			k := tensor.LaneAt(a.dim, i, j)
+			d := out[k] - tgt[j]
+			dy[k] = d
 			lossSum += float32(0.5 * d * d)
 		}
 	}
-	a.loss = lossSum / float32(len(a.batch.Inputs))
+	return lossSum / float32(a.n)
 }
 
-// backward runs block b's backward over every item, accumulating into
-// grads[b] in item order. dy is consumed before dx is written, so one
-// buffer per item carries the output gradient down the whole chain.
+// backward runs block b's backward over the whole batch. The output
+// gradient is consumed before the input gradient is written, so one
+// buffer carries it down the whole chain; block 0's input gradient is
+// never used and not computed.
 func (a *arena) backward(b int, l *layers.Layer) {
-	for i, dy := range a.dy[:len(a.batch.Inputs)] {
-		l.BackwardInto(dy, a.tmp, a.input(i, b), a.ys[i*a.m+b], dy, a.grads[b])
+	dy := a.buf(2*a.m + 1)
+	dx := dy
+	if b == 0 {
+		dx = nil
 	}
+	l.BackwardBatch(dx, a.buf(a.m+1+b), dy, a.buf(b+1), a.n)
 }
 
-// input is what block b of item i consumes: the batch input or the
-// previous block's output.
-func (a *arena) input(i, b int) tensor.Vector {
-	if b == 0 {
-		return a.batch.Inputs[i]
-	}
-	return a.ys[i*a.m+b-1]
-}
+// gradient sets g to block b's parameter gradients, summed over the
+// batch's items in item order; block b's backward has run.
+func (a *arena) gradient(b int, g *layers.Grads) { g.SetBatch(a.buf(a.m+1+b), a.buf(b), a.n) }
 
 // stepOn trains one subnet on batch against the live net, one block
 // task after another: forward over blocks 0..m-1, backward over m-1..0,
@@ -95,19 +99,19 @@ func stepOn(cfg Config, net *supernet.Numeric, sub supernet.Subnet, batch data.B
 	for b, c := range sub.Choices {
 		a.forward(b, net.At(b, c))
 	}
+	loss := a.seed()
 	for b := m - 1; b >= 0; b-- {
-		l := net.At(b, sub.Choices[b])
-		if a.grads[b] == nil {
-			a.grads[b] = l.NewGrads()
-		} else {
-			a.grads[b].Reset()
-		}
-		a.backward(b, l)
+		a.backward(b, net.At(b, sub.Choices[b]))
 	}
 	for b, c := range sub.Choices {
-		net.At(b, c).ApplySGD(a.grads[b], cfg.LR)
+		l := net.At(b, c)
+		if a.g == nil {
+			a.g = l.NewGrads()
+		}
+		a.gradient(b, a.g)
+		l.ApplySGD(a.g, cfg.LR)
 	}
-	return a.loss
+	return loss
 }
 
 // arenaPool recycles arenas across the stateless entry points (StepOn),

@@ -15,13 +15,14 @@ import (
 
 // inlineWork is the per-task work, dim² × batch, below which a replay
 // runs its task graph on the calling goroutine alone. On a 2-core Intel
-// Xeon (go1.24, linux/amd64, SSE2 kernels), train.step_us_dim64 ≈
-// 200–220 µs at batch 4 puts a task at ≈ 0.55 ns per unit, so 4096
-// units are ≈ 2 µs, about one wake-up. A second worker cost +60 % CPU
-// for no wall time at dim 8 (256 units), and bought −17 % wall for
-// +32 % CPU at dim 16, −30 % for +20 % at dim 32, −35 % for +9 % at
-// dim 64 (pipe-numeric's 16384); those splits were measured with the
-// Go kernels, at ≈ 1.4 ns per unit, and were not re-measured.
+// Xeon (go1.24, linux/amd64, SSE2 batch kernels), an inline replay at
+// dim 64 and batch 4 spends ≈ 15 µs per block, ≈ 0.3 ns per unit per
+// task, so 4096 units are ≈ 1.2 µs, about one wake-up. Against running
+// inline, a second worker (96 NLP.c3 subnets, D = 4, five runs of each)
+// cost +26–30 % wall and +85 % CPU at dim 8 (128 and 256 units), bought
+// nothing at dim 16 (−1 % wall, +60 % CPU), and bought −18 % wall for
+// +36 % CPU at dim 32 (4096) and −26 % for +23 % at dim 64
+// (pipe-numeric's 16384).
 const inlineWork = 4096
 
 // Task kinds of a replayed block. A task's id is 3·slot + kind, where a
@@ -29,8 +30,8 @@ const inlineWork = 4096
 // running the lowest ready id first runs the lowest subnet first.
 const (
 	fwd = iota // the block's forward over the batch
-	bwd        // its backward, summing its gradient in item order
-	sgd        // its SGD write to the live layer
+	bwd        // its backward: the pre-activation and input gradients
+	sgd        // its gradient, summed in item order, and SGD write to the live layer
 )
 
 // Replay executes the parameter access order of an engine trace on a
@@ -104,7 +105,6 @@ type replay struct {
 	cond    sync.Cond
 	ready   []int32 // ready task ids, high to low
 	free    []*arena
-	grads   []*layers.Grads // free gradient sets
 	done    int
 	total   int
 	running int
@@ -282,8 +282,11 @@ func (r *replay) layerOf(s int32) supernet.LayerID {
 // work runs ready tasks until the graph is done, lowest id first. A
 // worker goes straight on to the next ready task — its chain successor
 // when that is the lowest — and wakes a parked worker (or starts one,
-// up to GOMAXPROCS) only when it leaves ready work behind.
+// up to GOMAXPROCS) only when it leaves ready work behind. Each worker
+// sums the gradients of the writes it runs in one scratch set of its
+// own, which stays in its cache.
 func (r *replay) work() {
+	g := r.net.Layer[0].NewGrads()
 	r.mu.Lock()
 	for t := int32(-1); r.done < r.total; {
 		if t < 0 {
@@ -298,23 +301,13 @@ func (r *replay) work() {
 			t = r.ready[len(r.ready)-1]
 			r.ready = r.ready[:len(r.ready)-1]
 		}
-		s := t / 3
-		i := r.subOf[s]
-		switch t % 3 { // an arena per subnet in flight, a gradient set per backward until its write
-		case fwd:
-			if s == r.first[i] {
-				if n := len(r.free); n > 0 {
-					r.arenas[i], r.free = r.free[n-1], r.free[:n-1]
-				} else {
-					r.arenas[i] = newArena(r.cfg.Dim)
-				}
-			}
-		case bwd:
-			g := &r.arenas[i].grads[s-r.first[i]]
-			if n := len(r.grads); n > 0 {
-				*g, r.grads = r.grads[n-1], r.grads[:n-1]
+		if s := t / 3; t%3 == fwd && s == r.first[r.subOf[s]] {
+			// A subnet's first task takes an arena; its last write frees it.
+			i := r.subOf[s]
+			if n := len(r.free); n > 0 {
+				r.arenas[i], r.free = r.free[n-1], r.free[:n-1]
 			} else {
-				*g = r.views[s].NewGrads()
+				r.arenas[i] = newArena(r.cfg.Dim)
 			}
 		}
 		if len(r.ready) > 0 {
@@ -322,7 +315,7 @@ func (r *replay) work() {
 		}
 		r.running++
 		r.mu.Unlock()
-		r.run(t)
+		r.run(t, g)
 		r.mu.Lock()
 		r.running--
 		r.done++
@@ -346,8 +339,9 @@ func (r *replay) wake() {
 	}
 }
 
-// run executes task t; it touches only what its edges give it.
-func (r *replay) run(t int32) {
+// run executes task t, a write summing its gradient in g; it touches
+// only what its edges give it.
+func (r *replay) run(t int32, g *layers.Grads) {
 	s := t / 3
 	i := r.subOf[s]
 	a, block := r.arenas[i], int(s-r.first[i])
@@ -358,10 +352,9 @@ func (r *replay) run(t int32) {
 		}
 		a.forward(block, r.views[s])
 		if block == a.m-1 {
-			r.losses[i] = a.loss
+			r.losses[i] = a.seed()
 		}
 	case bwd:
-		a.grads[block].Reset()
 		a.backward(block, r.views[s])
 		r.views[s] = nil // lets a snapshot go before the replay ends
 	case sgd:
@@ -374,7 +367,8 @@ func (r *replay) run(t int32) {
 				}
 			}
 		}
-		live.ApplySGD(a.grads[block], r.cfg.LR)
+		a.gradient(block, g)
+		live.ApplySGD(g, r.cfg.LR)
 	}
 }
 
@@ -418,11 +412,8 @@ func (r *replay) complete(t int32) int32 {
 		if q < end {
 			r.release(r.pendW, r.byLayer[q]>>2, sgd)
 		}
-		a, b := r.arenas[i], s-r.first[i]
-		r.grads = append(r.grads, a.grads[b])
-		a.grads[b] = nil
 		if r.left[i]--; r.left[i] == 0 {
-			r.free = append(r.free, a)
+			r.free = append(r.free, r.arenas[i])
 			r.arenas[i] = nil
 		}
 	}

@@ -52,14 +52,15 @@ func replayCloneEveryRead(cfg Config, subnets []supernet.Subnet, tr *trace.Trace
 				for b, v := range p.views {
 					p.ar.forward(b, v)
 				}
+				losses[p.pos] = p.ar.seed()
 				for b := m - 1; b >= 0; b-- {
-					p.ar.grads[b] = p.views[b].NewGrads()
 					p.ar.backward(b, p.views[b])
 				}
-				losses[p.pos] = p.ar.loss
 				p.computed = true
 			}
-			net.At(block, choice).ApplySGD(p.ar.grads[block], cfg.LR)
+			g := p.views[block].NewGrads()
+			p.ar.gradient(block, g)
+			net.At(block, choice).ApplySGD(g, cfg.LR)
 		}
 	}
 	return Result{Net: net, Losses: losses, Checksum: net.Checksum()}, nil

@@ -11,26 +11,26 @@ import (
 )
 
 // Evaluate returns a subnet's average loss over nBatches validation
-// batches of the trained supernet, without updating parameters.
+// batches of the trained supernet, without updating parameters. It runs
+// the training step's batched forward; each item's loss is summed on
+// its own, then the items' losses in float64.
 func Evaluate(cfg Config, net *supernet.Numeric, sub supernet.Subnet, nBatches int) float64 {
 	cfg = cfg.withDefaults()
 	src := data.NewSource(cfg.Dataset, cfg.Dim, cfg.BatchSize, cfg.Seed)
-	views := make([]*layers.Layer, len(sub.Choices))
-	for b, c := range sub.Choices {
-		views[b] = net.At(b, c)
-	}
+	a, m := newArena(cfg.Dim), len(sub.Choices)
 	var total float64
 	var count int
 	for nb := 0; nb < nBatches; nb++ {
 		batch := src.ValidationBatch(nb)
-		for i := range batch.Inputs {
-			x := batch.Inputs[i]
-			for b := range views {
-				x = views[b].Forward(x)
-			}
+		a.begin(batch, m)
+		for b, c := range sub.Choices {
+			a.forward(b, net.At(b, c))
+		}
+		out := a.buf(m)
+		for i, tgt := range batch.Targets {
 			var loss float32
-			for j := range x {
-				d := x[j] - batch.Targets[i][j]
+			for j := range cfg.Dim {
+				d := out[tensor.LaneAt(cfg.Dim, i, j)] - tgt[j]
 				loss += float32(0.5 * d * d)
 			}
 			total += float64(loss)

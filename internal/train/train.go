@@ -3,8 +3,8 @@
 // reproducibility claims mechanically checkable.
 //
 // Two trainers exist, and both run a subnet's step as per-block tasks:
-// each block's forward over the batch, its backward (summing the block's
-// gradient over items in item order), and its SGD write. Sequential runs
+// each block's forward over the whole batch, its backward, and its SGD
+// write, which first sums the block's gradient over items in item order. Sequential runs
 // them one subnet after another, strictly in order — the semantics every
 // exploration algorithm assumes (§2.1) and the definition of the
 // "correct" result. Replay executes an engine trace: each READ event
