@@ -24,7 +24,7 @@ func benchExperiment(b *testing.B, name string) {
 	o := experiments.Quick()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.Run(name, o)
+		out, err := experiments.RunContext(context.Background(), name, o)
 		if err != nil {
 			b.Fatal(err)
 		}

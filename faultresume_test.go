@@ -11,7 +11,6 @@ import (
 	"naspipe"
 	"naspipe/internal/data"
 	"naspipe/internal/fault"
-	"naspipe/internal/scenario"
 )
 
 // maxResumes bounds the crash-resume loop for rate-based schedules:
@@ -75,7 +74,7 @@ var seqReference struct {
 // Checkpointer per incarnation: the cold path), looping while the fault
 // plan keeps crashing the resumed incarnations. The final weights must
 // be bitwise identical to the uninterrupted sequential reference. The
-// workload is scenario.MatrixCell's historical geometry with its
+// workload is matrixCell's historical geometry with its
 // supervision dropped; TestSupervisedCrashMatrix runs the same cells
 // under supervise.Run.
 func TestCrashResumeMatrix(t *testing.T) {
@@ -84,7 +83,7 @@ func TestCrashResumeMatrix(t *testing.T) {
 			gpus, sc := gpus, sc
 			t.Run(fmt.Sprintf("gpus=%d/%s", gpus, sc.name), func(t *testing.T) {
 				t.Parallel()
-				s, err := scenario.MatrixCell(sc.name, sc.spec, gpus)
+				s, err := matrixCell(sc.name, sc.spec, gpus)
 				if err != nil {
 					t.Fatalf("matrix cell: %v", err)
 				}

@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -89,7 +90,7 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 	fs.StringVar(&f.Space, "space", d.Space, "search space (Table 1 name)")
 	fs.IntVar(&f.ScaleBlocks, "scale-blocks", d.ScaleBlocks, "re-geometry the space to this many blocks (with -scale-choices; 0 = the space's own)")
 	fs.IntVar(&f.ScaleChoices, "scale-choices", d.ScaleChoices, "re-geometry the space to this many choices per block (with -scale-blocks)")
-	fs.StringVar(&f.Policy, "policy", "naspipe", "scheduling policy (see naspipe.PolicyNames; the concurrent plane is CSP-only)")
+	fs.StringVar(&f.Policy, "policy", "naspipe", "scheduling policy: "+strings.Join(naspipe.PolicyNames(), ", ")+" (the concurrent plane is CSP-only)")
 	fs.IntVar(&f.GPUs, "gpus", d.GPUs, "GPU count (pipeline depth)")
 	fs.IntVar(&f.Subnets, "subnets", d.Subnets, "subnets to train (0 = command default)")
 	fs.Uint64Var(&f.Seed, "seed", 42, "exploration seed")

@@ -46,33 +46,3 @@ func TestAddSubnetAllocatesOncePerChunk(t *testing.T) {
 			n, entries, allocs, writerChunk, chunks)
 	}
 }
-
-// TestResetStats pins the incarnation-boundary contract: ResetStats
-// returns the counters accumulated so far and zeroes them, so a
-// scheduler reused across run incarnations reports per-incarnation
-// pressure instead of an ever-growing total.
-func TestResetStats(t *testing.T) {
-	s, queue := benchScheduler(t, 8)
-
-	s.Schedule(queue)
-	s.Schedule(queue[:0]) // empty queue: a call, not an empty scan
-	calls, empty := s.Stats()
-	if calls != 2 {
-		t.Fatalf("scheduleCalls = %d, want 2", calls)
-	}
-
-	gotCalls, gotEmpty := s.ResetStats()
-	if gotCalls != calls || gotEmpty != empty {
-		t.Fatalf("ResetStats returned (%d, %d), want the pre-reset (%d, %d)",
-			gotCalls, gotEmpty, calls, empty)
-	}
-	if c, e := s.Stats(); c != 0 || e != 0 {
-		t.Fatalf("Stats after reset = (%d, %d), want (0, 0)", c, e)
-	}
-
-	// A second incarnation's pressure accumulates from zero.
-	s.Schedule(queue)
-	if c, _ := s.Stats(); c != 1 {
-		t.Fatalf("post-reset scheduleCalls = %d, want 1", c)
-	}
-}

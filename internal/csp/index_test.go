@@ -273,7 +273,7 @@ func runIndexOps(t *testing.T, ops []indexOp, r *rng.Stream) {
 				queue = append(queue, seq)
 			}
 		}
-		r.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
+		queue = shuffled(r, queue)
 		span := len(m.fin) + 3
 		m.check(t, s, queue, []int{r.Intn(span) - 1, r.Intn(span) - 1})
 		pendingWriters(t, s)

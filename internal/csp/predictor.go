@@ -38,9 +38,6 @@ func NewPredictor(s *Scheduler) *Predictor {
 	return &Predictor{sched: s}
 }
 
-// PendingCount returns the number of tracked blocked backwards.
-func (p *Predictor) PendingCount() int { return len(p.blocked) }
-
 // Retire drops every pending record for the given subnet: once its
 // backward has actually executed on this stage the forecast is moot.
 // OnBackward retires the backward it runs for, so records whose

@@ -48,7 +48,6 @@ type SubnetInfo struct {
 // L_f (finished subnets) of Algorithm 1, plus a per-layer queue of pending
 // writers that makes Algorithm 2's membership test a look at queue heads.
 type Scheduler struct {
-	stage int
 	// frontier: every subnet with Seq < frontier is finished and has been
 	// eliminated from the dependency check (the paper's elimination
 	// scheme keeping |L_f| ~ |L_q|).
@@ -98,18 +97,14 @@ const writerChunk = 1024
 
 type queue struct{ head, tail *writer }
 
-// New returns an empty scheduler for the given stage.
-func New(stage int) *Scheduler { return &Scheduler{stage: stage} }
-
-// Stage returns the stage this scheduler serves.
-func (s *Scheduler) Stage() int { return s.stage }
+// New returns an empty scheduler for one stage. The scheduler keeps no
+// stage number: what it admits depends only on the SubnetInfo it is
+// given, whose StageLayers are already that stage's.
+func New(stage int) *Scheduler { return &Scheduler{} }
 
 // Frontier returns the lowest sequence ID still participating in
 // dependency checks. All subnets below it are finished and eliminated.
 func (s *Scheduler) Frontier() int { return s.frontier }
-
-// Active returns the number of registered, non-eliminated subnets.
-func (s *Scheduler) Active() int { return len(s.subs) }
 
 // lookup returns the registered, non-eliminated subnet seq, or nil.
 func (s *Scheduler) lookup(seq int) *subnet {
@@ -221,13 +216,6 @@ func (s *Scheduler) MarkWritten(seq int, ids []supernet.LayerID) {
 	}
 }
 
-// Finished reports whether the subnet's WRITE has completed (or has been
-// eliminated as finished).
-func (s *Scheduler) Finished(seq int) bool {
-	sub := s.lookup(seq)
-	return seq < s.frontier || sub != nil && sub.finished
-}
-
 // Blocked reports whether scheduling subnet seq's forward on this stage
 // would violate CSP: some layer of its stage partition is selected by an
 // unfinished earlier subnet that has not written it. This is Algorithm
@@ -276,17 +264,6 @@ func (s *Scheduler) Stats() (scheduleCalls, emptyScans int) {
 	return s.scheduleCalls, s.emptyScans
 }
 
-// ResetStats zeroes the scheduling-pressure counters and returns the
-// values they held. Callers that reuse a scheduler across run incarnations
-// must call this (or snapshot-delta around Stats) at each incarnation
-// boundary, so contention tables report per-incarnation pressure rather
-// than a total inflated by earlier lives.
-func (s *Scheduler) ResetStats() (scheduleCalls, emptyScans int) {
-	scheduleCalls, emptyScans = s.scheduleCalls, s.emptyScans
-	s.scheduleCalls, s.emptyScans = 0, 0
-	return scheduleCalls, emptyScans
-}
-
 // ScheduleAssuming runs Schedule as if the given extra subnets were
 // already finished, each releasing the writers before it on its layers
 // as MarkWritten does. The predictor uses it to look one backward
@@ -332,58 +309,6 @@ func (s *Scheduler) blockedAssuming(seq int, assume []int) bool {
 		}
 	}
 	return false
-}
-
-// ReferenceSchedule is the paper-literal Algorithm 2, kept as an oracle
-// for differential testing against the indexed implementation: nested
-// loops over the queue, all earlier subnets, and all layer choices, with
-// no reverse index and no elimination shortcuts beyond the frontier.
-func ReferenceSchedule(queue []int, finished map[int]bool, frontier int,
-	subnets map[int]*SubnetInfo) (qidx, qval int) {
-	for i, seq := range queue {
-		scheduled := true
-		cand := subnets[seq]
-		if cand == nil {
-			continue
-		}
-	earlier:
-		for wval := frontier; wval < seq; wval++ {
-			if finished[wval] {
-				continue
-			}
-			w := subnets[wval]
-			if w == nil {
-				continue
-			}
-			for _, l := range cand.StageLayers {
-				for _, wl := range w.AllLayers {
-					if l == wl {
-						scheduled = false
-						break earlier
-					}
-				}
-			}
-		}
-		if scheduled {
-			return i, seq
-		}
-	}
-	return -1, -1
-}
-
-// Snapshot exposes internal state for the reference oracle and for
-// debugging: a copy of the finished set and registered subnets.
-func (s *Scheduler) Snapshot() (finished map[int]bool, frontier int, subnets map[int]*SubnetInfo) {
-	finished = make(map[int]bool, s.gaps)
-	subnets = make(map[int]*SubnetInfo, len(s.subs))
-	for i := range s.subs {
-		if s.subs[i].finished {
-			finished[s.frontier+i] = true
-		}
-		info := s.subs[i].info
-		subnets[s.frontier+i] = &info
-	}
-	return finished, s.frontier, subnets
 }
 
 // FinishedSeqs returns the sequence IDs at or above the frontier whose

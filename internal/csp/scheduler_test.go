@@ -261,7 +261,7 @@ func TestQuickScheduleMatchesReference(t *testing.T) {
 				queue = append(queue, i)
 			}
 		}
-		r.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
+		queue = shuffled(r, queue)
 		fin, frontier, subs := m.oracle()
 		ri, rv := ReferenceSchedule(queue, fin, frontier, subs)
 		gi, gv := s.Schedule(queue)

@@ -12,6 +12,7 @@ package data
 
 import (
 	"fmt"
+	"strconv"
 
 	"naspipe/internal/memo"
 	"naspipe/internal/rng"
@@ -150,7 +151,7 @@ func (s *Source) ValidationBatch(idx int) Batch {
 }
 
 func (s *Source) generate(split string, step int) Batch {
-	r := rng.Labeled(s.seed, fmt.Sprintf("%v/%s/%d", s.kind, split, step))
+	r := rng.Labeled(s.seed, batchLabel(s.kind, split, step))
 	b := Batch{
 		Step:    step,
 		Inputs:  make([]tensor.Vector, s.batchSize),
@@ -168,6 +169,14 @@ func (s *Source) generate(split string, step int) Batch {
 	}
 	return b
 }
+
+// batchLabel is the rng label of a split's batch, "<kind>/<split>/<step>".
+func batchLabel(k Kind, split string, step int) string {
+	return k.String() + "/" + split + "/" + strconv.Itoa(step)
+}
+
+// classLabel is the rng label of an ImageNet class prototype.
+func classLabel(class int) string { return "imagenet/class/" + strconv.Itoa(class) }
 
 // wnmtItem draws a source token embedding and targets a deterministic
 // companion token (a fixed permutation of the vocabulary), modelling the
@@ -190,7 +199,7 @@ func (s *Source) wnmtItem(r *rng.Stream) (in, tgt tensor.Vector) {
 // the class, plus a class-derived target pattern in tanh range.
 func (s *Source) imageItem(r *rng.Stream) (in, tgt tensor.Vector) {
 	class := r.Intn(numClasses)
-	cr := rng.Labeled(s.seed, fmt.Sprintf("imagenet/class/%d", class))
+	cr := rng.Labeled(s.seed, classLabel(class))
 	base := make(tensor.Vector, s.dim)
 	for j := range base {
 		base[j] = cr.NormFloat32() * 0.6

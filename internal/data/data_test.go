@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -179,5 +180,25 @@ func TestQuickFiniteValues(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLabelsMatchFmt: the batch and class labels spell what the fmt forms
+// they replaced did, for both kinds, both splits and a range of steps, so
+// every stream keeps its bits.
+func TestLabelsMatchFmt(t *testing.T) {
+	for _, k := range []Kind{WNMT, ImageNet} {
+		for _, split := range []string{"train", "valid"} {
+			for _, step := range []int{0, 1, 9, 10, 99, 100, 12345, 1 << 20} {
+				if got, want := batchLabel(k, split, step), fmt.Sprintf("%v/%s/%d", k, split, step); got != want {
+					t.Fatalf("batchLabel(%v, %s, %d) = %q, want %q", k, split, step, got, want)
+				}
+			}
+		}
+	}
+	for class := 0; class < numClasses; class++ {
+		if got, want := classLabel(class), fmt.Sprintf("imagenet/class/%d", class); got != want {
+			t.Fatalf("classLabel(%d) = %q, want %q", class, got, want)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package distrib
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -526,6 +525,3 @@ func (c *Coordinator) pump(ctx context.Context, k int, links []*transport.Link,
 		}
 	}
 }
-
-// ErrNotDistributed marks spec shapes the plane cannot run.
-var ErrNotDistributed = errors.New("distrib: spec does not describe a distributed run")

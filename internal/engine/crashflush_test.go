@@ -47,10 +47,10 @@ func TestCrashUnwindFlushesBatchers(t *testing.T) {
 	if snap.Dropped != 0 {
 		t.Fatalf("ring dropped %d events; the count comparison needs a lossless capture", snap.Dropped)
 	}
-	// Emitted counts every event that reached the bus; Len is what the
+	// Emitted counts every event that reached the bus; Events is what the
 	// ring captured. With zero drops they must agree — any gap is an
 	// event still sitting in a stage's batcher after unwind.
-	if got := uint64(bus.Len()); got != snap.Emitted {
+	if got := uint64(len(bus.Events())); got != snap.Emitted {
 		t.Fatalf("captured %d events, emitted %d: batched events lost on crash unwind", got, snap.Emitted)
 	}
 

@@ -207,14 +207,6 @@ func (BasePolicy) SelectBackward(stage int, ready []int, now float64) int {
 	return slices.Index(ready, slices.Min(ready))
 }
 
-// SelectForward runs forwards FIFO.
-func (BasePolicy) SelectForward(stage int, queue []int, now float64) int {
-	if len(queue) == 0 {
-		return -1
-	}
-	return 0
-}
-
 // OnForwardDone is a no-op.
 func (BasePolicy) OnForwardDone(stage, seq int, now float64) {}
 

@@ -85,9 +85,11 @@ func cspStages(t *testing.T, w *World, fx driver, tr stageTraits, window int) (*
 	return pol, ms
 }
 
-// oracle is the test's own view of which writes are still pending,
-// rendered as csp.ReferenceSchedule's arguments: a written layer leaves
-// its writer's AllLayers, a finished subnet blocks nobody.
+// oracle is the test's own view of which writes are still pending, and
+// the paper-literal Algorithm 2 over it: a forward is admissible when no
+// earlier unfinished subnet still has a pending write on one of its
+// stage layers. A written layer leaves its writer's pending set, a
+// finished subnet blocks nobody.
 type oracle struct {
 	w        *World
 	k        int
@@ -110,24 +112,26 @@ func (o *oracle) note(seq int, ids []supernet.LayerID, finished bool) {
 // admit is the reference's choice over queue, with the assumed subnets
 // taken as finished (Algorithm 3's lookahead).
 func (o *oracle) admit(queue []int, assume ...int) int {
-	frontier := 0
-	for o.finished[frontier] {
-		frontier++
+	for _, seq := range queue {
+		if !o.blocked(seq, assume) {
+			return seq
+		}
 	}
-	fin := map[int]bool{}
-	subs := map[int]*csp.SubnetInfo{}
-	for seq := frontier; seq < len(o.w.Subnets); seq++ {
-		fin[seq] = o.finished[seq] || slices.Contains(assume, seq)
-		var pending []supernet.LayerID
-		for _, id := range o.w.AllLayerIDs(seq) {
-			if !o.written[seq][id] {
-				pending = append(pending, id)
+	return -1
+}
+
+func (o *oracle) blocked(seq int, assume []int) bool {
+	for w := 0; w < seq; w++ {
+		if o.finished[w] || slices.Contains(assume, w) {
+			continue
+		}
+		for _, id := range o.w.AllLayerIDs(w) {
+			if !o.written[w][id] && slices.Contains(o.w.StageLayerIDs(seq, o.k), id) {
+				return true
 			}
 		}
-		subs[seq] = &csp.SubnetInfo{Seq: seq, AllLayers: pending, StageLayers: o.w.StageLayerIDs(seq, o.k)}
 	}
-	_, seq := csp.ReferenceSchedule(queue, fin, frontier, subs)
-	return seq
+	return false
 }
 
 // TestStageMachineDrivesStageZero plays stage 1 of a two-stage pipeline
@@ -303,7 +307,8 @@ func TestStageMachineNotesApplyPerStage(t *testing.T) {
 	if got := pol.Blocker(0, blocked); got != 0 {
 		t.Fatalf("stage 1's note leaked into stage 0: blocker of %d is %d", blocked, got)
 	}
-	if pol.scheds[0].Finished(0) || !pol.scheds[1].Finished(0) {
+	// Finishing subnet 0 moves stage 1's frontier past it, not stage 0's.
+	if pol.scheds[0].Frontier() != 0 || pol.scheds[1].Frontier() != 1 {
 		t.Fatal("finished flag applied to the wrong stage")
 	}
 }

@@ -211,11 +211,6 @@ func Names() []string {
 	}
 }
 
-// Run dispatches an experiment by name.
-func Run(name string, o Options) (string, error) {
-	return RunContext(context.Background(), name, o)
-}
-
 // RunContext dispatches an experiment by name under a context. A
 // cancelled context returns whatever partial report the experiment
 // rendered (possibly empty) along with the context's error.

@@ -8,11 +8,11 @@ import (
 
 func TestNamesDispatch(t *testing.T) {
 	for _, name := range Names() {
-		if _, err := Run(name, Quick()); err != nil {
+		if _, err := RunContext(context.Background(), name, Quick()); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if _, err := Run("nope", Quick()); err == nil {
+	if _, err := RunContext(context.Background(), "nope", Quick()); err == nil {
 		t.Error("expected error for unknown experiment")
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"naspipe/internal/cluster"
 	"naspipe/internal/engine"
-	"naspipe/internal/layers"
 	"naspipe/internal/supernet"
 	"naspipe/internal/telemetry"
 	"naspipe/internal/train"
@@ -204,6 +203,3 @@ func FigureCC(ctx context.Context, o Options) string {
 	out += CacheTable(res.CacheStats)
 	return out
 }
-
-// domainOf resolves the data kind for a space, for reports.
-func domainOf(sp supernet.Space) layers.Domain { return sp.Domain }

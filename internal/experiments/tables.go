@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"naspipe/internal/cluster"
 	"naspipe/internal/engine"
@@ -256,6 +255,3 @@ func Table5(ctx context.Context, o Options) string {
 	tb.AddNote("swap time = parameter bytes / PCIe 3.0 x16 bandwidth (15760 MB/s), matching the measured column by construction")
 	return tb.Render()
 }
-
-// joinRows is a small helper for multi-part reports.
-func joinRows(parts ...string) string { return strings.Join(parts, "\n") }

@@ -69,47 +69,6 @@ func NewUnion(name string, members ...supernet.Space) (*Union, error) {
 	}, nil
 }
 
-// Offset returns the choice offset of a member's band.
-func (u *Union) Offset(member int) int { return u.offsets[member] }
-
-// MemberOf identifies which member a union subnet was sampled from, by
-// its band. All of a subnet's choices lie in one band by construction;
-// an inconsistent subnet returns an error.
-func (u *Union) MemberOf(sub supernet.Subnet) (int, error) {
-	if len(sub.Choices) == 0 {
-		return 0, fmt.Errorf("hybrid: empty subnet")
-	}
-	m := u.bandOf(sub.Choices[0])
-	for b, c := range sub.Choices {
-		if u.bandOf(c) != m {
-			return 0, fmt.Errorf("hybrid: subnet %d mixes bands at block %d", sub.Seq, b)
-		}
-	}
-	return m, nil
-}
-
-func (u *Union) bandOf(choice int) int {
-	for i := len(u.offsets) - 1; i >= 0; i-- {
-		if choice >= u.offsets[i] {
-			return i
-		}
-	}
-	return 0
-}
-
-// Project maps a union subnet back into its member space's coordinates.
-func (u *Union) Project(sub supernet.Subnet) (member int, local supernet.Subnet, err error) {
-	member, err = u.MemberOf(sub)
-	if err != nil {
-		return 0, supernet.Subnet{}, err
-	}
-	local = sub.Clone()
-	for b := range local.Choices {
-		local.Choices[b] -= u.offsets[member]
-	}
-	return member, local, nil
-}
-
 // Interleave generates a hybrid subnet stream of length n: member streams
 // are sampled independently (each with its own labeled seed substream,
 // exactly as a solo run would) and interleaved round-robin, then
@@ -131,26 +90,4 @@ func (u *Union) Interleave(seed uint64, n int) []supernet.Subnet {
 		out[i] = supernet.Subnet{Seq: i, Choices: choices}
 	}
 	return out
-}
-
-// CrossMemberShares reports whether any two subnets from different
-// members share a layer — always false for streams built by Interleave
-// (bands are disjoint); exposed for testing and diagnostics.
-func (u *Union) CrossMemberShares(subs []supernet.Subnet) (bool, error) {
-	members := make([]int, len(subs))
-	for i, s := range subs {
-		m, err := u.MemberOf(s)
-		if err != nil {
-			return false, err
-		}
-		members[i] = m
-	}
-	for i := range subs {
-		for j := i + 1; j < len(subs); j++ {
-			if members[i] != members[j] && supernet.Shares(subs[i], subs[j]) {
-				return true, nil
-			}
-		}
-	}
-	return false, nil
 }

@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -26,8 +27,8 @@ func TestNewUnionGeometry(t *testing.T) {
 	if u.Space.Blocks != 48 || u.Space.Choices != 48+24 {
 		t.Fatalf("union geometry %dx%d", u.Space.Blocks, u.Space.Choices)
 	}
-	if u.Offset(0) != 0 || u.Offset(1) != 48 {
-		t.Fatalf("offsets %d %d", u.Offset(0), u.Offset(1))
+	if u.offsets[0] != 0 || u.offsets[1] != 48 {
+		t.Fatalf("offsets %d %d", u.offsets[0], u.offsets[1])
 	}
 }
 
@@ -171,4 +172,64 @@ func TestQuickInterleaveValid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Project maps a union subnet back into its member space's coordinates.
+func (u *Union) Project(sub supernet.Subnet) (member int, local supernet.Subnet, err error) {
+	member, err = u.MemberOf(sub)
+	if err != nil {
+		return 0, supernet.Subnet{}, err
+	}
+	local = sub.Clone()
+	for b := range local.Choices {
+		local.Choices[b] -= u.offsets[member]
+	}
+	return member, local, nil
+}
+
+// CrossMemberShares reports whether any two subnets from different
+// members share a layer: always false for streams built by Interleave
+// (bands are disjoint).
+func (u *Union) CrossMemberShares(subs []supernet.Subnet) (bool, error) {
+	members := make([]int, len(subs))
+	for i, s := range subs {
+		m, err := u.MemberOf(s)
+		if err != nil {
+			return false, err
+		}
+		members[i] = m
+	}
+	for i := range subs {
+		for j := i + 1; j < len(subs); j++ {
+			if members[i] != members[j] && supernet.Shares(subs[i], subs[j]) {
+				return true, nil
+			}
+		}
+	}
+	return false, nil
+}
+
+// MemberOf identifies which member a union subnet was sampled from, by
+// its band. All of a subnet's choices lie in one band by construction;
+// an inconsistent subnet returns an error.
+func (u *Union) MemberOf(sub supernet.Subnet) (int, error) {
+	if len(sub.Choices) == 0 {
+		return 0, fmt.Errorf("hybrid: empty subnet")
+	}
+	m := u.bandOf(sub.Choices[0])
+	for b, c := range sub.Choices {
+		if u.bandOf(c) != m {
+			return 0, fmt.Errorf("hybrid: subnet %d mixes bands at block %d", sub.Seq, b)
+		}
+	}
+	return m, nil
+}
+
+func (u *Union) bandOf(choice int) int {
+	for i := len(u.offsets) - 1; i >= 0; i-- {
+		if choice >= u.offsets[i] {
+			return i
+		}
+	}
+	return 0
 }

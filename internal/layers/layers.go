@@ -73,14 +73,6 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// Domain returns the task family of the kind.
-func (k Kind) Domain() Domain {
-	if k <= Attention8Head {
-		return NLP
-	}
-	return CV
-}
-
 // PCIeBytesPerMs is the testbed's PCIe 3.0 x16 bandwidth (15760 MB/s)
 // expressed in bytes per millisecond. Swap times in Table 5 divided into
 // parameter sizes use this constant, so cost profiles and the cluster model

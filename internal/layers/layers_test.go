@@ -46,15 +46,17 @@ func TestProfilePanicsOnUnknownKind(t *testing.T) {
 }
 
 func TestKindDomains(t *testing.T) {
-	for _, k := range Kinds(NLP) {
-		if k.Domain() != NLP {
-			t.Errorf("%v reported domain %v", k, k.Domain())
+	seen := map[Kind]bool{}
+	for _, d := range []Domain{NLP, CV} {
+		for _, k := range Kinds(d) {
+			if seen[k] {
+				t.Errorf("%v listed under two domains", k)
+			}
+			seen[k] = true
 		}
 	}
-	for _, k := range Kinds(CV) {
-		if k.Domain() != CV {
-			t.Errorf("%v reported domain %v", k, k.Domain())
-		}
+	if len(seen) != int(numKinds) {
+		t.Fatalf("the domains list %d of %d kinds", len(seen), numKinds)
 	}
 	if len(Kinds(NLP)) != 4 || len(Kinds(CV)) != 4 {
 		t.Fatal("each domain must expose exactly 4 Table 5 kinds")
@@ -165,7 +167,7 @@ func TestBatchEqualsItemByItem(t *testing.T) {
 				tensor.MatAXPY(sum.W, 1, gi.W)
 				tensor.AXPY(sum.B, 1, gi.B)
 			}
-			if !g.W.Equal(sum.W) || !g.B.EqualBits(sum.B) {
+			if !tensor.Vector(g.W.Data).EqualBits(sum.W.Data) || !g.B.EqualBits(sum.B) {
 				t.Fatalf("dim %d batch %d: gradients differ from the items' summed in order", dim, n)
 			}
 		}
@@ -218,14 +220,14 @@ func TestBackwardGradientCheck(t *testing.T) {
 	const eps = 1e-3
 	checks := [][2]int{{0, 0}, {1, 3}, {4, 4}, {2, 1}}
 	for _, rc := range checks {
-		orig := l.W.At(rc[0], rc[1])
+		orig := l.W.Data[rc[0]*l.W.Cols+rc[1]]
 		l.W.Set(rc[0], rc[1], orig+eps)
 		up := forwardLoss()
 		l.W.Set(rc[0], rc[1], orig-eps)
 		down := forwardLoss()
 		l.W.Set(rc[0], rc[1], orig)
 		numeric := (up - down) / (2 * eps)
-		analytic := float64(g.W.At(rc[0], rc[1]))
+		analytic := float64(g.W.Data[rc[0]*g.W.Cols+rc[1]])
 		if math.Abs(numeric-analytic) > 1e-2*(1+math.Abs(analytic)) {
 			t.Errorf("dW[%d][%d]: numeric %v analytic %v", rc[0], rc[1], numeric, analytic)
 		}
@@ -244,8 +246,8 @@ func TestApplySGDMovesParams(t *testing.T) {
 	}
 	// Exact arithmetic: W[0][0] decreased by 0.1, B[1] by 0.1.
 	fresh := NewLayer(Conv3x1, 4, rng.Labeled(4, "sgd"))
-	if l.W.At(0, 0) != fresh.W.At(0, 0)-0.1 {
-		t.Fatalf("W[0][0] = %v want %v", l.W.At(0, 0), fresh.W.At(0, 0)-0.1)
+	if l.W.Data[0] != fresh.W.Data[0]-0.1 {
+		t.Fatalf("W[0][0] = %v want %v", l.W.Data[0], fresh.W.Data[0]-0.1)
 	}
 	if l.B[1] != -0.1 {
 		t.Fatalf("B[1] = %v want -0.1", l.B[1])
@@ -318,7 +320,10 @@ func TestQuickInputGradientDescends(t *testing.T) {
 		}
 		g := l.NewGrads()
 		dx := backward(l, x, y, dy, g)
-		norm := float64(tensor.SumSquares(dx))
+		var norm float32
+		for _, v := range dx {
+			norm += float32(v * v)
+		}
 		if norm < 1e-8 {
 			return true // at a critical point; nothing to check
 		}

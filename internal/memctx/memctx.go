@@ -62,9 +62,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Accesses returns the total layer accesses counted (hits + misses).
-func (s Stats) Accesses() int { return s.Hits + s.Misses }
-
 type entry struct {
 	id      supernet.LayerID
 	bytes   int64

@@ -201,19 +201,13 @@ func TestUnboundedManagerNeverEvicts(t *testing.T) {
 func TestHitRate(t *testing.T) {
 	// Regression: zero accesses must NOT report a perfect hit rate — an
 	// idle/degenerate stage earned nothing, and 1.0 inflated Table 2
-	// aggregates. Such cells render as N/A (callers check Accesses()).
+	// aggregates. Such cells render as N/A (callers check Hits+Misses).
 	if got := (Stats{}).HitRate(); got != 0 {
 		t.Fatalf("empty stats hit rate = %f, want 0", got)
-	}
-	if (Stats{}).Accesses() != 0 {
-		t.Fatal("empty stats should report zero accesses")
 	}
 	s := Stats{Hits: 9, Misses: 1}
 	if s.HitRate() != 0.9 {
 		t.Fatalf("hit rate %f", s.HitRate())
-	}
-	if s.Accesses() != 10 {
-		t.Fatalf("accesses %d want 10", s.Accesses())
 	}
 	if got := (Stats{Misses: 4}).HitRate(); got != 0 {
 		t.Fatalf("all-miss hit rate = %f, want 0", got)

@@ -110,23 +110,3 @@ func DependencyRate(subs []supernet.Subnet) float64 {
 	}
 	return float64(dep) / float64(len(subs)-1)
 }
-
-// HotExpertLoad returns the activation share of each block-0 expert,
-// sorted descending — a diagnostic of the routing skew actually realised.
-func HotExpertLoad(c StreamConfig, subs []supernet.Subnet) []float64 {
-	counts := make([]int, c.Space.Choices)
-	for _, s := range subs {
-		counts[s.Choices[0]]++
-	}
-	loads := make([]float64, len(counts))
-	for i, n := range counts {
-		loads[i] = float64(n) / float64(len(subs))
-	}
-	// insertion sort descending (small arrays).
-	for i := 1; i < len(loads); i++ {
-		for j := i; j > 0 && loads[j] > loads[j-1]; j-- {
-			loads[j], loads[j-1] = loads[j-1], loads[j]
-		}
-	}
-	return loads
-}

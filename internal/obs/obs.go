@@ -158,54 +158,12 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.add(v)
 }
 
-// Count returns the total number of observations. Nil-safe (0).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observations. Nil-safe (0).
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
 	return h.sum.get()
-}
-
-// Quantile estimates the p-quantile (0 < p <= 1) as the upper bound of
-// the bucket the quantile falls in — the standard fixed-bucket
-// estimator, biased high by at most one bucket width. Observations in
-// the +Inf bucket report the largest finite bound. Returns -1 with no
-// observations. Nil-safe (-1).
-func (h *Histogram) Quantile(p float64) float64 {
-	if h == nil {
-		return -1
-	}
-	total := h.Count()
-	if total == 0 {
-		return -1
-	}
-	rank := uint64(math.Ceil(p * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1] // +Inf bucket: clamp to last finite bound
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // series is one (label values → instrument) entry of a family.
@@ -430,15 +388,5 @@ func (r *Registry) Families() []FamilyInfo {
 	}
 	r.mu.Unlock()
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
-}
-
-// Names lists every registered metric name, sorted. Nil-safe (nil).
-func (r *Registry) Names() []string {
-	fams := r.Families()
-	out := make([]string, len(fams))
-	for i, f := range fams {
-		out[i] = f.Name
-	}
 	return out
 }

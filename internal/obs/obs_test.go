@@ -210,7 +210,10 @@ func TestFuncMetricsAndFamilies(t *testing.T) {
 	r.GaugeFunc("naspipe_test_depth", "queue depth", func() float64 { return 7 })
 	r.CounterFunc("naspipe_test_emitted_total", "events", func() float64 { return 41 })
 	r.Counter("naspipe_test_a_total", "a")
-	names := r.Names()
+	var names []string
+	for _, f := range r.Families() {
+		names = append(names, f.Name)
+	}
 	want := []string{"naspipe_test_a_total", "naspipe_test_depth", "naspipe_test_emitted_total"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v, want %v", names, want)
@@ -235,4 +238,46 @@ func TestNaNAndInfObservations(t *testing.T) {
 	if got := h.Quantile(1); got != 1 {
 		t.Fatalf("quantile = %v, want clamp to last finite bound", got)
 	}
+}
+
+// Quantile estimates the p-quantile (0 < p <= 1) as the upper bound of
+// the bucket the quantile falls in — the standard fixed-bucket
+// estimator, biased high by at most one bucket width. Observations in
+// the +Inf bucket report the largest finite bound. Returns -1 with no
+// observations. Nil-safe (-1).
+func (h *Histogram) Quantile(p float64) float64 {
+	if h == nil {
+		return -1
+	}
+	total := h.Count()
+	if total == 0 {
+		return -1
+	}
+	rank := uint64(math.Ceil(p * float64(total)))
+	if rank < 1 {
+		rank = 1
+	}
+	var cum uint64
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		if cum >= rank {
+			if i < len(h.bounds) {
+				return h.bounds[i]
+			}
+			return h.bounds[len(h.bounds)-1] // +Inf bucket: clamp to last finite bound
+		}
+	}
+	return h.bounds[len(h.bounds)-1]
+}
+
+// Count returns the total number of observations. Nil-safe (0).
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }

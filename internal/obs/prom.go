@@ -158,9 +158,6 @@ type Sample struct {
 	Value  float64
 }
 
-// Label returns a label's value ("" when absent).
-func (s Sample) Label(name string) string { return s.Labels[name] }
-
 // ParseText parses exposition text back into samples — the minimal
 // consumer naspipe-client top and the format tests need. Comment and
 // blank lines are skipped; a malformed sample line is an error naming

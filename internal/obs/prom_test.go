@@ -109,10 +109,10 @@ func TestBucketMonotonicity(t *testing.T) {
 		case "naspipe_lat_seconds_bucket":
 			buckets++
 			if s.Value < prev {
-				t.Fatalf("bucket le=%s value %v < previous %v", s.Label("le"), s.Value, prev)
+				t.Fatalf("bucket le=%s value %v < previous %v", s.Labels["le"], s.Value, prev)
 			}
 			prev = s.Value
-			if s.Label("le") == "+Inf" {
+			if s.Labels["le"] == "+Inf" {
 				inf = s.Value
 			}
 		case "naspipe_lat_seconds_count":
@@ -145,7 +145,7 @@ func TestParseRoundTrip(t *testing.T) {
 	for _, s := range samples {
 		if s.Name == "naspipe_x_total" {
 			found = true
-			if got := s.Label("job"); got != `j"1\a`+"\n" {
+			if got := s.Labels["job"]; got != `j"1\a`+"\n" {
 				t.Fatalf("label round-trip = %q", got)
 			}
 			if s.Value != 4 {

@@ -24,25 +24,6 @@ type Partition struct {
 	Bounds []int
 }
 
-// Validate checks structural invariants against a block count m.
-func (p Partition) Validate(m int) error {
-	if p.D <= 0 {
-		return fmt.Errorf("partition: non-positive stage count %d", p.D)
-	}
-	if len(p.Bounds) != p.D+1 {
-		return fmt.Errorf("partition: bounds length %d, want %d", len(p.Bounds), p.D+1)
-	}
-	if p.Bounds[0] != 0 || p.Bounds[p.D] != m {
-		return fmt.Errorf("partition: bounds must span [0,%d], got [%d,%d]", m, p.Bounds[0], p.Bounds[p.D])
-	}
-	for k := 0; k < p.D; k++ {
-		if p.Bounds[k] > p.Bounds[k+1] {
-			return fmt.Errorf("partition: bounds not monotone at stage %d", k)
-		}
-	}
-	return nil
-}
-
 // StageOf returns the stage owning the block.
 func (p Partition) StageOf(block int) int {
 	for k := 0; k < p.D; k++ {
@@ -56,29 +37,6 @@ func (p Partition) StageOf(block int) int {
 // Blocks returns the half-open block range [lo, hi) of a stage.
 func (p Partition) Blocks(stage int) (lo, hi int) {
 	return p.Bounds[stage], p.Bounds[stage+1]
-}
-
-// StageCosts sums per-block costs within each stage.
-func StageCosts(costs []float64, p Partition) []float64 {
-	out := make([]float64, p.D)
-	for k := 0; k < p.D; k++ {
-		for b := p.Bounds[k]; b < p.Bounds[k+1]; b++ {
-			out[k] += costs[b]
-		}
-	}
-	return out
-}
-
-// MaxStageCost returns the bottleneck stage cost — the pipeline's steady
-// state step time.
-func MaxStageCost(costs []float64, p Partition) float64 {
-	var max float64
-	for _, c := range StageCosts(costs, p) {
-		if c > max {
-			max = c
-		}
-	}
-	return max
 }
 
 // Balanced computes the contiguous D-partition of the given non-negative
@@ -199,37 +157,4 @@ func BlockAverageCosts(sn *supernet.Supernet) []float64 {
 // CPU storage (§4.2).
 func Static(sn *supernet.Supernet, d int) Partition {
 	return Balanced(BlockAverageCosts(sn), d)
-}
-
-// Mirrors returns the blocks of the subnet that execute on a stage other
-// than their home stage under the static partition — i.e. the layers that
-// must be mirrored to another GPU's storage (§4.2). The result is sorted
-// by block index (construction order).
-func Mirrors(balanced, home Partition, blocks int) []int {
-	var out []int
-	for b := 0; b < blocks; b++ {
-		if balanced.StageOf(b) != home.StageOf(b) {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// ImbalanceRatio returns bottleneck/mean stage cost under p — 1.0 is a
-// perfectly balanced pipeline; VPipe-style static partitions typically
-// exceed it on individual subnets.
-func ImbalanceRatio(costs []float64, p Partition) float64 {
-	sc := StageCosts(costs, p)
-	var total, max float64
-	for _, c := range sc {
-		total += c
-		if c > max {
-			max = c
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	mean := total / float64(len(sc))
-	return max / mean
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -123,19 +124,6 @@ func TestBalancedBeatsStaticOnSubnets(t *testing.T) {
 	}
 	if balancedSum >= staticSum {
 		t.Fatalf("balanced (%f) not better than static (%f) over 30 subnets", balancedSum, staticSum)
-	}
-}
-
-func TestMirrors(t *testing.T) {
-	balanced := Partition{D: 2, Bounds: []int{0, 3, 5}}
-	home := Partition{D: 2, Bounds: []int{0, 2, 5}}
-	got := Mirrors(balanced, home, 5)
-	// Block 2: balanced stage 0, home stage 1 -> mirrored.
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Mirrors = %v want [2]", got)
-	}
-	if m := Mirrors(home, home, 5); m != nil {
-		t.Fatalf("identical partitions should have no mirrors, got %v", m)
 	}
 }
 
@@ -416,4 +404,65 @@ func BenchmarkBalanced48x8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = bl.Balance(costs, 8, bounds)
 	}
+}
+
+// Validate checks structural invariants against a block count m.
+func (p Partition) Validate(m int) error {
+	if p.D <= 0 {
+		return fmt.Errorf("partition: non-positive stage count %d", p.D)
+	}
+	if len(p.Bounds) != p.D+1 {
+		return fmt.Errorf("partition: bounds length %d, want %d", len(p.Bounds), p.D+1)
+	}
+	if p.Bounds[0] != 0 || p.Bounds[p.D] != m {
+		return fmt.Errorf("partition: bounds must span [0,%d], got [%d,%d]", m, p.Bounds[0], p.Bounds[p.D])
+	}
+	for k := 0; k < p.D; k++ {
+		if p.Bounds[k] > p.Bounds[k+1] {
+			return fmt.Errorf("partition: bounds not monotone at stage %d", k)
+		}
+	}
+	return nil
+}
+
+// MaxStageCost returns the bottleneck stage cost — the pipeline's steady
+// state step time.
+func MaxStageCost(costs []float64, p Partition) float64 {
+	var max float64
+	for _, c := range StageCosts(costs, p) {
+		if c > max {
+			max = c
+		}
+	}
+	return max
+}
+
+// ImbalanceRatio returns bottleneck/mean stage cost under p — 1.0 is a
+// perfectly balanced pipeline; VPipe-style static partitions typically
+// exceed it on individual subnets.
+func ImbalanceRatio(costs []float64, p Partition) float64 {
+	sc := StageCosts(costs, p)
+	var total, max float64
+	for _, c := range sc {
+		total += c
+		if c > max {
+			max = c
+		}
+	}
+	if total == 0 {
+		return 1
+	}
+	mean := total / float64(len(sc))
+	return max / mean
+}
+
+// StageCosts sums per-block costs within each stage.
+func StageCosts(costs []float64, p Partition) []float64 {
+	out := make([]float64, p.D)
+	for k := 0; k < p.D; k++ {
+		for b := p.Bounds[k]; b < p.Bounds[k+1]; b++ {
+			out[k] += costs[b]
+		}
+	}
+	return out
 }

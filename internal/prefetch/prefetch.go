@@ -135,13 +135,6 @@ func (c *Cache) Used() int64 {
 // Capacity returns the configured capacity (<0 = unbounded).
 func (c *Cache) Capacity() int64 { return c.m.Capacity() }
 
-// Resident reports whether the layer is fully resident now.
-func (c *Cache) Resident(id supernet.LayerID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m.Resident(id, float64(c.now()))
-}
-
 // Prefetch issues an asynchronous copy of the layer if it is neither
 // resident nor in flight. The call never blocks: the copy's completion is
 // a deadline the later Acquire checks. If capacity pressure cannot be

@@ -337,7 +337,7 @@ func TestConcurrentAccountingConsistent(t *testing.T) {
 		// 267 acquires total: each goroutine issues ~67.
 		t.Logf("accesses %d", st.Hits+st.Misses)
 	}
-	if got := st.Accesses(); got == 0 {
+	if st.Hits+st.Misses == 0 {
 		t.Fatal("no accesses recorded")
 	}
 	if c.Used() < 0 {
@@ -366,4 +366,11 @@ func TestResidentPathDoesNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Acquire+Release of resident layers allocates %v times, want 0", n)
 	}
+}
+
+// Resident reports whether the layer is fully resident now.
+func (c *Cache) Resident(id supernet.LayerID) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m.Resident(id, float64(c.now()))
 }

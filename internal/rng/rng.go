@@ -1,4 +1,4 @@
-// Package rng provides deterministic, splittable pseudo-random number
+// Package rng provides deterministic, labeled pseudo-random number
 // generation for NASPipe.
 //
 // Every random decision in the system — subnet sampling, weight
@@ -17,10 +17,7 @@
 // portable: no platform-dependent state, no global locks.
 package rng
 
-import (
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // splitmix64 advances the given state and returns the next 64-bit output.
 // It is used only to expand seeds into full generator state.
@@ -33,8 +30,8 @@ func splitmix64(state *uint64) uint64 {
 }
 
 // Stream is a deterministic pseudo-random number generator
-// (xoshiro256**). The zero value is not valid; construct Streams with New,
-// Labeled, or Split.
+// (xoshiro256**). The zero value is not valid; construct Streams with New
+// or Labeled.
 type Stream struct {
 	s0, s1, s2, s3 uint64
 }
@@ -58,19 +55,19 @@ func New(seed uint64) *Stream {
 
 // Labeled returns a Stream for the given purpose label under the given
 // seed. Distinct labels give independent streams; the mapping is stable
-// across runs and platforms.
+// across runs and platforms. The seed is FNV-64a over the seed's eight
+// little-endian bytes, then the label's bytes: writing the seed first keeps
+// (seed, label) pairs distinct even when labels collide across seeds.
 func Labeled(seed uint64, label string) *Stream {
-	h := fnv.New64a()
-	// The hash of the label perturbs the seed; writing the seed bytes first
-	// keeps (seed, label) pairs distinct even when labels collide across
-	// seeds.
-	var buf [8]byte
+	const prime = 1099511628211
+	h := uint64(14695981039346656037) // FNV-64a offset basis
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(seed >> (8 * i))
+		h = (h ^ uint64(byte(seed>>(8*i)))) * prime
 	}
-	h.Write(buf[:])
-	h.Write([]byte(label))
-	return New(h.Sum64())
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * prime
+	}
+	return New(h)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -86,23 +83,6 @@ func (r *Stream) Uint64() uint64 {
 	r.s2 ^= t
 	r.s3 = rotl(r.s3, 45)
 	return result
-}
-
-// Split derives an independent child stream identified by label. The parent
-// stream is not advanced, so the set of children is a pure function of the
-// parent's current state and the labels used.
-func (r *Stream) Split(label string) *Stream {
-	h := fnv.New64a()
-	var buf [32]byte
-	words := [4]uint64{r.s0, r.s1, r.s2, r.s3}
-	for w, v := range words {
-		for i := 0; i < 8; i++ {
-			buf[w*8+i] = byte(v >> (8 * i))
-		}
-	}
-	h.Write(buf[:])
-	h.Write([]byte(label))
-	return New(h.Sum64())
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -137,13 +117,6 @@ func mul64(x, y uint64) (hi, lo uint64) {
 	hi = x1*y1 + w2 + w1>>32
 	lo = x * y
 	return
-}
-
-// Float32 returns a uniform float32 in [0, 1). Only the top 24 bits of the
-// generator output are used, so every representable value is exact and the
-// mapping is platform-independent.
-func (r *Stream) Float32() float32 {
-	return float32(r.Uint64()>>40) * (1.0 / (1 << 24))
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -183,12 +156,4 @@ func (r *Stream) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates order.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -51,20 +51,6 @@ func TestLabeledSeedSeparation(t *testing.T) {
 	}
 }
 
-func TestSplitDoesNotAdvanceParent(t *testing.T) {
-	p := New(9)
-	before := *p
-	_ = p.Split("child")
-	if *p != before {
-		t.Fatal("Split advanced parent state")
-	}
-	c1 := p.Split("a")
-	c2 := p.Split("a")
-	if c1.Uint64() != c2.Uint64() {
-		t.Fatal("Split with equal labels must be deterministic")
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	r := New(3)
 	for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {
@@ -153,24 +139,6 @@ func TestPermIsPermutation(t *testing.T) {
 				t.Fatalf("Perm(%d) = %v not a permutation", n, p)
 			}
 			seen[v] = true
-		}
-	}
-}
-
-func TestShuffleMatchesPerm(t *testing.T) {
-	// Shuffle applied to the identity must equal Perm from an equal state.
-	a := New(21)
-	b := New(21)
-	n := 16
-	p := a.Perm(n)
-	s := make([]int, n)
-	for i := range s {
-		s[i] = i
-	}
-	b.Shuffle(n, func(i, j int) { s[i], s[j] = s[j], s[i] })
-	for i := range p {
-		if p[i] != s[i] {
-			t.Fatalf("Perm and Shuffle diverge at %d: %v vs %v", i, p, s)
 		}
 	}
 }
@@ -270,5 +238,39 @@ func TestNormFloat32Digest(t *testing.T) {
 	if got := h.Sum64(); got != want {
 		t.Fatalf("2^20 NormFloat32 draws digest to %#016x, pinned %#016x: "+
 			"math.Log or math.Cos returns other bits on this toolchain or GOARCH", got, want)
+	}
+}
+
+// Float32 returns a uniform float32 in [0, 1). Only the top 24 bits of the
+// generator output are used, so every representable value is exact and the
+// mapping is platform-independent.
+func (r *Stream) Float32() float32 {
+	return float32(r.Uint64()>>40) * (1.0 / (1 << 24))
+}
+
+// labeledRef is Labeled as hash/fnv computes it: FNV-64a over the seed's
+// eight little-endian bytes, then the label's.
+func labeledRef(seed uint64, label string) *Stream {
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], seed)
+	h.Write(buf[:])
+	h.Write([]byte(label))
+	return New(h.Sum64())
+}
+
+// TestLabeledMatchesFNV: the inlined hash seeds every stream as
+// hash/fnv does, on fixed labels and on random seeds and labels.
+func TestLabeledMatchesFNV(t *testing.T) {
+	for _, label := range []string{"", "spos/NLP.c1", "WNMT/train/0", "imagenet/class/999", "\x00\xff"} {
+		for _, seed := range []uint64{0, 1, 42, 1 << 63, ^uint64(0)} {
+			if got, want := *Labeled(seed, label), *labeledRef(seed, label); got != want {
+				t.Fatalf("Labeled(%d, %q) = %v, hash/fnv gives %v", seed, label, got, want)
+			}
+		}
+	}
+	f := func(seed uint64, label string) bool { return *Labeled(seed, label) == *labeledRef(seed, label) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -364,28 +364,3 @@ func TestDistributedFleetRecoveryTime(t *testing.T) {
 		t.Fatalf("recovery %v, want within (0, wall %v)", obs.Recovery, obs.Wall)
 	}
 }
-
-// TestMatrixCell: the migration shim produces valid scenarios with the
-// historic workload geometry and folds fault sites into range.
-func TestMatrixCell(t *testing.T) {
-	s, err := MatrixCell("deep fwd", "seed=105,crashat=7:12:F,dup=0.1", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name != "deep-fwd-gpus2" {
-		t.Fatalf("slug %q", s.Name)
-	}
-	if s.World.GPUs != 2 || s.Workload.Subnets != 18 || s.Workload.Seed != 7 {
-		t.Fatalf("matrix geometry drifted: %+v", s)
-	}
-	if s.Storm == nil || s.Storm.Supervise == nil {
-		t.Fatalf("matrix cell lost its storm/supervision: %+v", s.Storm)
-	}
-	// Stage 7 folded to 7 % 2 = 1.
-	if !strings.Contains(s.Storm.Faults, "crashat=1:12:F") {
-		t.Fatalf("crash site not folded into depth 2: %q", s.Storm.Faults)
-	}
-	if _, err := MatrixCell("x", "crashat=zig", 2); err == nil {
-		t.Fatalf("bad fault spec accepted")
-	}
-}

@@ -199,7 +199,10 @@ func TestMetricNamingConvention(t *testing.T) {
 	if len(fams) < 15 {
 		t.Fatalf("only %d families registered; the daemon wires more than that", len(fams))
 	}
-	names := strings.Join(reg.Names(), " ") + " "
+	var names string
+	for _, f := range fams {
+		names += f.Name + " "
+	}
 	for op := telemetry.Op(0); !strings.HasPrefix(op.String(), "op("); op++ {
 		want := "naspipe_telemetry_" + strings.ReplaceAll(op.String(), "-", "_") + "_total "
 		if !strings.Contains(names, want) {

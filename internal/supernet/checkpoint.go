@@ -3,18 +3,13 @@ package supernet
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
-
-	"naspipe/internal/layers"
-	"naspipe/internal/tensor"
 )
 
-// checkpoint format: a small deterministic binary layout so trained
-// supernets can be persisted and reloaded bitwise — pairing with the
-// trace Record to support "train once, analyze forever" workflows
-// (re-running searches or rankings over a frozen training result).
+// checkpoint format: a small deterministic binary layout so a trained
+// supernet is persisted bitwise (naspipe-train search -save-net), pairing
+// with the trace Record. The package's tests read it back (LoadNumeric).
 const (
 	ckptMagic   = uint32(0x4e535057) // "NSPW"
 	ckptVersion = uint32(1)
@@ -47,103 +42,4 @@ func (n *Numeric) Save(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// LoadNumeric reads a checkpoint written by Save. The returned supernet
-// is bitwise identical to the saved one.
-func LoadNumeric(r io.Reader) (*Numeric, error) {
-	br := bufio.NewReader(r)
-	readU32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return v, err
-	}
-	readStr := func() (string, error) {
-		l, err := readU32()
-		if err != nil {
-			return "", err
-		}
-		if l > 1<<16 {
-			return "", fmt.Errorf("supernet: implausible string length %d in checkpoint", l)
-		}
-		buf := make([]byte, l)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	magic, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("supernet: reading checkpoint: %w", err)
-	}
-	if magic != ckptMagic {
-		return nil, fmt.Errorf("supernet: not a supernet checkpoint (magic %08x)", magic)
-	}
-	version, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if version != ckptVersion {
-		return nil, fmt.Errorf("supernet: unsupported checkpoint version %d", version)
-	}
-	name, err := readStr()
-	if err != nil {
-		return nil, err
-	}
-	domain, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	blocks, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	choices, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	dataset, err := readStr()
-	if err != nil {
-		return nil, err
-	}
-	dim, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	space := Space{
-		Name: name, Domain: layers.Domain(domain),
-		Blocks: int(blocks), Choices: int(choices), Dataset: dataset,
-	}
-	if err := space.Validate(); err != nil {
-		return nil, err
-	}
-	if dim == 0 || dim > 1<<12 {
-		return nil, fmt.Errorf("supernet: implausible checkpoint dim %d", dim)
-	}
-	n := &Numeric{Space: space, Dim: int(dim), Layer: make([]*layers.Layer, space.NumLayers())}
-	for i := range n.Layer {
-		kind, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("supernet: truncated checkpoint at layer %d: %w", i, err)
-		}
-		l := &layers.Layer{Kind: layers.Kind(kind), Dim: int(dim)}
-		l.W = tensor.NewMatrix(int(dim), int(dim))
-		l.B = make([]float32, dim)
-		for j := range l.W.Data {
-			bits, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("supernet: truncated weights at layer %d: %w", i, err)
-			}
-			l.W.Data[j] = math.Float32frombits(bits)
-		}
-		for j := range l.B {
-			bits, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("supernet: truncated biases at layer %d: %w", i, err)
-			}
-			l.B[j] = math.Float32frombits(bits)
-		}
-		n.Layer[i] = l
-	}
-	return n, nil
 }

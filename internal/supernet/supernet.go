@@ -214,34 +214,6 @@ func (sn Subnet) LayerIDs(space Space) []LayerID {
 	return ids
 }
 
-// Layers returns the subnet's layer metadata in block order.
-func (s *Supernet) Layers(sn Subnet) []LayerMeta {
-	out := make([]LayerMeta, len(sn.Choices))
-	for b, c := range sn.Choices {
-		out[b] = s.Meta[s.Space.ID(b, c)]
-	}
-	return out
-}
-
-// SubnetParamBytes returns the parameter size of one subnet's context.
-func (s *Supernet) SubnetParamBytes(sn Subnet) int64 {
-	var total int64
-	for _, m := range s.Layers(sn) {
-		total += m.ParamBytes
-	}
-	return total
-}
-
-// SubnetCostMs returns the total fwd+bwd compute cost of the subnet at the
-// reference batch.
-func (s *Supernet) SubnetCostMs(sn Subnet) float64 {
-	var total float64
-	for _, m := range s.Layers(sn) {
-		total += m.FwdMs + m.BwdMs
-	}
-	return total
-}
-
 // Shares reports whether two subnets select the same candidate layer in
 // any block — the condition that creates a causal dependency between their
 // executions (§2.1).
@@ -256,21 +228,6 @@ func Shares(a, b Subnet) bool {
 		}
 	}
 	return false
-}
-
-// SharedBlocks returns the blocks in which a and b chose the same layer.
-func SharedBlocks(a, b Subnet) []int {
-	var out []int
-	n := len(a.Choices)
-	if len(b.Choices) < n {
-		n = len(b.Choices)
-	}
-	for i := 0; i < n; i++ {
-		if a.Choices[i] == b.Choices[i] {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Sampler generates the ordered subnet stream by SPOS per-block uniform
@@ -315,22 +272,4 @@ func Sample(space Space, seed uint64, n int) []Subnet {
 		out[i] = s.nextInto(slab[i*m : (i+1)*m : (i+1)*m])
 	}
 	return out
-}
-
-// DependencyRate estimates, over the first n subnets, the probability that
-// a subnet shares at least one layer with its immediate predecessor. The
-// paper's key insight is that this rate falls as the space widens
-// (1-(1-1/n_choices)^blocks), enabling aggressive CSP scheduling.
-func DependencyRate(space Space, seed uint64, n int) float64 {
-	if n < 2 {
-		return 0
-	}
-	subnets := Sample(space, seed, n)
-	dep := 0
-	for i := 1; i < n; i++ {
-		if Shares(subnets[i-1], subnets[i]) {
-			dep++
-		}
-	}
-	return float64(dep) / float64(n-1)
 }

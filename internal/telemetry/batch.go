@@ -37,9 +37,6 @@ func NewBatcher(bus *Bus) *Batcher {
 	return &Batcher{bus: bus, buf: make([]Event, 0, batcherCap)}
 }
 
-// Enabled reports whether events go anywhere. Nil-safe.
-func (t *Batcher) Enabled() bool { return t != nil }
-
 // Emit stamps the event with the bus's current clock and queues it,
 // flushing if the local buffer is full. Nil-safe; allocation-free.
 func (t *Batcher) Emit(ev Event) {
@@ -62,12 +59,4 @@ func (t *Batcher) Flush() {
 	}
 	t.bus.EmitBatch(t.buf)
 	t.buf = t.buf[:0]
-}
-
-// Pending returns the number of queued, unflushed events. Nil-safe.
-func (t *Batcher) Pending() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.buf)
 }

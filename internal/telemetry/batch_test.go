@@ -13,18 +13,12 @@ func TestNilBatcherIsFreeAndNilSafe(t *testing.T) {
 	if tb != nil {
 		t.Fatal("NewBatcher(nil) must return the nil batcher")
 	}
-	if tb.Enabled() {
-		t.Fatal("nil batcher reports enabled")
-	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		tb.Emit(Event{Op: OpTaskStart, Phase: PhaseBegin, Stage: 1, Subnet: 2})
 		tb.Flush()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil batcher allocates %v per emit", allocs)
-	}
-	if tb.Pending() != 0 {
-		t.Fatal("nil batcher leaked state")
 	}
 }
 
@@ -51,14 +45,14 @@ func TestBatcherDeliversEventsAndCounters(t *testing.T) {
 	tb := NewBatcher(b)
 	tb.Emit(Event{Op: OpTaskStart, Phase: PhaseBegin, Stage: 0, Subnet: 1})
 	tb.Emit(Event{Op: OpCacheHit, Phase: PhaseInstant, Arg: 3})
-	if got := b.Len(); got != 0 {
+	if got := len(b.Events()); got != 0 {
 		t.Fatalf("bus saw %d events before flush, want 0", got)
 	}
-	if got := tb.Pending(); got != 2 {
+	if got := len(tb.buf); got != 2 {
 		t.Fatalf("Pending = %d, want 2", got)
 	}
 	tb.Flush()
-	if got := b.Len(); got != 2 {
+	if got := len(b.Events()); got != 2 {
 		t.Fatalf("bus has %d events after flush, want 2", got)
 	}
 	if got := b.Count(OpCacheHit); got != 3 {
@@ -81,11 +75,11 @@ func TestBatcherAutoFlushAtCapacity(t *testing.T) {
 	for i := 0; i < batcherCap; i++ {
 		tb.Emit(Event{Op: OpTaskAdmit, Phase: PhaseInstant, Subnet: int32(i)})
 	}
-	if got := b.Len(); got != batcherCap {
+	if got := len(b.Events()); got != batcherCap {
 		t.Fatalf("bus has %d events after %d emits, want auto-flush of all", got, batcherCap)
 	}
-	if tb.Pending() != 0 {
-		t.Fatalf("Pending = %d after auto-flush, want 0", tb.Pending())
+	if len(tb.buf) != 0 {
+		t.Fatalf("Pending = %d after auto-flush, want 0", len(tb.buf))
 	}
 }
 
@@ -100,7 +94,7 @@ func TestEmitBatchDropsLikeEmit(t *testing.T) {
 		evs[i] = Event{Op: OpTaskAdmit, Phase: PhaseInstant, Subnet: int32(i), TsNs: int64(i)}
 	}
 	b.EmitBatch(evs)
-	if got := b.Len(); got != capacity {
+	if got := len(b.Events()); got != capacity {
 		t.Fatalf("ring kept %d, want %d", got, capacity)
 	}
 	if got := int(b.Dropped()); got != len(evs)-capacity {
@@ -146,7 +140,7 @@ func TestBatchersConcurrentWithDirectEmit(t *testing.T) {
 	}
 	wg.Wait()
 	total := 2 * producers * perProd
-	if got := b.Len(); got != total {
+	if got := len(b.Events()); got != total {
 		t.Fatalf("bus has %d events, want %d", got, total)
 	}
 	if got := b.Count(OpTaskStart); got != int64(producers*perProd) {

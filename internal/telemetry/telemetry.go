@@ -264,9 +264,6 @@ func NewBus(capacity int) *Bus {
 	return &Bus{epoch: time.Now(), buf: make([]Event, 0, capacity)}
 }
 
-// Enabled reports whether events go anywhere. Nil-safe.
-func (b *Bus) Enabled() bool { return b != nil }
-
 // Now returns nanoseconds since the bus epoch (0 on the disabled bus) —
 // the timestamp base for EmitAt backdating.
 func (b *Bus) Now() int64 {
@@ -364,16 +361,6 @@ func (b *Bus) Events() []Event {
 	out := make([]Event, len(b.buf))
 	copy(out, b.buf)
 	return out
-}
-
-// Len returns the number of events currently captured. Nil-safe.
-func (b *Bus) Len() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.buf)
 }
 
 // Dropped returns how many events the full ring refused. Nil-safe.

@@ -4,15 +4,14 @@ package tensor
 
 import "math/bits"
 
-// fastPath names the kernels MatVec, OuterAccum, the three batch
-// kernels, AXPY, MatAXPY, Tanh and TanhGrad run here: SSE2 assembly
+// The kernels MatVec, OuterAccum, the three batch kernels, AXPY,
+// MatAXPY, Tanh and TanhGrad run here as SSE2 assembly
 // (kernels_amd64.s). SSE2 is part of the amd64 baseline (GOAMD64=v1), so
 // no CPU check stands in front of it. A lane holds one output element
 // and nothing else, so each output sees the same products and sums, in
 // the same order and each rounded on its own, as under the Go kernels.
 // Every caller has checked the shapes; the reslices below turn a short
 // slice into Go's bounds panic before any assembly reads it.
-const fastPath = "sse2"
 
 // matVecSSE computes, for each row r < len(dst) (a multiple of 4), the
 // partial dot product of m's row r (row stride stride) with x, over the

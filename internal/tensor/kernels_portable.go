@@ -2,11 +2,10 @@
 
 package tensor
 
-// fastPath names the kernels MatVec, OuterAccum, the three batch
-// kernels, AXPY, MatAXPY, Tanh and TanhGrad run here: the portable Go
-// loops, as on every GOARCH but amd64 and in every race build (the race
-// detector cannot see memory that assembly touches).
-const fastPath = "go"
+// The kernels MatVec, OuterAccum, the three batch kernels, AXPY,
+// MatAXPY, Tanh and TanhGrad run here as the portable Go loops, as on
+// every GOARCH but amd64 and in every race build (the race detector
+// cannot see memory that assembly touches).
 
 func matVec(dst Vector, m *Matrix, x Vector)                   { matVecGo(dst, m, x, 0, m.Rows) }
 func outerAccum(dst *Matrix, a, b Vector, scale float32)       { outerAccumGo(dst, a, b, scale) }

@@ -357,7 +357,7 @@ var specials = []float32{
 // gradient sum that took them in would show.
 func TestBatchKernelsMatchReference(t *testing.T) {
 	for _, k := range kernelPaths() {
-		r := rng.New(54).Split("batch")
+		r := rng.Labeled(54, "batch")
 		for _, shape := range batchShapes() {
 			m := randMat(r, shape[0], shape[1])
 			for _, n := range []int{1, 2, 3, 4, 5, 8} {
@@ -395,7 +395,7 @@ func TestBatchKernelsMatchReference(t *testing.T) {
 // 8 with −0, ±Inf, NaN and subnormal inputs mixed in, and pins its dead
 // lanes at 0 and its calls allocation-free.
 func TestTanhBatch(t *testing.T) {
-	r := rng.New(55).Split("tanh")
+	r := rng.Labeled(55, "tanh")
 	for _, shape := range batchShapes() {
 		dim := shape[1]
 		for _, n := range []int{1, 2, 3, 4, 5, 8} {
@@ -456,7 +456,7 @@ func TestOuterBatchNegativeZero(t *testing.T) {
 // kernels on any stage goroutine, any host and any GOARCH.
 func TestKernelsMatchReference(t *testing.T) {
 	for _, k := range kernelPaths() {
-		r := rng.New(99).Split("kernels")
+		r := rng.Labeled(99, "kernels")
 		for _, shape := range kernelShapes() {
 			rows, cols := shape[0], shape[1]
 			m := randMat(r, rows, cols)
@@ -474,7 +474,7 @@ func TestKernelsMatchReference(t *testing.T) {
 // test runs with.
 func TestKernelsDoNotAllocate(t *testing.T) {
 	const n = 512
-	r := rng.New(5).Split("allocs")
+	r := rng.Labeled(5, "allocs")
 	m, acc := randMat(r, n, n), randMat(r, n, n)
 	x, dst := randVec(r, n), make(Vector, n)
 	const items = 5 // a full group and a part-dead one
@@ -557,7 +557,7 @@ func FuzzKernels(f *testing.F) {
 // TestChecksumMatchesFNVReference pins the inlined FNV-64a loops to the
 // hash/fnv implementation they replaced: same byte stream, same digest.
 func TestChecksumMatchesFNVReference(t *testing.T) {
-	r := rng.New(7).Split("checksum")
+	r := rng.Labeled(7, "checksum")
 	for _, n := range []int{0, 1, 3, 64, 1000} {
 		v := randVec(r, n)
 		if got, want := v.Checksum(), vectorChecksumRef(v); got != want {

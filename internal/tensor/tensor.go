@@ -59,9 +59,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// At returns the element at (r, c).
-func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
-
 // Set stores v at (r, c).
 func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Cols+c] = v }
 
@@ -70,21 +67,6 @@ func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
-}
-
-// Equal reports whether m and o have identical shape and bitwise identical
-// contents. NaNs with equal bit patterns compare equal: this is a bitwise
-// comparison, the reproducibility criterion of Definition 1.
-func (m *Matrix) Equal(o *Matrix) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return false
-	}
-	for i := range m.Data {
-		if math.Float32bits(m.Data[i]) != math.Float32bits(o.Data[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // slicesOverlap reports whether a and b share any backing memory. Empty
@@ -236,27 +218,6 @@ func MatAXPY(dst *Matrix, alpha float32, x *Matrix) {
 		panic("tensor: MatAXPY dst overlaps x")
 	}
 	axpy(dst.Data, alpha, x.Data)
-}
-
-// Dot returns the sequential dot product of a and b.
-func Dot(a, b Vector) float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var sum float32
-	for i := range a {
-		sum += float32(a[i] * b[i])
-	}
-	return sum
-}
-
-// SumSquares returns Σ a[i]², accumulated left to right.
-func SumSquares(a Vector) float32 {
-	var sum float32
-	for _, v := range a {
-		sum += float32(v * v)
-	}
-	return sum
 }
 
 // TanhGrad computes dst = g * (1 - y²) elementwise, where y = tanh(x) is

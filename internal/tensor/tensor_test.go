@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -347,4 +348,43 @@ func BenchmarkMatVec64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MatVec(dst, m, x)
 	}
+}
+
+// At returns the element at (r, c).
+func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
+
+// Equal reports whether m and o have identical shape and bitwise identical
+// contents. NaNs with equal bit patterns compare equal: this is a bitwise
+// comparison, the reproducibility criterion of Definition 1.
+func (m *Matrix) Equal(o *Matrix) bool {
+	if m.Rows != o.Rows || m.Cols != o.Cols {
+		return false
+	}
+	for i := range m.Data {
+		if math.Float32bits(m.Data[i]) != math.Float32bits(o.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Dot returns the sequential dot product of a and b.
+func Dot(a, b Vector) float32 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a), len(b)))
+	}
+	var sum float32
+	for i := range a {
+		sum += float32(a[i] * b[i])
+	}
+	return sum
+}
+
+// SumSquares returns Σ a[i]², accumulated left to right.
+func SumSquares(a Vector) float32 {
+	var sum float32
+	for _, v := range a {
+		sum += float32(v * v)
+	}
+	return sum
 }

@@ -108,15 +108,6 @@ func SequentialOrder(subnets []int) string {
 	return strings.Join(parts, "-")
 }
 
-// SequentialEquivalent reports whether, for every layer, the access
-// sequence equals sequential training: subnets in ascending order, each
-// layer seeing its F strictly before its B, and no interleaving between
-// subnets (xF-xB-yF-yB... with x<y). This is the inter-subnet
-// reproducibility condition of §2.1.
-func (t *Trace) SequentialEquivalent() bool {
-	return t.FirstViolation() == nil
-}
-
 // Violation describes a departure from sequential-equivalent ordering on
 // one layer.
 type Violation struct {
@@ -125,8 +116,12 @@ type Violation struct {
 }
 
 // FirstViolation returns the first per-layer ordering violation found, or
-// nil if the trace is sequential-equivalent. Layers are checked in
-// ascending ID order for determinism.
+// nil if the trace is sequential-equivalent: for every layer the access
+// sequence equals sequential training's, subnets in ascending order, each
+// layer seeing its F strictly before its B, and no interleaving between
+// subnets (xF-xB-yF-yB... with x<y), the inter-subnet reproducibility
+// condition of §2.1. Layers are checked in ascending ID order for
+// determinism.
 func (t *Trace) FirstViolation() *Violation {
 	perLayer := map[supernet.LayerID][]Event{}
 	for _, e := range t.Events {

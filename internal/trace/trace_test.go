@@ -38,8 +38,8 @@ func TestSequentialEquivalentAccepts(t *testing.T) {
 	add(&tr, 3, 1, Write)
 	add(&tr, 1, 2, Read)
 	add(&tr, 1, 2, Write)
-	if !tr.SequentialEquivalent() {
-		t.Fatalf("violation: %+v", tr.FirstViolation())
+	if v := tr.FirstViolation(); v != nil {
+		t.Fatalf("violation: %+v", v)
 	}
 }
 

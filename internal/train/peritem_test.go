@@ -55,7 +55,7 @@ func stepPerItem(cfg Config, net *supernet.Numeric, sub supernet.Subnet, batch d
 			dx := make(tensor.Vector, dim) // Wᵀ·dz, rows in ascending order
 			for r, dzr := range dz {
 				for c := range dx {
-					dx[c] += float32(l.W.At(r, c) * dzr)
+					dx[c] += float32(l.W.Data[r*l.W.Cols+c] * dzr)
 				}
 			}
 			dys[i] = dx

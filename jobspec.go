@@ -172,7 +172,8 @@ type JobSpec struct {
 	// numeric plane (Space.Scaled); both or neither.
 	ScaleBlocks  int `json:"scale_blocks,omitempty"`
 	ScaleChoices int `json:"scale_choices,omitempty"`
-	// Policy is the scheduling policy ("" = "naspipe"; see PolicyNames).
+	// Policy is the scheduling policy ("" = "naspipe"; one of PolicyNames,
+	// which the CLIs' -policy help lists).
 	Policy string `json:"policy,omitempty"`
 	// Executor selects the execution plane: "simulated" or "concurrent"
 	// ("" = "simulated").

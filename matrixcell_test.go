@@ -1,15 +1,17 @@
-package scenario
+package naspipe_test
 
 import (
 	"fmt"
 	"strings"
+	"testing"
 	"time"
 
 	"naspipe"
 	"naspipe/internal/fault"
+	"naspipe/internal/scenario"
 )
 
-// MatrixCell builds the scenario equivalent of one historical
+// matrixCell builds the scenario equivalent of one historical
 // crash/supervised matrix cell: the workload TestCrashResumeMatrix and
 // TestSupervisedCrashMatrix always ran (NLP.c3 scaled 8×3, seed 7, 18
 // subnets, the dim-8 WNMT training plane) under the given fault
@@ -22,7 +24,7 @@ import (
 // backoffs. TestSupervisedCrashMatrix runs it as it compiles;
 // TestCrashResumeMatrix drops the supervision and drives the operator's
 // -resume contract over naspipe.RunJob itself, to the same verdict.
-func MatrixCell(name, faultSpec string, gpus int) (*Scenario, error) {
+func matrixCell(name, faultSpec string, gpus int) (*scenario.Scenario, error) {
 	plan, err := fault.ParsePlan(faultSpec)
 	if err != nil {
 		return nil, err
@@ -37,19 +39,19 @@ func MatrixCell(name, faultSpec string, gpus int) (*Scenario, error) {
 		plan.Storm[i].Task.Stage %= gpus
 	}
 
-	s := &Scenario{
+	s := &scenario.Scenario{
 		Name: matrixSlug(fmt.Sprintf("%s-gpus%d", name, gpus)),
-		World: World{
+		World: scenario.World{
 			GPUs: gpus,
 		},
-		Workload: Workload{
+		Workload: scenario.Workload{
 			Space:       "NLP.c3",
 			ScaleBlocks: 8, ScaleChoices: 3,
 			Subnets: 18,
 			Seed:    7,
 			Train:   &naspipe.TrainSpec{Dim: 8, BatchSize: 2, LR: 0.05, Dataset: "WNMT"},
 		},
-		Storm: &Storm{Faults: plan.String(), Supervise: &naspipe.SuperviseSpec{
+		Storm: &scenario.Storm{Faults: plan.String(), Supervise: &naspipe.SuperviseSpec{
 			MaxRestarts:     60,
 			CrashLoopWindow: 25,
 			Backoff:         naspipe.Duration(100 * time.Microsecond),
@@ -80,4 +82,29 @@ func matrixSlug(name string) string {
 		}
 	}
 	return strings.TrimSuffix(b.String(), "-")
+}
+
+// TestMatrixCell: the matrices' cell builder produces valid scenarios
+// with the historic workload geometry and folds fault sites into range.
+func TestMatrixCell(t *testing.T) {
+	s, err := matrixCell("deep fwd", "seed=105,crashat=7:12:F,dup=0.1", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name != "deep-fwd-gpus2" {
+		t.Fatalf("slug %q", s.Name)
+	}
+	if s.World.GPUs != 2 || s.Workload.Subnets != 18 || s.Workload.Seed != 7 {
+		t.Fatalf("matrix geometry drifted: %+v", s)
+	}
+	if s.Storm == nil || s.Storm.Supervise == nil {
+		t.Fatalf("matrix cell lost its storm/supervision: %+v", s.Storm)
+	}
+	// Stage 7 folded to 7 % 2 = 1.
+	if !strings.Contains(s.Storm.Faults, "crashat=1:12:F") {
+		t.Fatalf("crash site not folded into depth 2: %q", s.Storm.Faults)
+	}
+	if _, err := matrixCell("x", "crashat=zig", 2); err == nil {
+		t.Fatalf("bad fault spec accepted")
+	}
 }

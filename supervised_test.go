@@ -76,7 +76,7 @@ func assertSupervisedBitwise(t *testing.T, res naspipe.Result) {
 // supervisor with zero operator intervention — crashes caught
 // in-process, resumed from the checkpoint — and the final weights stay
 // bitwise identical to the uninterrupted sequential reference.
-// Each cell is scenario.MatrixCell — the historical workload geometry
+// Each cell is matrixCell — the historical workload geometry
 // with the matrices' generous budgets attached as a SuperviseSpec — run
 // through naspipe.RunJob and bitwise-verified by scenario.Run.
 func TestSupervisedCrashMatrix(t *testing.T) {
@@ -85,7 +85,7 @@ func TestSupervisedCrashMatrix(t *testing.T) {
 			gpus, sched := gpus, sched
 			t.Run(fmt.Sprintf("gpus=%d/%s", gpus, sched.name), func(t *testing.T) {
 				t.Parallel()
-				s, err := scenario.MatrixCell(sched.name, sched.spec, gpus)
+				s, err := matrixCell(sched.name, sched.spec, gpus)
 				if err != nil {
 					t.Fatalf("matrix cell: %v", err)
 				}

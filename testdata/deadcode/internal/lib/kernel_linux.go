@@ -1,0 +1,5 @@
+//go:build linux
+
+package lib
+
+func kernel() int { return 1 }
